@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.obs.causal import E_DST, E_SRC, E_TYPE, N_ID, N_KIND, N_T
+from repro.obs.causal import causal_columns, node_id
 from repro.obs.phases import epoch_phase_table
 
 #: phases of one recovery, in order (their durations tile the interval)
@@ -78,70 +78,54 @@ def critical_paths(obs_doc: Optional[Dict[str, Any]]
     phase_rows = epoch_phase_table(obs_doc)
     if not phase_rows:
         return []
-    causal = (obs_doc or {}).get("causal") or {}
-    nodes = causal.get("nodes", [])
-    edges = causal.get("edges", [])
-    # backward maps: receive <- send (net), send <- causing receive
-    net_pred: Dict[int, int] = {}
-    causal_pred: Dict[int, int] = {}
-    recv_by_time: List[int] = []
-    for e in edges:
-        if e[E_TYPE] == "net":
-            net_pred[e[E_DST]] = e[E_SRC]
-            recv_by_time.append(e[E_DST])
-        elif e[E_TYPE] == "causal":
-            causal_pred[e[E_DST]] = e[E_SRC]
-    recv_by_time.sort(key=lambda i: (nodes[i][N_T], i))
+    t_send, t_recv, kind, parent = causal_columns(obs_doc)
+    # rows by receive instant (the sort is stable: ties in row order)
+    recv_by_time = sorted(range(len(t_recv)), key=t_recv.__getitem__)
 
     out: List[Dict[str, Any]] = []
     for prow in phase_rows:
         t0 = prow["t_fault"]
         segments: List[Dict[str, Any]] = []
         t = t0
+        recovery = 0.0          # the tiling identity, exact by construction
         for phase in PHASES:
             dur = prow[phase]
             segments.append({"phase": phase, "t0": t, "t1": t + dur,
                              "dur": dur})
             t = t + dur
-        # the tiling identity, exact by construction
-        recovery = 0.0
-        for seg in segments:
-            recovery += seg["dur"]
-        t_end = segments[-1]["t1"]
+            recovery += dur
+        t_end = t
 
         attribution: Dict[str, Dict[str, float]] = {}
-        for e in edges:
-            if e[E_TYPE] != "net":
+        for row, sent in enumerate(t_send):
+            if sent < t0 - _EPS or sent > t_end + _EPS:
                 continue
-            send, recv = nodes[e[E_SRC]], nodes[e[E_DST]]
-            if send[N_T] < t0 - _EPS or send[N_T] > t_end + _EPS:
-                continue
-            kind = send[N_KIND]
-            cat = ATTRIBUTION.get(kind, "other")
+            cat = ATTRIBUTION.get(kind[row], "other")
             entry = attribution.setdefault(cat,
                                            {"count": 0, "seconds": 0.0})
             entry["count"] += 1
-            entry["seconds"] += recv[N_T] - send[N_T]
+            entry["seconds"] += t_recv[row] - sent
         for entry in attribution.values():
             entry["seconds"] = round(entry["seconds"], 9)
 
-        # backward chain from the last receive inside the window
+        # backward chain from the last receive inside the window: a
+        # receive steps to its own send, a send to the receive that
+        # caused it
         chain: List[str] = []
-        start = None
+        row = -1
         for i in reversed(recv_by_time):
-            if nodes[i][N_T] <= t_end + _EPS:
-                if nodes[i][N_T] >= t0 - _EPS:
-                    start = i
+            if t_recv[i] <= t_end + _EPS:
+                if t_recv[i] >= t0 - _EPS:
+                    row = i
                 break
-        node = start
-        while node is not None and len(chain) < MAX_CHAIN:
-            if nodes[node][N_T] < t0 - _EPS:
+        at_recv = True
+        while row >= 0 and len(chain) < MAX_CHAIN:
+            if (t_recv[row] if at_recv else t_send[row]) < t0 - _EPS:
                 break
-            chain.append(nodes[node][N_ID])
-            prev = net_pred.get(node)
-            if prev is None:
-                prev = causal_pred.get(node)
-            node = prev
+            chain.append(node_id(obs_doc, row, at_recv))
+            if not at_recv:
+                row = parent[row]
+            at_recv = not at_recv
         chain.reverse()         # chronological: cause first
 
         out.append({
@@ -168,14 +152,26 @@ def critpath_rollup(obs_doc: Optional[Dict[str, Any]]
     epochs; empty for fault-free or unobserved trials.
     """
     rollup: Dict[str, float] = {}
-    for row in critical_paths(obs_doc):
-        if row["truncated"]:
-            continue
-        for seg in row["segments"]:
-            rollup[seg["phase"]] = rollup.get(seg["phase"], 0.0) \
-                + seg["dur"]
-        rollup["recovery"] = rollup.get("recovery", 0.0) + row["recovery"]
+    add_phase_seconds(rollup, obs_doc)
     return {k: round(v, 9) for k, v in rollup.items()}
+
+
+def add_phase_seconds(totals: Dict[str, float],
+                      obs_doc: Optional[Dict[str, Any]]) -> int:
+    """Add each non-truncated epoch's phase durations, and their sum as
+    ``recovery``, into ``totals``; returns the number of epochs seen.
+    The phase table alone gives them: the durations of
+    :func:`critical_paths`' segments, summed in the same order."""
+    phase_rows = epoch_phase_table(obs_doc)
+    for prow in phase_rows:
+        if prow["truncated"]:
+            continue
+        recovery = 0.0
+        for phase in PHASES:
+            totals[phase] = totals.get(phase, 0.0) + prow[phase]
+            recovery += prow[phase]
+        totals["recovery"] = totals.get("recovery", 0.0) + recovery
+    return len(phase_rows)
 
 
 def render_critical_paths(obs_doc: Optional[Dict[str, Any]]) -> str:

@@ -26,7 +26,7 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.critpath import PHASES, critical_paths
-from repro.obs.causal import causal_kind_rollup
+from repro.obs.causal import causal_kind_rollup, causal_section
 from repro.obs.spans import span_rollups
 
 
@@ -34,7 +34,8 @@ def load_obs_doc(path: str) -> Tuple[Optional[Dict[str, Any]], str]:
     """Read an ``obs`` document from a result file or a bare obs file.
 
     Returns ``(obs_doc_or_None, description)``; raises ``ValueError``
-    for files that are neither.
+    for files that are neither, or whose obs document was recorded
+    under another layout version.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -42,13 +43,17 @@ def load_obs_doc(path: str) -> Tuple[Optional[Dict[str, Any]], str]:
         raise ValueError(f"{path}: not a JSON object")
     if "format" in doc:                     # full result document
         verdict = doc.get("verdict") or {}
+        obs = doc.get("obs")
         desc = (f"result format {doc['format']}, "
                 f"outcome {verdict.get('outcome', '?')}")
-        return doc.get("obs"), desc
-    if "spans" in doc:                      # bare obs document
-        return doc, f"obs document version {doc.get('version', '?')}"
-    raise ValueError(f"{path}: neither a result document (no 'format') "
-                     f"nor an obs document (no 'spans')")
+    elif "spans" in doc:                    # bare obs document
+        obs = doc
+        desc = f"obs document version {doc.get('version', '?')}"
+    else:
+        raise ValueError(f"{path}: neither a result document (no "
+                         f"'format') nor an obs document (no 'spans')")
+    causal_section(obs, where=f"{path}: ")     # refuses another layout
+    return obs, desc
 
 
 def _fmt(v: Any) -> str:

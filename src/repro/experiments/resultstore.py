@@ -33,38 +33,18 @@ from typing import Any, Dict, Optional
 from repro.analysis.classify import Outcome, RunVerdict
 from repro.analysis.traces import Trace, TraceRecord
 from repro.mpichv.runtime import RunResult
+from repro.obs.spans import json_safe
 
 #: bump when the document layout changes; readers reject other versions
-FORMAT_VERSION = 8    # 8: causal message tracing — the obs document
-#                       gains a ``causal`` event graph (version 2, see
-#                       repro.obs.causal) and the verdict gains
-#                       ``critpath_segments``, the per-phase recovery
-#                       critical-path rollup.
-#                       7: the observability document (``obs``: span
-#                       rows + metrics registry, see repro.obs) and the
-#                       span-derived verdict fields (detect_latency,
-#                       replay_seconds).  Everything outside the obs
-#                       doc's ``exec`` section is a pure function of
-#                       the simulated history.
-#                       6: engine-workers execution metadata
-#                       (engine_workers, parallel accounting) on every
-#                       result.  wall_seconds is deliberately NOT
-#                       serialized: wall clock is never deterministic,
-#                       and the wire document must stay bit-for-bit
-#                       identical across serial/pool/cache paths
+FORMAT_VERSION = 9    # 9: columnar ``causal`` section (obs version 3,
+#                       see repro.obs.causal), files written compact.
+#                       Earlier formats: EXPERIMENTS.md, version history.
+#                       wall_seconds is deliberately NOT serialized:
+#                       wall clock is never deterministic, and the wire
+#                       document must stay bit-for-bit identical across
+#                       serial/pool/cache paths
 #                       (tests/test_network_partition.py) — wall-clock
 #                       numbers live in BENCH_*.json artifacts only.
-
-
-def _json_safe(value: Any) -> Any:
-    """Best-effort conversion of a trace field to a JSON value."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    return repr(value)
 
 
 def trace_to_dict(trace: Trace) -> Dict[str, Any]:
@@ -73,7 +53,7 @@ def trace_to_dict(trace: Trace) -> Dict[str, Any]:
         "counts": dict(trace.counts),
         "first_time": dict(trace.first_time),
         "last_time": dict(trace.last_time),
-        "records": [[r.t, r.kind, _json_safe(r.fields)]
+        "records": [[r.t, r.kind, json_safe(r.fields)]
                     for r in trace.records],
     }
 
@@ -181,6 +161,8 @@ class ResultStore:
             raise NotADirectoryError(
                 f"result cache path {root!r} exists and is not a "
                 f"directory") from err
+        #: entries :meth:`get` found but could not use
+        self.stale = 0
 
     def path_for(self, key: str) -> str:
         return os.path.join(self.root, key[:2], f"{key}.json")
@@ -189,15 +171,19 @@ class ResultStore:
         return os.path.exists(self.path_for(key))
 
     def get(self, key: str) -> Optional[RunResult]:
-        """The stored result, or None on miss / unreadable entry."""
-        path = self.path_for(key)
+        """The stored result, or None on a miss.
+
+        An entry that is present but unusable — truncated, wrong shape,
+        another :data:`FORMAT_VERSION` — also reads as a miss (the trial
+        re-executes and overwrites it) and is counted in :attr:`stale`.
+        """
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            return run_result_from_dict(doc)
+            with open(self.path_for(key), "r", encoding="utf-8") as fh:
+                return run_result_from_dict(json.loads(fh.read()))
+        except FileNotFoundError:
+            return None
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
-            # unreadable, truncated, version-skewed or wrong-shaped
-            # entries all read as a miss: the trial just re-executes
+            self.stale += 1
             return None
 
     def put(self, key: str, result: RunResult) -> None:
@@ -210,7 +196,9 @@ class ResultStore:
                                    suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
+                # dumps, not dump: one pass of the C encoder and one
+                # write, where dump(fh) iterates in Python per token
+                fh.write(json.dumps(doc, separators=(",", ":")))
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -47,7 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.experiments.harness import TrialSetup
 
 #: bump to invalidate every existing cache entry (key derivation or
-#: simulation semantics changed)
+#: simulation semantics changed).  A result *layout* change bumps only
+#: ``resultstore.FORMAT_VERSION``: the old entry under the same key
+#: reads as a stale miss and is overwritten.
 CACHE_VERSION = 9        # 9: causal event graph in the obs document
 #                          and critpath_segments on verdicts (result
 #                          format 8) — cached format-7 entries would
@@ -112,6 +114,9 @@ class RunnerStats:
 
     executed: int = 0
     cache_hits: int = 0
+    #: cache entries found unreadable or written by another result
+    #: format: each read as a miss, re-executed and was overwritten
+    stale_entries: int = 0
     #: wall seconds per executed trial (submission order)
     exec_walls: List[float] = field(default_factory=list)
     #: wall seconds per cache hit (store read + deserialize)
@@ -157,6 +162,9 @@ class RunnerStats:
                          f"{pct['p90']:.2f}/{pct['p99']:.2f}s")
         if self.hit_walls:
             parts.append(f"cache-hit latency {self.mean_hit_latency_ms:.1f}ms")
+        if self.stale_entries:
+            parts.append(f"{self.stale_entries} stale cache entries "
+                         f"re-executed")
         return "; ".join(parts)
 
     def to_doc(self) -> Dict[str, object]:
@@ -165,6 +173,7 @@ class RunnerStats:
             "executed": self.executed,
             "cache_hits": self.cache_hits,
             "hit_rate": round(self.hit_rate, 4),
+            "stale_entries": self.stale_entries,
             "wall_percentiles": self.wall_percentiles(),
             "mean_hit_latency_ms": round(self.mean_hit_latency_ms, 3),
         }
@@ -243,6 +252,8 @@ class TrialRunner:
                     self.stats.note_hit(time.perf_counter() - start)
                     continue
             pending.append(i)
+        if self.store is not None:
+            self.stats.stale_entries = self.store.stale
 
         if pending and self.workers == 1:
             for i in pending:

@@ -32,8 +32,11 @@ def main() -> None:
                              "(default: its file name)")
     args = parser.parse_args()
 
-    obs_a, desc_a = load_obs_doc(args.a)
-    obs_b, desc_b = load_obs_doc(args.b)
+    try:
+        obs_a, desc_a = load_obs_doc(args.a)
+        obs_b, desc_b = load_obs_doc(args.b)
+    except ValueError as err:
+        raise SystemExit(f"trace-diff: {err}") from None
     label_a = args.label_a or os.path.basename(args.a)
     label_b = args.label_b or os.path.basename(args.b)
     print(f"{label_a}: {desc_a}")

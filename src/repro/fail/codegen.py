@@ -148,6 +148,9 @@ def generate_python(daemon: ast.DaemonDef, params=None) -> str:
                 elif isinstance(action, ast.AssignAction):
                     emit(f"            self.vars[{action.name!r}] = "
                          f"{_py_expr(action.expr)}")
+                    # a later action of this transition reads it
+                    emit("            env = {**self.vars, "
+                         "**self.always_vars}")
             if goto is not None:
                 emit(f"            self.node = {goto}")
                 emit("            self.enter_node()")

@@ -22,7 +22,7 @@ import json
 import os
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.obs.causal import causal_kind_rollup
+from repro.obs.causal import causal_kind_rollup, causal_totals
 from repro.obs.spans import span_rollups
 
 
@@ -35,13 +35,12 @@ def aggregate_obs(obs_docs: Iterable[Optional[Dict[str, Any]]]
     """Aggregate many trials' ``obs`` documents into one summary."""
     # function-level: repro.analysis builds on the obs layer, and this
     # is the one place the dependency briefly points the other way
-    from repro.analysis.critpath import critical_paths
+    from repro.analysis.critpath import add_phase_seconds
 
     spans: Dict[str, Dict[str, float]] = {}
     wire: Dict[str, Dict[str, float]] = {}
     critpath: Dict[str, float] = {}
-    causal_totals = {"nodes": 0, "edges": 0, "minted": 0,
-                     "dropped_nodes": 0, "dropped_edges": 0}
+    causal = causal_totals(None)         # the zero of the sums below
     counters: Dict[str, float] = {}
     trials = 0
     epochs = 0
@@ -63,21 +62,9 @@ def aggregate_obs(obs_docs: Iterable[Optional[Dict[str, Any]]]
             agg = wire.setdefault(kind, {"count": 0, "seconds": 0.0})
             agg["count"] += roll["count"]
             agg["seconds"] += roll["seconds"]
-        causal = doc.get("causal") or {}
-        causal_totals["nodes"] += len(causal.get("nodes", ()))
-        causal_totals["edges"] += len(causal.get("edges", ()))
-        causal_totals["minted"] += causal.get("minted", 0)
-        causal_totals["dropped_nodes"] += causal.get("dropped_nodes", 0)
-        causal_totals["dropped_edges"] += causal.get("dropped_edges", 0)
-        for row in critical_paths(doc):
-            epochs += 1
-            if row["truncated"]:
-                continue
-            for seg in row["segments"]:
-                critpath[seg["phase"]] = critpath.get(seg["phase"], 0.0) \
-                    + seg["dur"]
-            critpath["recovery"] = critpath.get("recovery", 0.0) \
-                + row["recovery"]
+        for name, value in causal_totals(doc).items():
+            causal[name] += value
+        epochs += add_phase_seconds(critpath, doc)
         metrics = doc.get("metrics") or {}
         for name, value in (metrics.get("counters") or {}).items():
             counters[name] = counters.get(name, 0) + value
@@ -93,7 +80,7 @@ def aggregate_obs(obs_docs: Iterable[Optional[Dict[str, Any]]]
         "dropped_spans": dropped_spans,
         "spans": spans,
         "wire": wire,
-        "causal": causal_totals,
+        "causal": causal,
         "critpath": {k: _round9(v) for k, v in critpath.items()},
         "counters": counters,
     }

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.obs.causal import CausalGraph
+from repro.obs.causal import OBS_VERSION, CausalGraph
 from repro.obs.metrics import MetricsRegistry
 
 #: indices into a span row ``[t0, t1, kind, lane, fields]``
@@ -39,13 +39,14 @@ T0, T1, KIND, LANE, FIELDS = 0, 1, 2, 3, 4
 MAX_SPANS = 50000
 
 
-def _json_safe(value: Any) -> Any:
+def json_safe(value: Any) -> Any:
+    """Best-effort conversion of a span or trace field to a JSON value."""
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
+        return [json_safe(v) for v in value]
     if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
+        return {str(k): json_safe(v) for k, v in value.items()}
     return repr(value)
 
 
@@ -80,7 +81,7 @@ class Span:
 
     def to_row(self) -> List[Any]:
         return [self.t0, self.t1, self.kind, self.lane,
-                _json_safe(self.fields)]
+                json_safe(self.fields)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetics
         end = f"{self.t1:.3f}" if self.t1 is not None else "…"
@@ -218,7 +219,7 @@ class Obs:
     def to_doc(self) -> Dict[str, Any]:
         """The compact ``obs`` wire document (see RunResult.obs)."""
         return {
-            "version": 2,
+            "version": OBS_VERSION,
             "spans": [s.to_row() for s in self.spans],
             "dropped_spans": self.dropped_spans,
             "truncated_spans": self.truncated_spans,

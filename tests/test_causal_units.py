@@ -4,16 +4,19 @@ trace-diff renderer, and the campaign rollup exposition formats."""
 
 import json
 
+import pytest
+
 from repro.analysis.classify import classify_run
 from repro.analysis.critpath import (critical_paths, critpath_rollup,
                                      render_critical_paths)
 from repro.analysis.tracediff import trace_diff_text
 from repro.analysis.traces import Trace
-from repro.obs.causal import (MAX_CAUSAL_NODES, CausalGraph, adopt,
-                              causal_kind_rollup, ctx_of, derive, parent_of,
-                              stamp)
+from repro.obs.causal import (MAX_CAUSAL_NODES, OBS_VERSION, CausalGraph,
+                              adopt, causal_kind_rollup, ctx_of, derive,
+                              parent_of, stamp)
 from repro.obs.report import aggregate_obs, html_report, openmetrics_text
 from repro.simkernel.engine import Engine
+from tests.causal_view import E_TYPE, N_ID, graph_view
 
 
 class Msg:
@@ -38,13 +41,24 @@ def test_transmit_records_nodes_and_edges():
     g.on_transmit((tid, None), "AppMessage", "m1", "m2", 1.0, 1.25, 1024)
     # a derived message parented on the first one's receive
     tid2 = g.mint_id("r1", 1.25)
-    g.on_transmit((tid2, f"{tid}:r"), "EvLog", "m2", "svc1", 1.25, 1.5, 64)
-    assert [n[0] for n in g.nodes] == \
-        [f"{tid}:s", f"{tid}:r", f"{tid2}:s", f"{tid2}:r"]
-    assert [e[2] for e in g.edges] == ["net", "net", "causal"]
-    causal_edge = g.edges[2]
-    assert g.nodes[causal_edge[0]][0] == f"{tid}:r"
-    assert g.nodes[causal_edge[1]][0] == f"{tid2}:s"
+    g.on_transmit((tid2, tid), "EvLog", "m2", "svc1", 1.25, 1.5, 64)
+    # the wire layout: one row per transmission, strings interned in
+    # first-seen order, the parent as a row number
+    assert g.to_doc() == {
+        "tid": [tid, tid2],
+        "t_send": [1.0, 1.25], "t_recv": [1.25, 1.5],
+        "src": [0, 1], "dst": [1, 2], "kind": [0, 1], "parent": [-1, 0],
+        "hosts": ["m1", "m2", "svc1"], "kinds": ["AppMessage", "EvLog"],
+        "dropped_nodes": 0, "dropped_edges": 0, "minted": 2}
+    nodes, edges = graph_view(g.to_doc())
+    assert nodes == [[f"{tid}:s", 1.0, "m1", "AppMessage"],
+                     [f"{tid}:r", 1.25, "m2", "AppMessage"],
+                     [f"{tid2}:s", 1.25, "m2", "EvLog"],
+                     [f"{tid2}:r", 1.5, "svc1", "EvLog"]]
+    assert [e[E_TYPE] for e in edges] == ["net", "net", "causal"]
+    causal_edge = edges[2]
+    assert nodes[causal_edge[0]][N_ID] == f"{tid}:r"
+    assert nodes[causal_edge[1]][N_ID] == f"{tid2}:s"
 
 
 def test_broadcast_fanout_gets_unique_node_ids():
@@ -53,27 +67,40 @@ def test_broadcast_fanout_gets_unique_node_ids():
     for i in range(3):
         g.on_transmit((tid, None), "CommandMap", "svc0", f"m{i}",
                       2.0, 2.1, 256)
-    ids = [n[0] for n in g.nodes]
-    assert len(ids) == len(set(ids)) == 6
+    # a reply to any copy hangs off the trace's first receive
+    g.on_transmit((g.mint_id("r1", 2.1), tid), "Register", "m1", "svc0",
+                  2.1, 2.2, 64)
+    assert g.to_doc()["tid"][:3] == [tid, f"{tid}#1", f"{tid}#2"]
+    assert g.to_doc()["parent"] == [-1, -1, -1, 0]
+    ids = [n[N_ID] for n in graph_view(g.to_doc())[0]]
+    assert len(ids) == len(set(ids)) == 8
     assert f"{tid}:s" in ids and f"{tid}#1:s" in ids and f"{tid}#2:s" in ids
 
 
 def test_node_cap_and_drop_accounting():
-    g = CausalGraph(max_nodes=3)
+    g = CausalGraph(max_nodes=4)
     t1 = g.mint_id("r0", 1.0)
     g.on_transmit((t1, None), "A", "m1", "m2", 1.0, 1.1, 1)
+    # a parent that never crossed the network: the row is kept, its
+    # causal edge is dropped rather than dangling
     t2 = g.mint_id("r0", 2.0)
-    g.on_transmit((t2, f"{t1}:r"), "B", "m2", "m3", 2.0, 2.1, 1)
-    # t2's send fit (index 2) but its recv hit the cap: the net edge is
-    # dropped rather than dangling; the causal edge (both ends live)
-    # survives
-    assert len(g.nodes) == 3
-    assert g.dropped_nodes == 1
-    assert g.dropped_edges == 1
-    assert all(e[0] < 3 and e[1] < 3 for e in g.edges)
+    g.on_transmit((t2, "ghost.1.0"), "B", "m2", "m3", 2.0, 2.1, 1)
+    assert (g.dropped_nodes, g.dropped_edges) == (0, 1)
+    # over the cap a transmission drops whole: two nodes, its net edge
+    # and — when it had a parent — its causal edge
+    t3 = g.mint_id("r0", 3.0)
+    g.on_transmit((t3, t1), "C", "m3", "m1", 3.0, 3.1, 1)
+    assert (g.dropped_nodes, g.dropped_edges) == (2, 3)
+    g.on_transmit((t1, None), "A", "m1", "m3", 3.0, 3.1, 1)
+    assert (g.dropped_nodes, g.dropped_edges) == (4, 4)
+    # a parent that fell to the cap resolves to nothing, never to a row
+    # past the end
     doc = g.to_doc()
-    assert doc["dropped_nodes"] == 1 and doc["dropped_edges"] == 1
-    assert doc["minted"] == 2
+    nodes, edges = graph_view(doc)
+    assert len(nodes) == 4 and doc["parent"] == [-1, -1]
+    assert all(e[0] < 4 and e[1] < 4 for e in edges)
+    assert doc["dropped_nodes"] == 4 and doc["dropped_edges"] == 4
+    assert doc["minted"] == 3
     assert MAX_CAUSAL_NODES == 50000
 
 
@@ -97,11 +124,11 @@ def test_stamp_derive_adopt_with_recorder():
     stamp(eng, root, "r0")
     tid, parent = ctx_of(root)
     assert tid.startswith("r0.1.") and parent is None
-    assert parent_of(root) == f"{tid}:r"
+    assert parent_of(root) == tid
     child = Msg()
     derive(eng, child, "evlog", root)
     ctid, cparent = ctx_of(child)
-    assert ctid.startswith("evlog.1.") and cparent == f"{tid}:r"
+    assert ctid.startswith("evlog.1.") and cparent == tid
     envelope = Msg()
     adopt(envelope, root)
     assert ctx_of(envelope) == ctx_of(root)     # same trace, verbatim
@@ -109,12 +136,19 @@ def test_stamp_derive_adopt_with_recorder():
     adopt(Msg(), unstamped)                     # no ctx: no-op, no error
 
 
+def _causal(*transmissions):
+    """A causal section recording ``(ctx, kind, src, dst, t_send,
+    t_recv)`` transmissions."""
+    g = CausalGraph()
+    for ctx, kind, src, dst, t_send, t_recv in transmissions:
+        g.on_transmit(ctx, kind, src, dst, t_send, t_recv, 0)
+    return g.to_doc()
+
+
 def test_causal_kind_rollup():
-    doc = {"causal": {
-        "nodes": [["a:s", 1.0, "m1", "DataMsg"], ["a:r", 1.5, "m2", "DataMsg"],
-                  ["b:s", 2.0, "m2", "EvLog"], ["b:r", 2.25, "svc1", "EvLog"]],
-        "edges": [[0, 1, "net"], [2, 3, "net"], [1, 2, "causal"]],
-    }}
+    doc = {"version": OBS_VERSION, "causal": _causal(
+        (("a", None), "DataMsg", "m1", "m2", 1.0, 1.5),
+        (("b", "a"), "EvLog", "m2", "svc1", 2.0, 2.25))}
     roll = causal_kind_rollup(doc)
     assert roll == {"DataMsg": {"count": 1, "seconds": 0.5},
                     "EvLog": {"count": 1, "seconds": 0.25}}
@@ -122,23 +156,45 @@ def test_causal_kind_rollup():
     assert causal_kind_rollup({"version": 1, "spans": []}) == {}
 
 
+def test_old_layout_document_is_refused_by_name(tmp_path, monkeypatch):
+    """A version-2 (node/edge list) document fails every reader with
+    one message naming both versions, not a KeyError in the walk."""
+    from repro.analysis.tracediff import load_obs_doc
+    from repro.experiments import trace_diff_cmd
+    old = {"version": 2, "spans": _recovery_doc()["spans"], "causal": {
+        "nodes": [["a:s", 11.0, "m1", "DataMsg"],
+                  ["a:r", 11.5, "m2", "DataMsg"]],
+        "edges": [[0, 1, "net"]],
+        "dropped_nodes": 0, "dropped_edges": 0, "minted": 1}}
+    message = "obs document version 2, expected 3"
+    for reader in (critical_paths, causal_kind_rollup,
+                   lambda doc: aggregate_obs([doc])):
+        with pytest.raises(ValueError, match=message):
+            reader(old)
+    bare, result = tmp_path / "obs.json", tmp_path / "result.json"
+    bare.write_text(json.dumps(old))
+    result.write_text(json.dumps({"format": 8, "obs": old}))
+    for path in (bare, result):
+        with pytest.raises(ValueError, match=f"{path.name}: {message}"):
+            load_obs_doc(str(path))
+    monkeypatch.setattr("sys.argv", ["trace-diff", str(bare), str(bare)])
+    with pytest.raises(SystemExit, match=f"trace-diff: .*{message}"):
+        trace_diff_cmd.main()
+
+
 # ---------------------------------------------------------------------------
 # critical paths on synthetic documents
 # ---------------------------------------------------------------------------
 
 def _recovery_doc():
-    return {"spans": [
+    return {"version": OBS_VERSION, "spans": [
         [10.0, 10.5, "detect", "m1", {"node": "m1"}],
         [10.5, 12.0, "relaunch", "svc0", {"epoch": 1, "mode": "full"}],
         [12.0, 13.0, "restore", "m1", {"rank": 0, "epoch": 1}],
         [13.0, 13.4, "replay", "m1", {"rank": 0}],
-    ], "causal": {
-        "nodes": [["f.1.0:s", 11.0, "svc0", "FetchReq"],
-                  ["f.1.0:r", 11.2, "svc2", "FetchReq"],
-                  ["g.1.0:s", 11.2, "svc2", "FetchResp"],
-                  ["g.1.0:r", 12.9, "m1", "FetchResp"]],
-        "edges": [[0, 1, "net"], [2, 3, "net"], [1, 2, "causal"]],
-    }}
+    ], "causal": _causal(
+        (("f.1.0", None), "FetchReq", "svc0", "svc2", 11.0, 11.2),
+        (("g.1.0", "f.1.0"), "FetchResp", "svc2", "m1", 11.2, 12.9))}
 
 
 def test_critical_path_segments_tile_exactly():
@@ -158,11 +214,10 @@ def test_critical_path_segments_tile_exactly():
 
 
 def test_zero_recovery_is_safe_everywhere():
-    empty = {"version": 2, "spans": [], "dropped_spans": 0,
+    empty = {"version": OBS_VERSION, "spans": [], "dropped_spans": 0,
              "truncated_spans": 0,
              "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
-             "causal": {"nodes": [], "edges": [], "dropped_nodes": 0,
-                        "dropped_edges": 0, "minted": 0},
+             "causal": CausalGraph().to_doc(),
              "exec": {}}
     assert critical_paths(empty) == []
     assert critpath_rollup(empty) == {}

@@ -128,6 +128,21 @@ def test_generated_guard_and_assignment():
     assert ctx.sent == [("done", "P1")]
 
 
+def test_generated_assignment_is_visible_to_the_next_action():
+    """Two assignments in one transition: the second reads the first
+    (as the interpreter does), not the value the event started with."""
+    handler, _ctx = compile_handler("""
+        Daemon D {
+          int a = 1;
+          int b = 0;
+          node 1:
+            ?tick -> a = 0, b = a;
+        }
+    """)
+    handler.handle("msg", "tick", "P1")
+    assert handler.vars == {"a": 0, "b": 0}
+
+
 def test_generated_timer_armed_with_param():
     handler, ctx = compile_handler("""
         Daemon D {

@@ -18,7 +18,8 @@ from repro.mpichv import protocols
 from repro.analysis.critpath import critical_paths, critpath_rollup
 from repro.obs import (FIELDS, KIND, LANE, T0, T1, chrome_trace_json,
                        epoch_phase_table, span_rollups)
-from repro.obs.causal import E_DST, E_SRC, E_TYPE, N_ID, N_KIND, N_T
+from tests.causal_view import (E_DST, E_SRC, E_TYPE, N_ID, N_KIND, N_T,
+                               graph_view)
 
 CAL = dict(workload="ring", niters=40, total_compute=1280.0, footprint=1e8)
 
@@ -29,6 +30,9 @@ PLAN = (TimedKill(at=20, target=0),
         Heal(after=10))
 
 PROTOCOLS = sorted(protocols.available())
+
+#: bytes of the cached result of ``_ring(16, "vcl")``, seed 1
+BUDGET_16_RANK_VCL = 180490
 
 
 def _setup(protocol, observe=True, keep_trace=False):
@@ -54,7 +58,7 @@ def observed():
 def test_span_nesting_well_formed(observed, protocol):
     result = observed[protocol]
     obs = result.obs
-    assert obs is not None and obs["version"] == 2
+    assert obs is not None and obs["version"] == 3
     spans = obs["spans"]
     assert spans and obs["dropped_spans"] == 0
     for row in spans:
@@ -141,8 +145,9 @@ def test_verdict_carries_span_derived_fields(observed, protocol):
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_causal_graph_well_formed(observed, protocol):
     causal = observed[protocol].obs["causal"]
-    nodes, edges = causal["nodes"], causal["edges"]
+    nodes, edges = graph_view(causal)
     assert nodes and edges
+    assert any(e[E_TYPE] == "causal" for e in edges)
     assert causal["dropped_nodes"] == 0 and causal["dropped_edges"] == 0
     # every recorded transmission contributed a send/recv pair (fanout
     # and adopted envelopes mean one minted id can back many pairs)
@@ -156,6 +161,8 @@ def test_causal_graph_well_formed(observed, protocol):
     for e in edges:
         assert 0 <= e[E_SRC] < len(nodes) and 0 <= e[E_DST] < len(nodes)
         assert e[E_TYPE] in ("net", "causal")
+        # t_send <= t_recv, and a parent's receive is never later than
+        # the send it caused
         assert nodes[e[E_SRC]][N_T] <= nodes[e[E_DST]][N_T] + 1e-9
     # every net edge joins the two halves of one transmission
     for e in (e for e in edges if e[E_TYPE] == "net"):
@@ -183,7 +190,15 @@ def test_critical_path_segments_tile_recovery_exactly(observed, protocol):
         assert row["segments"][0]["t0"] == row["t_fault"]
         # attribution covers traced wire traffic inside the window
         assert row["attribution"], "recovery without any wire traffic"
-    # the verdict carries the rollup of exactly these rows
+    # the verdict carries the rollup of exactly these rows — computed
+    # from the phase table alone, it must equal the sum over segments
+    summed = {}
+    for row in (r for r in rows if not r["truncated"]):
+        for seg in row["segments"]:
+            summed[seg["phase"]] = summed.get(seg["phase"], 0.0) + seg["dur"]
+        summed["recovery"] = summed.get("recovery", 0.0) + row["recovery"]
+    assert critpath_rollup(result.obs) \
+        == {k: round(v, 9) for k, v in summed.items()}
     assert result.verdict.critpath_segments == critpath_rollup(result.obs)
 
 
@@ -206,6 +221,38 @@ def test_chrome_trace_flow_events_pair_up(observed, protocol):
         assert start["ts"] <= end["ts"]
         assert end.get("bp") == "e"
         assert (start["pid"], start["tid"]) in lanes
+
+
+def _ring(n_procs, protocol):
+    """The benchmark's observed ring trial: one kill at t = 45 s."""
+    return TrialSetup(
+        n_procs=n_procs, n_machines=n_procs + 4, protocol=protocol,
+        timeout=600.0, footprint=1e9, workload="ring", niters=40,
+        total_compute=440.0 * n_procs,
+        scenario_source=render_plan(
+            (TimedKill(at=45, target=n_procs // 2 + 3),)),
+        master_daemon=generators.MASTER,
+        node_daemon=generators.NODE_DAEMON,
+        config_overrides={"n_ckpt_servers": 4}, observe=True)
+
+
+def test_cap_accounting_pinned_at_64_ranks():
+    """Past the cap every transmission still counts: two nodes, its net
+    edge and its causal edge.  The values are those of the node/edge
+    recorder this layout replaced."""
+    causal = _ring(64, "v2").run_one(1).obs["causal"]
+    assert len(causal["tid"]) == 25000
+    assert (causal["dropped_nodes"], causal["dropped_edges"],
+            causal["minted"]) == (5580, 3577, 27647)
+
+
+def test_cached_document_byte_budget(tmp_path):
+    """A 16-rank observed faulted trial's cache file, to the byte: a
+    change that grows the result document has to raise this number."""
+    runner = TrialRunner(workers=1, cache_dir=str(tmp_path))
+    runner.run_jobs([(_ring(16, "vcl"), 1)])
+    (path,) = tmp_path.glob("*/*.json")
+    assert path.stat().st_size <= BUDGET_16_RANK_VCL
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +297,12 @@ def test_chrome_trace_byte_identical_across_paths(tmp_path):
         "ew2": TrialRunner(workers=1, engine_workers=2).run_jobs(w2_jobs),
     }
     reference = [chrome_trace_json(r.obs) for r in batches["serial"]]
+    causal = [r.obs["causal"] for r in batches["serial"]]
     assert all(json.loads(blob)["traceEvents"] for blob in reference)
     for name, results in batches.items():
         blobs = [chrome_trace_json(r.obs) for r in results]
         assert blobs == reference, f"{name} diverged from serial"
+        assert [r.obs["causal"] for r in results] == causal, name
 
 
 def test_trace_out_exports_first_faulted_trial(tmp_path):

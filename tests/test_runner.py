@@ -11,6 +11,7 @@ The two load-bearing properties of the subsystem:
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -188,6 +189,37 @@ def test_result_store_miss_and_corruption(tmp_path):
         with open(path, "w") as fh:
             fh.write(bad)
         assert store.get("ab" * 32) is None, bad
+
+
+@pytest.mark.parametrize("damage", ["truncated", "format 8"])
+def test_stale_entry_reexecutes_is_overwritten_and_counted(tmp_path, damage):
+    """An entry that is present but unusable is a *visible* miss."""
+    job = (quick_setup(35), 3)
+    cold = TrialRunner(cache_dir=str(tmp_path))
+    (reference,) = cold.run_jobs([job])
+    assert cold.stats.stale_entries == 0        # absent is not stale
+    path = cold.store.path_for(trial_key(*job))
+    with open(path) as fh:
+        good = fh.read()
+    with open(path, "w") as fh:
+        if damage == "truncated":
+            fh.write(good[:len(good) // 2])
+        else:   # what the previous layout wrote under the same key
+            fh.write(json.dumps(dict(json.loads(good), format=8)))
+    runner = TrialRunner(cache_dir=str(tmp_path))
+    (again,) = runner.run_jobs([job])
+    assert runner.stats.snapshot() == (1, 0)
+    assert runner.stats.stale_entries == 1
+    assert "1 stale cache entries re-executed" in runner.stats.describe()
+    assert runner.stats.to_doc()["stale_entries"] == 1
+    assert run_result_to_dict(again) == run_result_to_dict(reference)
+    with open(path) as fh:
+        assert fh.read() == good                # overwritten, readable
+    warm = TrialRunner(cache_dir=str(tmp_path))
+    warm.run_jobs([job])
+    assert warm.stats.snapshot() == (0, 1)
+    assert warm.stats.stale_entries == 0
+    assert "stale" not in warm.stats.describe()
 
 
 def test_store_rejects_non_directory_root(tmp_path):

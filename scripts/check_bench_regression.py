@@ -34,8 +34,6 @@ GATED_PREFIXES = (
     "test_network_delivery_throughput",
     "test_network_delivery_tracing_on",
     "test_obs_span_off_switch_overhead",
-    "test_parallel_cross_delivery_throughput",
-    "test_parallel_null_message_overhead",
 )
 # test_obs_span_record_throughput is tracked in the baseline but NOT
 # gated: allocating 20k Span objects makes it GC-bimodal (2-3x spread

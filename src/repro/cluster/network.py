@@ -39,13 +39,12 @@ partition fault class the paper leaves out.
 
 from __future__ import annotations
 
-from typing import (Any, Dict, FrozenSet, NamedTuple, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Any, Dict, FrozenSet, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.netmodel import (DEFAULT_BANDWIDTH, DEFAULT_LATENCY, build_fabric)
 from repro.simkernel.engine import Engine
 from repro.simkernel.events import Event
-from repro.simkernel.parallel import LookaheadViolation
 from repro.simkernel.store import Store, StoreClosed
 
 
@@ -115,16 +114,6 @@ class Network:
         self._isolated: Set[str] = set()
         #: explicitly cut host pairs
         self._cut_pairs: Set[FrozenSet[str]] = set()
-        # -- engine-partition accounting (None unless the runtime runs
-        #    in engine_workers mode; see set_partition_plan) ----------
-        self._host_group: Optional[Dict[str, int]] = None
-        self._group_lookahead = 0.0
-        self._window = 0
-        self._channel_last_window: Dict[Tuple[int, int], int] = {}
-        self.cross_messages = 0
-        self.cross_bytes = 0
-        self.payload_windows = 0
-        self.n_groups = 0
 
     # -- topology ------------------------------------------------------------
     def register_host(self, host: str) -> None:
@@ -135,57 +124,6 @@ class Network:
         if self._fast_uniform:
             return self.latency
         return self.fabric.latency_between(a, b)
-
-    # -- engine partitions -----------------------------------------------------
-    def set_partition_plan(self, groups: Sequence[Sequence[str]],
-                           min_lookahead: float) -> None:
-        """Attach a partition map for engine-workers accounting.
-
-        ``groups`` is the host partitioning from
-        :func:`repro.mpichv.shardmap.partition_hosts`;
-        ``min_lookahead`` is the fabric's cross-group bound
-        (:meth:`repro.netmodel.fabric.FabricModel.min_lookahead`).
-        From here on every transmit is classified local vs
-        cross-partition, cross traffic is checked against the
-        lookahead (a delivery faster than the bound would invalidate
-        the safe horizons partitioned execution grants — see
-        :mod:`repro.simkernel.parallel`), and per-window payload
-        markers feed the null-message accounting in
-        :meth:`partition_stats`.
-        """
-        self._host_group = {host: gi
-                            for gi, group in enumerate(groups)
-                            for host in group}
-        self._group_lookahead = min_lookahead
-        self.n_groups = len(groups)
-
-    def begin_window(self) -> None:
-        """Open the next horizon window (runtime-driven; one call per
-        safe-horizon grant)."""
-        self._window += 1
-
-    def partition_stats(self) -> Dict[str, Any]:
-        """Cross-partition accounting for :class:`RunResult.parallel`.
-
-        ``null_messages`` is computed, not sampled: every window grants
-        every directed cross-group channel a horizon, and a grant that
-        shipped no payload *is* the null message of the distributed
-        protocol — so ``windows * channels - payload_windows`` without
-        any per-window channel scan (O(1) per transmit, nothing per
-        window).
-        """
-        channels = self.n_groups * (self.n_groups - 1)
-        windows = self._window
-        return {
-            "partitions": self.n_groups,
-            "windows": windows,
-            "channels": channels,
-            "cross_messages": self.cross_messages,
-            "cross_bytes": self.cross_bytes,
-            "payload_windows": self.payload_windows,
-            "null_messages": windows * channels - self.payload_windows,
-            "min_lookahead": self._group_lookahead,
-        }
 
     # -- link state ------------------------------------------------------------
     @property
@@ -386,27 +324,6 @@ class Network:
                                            peer.local_host, size,
                                            sock._pipe_free)
         sock._pipe_free = arrival
-        host_group = self._host_group
-        if host_group is not None:
-            gs = host_group.get(sock.local_host)
-            gd = host_group.get(peer.local_host)
-            if gs != gd and gs is not None and gd is not None:
-                # Cross-partition payload: account it and check the
-                # conservative bound.  Control-plane paths (connect,
-                # close notify, severance) all wait >= one path latency
-                # by construction, so the transmit path is the only
-                # place the bound needs a runtime guard.
-                self.cross_messages += 1
-                self.cross_bytes += size
-                if arrival - self.engine.now < self._group_lookahead:
-                    raise LookaheadViolation(
-                        f"delivery {sock.local_host}->{peer.local_host} in "
-                        f"{arrival - self.engine.now:.3g}s beats the "
-                        f"partition lookahead {self._group_lookahead:.3g}s")
-                key = (gs, gd)
-                if self._channel_last_window.get(key) != self._window:
-                    self._channel_last_window[key] = self._window
-                    self.payload_windows += 1
 
         obs = self.engine.obs
         if obs is not None:

@@ -61,11 +61,6 @@ class TrialSetup:
     #: extra :class:`VclConfig` attributes (e.g. ``{"cm_replay": False}``
     #: to plant the broken-replay bug the exploration oracles hunt)
     config_overrides: Dict[str, object] = field(default_factory=dict)
-    #: engine partitions to run the trial's simulation over (see
-    #: docs/parallel-engine.md).  Pure execution knob: the simulated
-    #: history is bit-identical at every value, so :func:`trial_key`
-    #: excludes it from the cache hash — same simulation, same slot.
-    engine_workers: int = 1
     #: record recovery-phase spans and the metrics registry (see
     #: :mod:`repro.obs`).  Changes what the result *carries* (the
     #: ``obs`` document), never what the simulation *does*, but it IS
@@ -99,7 +94,6 @@ class TrialSetup:
         )
         runtime = VclRuntime(config, workload.make_factory(), seed=seed,
                              keep_trace=self.keep_trace,
-                             engine_workers=self.engine_workers,
                              observe=self.observe)
         deployment = None
         if self.scenario_source is not None:

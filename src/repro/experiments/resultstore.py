@@ -97,9 +97,6 @@ def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
         "net_hotspot_bytes": result.net_hotspot_bytes,
         "ckpt_shard_bytes": list(result.ckpt_shard_bytes),
         "coverage": result.coverage,
-        "engine_workers": result.engine_workers,
-        "parallel": (dict(result.parallel)
-                     if result.parallel is not None else None),
         "obs": result.obs,
     }
 
@@ -137,9 +134,6 @@ def run_result_from_dict(doc: Dict[str, Any]) -> RunResult:
         net_hotspot_bytes=int(doc.get("net_hotspot_bytes", 0)),
         ckpt_shard_bytes=[int(b) for b in doc.get("ckpt_shard_bytes", [])],
         coverage=str(doc.get("coverage", "")),
-        engine_workers=int(doc.get("engine_workers", 1)),
-        parallel=doc.get("parallel"),
-        wall_seconds=float(doc.get("wall_seconds", 0.0)),
         obs=doc.get("obs"),
     )
 

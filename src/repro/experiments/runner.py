@@ -51,16 +51,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 #: ``resultstore.FORMAT_VERSION``: the old entry under the same key
 #: reads as a stale miss and is overwritten.
 CACHE_VERSION = 9        # 9: causal event graph in the obs document
-#                          and critpath_segments on verdicts (result
-#                          format 8) — cached format-7 entries would
-#                          silently lack the causal graph
-#                          8: observability document on results
-#                          (result format 7); TrialSetup.observe joins
-#                          the key — observed and unobserved results
-#                          are different wire documents
-#                          7: engine-workers execution metadata on
-#                          results (result format 6); engine_workers
-#                          excluded from the key
+#                          and critpath_segments on verdicts.  Earlier
+#                          versions: EXPERIMENTS.md, version history.
 
 
 def trial_key(setup: "TrialSetup", seed: int) -> str:
@@ -69,19 +61,12 @@ def trial_key(setup: "TrialSetup", seed: int) -> str:
     The key hashes the canonical JSON of every :class:`TrialSetup`
     field plus the seed and :data:`CACHE_VERSION`, so any change to the
     configuration — scale, scenario source, protocol, workload
-    calibration, ... — lands in a different cache slot.  The one
-    exception is ``engine_workers``: it changes how the simulation
-    executes, never what it simulates (bit-identical history, guarded
-    by ``tests/test_engine_workers_golden.py``), so every worker count
-    shares one slot — a cached reference run satisfies a parallel
-    request and vice versa.
+    calibration, ... — lands in a different cache slot.
     """
-    setup_doc = dataclasses.asdict(setup)
-    setup_doc.pop("engine_workers", None)
     doc = {
         "version": CACHE_VERSION,
         "seed": seed,
-        "setup": setup_doc,
+        "setup": dataclasses.asdict(setup),
     }
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"),
                            default=repr)
@@ -202,23 +187,14 @@ class TrialRunner:
     use_cache:
         ``False`` makes the runner ignore ``cache_dir`` entirely —
         nothing is read from or written to the store.
-    engine_workers:
-        When > 1, every submitted trial's setup is rewritten to run
-        its *simulation* over that many engine partitions (see
-        ``TrialSetup.engine_workers`` and docs/parallel-engine.md).
-        Orthogonal to ``workers``: that knob parallelizes *across*
-        trials, this one partitions *within* each.  Never part of the
-        cache key — the simulated results are bit-identical.
     """
 
     def __init__(self, workers: int = 1,
                  cache_dir: Optional[str] = None,
                  use_cache: bool = True,
-                 engine_workers: int = 1,
                  trace_out: Optional[str] = None,
                  obs_report: Optional[str] = None):
         self.workers = max(1, int(workers))
-        self.engine_workers = max(1, int(engine_workers))
         self.store: Optional[ResultStore] = (
             ResultStore(cache_dir) if (cache_dir and use_cache) else None)
         self.stats = RunnerStats()
@@ -234,11 +210,6 @@ class TrialRunner:
     def run_jobs(self, jobs: Sequence[Tuple["TrialSetup", int]]
                  ) -> List[RunResult]:
         """Run (or load) every job; results align with ``jobs`` order."""
-        if self.engine_workers > 1:
-            jobs = [(dataclasses.replace(setup,
-                                         engine_workers=self.engine_workers),
-                     seed)
-                    for setup, seed in jobs]
         results: List[Optional[RunResult]] = [None] * len(jobs)
         keys: List[Optional[str]] = [None] * len(jobs)
         pending: List[int] = []
@@ -343,12 +314,6 @@ def add_runner_arguments(parser) -> None:
         "--no-cache", action="store_true",
         help="ignore the cache entirely (neither read nor write)")
     group.add_argument(
-        "--engine-workers", type=int, default=1, metavar="W",
-        help="partition each trial's simulation over W engine "
-             "partitions (default: 1, the single-engine reference; "
-             "results are bit-identical at every W — see "
-             "docs/parallel-engine.md)")
-    group.add_argument(
         "--trace-out", default=None, metavar="FILE",
         help="export a Chrome-trace/Perfetto JSON of the first "
              "observed (preferring faulted) trial to FILE — open in "
@@ -367,6 +332,5 @@ def runner_from_args(args) -> TrialRunner:
     return TrialRunner(workers=getattr(args, "workers", 1),
                        cache_dir=getattr(args, "cache_dir", None),
                        use_cache=not getattr(args, "no_cache", False),
-                       engine_workers=getattr(args, "engine_workers", 1),
                        trace_out=getattr(args, "trace_out", None),
                        obs_report=getattr(args, "obs_report", None))

@@ -25,7 +25,6 @@ shard.  Trials flow through the cached
 from __future__ import annotations
 
 import json
-import os
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -179,20 +178,13 @@ def _row_shard_stats(row: ExperimentRow) -> Tuple[float, float, int]:
 
 
 def summarize(result: ExperimentResult) -> List[Dict[str, object]]:
-    """Per-row summary rows for ``BENCH_scale.json`` (deterministic;
-    ``kind: "deploy"`` — full-deployment trials, as opposed to the
-    ``kind: "kernel"`` rows of :func:`kernel_speedup_rows`)."""
+    """Per-row summary rows for ``BENCH_scale.json`` (deterministic
+    apart from ``mean_wall_seconds``)."""
     out: List[Dict[str, object]] = []
     for row in result.rows:
         share, imbalance, n_shards = _row_shard_stats(row)
         results = row.results
-        ew = max((r.engine_workers for r in results), default=1)
-        null_msgs = sum((r.parallel or {}).get("null_messages", 0)
-                        for r in results)
-        cross_msgs = sum((r.parallel or {}).get("cross_messages", 0)
-                         for r in results)
         out.append({
-            "kind": "deploy",
             "label": row.label,
             "runs": row.n,
             "pct_terminated": row.pct_terminated,
@@ -209,11 +201,8 @@ def summarize(result: ExperimentResult) -> List[Dict[str, object]]:
             "ckpt_shard_imbalance": imbalance,
             "mean_events": (sum(r.events_processed for r in results)
                             / row.n if row.n else 0),
-            "engine_workers": ew,
             "mean_wall_seconds": (sum(r.wall_seconds for r in results)
                                   / row.n if row.n else 0.0),
-            "cross_partition_messages": cross_msgs if ew > 1 else None,
-            "null_messages": null_msgs if ew > 1 else None,
         })
     return out
 
@@ -230,181 +219,6 @@ def render_shard_balance(result: ExperimentResult) -> str:
         lines.append(
             f"{row.label:>18} | {n_shards:>2} | {100.0 * share:>12.1f}% | "
             f"{imbalance:>8.2f} | {hot:>14}")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# partitioned-kernel speedup rows (kind: "kernel")
-# ---------------------------------------------------------------------------
-#
-# The deployment trials above share one object graph (paired sockets,
-# shared listeners, fault injection into live processes), so their
-# ``engine_workers`` mode executes windows in one address space —
-# bit-identical to the reference, but not multicore.  The multicore
-# scaling of the same conservative protocol is measured here instead:
-# :mod:`repro.simkernel.parallel` runs disjoint engines in forked
-# workers over a protocol-shaped event mix — per-rank tick cascades
-# sized like each protocol's message/logging pattern, ring traffic
-# crossing partition cuts under the same lookahead/null-message
-# discipline.  These rows carry the measured wall clock and
-# speedup-vs-reference, and take the rank axis past the deployment
-# grid (1024/2048/4096).
-
-KERNEL_RANKS: Sequence[int] = (512, 1024)
-KERNEL_RANKS_DEEP: Sequence[int] = (2048, 4096)
-KERNEL_WORKERS: Sequence[int] = (1, 2, 4)
-KERNEL_ITERS = 40
-_INF_WALL = float("inf")
-KERNEL_LOOKAHEAD = 0.5
-#: per-rank-tick event mix (base cascade, checkpoint-wave extra):
-#: vcl's coordinated waves add bursts every 10 ticks; v2 pays a
-#: logging event per message (bigger base); v1 relays through channel
-#: memories (two hops per message)
-KERNEL_MIX: Dict[str, Tuple[int, int]] = {
-    "vcl": (24, 8),
-    "v2": (30, 0),
-    "v1": (28, 0),
-}
-
-
-def _kernel_rank_tick(ctx, counts, hi, iters, mix, succ, rank, k):
-    base, wave = mix
-    eng = ctx.engine
-    noop = counts.bump
-    counts.events += 1
-    for j in range(base):
-        eng.call_later(0.25 + (j % 4) * 0.125, noop)
-    if wave and k % 10 == 0:
-        for j in range(wave):
-            eng.call_later(0.5 + (j % 2) * 0.0625, noop)
-    if succ is not None and rank == hi - 1:
-        ctx.send(succ, k)       # ring edge crossing the partition cut
-    if k + 1 < iters:
-        eng.call_later(1.0, lambda: _kernel_rank_tick(
-            ctx, counts, hi, iters, mix, succ, rank, k + 1))
-
-
-class _KernelCounts:
-    __slots__ = ("events", "received")
-
-    def __init__(self):
-        self.events = 0
-        self.received = 0
-
-    def bump(self):
-        self.events += 1
-
-    def as_tuple(self):
-        return (self.events, self.received)
-
-
-def _kernel_partition_build(ctx, lo, hi, iters, mix, succ):
-    counts = _KernelCounts()
-    ctx._kernel_counts = counts
-
-    def on_msg(_src, _msg):
-        counts.received += 1
-    ctx.on_receive(on_msg)
-    for rank in range(lo, hi):
-        ctx.engine.call_later(1.0, lambda r=rank: _kernel_rank_tick(
-            ctx, counts, hi, iters, mix, succ, r, 0))
-
-
-def _kernel_finish(ctx):
-    return ctx._kernel_counts.as_tuple()
-
-
-def _kernel_model(protocol: str, n_ranks: int, workers: int, iters: int):
-    from repro.simkernel.parallel import ChannelSpec, PartitionSpec
-    mix = KERNEL_MIX.get(protocol, (24, 0))
-    cuts = [i * n_ranks // workers for i in range(workers + 1)]
-    names = [f"p{i}" for i in range(workers)]
-    parts = []
-    chans = []
-    for i in range(workers):
-        succ = names[(i + 1) % workers] if workers > 1 else None
-        parts.append(PartitionSpec(
-            names[i], _kernel_partition_build,
-            (cuts[i], cuts[i + 1], iters, mix, succ),
-            finish=_kernel_finish))
-        if succ is not None:
-            chans.append(ChannelSpec(names[i], succ, KERNEL_LOOKAHEAD))
-    return parts, chans
-
-
-def kernel_speedup_rows(protocol_names: Optional[Sequence[str]] = None,
-                        ranks: Sequence[int] = KERNEL_RANKS,
-                        workers: Sequence[int] = KERNEL_WORKERS,
-                        iters: int = KERNEL_ITERS,
-                        seed: int = 1234,
-                        timing_reps: int = 2) -> List[Dict[str, object]]:
-    """Measured multicore rows for ``BENCH_scale.json``.
-
-    For each (protocol, rank count): one reference run
-    (``engine_workers=1``, single engine, inline) and one per extra
-    worker count on the processes backend.  Speedup is wall-clock
-    reference / partitioned, same machine, same Python; each config is
-    timed ``timing_reps`` times and the minimum kept (after a warm-up
-    run that pays the one-time import/fork costs — without it the
-    first-measured reference is inflated and every speedup against it
-    reads high).
-    """
-    from repro.simkernel.parallel import fork_available, run_partitioned
-    protos = tuple(protocol_names or protocols.available())
-    # Speedup is a property of the measuring host: w workers can only
-    # beat the reference when w cores exist.  Stamping the core count
-    # keeps committed rows interpretable (a single-CPU CI container
-    # legitimately measures ~1x — pure synchronization overhead).
-    host_cpus = os.cpu_count() or 1
-    warm_parts, warm_chans = _kernel_model(protos[0], 8, 2, 2)
-    run_partitioned(warm_parts, warm_chans, seed=seed,
-                    backend="processes" if fork_available() else "inline")
-    rows: List[Dict[str, object]] = []
-    for protocol in protos:
-        for n in ranks:
-            ref_wall: Optional[float] = None
-            for w in workers:
-                backend = ("processes" if w > 1 and fork_available()
-                           else "inline")
-                wall = _INF_WALL
-                for _ in range(max(1, timing_reps)):
-                    parts, chans = _kernel_model(protocol, n, w, iters)
-                    t0 = time.perf_counter()
-                    _results, stats = run_partitioned(
-                        parts, chans, seed=seed, backend=backend)
-                    wall = min(wall, time.perf_counter() - t0)
-                if w == 1:
-                    ref_wall = wall
-                rows.append({
-                    "kind": "kernel",
-                    "label": f"kernel:{protocol}/n{n}/w{w}",
-                    "protocol": protocol,
-                    "ranks": n,
-                    "engine_workers": w,
-                    "backend": backend,
-                    "host_cpus": host_cpus,
-                    "events": stats.events_processed,
-                    "rounds": stats.rounds,
-                    "cross_messages": stats.payload_messages,
-                    "null_messages": stats.null_messages,
-                    "wall_seconds": wall,
-                    "ref_wall_seconds": ref_wall,
-                    "speedup_vs_reference": (ref_wall / wall
-                                             if ref_wall and wall else None),
-                })
-    return rows
-
-
-def render_kernel_rows(rows: Sequence[Dict[str, object]]) -> str:
-    header = (f"{'config':>22} | {'events':>9} | {'wall s':>7} | "
-              f"{'speedup':>7} | {'nulls':>6}")
-    lines = ["== partitioned-kernel scaling ==", header, "-" * len(header)]
-    for row in rows:
-        speedup = row["speedup_vs_reference"]
-        lines.append(
-            f"{row['label']:>22} | {row['events']:>9} | "
-            f"{row['wall_seconds']:>7.2f} | "
-            f"{speedup:>6.2f}x | {row['null_messages']:>6}")
     return "\n".join(lines)
 
 
@@ -432,15 +246,6 @@ def main() -> None:  # pragma: no cover - CLI
                              f"{','.join(map(str, QUICK_SHARDS))}, 1 rep")
     parser.add_argument("--json", default="BENCH_scale.json", metavar="PATH",
                         help="benchmark JSON output path")
-    parser.add_argument("--kernel-bench", action="store_true",
-                        help="append partitioned-kernel multicore rows "
-                             "(kind: kernel) measuring wall-clock speedup "
-                             "at engine-workers 1/2/4")
-    parser.add_argument("--kernel-ranks", default=None, metavar="N[,N]",
-                        help=f"rank counts for --kernel-bench (default: "
-                             f"{','.join(map(str, KERNEL_RANKS))}, plus "
-                             f"{','.join(map(str, KERNEL_RANKS_DEEP))} for "
-                             f"the first protocol)")
     add_runner_arguments(parser)
     args = parser.parse_args()
 
@@ -465,19 +270,6 @@ def main() -> None:  # pragma: no cover - CLI
     stats = runner.stats
     print(f"[runner] {stats.describe()}, wall {wall:.1f}s")
     rows = summarize(result)
-    kernel_rows: List[Dict[str, object]] = []
-    if args.kernel_bench:
-        proto_list = list(protos or protocols.available())
-        if args.kernel_ranks:
-            kranks = tuple(int(x) for x in args.kernel_ranks.split(","))
-            kernel_rows = kernel_speedup_rows(proto_list, ranks=kranks)
-        else:
-            kernel_rows = kernel_speedup_rows(proto_list)
-            # deep rank axis (2048/4096) once, on the first protocol
-            kernel_rows += kernel_speedup_rows(proto_list[:1],
-                                               ranks=KERNEL_RANKS_DEEP)
-        print()
-        print(render_kernel_rows(kernel_rows))
     if args.json:
         doc = {
             "experiment": "scale-sweep",
@@ -487,8 +279,7 @@ def main() -> None:  # pragma: no cover - CLI
             "shards": list(shards),
             "topology": args.topology,
             "faulty": not args.no_faults,
-            "engine_workers": getattr(args, "engine_workers", 1),
-            "rows": rows + kernel_rows,
+            "rows": rows,
             "wall_seconds": wall,
             "executed": stats.executed,
             "cache_hits": stats.cache_hits,

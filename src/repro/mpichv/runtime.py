@@ -13,7 +13,6 @@ compute machines).
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
@@ -63,16 +62,6 @@ class RunResult:
     #: plus hit-bucketed trace counters, folded into a fixed-width
     #: bitmap.  Empty string on legacy results.
     coverage: str = ""
-    #: engine-partition count the trial executed with (1 = reference
-    #: single-engine mode).  Never part of the trial cache key: the
-    #: simulated history is bit-identical at every value (guarded by
-    #: ``tests/test_engine_workers_golden.py``), so this is execution
-    #: metadata, like ``wall_seconds``.
-    engine_workers: int = 1
-    #: cross-partition synchronization accounting when
-    #: ``engine_workers > 1`` (windows, channels, payload vs null
-    #: messages, lookahead — see ``Network.partition_stats``), else None
-    parallel: Optional[Dict[str, Any]] = None
     #: host wall-clock seconds spent inside the engine run (execution
     #: metadata — varies by machine and mode, not by simulation; live
     #: results only, never serialized to the result cache: a result
@@ -111,11 +100,7 @@ class VclRuntime:
                  app_factory: Callable,
                  seed: int = 0,
                  keep_trace: bool = True,
-                 engine_workers: int = 1,
                  observe: bool = True):
-        if engine_workers < 1:
-            raise ValueError(f"engine_workers must be >= 1, "
-                             f"got {engine_workers}")
         self.config = config
         self.trace = Trace(keep=keep_trace)
         self.engine = Engine(seed=seed, trace=self.trace)
@@ -141,19 +126,6 @@ class VclRuntime:
         self.dispatcher_proc = None
         #: service-process name -> UnixProcess (protocol service plan)
         self.service_procs: Dict[str, Any] = {}
-        #: engine partitioning (see docs/parallel-engine.md): >1 runs
-        #: the trial in horizon windows over the shardmap/fabric
-        #: partition map with full cross-partition accounting.  The
-        #: simulated history is identical at every value.
-        self.engine_workers = engine_workers
-        self.partition_plan: Optional[List[List[str]]] = None
-        if engine_workers > 1:
-            network = self.cluster.network
-            plan = shardmap.partition_hosts(config, engine_workers,
-                                            fabric=network.fabric)
-            network.set_partition_plan(
-                plan, network.fabric.min_lookahead(plan))
-            self.partition_plan = plan
 
     # -- deployment -----------------------------------------------------------
     def deploy(self) -> None:
@@ -240,10 +212,7 @@ class VclRuntime:
         wall_start = time.perf_counter()
         try:
             with gc_paused():
-                if self.engine_workers > 1:
-                    self._run_windowed(timeout)
-                else:
-                    self.engine.run(until=timeout)
+                self.engine.run(until=timeout)
         finally:
             # Remove exactly the wiring this call added — other
             # subscribers (a caller's observer, FAIL trigger plumbing)
@@ -292,9 +261,6 @@ class VclRuntime:
             net_hotspot_bytes=hotspot_bytes,
             ckpt_shard_bytes=shard_bytes,
             coverage=coverage,
-            engine_workers=self.engine_workers,
-            parallel=(network.partition_stats()
-                      if self.engine_workers > 1 else None),
             wall_seconds=wall_seconds,
             obs=obs_doc,
         )
@@ -306,9 +272,9 @@ class VclRuntime:
         Simulation-determined quantities (dispatcher / scheduler /
         channel-memory counters, fabric traffic, per-shard checkpoint
         ingest) go into :attr:`Obs.metrics` and ship with the result;
-        execution metadata (front-lane hits, slot dispatch totals, the
-        null-message accounting of windowed runs) goes into the
-        ``exec`` section, which deterministic exporters never read.
+        execution metadata (front-lane hits, slot dispatch totals) goes
+        into the ``exec`` section, which deterministic exporters never
+        read.
         """
         obs = self.obs
         if obs is None:
@@ -346,59 +312,8 @@ class VclRuntime:
             x.gauge("engine.slot_occupancy",
                     round(self.engine.events_processed
                           / self.engine.slots_drained, 6))
-        x.gauge("engine.workers", self.engine_workers)
-        if self.engine_workers > 1:
-            stats = network.partition_stats()
-            for key in ("windows", "channels", "cross_messages",
-                        "payload_windows", "null_messages"):
-                x.gauge(f"parallel.{key}", stats[key])
-            grants = stats["windows"] * stats["channels"]
-            if grants:
-                x.gauge("parallel.null_ratio",
-                        round(stats["null_messages"] / grants, 6))
         obs.finalize(self.engine.now)
         return obs.to_doc()
-
-    def _run_windowed(self, timeout: float) -> None:
-        """Engine-workers execution: horizon windows over the
-        partition map.
-
-        Each window grants the safe horizon ``next event +
-        min cross-partition lookahead`` — exactly what a conservative
-        coordinator could grant every partition at once
-        (:func:`repro.simkernel.parallel.safe_horizons` with the
-        fabric's uniform bound) — and runs the engine strictly below
-        it.  The network meanwhile classifies traffic against the
-        partition map, enforces the lookahead on every cross-partition
-        delivery, and marks payload windows for the null-message
-        accounting.  Because the deployment shares one object graph
-        (paired sockets, shared listeners, FAIL injection into live
-        processes), the partitions execute in one address space in
-        global ``(time, priority, insertion)`` order — which is why
-        this mode is bit-identical to the reference by construction;
-        the multicore scaling of the same window protocol is delivered
-        (and benchmarked) by :mod:`repro.simkernel.parallel`, whose
-        process backend runs disjoint engines.  End-of-run semantics
-        mirror ``run(until=timeout)``: events at exactly ``timeout``
-        run, the clock then lands on ``timeout`` unless stopped early.
-        """
-        eng = self.engine
-        network = self.cluster.network
-        lookahead = network._group_lookahead
-        cap = math.nextafter(timeout, math.inf)
-        while True:
-            nxt = eng.peek()
-            if nxt >= cap:
-                break
-            horizon = nxt + lookahead
-            if horizon <= nxt:      # lookahead lost to float absorption
-                horizon = math.nextafter(nxt, math.inf)
-            network.begin_window()
-            eng.run_horizon(min(horizon, cap))
-            if eng._stopped:
-                return
-        if eng.now < timeout:
-            eng.now = timeout
 
     # -- teardown ---------------------------------------------------------------
     def dispose(self) -> None:

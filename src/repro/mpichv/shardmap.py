@@ -26,7 +26,7 @@ outside it may spell ``svc{2+...}`` arithmetic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 #: fixed service nodes of every deployment
 DISPATCHER_NODE = "svc0"
@@ -84,63 +84,3 @@ def cm_node(config, cm_index: int) -> str:
 def cm_port(config, cm_index: int) -> int:
     """Listen port of Channel Memory ``cm_index`` (v1)."""
     return config.channel_memory_port_base + cm_index
-
-
-def partition_hosts(config, engine_workers: int,
-                    fabric=None) -> List[List[str]]:
-    """Host groups for partitioned engine execution (the placement
-    source of truth — see :mod:`repro.simkernel.parallel` and
-    ``docs/parallel-engine.md``).
-
-    Group 0 is the *service partition*: the dispatcher, coordinator,
-    checkpoint servers and protocol extras all talk to every rank, so
-    splitting them apart would turn nearly every message into
-    cross-partition traffic.  The compute machines ``m0..m{M-1}``
-    split into ``engine_workers`` groups along boundaries the system
-    already has:
-
-    * on a ``twotier`` fabric, cuts land on rack boundaries (hosts are
-      racked in node-creation order, machines first — see
-      :class:`repro.netmodel.fabric.TwoTierFabric`), so intra-rack
-      traffic never crosses a partition and the cross-partition
-      lookahead is the full core path;
-    * otherwise (uniform, star, unknown) a balanced contiguous cut
-      ``[i*M/w, (i+1)*M/w)`` — contiguity keeps ring-neighbor
-      workloads mostly partition-local.
-
-    ``engine_workers=1`` returns one group with every host.  The map
-    is a pure function of ``(config, engine_workers, rack layout)`` —
-    never of load — so the same trial always partitions identically.
-    """
-    if engine_workers < 1:
-        raise ValueError(f"engine_workers must be >= 1, "
-                         f"got {engine_workers}")
-    machines = [f"m{i}" for i in range(config.n_machines)]
-    services = [f"svc{i}" for i in range(config.n_service_nodes)]
-    if engine_workers == 1:
-        return [machines + services]
-    w = min(engine_workers, config.n_machines)
-    cuts: List[int]
-    rack_size = _rack_size_of(config, fabric)
-    if rack_size is not None and config.n_machines > rack_size:
-        # twotier: whole racks per group, racks spread round-robin-less
-        # (contiguous) so the cut count is minimal
-        n_racks = -(-config.n_machines // rack_size)      # ceil
-        w = min(w, n_racks)
-        cuts = [(i * n_racks // w) * rack_size for i in range(w + 1)]
-        cuts[-1] = config.n_machines
-    else:
-        cuts = [i * config.n_machines // w for i in range(w + 1)]
-    groups = [machines[cuts[i]:cuts[i + 1]] for i in range(w)]
-    groups[0] = groups[0] + services
-    return [g for g in groups if g]
-
-
-def _rack_size_of(config, fabric) -> Optional[int]:
-    """Rack size when the deployment's fabric has racks, else None."""
-    if fabric is not None and getattr(fabric, "name", "") == "twotier":
-        return fabric.spec.rack_size
-    spec = getattr(config, "topology", None)
-    if spec is not None and getattr(spec, "model", "") == "twotier":
-        return spec.rack_size
-    return None

@@ -37,7 +37,7 @@ top by the network layer's per-socket pipe clamp.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.netmodel.spec import DEFAULT_BANDWIDTH, DEFAULT_LATENCY, TopologySpec
 from repro.registry import Registry
@@ -149,45 +149,6 @@ class FabricModel:
             return self.latency
         return sum(link.latency for link in path)
 
-    # -- lookahead ------------------------------------------------------------
-    def lookahead_between(self, src: str, dst: str) -> float:
-        """Conservative lower bound on any ``src -> dst`` delivery.
-
-        This is the *lookahead* of partitioned execution
-        (:mod:`repro.simkernel.parallel`): no payload sent at ``t`` can
-        affect ``dst`` before ``t + lookahead_between(src, dst)``.  The
-        store-and-forward walk only ever adds latency on top of the
-        path's propagation sum (serialization and queueing delay
-        payloads further), so the zero-byte path latency is exactly
-        that bound.
-        """
-        return self.latency_between(src, dst)
-
-    def min_lookahead(self, groups: Sequence[Sequence[str]]) -> float:
-        """Smallest cross-group lookahead — the safe-horizon increment
-        a partitioning of the hosts into ``groups`` can bank on.
-
-        The generic walk is pairwise over cross-group host pairs
-        (cached paths make repeats cheap); the uniform fabric has one
-        homogeneous latency, so it answers in O(1) without ever
-        materializing paths.  Returns ``inf`` for fewer than two
-        groups (no cross traffic to bound).
-        """
-        if len(groups) < 2:
-            return float("inf")
-        if self.is_uniform:
-            return self.latency
-        best = float("inf")
-        for i, ga in enumerate(groups):
-            for gb in groups[i + 1:]:
-                for a in ga:
-                    for b in gb:
-                        d = min(self.lookahead_between(a, b),
-                                self.lookahead_between(b, a))
-                        if d < best:
-                            best = d
-        return best
-
     # -- transmission ---------------------------------------------------------
     def delivery(self, now: float, src: str, dst: str, size: int,
                  pipe_free: float) -> float:
@@ -268,12 +229,6 @@ class StarFabric(FabricModel):
             return ()
         return (self._links[f"{src}/up"], self._links[f"{dst}/down"])
 
-    def min_lookahead(self, groups: Sequence[Sequence[str]]) -> float:
-        # Every distinct-host path is up + down: structurally O(1).
-        if len(groups) < 2:
-            return float("inf")
-        return self.latency + self.spec.switch_latency
-
 
 class TwoTierFabric(FabricModel):
     """Racks with fast intra-rack links and an oversubscribed core.
@@ -321,25 +276,6 @@ class TwoTierFabric(FabricModel):
                 self._links[f"rack{src_rack}/up"],
                 self._links[f"rack{dst_rack}/down"],
                 self._links[f"{dst}/down"])
-
-    def min_lookahead(self, groups: Sequence[Sequence[str]]) -> float:
-        # Structural, O(hosts): the bound is intra-rack (access links
-        # only) when any two groups share a rack, else it includes the
-        # core hop.  No path materialization for 512-rank group maps.
-        if len(groups) < 2:
-            return float("inf")
-        intra = self.latency + self.spec.switch_latency
-        rack_sets = []
-        for group in groups:
-            racks = set()
-            for host in group:
-                racks.add(self.rack_of(host))
-            rack_sets.append(racks)
-        for i, ra in enumerate(rack_sets):
-            for rb in rack_sets[i + 1:]:
-                if ra & rb:
-                    return intra        # a cut splits a rack
-        return intra + self._core_latency()
 
 
 register_fabric("uniform", UniformFabric)

@@ -1,7 +1,7 @@
 """repro.obs — deterministic, sim-time observability.
 
 Three cooperating pieces, all pure functions of the simulated history
-(never of the wall clock, the worker pool, or the engine partitioning):
+(never of the wall clock or the worker pool):
 
 * :mod:`repro.obs.spans` — nested ``[t0, t1)`` intervals opened through
   :meth:`repro.simkernel.engine.Engine.span` at protocol call sites
@@ -25,9 +25,8 @@ Three cooperating pieces, all pure functions of the simulated history
 The wire form is the compact ``obs`` document on
 :class:`repro.mpichv.runtime.RunResult`: span rows plus the metrics
 registry, identical byte-for-byte across serial / pooled / cached
-execution and every ``--engine-workers`` value.  Execution metadata
-(front-lane hits, slot occupancy, null-message ratios — quantities
-that legitimately vary with the execution mode) lives in a separate
+execution.  Execution metadata (front-lane hits, slot occupancy —
+how the engine ran, not what it simulated) lives in a separate
 ``exec`` section that the deterministic exporters never read.
 """
 

@@ -19,7 +19,7 @@ Identity is deterministic by construction: a trace id is
 ``<site>.<seq>.<t_us>`` — the minting component's stable site name, a
 per-site sequence number and the integer microsecond of simulated mint
 time.  No RNG, no wall clock, nothing that could differ between serial,
-pooled, cached or ``--engine-workers N`` execution of the same trial.
+pooled or cached execution of the same trial.
 With no :class:`Obs` recorder on the engine, :func:`stamp` and
 :func:`derive` return after one attribute read and attach nothing.
 

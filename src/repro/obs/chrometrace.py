@@ -10,21 +10,14 @@ Determinism: the export is a pure function of the ``obs`` document —
 lanes sort naturally (``m2`` before ``m10``), events keep the
 document's dispatch order, and the JSON serializes with sorted keys
 and fixed separators — so the bytes are identical across serial,
-pooled, cached and ``--engine-workers N`` runs of the same trial.
-
-Optionally, ``partitions`` (a list of host groups, e.g. the
-deployment's :func:`repro.mpichv.shardmap.partition_hosts` plan)
-groups the lanes into one Perfetto *process* per engine partition.
-This is a pure display grouping computed from the configuration — the
-default export never consults the execution mode, which is what keeps
-it byte-identical across worker counts.
+pooled and cached runs of the same trial.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 from repro.obs.spans import FIELDS, KIND, LANE, T0, T1
 
@@ -42,32 +35,17 @@ def _us(t: float) -> int:
 
 
 def chrome_trace_doc(obs_doc: Dict[str, Any],
-                     title: str = "repro trial",
-                     partitions: Optional[Sequence[Sequence[str]]] = None,
-                     ) -> Dict[str, Any]:
+                     title: str = "repro trial") -> Dict[str, Any]:
     """Build the Chrome-trace document (Python objects, not JSON)."""
     spans = obs_doc.get("spans", []) if obs_doc else []
     lanes = sorted({row[LANE] for row in spans}, key=_lane_key)
-    # lane -> (pid, tid); pid groups lanes per partition when asked
-    lane_pid: Dict[str, int] = {}
-    pid_names: Dict[int, str] = {1: title}
-    if partitions:
-        for gi, group in enumerate(partitions):
-            pid_names[gi + 1] = f"partition {gi}"
-            for host in group:
-                lane_pid[host] = gi + 1
-        pid_names[len(partitions) + 1] = "shared"
-        default_pid = len(partitions) + 1
-    else:
-        default_pid = 1
+    pid = 1         # one Perfetto process; one thread (tid) per lane
     lane_tid = {lane: tid for tid, lane in enumerate(lanes, start=1)}
 
-    events: List[Dict[str, Any]] = []
-    for pid in sorted(pid_names):
-        events.append({"ph": "M", "name": "process_name", "pid": pid,
-                       "tid": 0, "args": {"name": pid_names[pid]}})
+    events: List[Dict[str, Any]] = [
+        {"ph": "M", "name": "process_name", "pid": pid,
+         "tid": 0, "args": {"name": title}}]
     for lane in lanes:
-        pid = lane_pid.get(lane, default_pid)
         events.append({"ph": "M", "name": "thread_name", "pid": pid,
                        "tid": lane_tid[lane], "args": {"name": lane}})
         events.append({"ph": "M", "name": "thread_sort_index", "pid": pid,
@@ -80,7 +58,7 @@ def chrome_trace_doc(obs_doc: Dict[str, Any],
             "ph": "X",
             "name": row[KIND],
             "cat": row[KIND],
-            "pid": lane_pid.get(lane, default_pid),
+            "pid": pid,
             "tid": lane_tid[lane],
             "ts": _us(t0),
             "dur": _us((t1 if t1 is not None else t0) - t0),
@@ -96,7 +74,6 @@ def chrome_trace_doc(obs_doc: Dict[str, Any],
         lane = crow["lane"]
         if lane not in lane_tid:
             continue
-        pid = lane_pid.get(lane, default_pid)
         tid = lane_tid[lane]
         for seg in crow["segments"]:
             flow_id += 1
@@ -123,18 +100,13 @@ def chrome_trace_doc(obs_doc: Dict[str, Any],
 
 
 def chrome_trace_json(obs_doc: Dict[str, Any],
-                      title: str = "repro trial",
-                      partitions: Optional[Sequence[Sequence[str]]] = None,
-                      ) -> str:
+                      title: str = "repro trial") -> str:
     """Serialize with sorted keys + fixed separators (byte-stable)."""
-    doc = chrome_trace_doc(obs_doc, title=title, partitions=partitions)
+    doc = chrome_trace_doc(obs_doc, title=title)
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def write_chrome_trace(path: str, obs_doc: Dict[str, Any],
-                       title: str = "repro trial",
-                       partitions: Optional[Sequence[Sequence[str]]] = None,
-                       ) -> None:
+                       title: str = "repro trial") -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(chrome_trace_json(obs_doc, title=title,
-                                   partitions=partitions))
+        fh.write(chrome_trace_json(obs_doc, title=title))

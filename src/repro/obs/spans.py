@@ -11,16 +11,16 @@ that keeps the engine hot path inside the dispatch benchmark gate.
 Determinism contract: recording a span never schedules engine events,
 never writes the trace, and never consumes ``engine.random`` — the
 span list is derived *from* the simulated history, so the golden
-digest matrix (``tests/test_engine_workers_golden.py``) and the byte
+digest matrix (``tests/test_golden_digests.py``) and the byte
 equality of serial / pooled / cached results are unaffected by turning
 observation on or off.
 
 The recorder keeps two registries: :attr:`Obs.metrics` for quantities
 that are pure functions of the simulation (exported, cached,
 byte-compared) and :attr:`Obs.exec_metrics` for execution metadata —
-front-lane hits, slot occupancy, null-message ratios — which varies
-legitimately with ``engine_workers`` and therefore never feeds the
-deterministic exporters.
+front-lane hits, slot occupancy — which describes how the engine ran,
+not what it simulated, and therefore never feeds the deterministic
+exporters.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import gc
 import heapq
-import math
 import random
 from collections import deque
 from contextlib import contextmanager
@@ -450,26 +449,6 @@ class Engine:
         if until is not None and not heap and not front and self.now < until:
             self.now = until
         return self.now
-
-    def run_horizon(self, horizon: float, *,
-                    max_events: Optional[int] = None) -> float:
-        """Run every pending payload *strictly before* ``horizon``.
-
-        This is the conservative gate of partitioned execution (see
-        :mod:`repro.simkernel.parallel`): a partition granted a safe
-        horizon ``H`` may execute events with ``t < H`` — an event at
-        exactly ``H`` could still be preempted by a cross-partition
-        message arriving at ``H``, so the gate is exclusive.  The
-        implementation reuses :meth:`run`'s inclusive ``until`` bound
-        with the largest float below ``horizon``, so the hot loop is
-        byte-identical to the reference path.  Dispatch order within
-        the horizon is exactly :meth:`run`'s
-        ``(time, priority, insertion order)``.
-        """
-        if math.isinf(horizon):
-            return self.run(max_events=max_events)
-        return self.run(until=math.nextafter(horizon, -math.inf),
-                        max_events=max_events)
 
     def stop(self) -> None:
         """Make :meth:`run` return after the current event."""

@@ -1,13 +1,10 @@
-"""Golden determinism matrix for the partitioned engine.
+"""Golden determinism matrix for the simulation engine.
 
-The deployment parallel mode (``TrialSetup.engine_workers > 1``, see
-``docs/parallel-engine.md``) must be *bit-identical* to the
-single-engine reference: same trace records, same event counts, same
-verdicts, at every worker count.  The digests pinned here were
-computed in reference mode (``engine_workers=1``) and every worker
-count must reproduce them — any drift means the horizon windowing
-reordered events, the lookahead bound was unsound, or the partition
-accounting leaked into simulation behaviour.
+One ``(setup, seed)`` pair simulates one history: the digests pinned
+here cover the trace records and event count of every protocol at 1
+and 4 checkpoint-server shards on a uniform and a two-tier fabric.
+Any drift means dispatch order, fabric arithmetic or protocol logic
+changed.
 
 The ``uniform`` rows deliberately share their setup with
 ``tests/test_engine_fastpath.py`` — their digests are the same pinned
@@ -16,8 +13,8 @@ constants, so a drift in either file points at the same engine.
 The faulted row also pins the severance-scan ordering fix: partition
 injection scans live connections in *creation order* (an
 insertion-ordered dict in ``Network._sockets``), not in address-
-dependent set order — the digest is stable across processes and
-worker counts only because of that.
+dependent set order — the digest is stable across processes only
+because of that.
 """
 
 import dataclasses
@@ -26,12 +23,10 @@ import hashlib
 import pytest
 
 from repro.experiments.harness import TrialSetup
-from repro.experiments.runner import TrialRunner, trial_key
+from repro.experiments.runner import trial_key
 from repro.explore.generators import (MASTER, NODE_DAEMON, Heal, TimedKill,
                                       TimedPartition, render_plan)
 from repro.netmodel import TopologySpec
-
-WORKER_COUNTS = (1, 2, 4)
 
 TOPOLOGIES = {
     "uniform": TopologySpec("uniform"),
@@ -83,7 +78,7 @@ GOLDEN_CLEAN = {
          1952),
 }
 
-#: kill + partition/heal (recovery traffic crosses the engine cut)
+#: kill + partition/heal
 GOLDEN_FAULTED = {
     ("vcl", 4, "twotier"):
         ("6bc10cbe5091fd53a3c65f3cb7b46e5ef284f1de8e86b3e68ad69011f2d7bfd1",
@@ -91,7 +86,7 @@ GOLDEN_FAULTED = {
 }
 
 
-def _setup(protocol, shards, topo, engine_workers, faulty=False):
+def _setup(protocol, shards, topo, faulty=False):
     scenario = render_plan(FAULT_PLAN) if faulty else None
     return TrialSetup(
         n_procs=4, n_machines=7, protocol=protocol, timeout=300.0,
@@ -100,8 +95,7 @@ def _setup(protocol, shards, topo, engine_workers, faulty=False):
         master_daemon=MASTER if faulty else None,
         node_daemon=NODE_DAEMON if faulty else None,
         config_overrides={"n_ckpt_servers": shards,
-                          "topology": TOPOLOGIES[topo]},
-        engine_workers=engine_workers)
+                          "topology": TOPOLOGIES[topo]})
 
 
 def _digest(result):
@@ -112,81 +106,35 @@ def _digest(result):
     return h.hexdigest(), result.events_processed
 
 
-@pytest.mark.parametrize("engine_workers", WORKER_COUNTS)
 @pytest.mark.parametrize("topo", ["uniform", "twotier"])
 @pytest.mark.parametrize("shards", [1, 4])
 @pytest.mark.parametrize("protocol", ["vcl", "v2", "v1"])
-def test_clean_matrix_matches_reference_digest(protocol, shards, topo,
-                                               engine_workers):
-    setup = _setup(protocol, shards, topo, engine_workers)
-    result = setup.run_one(seed=7)
+def test_clean_matrix_matches_reference_digest(protocol, shards, topo):
+    result = _setup(protocol, shards, topo).run_one(seed=7)
     assert _digest(result) == GOLDEN_CLEAN[(protocol, shards, topo)]
-    assert result.engine_workers == engine_workers
 
 
-@pytest.mark.parametrize("engine_workers", WORKER_COUNTS)
-def test_faulted_trial_matches_reference_digest(engine_workers):
-    setup = _setup("vcl", 4, "twotier", engine_workers, faulty=True)
-    result = setup.run_one(seed=7)
+def test_faulted_trial_matches_reference_digest():
+    result = _setup("vcl", 4, "twotier", faulty=True).run_one(seed=7)
     assert _digest(result) == GOLDEN_FAULTED[("vcl", 4, "twotier")]
 
 
-def test_parallel_execution_metadata_is_surfaced():
-    """engine_workers > 1 records its window/null-message accounting on
-    the result; the reference run records none (metadata only — the
-    simulated history is identical, as the digests above prove)."""
-    ref = _setup("vcl", 1, "uniform", 1).run_one(seed=7)
-    assert ref.engine_workers == 1
-    assert ref.parallel is None
-    assert ref.wall_seconds > 0.0
-
-    par = _setup("vcl", 1, "uniform", 2).run_one(seed=7)
-    assert par.engine_workers == 2
-    stats = par.parallel
-    assert stats["partitions"] == 2
-    assert stats["windows"] > 0
-    assert stats["channels"] == 2           # 2 groups, both directions
-    assert stats["min_lookahead"] > 0.0
-    # null messages = silent (group, group) channels summed per window
-    assert stats["null_messages"] == \
-        stats["windows"] * stats["channels"] - stats["payload_windows"]
-
-
 # ---------------------------------------------------------------------------
-# cache-key neutrality: engine_workers changes HOW a trial executes,
-# never WHAT it simulates — so it must not change the trial's cache slot
+# cache keys: the literal was recorded under CACHE_VERSION 9, so an edit
+# to TrialSetup or trial_key that moves every existing cache entry
+# without bumping the version fails here
 # ---------------------------------------------------------------------------
 
-def test_trial_key_ignores_engine_workers():
-    setup = _setup("vcl", 1, "uniform", 1)
-    key = trial_key(setup, 7)
-    for workers in (2, 4, 16):
-        rewritten = dataclasses.replace(setup, engine_workers=workers)
-        assert trial_key(rewritten, 7) == key
+def test_trial_key_is_the_recorded_hex():
+    assert trial_key(_setup("vcl", 1, "uniform"), 7) == \
+        "ff6b0836665bd535cb0f8746dabd440a79af454651b7e7afbe6e28430d694a20"
 
 
 def test_trial_key_still_separates_real_configuration():
-    setup = _setup("vcl", 1, "uniform", 1)
+    setup = _setup("vcl", 1, "uniform")
     key = trial_key(setup, 7)
     assert trial_key(setup, 8) != key
     assert trial_key(dataclasses.replace(setup, protocol="v2"), 7) != key
     assert trial_key(dataclasses.replace(setup, niters=41), 7) != key
-    assert trial_key(_setup("vcl", 1, "twotier", 1), 7) != key
-    assert trial_key(_setup("vcl", 4, "uniform", 1), 7) != key
-
-
-def test_cached_reference_run_satisfies_parallel_request(tmp_path):
-    """A trial cached by a reference run is a hit for the same trial
-    requested with engine_workers > 1 (and vice versa) — the key is
-    shared because the results are bit-identical.  The cached result
-    keeps the execution metadata of the run that actually happened."""
-    setup = _setup("vcl", 1, "uniform", 1)
-    ref_runner = TrialRunner(cache_dir=str(tmp_path))
-    [ref] = ref_runner.run_jobs([(setup, 7)])
-    assert ref_runner.stats.snapshot() == (1, 0)
-
-    par_runner = TrialRunner(cache_dir=str(tmp_path), engine_workers=4)
-    [hit] = par_runner.run_jobs([(setup, 7)])
-    assert par_runner.stats.snapshot() == (0, 1)
-    assert hit.engine_workers == 1          # metadata of the cached run
-    assert _digest(hit)[1] == _digest(ref)[1]
+    assert trial_key(_setup("vcl", 1, "twotier"), 7) != key
+    assert trial_key(_setup("vcl", 4, "uniform"), 7) != key

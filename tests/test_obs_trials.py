@@ -282,10 +282,9 @@ def test_verdict_identical_with_observation_off(observed, protocol):
 
 @pytest.mark.slow
 def test_chrome_trace_byte_identical_across_paths(tmp_path):
-    """Serial, pooled, cold/warm cache and --engine-workers 2 must all
-    produce byte-identical Chrome-trace JSON for the same trials."""
+    """Serial, pooled and cold/warm cache must all produce
+    byte-identical Chrome-trace JSON for the same trials."""
     jobs = [(_setup(protocol), 7) for protocol in PROTOCOLS]
-    w2_jobs = [(s, seed) for s, seed in jobs]
 
     batches = {
         "serial": TrialRunner(workers=1).run_jobs(jobs),
@@ -294,7 +293,6 @@ def test_chrome_trace_byte_identical_across_paths(tmp_path):
                             cache_dir=str(tmp_path)).run_jobs(jobs),
         "warm": TrialRunner(workers=1,
                             cache_dir=str(tmp_path)).run_jobs(jobs),
-        "ew2": TrialRunner(workers=1, engine_workers=2).run_jobs(w2_jobs),
     }
     reference = [chrome_trace_json(r.obs) for r in batches["serial"]]
     causal = [r.obs["causal"] for r in batches["serial"]]

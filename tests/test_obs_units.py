@@ -184,18 +184,6 @@ def test_chrome_trace_events_use_integer_microseconds():
     assert doc["otherData"]["counters"] == {"disp.restarts": 1}
 
 
-def test_chrome_trace_partition_grouping():
-    doc = chrome_trace_doc(_sample_doc(),
-                           partitions=[["m2"], ["m10"]])
-    pids = {e["args"]["name"]: e["pid"] for e in doc["traceEvents"]
-            if e["ph"] == "M" and e["name"] == "thread_name"}
-    assert pids["m2"] == 1 and pids["m10"] == 2
-    assert pids["svc1"] == 3                     # the "shared" process
-    pnames = {e["pid"]: e["args"]["name"] for e in doc["traceEvents"]
-              if e["ph"] == "M" and e["name"] == "process_name"}
-    assert pnames == {1: "partition 0", 2: "partition 1", 3: "shared"}
-
-
 def test_chrome_trace_json_is_byte_stable():
     a = chrome_trace_json(_sample_doc())
     b = chrome_trace_json(json.loads(json.dumps(_sample_doc())))

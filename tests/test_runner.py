@@ -222,6 +222,26 @@ def test_stale_entry_reexecutes_is_overwritten_and_counted(tmp_path, damage):
     assert "stale" not in warm.stats.describe()
 
 
+def test_format9_entry_with_extra_keys_is_a_hit(tmp_path):
+    """Format 9 once carried ``engine_workers`` / ``parallel``; the
+    reader takes keys by name, so such an entry is still a hit and
+    re-serialises to today's document."""
+    job = (quick_setup(35), 3)
+    cold = TrialRunner(cache_dir=str(tmp_path))
+    (reference,) = cold.run_jobs([job])
+    path = cold.store.path_for(trial_key(*job))
+    with open(path) as fh:
+        doc = json.load(fh)
+    assert "engine_workers" not in doc and "parallel" not in doc
+    with open(path, "w") as fh:
+        json.dump(dict(doc, engine_workers=1, parallel=None), fh)
+    warm = TrialRunner(cache_dir=str(tmp_path))
+    (hit,) = warm.run_jobs([job])
+    assert warm.stats.snapshot() == (0, 1)
+    assert warm.stats.stale_entries == 0
+    assert run_result_to_dict(hit) == run_result_to_dict(reference)
+
+
 def test_store_rejects_non_directory_root(tmp_path):
     afile = tmp_path / "afile"
     afile.write_text("")

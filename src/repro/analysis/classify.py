@@ -151,13 +151,18 @@ def classify_run(trace: Trace, timeout: float,
     else:
         critpath_segments = None
 
+    # a simulated thread that raised (``thread_crashed``, logged by the
+    # runtime) is the likeliest cause of whatever follows: say so
+    crashes = trace.count("thread_crashed")
+    crashed = f"; {crashes} simulated thread(s) crashed" if crashes else ""
+
     done_t = trace.last_t("app_done")
     if done_t is not None:
         return RunVerdict(
             outcome=Outcome.TERMINATED,
             exec_time=done_t,
             last_activity=done_t,
-            reason="application finalized",
+            reason="application finalized" + crashed,
             detect_latency=detect_latency,
             replay_seconds=replay_seconds,
             critpath_segments=critpath_segments,
@@ -170,7 +175,7 @@ def classify_run(trace: Trace, timeout: float,
             exec_time=None,
             last_activity=t_act,
             reason=(f"frozen: no protocol activity for {idle:.0f}s before "
-                    f"timeout (last activity at t={t_act:.1f})"),
+                    f"timeout (last activity at t={t_act:.1f})" + crashed),
             detect_latency=detect_latency,
             replay_seconds=replay_seconds,
             critpath_segments=critpath_segments,
@@ -180,7 +185,7 @@ def classify_run(trace: Trace, timeout: float,
         exec_time=None,
         last_activity=t_act,
         reason=(f"no progress but protocol kept cycling (last activity "
-                f"at t={t_act:.1f}, {idle:.0f}s before timeout)"),
+                f"at t={t_act:.1f}, {idle:.0f}s before timeout)" + crashed),
         detect_latency=detect_latency,
         replay_seconds=replay_seconds,
         critpath_segments=critpath_segments,

@@ -35,6 +35,10 @@ DEFAULT_LANES: Sequence[Tuple[str, Tuple[str, ...], str]] = (
     ("done", ("app_done",), "D"),
 )
 
+#: joins the default lanes only when the trace has such records (a
+#: simulated thread raised), so crash-free timelines keep their shape
+CRASH_LANE: Tuple[str, Tuple[str, ...], str] = ("crash", ("thread_crashed",), "X")
+
 
 @dataclass
 class TimelineLane:
@@ -95,8 +99,11 @@ def render_timeline(trace: Trace, width: int = 72,
     if width < 10:
         raise ValueError("width must be >= 10")
     records = trace.records
-    lanes = [TimelineLane(lbl, kinds, mark)
-             for (lbl, kinds, mark) in (lanes or DEFAULT_LANES)]
+    if not lanes:
+        lanes = DEFAULT_LANES
+        if trace.count("thread_crashed"):
+            lanes = (*lanes, CRASH_LANE)
+    lanes = [TimelineLane(lbl, kinds, mark) for (lbl, kinds, mark) in lanes]
     if not records and not trace.keep and trace.counts:
         return _counts_only_timeline(trace, lanes)
     if t0 is None:

@@ -45,7 +45,7 @@ from typing import (Any, Dict, FrozenSet, List, NamedTuple, Optional,
 from repro.netmodel import (DEFAULT_BANDWIDTH, DEFAULT_LATENCY, build_fabric)
 from repro.simkernel.engine import Engine
 from repro.simkernel.events import Event
-from repro.simkernel.store import Store, StoreClosed
+from repro.simkernel.store import Store
 
 
 class Address(NamedTuple):
@@ -299,7 +299,7 @@ class Network:
                 return
             self._sockets[client] = None
             self._sockets[server] = None
-            listener._backlog.put(server)
+            listener._rx.put(server)
             ev.succeed(client)
 
         self.engine.call_later(rtt, _deliver)
@@ -386,7 +386,9 @@ class ListenSocket:
         self.network = network
         self.addr = addr
         self.owner = owner
-        self._backlog: Store = Store(network.engine, name=f"listen({addr})")
+        #: the backlog of accepted server sockets; named like
+        #: :attr:`Socket._rx` so a reader binds to either endpoint
+        self._rx: Store = Store(network.engine, name=f"listen({addr})")
         self.closed = False
 
     def accept(self) -> Event:
@@ -395,7 +397,7 @@ class ListenSocket:
         Fails with :class:`StoreClosed` if the listener closes while
         waiting.
         """
-        return self._backlog.get()
+        return self._rx.get()
 
     def close(self) -> None:
         if self.closed:
@@ -403,15 +405,15 @@ class ListenSocket:
         self.closed = True
         self.network._unbind(self.addr)
         # Refuse queued, never-accepted connections: close their peers.
-        while len(self._backlog):
-            srv = self._backlog.get_nowait()
+        while len(self._rx):
+            srv = self._rx.get_nowait()
             srv.close()
-        self._backlog.close()
+        self._rx.close()
 
     def dispose(self) -> None:
         """Teardown-only cycle breaking (owner link, queued peers)."""
         self.owner = None
-        self._backlog.dispose()
+        self._rx.dispose()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<ListenSocket {self.addr} closed={self.closed}>"
@@ -446,21 +448,13 @@ class Socket:
     def recv(self) -> Event:
         """Event yielding the next message.
 
-        The event *fails* with :class:`ConnectionClosed` if the peer
-        closed (including peer-process death) — translate from the
-        store-level :class:`StoreClosed` at the waiting site via
-        :meth:`recv_translated` or catch ``StoreClosed`` directly.
+        The event *fails* with the store-level
+        :class:`~repro.simkernel.store.StoreClosed` if the peer closed
+        (including peer-process death); catch that at the waiting site.
+        Code that only loops over ``recv()`` is a reader instead — see
+        :meth:`repro.cluster.unixproc.UnixProcess.spawn_reader`.
         """
         return self._rx.get()
-
-    def recv_iter(self):
-        """Generator helper: ``msg = yield from sock.recv_iter()``
-        raising :class:`ConnectionClosed` on closure."""
-        try:
-            msg = yield self._rx.get()
-        except StoreClosed as err:
-            raise ConnectionClosed(str(err)) from err
-        return msg
 
     def close(self) -> None:
         """Close this endpoint; peer learns after one latency."""

@@ -1,8 +1,11 @@
 """Simulated unix processes.
 
 A :class:`UnixProcess` groups one *main* simulated coroutine plus any
-helper threads, owns sockets (closed by the "OS" when the process
-dies), and exposes the control surface the FAIL debugger needs:
+helper threads — generator threads for code that blocks, callback
+threads (:meth:`UnixProcess.spawn_reader`, :meth:`UnixProcess.adopt_thread`)
+for code that only reacts, e.g. to what a socket delivers — owns
+sockets (closed by the "OS" when the process dies), and exposes the
+control surface the FAIL debugger needs:
 
 * ``kill()``   — SIGKILL: all threads die instantly, sockets close;
 * ``suspend()``/``resume_all()`` — debugger stop/continue of every thread;
@@ -22,7 +25,8 @@ from __future__ import annotations
 import enum
 from typing import Any, Callable, Dict, Generator, List, Optional
 
-from repro.simkernel.process import Process
+from repro.simkernel.process import CallbackThread, Process
+from repro.simkernel.store import Reader
 
 
 class ProcState(enum.Enum):
@@ -60,7 +64,9 @@ class UnixProcess:
         self.state = ProcState.RUNNING
         self.exit_value: Any = None
         self.exit_error: Optional[BaseException] = None
-        self._threads: List[Process] = []
+        #: generator threads (Process) and callback threads alike: both
+        #: answer ``alive`` / ``kill`` / ``suspend`` / ``resume`` / ``dispose``
+        self._threads: List[Any] = []
         self._sockets: List[Any] = []
         self._exit_listeners: List[Callable[["UnixProcess", ProcState], None]] = []
         #: breakpoint interceptors: name -> callable(proc, name, resume_event)
@@ -81,16 +87,62 @@ class UnixProcess:
             t.suspend()
         return t
 
-    def _thread_done(self, ev, is_main: bool) -> None:
+    def spawn_reader(self, source, on_item: Callable[[Any], None],
+                     on_close: Optional[Callable[[], None]] = None) -> Reader:
+        """Serve ``source`` — a socket's messages or a listener's
+        accepted sockets — with ``on_item``, as a thread of this
+        process that never blocks: ``on_close`` (if given) runs once
+        when the stream closes.  See :class:`~repro.simkernel.store.Reader`.
+        """
+        return self.adopt_thread(Reader(self.engine, source._rx,
+                                        on_item, on_close))
+
+    def adopt_thread(self, thread: CallbackThread) -> CallbackThread:
+        """Make a just-built callback thread one of this process's
+        threads: it dies, stops and continues with the process, and a
+        step of it that raises takes the process down."""
         if not self.state.alive:
-            return
+            thread.kill()
+            raise RuntimeError(f"adopt_thread on dead process {self}")
+        thread.on_error = self._thread_crashed
+        self._threads.append(thread)
+        if self.state is ProcState.SUSPENDED:
+            thread.suspend()
+        return thread
+
+    def spawn_acceptor(self, listener,
+                       on_first: Callable[[Any, Any], None]) -> Reader:
+        """Serve ``listener`` one connection at a time: accept, wait
+        for the connection's first message, call ``on_first(sock,
+        msg)``, accept again.  One reader alternates between the
+        backlog and the accepted socket, so connection B is not looked
+        at while A's first message is awaited; a connection that closes
+        before saying anything is skipped."""
+        def accept_next() -> None:
+            reader.retarget(on_conn, store=listener._rx)
+
+        def on_conn(sock) -> None:
+            def on_msg(msg) -> None:
+                accept_next()
+                on_first(sock, msg)
+
+            reader.retarget(on_msg, accept_next, store=sock._rx)
+
+        reader = self.spawn_reader(listener, on_conn)
+        return reader
+
+    def _thread_done(self, ev, is_main: bool) -> None:
         if not ev.ok:
-            # A crashing thread takes the whole process down (abort()).
-            self.exit_error = ev.exception
-            self._terminate(ProcState.ERRORED)
-        elif is_main:
+            self._thread_crashed(ev.exception)
+        elif is_main and self.state.alive:
             self.exit_value = ev._value
             self._terminate(ProcState.EXITED)
+
+    def _thread_crashed(self, err: BaseException) -> None:
+        """A crashing thread takes the whole process down (abort())."""
+        if self.state.alive:
+            self.exit_error = err
+            self._terminate(ProcState.ERRORED)
 
     # -- sockets ---------------------------------------------------------------
     def adopt_socket(self, sock) -> None:

@@ -31,7 +31,6 @@ from repro.cluster.unixproc import UnixProcess
 from repro.mpi.message import AppMessage
 from repro.mpichv import wire
 from repro.obs import causal
-from repro.simkernel.store import StoreClosed
 
 #: log entry: (pos, src, src_seq, message)
 LogEntry = Tuple[int, int, int, AppMessage]
@@ -95,18 +94,11 @@ def channel_memory_main(proc: UnixProcess, config, index: int):
         sock.send(out)
         state.forwarded += 1
 
-    def handle_conn(sock):
+    def serve_conn(sock) -> None:
         attached_rank = None         # rank attached through this socket
-        while True:
-            try:
-                msg = yield sock.recv()
-            except StoreClosed:
-                # a dead receiver keeps its log; the new incarnation
-                # re-attaches and replays
-                if attached_rank is not None \
-                        and attached.get(attached_rank) is sock:
-                    del attached[attached_rank]
-                return
+
+        def on_msg(msg) -> None:
+            nonlocal attached_rank
             if isinstance(msg, wire.CMPut):
                 pos = state.record(msg.src, msg.dst, msg.seq, msg.app)
                 if pos is not None:
@@ -139,11 +131,16 @@ def channel_memory_main(proc: UnixProcess, config, index: int):
                 state.prune(msg.rank, msg.upto)
             elif isinstance(msg, wire.Shutdown):
                 engine.call_later(0.0, proc.kill)
-                return
+                reader.kill()
 
-    while True:
-        try:
-            sock = yield listener.accept()
-        except StoreClosed:
-            return
-        proc.spawn_thread(handle_conn(sock), name=f"cm{index}.conn{sock.conn_id}")
+        def on_gone() -> None:
+            # a dead receiver keeps its log; the new incarnation
+            # re-attaches and replays
+            if attached_rank is not None \
+                    and attached.get(attached_rank) is sock:
+                del attached[attached_rank]
+
+        reader = proc.spawn_reader(sock, on_msg, on_gone)
+
+    proc.spawn_reader(listener, serve_conn)
+    yield engine.event(name=f"cm{index}.forever")

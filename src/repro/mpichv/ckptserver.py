@@ -106,32 +106,27 @@ def ckpt_server_main(proc: UnixProcess, config, server_index: int):
 
     proc.spawn_thread(disk_writer(), name=f"ckptsrv{server_index}.disk")
 
-    def handle_conn(sock):
-        while True:
-            try:
-                msg = yield sock.recv()
-            except StoreClosed:
-                return
+    def serve_conn(sock) -> None:
+        def on_msg(msg) -> None:
             if isinstance(msg, wire.CkptStore):
                 img = CheckpointImage(rank=msg.rank, wave=msg.wave,
                                       state=msg.state, logs=list(msg.logs),
                                       img_size=msg.img_size)
 
-                def _stored(img=img, sock=sock, cause=msg):
+                def _stored():
                     state.store_image(img)
                     state.bytes_ingested += img.img_size
                     engine.log("ckpt_stored", rank=img.rank, wave=img.wave,
                                server=server_index)
                     if not sock.closed and sock.peer_alive:
                         ack = wire.CkptStoredAck(rank=img.rank, wave=img.wave)
-                        causal.derive(engine, ack, f"ckpt{server_index}",
-                                      cause)
+                        causal.derive(engine, ack, f"ckpt{server_index}", msg)
                         sock.send(ack)
 
                 disk_q.put(("image", msg.img_size, engine.now, _stored))
             elif isinstance(msg, wire.CkptLogAppend):
 
-                def _logged(msg=msg, sock=sock):
+                def _logged():
                     state.append_logs(msg.rank, msg.wave, msg.logs)
                     state.bytes_ingested += msg.size
                     if not sock.closed and sock.peer_alive:
@@ -142,7 +137,7 @@ def ckpt_server_main(proc: UnixProcess, config, server_index: int):
                 disk_q.put(("logs", msg.size, engine.now, _logged))
             elif isinstance(msg, wire.FetchReq):
 
-                def _read(msg=msg, sock=sock):
+                def _read():
                     img = state.lookup(msg.rank, msg.wave)
                     if img is None:
                         resp = wire.FetchResp(rank=msg.rank, wave=None, state=None)
@@ -164,13 +159,9 @@ def ckpt_server_main(proc: UnixProcess, config, server_index: int):
                 # End of experiment: take the whole server process down
                 # (asynchronously — we are one of its threads).
                 engine.call_later(0.0, proc.kill)
-                return
+                reader.kill()
 
-    # accept loop
-    while True:
-        try:
-            sock = yield listener.accept()
-        except StoreClosed:
-            return
-        proc.spawn_thread(handle_conn(sock),
-                          name=f"ckptsrv{server_index}.conn{sock.conn_id}")
+        reader = proc.spawn_reader(sock, on_msg)
+
+    proc.spawn_reader(listener, serve_conn)
+    yield engine.event(name=f"ckptsrv{server_index}.forever")

@@ -37,6 +37,7 @@ from repro.mpi.message import AppMessage
 from repro.mpichv import shardmap, wire
 from repro.mpichv.checkpoint import CheckpointImage, node_local_store
 from repro.obs import causal
+from repro.simkernel.process import CallbackThread
 from repro.simkernel.store import StoreClosed
 
 
@@ -60,8 +61,58 @@ def connect_retry(proc: UnixProcess, addr, backoff_initial: float,
     return None
 
 
+class PeerDialer(CallbackThread):
+    """One mesh dial — :func:`connect_retry` plus the handshake — as a
+    callback thread: every step (the first attempt, the connection's
+    outcome, the end of a back-off) reacts and returns, so the N·(N−1)/2
+    dials of a mesh build need no generator each.  Each step runs at the
+    slot position the generator's did: the first where the dial thread
+    started, an outcome inside the connect event's own payload, a retry
+    where the back-off ``Timeout`` fired.
+    """
+
+    __slots__ = ("core", "peer_rank", "addr", "delay", "_outcome")
+
+    def __init__(self, core: "MpichDaemon", peer_rank: int, addr):
+        self.core = core
+        self.peer_rank = peer_rank
+        self.addr = addr
+        self.delay = core.timing.connect_retry_initial
+        self._outcome = None
+        super().__init__(core.engine)
+
+    @property
+    def name(self) -> str:
+        return f"{self.core.protocol}.{self.core.rank}.dial{self.peer_rank}"
+
+    def _connected(self, event) -> None:
+        self._outcome = event
+        self()
+
+    def _run(self) -> None:
+        core = self.core
+        outcome, self._outcome = self._outcome, None
+        if outcome is not None and outcome.ok:
+            self.kill()
+            core.on_peer_connected(self.peer_rank, outcome.value)
+        elif outcome is not None:
+            core.engine.cover("daemon.connect.refused")
+            core.engine._enqueue_call(self, delay=self.delay)
+            self.delay = min(self.delay * 2, core.timing.connect_retry_max)
+        elif core.terminating:
+            self.kill()
+        else:
+            core.proc.node.connect(self.addr, owner=core.proc) \
+                .add_callback(self._connected)
+
+    def dispose(self) -> None:
+        super().dispose()
+        self.core = self._outcome = None
+
+
 class MpichDaemon:
-    """State + threads shared by every communication daemon instance.
+    """State, threads and reader handlers shared by every communication
+    daemon instance.
 
     Subclasses set :attr:`protocol` (the registry name, also used for
     thread names and the ``proc.tags`` entry) and :attr:`hello_cls`
@@ -140,8 +191,8 @@ class MpichDaemon:
         """Peer ranks this daemon actively dials (it accepts the rest)."""
         return range(self.rank)
 
-    def dial_peer(self, peer_rank: int, addr):
-        """Generator: connect to one peer and perform the handshake."""
+    def on_peer_connected(self, peer_rank: int, sock) -> None:
+        """A dial of ours reached ``peer_rank``: perform the handshake."""
         raise NotImplementedError
 
     def after_mesh(self, cmd: wire.CommandMap):
@@ -283,20 +334,21 @@ class MpichDaemon:
     # ------------------------------------------------------------------
     # dispatcher connection (uniform across protocols)
     # ------------------------------------------------------------------
-    def dispatcher_reader(self):
-        while True:
-            try:
-                msg = yield self.disp_sock.recv()
-            except StoreClosed:
-                return      # dispatcher gone: experiment is over
-            if isinstance(msg, wire.Terminate):
-                self.engine.cover("daemon.terminate_order")
-                self.terminating = True
-                self.proc.spawn_thread(self._terminator(), name="terminator")
-            elif isinstance(msg, wire.Shutdown):
-                self.engine.cover("daemon.shutdown_order")
-                self.proc.exit()
-                return
+    def on_dispatcher_msg(self, msg) -> None:
+        """Reader handler of the dispatcher connection (a closure of it
+        means the experiment is over: nothing to do)."""
+        if isinstance(msg, wire.Terminate):
+            self.engine.cover("daemon.terminate_order")
+            self.terminating = True
+            self.proc.spawn_thread(self._terminator(), name="terminator")
+        elif isinstance(msg, wire.Shutdown):
+            self.engine.cover("daemon.shutdown_order")
+            self.proc.exit()
+
+    def accept_hello(self, sock, hello) -> None:
+        """Acceptor handler: an inbound connection said its first word."""
+        if self.hello_cls is not None and isinstance(hello, self.hello_cls):
+            self.on_mesh_hello(sock, hello)
 
     def _terminator(self):
         """Cleanup then clean exit; the dispatcher reads the resulting
@@ -329,22 +381,18 @@ def daemon_lifecycle(core_cls, proc: UnixProcess, config, rank: int,
         engine.cover("daemon.launched_in_restart_epoch")
 
     # Bind the mesh listener before anything else so peers never race us.
-    listener = proc.node.listen(config.daemon_port_base + rank, owner=proc)
+    try:
+        listener = proc.node.listen(config.daemon_port_base + rank, owner=proc)
+    except OSError:
+        # The port is held by this rank's previous daemon: the
+        # dispatcher suspected it across a partition and relaunched
+        # while it still runs.  bind() fails, the daemon exits non-zero
+        # and the dispatcher relaunches again — modelled behaviour, not
+        # a crashed thread.
+        proc.abort()
+        return
 
-    def accept_loop():
-        while True:
-            try:
-                sock = yield listener.accept()
-            except StoreClosed:
-                return
-            try:
-                hello = yield sock.recv()
-            except StoreClosed:
-                continue
-            if core.hello_cls is not None and isinstance(hello, core.hello_cls):
-                core.on_mesh_hello(sock, hello)
-
-    proc.spawn_thread(accept_loop(), name=f"{name}.{rank}.accept")
+    proc.spawn_acceptor(listener, core.accept_hello)
 
     # exec + library initialisation time
     yield engine.timeout(timing.uniform(engine.random, timing.daemon_startup))
@@ -389,7 +437,7 @@ def daemon_lifecycle(core_cls, proc: UnixProcess, config, rank: int,
         proc.exit()
         return
     assert isinstance(cmd, wire.CommandMap), cmd
-    proc.spawn_thread(core.dispatcher_reader(), name=f"{name}.{rank}.disp")
+    proc.spawn_reader(core.disp_sock, core.on_dispatcher_msg)
 
     # --- protocol services + state restore --------------------------------
     yield from core.connect_services(cmd)
@@ -406,8 +454,7 @@ def daemon_lifecycle(core_cls, proc: UnixProcess, config, rank: int,
 
     # --- build the peer mesh ----------------------------------------------
     for peer_rank in core.mesh_dial_targets(cmd):
-        proc.spawn_thread(core.dial_peer(peer_rank, cmd.addrs[peer_rank]),
-                          name=f"{name}.{rank}.dial{peer_rank}")
+        proc.adopt_thread(PeerDialer(core, peer_rank, cmd.addrs[peer_rank]))
     if core.expected_peers:
         yield core.mesh_ready
 

@@ -35,7 +35,6 @@ from repro.analysis.coverage import hit_bucket
 from repro.cluster.unixproc import UnixProcess
 from repro.mpichv import protocols, shardmap, wire
 from repro.obs import causal
-from repro.simkernel.store import StoreClosed
 
 LAUNCHING = "launching"
 RUNNING = "running"
@@ -299,85 +298,74 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
-    def conn_handler(sock):
-        try:
-            first = yield sock.recv()
-        except StoreClosed:
-            return
-        engine.cover(f"disp.rx.{type(first).__name__}")
-        obs_inc(f"disp.rx.{type(first).__name__}")
-        if isinstance(first, wire.WaveCommit):
-            # the checkpoint scheduler's commit-note connection
-            sched_conn[0] = sock
-            msg = first
-            while True:
-                if isinstance(msg, wire.WaveCommit):
-                    engine.cover(
-                        f"disp.sched.commit.x{hit_bucket(max(1, msg.wave))}")
-                    state.last_committed = msg.wave
-                try:
-                    msg = yield sock.recv()
-                except StoreClosed:
-                    return
-        if not isinstance(first, wire.Register):
-            sock.close()
-            return
-        msg = first
-        rank, ep, inc = msg.rank, msg.epoch, msg.incarnation
-        if state.phase == DONE or ep != state.epoch \
-                or inc != state.incarnation.get(rank):
-            engine.cover("disp.reg.stale")
-            sock.close()                 # stale or late registration
-            return
-        state.reg[rank] = sock
-        state.addrs[rank] = msg.addr
-        state.status[rank] = "registered"
-        ack = wire.RegisterAck(rank=rank)
-        causal.derive(engine, ack, "disp", msg)
-        sock.send(ack)
-        if state.phase == RUNNING and single_rank_restart:
-            # single-rank restart: the rest of the system never
-            # stopped; hand the newcomer its command map directly.
-            engine.cover("disp.reg.single_rank_cmdmap")
-            cmd = wire.CommandMap(epoch=state.epoch,
-                                  addrs=dict(state.addrs),
-                                  restore_wave=None)
-            causal.derive(engine, cmd, "disp", msg)
-            sock.send(cmd)
-            engine.log("recovery_complete", epoch=state.epoch, rank=rank,
-                       protocol=spec.name)
-            span = relaunch_by_rank.pop(rank, None)
-            if span is not None:
-                span.close()
-            engine.span("catchup", lane=state.assignment[rank], rank=rank,
-                        epoch=state.epoch)
-        elif len(state.reg) == n and not state.pending_term:
-            all_registered()
-        # read loop: Done notifications until closure
-        while True:
-            try:
-                msg = yield sock.recv()
-            except StoreClosed:
-                on_closure(rank, ep, sock)
-                return
-            engine.cover(f"disp.rx.{type(msg).__name__}")
-            obs_inc(f"disp.rx.{type(msg).__name__}")
-            if isinstance(msg, wire.Done):
-                if state.phase == RUNNING and ep == state.epoch:
-                    state.done_ranks.add(msg.rank)
-                    if len(state.done_ranks) == n:
-                        finish()
+    def serve_conn(sock) -> None:
+        def on_first(first) -> None:
+            engine.cover(f"disp.rx.{type(first).__name__}")
+            obs_inc(f"disp.rx.{type(first).__name__}")
+            if isinstance(first, wire.WaveCommit):
+                # the checkpoint scheduler's commit-note connection
+                sched_conn[0] = sock
+                on_sched_msg(first)
+                reader.retarget(on_sched_msg)
+            elif isinstance(first, wire.Register):
+                on_register(first)
+            else:
+                sock.close()
 
-    def accept_loop():
-        while True:
-            try:
-                sock = yield listener.accept()
-            except StoreClosed:
-                return
-            proc.spawn_thread(conn_handler(sock),
-                              name=f"disp.conn{sock.conn_id}")
+        def on_sched_msg(msg) -> None:
+            if isinstance(msg, wire.WaveCommit):
+                engine.cover(
+                    f"disp.sched.commit.x{hit_bucket(max(1, msg.wave))}")
+                state.last_committed = msg.wave
 
-    proc.spawn_thread(accept_loop(), name="disp.accept")
+        def on_register(msg) -> None:
+            rank, ep, inc = msg.rank, msg.epoch, msg.incarnation
+            if state.phase == DONE or ep != state.epoch \
+                    or inc != state.incarnation.get(rank):
+                engine.cover("disp.reg.stale")
+                sock.close()                 # stale or late registration
+                return
+            state.reg[rank] = sock
+            state.addrs[rank] = msg.addr
+            state.status[rank] = "registered"
+            ack = wire.RegisterAck(rank=rank)
+            causal.derive(engine, ack, "disp", msg)
+            sock.send(ack)
+            if state.phase == RUNNING and single_rank_restart:
+                # single-rank restart: the rest of the system never
+                # stopped; hand the newcomer its command map directly.
+                engine.cover("disp.reg.single_rank_cmdmap")
+                cmd = wire.CommandMap(epoch=state.epoch,
+                                      addrs=dict(state.addrs),
+                                      restore_wave=None)
+                causal.derive(engine, cmd, "disp", msg)
+                sock.send(cmd)
+                engine.log("recovery_complete", epoch=state.epoch, rank=rank,
+                           protocol=spec.name)
+                span = relaunch_by_rank.pop(rank, None)
+                if span is not None:
+                    span.close()
+                engine.span("catchup", lane=state.assignment[rank], rank=rank,
+                            epoch=state.epoch)
+            elif len(state.reg) == n and not state.pending_term:
+                all_registered()
+
+            # from here on: Done notifications until closure
+            def on_daemon_msg(msg) -> None:
+                engine.cover(f"disp.rx.{type(msg).__name__}")
+                obs_inc(f"disp.rx.{type(msg).__name__}")
+                if isinstance(msg, wire.Done):
+                    if state.phase == RUNNING and ep == state.epoch:
+                        state.done_ranks.add(msg.rank)
+                        if len(state.done_ranks) == n:
+                            finish()
+
+            reader.retarget(on_daemon_msg,
+                            lambda: on_closure(rank, ep, sock))
+
+        reader = proc.spawn_reader(sock, on_first)
+
+    proc.spawn_reader(listener, serve_conn)
 
     # initial launch
     engine.log("launch", n_procs=n)

@@ -15,7 +15,6 @@ from typing import Dict, List, Tuple
 from repro.cluster.unixproc import UnixProcess
 from repro.mpichv import wire
 from repro.obs import causal
-from repro.simkernel.store import StoreClosed
 
 
 class EventLogState:
@@ -55,12 +54,8 @@ def eventlog_main(proc: UnixProcess, config):
     proc.tags["evlog_state"] = state
     listener = proc.node.listen(config.eventlog_port, owner=proc)
 
-    def handle_conn(sock):
-        while True:
-            try:
-                msg = yield sock.recv()
-            except StoreClosed:
-                return
+    def serve_conn(sock) -> None:
+        def on_msg(msg) -> None:
             if isinstance(msg, wire.EvLog):
                 state.append(msg.rank, msg.pos, msg.src, msg.src_seq)
                 if not sock.closed and sock.peer_alive:
@@ -79,11 +74,9 @@ def eventlog_main(proc: UnixProcess, config):
                 state.prune(msg.rank, msg.upto)
             elif isinstance(msg, wire.Shutdown):
                 engine.call_later(0.0, proc.kill)
-                return
+                reader.kill()
 
-    while True:
-        try:
-            sock = yield listener.accept()
-        except StoreClosed:
-            return
-        proc.spawn_thread(handle_conn(sock), name=f"evlog.conn{sock.conn_id}")
+        reader = proc.spawn_reader(sock, on_msg)
+
+    proc.spawn_reader(listener, serve_conn)
+    yield engine.event(name="eventlog.forever")

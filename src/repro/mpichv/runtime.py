@@ -220,6 +220,12 @@ class VclRuntime:
             self.trace.unsubscribe(_stop_on_done)
             self.trace.unsubscribe(_capture)
         wall_seconds = time.perf_counter() - wall_start
+        # A crashed simulated thread usually shows up only as the
+        # timeout it causes; name it in the trace so the timeline and
+        # the verdict's reason do.
+        for failed in self.engine.process_failures:
+            self.engine.log("thread_crashed", thread=failed.name,
+                            error=repr(failed.error))
 
         # Coverage signature: probe labels hit during the run (branch
         # points in the dispatcher / daemon lifecycle) plus

@@ -15,7 +15,6 @@ from typing import Dict, Optional, Set
 from repro.cluster.unixproc import UnixProcess
 from repro.mpichv import shardmap, wire
 from repro.obs import causal
-from repro.simkernel.store import StoreClosed
 
 
 class SchedulerState:
@@ -106,17 +105,11 @@ def scheduler_main(proc: UnixProcess, config):
         if disp is not None and not disp.closed:
             disp.send(note)
 
-    def handle_daemon(sock):
+    def serve_daemon(sock) -> None:
         rank = None
-        while True:
-            try:
-                msg = yield sock.recv()
-            except StoreClosed:
-                if rank is not None and state.conns.get(rank) is sock:
-                    del state.conns[rank]
-                    # A participant vanished: the wave cannot complete.
-                    abort_wave(f"rank {rank} disconnected")
-                return
+
+        def on_msg(msg) -> None:
+            nonlocal rank
             if isinstance(msg, wire.SchedHello):
                 rank = msg.rank
                 state.conns[rank] = sock
@@ -127,17 +120,17 @@ def scheduler_main(proc: UnixProcess, config):
                         commit_wave(msg)
             elif isinstance(msg, wire.Shutdown):
                 engine.call_later(0.0, proc.kill)
-                return
+                reader.kill()
 
-    def accept_loop():
-        while True:
-            try:
-                sock = yield listener.accept()
-            except StoreClosed:
-                return
-            proc.spawn_thread(handle_daemon(sock), name=f"sched.conn{sock.conn_id}")
+        def on_gone() -> None:
+            if rank is not None and state.conns.get(rank) is sock:
+                del state.conns[rank]
+                # A participant vanished: the wave cannot complete.
+                abort_wave(f"rank {rank} disconnected")
 
-    proc.spawn_thread(accept_loop(), name="sched.accept")
+        reader = proc.spawn_reader(sock, on_msg, on_gone)
+
+    proc.spawn_reader(listener, serve_daemon)
 
     # --- the tick grid: absolute multiples of ckpt_period ------------------
     tick = 1

@@ -35,7 +35,6 @@ from repro.mpichv import shardmap, wire
 from repro.mpichv.checkpoint import CheckpointImage
 from repro.mpichv.daemonbase import MpichDaemon, daemon_lifecycle
 from repro.obs import causal
-from repro.simkernel.store import StoreClosed
 
 DELIVERED = "_v1_delivered"      # position in the home CM's delivery order
 SENT = "_v1_sent"                # dst -> last channel sequence number sent
@@ -90,14 +89,9 @@ class V1Daemon(MpichDaemon):
         self.app_state[DELIVERED] = pos
         self.delivery.deliver(msg)
 
-    def cm_reader(self, sock):
-        while True:
-            try:
-                msg = yield sock.recv()
-            except StoreClosed:
-                return
-            if isinstance(msg, wire.CMDeliver):
-                self.on_deliver(msg.pos, msg.app)
+    def on_cm_msg(self, msg) -> None:
+        if isinstance(msg, wire.CMDeliver):
+            self.on_deliver(msg.pos, msg.app)
 
     # ------------------------------------------------------------------
     # independent checkpointing (loop shared with V2 via the base)
@@ -136,8 +130,7 @@ class V1Daemon(MpichDaemon):
                                after=self.app_state[DELIVERED])
         causal.stamp(self.engine, attach, f"r{self.rank}")
         sock.send(attach)
-        self.proc.spawn_thread(self.cm_reader(sock),
-                               name=f"v1.{self.rank}.cm")
+        self.proc.spawn_reader(sock, self.on_cm_msg)
         self.proc.spawn_thread(self.independent_ckpt_loop(),
                                name=f"v1.{self.rank}.ckpt")
         yield from ()

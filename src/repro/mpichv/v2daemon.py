@@ -42,10 +42,8 @@ from typing import Dict, List, Tuple
 from repro.mpi.message import AppMessage
 from repro.mpichv import shardmap, wire
 from repro.mpichv.checkpoint import CheckpointImage
-from repro.mpichv.daemonbase import (MpichDaemon, connect_retry,
-                                     daemon_lifecycle)
+from repro.mpichv.daemonbase import MpichDaemon, daemon_lifecycle
 from repro.obs import causal
-from repro.simkernel.store import StoreClosed
 
 DELIVERED = "_v2_delivered"
 SENT = "_v2_sent"
@@ -211,15 +209,8 @@ class V2Daemon(MpichDaemon):
                     sock.send(data)
         self.check_mesh()
 
-    def peer_reader(self, sock, peer_rank: int):
-        while True:
-            try:
-                msg = yield sock.recv()
-            except StoreClosed:
-                # peer failed: keep its slot; the new incarnation dials in
-                if self.peers.get(peer_rank) is sock:
-                    del self.peers[peer_rank]
-                return
+    def serve_peer(self, sock, peer_rank: int) -> None:
+        def on_peer_msg(msg) -> None:
             if isinstance(msg, wire.V2Data):
                 self.on_data(peer_rank, msg.seq, msg.app)
             elif isinstance(msg, wire.V2GcNote):
@@ -227,14 +218,16 @@ class V2Daemon(MpichDaemon):
                 while log and log[0][0] <= msg.upto:
                     log.popleft()
 
-    def evlog_reader(self):
-        while True:
-            try:
-                msg = yield self.evlog_sock.recv()
-            except StoreClosed:
-                return
-            if isinstance(msg, wire.EvLogAck):
-                self.on_evlog_ack(msg.pos)
+        def on_peer_gone() -> None:
+            # peer failed: keep its slot; the new incarnation dials in
+            if self.peers.get(peer_rank) is sock:
+                del self.peers[peer_rank]
+
+        self.proc.spawn_reader(sock, on_peer_msg, on_peer_gone)
+
+    def on_evlog_msg(self, msg) -> None:
+        if isinstance(msg, wire.EvLogAck):
+            self.on_evlog_ack(msg.pos)
 
     # ------------------------------------------------------------------
     # independent checkpointing (loop shared with V1 via the base)
@@ -257,8 +250,7 @@ class V2Daemon(MpichDaemon):
     # lifecycle hooks
     # ------------------------------------------------------------------
     def on_mesh_hello(self, sock, hello) -> None:
-        self.proc.spawn_thread(self.peer_reader(sock, hello.rank),
-                               name=f"v2.{self.rank}.peer{hello.rank}")
+        self.serve_peer(sock, hello.rank)
         self.attach_peer(hello.rank, sock, hello.resend_from)
 
     def connect_services(self, cmd):
@@ -278,20 +270,14 @@ class V2Daemon(MpichDaemon):
             return range(self.rank)
         return [r for r in range(self.n) if r != self.rank]
 
-    def dial_peer(self, peer_rank: int, addr):
-        sock = yield from connect_retry(
-            self.proc, addr, self.timing.connect_retry_initial,
-            self.timing.connect_retry_max, stop=lambda: self.terminating)
-        if sock is None:
-            return
+    def on_peer_connected(self, peer_rank: int, sock) -> None:
         resend_from = (self.app_state[DELIVERED].get(peer_rank, 0) + 1
                        if self.restarted else 0)
         hello = wire.V2Hello(rank=self.rank, incarnation=self.incarnation,
                              resend_from=resend_from)
         causal.stamp(self.engine, hello, f"r{self.rank}")
         sock.send(hello)
-        self.proc.spawn_thread(self.peer_reader(sock, peer_rank),
-                               name=f"v2.{self.rank}.peer{peer_rank}")
+        self.serve_peer(sock, peer_rank)
         self.attach_peer(peer_rank, sock, 0)
 
     def after_mesh(self, cmd):
@@ -303,8 +289,7 @@ class V2Daemon(MpichDaemon):
             resp = yield self.evlog_sock.recv()
             assert isinstance(resp, wire.EvFetchResp), resp
             self.begin_replay(list(resp.events))
-        self.proc.spawn_thread(self.evlog_reader(),
-                               name=f"v2.{self.rank}.evlog")
+        self.proc.spawn_reader(self.evlog_sock, self.on_evlog_msg)
         self.proc.spawn_thread(self.independent_ckpt_loop(),
                                name=f"v2.{self.rank}.ckpt")
 

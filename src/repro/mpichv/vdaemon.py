@@ -37,12 +37,10 @@ from typing import Dict, List, Optional, Set
 from repro.mpi.message import AppMessage
 from repro.mpichv import shardmap, wire
 from repro.mpichv.checkpoint import CheckpointImage, node_local_store
-from repro.mpichv.daemonbase import (MpichDaemon, connect_retry,
-                                     daemon_lifecycle)
+from repro.mpichv.daemonbase import MpichDaemon, daemon_lifecycle
 from repro.obs import causal
-from repro.simkernel.store import StoreClosed
 
-__all__ = ["VclDaemon", "vdaemon_main", "connect_retry"]
+__all__ = ["VclDaemon", "vdaemon_main"]
 
 
 class VclDaemon(MpichDaemon):
@@ -266,46 +264,33 @@ class VclDaemon(MpichDaemon):
                              replayed=len(img.logs)).close()
 
     # ------------------------------------------------------------------
-    # reader threads
+    # reader handlers
     # ------------------------------------------------------------------
-    def peer_reader(self, sock, peer_rank: int):
-        while True:
-            try:
-                msg = yield sock.recv()
-            except StoreClosed:
-                return
-            if isinstance(msg, wire.DataMsg):
-                self.on_data(peer_rank, msg.app)
-            elif isinstance(msg, wire.Marker):
-                self.handle_marker(msg)
-
-    def sched_reader(self):
-        while True:
-            try:
-                msg = yield self.sched_sock.recv()
-            except StoreClosed:
-                return
+    def serve_peer(self, sock, peer_rank: int) -> None:
+        def on_peer_msg(msg) -> None:
             if isinstance(msg, wire.Marker):
                 self.handle_marker(msg)
+            elif isinstance(msg, wire.DataMsg):
+                self.on_data(peer_rank, msg.app)
 
-    def ckpt_reader(self):
-        while True:
-            try:
-                msg = yield self.ckpt_sock.recv()
-            except StoreClosed:
-                return
-            if isinstance(msg, wire.CkptStoredAck):
-                self._note_store_ack(msg.wave)
-            # FetchResp is consumed inline by restore(); it only occurs
-            # before this reader is spawned.
+        self.proc.spawn_reader(sock, on_peer_msg)
+
+    def on_sched_msg(self, msg) -> None:
+        if isinstance(msg, wire.Marker):
+            self.handle_marker(msg)
+
+    def on_ckpt_msg(self, msg) -> None:
+        if isinstance(msg, wire.CkptStoredAck):
+            self._note_store_ack(msg.wave)
+        # FetchResp is consumed inline by restore(); it only occurs
+        # before this reader is spawned.
 
     # ------------------------------------------------------------------
     # lifecycle hooks
     # ------------------------------------------------------------------
     def on_mesh_hello(self, sock, hello) -> None:
         self.peers[hello.rank] = sock
-        self.proc.spawn_thread(self.peer_reader(sock, hello.rank),
-                               name=f"vcl.{self.rank}.peer{hello.rank}")
+        self.serve_peer(sock, hello.rank)
         self.check_mesh()
 
     def connect_services(self, cmd):
@@ -322,21 +307,14 @@ class VclDaemon(MpichDaemon):
             return
         # --- restore state (rollback) before joining the mesh ---------
         yield from self.restore(cmd.restore_wave)
-        self.proc.spawn_thread(self.ckpt_reader(),
-                               name=f"vcl.{self.rank}.ckptr")
+        self.proc.spawn_reader(self.ckpt_sock, self.on_ckpt_msg)
 
-    def dial_peer(self, peer_rank: int, addr):
-        sock = yield from connect_retry(
-            self.proc, addr, self.timing.connect_retry_initial,
-            self.timing.connect_retry_max, stop=lambda: self.terminating)
-        if sock is None:
-            return
+    def on_peer_connected(self, peer_rank: int, sock) -> None:
         hello = wire.Hello(rank=self.rank, epoch=self.epoch)
         causal.stamp(self.engine, hello, f"r{self.rank}")
         sock.send(hello)
         self.peers[peer_rank] = sock
-        self.proc.spawn_thread(self.peer_reader(sock, peer_rank),
-                               name=f"vcl.{self.rank}.peer{peer_rank}")
+        self.serve_peer(sock, peer_rank)
         self.check_mesh()
 
     def after_mesh(self, cmd):
@@ -347,8 +325,7 @@ class VclDaemon(MpichDaemon):
             shello = wire.SchedHello(rank=self.rank, epoch=self.epoch)
             causal.stamp(self.engine, shello, f"r{self.rank}")
             self.sched_sock.send(shello)
-            self.proc.spawn_thread(self.sched_reader(),
-                                   name=f"vcl.{self.rank}.sched")
+            self.proc.spawn_reader(self.sched_sock, self.on_sched_msg)
         yield from ()
 
 

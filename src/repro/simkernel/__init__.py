@@ -6,7 +6,8 @@ provides a virtual clock, slotted event dispatch (a heap of distinct
 scale fast path), coroutine-style simulated
 processes (generators that ``yield`` awaitable events), timeouts,
 condition composition (:class:`AnyOf`/:class:`AllOf`), interrupt
-delivery, and simple queues (:class:`Store`).
+delivery, and simple queues (:class:`Store`) with their callback
+consumer (:class:`Reader`).
 
 The design follows the classic process-interaction style (as in SimPy),
 but is implemented from scratch so the repository is self-contained and
@@ -25,7 +26,7 @@ from repro.simkernel.events import (
     Timeout,
 )
 from repro.simkernel.process import Process, PCB
-from repro.simkernel.store import Store, StoreClosed
+from repro.simkernel.store import Reader, Store, StoreClosed
 
 __all__ = [
     "Engine",
@@ -39,5 +40,6 @@ __all__ = [
     "PCB",
     "Store",
     "StoreClosed",
+    "Reader",
     "SimTimeoutError",
 ]

@@ -22,6 +22,11 @@ model:
     Terminate immediately without executing any further generator code
     (modelling ``kill -9``; OS-level cleanup like socket closure is the
     responsibility of the :mod:`repro.cluster.unixproc` layer).
+
+A generator process is for code that *blocks mid-step* (a handshake, a
+transfer, an application).  Code that only reacts to wake-ups is a
+:class:`CallbackThread` — same verbs, no generator, one engine event
+per wake-up instead of two.
 """
 
 from __future__ import annotations
@@ -157,11 +162,7 @@ class Process(Event):
         self.state = FAILED
         self.error = err
         self._detach()
-        failures = getattr(self.engine, "process_failures", None)
-        if failures is None:
-            failures = []
-            self.engine.process_failures = failures
-        failures.append(self)
+        self.engine.process_failures.append(self)
         if not self.triggered:
             self.fail(err)
 
@@ -250,6 +251,95 @@ class Process(Event):
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"<Process pid={self.pid} {self.name!r} {self.state}>"
+
+
+class CallbackThread:
+    """A thread of control made of callbacks instead of a generator.
+
+    For code that never blocks *inside* a step — it reacts to one
+    wake-up (an item, a connection outcome, a timer) and returns — the
+    generator, its wake-up ``Event`` and the URGENT dispatch hop of a
+    :class:`Process` are pure overhead.  A callback thread is its own
+    engine payload: whoever wakes it enqueues the object (or calls it
+    from inside the waking event's payload), and :meth:`_run` does the
+    step.  It keeps the control verbs a ``UnixProcess`` needs of its
+    threads, with :class:`Process` semantics:
+
+    * the first step runs from a NORMAL payload enqueued at
+      construction (where ``Process._start`` ran);
+    * ``kill()`` turns every pending or later wake-up into a no-op;
+    * ``suspend()`` parks a wake-up that fires meanwhile and
+      ``resume()`` re-issues it at URGENT, as ``Process.resume`` does;
+    * a step that raises ends the thread, lands it in
+      ``engine.process_failures`` and reports to ``on_error`` from a
+      NORMAL payload (where the failed process event was processed).
+
+    Subclasses keep what the next step should do in their own fields;
+    :class:`repro.simkernel.store.Reader` is the socket-reading one.
+    """
+
+    __slots__ = ("engine", "on_error", "alive", "suspended", "error",
+                 "_parked")
+
+    def __init__(self, engine, on_error=None):
+        self.engine = engine
+        self.on_error = on_error
+        self.alive = True
+        self.suspended = False
+        self.error: Optional[BaseException] = None
+        self._parked = False
+        engine._enqueue_call(self)
+
+    @property
+    def name(self) -> str:
+        return type(self).__name__
+
+    def __call__(self) -> None:
+        if not self.alive:
+            return
+        if self.suspended:
+            self._parked = True
+            return
+        try:
+            self._run()
+        except Exception as err:
+            self._crash(err)
+
+    def _run(self) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _crash(self, err: BaseException) -> None:
+        self.kill()
+        self.error = err
+        self.engine.process_failures.append(self)
+        on_error = self.on_error
+        if on_error is not None:
+            self.engine._enqueue_call(lambda: on_error(err))
+
+    def suspend(self) -> None:
+        if self.alive:
+            self.suspended = True
+
+    def resume(self) -> None:
+        if self.suspended:
+            self.suspended = False
+            if self._parked:
+                self._parked = False
+                self.engine._enqueue_call(self, priority=PRIORITY_URGENT)
+
+    def kill(self) -> None:
+        self.alive = False
+        self.suspended = False
+
+    def dispose(self) -> None:
+        """Teardown-only cycle breaking; subclasses drop their own
+        references too."""
+        self.kill()
+        self.on_error = None
+
+    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
+        state = "alive" if self.alive else "dead"
+        return f"<{type(self).__name__} {self.name} {state}>"
 
 
 #: Backwards-friendly alias; a Process object *is* its own control block.

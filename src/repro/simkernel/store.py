@@ -5,14 +5,22 @@ blocks (infinite capacity unless bounded), ``get`` returns an Event the
 consumer yields on.  Closing a store wakes every pending getter with
 :class:`StoreClosed` and makes further gets fail immediately — this is
 the primitive the socket layer maps TCP connection-closure onto.
+
+A store has two kinds of consumer.  Code that *blocks between reads*
+(a handshake, a transfer, an application) is a generator process and
+yields on ``get()``.  Code that only ever loops ``item = yield
+store.get(); handle(item)`` is a :class:`Reader`: the same loop with
+the generator, its wake-up ``Event`` and the process dispatch hop
+taken out, so an item costs one engine payload instead of two.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Callable, Deque, Optional
 
 from repro.simkernel.events import Event
+from repro.simkernel.process import CallbackThread
 
 
 class StoreClosed(Exception):
@@ -28,6 +36,8 @@ class Store:
         self.capacity = capacity
         self.items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
+        #: the :class:`Reader` waiting for the next item, if one is
+        self._reader: Optional["Reader"] = None
         self.closed = False
 
     def __len__(self) -> int:
@@ -50,6 +60,15 @@ class Store:
             if not getter.triggered:
                 getter.succeed(item)
                 return
+        reader = self._reader
+        if reader is not None:
+            # one payload, enqueued exactly where the getter Event of
+            # a generator loop would have been
+            self._reader = None
+            reader._item = item
+            reader._pending = _ITEM
+            self.engine._enqueue_call(reader)
+            return
         self.items.append(item)
 
     def get(self) -> Event:
@@ -83,6 +102,10 @@ class Store:
             getter = self._getters.popleft()
             if not getter.triggered:
                 getter.fail(StoreClosed(f"store {self.name!r} closed"))
+        reader = self._reader
+        if reader is not None:
+            self._reader = None
+            reader._closed()
         self.items.clear()
 
     def dispose(self) -> None:
@@ -90,7 +113,124 @@ class Store:
         without the close() semantics — teardown only."""
         self.items.clear()
         self._getters.clear()
+        self._reader = None
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<Store {self.name!r} items={len(self.items)} "
                 f"getters={len(self._getters)} closed={self.closed}>")
+
+
+#: what a reader's enqueued payload will do when the engine runs it
+_START, _ITEM, _CLOSE = range(3)
+
+
+class Reader(CallbackThread):
+    """``while True: on_item((yield store.get()))`` without the generator.
+
+    A :class:`~repro.simkernel.process.CallbackThread` whose wake-ups
+    are the store's.  It mirrors, slot position for slot position, what
+    a generator loop on the same store did:
+
+    * it first looks at the store in the NORMAL payload enqueued at
+      construction;
+    * an item put while it waits is handed over in one NORMAL payload
+      enqueued by :meth:`Store.put` (where the getter ``Event`` was);
+      the handler runs inside that payload — the generator's URGENT
+      dispatch hop ran right behind that position with nothing able to
+      interleave, so every handler keeps its global ``(time, priority,
+      insertion)`` rank;
+    * an item put while a payload is pending or the handler runs waits
+      in ``store.items`` and is enqueued only when the handler returns;
+    * a store closed while it waits (or found closed when the handler
+      returns) runs ``on_close`` in a NORMAL payload of its own, where
+      the ``StoreClosed`` wake-up was — and nothing at all when
+      ``on_close`` is None (the loop that simply returned).  An item
+      already handed over is still delivered first;
+    * ``kill()`` also detaches it from the store.
+
+    A running handler may :meth:`retarget` its reader; the change takes
+    effect when the handler returns.
+    """
+
+    __slots__ = ("store", "on_item", "on_close", "_pending", "_item")
+
+    def __init__(self, engine, store: Store,
+                 on_item: Callable[[Any], None],
+                 on_close: Optional[Callable[[], None]] = None,
+                 on_error: Optional[Callable[[BaseException], None]] = None):
+        self.store = store
+        self.on_item = on_item
+        self.on_close = on_close
+        self._pending = _START
+        self._item: Any = None
+        super().__init__(engine, on_error)
+
+    @property
+    def name(self) -> str:
+        handler = getattr(self.on_item, "__qualname__", repr(self.on_item))
+        return f"{handler}@{getattr(self.store, 'name', None)}"
+
+    def retarget(self, on_item: Callable[[Any], None],
+                 on_close: Optional[Callable[[], None]] = None,
+                 store: Optional[Store] = None) -> None:
+        """Swap the handlers (and, with ``store``, the queue read next).
+        Only from this reader's own running handler."""
+        self.on_item = on_item
+        self.on_close = on_close
+        if store is not None:
+            self.store = store
+
+    def __call__(self) -> None:
+        # CallbackThread.__call__ with _run inlined: once per message
+        if not self.alive:
+            return
+        if self.suspended:
+            self._parked = True
+            return
+        pending = self._pending
+        try:
+            if pending == _ITEM:
+                item, self._item = self._item, None
+                self.on_item(item)
+            elif pending == _CLOSE:
+                store = self.store
+                self.on_close()
+                if self.store is store:
+                    self.kill()         # not retargeted: the loop is over
+        except Exception as err:
+            self._crash(err)
+            return
+        if not self.alive:
+            return
+        # the loop's next ``yield store.get()``
+        store = self.store
+        if store.items:
+            self._item = store.items.popleft()
+            self._pending = _ITEM
+            self.engine._enqueue_call(self)
+        elif store.closed:
+            self._closed()
+        elif store._reader is None:
+            store._reader = self
+        else:
+            self._crash(RuntimeError(f"two readers on store {store.name!r}"))
+
+    def _closed(self) -> None:
+        if self.on_close is None:
+            self.kill()
+        else:
+            self._pending = _CLOSE
+            self.engine._enqueue_call(self)
+
+    def kill(self) -> None:
+        super().kill()
+        self._item = None
+        store = self.store
+        if store is not None and store._reader is self:
+            store._reader = None
+
+    def dispose(self) -> None:
+        """Teardown-only: drop the store and handler references (the
+        ``reader <-> store`` and closure cycles)."""
+        super().dispose()
+        self.store = self.on_item = self.on_close = None

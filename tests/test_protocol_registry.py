@@ -159,9 +159,9 @@ def test_no_protocol_string_branches_outside_registry():
 def test_every_daemon_shares_the_lifecycle_and_termination_path():
     for cls in (VclDaemon, V2Daemon, V1Daemon):
         assert issubclass(cls, MpichDaemon)
-        # one dispatcher reader (and thus one Terminate behaviour):
+        # one dispatcher handler (and thus one Terminate behaviour):
         # protocols cannot drift apart again without overriding it
-        assert cls.dispatcher_reader is MpichDaemon.dispatcher_reader
+        assert cls.on_dispatcher_msg is MpichDaemon.on_dispatcher_msg
         assert cls._terminator is MpichDaemon._terminator
 
 

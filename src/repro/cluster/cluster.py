@@ -92,5 +92,15 @@ class Cluster:
             out.extend(node.running(name_prefix))
         return out
 
+    def dispose(self) -> None:
+        """Teardown-only cycle breaking of the network, of every node
+        and of the ``cluster <-> node`` links (see
+        ``VclRuntime.dispose``)."""
+        self.network.dispose()
+        for node in self.nodes:
+            node.dispose()
+        self.nodes.clear()
+        self._by_name.clear()
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Cluster nodes={len(self.nodes)}>"

@@ -69,15 +69,6 @@ class ConnectionRefused(Exception):
 DEFAULT_MSG_SIZE = 1024         # bytes, when a message has no size hint
 
 
-def _msg_size(msg: Any, size: Optional[int]) -> int:
-    if size is not None:
-        return size
-    hinted = getattr(msg, "size", None)
-    if isinstance(hinted, (int, float)) and hinted >= 0:
-        return int(hinted)
-    return DEFAULT_MSG_SIZE
-
-
 class Network:
     """The fabric connecting all nodes of the simulated cluster."""
 
@@ -305,44 +296,7 @@ class Network:
         self.engine.call_later(rtt, _deliver)
         return ev
 
-    # -- transmission (socket-internal) -----------------------------------------
-    def _transmit(self, sock: "Socket", msg: Any, size: int) -> None:
-        peer = sock._peer
-        if peer is None or peer._rx.closed:
-            return  # packets to a dead endpoint vanish
-        if (self._isolated or self._cut_pairs) \
-                and not self.reachable(sock.local_host, peer.local_host):
-            return  # packets into a cut vanish
-        self.bytes_sent += size
-        self.messages_sent += 1
-        if self._fast_uniform:
-            # Hot path: the historical arithmetic, no fabric lookup.
-            arrival = max(sock._pipe_free,
-                          self.engine.now + self.latency + size / self.bandwidth)
-        else:
-            arrival = self.fabric.delivery(self.engine.now, sock.local_host,
-                                           peer.local_host, size,
-                                           sock._pipe_free)
-        sock._pipe_free = arrival
-
-        obs = self.engine.obs
-        if obs is not None:
-            # Causal choke point: every stamped message crosses here
-            # exactly once per transmission, with the arrival already
-            # computed — so the graph is a pure function of the
-            # simulated history (see repro.obs.causal).
-            ctx = getattr(msg, "_causal_ctx", None)
-            if ctx is not None:
-                obs.causal.on_transmit(ctx, type(msg).__name__,
-                                       sock.local_host, peer.local_host,
-                                       self.engine.now, arrival, size)
-
-        def _arrive() -> None:
-            if not peer._rx.closed:
-                peer._rx.put(msg)
-
-        self.engine.call_at(arrival, _arrive)
-
+    # -- closure (socket-internal) -----------------------------------------------
     def _notify_close(self, sock: "Socket") -> None:
         """Propagate a close to the peer after one path latency.
 
@@ -382,13 +336,15 @@ class Network:
 class ListenSocket:
     """A bound listening endpoint; ``accept()`` yields server sockets."""
 
+    __slots__ = ("network", "addr", "owner", "_rx", "closed")
+
     def __init__(self, network: Network, addr: Address, owner=None):
         self.network = network
         self.addr = addr
         self.owner = owner
         #: the backlog of accepted server sockets; named like
         #: :attr:`Socket._rx` so a reader binds to either endpoint
-        self._rx: Store = Store(network.engine, name=f"listen({addr})")
+        self._rx: Store = Store(network.engine, name=("listen(%s)", addr))
         self.closed = False
 
     def accept(self) -> Event:
@@ -420,7 +376,16 @@ class ListenSocket:
 
 
 class Socket:
-    """One endpoint of an established connection."""
+    """One endpoint of an established connection.
+
+    A 128-rank mesh is 16 256 of these at once (a 512-rank one
+    261 632), so the instance is slotted and its receive store starts
+    empty-handed (see :class:`~repro.simkernel.store.Store`).
+    """
+
+    __slots__ = ("network", "conn_id", "local_host", "remote", "owner",
+                 "_rx", "_peer", "_pipe_free", "closed", "_peer_closed",
+                 "_initiator", "_sever_pending")
 
     def __init__(self, network: Network, conn_id: int, local_host: str,
                  remote: Address, owner=None, initiator: bool = False):
@@ -429,7 +394,8 @@ class Socket:
         self.local_host = local_host
         self.remote = remote
         self.owner = owner
-        self._rx: Store = Store(network.engine, name=f"sock#{conn_id}@{local_host}")
+        self._rx: Store = Store(network.engine,
+                                name=("sock#%d@%s", conn_id, local_host))
         self._peer: Optional["Socket"] = None
         self._pipe_free: float = 0.0  # next time the outgoing pipe is free
         self.closed = False
@@ -440,10 +406,56 @@ class Socket:
 
     # -- I/O ------------------------------------------------------------------
     def send(self, msg: Any, size: Optional[int] = None) -> None:
-        """Queue ``msg`` for delivery (non-blocking, buffered)."""
+        """Queue ``msg`` for delivery (non-blocking, buffered).
+
+        ``size`` defaults to the message's own ``size`` hint, else
+        :data:`DEFAULT_MSG_SIZE`.  The whole transmission is this one
+        frame — every message of a trial passes through it — and its
+        arrival joins the batch of whatever else lands in the same
+        instant (:meth:`~repro.simkernel.engine.Engine.put_at`).
+        """
         if self.closed:
             raise ConnectionClosed(f"send on closed socket #{self.conn_id}")
-        self.network._transmit(self, msg, _msg_size(msg, size))
+        peer = self._peer
+        if peer is None or peer._rx.closed:
+            return  # packets to a dead endpoint vanish
+        net = self.network
+        if (net._isolated or net._cut_pairs) \
+                and not net.reachable(self.local_host, peer.local_host):
+            return  # packets into a cut vanish
+        if size is None:
+            size = getattr(msg, "size", None)
+            if isinstance(size, (int, float)) and size >= 0:
+                size = int(size)
+            else:
+                size = DEFAULT_MSG_SIZE
+        net.bytes_sent += size
+        net.messages_sent += 1
+        engine = net.engine
+        now = engine.now
+        if net._fast_uniform:
+            # Hot path: the historical arithmetic, no fabric lookup —
+            # max(pipe free, now + latency + size / bandwidth).
+            arrival = now + net.latency + size / net.bandwidth
+            if arrival < self._pipe_free:
+                arrival = self._pipe_free
+        else:
+            arrival = net.fabric.delivery(now, self.local_host,
+                                          peer.local_host, size,
+                                          self._pipe_free)
+        self._pipe_free = arrival
+        obs = engine.obs
+        if obs is not None:
+            # Causal choke point: every stamped message crosses here
+            # exactly once per transmission, with the arrival already
+            # computed — so the graph is a pure function of the
+            # simulated history (see repro.obs.causal).
+            ctx = getattr(msg, "_causal_ctx", None)
+            if ctx is not None:
+                obs.causal.on_transmit(ctx, type(msg).__name__,
+                                       self.local_host, peer.local_host,
+                                       now, arrival, size)
+        engine.put_at(arrival, peer._rx, msg)
 
     def recv(self) -> Event:
         """Event yielding the next message.

@@ -41,6 +41,38 @@ class ProcState(enum.Enum):
         return self in (ProcState.RUNNING, ProcState.SUSPENDED)
 
 
+class Acceptor(Reader):
+    """The reader behind :meth:`UnixProcess.spawn_acceptor`: accept a
+    connection, wait for its first message, hand both over, accept
+    again.  Its state lives in slots, not in closures that would name
+    each other (a cycle that outlives ``dispose``)."""
+
+    __slots__ = ("backlog", "on_first", "_sock")
+
+    def __init__(self, engine, listener, on_first: Callable[[Any, Any], None]):
+        self.backlog = listener._rx
+        self.on_first = on_first
+        self._sock = None
+        super().__init__(engine, self.backlog, self._on_conn)
+
+    def _on_conn(self, sock) -> None:
+        self._sock = sock
+        self.retarget(self._on_msg, self._accept_next, store=sock._rx)
+
+    def _on_msg(self, msg) -> None:
+        sock = self._sock
+        self._accept_next()
+        self.on_first(sock, msg)
+
+    def _accept_next(self) -> None:
+        self._sock = None
+        self.retarget(self._on_conn, store=self.backlog)
+
+    def dispose(self) -> None:
+        super().dispose()
+        self.backlog = self.on_first = self._sock = None
+
+
 class UnixProcess:
     """A process on a :class:`~repro.cluster.node.Node`.
 
@@ -118,18 +150,7 @@ class UnixProcess:
         backlog and the accepted socket, so connection B is not looked
         at while A's first message is awaited; a connection that closes
         before saying anything is skipped."""
-        def accept_next() -> None:
-            reader.retarget(on_conn, store=listener._rx)
-
-        def on_conn(sock) -> None:
-            def on_msg(msg) -> None:
-                accept_next()
-                on_first(sock, msg)
-
-            reader.retarget(on_msg, accept_next, store=sock._rx)
-
-        reader = self.spawn_reader(listener, on_conn)
-        return reader
+        return self.adopt_thread(Acceptor(self.engine, listener, on_first))
 
     def _thread_done(self, ev, is_main: bool) -> None:
         if not ev.ok:
@@ -252,8 +273,13 @@ class UnixProcess:
         yield self.engine.timeout(delay)
 
     def dispose(self) -> None:
-        """Teardown-only cycle breaking: threads, sockets, handlers
-        (see ``VclRuntime.dispose``); the process is unusable after."""
+        """Teardown-only cycle breaking: threads, sockets, handlers and
+        whatever state the program hung on :attr:`tags` (see
+        ``VclRuntime.dispose``); the process is unusable after."""
+        for tagged in self.tags.values():
+            dispose = getattr(tagged, "dispose", None)
+            if dispose is not None:
+                dispose()
         self.tags.clear()
         self._sockets.clear()
         self._exit_listeners.clear()

@@ -20,6 +20,7 @@ from repro.experiments.runner import TrialRunner
 from repro.fail.scenario import Binding, deploy_scenario
 from repro.mpichv.config import VclConfig
 from repro.mpichv.runtime import RunResult, VclRuntime
+from repro.simkernel.engine import gc_paused
 from repro.workloads import build_workload
 
 
@@ -109,17 +110,23 @@ class TrialSetup:
         return runtime, deployment
 
     def run_one(self, seed: int) -> RunResult:
-        runtime, deployment = self.build(seed)
-        try:
-            return runtime.run()
-        finally:
-            # Throughput path: break the dead deployment's cycles so
-            # the interpreter reclaims it by refcount instead of a
-            # multi-second gc pass (load-bearing at 512 ranks; see
-            # VclRuntime.dispose) — on error paths too, or every later
-            # trial in the worker pays the collector for this one.
-            runtime.dispose()
-            del runtime, deployment
+        # Throughput path: the collector stays off from the first
+        # object of the deployment to the last, and dispose() severs
+        # every cycle, so reference counting has freed the whole
+        # deployment by the time the collector is back and its next
+        # pass finds only the result to walk (load-bearing at 512
+        # ranks; see VclRuntime.dispose) — on error paths too, or
+        # every later trial in the worker pays the collector for
+        # this one.
+        with gc_paused():
+            runtime, deployment = self.build(seed)
+            try:
+                return runtime.run()
+            finally:
+                runtime.dispose()
+                if deployment is not None:
+                    deployment.dispose()
+                del runtime, deployment
 
 
 @dataclass

@@ -141,6 +141,13 @@ class ScenarioDeployment:
         except KeyError:
             return None
 
+    def dispose(self) -> None:
+        """Teardown-only cycle breaking — platform ↔ daemon and daemon
+        ↔ machine; the rest of the platform hangs off those — the
+        companion of ``VclRuntime.dispose``."""
+        for daemon in self.daemons.values():
+            daemon.platform = daemon.machine = None
+
     # -- introspection ------------------------------------------------------------
     def daemon(self, instance: str) -> FailDaemon:
         return self.daemons[instance]

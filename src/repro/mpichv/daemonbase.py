@@ -358,6 +358,11 @@ class MpichDaemon:
                                 self.timing.terminate_cleanup))
         self.proc.exit()
 
+    def dispose(self) -> None:
+        """Teardown-only cycle breaking, reached through ``proc.tags``:
+        the daemon ↔ endpoint link, which pins the mesh sockets."""
+        self.endpoint = None
+
 
 def daemon_lifecycle(core_cls, proc: UnixProcess, config, rank: int,
                      epoch: int, incarnation: int, app_factory):

@@ -62,6 +62,14 @@ class DispatcherState:
         self.bug_events = 0
         self.failures_detected = 0
 
+    def dispose(self) -> None:
+        """Teardown only, reached through ``proc.tags``: the per-rank
+        sockets, addresses and process handles (the counters stay
+        readable)."""
+        self.reg.clear()
+        self.addrs.clear()
+        self.proc_handles.clear()
+
 
 def dispatcher_main(proc: UnixProcess, config, app_factory,
                     machines: List[str]):

@@ -206,9 +206,10 @@ class VclRuntime:
         self.trace.subscribe(_capture)
         # Large deployments are GC-bound, not CPU-bound: pause the
         # cyclic collector for the simulation (see
-        # :func:`repro.simkernel.engine.gc_paused` for the policy).
-        # Reclamation of the dead deployment happens via
-        # :meth:`dispose` (cycle breaking), not a blanket collect.
+        # :func:`repro.simkernel.engine.gc_paused` for the policy;
+        # ``TrialSetup.run_one`` holds an outer pause until the
+        # deployment has been disposed of, a caller that keeps the
+        # runtime gets the collector back here).
         wall_start = time.perf_counter()
         try:
             with gc_paused():
@@ -312,6 +313,10 @@ class VclRuntime:
         x.gauge("engine.events_processed", self.engine.events_processed)
         x.gauge("engine.front_lane_hits", self.engine.front_lane_hits)
         x.gauge("engine.slots_drained", self.engine.slots_drained)
+        # events_processed counts payloads, and one arrival batch
+        # carries many wire messages: these two say how many
+        x.gauge("engine.arrival_batches", self.engine.arrival_batches)
+        x.gauge("engine.arrivals", self.engine.arrivals)
         if self.engine.slots_drained:
             # mean events dispatched per slot visit — the slot-table
             # occupancy, i.e. how much batching the slotted heap buys
@@ -326,11 +331,18 @@ class VclRuntime:
         """Break the finished deployment's reference cycles.
 
         A 512-rank deployment is hundreds of thousands of
-        process ↔ generator-frame, socket ↔ socket and daemon ↔ process
-        cycles; handing that to ``gc.collect`` costs ~10 s of scanning.
-        Severing the cycle edges explicitly lets plain reference
-        counting reclaim the graph at C speed instead.  After this the
-        runtime is unusable — only the already-built
+        process ↔ generator-frame, socket ↔ socket, daemon ↔ endpoint
+        and daemon ↔ process cycles; handing that to ``gc.collect``
+        costs seconds of scanning.  Severing the cycle edges explicitly
+        — engine, trace wiring, then cluster → network / node → process
+        → thread, socket and whatever the program hung on
+        ``proc.tags`` — lets plain reference counting reclaim the
+        graph at C speed instead: what is left for the collector is a
+        constant few dozen objects (the dispatcher's mutually recursive
+        closures and what they name), whatever the rank count; a test
+        holds it to that.  A FAIL platform attached to the runtime has
+        its own :meth:`~repro.fail.scenario.ScenarioDeployment.dispose`.
+        After this the runtime is unusable — only the already-built
         :class:`RunResult` (whose trace was unpinned by :meth:`run`)
         remains meaningful.  Throughput paths
         (:meth:`repro.experiments.harness.TrialSetup.run_one`, i.e.
@@ -342,9 +354,9 @@ class VclRuntime:
         # observers) would pin the dead graph through the result's
         # trace — the runtime is over, so drop it wholesale here.
         self.trace.clear_listeners()
-        self.cluster.network.dispose()
-        for node in self.cluster.nodes:
-            node.dispose()
+        self.cluster.dispose()
         self.service_procs.clear()
         self.dispatcher_proc = None
-        self.obs = None
+        if self.obs is not None:
+            self.obs.spans.clear()      # every span names its recorder
+            self.obs = None

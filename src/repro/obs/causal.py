@@ -3,7 +3,7 @@
 Every wire message a protocol component *mints* carries a causal
 context — a ``(trace_id, parent_trace_id)`` pair attached to the
 message object itself — and the network's single transmit choke point
-(:meth:`repro.cluster.network.Network._transmit`) turns each stamped
+(:meth:`repro.cluster.network.Socket.send`) turns each stamped
 transmission into one *row*: when it left and arrived, between which
 hosts, what kind of message, and which earlier row's receive *caused*
 it.  As a graph, a row is two nodes (send ``<tid>:s``, receive

@@ -9,7 +9,7 @@ wakeups, the periodic checkpoint/heartbeat grids — measured ~85 % at
 128 ranks), so most enqueues are a dict lookup + list append instead
 of an ``O(log n)`` heap push, and the heap holds one entry per
 *distinct* instant rather than one per event.  Dispatch drains a slot
-as a batch (9.6 payloads per slot visit in a faulted 128-rank trial).
+as a batch (7.2 payloads per slot visit in a faulted 128-rank trial).
 Ordering is bit-identical to the classic one-entry-per-event heap:
 globally ``(time, priority, insertion order)`` — FIFO
 within a slot *is* insertion order, and a payload that schedules work
@@ -19,11 +19,16 @@ runs first (guarded by golden digests in
 
 What a payload is: an :class:`~repro.simkernel.events.Event` whose
 callbacks wake generator processes (two payloads per wake-up: the event,
-then the process's urgent dispatch), a bare callable, or a
+then the process's urgent dispatch), a bare callable, a
 :class:`~repro.simkernel.process.CallbackThread` — a socket
 :class:`~repro.simkernel.store.Reader`, a mesh dialer — which *is* its
-wake-up and handles it in place (one payload).  A wire message is two
-payloads end to end: its arrival, and the reader that handles it.
+wake-up and handles it in place (one payload), or an
+:class:`ArrivalBatch`: the items :meth:`Engine.put_at` scheduled back to
+back into one slot (a marker flood lands 127 messages in one instant),
+delivered by one payload.  A wire message is therefore the reader
+payload that handles it plus its share of an arrival batch — 2.7
+payloads per message in that trial, connection set-up and timers
+included, where one payload per arrival made it 3.7.
 """
 
 from __future__ import annotations
@@ -126,6 +131,47 @@ class PeriodicTimer:
             self.engine._enqueue_call(self, delay=self.period)
 
 
+class ArrivalBatch:
+    """The arrivals scheduled back to back into one slot, as one payload.
+
+    :meth:`Engine.put_at` appends to the batch that *ends* the target
+    slot instead of enqueueing a payload per item.  Items that would
+    have been adjacent payloads of a FIFO slot run back to back in the
+    same order, so the global ``(time, priority, insertion)`` order is
+    the one-payload-per-item order by construction.  Between items the
+    batch honours the interrupt the run loop honours between payloads:
+    when :attr:`Engine._preempt` is set (an earlier-sorting slot was
+    created, or :meth:`Engine.stop`) it parks itself, with the items
+    still to deliver, at the head of the slot being drained — as it
+    does when an item raises, so the remainder stays schedulable.
+    """
+
+    __slots__ = ("engine", "items", "cursor")
+
+    def __init__(self, engine: "Engine", store, item: Any):
+        self.engine = engine
+        self.items: List[Tuple[Any, Any]] = [(store, item)]
+        self.cursor = 0
+
+    def __call__(self) -> None:
+        engine = self.engine
+        items = self.items
+        i = self.cursor
+        n = len(items)      # popped from its slot: nothing appends now
+        try:
+            while i < n:
+                store, item = items[i]
+                i += 1
+                if not store.closed:
+                    store.put(item)
+                if engine._preempt:
+                    break
+        finally:
+            if i < n:
+                self.cursor = i
+                engine._slots[engine._current_key].appendleft(self)
+
+
 @contextmanager
 def gc_paused():
     """Disable the cyclic GC for the duration of a simulation.
@@ -134,10 +180,16 @@ def gc_paused():
     processes, sockets); the generational collector re-scans that live
     graph over and over, dominating wall-clock (a faulted 512-rank
     trial drops ~3x with collection paused).  On exit the collector is
-    restored; reclamation of the finished deployment is the caller's
-    concern — the trial throughput path breaks its cycles explicitly
-    (:meth:`repro.mpichv.runtime.VclRuntime.dispose`, refcount-cheap),
-    and anyone else just lets the re-enabled ambient GC get to it.
+    restored, and its next young-generation pass walks whatever the
+    pause allocated that is still alive — so the pause should end
+    *after* the deployment is gone, not before: the trial throughput
+    path (:meth:`repro.experiments.harness.TrialSetup.run_one`) holds
+    it across build, run and
+    :meth:`repro.mpichv.runtime.VclRuntime.dispose`, which severs every
+    cycle so plain reference counting has freed the deployment by the
+    time the collector is back.  Pauses nest (an inner exit leaves the
+    collector off); anyone who keeps the runtime just lets the
+    re-enabled ambient GC get to it.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -183,8 +235,8 @@ class Engine:
         #: 1.7 events per slot visit); since socket traffic goes to
         #: callback readers, which run inside the delivering payload,
         #: it carries only what still blocks — application wake-ups,
-        #: service dials, checkpoint transfers: 20 k hits in 336 k
-        #: events, 9.6 events per slot visit.  At most a few entries;
+        #: service dials, checkpoint transfers: 20 k hits in 251 k
+        #: events, 7.2 events per slot visit.  At most a few entries;
         #: always time == now.
         self._front: List[Tuple[float, int]] = []
         #: optional repro.analysis.traces.Trace sink shared by subsystems
@@ -194,8 +246,15 @@ class Engine:
         #: trial's coverage signature by the runtime (see
         #: :mod:`repro.analysis.coverage`)
         self.coverage: set = set()
-        #: number of events processed so far (cheap progress metric)
+        #: number of payloads processed so far (cheap progress metric);
+        #: an :class:`ArrivalBatch` is one payload however many items
+        #: it carries
         self.events_processed = 0
+        #: arrival batches opened by :meth:`put_at` and the items they
+        #: carried: ``arrivals - arrival_batches`` payloads were
+        #: saved.  Execution metadata, like :attr:`front_lane_hits`.
+        self.arrival_batches = 0
+        self.arrivals = 0
         #: times a dispatch came from the front lane instead of the heap
         #: (execution metadata — varies with partitioning, never exported
         #: into the deterministic obs document)
@@ -286,6 +345,32 @@ class Engine:
             raise ValueError(f"call_at past time {when} < now {self.now}")
         self._enqueue_call(fn, delay=when - self.now)
 
+    def put_at(self, when: float, store, item: Any) -> None:
+        """``store.put(item)`` at absolute time ``when`` (>= now), or
+        nothing if the store has closed by then — a message's arrival.
+
+        The tail rule: if the slot ``when`` falls into currently *ends*
+        in an open :class:`ArrivalBatch`, the item joins it; anything
+        else — no slot, a slot ending in another kind of payload, the
+        slot being drained with nothing left in it — opens a new batch
+        where the item's own payload would have gone.
+        """
+        now = self.now
+        if when < now:
+            raise ValueError(f"put_at past time {when} < now {now}")
+        self.arrivals += 1
+        delay = when - now
+        # the key call_at would compute: ``now + (when - now)`` is not
+        # always ``when`` in floating point
+        slot = self._slots.get((now + delay, PRIORITY_NORMAL))
+        if slot:    # the live slot may be empty mid-drain
+            tail = slot[-1]
+            if type(tail) is ArrivalBatch:
+                tail.items.append((store, item))
+                return
+        self.arrival_batches += 1
+        self._enqueue_call(ArrivalBatch(self, store, item), delay)
+
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
         """Schedule a bare callable ``delay`` seconds from now."""
         if delay < 0:
@@ -317,21 +402,6 @@ class Engine:
         return handle
 
     # -- main loop ----------------------------------------------------------
-    def _next_key(self) -> Optional[Tuple[float, int]]:
-        """Pop the earliest pending slot key (front lane or heap)."""
-        front = self._front
-        heap = self._heap
-        if front:
-            if len(front) > 1:
-                front.sort()
-            if heap and heap[0] < front[0]:
-                return heapq.heappop(heap)
-            self.front_lane_hits += 1
-            return front.pop(0)
-        if heap:
-            return heapq.heappop(heap)
-        return None
-
     def peek(self) -> float:
         """Time of the next pending event, or ``float('inf')``."""
         best = self._heap[0][0] if self._heap else float("inf")
@@ -346,29 +416,16 @@ class Engine:
         return best
 
     def step(self) -> None:
-        """Process exactly one payload, advancing the clock.
+        """Process exactly one payload, advancing the clock — one
+        :class:`ArrivalBatch`, if that is what comes next, up to the
+        first item that interrupts it.
 
-        This is the single-step API (tests and debuggers); the batch
-        loop in :meth:`run` is the hot path.
+        This is the single-step API (tests and debuggers): one turn of
+        :meth:`run`'s loop.
         """
-        key = self._next_key()
-        if key is None:
+        if not self._heap and not self._front:
             raise IndexError("step() on an empty engine")
-        when = key[0]
-        assert when >= self.now, "event heap went backwards"
-        slot = self._slots[key]
-        payload = slot.popleft()
-        # Restore the key/slot invariant *before* dispatching: the
-        # payload may schedule at this same instant, and must find
-        # either a live (keyed) slot or none at all.
-        if slot:
-            heapq.heappush(self._heap, key)
-        else:
-            del self._slots[key]
-        self.now = when
-        self.events_processed += 1
-        self.slots_drained += 1
-        payload()               # Events are callable (see events.py)
+        self.run(max_events=1)
 
     def run(self, until: Optional[float] = None, *, raise_on_timeout: bool = False,
             max_events: Optional[int] = None) -> float:
@@ -385,6 +442,8 @@ class Engine:
         scheduling an earlier-sorting slot, :meth:`stop`, the
         ``max_events`` budget) push the undrained tail back, keeping
         the global order exactly ``(time, priority, insertion order)``.
+        ``max_events`` counts payloads: an :class:`ArrivalBatch` is one,
+        and is never cut by the budget.
         """
         self._stopped = False
         heap = self._heap

@@ -244,8 +244,7 @@ class Process(Event):
         teardown can reclaim it by refcount (see
         ``VclRuntime.dispose``).  The process is unusable afterwards."""
         self.gen = None
-        self._target = None
-        self._target_cb = None
+        self._detach()      # a never-fired target and our wake-up name each other
         self._inbox.clear()
         self.callbacks = None
 
@@ -333,8 +332,10 @@ class CallbackThread:
 
     def dispose(self) -> None:
         """Teardown-only cycle breaking; subclasses drop their own
-        references too."""
-        self.kill()
+        references too.  Dead, but not ``kill()``: a deployment has
+        tens of thousands of these, so teardown clears fields and
+        makes no calls."""
+        self.alive = self.suspended = False
         self.on_error = None
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics

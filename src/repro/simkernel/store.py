@@ -28,20 +28,41 @@ class StoreClosed(Exception):
 
 
 class Store:
-    """Deterministic FIFO queue of items with event-based ``get``."""
+    """Deterministic FIFO queue of items with event-based ``get``.
 
-    def __init__(self, engine, name: Optional[str] = None, capacity: Optional[int] = None):
+    Sized for the O(N²) case — one store per end of every mesh
+    connection, nearly all of them served by a :class:`Reader` that
+    takes each item as it comes: the instance is slotted, the item and
+    getter queues exist only once something has to wait in them, and
+    ``name`` may be given as ``(format, *args)``, formatted on first
+    read.
+    """
+
+    __slots__ = ("engine", "_label", "capacity", "items", "_getters",
+                 "_reader", "closed")
+
+    def __init__(self, engine, name=None, capacity: Optional[int] = None):
         self.engine = engine
-        self.name = name or "store"
+        self._label = name or "store"
         self.capacity = capacity
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        #: buffered items / waiting getter events; None until first used
+        self.items: Optional[Deque[Any]] = None
+        self._getters: Optional[Deque[Event]] = None
         #: the :class:`Reader` waiting for the next item, if one is
         self._reader: Optional["Reader"] = None
         self.closed = False
 
+    @property
+    def name(self) -> str:
+        label = self._label
+        if type(label) is tuple:
+            # the arguments, not a bound formatter: a callable here
+            # would tie every socket into a cycle with its store
+            label = self._label = label[0] % label[1:]
+        return label
+
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.items) if self.items else 0
 
     def put(self, item: Any) -> None:
         """Append ``item``; wakes the oldest waiting getter if any.
@@ -51,12 +72,13 @@ class Store:
         """
         if self.closed:
             raise StoreClosed(f"put on closed store {self.name!r}")
-        if self.capacity is not None and len(self.items) >= self.capacity:
+        if self.capacity is not None and len(self) >= self.capacity:
             raise ValueError(f"store {self.name!r} over capacity {self.capacity}")
         # Hand the item straight to a waiting getter, preserving FIFO
         # order between queued items and queued getters.
-        while self._getters:
-            getter = self._getters.popleft()
+        getters = self._getters
+        while getters:
+            getter = getters.popleft()
             if not getter.triggered:
                 getter.succeed(item)
                 return
@@ -68,8 +90,10 @@ class Store:
             reader._item = item
             reader._pending = _ITEM
             self.engine._enqueue_call(reader)
-            return
-        self.items.append(item)
+        elif self.items is None:
+            self.items = deque((item,))
+        else:
+            self.items.append(item)
 
     def get(self) -> Event:
         """Return an event that yields the next item (or fails Closed)."""
@@ -81,12 +105,16 @@ class Store:
             ev.succeed(self.items.popleft())
         elif self.closed:
             ev.fail(StoreClosed(f"get on closed store {self.name!r}"))
+        elif self._getters is None:
+            self._getters = deque((ev,))
         else:
             self._getters.append(ev)
         return ev
 
     def get_nowait(self) -> Any:
         """Pop an item immediately; raises ``IndexError`` if empty."""
+        if not self.items:
+            raise IndexError(f"get_nowait on empty store {self.name!r}")
         return self.items.popleft()
 
     def close(self) -> None:
@@ -98,26 +126,25 @@ class Store:
         if self.closed:
             return
         self.closed = True
-        while self._getters:
-            getter = self._getters.popleft()
+        getters = self._getters
+        while getters:
+            getter = getters.popleft()
             if not getter.triggered:
                 getter.fail(StoreClosed(f"store {self.name!r} closed"))
         reader = self._reader
         if reader is not None:
             self._reader = None
             reader._closed()
-        self.items.clear()
+        self.items = None
 
     def dispose(self) -> None:
         """Drop buffered items and waiting getters (cycle-bearing refs)
         without the close() semantics — teardown only."""
-        self.items.clear()
-        self._getters.clear()
-        self._reader = None
+        self.items = self._getters = self._reader = None
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (f"<Store {self.name!r} items={len(self.items)} "
-                f"getters={len(self._getters)} closed={self.closed}>")
+        return (f"<Store {self.name!r} items={len(self)} "
+                f"getters={len(self._getters or ())} closed={self.closed}>")
 
 
 #: what a reader's enqueued payload will do when the engine runs it
@@ -233,4 +260,4 @@ class Reader(CallbackThread):
         """Teardown-only: drop the store and handler references (the
         ``reader <-> store`` and closure cycles)."""
         super().dispose()
-        self.store = self.on_item = self.on_close = None
+        self.store = self.on_item = self.on_close = self._item = None

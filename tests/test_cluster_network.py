@@ -186,3 +186,33 @@ def test_bad_network_params_rejected():
         Network(eng, latency=-1.0)
     with pytest.raises(ValueError):
         Network(eng, bandwidth=0.0)
+
+
+def test_connection_ends_are_slotted_and_label_lazily(engine, cluster):
+    """What a connection costs: no instance dict on either end, no
+    queue until something waits in one, no label until one is read —
+    and then the label that was always there."""
+    listener = cluster.node(2).listen(7000)
+    srv, cli = _pair(engine, cluster)
+    for end in (srv, cli, listener, srv._rx, listener._rx):
+        assert not hasattr(end, "__dict__")
+    assert type(cli._rx._label) is tuple and cli._rx.items is None
+    assert cli._rx.name == f"sock#{cli.conn_id}@{cli.local_host}"
+    assert srv._rx.name == f"sock#{srv.conn_id}@{srv.local_host}"
+    assert listener._rx.name == f"listen({listener.addr})" == "listen(node2:7000)"
+
+
+def test_size_hint_comes_from_the_message_when_not_given(engine, cluster):
+    class Sized:
+        def __init__(self, size):
+            self.size = size
+
+    srv, cli = _pair(engine, cluster)
+    before = cluster.network.bytes_sent
+    cli.send(Sized(300))                # the message's own hint
+    cli.send(Sized(2.9))                # floats truncate
+    cli.send(Sized(-1))                 # nonsense -> the default
+    cli.send(Sized("big"))
+    cli.send("no hint at all")
+    cli.send(Sized(300), size=7)        # an explicit size wins
+    assert cluster.network.bytes_sent - before == 300 + 2 + 3 * 1024 + 7

@@ -169,7 +169,7 @@ def _relay(engine, cluster, n_msgs=5, size=1024):
 
 def test_uniform_hot_path_never_consults_the_fabric(engine, cluster):
     """The structural perf guard: with the default uniform fabric and no
-    cuts, Network._transmit must use the inline seed arithmetic — the
+    cuts, Socket.send must use the inline seed arithmetic — the
     fabric's delivery() must not run at all.  This is what keeps the
     uniform path within epsilon (not just 5%) of the seed throughput."""
     def boom(*_args, **_kwargs):

@@ -268,10 +268,6 @@ class UnixProcess:
         self.engine.call_later(0.0, lambda: handler(self, fn_name, resume))
         yield resume
 
-    def sleep(self, delay: float):
-        """Convenience: ``yield from proc.sleep(dt)``."""
-        yield self.engine.timeout(delay)
-
     def dispose(self) -> None:
         """Teardown-only cycle breaking: threads, sockets, handlers and
         whatever state the program hung on :attr:`tags` (see

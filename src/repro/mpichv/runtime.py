@@ -279,7 +279,7 @@ class VclRuntime:
         Simulation-determined quantities (dispatcher / scheduler /
         channel-memory counters, fabric traffic, per-shard checkpoint
         ingest) go into :attr:`Obs.metrics` and ship with the result;
-        execution metadata (front-lane hits, slot dispatch totals) goes
+        execution metadata (payload and slot dispatch totals) goes
         into the ``exec`` section, which deterministic exporters never
         read.
         """
@@ -311,7 +311,6 @@ class VclRuntime:
             m.gauge(f"{prefix}.pruned", cm.pruned)
         x = obs.exec_metrics
         x.gauge("engine.events_processed", self.engine.events_processed)
-        x.gauge("engine.front_lane_hits", self.engine.front_lane_hits)
         x.gauge("engine.slots_drained", self.engine.slots_drained)
         # events_processed counts payloads, and one arrival batch
         # carries many wire messages: these two say how many

@@ -15,8 +15,7 @@ Built-in models:
     infinite switching capacity.  This is the default and is
     bit-identical to the historical :class:`Network` arithmetic — the
     network hot path special-cases it so no per-message topology
-    lookup happens at all (guarded by ``tests/test_netmodel.py`` and
-    ``benchmarks/test_micro.py::test_network_delivery_throughput``).
+    lookup happens at all (guarded by ``tests/test_netmodel.py``).
 ``star``
     Every host hangs off one shared switch through a private
     access-link pair (up/down).  Uplinks serialize: concurrent

@@ -25,7 +25,7 @@ Three cooperating pieces, all pure functions of the simulated history
 The wire form is the compact ``obs`` document on
 :class:`repro.mpichv.runtime.RunResult`: span rows plus the metrics
 registry, identical byte-for-byte across serial / pooled / cached
-execution.  Execution metadata (front-lane hits, slot occupancy —
+execution.  Execution metadata (payloads processed, slot occupancy —
 how the engine ran, not what it simulated) lives in a separate
 ``exec`` section that the deterministic exporters never read.
 """

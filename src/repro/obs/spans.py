@@ -5,8 +5,8 @@ the synthetic ``net`` lane — with a ``kind`` tag and a small field
 dict.  Call sites open spans through
 :meth:`repro.simkernel.engine.Engine.span`; with no :class:`Obs`
 recorder attached the call returns the shared :data:`NULL_SPAN` and
-costs one attribute read, which is the ``keep=False``-style off switch
-that keeps the engine hot path inside the dispatch benchmark gate.
+costs one attribute read: the ``keep=False``-style off switch for the
+engine hot path.
 
 Determinism contract: recording a span never schedules engine events,
 never writes the trace, and never consumes ``engine.random`` — the
@@ -18,7 +18,7 @@ observation on or off.
 The recorder keeps two registries: :attr:`Obs.metrics` for quantities
 that are pure functions of the simulation (exported, cached,
 byte-compared) and :attr:`Obs.exec_metrics` for execution metadata —
-front-lane hits, slot occupancy — which describes how the engine ran,
+payloads processed, slot occupancy — which describes how the engine ran,
 not what it simulated, and therefore never feeds the deterministic
 exporters.
 """

@@ -4,10 +4,9 @@ This package is the foundation every other subsystem builds on.  It
 provides a virtual clock, slotted event dispatch (a heap of distinct
 ``(time, priority)`` slots — see :mod:`repro.simkernel.engine` for the
 scale fast path), coroutine-style simulated
-processes (generators that ``yield`` awaitable events), timeouts,
-condition composition (:class:`AnyOf`/:class:`AllOf`), interrupt
-delivery, and simple queues (:class:`Store`) with their callback
-consumer (:class:`Reader`).
+processes (generators that ``yield`` awaitable events), timeouts, and
+simple queues (:class:`Store`) with their callback consumer
+(:class:`Reader`).
 
 The design follows the classic process-interaction style (as in SimPy),
 but is implemented from scratch so the repository is self-contained and
@@ -17,27 +16,15 @@ instant.
 """
 
 from repro.simkernel.engine import Engine, SimTimeoutError
-from repro.simkernel.events import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    ProcessKilled,
-    Timeout,
-)
-from repro.simkernel.process import Process, PCB
+from repro.simkernel.events import Event, Timeout
+from repro.simkernel.process import Process
 from repro.simkernel.store import Reader, Store, StoreClosed
 
 __all__ = [
     "Engine",
     "Event",
     "Timeout",
-    "AnyOf",
-    "AllOf",
-    "Interrupt",
-    "ProcessKilled",
     "Process",
-    "PCB",
     "Store",
     "StoreClosed",
     "Reader",

@@ -9,7 +9,7 @@ wakeups, the periodic checkpoint/heartbeat grids — measured ~85 % at
 128 ranks), so most enqueues are a dict lookup + list append instead
 of an ``O(log n)`` heap push, and the heap holds one entry per
 *distinct* instant rather than one per event.  Dispatch drains a slot
-as a batch (7.2 payloads per slot visit in a faulted 128-rank trial).
+as a batch (16 payloads per slot visit in a faulted 128-rank trial).
 Ordering is bit-identical to the classic one-entry-per-event heap:
 globally ``(time, priority, insertion order)`` — FIFO
 within a slot *is* insertion order, and a payload that schedules work
@@ -18,17 +18,16 @@ runs first (guarded by golden digests in
 ``tests/test_engine_fastpath.py``).
 
 What a payload is: an :class:`~repro.simkernel.events.Event` whose
-callbacks wake generator processes (two payloads per wake-up: the event,
-then the process's urgent dispatch), a bare callable, a
-:class:`~repro.simkernel.process.CallbackThread` — a socket
+callbacks step the generator processes waiting on it, in place; a bare
+callable; a :class:`~repro.simkernel.process.CallbackThread` — a socket
 :class:`~repro.simkernel.store.Reader`, a mesh dialer — which *is* its
-wake-up and handles it in place (one payload), or an
+wake-up and handles it in place; or an
 :class:`ArrivalBatch`: the items :meth:`Engine.put_at` scheduled back to
 back into one slot (a marker flood lands 127 messages in one instant),
 delivered by one payload.  A wire message is therefore the reader
-payload that handles it plus its share of an arrival batch — 2.7
+payload that handles it plus its share of an arrival batch — 2.6
 payloads per message in that trial, connection set-up and timers
-included, where one payload per arrival made it 3.7.
+included.
 """
 
 from __future__ import annotations
@@ -38,15 +37,9 @@ import heapq
 import random
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
-from repro.simkernel.events import (
-    AllOf,
-    AnyOf,
-    Event,
-    Timeout,
-    PRIORITY_NORMAL,
-)
+from repro.simkernel.events import Event, Timeout, PRIORITY_NORMAL
 from repro.simkernel.process import Process
 
 
@@ -74,61 +67,6 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
-
-
-class TimerHandle:
-    """A cancellable scheduled callback (see :meth:`Engine.timer`).
-
-    ``cancel()`` is an O(1) tombstone: the slot table is never
-    searched or repaired — the handle simply dispatches as a no-op and
-    is dropped.  Cancelling a batch of K timers therefore costs O(K)
-    total, which is what makes mass-cancel patterns (a rank's periodic
-    timers on failure) cheap at 512 ranks.
-    """
-
-    __slots__ = ("fn", "cancelled")
-
-    def __init__(self, fn: Callable[[], None]):
-        self.fn: Optional[Callable[[], None]] = fn
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-        self.fn = None          # drop the closure immediately
-
-    def __call__(self) -> None:
-        if not self.cancelled:
-            self.fn()
-
-
-class PeriodicTimer:
-    """A self-rescheduling timer (see :meth:`Engine.periodic`).
-
-    Each firing costs one slot insertion; on the shared tick grids of
-    periodic events (heartbeats, checkpoint timers) every rank's firing
-    lands in the *same* slot, so a 512-rank grid is one heap entry per
-    tick, not 512.  ``cancel()`` is the same O(1) tombstone as
-    :class:`TimerHandle`.
-    """
-
-    __slots__ = ("engine", "period", "fn", "cancelled")
-
-    def __init__(self, engine: "Engine", period: float, fn: Callable[[], None]):
-        self.engine = engine
-        self.period = period
-        self.fn: Optional[Callable[[], None]] = fn
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-        self.fn = None
-
-    def __call__(self) -> None:
-        if self.cancelled:
-            return
-        self.fn()
-        if not self.cancelled:      # fn may have cancelled us
-            self.engine._enqueue_call(self, delay=self.period)
 
 
 class ArrivalBatch:
@@ -214,7 +152,7 @@ class Engine:
         self.random = random.Random(seed)
         self.seed = seed
         #: heap of distinct slot keys ``(time, priority)`` — one entry
-        #: per *live slot*, not per event
+        #: per *live slot* (but the one being drained), not per event
         self._heap: List[Tuple[float, int]] = []
         #: slot table: ``(time, priority) -> deque of payloads`` in
         #: insertion (FIFO) order; payloads are Events or bare callables
@@ -224,21 +162,6 @@ class Engine:
         #: set when a payload schedules an earlier-sorting slot (or by
         #: :meth:`stop`): the current batch yields after this payload
         self._preempt = False
-        #: the front lane: keys of live slots *not* in the heap — slots
-        #: created at the current instant ahead of the one being
-        #: drained (an urgent wakeup preempting a normal batch), plus
-        #: interrupted drains.  Every wake-up of a generator process
-        #: ping-pongs between the urgent and normal slot of its instant,
-        #: and the front lane keeps that O(1) instead of a full-depth
-        #: heap push + pop.  It used to carry every message delivery
-        #: (280 k hits in the 520 k events of a faulted 128-rank trial,
-        #: 1.7 events per slot visit); since socket traffic goes to
-        #: callback readers, which run inside the delivering payload,
-        #: it carries only what still blocks — application wake-ups,
-        #: service dials, checkpoint transfers: 20 k hits in 251 k
-        #: events, 7.2 events per slot visit.  At most a few entries;
-        #: always time == now.
-        self._front: List[Tuple[float, int]] = []
         #: optional repro.analysis.traces.Trace sink shared by subsystems
         self.trace = trace
         #: coverage probe labels hit during this run — a plain set, so
@@ -252,17 +175,16 @@ class Engine:
         self.events_processed = 0
         #: arrival batches opened by :meth:`put_at` and the items they
         #: carried: ``arrivals - arrival_batches`` payloads were
-        #: saved.  Execution metadata, like :attr:`front_lane_hits`.
+        #: saved.  Execution metadata, like :attr:`slots_drained`.
         self.arrival_batches = 0
         self.arrivals = 0
-        #: times a dispatch came from the front lane instead of the heap
-        #: (execution metadata — varies with partitioning, never exported
-        #: into the deterministic obs document)
+        #: interrupted drains put back on the heap (``bench/child.py``
+        #: reads it under this name)
         self.front_lane_hits = 0
-        #: slot visits by the dispatch loops; with
+        #: slot visits by the dispatch loop; with
         #: :attr:`events_processed` this gives the mean batch size per
-        #: slot — the slot-table occupancy.  Execution metadata, like
-        #: :attr:`front_lane_hits`.
+        #: slot — the slot-table occupancy.  Execution metadata: never
+        #: exported into the deterministic obs document.
         self.slots_drained = 0
         #: optional repro.obs.Obs recorder; None keeps :meth:`span` a
         #: single attribute test on the hot path
@@ -287,24 +209,19 @@ class Engine:
         """Create an event that fires after ``delay`` simulated seconds."""
         return Timeout(self, delay, value=value, name=name)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
     def process(self, gen: Generator, name: Optional[str] = None):
         """Spawn a simulated process from generator ``gen``."""
         return Process(self, gen, name=name)
 
     # -- scheduling internals ------------------------------------------------
     # Both enqueue paths insert into the slot table.  A fresh slot
-    # sorting before the one currently being drained must run first, so
-    # its creation flags the run loop to yield the current batch.  (An
-    # *existing* earlier slot is impossible mid-drain — the heap pop
-    # already returned the smallest key — so only slot creation can
-    # preempt.)  The two methods are deliberately duplicated rather
-    # than sharing a helper: they are the enqueue hot path.
+    # sorting before the one currently being drained (a ``resume()`` at
+    # URGENT from a NORMAL payload) must run first, so its creation
+    # flags the run loop to yield the current batch.  (An *existing*
+    # earlier slot is impossible mid-drain — the heap pop already
+    # returned the smallest key — so only slot creation can preempt.)
+    # The two methods are deliberately duplicated rather than sharing a
+    # helper: they are the enqueue hot path.
 
     def _enqueue_event(self, event: Event, priority: int, delay: float = 0.0) -> None:
         key = (self.now + delay, priority)
@@ -312,14 +229,10 @@ class Engine:
         slot = slots.get(key)
         if slot is None:
             slots[key] = deque((event,))
+            heapq.heappush(self._heap, key)
             cur = self._current_key
             if cur is not None and key < cur:
-                # Earlier-sorting slot at the current instant: front
-                # lane (never the heap) + yield the batch being drained.
-                self._front.append(key)
                 self._preempt = True
-            else:
-                heapq.heappush(self._heap, key)
         else:
             slot.append(event)
 
@@ -330,12 +243,10 @@ class Engine:
         slot = slots.get(key)
         if slot is None:
             slots[key] = deque((fn,))
+            heapq.heappush(self._heap, key)
             cur = self._current_key
             if cur is not None and key < cur:
-                self._front.append(key)
                 self._preempt = True
-            else:
-                heapq.heappush(self._heap, key)
         else:
             slot.append(fn)
 
@@ -377,39 +288,12 @@ class Engine:
             raise ValueError(f"negative delay {delay}")
         self._enqueue_call(fn, delay=delay)
 
-    def timer(self, delay: float, fn: Callable[[], None]) -> TimerHandle:
-        """Like :meth:`call_later`, but returns a cancellable handle.
-
-        Cancellation is an O(1) tombstone (see :class:`TimerHandle`).
-        """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        handle = TimerHandle(fn)
-        self._enqueue_call(handle, delay=delay)
-        return handle
-
-    def periodic(self, period: float, fn: Callable[[], None],
-                 first: Optional[float] = None) -> PeriodicTimer:
-        """Run ``fn`` every ``period`` seconds until the handle is
-        cancelled; ``first`` overrides the delay before the first
-        firing (default: one full period)."""
-        if period <= 0:
-            raise ValueError(f"non-positive period {period}")
-        if first is not None and first < 0:
-            raise ValueError(f"negative first delay {first}")
-        handle = PeriodicTimer(self, period, fn)
-        self._enqueue_call(handle, delay=period if first is None else first)
-        return handle
-
     # -- main loop ----------------------------------------------------------
     def peek(self) -> float:
         """Time of the next pending event, or ``float('inf')``."""
         best = self._heap[0][0] if self._heap else float("inf")
-        for key in self._front:
-            if key[0] < best:
-                best = key[0]
-        # Mid-drain, the current slot's undrained tail is in neither
-        # the heap nor the front lane — but it is still pending.
+        # Mid-drain, the current slot's undrained tail is not in the
+        # heap — but it is still pending.
         cur = self._current_key
         if cur is not None and cur[0] < best and self._slots.get(cur):
             best = cur[0]
@@ -423,7 +307,7 @@ class Engine:
         This is the single-step API (tests and debuggers): one turn of
         :meth:`run`'s loop.
         """
-        if not self._heap and not self._front:
+        if not self._heap:
             raise IndexError("step() on an empty engine")
         self.run(max_events=1)
 
@@ -447,7 +331,6 @@ class Engine:
         """
         self._stopped = False
         heap = self._heap
-        front = self._front
         slots = self._slots
         pop = heapq.heappop
         limit = float("inf") if until is None else until
@@ -455,32 +338,16 @@ class Engine:
         processed = 0
         drained = 0
         try:
-            while not self._stopped:
-                # -- select the earliest slot (front lane, then heap) --
-                if front:
-                    if len(front) > 1:
-                        front.sort()
-                    # Front keys are at the current instant, so they
-                    # can never overshoot ``limit``; only check the
-                    # heap key against the front minimum.
-                    if heap and heap[0] < front[0]:
-                        key = pop(heap)
-                    else:
-                        key = front.pop(0)
-                        self.front_lane_hits += 1
-                    when = key[0]
-                elif heap:
-                    key = heap[0]
-                    when = key[0]
-                    if when > limit:
-                        self.now = until
-                        if raise_on_timeout:
-                            raise SimTimeoutError(
-                                f"simulation exceeded t={until}")
-                        return self.now
-                    pop(heap)
-                else:
-                    break
+            while heap and not self._stopped:
+                key = heap[0]
+                when = key[0]
+                if when > limit:
+                    self.now = until
+                    if raise_on_timeout:
+                        raise SimTimeoutError(
+                            f"simulation exceeded t={until}")
+                    return self.now
+                pop(heap)
                 slot = slots[key]
                 drained += 1
                 self.now = when
@@ -503,28 +370,30 @@ class Engine:
                         del slots[key]
                         break
                     # Interrupt checks run only *between* payloads; an
-                    # undrained tail parks its key in the front lane
-                    # (O(1), never a heap op or list copy).  stop()
-                    # sets the preempt flag, so two checks suffice.
+                    # undrained tail goes back on the heap under its
+                    # key.  stop() sets the preempt flag, so two checks
+                    # suffice.
                     if self._preempt or processed >= budget:
-                        front.append(key)
+                        heapq.heappush(heap, key)
+                        self.front_lane_hits += 1
                         break
                 self._current_key = None
                 if processed >= budget:
                     break
         finally:
-            # A payload that raised leaves its slot undrained: park the
-            # key so the engine stays consistent for a subsequent run.
+            # A payload that raised leaves its slot undrained: requeue
+            # the key so the engine stays consistent for a subsequent run.
             ck = self._current_key
-            if ck is not None and slots.get(ck) and ck not in front:
-                front.append(ck)
-            elif ck is not None and ck in slots and not slots[ck]:
-                del slots[ck]       # fully drained when the payload raised
+            if ck is not None:
+                if slots.get(ck):
+                    heapq.heappush(heap, ck)
+                else:
+                    slots.pop(ck, None)     # drained when the payload raised
             self._current_key = None
             self._preempt = False
             self.events_processed += processed
             self.slots_drained += drained
-        if until is not None and not heap and not front and self.now < until:
+        if until is not None and not heap and self.now < until:
             self.now = until
         return self.now
 
@@ -539,7 +408,6 @@ class Engine:
         roots (see ``VclRuntime.dispose``)."""
         self._slots.clear()
         self._heap.clear()
-        self._front.clear()
         self.process_failures.clear()
         self.trace = None
         self.obs = None

@@ -18,26 +18,6 @@ PRIORITY_NORMAL = 1
 PRIORITY_LAZY = 2
 
 
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The ``cause`` attribute carries an arbitrary payload describing why
-    the interrupt was delivered.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return f"Interrupt(cause={self.cause!r})"
-
-
-class ProcessKilled(Exception):
-    """Raised by :meth:`repro.simkernel.process.Process.wait` semantics
-    when a waited-on process was killed rather than finishing."""
-
-
 class Event:
     """A one-shot occurrence in simulated time.
 
@@ -162,60 +142,3 @@ class Timeout(Event):
         self._triggered = True
         self._value = value
         engine._enqueue_event(self, PRIORITY_NORMAL, delay=delay)
-
-
-class _Condition(Event):
-    """Common machinery for :class:`AnyOf` / :class:`AllOf`."""
-
-    __slots__ = ("events", "_count")
-
-    def __init__(self, engine, events):
-        super().__init__(engine)
-        self.events = tuple(events)
-        self._count = 0
-        for ev in self.events:
-            if not isinstance(ev, Event):
-                raise TypeError(f"condition operand {ev!r} is not an Event")
-            ev.add_callback(self._on_child)
-        if not self.events:
-            self.succeed({})
-
-    def _on_child(self, ev: Event) -> None:
-        if self._triggered:
-            return
-        if not ev.ok:
-            self.fail(ev.exception)
-            return
-        self._count += 1
-        if self._satisfied():
-            self.succeed(self._collect())
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _collect(self):
-        # Only events whose callbacks ran count as "happened" — a
-        # Timeout is triggered at creation but fires later.
-        return {ev: ev._value for ev in self.events if ev.processed and ev.ok}
-
-
-class AnyOf(_Condition):
-    """Triggers when *any* child event triggers.
-
-    The value is a dict mapping each already-triggered child to its
-    value, letting the waiter see which one(s) fired.
-    """
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count >= 1
-
-
-class AllOf(_Condition):
-    """Triggers when *all* child events have triggered."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._count >= len(self.events)

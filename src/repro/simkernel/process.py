@@ -6,17 +6,12 @@ event's value (or has the event's exception thrown into it).  A Process
 is itself an Event that triggers when the generator finishes, so
 processes can wait on each other.
 
-Processes support three control verbs needed by the FAIL debugger
-model:
-
-``interrupt(cause)``
-    Throw :class:`~repro.simkernel.events.Interrupt` into the generator
-    at the current simulated instant.
+Processes support the control verbs needed by the FAIL debugger model:
 
 ``suspend()`` / ``resume()``
-    Freeze delivery of wakeups (events keep triggering but are queued),
-    exactly like stopping a task under a debugger: the rest of the
-    world keeps moving.
+    Freeze delivery of the wake-up (the awaited event still fires, the
+    step it would have run is parked), exactly like stopping a task
+    under a debugger: the rest of the world keeps moving.
 
 ``kill()``
     Terminate immediately without executing any further generator code
@@ -25,16 +20,15 @@ model:
 
 A generator process is for code that *blocks mid-step* (a handshake, a
 transfer, an application).  Code that only reacts to wake-ups is a
-:class:`CallbackThread` — same verbs, no generator, one engine event
-per wake-up instead of two.
+:class:`CallbackThread` — same verbs, no generator.  Either way a
+wake-up is one engine payload.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Generator, Optional
 
-from repro.simkernel.events import Event, Interrupt, PRIORITY_URGENT
+from repro.simkernel.events import Event, PRIORITY_URGENT
 
 #: process lifecycle states
 NEW = "new"
@@ -45,26 +39,39 @@ FAILED = "failed"
 KILLED = "killed"
 
 
+class _Start:
+    """The wake-up behind a process's first step: sending ``None`` into
+    a fresh generator is ``next()``."""
+
+    _value = None
+    _exc = None
+
+
+_START = _Start()
+
+
 class Process(Event):
     """A simulated process wrapping generator ``gen``.
 
     The completion event succeeds with the generator's return value on
     normal exit, succeeds with ``None`` if killed, and *fails* with the
     escaping exception if the generator raised.
+
+    Where a step runs: the process hangs :meth:`_wake` on the event it
+    yielded, and the generator is stepped right there — inside the
+    awaited event's payload, at this callback's position in the event's
+    callback list.  Several processes waiting on one event step in the
+    order they started waiting, and a plain callback registered between
+    two of them runs between their steps.  A process waits on one event
+    at a time, so it has at most one wake-up outstanding: fired while
+    the process is suspended it is parked, and :meth:`resume` re-issues
+    it from an URGENT payload of its own — after the rest of the
+    payload that called ``resume()``, ahead of anything NORMAL at that
+    instant — as :meth:`CallbackThread.resume` does.
     """
 
-    __slots__ = (
-        "gen",
-        "pid",
-        "state",
-        "result",
-        "error",
-        "_target",
-        "_target_cb",
-        "_inbox",
-        "_dispatch_scheduled",
-        "_started",
-    )
+    __slots__ = ("gen", "pid", "state", "result", "error", "_target",
+                 "_parked")
 
     _next_pid = [1]
 
@@ -78,11 +85,10 @@ class Process(Event):
         self.state = NEW
         self.result: Any = None
         self.error: Optional[BaseException] = None
+        #: the event being waited on (its callbacks hold ``_wake``)
         self._target: Optional[Event] = None
-        self._target_cb = None
-        self._inbox = deque()
-        self._dispatch_scheduled = False
-        self._started = False
+        #: the wake-up that fired while suspended, until resumed
+        self._parked: Any = None
         engine._enqueue_call(self._start)
 
     # -- public inspection ---------------------------------------------------
@@ -97,33 +103,40 @@ class Process(Event):
 
     # -- lifecycle -------------------------------------------------------------
     def _start(self) -> None:
-        if not self.alive:
-            return
-        self._started = True
-        if self.state == SUSPENDED:
-            # Suspended before ever running (debugger attach-at-launch):
-            # queue the initial step for delivery on resume.
-            self._inbox.appendleft(("start", None))
-            return
-        self.state = RUNNING
-        self._step(kind="start")
+        if self.state == SUSPENDED:     # debugger attach-at-launch
+            self._parked = _START
+        elif self.alive:
+            self.state = RUNNING
+            self._step(_START)
 
-    def _step(self, kind: str, event: Optional[Event] = None,
-              exc: Optional[BaseException] = None) -> None:
+    def _wake(self, event: Event) -> None:
+        """The awaited event fired (its callback): step, or park the
+        wake-up if suspended.  A dead process can still be called — it
+        was killed by an earlier callback of the same event."""
+        state = self.state
+        if state == RUNNING:
+            self._target = None
+            self._step(event)
+        elif state == SUSPENDED:
+            self._target = None
+            self._parked = event
+
+    def _unpark(self) -> None:
+        # suspended again since resume() enqueued this: stays parked
+        wakeup = self._parked
+        if wakeup is not None and self.state == RUNNING:
+            self._parked = None
+            self._step(wakeup)
+
+    def _step(self, wakeup) -> None:
         """Advance the generator by one yield."""
         try:
-            # event wakeups first: they outnumber start/throw ~10:1
-            if event is not None:
-                if event._exc is None:
-                    target = self.gen.send(event._value)
-                else:
-                    target = self.gen.throw(event.exception)
-            elif kind == "start":
-                target = next(self.gen)
-            else:           # kind == "throw"
-                target = self.gen.throw(exc)
+            if wakeup._exc is None:
+                target = self.gen.send(wakeup._value)
+            else:
+                target = self.gen.throw(wakeup._exc)
         except StopIteration as stop:
-            self._finish_ok(getattr(stop, "value", None))
+            self._finish_ok(stop.value)
             return
         except BaseException as err:  # noqa: BLE001 - process crash path
             self._finish_err(err)
@@ -131,91 +144,39 @@ class Process(Event):
         if not isinstance(target, Event):
             self._finish_err(TypeError(f"process {self.name!r} yielded non-Event {target!r}"))
             return
-        self._wait_on(target)
-
-    def _wait_on(self, target: Event) -> None:
         self._target = target
-
-        def _cb(ev: Event, _self=self, _tgt=target) -> None:
-            if _self._target is _tgt:
-                _self._target = None
-                _self._target_cb = None
-            _self._deliver(("event", ev))
-
-        self._target_cb = _cb
-        target.add_callback(_cb)
+        target.add_callback(self._wake)
 
     def _detach(self) -> None:
-        if self._target is not None and self._target_cb is not None:
-            self._target.remove_callback(self._target_cb)
-        self._target = None
-        self._target_cb = None
+        if self._target is not None:
+            self._target.remove_callback(self._wake)
+            self._target = None
 
     def _finish_ok(self, value: Any) -> None:
         self.state = DONE
         self.result = value
-        self._detach()
         if not self.triggered:
             self.succeed(value)
 
     def _finish_err(self, err: BaseException) -> None:
         self.state = FAILED
         self.error = err
-        self._detach()
         self.engine.process_failures.append(self)
         if not self.triggered:
             self.fail(err)
 
-    # -- delivery machinery -------------------------------------------------
-    def _deliver(self, item) -> None:
-        # _maybe_dispatch inlined: one delivery per message makes this
-        # the hottest process entry point
-        self._inbox.append(item)
-        if (self.state in (NEW, RUNNING)
-                and not self._dispatch_scheduled and self._started):
-            self._dispatch_scheduled = True
-            self.engine._enqueue_call(self._dispatch, priority=PRIORITY_URGENT)
-
-    def _maybe_dispatch(self) -> None:
-        # ``state in (NEW, RUNNING)`` == alive and not suspended; the
-        # checks are inlined (no property call) — this runs once per
-        # delivered event, the simulator's hottest process path.
-        if (self.state in (NEW, RUNNING) and self._inbox
-                and not self._dispatch_scheduled and self._started):
-            self._dispatch_scheduled = True
-            self.engine._enqueue_call(self._dispatch, priority=PRIORITY_URGENT)
-
-    def _dispatch(self) -> None:
-        self._dispatch_scheduled = False
-        if self.state not in (NEW, RUNNING) or not self._inbox:
-            return
-        kind, payload = self._inbox.popleft()
-        if kind == "event":
-            self._step(kind="event", event=payload)
-        elif kind == "start":
-            self._step(kind="start")
-        else:  # interrupt
-            self._step(kind="throw", exc=Interrupt(payload))
-        self._maybe_dispatch()
-
     # -- control verbs ---------------------------------------------------------
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the generator (async-safe)."""
-        if not self.alive:
-            return
-        self._detach()
-        self._deliver(("interrupt", cause))
-
     def suspend(self) -> None:
         """Debugger 'stop': freeze wakeup delivery; world keeps moving."""
         if self.alive:
             self.state = SUSPENDED
 
     def resume(self) -> None:
-        """Debugger 'continue': deliver any wakeups queued while stopped."""
+        """Debugger 'continue': re-issue the wake-up parked while stopped."""
         if self.state == SUSPENDED:
             self.state = RUNNING
-            self._maybe_dispatch()
+            if self._parked is not None:
+                self.engine._enqueue_call(self._unpark, priority=PRIORITY_URGENT)
 
     def kill(self) -> None:
         """Terminate without executing further generator code."""
@@ -223,7 +184,7 @@ class Process(Event):
             return
         self.state = KILLED
         self._detach()
-        self._inbox.clear()
+        self._parked = None
         # Close without running finally-blocks' sim-yields: generator
         # close() raises GeneratorExit at the suspension point; any
         # attempt to yield during cleanup raises RuntimeError which we
@@ -240,12 +201,12 @@ class Process(Event):
 
     def dispose(self) -> None:
         """Break this (finished) process's reference cycles — the
-        generator frame, the waited-on event, queued wakeups — so
+        generator frame, the waited-on event, a parked wakeup — so
         teardown can reclaim it by refcount (see
         ``VclRuntime.dispose``).  The process is unusable afterwards."""
         self.gen = None
         self._detach()      # a never-fired target and our wake-up name each other
-        self._inbox.clear()
+        self._parked = None
         self.callbacks = None
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
@@ -257,12 +218,12 @@ class CallbackThread:
 
     For code that never blocks *inside* a step — it reacts to one
     wake-up (an item, a connection outcome, a timer) and returns — the
-    generator, its wake-up ``Event`` and the URGENT dispatch hop of a
-    :class:`Process` are pure overhead.  A callback thread is its own
-    engine payload: whoever wakes it enqueues the object (or calls it
-    from inside the waking event's payload), and :meth:`_run` does the
-    step.  It keeps the control verbs a ``UnixProcess`` needs of its
-    threads, with :class:`Process` semantics:
+    generator and the wake-up ``Event`` of a :class:`Process` are pure
+    overhead.  A callback thread is its own engine payload: whoever
+    wakes it enqueues the object (or calls it from inside the waking
+    event's payload), and :meth:`_run` does the step.  It keeps the
+    control verbs a ``UnixProcess`` needs of its threads, with
+    :class:`Process` semantics:
 
     * the first step runs from a NORMAL payload enqueued at
       construction (where ``Process._start`` ran);
@@ -341,7 +302,3 @@ class CallbackThread:
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         state = "alive" if self.alive else "dead"
         return f"<{type(self).__name__} {self.name} {state}>"
-
-
-#: Backwards-friendly alias; a Process object *is* its own control block.
-PCB = Process

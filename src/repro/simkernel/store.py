@@ -1,7 +1,7 @@
 """FIFO message stores (the kernel-level queue behind sockets).
 
 A :class:`Store` decouples producers and consumers: ``put`` never
-blocks (infinite capacity unless bounded), ``get`` returns an Event the
+blocks (the queue is unbounded), ``get`` returns an Event the
 consumer yields on.  Closing a store wakes every pending getter with
 :class:`StoreClosed` and makes further gets fail immediately — this is
 the primitive the socket layer maps TCP connection-closure onto.
@@ -10,8 +10,7 @@ A store has two kinds of consumer.  Code that *blocks between reads*
 (a handshake, a transfer, an application) is a generator process and
 yields on ``get()``.  Code that only ever loops ``item = yield
 store.get(); handle(item)`` is a :class:`Reader`: the same loop with
-the generator, its wake-up ``Event`` and the process dispatch hop
-taken out, so an item costs one engine payload instead of two.
+the generator and its wake-up ``Event`` taken out.
 """
 
 from __future__ import annotations
@@ -38,13 +37,12 @@ class Store:
     read.
     """
 
-    __slots__ = ("engine", "_label", "capacity", "items", "_getters",
-                 "_reader", "closed")
+    __slots__ = ("engine", "_label", "items", "_getters", "_reader",
+                 "closed")
 
-    def __init__(self, engine, name=None, capacity: Optional[int] = None):
+    def __init__(self, engine, name=None):
         self.engine = engine
         self._label = name or "store"
-        self.capacity = capacity
         #: buffered items / waiting getter events; None until first used
         self.items: Optional[Deque[Any]] = None
         self._getters: Optional[Deque[Event]] = None
@@ -67,13 +65,10 @@ class Store:
     def put(self, item: Any) -> None:
         """Append ``item``; wakes the oldest waiting getter if any.
 
-        Raises :class:`StoreClosed` if the store has been closed and
-        ``ValueError`` if a finite capacity would be exceeded.
+        Raises :class:`StoreClosed` if the store has been closed.
         """
         if self.closed:
             raise StoreClosed(f"put on closed store {self.name!r}")
-        if self.capacity is not None and len(self) >= self.capacity:
-            raise ValueError(f"store {self.name!r} over capacity {self.capacity}")
         # Hand the item straight to a waiting getter, preserving FIFO
         # order between queued items and queued getters.
         getters = self._getters
@@ -161,11 +156,9 @@ class Reader(CallbackThread):
     * it first looks at the store in the NORMAL payload enqueued at
       construction;
     * an item put while it waits is handed over in one NORMAL payload
-      enqueued by :meth:`Store.put` (where the getter ``Event`` was);
-      the handler runs inside that payload — the generator's URGENT
-      dispatch hop ran right behind that position with nothing able to
-      interleave, so every handler keeps its global ``(time, priority,
-      insertion)`` rank;
+      enqueued by :meth:`Store.put` (where the getter ``Event`` was),
+      and the handler runs inside that payload, as the generator's
+      step does;
     * an item put while a payload is pending or the handler runs waits
       in ``store.items`` and is enqueued only when the handler returns;
     * a store closed while it waits (or found closed when the handler

@@ -5,8 +5,7 @@ The slot-table dispatch (``repro/simkernel/engine.py``) must be
 heap it replaced: globally ``(time, priority, insertion order)``.  The
 digests pinned here were computed on the pre-fast-path engine (the
 PR 3/PR 4 inlined-heap loop) and must never change — any drift means
-the slot table, the front lane, or the preemption path reordered
-events.
+the slot table or the preemption path reordered events.
 """
 
 import gc
@@ -27,7 +26,7 @@ from repro.simkernel.events import PRIORITY_LAZY, PRIORITY_NORMAL, PRIORITY_URGE
 #: synthetic kernel schedule: 8 processes on colliding timeout grids,
 #: urgent/normal/lazy same-instant slots, a same-time cascade
 SYNTHETIC_DIGEST = "2897bb34ef71b1bf614d2c7a1fd70a682a60f28d89b088125dd5fd639d6d2f8a"
-SYNTHETIC_EVENTS = 361
+SYNTHETIC_EVENTS = 281
 
 #: (protocol, n_ckpt_servers) -> trace digest for a fault-free 4-rank
 #: ring trial, seed 7
@@ -51,15 +50,15 @@ GOLDEN_FAULTY = {
 }
 
 #: engine events those trials cost — not part of the history, so kept
-#: apart from the digests.  Re-recorded by PR 18 (arrival batches:
-#: messages landing back to back in one instant share a payload; PR 16
-#: had vcl 1453/1489, v2 1978/1987, v1 1578/1587 clean and 2061/2103,
-#: 2135/2144, 1702/1711 faulty).  SYNTHETIC_EVENTS has no network in
-#: it and did not move.
-EVENTS_CLEAN = {("vcl", 1): 1396, ("vcl", 4): 1408, ("v2", 1): 1941,
-                ("v2", 4): 1950, ("v1", 1): 1566, ("v1", 4): 1575}
-EVENTS_FAULTY = {("vcl", 1): 1970, ("vcl", 4): 1976, ("v2", 1): 2088,
-                 ("v2", 4): 2097, ("v1", 1): 1686, ("v1", 4): 1695}
+#: apart from the digests.  Re-recorded by PR 20 (a generator wake-up
+#: is one payload, stepped inside the awaited event; PR 18 had vcl
+#: 1396/1408, v2 1941/1950, v1 1566/1575 clean, 1970/1976, 2088/2097,
+#: 1686/1695 faulty and 361 for SYNTHETIC_EVENTS, whose schedule is
+#: all processes).
+EVENTS_CLEAN = {("vcl", 1): 1001, ("vcl", 4): 1010, ("v2", 1): 1562,
+                ("v2", 4): 1571, ("v1", 1): 1187, ("v1", 4): 1196}
+EVENTS_FAULTY = {("vcl", 1): 1454, ("vcl", 4): 1457, ("v2", 1): 1686,
+                 ("v2", 4): 1695, ("v1", 1): 1285, ("v1", 4): 1294}
 
 
 def test_synthetic_schedule_matches_heap_engine_digest():
@@ -136,8 +135,8 @@ def test_faulty_trial_matches_heap_engine_digest(protocol, shards):
 
 def test_urgent_slot_preempts_mid_batch():
     """An urgent payload scheduled at the current instant runs before
-    the remaining normal payloads of that instant (the process-wakeup
-    pattern the front lane accelerates)."""
+    the remaining normal payloads of that instant (what ``resume()``
+    relies on)."""
     eng = Engine()
     order = []
 
@@ -239,7 +238,7 @@ def test_raising_payload_leaves_engine_consistent():
     assert order == ["a", "b", "c"]
 
 
-def test_peek_covers_front_lane():
+def test_peek_reports_the_next_pending_time():
     eng = Engine()
     eng.call_later(5.0, lambda: None)
     assert eng.peek() == 5.0
@@ -247,8 +246,8 @@ def test_peek_covers_front_lane():
 
 
 def test_peek_mid_batch_sees_current_slots_tail():
-    """While a slot is draining, its undrained tail is in neither the
-    heap nor the front lane — peek() must still report it."""
+    """While a slot is draining, its undrained tail is not in the heap
+    — peek() must still report it."""
     eng = Engine()
     seen = []
     eng.call_later(1.0, lambda: seen.append(eng.peek()))
@@ -256,70 +255,6 @@ def test_peek_mid_batch_sees_current_slots_tail():
     eng.call_later(5.0, lambda: None)
     eng.run()
     assert seen == [1.0]
-
-
-# ---------------------------------------------------------------------------
-# cancellable and periodic timers
-# ---------------------------------------------------------------------------
-
-def test_timer_cancel_is_tombstone():
-    eng = Engine()
-    fired = []
-    handle = eng.timer(1.0, lambda: fired.append("t"))
-    keep = eng.timer(1.0, lambda: fired.append("keep"))
-    handle.cancel()
-    assert handle.fn is None            # closure dropped immediately
-    eng.run()
-    assert fired == ["keep"]
-    assert keep.cancelled is False
-
-
-def test_periodic_fires_on_grid_and_cancels():
-    eng = Engine()
-    fired = []
-    handle = eng.periodic(10.0, lambda: fired.append(eng.now))
-    eng.run(until=35.0)
-    assert fired == [10.0, 20.0, 30.0]
-    handle.cancel()
-    eng.run(until=100.0)
-    assert fired == [10.0, 20.0, 30.0]
-
-
-def test_periodic_first_override_and_self_cancel():
-    eng = Engine()
-    fired = []
-    handle = eng.periodic(10.0, lambda: fired.append(eng.now), first=1.0)
-
-    def stop_after_two():
-        if len(fired) >= 2:
-            handle.cancel()
-
-    eng.periodic(1.0, stop_after_two)
-    eng.run(until=100.0)
-    assert fired == [1.0, 11.0]
-
-
-def test_periodic_shared_grid_shares_one_slot():
-    """512 periodic timers on the same grid collapse to one heap entry
-    per tick — the structural property behind the scale fast path."""
-    eng = Engine()
-    fired = [0]
-    for _ in range(512):
-        eng.periodic(1.0, lambda: fired.__setitem__(0, fired[0] + 1))
-    eng.run(until=0.5)
-    assert len(eng._heap) + len(eng._front) == 1
-    eng.run(until=3.5)
-    assert fired[0] == 512 * 3
-
-
-def test_timer_validation():
-    eng = Engine()
-    with pytest.raises(ValueError):
-        eng.timer(-1.0, lambda: None)
-    with pytest.raises(ValueError):
-        eng.periodic(0.0, lambda: None)
-    with pytest.raises(ValueError):
-        eng.periodic(1.0, lambda: None, first=-0.5)
 
 
 # ---------------------------------------------------------------------------

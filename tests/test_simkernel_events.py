@@ -1,81 +1,10 @@
-"""Unit tests for event composition (AnyOf/AllOf) and stores."""
+"""Unit tests for stores."""
 
 import pytest
 
 from repro.simkernel.engine import Engine
-from repro.simkernel.events import AllOf, AnyOf
 from repro.simkernel.store import Reader, Store, StoreClosed
 
-
-def test_anyof_fires_on_first():
-    eng = Engine(seed=0)
-    results = []
-
-    def main():
-        t1 = eng.timeout(5.0, value="slow")
-        t2 = eng.timeout(1.0, value="fast")
-        got = yield AnyOf(eng, [t1, t2])
-        results.append((eng.now, sorted(v for v in got.values())))
-
-    eng.process(main())
-    eng.run()
-    assert results == [(1.0, ["fast"])]
-
-
-def test_allof_waits_for_all():
-    eng = Engine(seed=0)
-    results = []
-
-    def main():
-        t1 = eng.timeout(5.0, value="a")
-        t2 = eng.timeout(1.0, value="b")
-        got = yield AllOf(eng, [t1, t2])
-        results.append((eng.now, len(got)))
-
-    eng.process(main())
-    eng.run()
-    assert results == [(5.0, 2)]
-
-
-def test_empty_allof_fires_immediately():
-    eng = Engine(seed=0)
-    done = []
-
-    def main():
-        yield AllOf(eng, [])
-        done.append(eng.now)
-
-    eng.process(main())
-    eng.run()
-    assert done == [0.0]
-
-
-def test_condition_failure_propagates():
-    eng = Engine(seed=0)
-    caught = []
-
-    def main():
-        ev = eng.event()
-        eng.call_later(1.0, lambda: ev.fail(RuntimeError("bad")))
-        try:
-            yield AnyOf(eng, [ev, eng.timeout(10.0)])
-        except RuntimeError:
-            caught.append(eng.now)
-
-    eng.process(main())
-    eng.run()
-    assert caught == [1.0]
-
-
-def test_condition_rejects_non_event():
-    eng = Engine(seed=0)
-    with pytest.raises(TypeError):
-        AnyOf(eng, [42])
-
-
-# ---------------------------------------------------------------------------
-# Store
-# ---------------------------------------------------------------------------
 
 def test_store_fifo_order():
     eng = Engine(seed=0)
@@ -108,14 +37,6 @@ def test_store_get_nowait_empty_raises():
     store = Store(eng)
     with pytest.raises(IndexError):
         store.get_nowait()
-
-
-def test_store_capacity_enforced():
-    eng = Engine(seed=0)
-    store = Store(eng, capacity=1)
-    store.put(1)
-    with pytest.raises(ValueError):
-        store.put(2)
 
 
 def test_store_close_wakes_getters_with_error():

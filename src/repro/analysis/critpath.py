@@ -9,15 +9,15 @@ exactly.  This module turns every epoch into a *critical path* record:
   absolute ``t0``/``t1`` and duration — ``recovery`` is defined as the
   sum of the segment durations, so the tiling identity holds in exact
   floating point, not approximately;
-* a per-epoch *attribution* of the causal graph's network transmissions
+* the causal half the recorder folded per epoch while it still held
+  the transmission table (:meth:`repro.obs.causal.CausalGraph
+  .fold_epochs`): the *attribution* of the network transmissions
   falling inside the recovery window, grouped into recovery-relevant
   categories (checkpoint restore transfer, log fetch, replay
-  redelivery, scheduler commit, relaunch control traffic);
-* the backward *causal chain* from the recovery-complete instant to the
-  triggering failure: starting at the last message received inside the
-  window, alternating ``net`` edges (receive ← send) and ``causal``
-  edges (send ← the receive that caused it) until the chain leaves the
-  window.
+  redelivery, scheduler commit, relaunch control traffic), the backward
+  *causal chain* from the recovery-complete instant to the triggering
+  failure, and ``causal_truncated`` — whether the record's cap cut into
+  the window, so either may be incomplete.
 
 Everything here is a pure function of the ``obs`` document — the same
 document yields the same rows, byte for byte, on every execution path.
@@ -27,45 +27,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.obs.causal import causal_columns, node_id
-from repro.obs.phases import epoch_phase_table
-
-#: phases of one recovery, in order (their durations tile the interval)
-PHASES = ("detect", "relaunch", "restore", "replay")
-
-#: wire message kind -> attribution category (anything else: "other")
-ATTRIBUTION = {
-    # pulling the checkpoint image back from its server
-    "FetchReq": "restore_transfer",
-    "FetchResp": "restore_transfer",
-    # fetching the logged delivery history (V2 event logger, V1 CM)
-    "EvFetch": "log_fetch",
-    "EvFetchResp": "log_fetch",
-    "CMAttach": "log_fetch",
-    # redelivering logged messages to the recovering rank
-    "CMDeliver": "replay",
-    "V2Data": "replay",
-    "DataMsg": "replay",
-    # scheduler wave machinery
-    "Marker": "sched_commit",
-    "SchedAck": "sched_commit",
-    "WaveCommit": "sched_commit",
-    # dispatcher-driven restart control traffic
-    "Register": "relaunch_control",
-    "RegisterAck": "relaunch_control",
-    "CommandMap": "relaunch_control",
-    "Terminate": "relaunch_control",
-    # mesh / service (re)connection chatter
-    "Hello": "mesh",
-    "V2Hello": "mesh",
-    "SchedHello": "mesh",
-}
-
-#: backward-walk bound: a chain longer than this is cut (never loops —
-#: edges always point backward in time — but stays bounded regardless)
-MAX_CHAIN = 64
-
-_EPS = 1e-9
+from repro.obs.causal import causal_section
+from repro.obs.phases import PHASES, epoch_phase_table
 
 
 def critical_paths(obs_doc: Optional[Dict[str, Any]]
@@ -75,15 +38,9 @@ def critical_paths(obs_doc: Optional[Dict[str, Any]]
     Empty when observation was off or the trial had no recoveries
     (fault-free runs produce no relaunch spans).
     """
-    phase_rows = epoch_phase_table(obs_doc)
-    if not phase_rows:
-        return []
-    t_send, t_recv, kind, parent = causal_columns(obs_doc)
-    # rows by receive instant (the sort is stable: ties in row order)
-    recv_by_time = sorted(range(len(t_recv)), key=t_recv.__getitem__)
-
+    folds = causal_section(obs_doc).get("epochs", ())
     out: List[Dict[str, Any]] = []
-    for prow in phase_rows:
+    for i, prow in enumerate(epoch_phase_table(obs_doc)):
         t0 = prow["t_fault"]
         segments: List[Dict[str, Any]] = []
         t = t0
@@ -94,52 +51,20 @@ def critical_paths(obs_doc: Optional[Dict[str, Any]]
                              "dur": dur})
             t = t + dur
             recovery += dur
-        t_end = t
-
-        attribution: Dict[str, Dict[str, float]] = {}
-        for row, sent in enumerate(t_send):
-            if sent < t0 - _EPS or sent > t_end + _EPS:
-                continue
-            cat = ATTRIBUTION.get(kind[row], "other")
-            entry = attribution.setdefault(cat,
-                                           {"count": 0, "seconds": 0.0})
-            entry["count"] += 1
-            entry["seconds"] += t_recv[row] - sent
-        for entry in attribution.values():
-            entry["seconds"] = round(entry["seconds"], 9)
-
-        # backward chain from the last receive inside the window: a
-        # receive steps to its own send, a send to the receive that
-        # caused it
-        chain: List[str] = []
-        row = -1
-        for i in reversed(recv_by_time):
-            if t_recv[i] <= t_end + _EPS:
-                if t_recv[i] >= t0 - _EPS:
-                    row = i
-                break
-        at_recv = True
-        while row >= 0 and len(chain) < MAX_CHAIN:
-            if (t_recv[row] if at_recv else t_send[row]) < t0 - _EPS:
-                break
-            chain.append(node_id(obs_doc, row, at_recv))
-            if not at_recv:
-                row = parent[row]
-            at_recv = not at_recv
-        chain.reverse()         # chronological: cause first
-
+        fold = folds[i] if folds else {}    # spans without a causal record
         out.append({
             "epoch": prow["epoch"],
             "rank": prow["rank"],
             "lane": prow["lane"],
             "suspected": prow["suspected"],
             "truncated": prow["truncated"],
+            "causal_truncated": fold.get("causal_truncated", False),
             "t_fault": t0,
-            "t_end": t_end,
+            "t_end": t,
             "recovery": recovery,
             "segments": segments,
-            "attribution": attribution,
-            "chain": chain,
+            "attribution": fold.get("attribution", {}),
+            "chain": fold.get("chain", []),
         })
     return out
 
@@ -186,8 +111,10 @@ def render_critical_paths(obs_doc: Optional[Dict[str, Any]]) -> str:
                    else " (full restart)")
                 + f"  fault t={row['t_fault']:.3f}"
                 + f"  recovery {row['recovery']:.3f}s")
-        marks = [m for m, on in (("suspected", row["suspected"]),
-                                 ("truncated", row["truncated"])) if on]
+        marks = [m for m, on in (
+            ("suspected", row["suspected"]),
+            ("truncated", row["truncated"]),
+            ("causal record truncated", row["causal_truncated"])) if on]
         if marks:
             head += "  (" + ", ".join(marks) + ")"
         lines.append(head)

@@ -123,6 +123,12 @@ def trace_diff_text(obs_a: Optional[Dict[str, Any]],
                 rows.append([str(i + 1), phase, _fmt(va), _fmt(vb), delta])
         lines.extend(_render(
             ["#", "phase", f"{label_a} s", f"{label_b} s", "delta"], rows))
+        for label, paths in ((label_a, cp_a), (label_b, cp_b)):
+            cut = [f"#{i}" for i, row in enumerate(paths, start=1)
+                   if row["causal_truncated"]]
+            if cut:
+                lines.append(f"{label}: causal record truncated in "
+                             f"{', '.join(cut)} (wire rollup incomplete)")
     else:
         lines.append("(no recoveries on either side)")
 

@@ -36,8 +36,9 @@ from repro.mpichv.runtime import RunResult
 from repro.obs.spans import json_safe
 
 #: bump when the document layout changes; readers reject other versions
-FORMAT_VERSION = 9    # 9: columnar ``causal`` section (obs version 3,
-#                       see repro.obs.causal), files written compact.
+FORMAT_VERSION = 10   # 10: ``causal`` section holds the recorder's
+#                       folds, not its table (obs version 4, see
+#                       repro.obs.causal).
 #                       Earlier formats: EXPERIMENTS.md, version history.
 #                       wall_seconds is deliberately NOT serialized:
 #                       wall clock is never deterministic, and the wire

@@ -5,7 +5,7 @@ simulation, so a figure's worth of repetitions is embarrassingly
 parallel: :class:`TrialRunner` fans trials out over a
 :class:`~concurrent.futures.ProcessPoolExecutor` (``workers > 1``) or
 runs them in-process (``workers=1``, the default — byte-identical to
-the historical serial path).
+the historical serial path; also any batch of one, whatever the width).
 
 **Determinism contract.**  A trial is fully determined by its
 ``(TrialSetup, seed)`` pair; seeds are derived *before* any scheduling
@@ -242,18 +242,27 @@ class TrialRunner:
         return results  # type: ignore[return-value]  # every slot filled
 
     def _run_pool(self, jobs, pending, keys, results) -> None:
+        def finish(i: int, doc: dict, wall: float) -> None:
+            self.stats.note_executed(wall)
+            if self.store is not None:
+                self.store.put_dict(keys[i], doc)
+            results[i] = run_result_from_dict(doc)
+
+        if len(pending) == 1:
+            # a pool for one job is start-up cost and nothing else
+            # (guided search, shrinking and corpus minimisation submit
+            # one candidate per batch): run what a worker would run,
+            # here, and take its result through the same wire form
+            (i,) = pending
+            finish(i, *_execute_trial_wire(*jobs[i]))
+            return
         width = min(self.workers, len(pending))
         with ProcessPoolExecutor(max_workers=width) as pool:
             futures = {
                 pool.submit(_execute_trial_wire, jobs[i][0], jobs[i][1]): i
                 for i in pending}
             for future in as_completed(futures):
-                i = futures[future]
-                doc, wall = future.result()
-                self.stats.note_executed(wall)
-                if self.store is not None:
-                    self.store.put_dict(keys[i], doc)
-                results[i] = run_result_from_dict(doc)
+                finish(futures[future], *future.result())
 
     def _maybe_export_trace(self, results: Sequence[Optional[RunResult]]
                             ) -> None:

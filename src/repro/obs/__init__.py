@@ -15,7 +15,9 @@ Three cooperating pieces, all pure functions of the simulated history
 * :mod:`repro.obs.causal` — the causal message-tracing graph: every
   minted wire message carries a deterministic ``(trace_id, parent)``
   context, and the network's transmit choke point records the bounded
-  per-trial event graph that :mod:`repro.analysis.critpath` walks;
+  per-trial transmission table whose folds (totals, per-kind rollup,
+  per-epoch attribution and chain) ship in the document and feed
+  :mod:`repro.analysis.critpath`;
 * exporters — :mod:`repro.obs.chrometrace` (Chrome-trace / Perfetto
   JSON, one lane per host, plus critical-path flow events),
   :mod:`repro.obs.phases` (the per-epoch phase table behind ``python

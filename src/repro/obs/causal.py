@@ -10,10 +10,14 @@ it.  As a graph, a row is two nodes (send ``<tid>:s``, receive
 ``<tid>:r``) joined by a ``net`` edge, and its parent link a ``causal``
 edge from the parent row's receive to this row's send; walking those
 backward recovers the dependency chain behind any instant — what
-:mod:`repro.analysis.critpath` does per recovery epoch.  Rows are held,
-in memory and in the ``obs`` document, as parallel columns; the layout
-is private to this module (readers: :func:`causal_columns`,
-:func:`node_id`, :func:`causal_totals`, :func:`causal_kind_rollup`).
+:meth:`CausalGraph.fold_epochs` does per recovery epoch.  Rows are held
+as parallel columns, in memory only: they die with the recorder, and
+the ``obs`` document carries their *folds* — graph totals, the per-kind
+rollup, each recovery epoch's attribution and chain
+(:meth:`CausalGraph.to_doc`; readers: :func:`causal_totals`,
+:func:`causal_kind_rollup`, :func:`repro.analysis.critpath
+.critical_paths`).  Code that wants the table itself reads
+``runtime.obs.causal`` before the runtime is disposed of.
 
 Identity is deterministic by construction: a trace id is
 ``<site>.<seq>.<t_us>`` — the minting component's stable site name, a
@@ -27,15 +31,17 @@ Bounding mirrors ``MAX_SPANS``: the table caps at
 :data:`MAX_CAUSAL_NODES` graph nodes, i.e. half as many rows, cut from
 the tail (rows record in transmit order).  Each dropped transmission
 counts two ``dropped_nodes``; a link whose two rows are not both
-recorded counts into ``dropped_edges`` and never reaches the document.
+recorded counts into ``dropped_edges``.  The instant of the first drop
+is kept: an epoch whose window reaches past it is ``causal_truncated``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-#: version of the ``obs`` wire document (3: columnar causal section)
-OBS_VERSION = 3
+#: version of the ``obs`` wire document (4: folded causal section)
+OBS_VERSION = 4
 
 #: hard cap on recorded causal nodes per trial (mirrors ``MAX_SPANS``)
 MAX_CAUSAL_NODES = 50000
@@ -46,8 +52,43 @@ MAX_CAUSAL_NODES = 50000
 _CTX_ATTR = "_causal_ctx"
 
 
+#: wire message kind -> attribution category (anything else: "other")
+ATTRIBUTION = {
+    # pulling the checkpoint image back from its server
+    "FetchReq": "restore_transfer",
+    "FetchResp": "restore_transfer",
+    # fetching the logged delivery history (V2 event logger, V1 CM)
+    "EvFetch": "log_fetch",
+    "EvFetchResp": "log_fetch",
+    "CMAttach": "log_fetch",
+    # redelivering logged messages to the recovering rank
+    "CMDeliver": "replay",
+    "V2Data": "replay",
+    "DataMsg": "replay",
+    # scheduler wave machinery
+    "Marker": "sched_commit",
+    "SchedAck": "sched_commit",
+    "WaveCommit": "sched_commit",
+    # dispatcher-driven restart control traffic
+    "Register": "relaunch_control",
+    "RegisterAck": "relaunch_control",
+    "CommandMap": "relaunch_control",
+    "Terminate": "relaunch_control",
+    # mesh / service (re)connection chatter
+    "Hello": "mesh",
+    "V2Hello": "mesh",
+    "SchedHello": "mesh",
+}
+
+#: backward-walk bound: a chain longer than this is cut (never loops —
+#: edges always point backward in time — but stays bounded regardless)
+MAX_CHAIN = 64
+
+_EPS = 1e-9
+
+
 class _StringTable(dict):
-    """``string -> index`` in first-seen order; the keys are the wire form."""
+    """``string -> index`` in first-seen order."""
 
     def __missing__(self, name: str) -> int:
         index = self[name] = len(self)
@@ -70,10 +111,12 @@ class CausalGraph:
         self.dst: List[int] = []
         self.kind: List[int] = []
         self.parent: List[int] = []
-        self._hosts = _StringTable()
-        self._kinds = _StringTable()
+        self.hosts = _StringTable()
+        self.kinds = _StringTable()
         self.dropped_nodes = 0
         self.dropped_edges = 0
+        #: send instant of the first transmission the cap dropped
+        self.first_drop_t: Optional[float] = None
         #: total contexts minted (recorded or not)
         self.minted = 0
         self._site_seq: Dict[str, int] = {}
@@ -97,7 +140,8 @@ class CausalGraph:
                     t_send: float, t_recv: float, size: int) -> None:
         """Record one stamped transmission (network choke point).
 
-        A re-transmitted object (broadcast fan-out, log replay) gets a
+        Calls arrive in transmit order (``t_send`` never decreases).  A
+        re-transmitted object (broadcast fan-out, log replay) gets a
         ``#n`` suffix on its trace id so node ids stay unique; the
         parent link is shared — every copy was caused by the same
         upstream receive, the first one of the parent trace.
@@ -106,6 +150,8 @@ class CausalGraph:
         row = len(self.tid)
         if row >= self.max_rows:
             # both nodes, the net edge and (if any) the causal edge
+            if self.first_drop_t is None:
+                self.first_drop_t = t_send
             self.dropped_nodes += 2
             self.dropped_edges += 1 if parent_id is None else 2
             return
@@ -124,23 +170,94 @@ class CausalGraph:
                 self.dropped_edges += 1
         self.t_send.append(t_send)
         self.t_recv.append(t_recv)
-        self.src.append(self._hosts[src_host])
-        self.dst.append(self._hosts[dst_host])
-        self.kind.append(self._kinds[kind])
+        self.src.append(self.hosts[src_host])
+        self.dst.append(self.hosts[dst_host])
+        self.kind.append(self.kinds[kind])
         self.parent.append(parent)
 
+    # -- folds -------------------------------------------------------------
+    def totals(self) -> Dict[str, int]:
+        """Graph-view size: two nodes and a net edge per row, a causal
+        edge per recorded parent link."""
+        parent = self.parent
+        return {"nodes": 2 * len(parent),
+                "edges": 2 * len(parent) - parent.count(-1),
+                "minted": self.minted,
+                "dropped_nodes": self.dropped_nodes,
+                "dropped_edges": self.dropped_edges}
+
+    def kind_rollup(self) -> Dict[str, Dict[str, float]]:
+        """``{kind: {count, seconds}}`` where ``seconds`` sums the
+        in-flight time (receive minus send) of every recorded
+        transmission of that kind, in row order."""
+        count = [0] * len(self.kinds)
+        seconds = [0.0] * len(self.kinds)
+        for k, sent, received in zip(self.kind, self.t_send, self.t_recv):
+            count[k] += 1
+            seconds[k] += received - sent
+        return {name: {"count": count[k], "seconds": round(seconds[k], 9)}
+                for name, k in self.kinds.items()}
+
+    def fold_epochs(self, windows: Sequence[Tuple[float, float]]
+                    ) -> List[Dict[str, Any]]:
+        """The causal half of a critical path per recovery window
+        ``(t_fault, t_end)``: ``attribution`` — the transmissions sent
+        inside it, by :data:`ATTRIBUTION` category; ``chain`` — node ids
+        of the backward walk from its last receive, alternating ``net``
+        edges (receive ← send) and ``causal`` edges (send ← the receive
+        that caused it) until it leaves the window, oldest first;
+        ``causal_truncated`` — the window reaches past the first
+        dropped transmission, so either may be missing rows."""
+        if not windows:
+            return []
+        t_send, t_recv, parent = self.t_send, self.t_recv, self.parent
+        category = [ATTRIBUTION.get(name, "other") for name in self.kinds]
+        # rows by receive instant (the sort is stable: ties in row order)
+        recv_order = sorted(range(len(t_recv)), key=t_recv.__getitem__)
+        recv_times = [t_recv[row] for row in recv_order]
+
+        folds: List[Dict[str, Any]] = []
+        for t0, t_end in windows:
+            lo, hi = t0 - _EPS, t_end + _EPS
+            attribution: Dict[str, Dict[str, float]] = {}
+            # rows are in send order: the window's sends are one slice
+            for row in range(bisect_left(t_send, lo),
+                             bisect_right(t_send, hi)):
+                entry = attribution.setdefault(
+                    category[self.kind[row]], {"count": 0, "seconds": 0.0})
+                entry["count"] += 1
+                entry["seconds"] += t_recv[row] - t_send[row]
+            for entry in attribution.values():
+                entry["seconds"] = round(entry["seconds"], 9)
+
+            # a receive steps to its own send, a send to the receive
+            # that caused it
+            chain: List[str] = []
+            last = bisect_right(recv_times, hi) - 1
+            row = recv_order[last] if last >= 0 else -1
+            at_recv = True
+            while row >= 0 and len(chain) < MAX_CHAIN:
+                if (t_recv[row] if at_recv else t_send[row]) < lo:
+                    break
+                chain.append(f"{self.tid[row]}:{'r' if at_recv else 's'}")
+                if not at_recv:
+                    row = parent[row]
+                at_recv = not at_recv
+            chain.reverse()         # chronological: cause first
+
+            folds.append({
+                "attribution": attribution, "chain": chain,
+                "causal_truncated": (self.first_drop_t is not None
+                                     and self.first_drop_t <= hi)})
+        return folds
+
     # -- document ----------------------------------------------------------
-    def to_doc(self) -> Dict[str, Any]:
-        """The ``causal`` section: the columns themselves, not copies."""
-        return {
-            "tid": self.tid, "t_send": self.t_send, "t_recv": self.t_recv,
-            "src": self.src, "dst": self.dst, "kind": self.kind,
-            "parent": self.parent,
-            "hosts": list(self._hosts), "kinds": list(self._kinds),
-            "dropped_nodes": self.dropped_nodes,
-            "dropped_edges": self.dropped_edges,
-            "minted": self.minted,
-        }
+    def to_doc(self, windows: Sequence[Tuple[float, float]] = ()
+               ) -> Dict[str, Any]:
+        """The ``causal`` section: the folds every reader needs, with
+        one ``epochs`` entry per recovery window."""
+        return {"totals": self.totals(), "kinds": self.kind_rollup(),
+                "epochs": self.fold_epochs(windows)}
 
 
 # -- stamping helpers (protocol call sites) --------------------------------
@@ -207,53 +324,16 @@ def causal_section(obs_doc: Optional[Dict[str, Any]],
     return causal
 
 
-def causal_columns(obs_doc: Optional[Dict[str, Any]]
-                   ) -> Tuple[List[float], List[float], List[str],
-                              List[int]]:
-    """``(t_send, t_recv, kind, parent)``, one entry per recorded
-    transmission in transmit order: the two instants, the wire message
-    kind by name, and the row whose receive caused the send (-1: none).
-    Empty for ``None`` and documents without a causal section.
-    """
-    causal = causal_section(obs_doc)
-    if not causal:
-        return [], [], [], []
-    kinds = causal["kinds"]
-    return (causal["t_send"], causal["t_recv"],
-            [kinds[k] for k in causal["kind"]], causal["parent"])
-
-
-def node_id(obs_doc: Dict[str, Any], row: int, recv: bool) -> str:
-    """Graph node id of one end of transmission ``row``."""
-    return f"{obs_doc['causal']['tid'][row]}:{'r' if recv else 's'}"
-
-
 def causal_totals(obs_doc: Optional[Dict[str, Any]]) -> Dict[str, int]:
-    """Graph-view size of a document's causal section: two nodes and a
-    net edge per row, a causal edge per recorded parent link."""
-    causal = causal_section(obs_doc)
-    parent = causal.get("parent", ())
-    return {"nodes": 2 * len(parent),
-            "edges": len(parent) + sum(1 for p in parent if p >= 0),
-            "minted": causal.get("minted", 0),
-            "dropped_nodes": causal.get("dropped_nodes", 0),
-            "dropped_edges": causal.get("dropped_edges", 0)}
+    """Graph-view size of a document's causal section
+    (:meth:`CausalGraph.totals`); all zero for ``None`` and documents
+    without one."""
+    return causal_section(obs_doc).get("totals") or CausalGraph().totals()
 
 
 def causal_kind_rollup(obs_doc: Optional[Dict[str, Any]]
                        ) -> Dict[str, Dict[str, float]]:
-    """Per-message-kind rollup of an obs document's transmissions.
-
-    ``{kind: {count, seconds}}`` where ``seconds`` sums the in-flight
-    time (receive minus send) of every recorded transmission of that
-    kind.  Tolerates ``None`` and documents without a causal section.
-    """
-    rollup: Dict[str, Dict[str, float]] = {}
-    t_send, t_recv, kind, _parent = causal_columns(obs_doc)
-    for row, name in enumerate(kind):
-        entry = rollup.setdefault(name, {"count": 0, "seconds": 0.0})
-        entry["count"] += 1
-        entry["seconds"] += t_recv[row] - t_send[row]
-    for entry in rollup.values():
-        entry["seconds"] = round(entry["seconds"], 9)
-    return rollup
+    """Per-message-kind rollup of an obs document's transmissions
+    (:meth:`CausalGraph.kind_rollup`); empty for ``None`` and documents
+    without a causal section."""
+    return causal_section(obs_doc).get("kinds", {})

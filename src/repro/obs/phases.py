@@ -16,9 +16,12 @@ overlaps normal execution and is not part of the recovery time proper.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.spans import FIELDS, KIND, LANE, T0, T1
+
+#: phases of one recovery, in order (their durations tile the interval)
+PHASES = ("detect", "relaunch", "restore", "replay")
 
 #: tolerance when matching a detect span's end to a relaunch start —
 #: one event granularity in the simulated clock
@@ -112,6 +115,15 @@ def epoch_phase_table(obs_doc: Optional[Dict[str, Any]]
             "recovery": b4 - b0,
         })
     return rows
+
+
+def recovery_window(prow: Dict[str, Any]) -> Tuple[float, float]:
+    """``(t_fault, t_end)`` of a phase-table row: the end is the
+    critical path's last segment boundary, summed the same way."""
+    t = prow["t_fault"]
+    for phase in PHASES:
+        t = t + prow[phase]
+    return prow["t_fault"], t
 
 
 _COLS = ("epoch", "rank", "lane", "t_fault", "detect", "relaunch",

@@ -35,7 +35,7 @@ def aggregate_obs(obs_docs: Iterable[Optional[Dict[str, Any]]]
     """Aggregate many trials' ``obs`` documents into one summary."""
     # function-level: repro.analysis builds on the obs layer, and this
     # is the one place the dependency briefly points the other way
-    from repro.analysis.critpath import add_phase_seconds
+    from repro.analysis.critpath import add_phase_seconds, critical_paths
 
     spans: Dict[str, Dict[str, float]] = {}
     wire: Dict[str, Dict[str, float]] = {}
@@ -44,6 +44,7 @@ def aggregate_obs(obs_docs: Iterable[Optional[Dict[str, Any]]]
     counters: Dict[str, float] = {}
     trials = 0
     epochs = 0
+    causal_truncated_epochs = 0
     dropped_spans = 0
 
     for doc in obs_docs:
@@ -65,6 +66,8 @@ def aggregate_obs(obs_docs: Iterable[Optional[Dict[str, Any]]]
         for name, value in causal_totals(doc).items():
             causal[name] += value
         epochs += add_phase_seconds(critpath, doc)
+        causal_truncated_epochs += sum(row["causal_truncated"]
+                                       for row in critical_paths(doc))
         metrics = doc.get("metrics") or {}
         for name, value in (metrics.get("counters") or {}).items():
             counters[name] = counters.get(name, 0) + value
@@ -77,6 +80,7 @@ def aggregate_obs(obs_docs: Iterable[Optional[Dict[str, Any]]]
     return {
         "trials": trials,
         "epochs": epochs,
+        "causal_truncated_epochs": causal_truncated_epochs,
         "dropped_spans": dropped_spans,
         "spans": spans,
         "wire": wire,
@@ -108,6 +112,11 @@ def openmetrics_text(agg: Dict[str, Any]) -> str:
     family("repro_recovery_epochs", "counter",
            "recovery epochs across all observed trials")
     lines.append(f"repro_recovery_epochs_total {_num(agg['epochs'])}")
+    if agg["causal_truncated_epochs"]:
+        family("repro_causal_truncated_epochs", "counter",
+               "recovery epochs whose window the causal cap cut into")
+        lines.append("repro_causal_truncated_epochs_total "
+                     f"{_num(agg['causal_truncated_epochs'])}")
     family("repro_dropped_spans", "counter",
            "spans dropped by the per-trial cap")
     lines.append(f"repro_dropped_spans_total {_num(agg['dropped_spans'])}")
@@ -177,6 +186,10 @@ def html_report(agg: Dict[str, Any], title: str = "repro campaign") -> str:
         f"<p>{agg['trials']} observed trials, "
         f"{agg['epochs']} recovery epochs, "
         f"{agg['dropped_spans']} dropped spans.</p>",
+        *([f"<p>Causal record truncated in "
+           f"{agg['causal_truncated_epochs']} recovery epochs: their "
+           f"wire attribution and chains may be incomplete.</p>"]
+          if agg["causal_truncated_epochs"] else []),
         "<h2>Recovery critical path</h2>",
         _table(["phase", "seconds"],
                [[p, _num(agg["critpath"][p])]

@@ -217,15 +217,22 @@ class Obs:
         self._open.clear()
 
     def to_doc(self) -> Dict[str, Any]:
-        """The compact ``obs`` wire document (see RunResult.obs)."""
+        """The compact ``obs`` wire document (see RunResult.obs); of
+        the causal table it carries the folds, the per-epoch ones over
+        the recovery windows the span rows define."""
+        # function-level: the phase table is built on this module
+        from repro.obs.phases import epoch_phase_table, recovery_window
+        spans = [s.to_row() for s in self.spans]
+        windows = [recovery_window(prow)
+                   for prow in epoch_phase_table({"spans": spans})]
         return {
             "version": OBS_VERSION,
-            "spans": [s.to_row() for s in self.spans],
+            "spans": spans,
             "dropped_spans": self.dropped_spans,
             "truncated_spans": self.truncated_spans,
             "metrics": self.metrics.to_doc(),
             "exec": self.exec_metrics.to_doc(),
-            "causal": self.causal.to_doc(),
+            "causal": self.causal.to_doc(windows),
         }
 
 

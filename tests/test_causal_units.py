@@ -11,12 +11,16 @@ from repro.analysis.critpath import (critical_paths, critpath_rollup,
                                      render_critical_paths)
 from repro.analysis.tracediff import trace_diff_text
 from repro.analysis.traces import Trace
-from repro.obs.causal import (MAX_CAUSAL_NODES, OBS_VERSION, CausalGraph,
-                              adopt, causal_kind_rollup, ctx_of, derive,
-                              parent_of, stamp)
+from repro.obs import Obs
+from repro.obs.causal import (MAX_CAUSAL_NODES, MAX_CHAIN, OBS_VERSION,
+                              CausalGraph, adopt, causal_kind_rollup,
+                              causal_totals, ctx_of, derive, parent_of,
+                              stamp)
+from repro.obs.phases import epoch_phase_table, recovery_window
 from repro.obs.report import aggregate_obs, html_report, openmetrics_text
 from repro.simkernel.engine import Engine
-from tests.causal_view import E_TYPE, N_ID, graph_view
+from tests.causal_view import (E_TYPE, N_ID, assert_folds_equal_reference,
+                               columns_doc, columns_of, graph_view)
 
 
 class Msg:
@@ -42,15 +46,15 @@ def test_transmit_records_nodes_and_edges():
     # a derived message parented on the first one's receive
     tid2 = g.mint_id("r1", 1.25)
     g.on_transmit((tid2, tid), "EvLog", "m2", "svc1", 1.25, 1.5, 64)
-    # the wire layout: one row per transmission, strings interned in
+    # the table: one row per transmission, strings interned in
     # first-seen order, the parent as a row number
-    assert g.to_doc() == {
+    assert columns_of(g) == {
         "tid": [tid, tid2],
         "t_send": [1.0, 1.25], "t_recv": [1.25, 1.5],
         "src": [0, 1], "dst": [1, 2], "kind": [0, 1], "parent": [-1, 0],
         "hosts": ["m1", "m2", "svc1"], "kinds": ["AppMessage", "EvLog"],
         "dropped_nodes": 0, "dropped_edges": 0, "minted": 2}
-    nodes, edges = graph_view(g.to_doc())
+    nodes, edges = graph_view(g)
     assert nodes == [[f"{tid}:s", 1.0, "m1", "AppMessage"],
                      [f"{tid}:r", 1.25, "m2", "AppMessage"],
                      [f"{tid2}:s", 1.25, "m2", "EvLog"],
@@ -59,6 +63,13 @@ def test_transmit_records_nodes_and_edges():
     causal_edge = edges[2]
     assert nodes[causal_edge[0]][N_ID] == f"{tid}:r"
     assert nodes[causal_edge[1]][N_ID] == f"{tid2}:s"
+    # the document form: the folds of that table, none of its rows
+    assert g.to_doc() == {
+        "totals": {"nodes": 4, "edges": 3, "minted": 2,
+                   "dropped_nodes": 0, "dropped_edges": 0},
+        "kinds": {"AppMessage": {"count": 1, "seconds": 0.25},
+                  "EvLog": {"count": 1, "seconds": 0.25}},
+        "epochs": []}
 
 
 def test_broadcast_fanout_gets_unique_node_ids():
@@ -70,9 +81,9 @@ def test_broadcast_fanout_gets_unique_node_ids():
     # a reply to any copy hangs off the trace's first receive
     g.on_transmit((g.mint_id("r1", 2.1), tid), "Register", "m1", "svc0",
                   2.1, 2.2, 64)
-    assert g.to_doc()["tid"][:3] == [tid, f"{tid}#1", f"{tid}#2"]
-    assert g.to_doc()["parent"] == [-1, -1, -1, 0]
-    ids = [n[N_ID] for n in graph_view(g.to_doc())[0]]
+    assert g.tid[:3] == [tid, f"{tid}#1", f"{tid}#2"]
+    assert g.parent == [-1, -1, -1, 0]
+    ids = [n[N_ID] for n in graph_view(g)[0]]
     assert len(ids) == len(set(ids)) == 8
     assert f"{tid}:s" in ids and f"{tid}#1:s" in ids and f"{tid}#2:s" in ids
 
@@ -86,21 +97,22 @@ def test_node_cap_and_drop_accounting():
     t2 = g.mint_id("r0", 2.0)
     g.on_transmit((t2, "ghost.1.0"), "B", "m2", "m3", 2.0, 2.1, 1)
     assert (g.dropped_nodes, g.dropped_edges) == (0, 1)
+    assert g.first_drop_t is None
     # over the cap a transmission drops whole: two nodes, its net edge
     # and — when it had a parent — its causal edge
     t3 = g.mint_id("r0", 3.0)
     g.on_transmit((t3, t1), "C", "m3", "m1", 3.0, 3.1, 1)
     assert (g.dropped_nodes, g.dropped_edges) == (2, 3)
-    g.on_transmit((t1, None), "A", "m1", "m3", 3.0, 3.1, 1)
+    g.on_transmit((t1, None), "A", "m1", "m3", 3.5, 3.6, 1)
     assert (g.dropped_nodes, g.dropped_edges) == (4, 4)
+    assert g.first_drop_t == 3.0            # the first drop, not the last
     # a parent that fell to the cap resolves to nothing, never to a row
     # past the end
-    doc = g.to_doc()
-    nodes, edges = graph_view(doc)
-    assert len(nodes) == 4 and doc["parent"] == [-1, -1]
+    nodes, edges = graph_view(g)
+    assert len(nodes) == 4 and g.parent == [-1, -1]
     assert all(e[0] < 4 and e[1] < 4 for e in edges)
-    assert doc["dropped_nodes"] == 4 and doc["dropped_edges"] == 4
-    assert doc["minted"] == 3
+    assert g.totals() == {"nodes": 4, "edges": 2, "minted": 3,
+                          "dropped_nodes": 4, "dropped_edges": 4}
     assert MAX_CAUSAL_NODES == 50000
 
 
@@ -117,7 +129,6 @@ def test_stamp_is_inert_without_a_recorder():
 
 
 def test_stamp_derive_adopt_with_recorder():
-    from repro.obs import Obs
     eng = Engine(seed=0)
     eng.obs = Obs(eng)
     root = Msg()
@@ -136,65 +147,82 @@ def test_stamp_derive_adopt_with_recorder():
     adopt(Msg(), unstamped)                     # no ctx: no-op, no error
 
 
-def _causal(*transmissions):
-    """A causal section recording ``(ctx, kind, src, dst, t_send,
-    t_recv)`` transmissions."""
-    g = CausalGraph()
+def _recorder(spans=(), transmissions=(), max_nodes=MAX_CAUSAL_NODES):
+    """A recorder holding ``[t0, t1, kind, lane, fields]`` spans and
+    ``(ctx, kind, src, dst, t_send, t_recv)`` transmissions."""
+    obs = Obs()
+    obs.causal = CausalGraph(max_nodes=max_nodes)
+    for t0, t1, kind, lane, fields in spans:
+        obs.open(kind, lane, t0, dict(fields)).close_at(t1)
     for ctx, kind, src, dst, t_send, t_recv in transmissions:
-        g.on_transmit(ctx, kind, src, dst, t_send, t_recv, 0)
-    return g.to_doc()
+        obs.causal.on_transmit(ctx, kind, src, dst, t_send, t_recv, 0)
+    return obs
 
 
 def test_causal_kind_rollup():
-    doc = {"version": OBS_VERSION, "causal": _causal(
+    doc = _recorder(transmissions=[
         (("a", None), "DataMsg", "m1", "m2", 1.0, 1.5),
-        (("b", "a"), "EvLog", "m2", "svc1", 2.0, 2.25))}
+        (("b", "a"), "EvLog", "m2", "svc1", 2.0, 2.25)]).to_doc()
     roll = causal_kind_rollup(doc)
     assert roll == {"DataMsg": {"count": 1, "seconds": 0.5},
                     "EvLog": {"count": 1, "seconds": 0.25}}
     assert causal_kind_rollup(None) == {}
     assert causal_kind_rollup({"version": 1, "spans": []}) == {}
+    assert causal_totals(doc)["nodes"] == 4
+    assert causal_totals(None) == causal_totals({"version": 1, "spans": []}) \
+        == dict.fromkeys(("nodes", "edges", "minted", "dropped_nodes",
+                          "dropped_edges"), 0)
 
 
-def test_old_layout_document_is_refused_by_name(tmp_path, monkeypatch):
-    """A version-2 (node/edge list) document fails every reader with
-    one message naming both versions, not a KeyError in the walk."""
+def test_old_layout_document_is_refused_by_name(tmp_path, monkeypatch,
+                                                capsys):
+    """A version-3 document (the columns where the folds now are) fails
+    every reader with one message naming both versions, not a KeyError
+    in a lookup."""
     from repro.analysis.tracediff import load_obs_doc
     from repro.experiments import trace_diff_cmd
-    old = {"version": 2, "spans": _recovery_doc()["spans"], "causal": {
-        "nodes": [["a:s", 11.0, "m1", "DataMsg"],
-                  ["a:r", 11.5, "m2", "DataMsg"]],
-        "edges": [[0, 1, "net"]],
-        "dropped_nodes": 0, "dropped_edges": 0, "minted": 1}}
-    message = "obs document version 2, expected 3"
-    for reader in (critical_paths, causal_kind_rollup,
+    recorder = _recovery_recorder()
+    old = {**columns_doc(recorder.to_doc(), recorder.causal), "version": 3}
+    message = "obs document version 3, expected 4"
+    for reader in (critical_paths, causal_kind_rollup, causal_totals,
                    lambda doc: aggregate_obs([doc])):
         with pytest.raises(ValueError, match=message):
             reader(old)
     bare, result = tmp_path / "obs.json", tmp_path / "result.json"
     bare.write_text(json.dumps(old))
-    result.write_text(json.dumps({"format": 8, "obs": old}))
+    result.write_text(json.dumps({"format": 9, "obs": old}))
     for path in (bare, result):
         with pytest.raises(ValueError, match=f"{path.name}: {message}"):
             load_obs_doc(str(path))
+    # the CLI: one line on stderr and a non-zero exit, no traceback
     monkeypatch.setattr("sys.argv", ["trace-diff", str(bare), str(bare)])
-    with pytest.raises(SystemExit, match=f"trace-diff: .*{message}"):
+    with pytest.raises(SystemExit) as exit_info:
         trace_diff_cmd.main()
+    assert exit_info.value.code == f"trace-diff: {bare}: {message}"
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------
-# critical paths on synthetic documents
+# critical paths on synthetic recorders
 # ---------------------------------------------------------------------------
+
+_RECOVERY_SPANS = [
+    [10.0, 10.5, "detect", "m1", {"node": "m1"}],
+    [10.5, 12.0, "relaunch", "svc0", {"epoch": 1, "mode": "full"}],
+    [12.0, 13.0, "restore", "m1", {"rank": 0, "epoch": 1}],
+    [13.0, 13.4, "replay", "m1", {"rank": 0}],
+]
+
+
+def _recovery_recorder(**kwargs):
+    return _recorder(_RECOVERY_SPANS, [
+        (("f.1.0", None), "FetchReq", "svc0", "svc2", 11.0, 11.2),
+        (("g.1.0", "f.1.0"), "FetchResp", "svc2", "m1", 11.2, 12.9)],
+        **kwargs)
+
 
 def _recovery_doc():
-    return {"version": OBS_VERSION, "spans": [
-        [10.0, 10.5, "detect", "m1", {"node": "m1"}],
-        [10.5, 12.0, "relaunch", "svc0", {"epoch": 1, "mode": "full"}],
-        [12.0, 13.0, "restore", "m1", {"rank": 0, "epoch": 1}],
-        [13.0, 13.4, "replay", "m1", {"rank": 0}],
-    ], "causal": _causal(
-        (("f.1.0", None), "FetchReq", "svc0", "svc2", 11.0, 11.2),
-        (("g.1.0", "f.1.0"), "FetchResp", "svc2", "m1", 11.2, 12.9))}
+    return _recovery_recorder().to_doc()
 
 
 def test_critical_path_segments_tile_exactly():
@@ -208,9 +236,97 @@ def test_critical_path_segments_tile_exactly():
     assert row["attribution"]["restore_transfer"]["count"] == 2
     # backward walk: latest receive in the window chains to the fetch
     assert row["chain"] == ["f.1.0:s", "f.1.0:r", "g.1.0:s", "g.1.0:r"]
+    assert row["truncated"] is False and row["causal_truncated"] is False
     roll = critpath_rollup(_recovery_doc())
     assert roll["recovery"] == round(row["recovery"], 9)
     assert "recovery" in render_critical_paths(_recovery_doc())
+
+
+def _truncation_flags(recorder):
+    """``causal_truncated`` per epoch, the folds having matched the
+    version-3 readers on the recorder's columns."""
+    return [row["causal_truncated"] for row in
+            assert_folds_equal_reference(recorder.to_doc(), recorder.causal)]
+
+
+def test_folds_equal_the_column_readers_on_synthetic_tables():
+    assert _truncation_flags(_recovery_recorder()) == [False]
+    # window edges (inside by less than _EPS, and exactly on lo / hi),
+    # a fan-out copy, ties in receive time, traffic before and after
+    spans = _RECOVERY_SPANS + [
+        [20.0, 20.0, "detect", "m2", {"node": "m2"}],
+        [20.0, 21.0, "relaunch", "svc0", {"epoch": 2, "rank": 1}]]
+    t0, t_end = recovery_window(epoch_phase_table({"spans": spans})[0])
+    assert (t0, round(t_end, 6)) == (10.0, 13.4)
+    recorder = _recorder(spans, [
+        (("a", None), "Hello", "m1", "m2", 9.0, 9.5),
+        (("z", None), "Terminate", "svc0", "m9", t0 - 1e-9, 10.1),
+        (("b", None), "CommandMap", "svc0", "m1", 10.0 - 5e-10, 10.2),
+        (("b", None), "CommandMap", "svc0", "m2", 10.0, 10.2),
+        (("c", "b"), "Register", "m1", "svc0", 10.2, 10.3),
+        (("d", "c"), "Marker", "svc0", "m3", 10.3, 13.4 + 5e-10),
+        (("e", "c"), "Oddity", "svc0", "m4", 10.3, t_end + 1e-9),
+        (("e", "c"), "Oddity", "svc0", "m5", 10.3, t_end + 1e-9),
+        (("f", "e"), "DataMsg", "m4", "m1", 13.4 + 2e-9, 14.0),
+        (("g", "a"), "FetchReq", "m2", "svc2", 20.5, 20.6),
+        (("h", "g"), "FetchResp", "svc2", "m2", 20.6, 22.0)])
+    assert _truncation_flags(recorder) == [False, False]
+    first, second = critical_paths(recorder.to_doc())
+    assert {cat: entry["count"]
+            for cat, entry in first["attribution"].items()} \
+        == {"relaunch_control": 4, "sched_commit": 1, "other": 2}
+    assert first["chain"] == ["b:s", "b:r", "c:s", "c:r", "e#1:s", "e#1:r"]
+    assert second["chain"] == ["g:s", "g:r"]
+
+
+def test_chain_is_bounded_by_max_chain():
+    hops = [((f"t{i}", f"t{i - 1}" if i else None), "DataMsg", "m1", "m2",
+             10.0 + i * 0.01, 10.0 + i * 0.01 + 0.005) for i in range(60)]
+    recorder = _recorder(_RECOVERY_SPANS, hops)
+    doc = recorder.to_doc()
+    (fold,) = doc["causal"]["epochs"]
+    assert len(fold["chain"]) == MAX_CHAIN
+    assert fold["chain"][-1] == "t59:r" and fold["chain"][0] == "t28:s"
+    assert_folds_equal_reference(doc, recorder.causal)
+
+
+def test_window_past_the_first_drop_is_causal_truncated():
+    """The cap falls inside the first recovery window (10.0-13.4): that
+    epoch and every later one say so; an epoch that ended before the
+    first drop does not."""
+    spans = [[5.0, 5.0, "detect", "m3", {"node": "m3"}],
+             [5.0, 6.0, "relaunch", "svc0", {"epoch": 0, "rank": 2}]] \
+        + _RECOVERY_SPANS
+    recorder = _recorder(spans, [
+        (("a", None), "Register", "m3", "svc0", 5.5, 5.6),
+        (("f.1.0", None), "FetchReq", "svc0", "svc2", 11.0, 11.2),
+        (("g.1.0", "f.1.0"), "FetchResp", "svc2", "m1", 11.2, 12.9)],
+        max_nodes=4)
+    assert recorder.causal.first_drop_t == 11.2
+    doc = recorder.to_doc()
+    assert _truncation_flags(recorder) == [False, True]
+    early, cut = critical_paths(doc)
+    assert early["chain"] == ["a:s", "a:r"]
+    assert cut["chain"] == ["f.1.0:s", "f.1.0:r"] and not cut["truncated"]
+    # the span-derived verdict figures do not move with it
+    assert critpath_rollup(doc) == critpath_rollup(_recovery_doc() | {
+        "spans": doc["spans"]})
+    # every renderer states it
+    assert "(causal record truncated)" in render_critical_paths(doc)
+    assert "causal record truncated" not in render_critical_paths(
+        _recovery_doc())
+    diff = trace_diff_text(doc, _recovery_doc(), label_a="x", label_b="y")
+    assert "x: causal record truncated in #2" in diff
+    assert "y: causal record truncated" not in diff
+    agg = aggregate_obs([doc, _recovery_doc()])
+    assert agg["causal_truncated_epochs"] == 1
+    assert "repro_causal_truncated_epochs_total 1" in openmetrics_text(agg)
+    assert "Causal record truncated in 1 recovery epochs" \
+        in html_report(agg)
+    clean = aggregate_obs([_recovery_doc()])
+    assert clean["causal_truncated_epochs"] == 0
+    assert "causal_truncated" not in openmetrics_text(clean)
+    assert "truncated in" not in html_report(clean)
 
 
 def test_zero_recovery_is_safe_everywhere():

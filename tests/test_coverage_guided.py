@@ -10,7 +10,7 @@ from repro.experiments.harness import TrialSetup
 from repro.experiments.runner import TrialRunner
 from repro.explore import generators
 from repro.explore.campaign import (ExploreConfig, derive_seed,
-                                    golden_setup, run_guided,
+                                    golden_setup, quick_config, run_guided,
                                     scenario_setup, seeded_first_failure)
 from repro.explore.corpus import Corpus, CorpusEntry, default_corpus_dir
 from repro.explore.generators import (GeneratorContext, Heal, TimedKill,
@@ -245,6 +245,42 @@ def test_guided_beats_seeded_baseline_and_corpus_carries_over(tmp_path):
     assert (doc["guided"]["baseline_first_failure_trial"]
             == g2.baseline_first_failure_trial)
     assert doc["guided"]["edges_end"] >= doc["guided"]["edges_start"]
+
+
+def test_guided_campaign_at_width_2_never_builds_a_pool(tmp_path,
+                                                        monkeypatch):
+    """The guided loop, corpus minimisation, the seeded baseline and
+    the shrinker submit one job per batch (and one protocol × one
+    workload makes the golden batch one job as well): such a campaign
+    runs in-process at any ``--workers``, with the rows a serial run
+    produces."""
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("a pool was built for a single job")
+    monkeypatch.setattr("repro.experiments.runner.ProcessPoolExecutor",
+                        no_pool)
+    cfg = quick_config(seed=7, protocols=("v1",),
+                       config_overrides={"cm_replay": False},
+                       max_shrinks=1, shrink_budget=8,
+                       corpus_shrink_budget=2)
+    runs = {}
+    for workers in (2, 1):
+        out = tmp_path / f"w{workers}"
+        runs[workers] = run_guided(
+            cfg, runner=TrialRunner(workers=workers), out_dir=str(out),
+            corpus_dir=str(out / "corpus"))
+    wide, serial = runs[2], runs[1]
+    assert len(wide.rows) == cfg.budget and wide.executed > cfg.budget
+    assert wide.failures and len(wide.shrinks) == 1
+    assert [v.to_dict() for v in wide.rows] \
+        == [v.to_dict() for v in serial.rows]
+    (shrunk,), (reference,) = wide.shrinks, serial.shrinks
+    assert (shrunk.outcome.plan, shrunk.outcome.trials_used,
+            shrunk.outcome.reductions) \
+        == (reference.outcome.plan, reference.outcome.trials_used,
+            reference.outcome.reductions)
+    assert wide.guided.to_dict(cfg.budget) == {
+        **serial.guided.to_dict(cfg.budget),
+        "corpus_dir": wide.guided.corpus_dir}
 
 
 def test_seeded_baseline_walks_canonical_order(tmp_path):

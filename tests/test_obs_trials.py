@@ -18,8 +18,10 @@ from repro.mpichv import protocols
 from repro.analysis.critpath import critical_paths, critpath_rollup
 from repro.obs import (FIELDS, KIND, LANE, T0, T1, chrome_trace_json,
                        epoch_phase_table, span_rollups)
+from repro.obs.causal import MAX_CHAIN, causal_totals
 from tests.causal_view import (E_DST, E_SRC, E_TYPE, N_ID, N_KIND, N_T,
-                               graph_view)
+                               assert_folds_equal_reference, graph_view,
+                               run_keeping_recorder)
 
 CAL = dict(workload="ring", niters=40, total_compute=1280.0, footprint=1e8)
 
@@ -31,8 +33,10 @@ PLAN = (TimedKill(at=20, target=0),
 
 PROTOCOLS = sorted(protocols.available())
 
-#: bytes of the cached result of ``_ring(16, "vcl")``, seed 1
-BUDGET_16_RANK_VCL = 180490
+#: bytes of the cached result of ``_ring(16, "vcl")`` / ``_ring(64,
+#: "vcl")``, seed 1
+BUDGET_16_RANK_VCL = 23512
+BUDGET_64_RANK_VCL = 79882
 
 
 def _setup(protocol, observe=True, keep_trace=False):
@@ -45,9 +49,17 @@ def _setup(protocol, observe=True, keep_trace=False):
 
 
 @pytest.fixture(scope="module")
-def observed():
-    """One observed kill/partition/heal trial per protocol."""
-    return {p: _setup(p, keep_trace=True).run_one(7) for p in PROTOCOLS}
+def recorded():
+    """One observed kill/partition/heal trial per protocol, each with
+    the causal recorder it ran under: ``(result, CausalGraph)``."""
+    return {p: run_keeping_recorder(_setup(p, keep_trace=True), 7)
+            for p in PROTOCOLS}
+
+
+@pytest.fixture(scope="module")
+def observed(recorded):
+    """The results of those trials."""
+    return {p: result for p, (result, _graph) in recorded.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +70,7 @@ def observed():
 def test_span_nesting_well_formed(observed, protocol):
     result = observed[protocol]
     obs = result.obs
-    assert obs is not None and obs["version"] == 3
+    assert obs is not None and obs["version"] == 4
     spans = obs["spans"]
     assert spans and obs["dropped_spans"] == 0
     for row in spans:
@@ -143,20 +155,22 @@ def test_verdict_carries_span_derived_fields(observed, protocol):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_causal_graph_well_formed(observed, protocol):
-    causal = observed[protocol].obs["causal"]
-    nodes, edges = graph_view(causal)
+def test_causal_graph_well_formed(recorded, protocol):
+    result, graph = recorded[protocol]
+    nodes, edges = graph_view(graph)
     assert nodes and edges
     assert any(e[E_TYPE] == "causal" for e in edges)
-    assert causal["dropped_nodes"] == 0 and causal["dropped_edges"] == 0
+    assert graph.dropped_nodes == 0 and graph.dropped_edges == 0
+    assert graph.first_drop_t is None
     # every recorded transmission contributed a send/recv pair (fanout
     # and adopted envelopes mean one minted id can back many pairs)
-    assert causal["minted"] >= 1 and len(nodes) % 2 == 0
+    assert graph.minted >= 1 and len(nodes) % 2 == 0
+    # the folds rely on it: rows record in transmit order
+    assert graph.t_send == sorted(graph.t_send)
     ids = [n[N_ID] for n in nodes]
     assert len(ids) == len(set(ids)), "node ids must be unique"
-    sim_time = observed[protocol].sim_time
     for n in nodes:
-        assert 0.0 <= n[N_T] <= sim_time + 1e-9
+        assert 0.0 <= n[N_T] <= result.sim_time + 1e-9
         assert isinstance(n[N_KIND], str) and n[N_KIND]
     for e in edges:
         assert 0 <= e[E_SRC] < len(nodes) and 0 <= e[E_DST] < len(nodes)
@@ -236,23 +250,83 @@ def _ring(n_procs, protocol):
         config_overrides={"n_ckpt_servers": 4}, observe=True)
 
 
-def test_cap_accounting_pinned_at_64_ranks():
+@pytest.fixture(scope="module")
+def ring64():
+    """The benchmark trial at 64 ranks per protocol, with recorders."""
+    return {p: run_keeping_recorder(_ring(64, p), 1) for p in PROTOCOLS}
+
+
+def test_cap_accounting_pinned_at_64_ranks(ring64):
     """Past the cap every transmission still counts: two nodes, its net
     edge and its causal edge.  The values are those of the node/edge
-    recorder this layout replaced."""
-    causal = _ring(64, "v2").run_one(1).obs["causal"]
-    assert len(causal["tid"]) == 25000
-    assert (causal["dropped_nodes"], causal["dropped_edges"],
-            causal["minted"]) == (5580, 3577, 27647)
+    recorder the columns replaced."""
+    result, graph = ring64["v2"]
+    assert len(graph.tid) == 25000
+    assert (graph.dropped_nodes, graph.dropped_edges, graph.minted) \
+        == (5580, 3577, 27647)
+    assert graph.first_drop_t is not None
+    assert causal_totals(result.obs) == {
+        "nodes": 50000, "edges": 25000 + sum(p >= 0 for p in graph.parent),
+        "minted": 27647, "dropped_nodes": 5580, "dropped_edges": 3577}
+
+
+def _assert_folds_equal_reference(result, graph):
+    """The oracle (``tests/causal_view.py``) on a real trial, plus what
+    the document may and may not hold."""
+    obs = result.obs
+    rows = assert_folds_equal_reference(obs, graph)
+    assert rows, "a killed trial must produce critical-path rows"
+    for row in rows:
+        cut = row["causal_truncated"]
+        assert cut == (graph.first_drop_t is not None
+                       and graph.first_drop_t <= row["t_end"] + 1e-9)
+        # an empty chain is always an explained one
+        assert row["chain"] or row["truncated"] or cut
+    # the document holds the conclusions, never the evidence
+    assert set(obs["causal"]) == {"totals", "kinds", "epochs"}
+    for fold in obs["causal"]["epochs"]:
+        assert set(fold) == {"attribution", "chain", "causal_truncated"}
+        assert len(fold["chain"]) <= MAX_CHAIN
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_folds_equal_the_column_readers_at_4_ranks(recorded, protocol):
+    _assert_folds_equal_reference(*recorded[protocol])
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_folds_equal_the_column_readers_at_64_ranks(ring64, protocol):
+    _assert_folds_equal_reference(*ring64[protocol])
+
+
+def test_truncated_record_says_so_at_128_ranks():
+    """At 128 ranks the 25 000-row cap is spent by t = 30 s, before the
+    t = 45 s kill: the only recovery epoch has no attribution and no
+    chain, and states why."""
+    result, graph = run_keeping_recorder(_ring(128, "vcl"), 3)
+    assert graph.first_drop_t < 45.0 and graph.dropped_nodes > 100000
+    (row,) = critical_paths(result.obs)
+    assert row["t_fault"] > 45.0
+    assert (row["attribution"], row["chain"]) == ({}, [])
+    assert row["causal_truncated"] is True and row["truncated"] is False
+    _assert_folds_equal_reference(result, graph)
+
+
+def _cache_file_bytes(tmp_path, n_procs):
+    runner = TrialRunner(workers=1, cache_dir=str(tmp_path))
+    runner.run_jobs([(_ring(n_procs, "vcl"), 1)])
+    (path,) = tmp_path.glob("*/*.json")
+    return path.stat().st_size
 
 
 def test_cached_document_byte_budget(tmp_path):
     """A 16-rank observed faulted trial's cache file, to the byte: a
     change that grows the result document has to raise this number."""
-    runner = TrialRunner(workers=1, cache_dir=str(tmp_path))
-    runner.run_jobs([(_ring(16, "vcl"), 1)])
-    (path,) = tmp_path.glob("*/*.json")
-    assert path.stat().st_size <= BUDGET_16_RANK_VCL
+    assert _cache_file_bytes(tmp_path, 16) <= BUDGET_16_RANK_VCL
+
+
+def test_cached_document_byte_budget_at_64_ranks(tmp_path):
+    assert _cache_file_bytes(tmp_path, 64) <= BUDGET_64_RANK_VCL
 
 
 # ---------------------------------------------------------------------------

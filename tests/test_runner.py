@@ -68,6 +68,32 @@ def test_parallel_preserves_submission_order_counters():
         == [r.events_processed for r in parallel]
 
 
+def test_single_job_batch_never_builds_a_pool(monkeypatch, tmp_path):
+    """One pending job runs in-process whatever the pool width, through
+    the wire form a worker would have shipped back."""
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("a pool was built for a single job")
+    monkeypatch.setattr("repro.experiments.runner.ProcessPoolExecutor",
+                        no_pool)
+    job = (quick_setup(35), 3)
+    wide = TrialRunner(workers=2, cache_dir=str(tmp_path))
+    (result,) = wide.run_jobs([job])
+    assert wide.stats.snapshot() == (1, 0)
+    (serial,) = TrialRunner(workers=1).run_jobs([job])
+    assert run_result_to_dict(result) == run_result_to_dict(serial)
+    # a batch whose other jobs are cache hits is a batch of one too
+    other = (quick_setup(40), 3)
+    TrialRunner(workers=1, cache_dir=str(tmp_path)).run_jobs([other])
+    path = wide.store.path_for(trial_key(*job))
+    import os
+    os.unlink(path)
+    mixed = TrialRunner(workers=2, cache_dir=str(tmp_path))
+    mixed.run_jobs([other, job])
+    assert mixed.stats.snapshot() == (1, 1) and os.path.exists(path)
+    with pytest.raises(AssertionError, match="a pool was built"):
+        TrialRunner(workers=2).run_jobs([job, other])
+
+
 def test_trial_seed_scheme():
     """Seeds depend only on (base, config index, rep) — the documented
     scheme that makes scheduling irrelevant."""
@@ -222,10 +248,65 @@ def test_stale_entry_reexecutes_is_overwritten_and_counted(tmp_path, damage):
     assert "stale" not in warm.stats.describe()
 
 
+def _rewrite_as_format_9(path):
+    """What the previous layout wrote under the same key: obs version
+    3, the causal section holding the transmission columns."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["format"] = 9
+    doc["obs"]["version"] = 3
+    doc["obs"]["causal"] = {
+        "tid": ["a"], "t_send": [1.0], "t_recv": [1.5], "src": [0],
+        "dst": [1], "kind": [0], "parent": [-1], "hosts": ["m1", "m2"],
+        "kinds": ["DataMsg"], "dropped_nodes": 0, "dropped_edges": 0,
+        "minted": 1}
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+def test_format9_cache_directory_migrates_on_first_run(tmp_path):
+    """A whole directory written by the previous format: no hits, every
+    entry counted stale and re-executed; the run after is all hits."""
+    jobs = [(quick_setup(period), 3) for period in (None, 40, 35)]
+    cold = TrialRunner(cache_dir=str(tmp_path))
+    reference = [run_result_to_dict(r) for r in cold.run_jobs(jobs)]
+    for job in jobs:
+        _rewrite_as_format_9(cold.store.path_for(trial_key(*job)))
+    first = TrialRunner(cache_dir=str(tmp_path))
+    migrated = first.run_jobs(jobs)
+    assert first.stats.snapshot() == (3, 0)
+    assert first.stats.stale_entries == 3
+    assert [run_result_to_dict(r) for r in migrated] == reference
+    second = TrialRunner(cache_dir=str(tmp_path))
+    again = second.run_jobs(jobs)
+    assert second.stats.snapshot() == (0, 3)
+    assert second.stats.hit_rate == 1.0 and second.stats.stale_entries == 0
+    assert [run_result_to_dict(r) for r in again] == reference
+
+
+def test_obs_report_skips_and_counts_a_format9_entry(tmp_path, monkeypatch,
+                                                     capsys):
+    from repro.experiments import obs_report_cmd
+    jobs = [(quick_setup(period), 3) for period in (40, 35)]
+    runner = TrialRunner(cache_dir=str(tmp_path / "store"))
+    runner.run_jobs(jobs)
+    _rewrite_as_format_9(runner.store.path_for(trial_key(*jobs[0])))
+    docs, skipped = obs_report_cmd.collect_obs_docs(str(tmp_path / "store"))
+    assert (len(docs), skipped) == (1, 1)
+    monkeypatch.setattr("sys.argv", [
+        "obs-report", "--store", str(tmp_path / "store"),
+        "--out", str(tmp_path / "report")])
+    obs_report_cmd.main()
+    assert "aggregated 1 observed trials (1 entries skipped)" \
+        in capsys.readouterr().out
+    assert (tmp_path / "report" / "metrics.txt").read_text() \
+        .endswith("# EOF\n")
+
+
 def test_format9_entry_with_extra_keys_is_a_hit(tmp_path):
-    """Format 9 once carried ``engine_workers`` / ``parallel``; the
-    reader takes keys by name, so such an entry is still a hit and
-    re-serialises to today's document."""
+    """The reader takes keys by name, so an entry carrying keys it does
+    not know (format 9 once had ``engine_workers`` / ``parallel``) is
+    still a hit and re-serialises to today's document."""
     job = (quick_setup(35), 3)
     cold = TrialRunner(cache_dir=str(tmp_path))
     (reference,) = cold.run_jobs([job])

@@ -39,8 +39,8 @@ partition fault class the paper leaves out.
 
 from __future__ import annotations
 
-from typing import (Any, Dict, FrozenSet, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Any, Callable, Dict, FrozenSet, Iterable,
+                    NamedTuple, Optional, Sequence, Set, Tuple, Union)
 
 from repro.netmodel import (DEFAULT_BANDWIDTH, DEFAULT_LATENCY, build_fabric)
 from repro.simkernel.engine import Engine
@@ -96,11 +96,6 @@ class Network:
         #: notifications land in address-dependent (nondeterministic)
         #: tie-break order
         self._sockets: Dict["Socket", None] = {}
-        #: every endpoint/listener ever created, closed ones included —
-        #: consumed only by teardown (VclRuntime.dispose), which must
-        #: break the ``_peer`` cycles of sockets long forgotten here
-        self._all_sockets: List["Socket"] = []
-        self._all_listeners: List["ListenSocket"] = []
         #: hosts on the isolated side of an accumulated partition
         self._isolated: Set[str] = set()
         #: explicitly cut host pairs
@@ -190,7 +185,7 @@ class Network:
         """Schedule severance of live connections that now span a cut."""
         for sock in list(self._sockets):
             peer = sock._peer
-            if peer is None or not sock._initiator:
+            if peer is None or sock.remote is None:
                 continue            # pairs are processed once, client side
             if sock._rx.closed and peer._rx.closed:
                 continue            # already dead
@@ -200,15 +195,17 @@ class Network:
                 continue
             sock._sever_pending = True
             delay = self._latency_between(sock.local_host, peer.local_host)
+            sock._rx._inflight += 1
+            peer._rx._inflight += 1
 
             def _fire(a=sock, b=peer) -> None:
                 a._sever_pending = False
+                a._rx._inflight -= 1
+                b._rx._inflight -= 1
                 if self.reachable(a.local_host, b.local_host):
                     return          # healed before the closure landed
                 for s in (a, b):
-                    if not s._rx.closed:
-                        s._rx.close()
-                        s._peer_closed = True
+                    s._rx.close()
                     # dead for good: drop from the severing scan set
                     self._sockets.pop(s, None)
 
@@ -243,7 +240,6 @@ class Network:
             raise OSError(f"address {addr} already in use")
         ls = ListenSocket(self, addr, owner=owner)
         self._listeners[addr] = ls
-        self._all_listeners.append(ls)
         if owner is not None:
             owner.adopt_socket(ls)
         return ls
@@ -252,84 +248,126 @@ class Network:
         self._listeners.pop(addr, None)
 
     # -- connecting -----------------------------------------------------------
-    def connect(self, src_host: str, addr: Address, owner=None):
-        """Open a connection to ``addr``.
-
-        Returns an :class:`Event` which succeeds with the client
-        :class:`Socket` after one round trip, or fails with
-        :class:`ConnectionRefused` — also when the path is cut (the
-        handshake cannot cross a partition).
-        """
-        ev = self.engine.event(name=f"connect({addr})")
+    def connect(self, src_host: str, addr: Address, owner,
+                deliver: Callable[[Union["Socket", ConnectionRefused]], None]
+                ) -> None:
+        """Open a connection to ``addr``: after one round trip,
+        ``deliver`` gets the client :class:`Socket` or a
+        :class:`ConnectionRefused` (nothing listens, or the path is cut),
+        inside the delivery payload — a caller that reacts later
+        schedules its reaction from there (:meth:`repro.cluster.node.Node.connect`
+        succeeds an Event, a mesh dialer schedules itself)."""
+        engine = self.engine
         rtt = 2 * self._latency_between(src_host, addr.host)
         listener = self._listeners.get(addr)
         if listener is None or listener.closed \
                 or not self.reachable(src_host, addr.host):
             # Refusal (or the partition timeout) still takes a round trip.
-            self.engine.call_later(
-                rtt,
-                lambda: ev.fail(ConnectionRefused(f"no listener at {addr}")))
-            return ev
+            engine.call_later(rtt, lambda: deliver(
+                ConnectionRefused(f"no listener at {addr}")))
+            return
         conn_id = self._next_conn_id
         self._next_conn_id += 1
-        client = Socket(self, conn_id, local_host=src_host, remote=addr,
-                        owner=owner, initiator=True)
-        server = Socket(self, conn_id, local_host=addr.host,
-                        remote=Address(src_host, -conn_id), owner=listener.owner)
+        client = Socket(self, conn_id, src_host, addr, owner)
+        # the server end is the listener's until accepted: its owner
+        # adopts it when it enters the backlog
+        server = Socket(self, conn_id, addr.host, None, listener.owner)
         client._peer = server
         server._peer = client
         if owner is not None:
             owner.adopt_socket(client)
-        if listener.owner is not None:
-            listener.owner.adopt_socket(server)
 
         def _deliver() -> None:
-            if listener.closed \
-                    or not self.reachable(src_host, addr.host):
-                ev.fail(ConnectionRefused(f"listener at {addr} closed"))
+            if listener.closed or not self.reachable(src_host, addr.host):
+                # refused at the far end: nobody will ever hold either
+                # end, so nothing is left to close or to notify
+                if owner is not None:
+                    owner.disown_socket(client)
+                client._peer = server._peer = None
+                deliver(ConnectionRefused(f"listener at {addr} closed"))
                 return
             self._sockets[client] = None
             self._sockets[server] = None
+            if server.owner is not None:
+                server.owner.adopt_socket(server)
             listener._rx.put(server)
-            ev.succeed(client)
+            deliver(client)
 
-        self.engine.call_later(rtt, _deliver)
-        return ev
+        engine.call_later(rtt, _deliver)
 
-    # -- closure (socket-internal) -----------------------------------------------
-    def _notify_close(self, sock: "Socket") -> None:
-        """Propagate a close to the peer after one path latency.
-
-        Deliberately ignores cuts: a close during a partition surfaces
-        at the peer anyway (the OS reset once packets flow again),
-        which keeps half-open connections from hanging forever.
+    # -- transmission ------------------------------------------------------------
+    def send_all(self, socks: Iterable["Socket"], msg: Any,
+                 size: Optional[int] = None) -> None:
+        """Queue ``msg`` on every open socket of ``socks`` (a marker
+        flood; :meth:`Socket.send` is the one-socket case).  ``size``
+        defaults to the message's ``size`` hint, else
+        :data:`DEFAULT_MSG_SIZE`.  What no connection changes is worked
+        out once; each socket pays for its own pipe and arrival, which
+        joins the batch of its instant.  Every message passes here.
         """
-        peer = sock._peer
-        if peer is None:
-            return
-        arrival = max(sock._pipe_free,
-                      self.engine.now
-                      + self._latency_between(sock.local_host, peer.local_host))
-
-        def _close_peer() -> None:
-            peer._rx.close()
-            peer._peer_closed = True
-
-        self.engine.call_at(arrival, _close_peer)
-
-    def _forget(self, sock: "Socket") -> None:
-        self._sockets.pop(sock, None)
+        if size is None:
+            size = getattr(msg, "size", None)
+            if isinstance(size, (int, float)) and size >= 0:
+                size = int(size)
+            else:
+                size = DEFAULT_MSG_SIZE
+        engine = self.engine
+        now = engine.now
+        obs = engine.obs
+        # Causal choke point: every stamped message crosses here once
+        # per transmission, with the arrival already computed — so the
+        # graph is a pure function of the simulated history (see
+        # repro.obs.causal).
+        ctx = getattr(msg, "_causal_ctx", None) if obs is not None else None
+        cut = self._isolated or self._cut_pairs
+        uniform = self._fast_uniform
+        if uniform:
+            # the historical arithmetic, no fabric lookup:
+            # max(pipe free, now + latency + size / bandwidth)
+            earliest = now + self.latency + size / self.bandwidth
+        schedule = engine._schedule     # put_at, minus its past check
+        sent = 0
+        last = batch = None
+        for sock in socks:
+            if sock.closed:
+                continue
+            peer = sock._peer
+            if peer is None or peer._rx.closed:
+                continue        # packets to a dead endpoint vanish
+            if cut and not self.reachable(sock.local_host, peer.local_host):
+                continue        # packets into a cut vanish
+            sent += 1
+            if uniform:
+                arrival = sock._pipe_free
+                if arrival < earliest:
+                    arrival = earliest
+            else:
+                arrival = self.fabric.delivery(now, sock.local_host,
+                                               peer.local_host, size,
+                                               sock._pipe_free)
+            sock._pipe_free = arrival
+            if ctx is not None:
+                obs.causal.on_transmit(ctx, type(msg).__name__,
+                                       sock.local_host, peer.local_host,
+                                       now, arrival, size)
+            rx = peer._rx
+            if arrival == last:     # that arrival's batch still ends the slot
+                rx._inflight += 1
+                batch.items.append((rx, msg))
+            else:
+                batch, last = schedule(arrival - now, rx, msg), arrival
+        self.messages_sent += sent
+        self.bytes_sent += sent * size
 
     def dispose(self) -> None:
-        """Break every endpoint's reference cycles, dead ones included
-        (teardown only — see ``VclRuntime.dispose``)."""
-        for sock in self._all_sockets:
+        """Break the reference cycles of every endpoint still open at
+        the end (teardown only — see ``VclRuntime.dispose``); a pair
+        closed at both ends unlinked itself."""
+        for sock in self._sockets:
             sock.dispose()
-        self._all_sockets.clear()
         self._sockets.clear()
-        for listener in self._all_listeners:
+        for listener in self._listeners.values():
             listener.dispose()
-        self._all_listeners.clear()
         self._listeners.clear()
 
 
@@ -344,7 +382,7 @@ class ListenSocket:
         self.owner = owner
         #: the backlog of accepted server sockets; named like
         #: :attr:`Socket._rx` so a reader binds to either endpoint
-        self._rx: Store = Store(network.engine, name=("listen(%s)", addr))
+        self._rx: Store = Store(network.engine, name=f"listen({addr})")
         self.closed = False
 
     def accept(self) -> Event:
@@ -359,6 +397,7 @@ class ListenSocket:
         if self.closed:
             return
         self.closed = True
+        self.owner = None
         self.network._unbind(self.addr)
         # Refuse queued, never-accepted connections: close their peers.
         while len(self._rx):
@@ -379,83 +418,37 @@ class Socket:
     """One endpoint of an established connection.
 
     A 128-rank mesh is 16 256 of these at once (a 512-rank one
-    261 632), so the instance is slotted and its receive store starts
-    empty-handed (see :class:`~repro.simkernel.store.Store`).
+    261 632), so the instance is slotted, its receive store is lean, a
+    server end keeps no remote address, and a pair closed at both ends
+    unlinks itself.  :attr:`tag` is the owner's (a mesh peer's rank).
     """
 
     __slots__ = ("network", "conn_id", "local_host", "remote", "owner",
-                 "_rx", "_peer", "_pipe_free", "closed", "_peer_closed",
-                 "_initiator", "_sever_pending")
+                 "_rx", "_peer", "_pipe_free", "closed", "_sever_pending",
+                 "tag")
 
     def __init__(self, network: Network, conn_id: int, local_host: str,
-                 remote: Address, owner=None, initiator: bool = False):
+                 remote: Optional[Address], owner=None):
         self.network = network
         self.conn_id = conn_id
         self.local_host = local_host
+        #: the dialed address at the client end, None at the server end
         self.remote = remote
         self.owner = owner
-        self._rx: Store = Store(network.engine,
-                                name=("sock#%d@%s", conn_id, local_host))
+        self._rx: Store = Store(network.engine, name=conn_id)
         self._peer: Optional["Socket"] = None
         self._pipe_free: float = 0.0  # next time the outgoing pipe is free
         self.closed = False
-        self._peer_closed = False
-        self._initiator = initiator
         self._sever_pending = False
-        network._all_sockets.append(self)
+        self.tag: Any = None
 
     # -- I/O ------------------------------------------------------------------
     def send(self, msg: Any, size: Optional[int] = None) -> None:
-        """Queue ``msg`` for delivery (non-blocking, buffered).
-
-        ``size`` defaults to the message's own ``size`` hint, else
-        :data:`DEFAULT_MSG_SIZE`.  The whole transmission is this one
-        frame — every message of a trial passes through it — and its
-        arrival joins the batch of whatever else lands in the same
-        instant (:meth:`~repro.simkernel.engine.Engine.put_at`).
-        """
+        """Queue ``msg`` for delivery (non-blocking, buffered): the
+        one-socket case of :meth:`Network.send_all`."""
         if self.closed:
             raise ConnectionClosed(f"send on closed socket #{self.conn_id}")
-        peer = self._peer
-        if peer is None or peer._rx.closed:
-            return  # packets to a dead endpoint vanish
-        net = self.network
-        if (net._isolated or net._cut_pairs) \
-                and not net.reachable(self.local_host, peer.local_host):
-            return  # packets into a cut vanish
-        if size is None:
-            size = getattr(msg, "size", None)
-            if isinstance(size, (int, float)) and size >= 0:
-                size = int(size)
-            else:
-                size = DEFAULT_MSG_SIZE
-        net.bytes_sent += size
-        net.messages_sent += 1
-        engine = net.engine
-        now = engine.now
-        if net._fast_uniform:
-            # Hot path: the historical arithmetic, no fabric lookup —
-            # max(pipe free, now + latency + size / bandwidth).
-            arrival = now + net.latency + size / net.bandwidth
-            if arrival < self._pipe_free:
-                arrival = self._pipe_free
-        else:
-            arrival = net.fabric.delivery(now, self.local_host,
-                                          peer.local_host, size,
-                                          self._pipe_free)
-        self._pipe_free = arrival
-        obs = engine.obs
-        if obs is not None:
-            # Causal choke point: every stamped message crosses here
-            # exactly once per transmission, with the arrival already
-            # computed — so the graph is a pure function of the
-            # simulated history (see repro.obs.causal).
-            ctx = getattr(msg, "_causal_ctx", None)
-            if ctx is not None:
-                obs.causal.on_transmit(ctx, type(msg).__name__,
-                                       self.local_host, peer.local_host,
-                                       now, arrival, size)
-        engine.put_at(arrival, peer._rx, msg)
+        self.network.send_all((self,), msg, size)
 
     def recv(self) -> Event:
         """Event yielding the next message.
@@ -469,25 +462,44 @@ class Socket:
         return self._rx.get()
 
     def close(self) -> None:
-        """Close this endpoint; peer learns after one latency."""
+        """Close this endpoint; a peer still open learns after one
+        latency, cut or no cut (the OS reset once packets flow again —
+        half-open connections must not hang forever)."""
         if self.closed:
             return
         self.closed = True
         self._rx.close()
         if self.owner is not None:
             self.owner.disown_socket(self)
-        self.network._forget(self)
-        self.network._notify_close(self)
+            self.owner = None
+        network = self.network
+        network._sockets.pop(self, None)
+        peer = self._peer
+        if peer is None:
+            return
+        if peer.closed:
+            self._peer = peer._peer = None
+            return
+        arrival = max(self._pipe_free,
+                      network.engine.now
+                      + network._latency_between(self.local_host,
+                                                 peer.local_host))
+        peer._rx._inflight += 1
+        network.engine.call_at(arrival, peer._closed_by_peer)
+
+    def _closed_by_peer(self) -> None:
+        self._rx._inflight -= 1
+        self._rx.close()
 
     @property
     def peer_alive(self) -> bool:
-        return not self._peer_closed and not self._rx.closed
+        return not self._rx.closed      # a peer's close notice closes it
 
     def dispose(self) -> None:
         """Teardown-only cycle breaking (the ``_peer`` pair link is the
         cycle; owner and buffered messages pin the rest)."""
         self._peer = None
-        self.owner = None
+        self.owner = self.tag = None
         self._rx.dispose()
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, List, Optional
 
-from repro.cluster.network import Address
+from repro.cluster.network import Address, ConnectionRefused
 from repro.cluster.unixproc import UnixProcess
+from repro.simkernel.events import Event
 
 
 class Node:
@@ -21,11 +22,8 @@ class Node:
         self.engine = cluster.engine
         self.name = name
         self.index = index
+        #: live processes (a dead one breaks its own cycles on exit)
         self.procs: List[UnixProcess] = []
-        #: every process ever spawned here, dead ones included —
-        #: consumed only by teardown (VclRuntime.dispose), which must
-        #: break the cycles of processes long gone from :attr:`procs`
-        self._all_procs: List[UnixProcess] = []
         self._spawn_listeners: List[Callable[[UnixProcess], None]] = []
 
     # -- process management ------------------------------------------------
@@ -40,7 +38,6 @@ class Node:
         """
         proc = UnixProcess(self, name, main, tags=tags)
         self.procs.append(proc)
-        self._all_procs.append(proc)
         self.engine.log("proc_launch", pid=proc.pid, name=name, node=self.name)
         if notify:
             for listener in list(self._spawn_listeners):
@@ -74,15 +71,21 @@ class Node:
     def listen(self, port: int, owner: Optional[UnixProcess] = None):
         return self.cluster.network.listen(self.addr(port), owner=owner)
 
-    def connect(self, addr: Address, owner: Optional[UnixProcess] = None):
-        return self.cluster.network.connect(self.name, addr, owner=owner)
+    def connect(self, addr: Address,
+                owner: Optional[UnixProcess] = None) -> Event:
+        """:meth:`repro.cluster.network.Network.connect` as an Event,
+        for generator callers: the client socket, or ConnectionRefused."""
+        ev = self.engine.event(name=f"connect({addr})")
+        self.cluster.network.connect(self.name, addr, owner, lambda out: (
+            ev.fail(out) if isinstance(out, ConnectionRefused)
+            else ev.succeed(out)))
+        return ev
 
     def dispose(self) -> None:
-        """Teardown-only cycle breaking of every process ever spawned
-        here, dead ones included (see ``VclRuntime.dispose``)."""
-        for proc in self._all_procs:
+        """Teardown-only cycle breaking of the processes still alive at
+        the end (see ``VclRuntime.dispose``)."""
+        for proc in self.procs:
             proc.dispose()
-        self._all_procs.clear()
         self.procs.clear()
         self._spawn_listeners.clear()
 

@@ -17,7 +17,9 @@ control surface the FAIL debugger needs:
 Exit notification: node-level listeners observe normal exits, error
 exits and kills — the events the FAIL language maps to ``onexit`` /
 ``onerror`` (a kill is the *injected* death, handled separately by the
-injector itself).
+injector itself).  Once they have run, the dead process breaks its own
+reference cycles: a killed incarnation is freed by reference count while
+the simulation goes on.
 """
 
 from __future__ import annotations
@@ -38,7 +40,10 @@ class ProcState(enum.Enum):
 
     @property
     def alive(self) -> bool:
-        return self in (ProcState.RUNNING, ProcState.SUSPENDED)
+        return self in _LIVE
+
+
+_LIVE = (ProcState.RUNNING, ProcState.SUSPENDED)
 
 
 class Acceptor(Reader):
@@ -104,6 +109,7 @@ class UnixProcess:
         #: breakpoint interceptors: name -> callable(proc, name, resume_event)
         #: returning True if it took ownership of the pause (see trace_point)
         self._bp_handlers: Dict[str, Callable] = {}
+        self._crash_handler: Optional[Callable] = self._thread_crashed
         self.main_thread = self.spawn_thread(main(self), name=f"{name}.main", _main=True)
 
     # -- threads -------------------------------------------------------------
@@ -119,28 +125,37 @@ class UnixProcess:
             t.suspend()
         return t
 
-    def spawn_reader(self, source, on_item: Callable[[Any], None],
-                     on_close: Optional[Callable[[], None]] = None) -> Reader:
+    def spawn_reader(self, source, on_item: Callable[..., None],
+                     on_close: Optional[Callable[..., None]] = None,
+                     key: Any = None, bind: bool = False) -> Reader:
         """Serve ``source`` — a socket's messages or a listener's
         accepted sockets — with ``on_item``, as a thread of this
         process that never blocks: ``on_close`` (if given) runs once
-        when the stream closes.  See :class:`~repro.simkernel.store.Reader`.
+        when the stream closes, and a ``key`` is passed first to both.
+        ``bind`` (sockets only) is :class:`~repro.simkernel.store.Reader`'s
+        promise; it takes effect only while this process runs.
         """
-        return self.adopt_thread(Reader(self.engine, source._rx,
-                                        on_item, on_close))
+        bind = bind and self.state is ProcState.RUNNING
+        return self.adopt_thread(Reader(self.engine, source._rx, on_item,
+                                        on_close, key=key, bind=bind))
 
     def adopt_thread(self, thread: CallbackThread) -> CallbackThread:
         """Make a just-built callback thread one of this process's
         threads: it dies, stops and continues with the process, and a
         step of it that raises takes the process down."""
-        if not self.state.alive:
+        if self.state not in _LIVE:     # state.alive, minus a call: per reader
             thread.kill()
             raise RuntimeError(f"adopt_thread on dead process {self}")
-        thread.on_error = self._thread_crashed
+        thread.on_error = self._crash_handler
         self._threads.append(thread)
         if self.state is ProcState.SUSPENDED:
             thread.suspend()
         return thread
+
+    def retire_thread(self, thread: CallbackThread) -> None:
+        """End a callback thread and let go of it."""
+        thread.kill()
+        self._threads.remove(thread)
 
     def spawn_acceptor(self, listener,
                        on_first: Callable[[Any, Any], None]) -> Reader:
@@ -210,6 +225,23 @@ class UnixProcess:
                         node=self.node.name, how=final.value)
         for listener in list(self._exit_listeners):
             listener(self, final)
+        self._release()
+
+    def _release(self) -> None:
+        """Break a dead process's cycles.  :attr:`tags` stay readable
+        (each value drops what it held for the run) and a crashed
+        callback thread whole: the runtime names it at the end."""
+        for thread in self._threads:
+            if isinstance(thread, CallbackThread) and thread.error is None:
+                thread.dispose()
+        self._threads.clear()
+        for tagged in self.tags.values():
+            dispose = getattr(tagged, "dispose", None)
+            if dispose is not None:
+                dispose()
+        self._exit_listeners.clear()
+        self._bp_handlers.clear()
+        self._crash_handler = None
 
     def on_exit(self, listener: Callable[["UnixProcess", ProcState], None]) -> None:
         """Register an exit listener (FAIL onexit/onerror plumbing).
@@ -269,20 +301,16 @@ class UnixProcess:
         yield resume
 
     def dispose(self) -> None:
-        """Teardown-only cycle breaking: threads, sockets, handlers and
-        whatever state the program hung on :attr:`tags` (see
+        """Teardown-only: :meth:`_release` for a process still alive at
+        the end, every thread and socket included (see
         ``VclRuntime.dispose``); the process is unusable after."""
-        for tagged in self.tags.values():
-            dispose = getattr(tagged, "dispose", None)
-            if dispose is not None:
-                dispose()
-        self.tags.clear()
-        self._sockets.clear()
-        self._exit_listeners.clear()
-        self._bp_handlers.clear()
         for thread in self._threads:
             thread.dispose()
-        self._threads.clear()
+        for sock in self._sockets:
+            sock.dispose()
+        self._sockets.clear()
+        self._release()
+        self.tags.clear()
         self.main_thread = None
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -67,8 +67,9 @@ class PeerDialer(CallbackThread):
     outcome, the end of a back-off) reacts and returns, so the N·(N−1)/2
     dials of a mesh build need no generator each.  Each step runs at the
     slot position the generator's did: the first where the dial thread
-    started, an outcome inside the connect event's own payload, a retry
-    where the back-off ``Timeout`` fired.
+    started (a daemon's dials start in one payload), an outcome where
+    the connect event's payload was, a retry where the back-off
+    ``Timeout`` fired.  A dial that is over leaves its process's threads.
     """
 
     __slots__ = ("core", "peer_rank", "addr", "delay", "_outcome")
@@ -85,25 +86,25 @@ class PeerDialer(CallbackThread):
     def name(self) -> str:
         return f"{self.core.protocol}.{self.core.rank}.dial{self.peer_rank}"
 
-    def _connected(self, event) -> None:
-        self._outcome = event
-        self()
+    def _deliver(self, outcome) -> None:
+        # react where the connect event's payload would have run
+        self._outcome = outcome
+        self.engine._schedule(0.0, None, self)
 
     def _run(self) -> None:
         core = self.core
         outcome, self._outcome = self._outcome, None
-        if outcome is not None and outcome.ok:
-            self.kill()
-            core.on_peer_connected(self.peer_rank, outcome.value)
-        elif outcome is not None:
+        if outcome is None and not core.terminating:
+            core.network.connect(core.proc.node.name, self.addr, core.proc,
+                                 self._deliver)
+        elif isinstance(outcome, ConnectionRefused):
             core.engine.cover("daemon.connect.refused")
-            core.engine._enqueue_call(self, delay=self.delay)
+            core.engine._schedule(self.delay, None, self)
             self.delay = min(self.delay * 2, core.timing.connect_retry_max)
-        elif core.terminating:
-            self.kill()
         else:
-            core.proc.node.connect(self.addr, owner=core.proc) \
-                .add_callback(self._connected)
+            core.proc.retire_thread(self)
+            if outcome is not None:
+                core.on_peer_connected(self.peer_rank, outcome)
 
     def dispose(self) -> None:
         super().dispose()
@@ -124,11 +125,16 @@ class MpichDaemon:
     protocol: str = "?"
     #: mesh handshake message type accepted by the listener (None: no mesh)
     hello_cls: Optional[type] = None
+    #: handlers of every mesh connection's reader, if there is a mesh
+    #: (``sock.tag`` is the peer's rank)
+    on_peer_msg: Optional[Callable[[Any, Any], None]] = None
+    on_peer_gone: Optional[Callable[[Any], None]] = None
 
     def __init__(self, proc: UnixProcess, config, rank: int, epoch: int,
                  incarnation: int, app_factory: Callable[[MpiEndpoint], Any]):
         self.proc = proc
         self.engine = proc.engine
+        self.network = proc.node.cluster.network
         self.config = config
         self.timing = config.timing
         self.rank = rank
@@ -145,8 +151,11 @@ class MpichDaemon:
                                       name=f"{self.protocol}.inbox.r{rank}")
         self.endpoint: Optional[MpiEndpoint] = None
 
-        # mesh
+        # mesh: one reader per connection, the handlers bound once
         self.peers: Dict[int, Any] = {}         # rank -> socket
+        self.expected_peers = self.n - 1 if self.hello_cls is not None else 0
+        self._peer_msg = self.on_peer_msg
+        self._peer_gone = self.on_peer_gone
         self.mesh_ready = self.engine.event(
             name=f"{self.protocol}.mesh.r{rank}")
 
@@ -222,12 +231,16 @@ class MpichDaemon:
     # mesh bookkeeping
     # ------------------------------------------------------------------
     @property
-    def expected_peers(self) -> int:
-        return (self.n - 1) if self.hello_cls is not None else 0
-
-    @property
     def restarted(self) -> bool:
         return self.incarnation > 1
+
+    def serve_peer(self, sock, peer_rank: int) -> None:
+        """Read the mesh connection to ``peer_rank``, waiting at once:
+        only the daemon's death closes it, and nothing suspends a daemon
+        in a handshake's instant (FAIL acts ``fail_event_handling`` on)."""
+        sock.tag = peer_rank
+        self.proc.spawn_reader(sock, self._peer_msg, self._peer_gone,
+                               key=sock, bind=True)
 
     def check_mesh(self) -> None:
         if len(self.peers) == self.expected_peers \
@@ -359,9 +372,11 @@ class MpichDaemon:
         self.proc.exit()
 
     def dispose(self) -> None:
-        """Teardown-only cycle breaking, reached through ``proc.tags``:
-        the daemon ↔ endpoint link, which pins the mesh sockets."""
-        self.endpoint = None
+        """Cycle breaking, reached through ``proc.tags`` when the
+        process exits (or at teardown)."""
+        self.endpoint = self.proc = None
+        self._peer_msg = self._peer_gone = None
+        self.peers.clear()
 
 
 def daemon_lifecycle(core_cls, proc: UnixProcess, config, rank: int,

@@ -175,9 +175,7 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
         cmd = wire.CommandMap(epoch=state.epoch, addrs=dict(state.addrs),
                               restore_wave=state.restore_wave)
         causal.stamp(engine, cmd, "disp")
-        for sock in state.reg.values():
-            if not sock.closed:
-                sock.send(cmd)
+        cluster.network.send_all(state.reg.values(), cmd)
         prev = state.phase
         state.phase = RUNNING
         if prev == RESTARTING:
@@ -240,9 +238,7 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
         engine.log("app_done", epoch=state.epoch)
         down = wire.Shutdown()
         causal.stamp(engine, down, "disp")
-        for sock in state.reg.values():
-            if not sock.closed:
-                sock.send(down)
+        cluster.network.send_all(state.reg.values(), down)
         if sched_conn[0] is not None and not sched_conn[0].closed:
             sched_conn[0].send(down)
         engine.call_later(2.0, proc.exit)

@@ -312,10 +312,9 @@ class VclRuntime:
         x = obs.exec_metrics
         x.gauge("engine.events_processed", self.engine.events_processed)
         x.gauge("engine.slots_drained", self.engine.slots_drained)
-        # events_processed counts payloads, and one arrival batch
-        # carries many wire messages: these two say how many
-        x.gauge("engine.arrival_batches", self.engine.arrival_batches)
-        x.gauge("engine.arrivals", self.engine.arrivals)
+        # events_processed counts payloads, and one batch carries many
+        # same-instant arrivals and calls
+        x.gauge("engine.batches", self.engine.batches)
         if self.engine.slots_drained:
             # mean events dispatched per slot visit — the slot-table
             # occupancy, i.e. how much batching the slotted heap buys

@@ -38,6 +38,7 @@ def scheduler_main(proc: UnixProcess, config):
     state = SchedulerState()
     proc.tags["sched_state"] = state
     n = config.n_procs
+    network = proc.node.cluster.network
     listener = proc.node.listen(config.scheduler_port, owner=proc)
 
     server_socks = []
@@ -98,9 +99,7 @@ def scheduler_main(proc: UnixProcess, config):
         note = wire.WaveCommit(wave=state.wave_id)
         # the commit is caused by the last ack that completed the wave
         causal.derive(engine, note, "sched", cause)
-        for sock in server_socks:
-            if not sock.closed:
-                sock.send(note)
+        network.send_all(server_socks, note)
         disp = dispatcher_sock[0]
         if disp is not None and not disp.closed:
             disp.send(note)
@@ -157,6 +156,4 @@ def scheduler_main(proc: UnixProcess, config):
                     wave=state.wave_id, ranks=n).close()
         marker = wire.Marker(wave=state.wave_id, src_rank=-1)
         causal.stamp(engine, marker, "sched")
-        for sock in list(state.conns.values()):
-            if not sock.closed:
-                sock.send(marker)
+        network.send_all(state.conns.values(), marker)

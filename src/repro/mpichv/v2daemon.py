@@ -62,8 +62,10 @@ class V2Daemon(MpichDaemon):
         self.app_state.setdefault(POS, 0)
 
     def init_protocol(self) -> None:
-        #: sender-side volatile logs: dst -> deque of (seq, AppMessage)
-        self.send_log: Dict[int, deque] = {r: deque() for r in range(self.n)}
+        #: sender-side volatile logs: dst -> deque of (seq, AppMessage),
+        #: made by the first send to dst — an empty deque per peer is
+        #: half a kilobyte, O(N²) over the deployment
+        self.send_log: Dict[int, deque] = {}
 
         #: pessimistic delivery pipeline: held messages awaiting their
         #: event-logger ack, in log order
@@ -100,7 +102,10 @@ class V2Daemon(MpichDaemon):
         sent = self.app_state[SENT]
         seq = sent[msg.dst] + 1
         sent[msg.dst] = seq
-        self.send_log[msg.dst].append((seq, msg))
+        log = self.send_log.get(msg.dst)
+        if log is None:
+            log = self.send_log[msg.dst] = deque()
+        log.append((seq, msg))
         sock = self.peers.get(msg.dst)
         if sock is not None and not sock.closed:
             data = wire.V2Data(app=msg, seq=seq)
@@ -202,28 +207,25 @@ class V2Daemon(MpichDaemon):
             old.close()
         self.peers[peer_rank] = sock
         if resend_from:
-            for seq, msg in self.send_log[peer_rank]:
+            for seq, msg in self.send_log.get(peer_rank, ()):
                 if seq >= resend_from and not sock.closed:
                     data = wire.V2Data(app=msg, seq=seq)
                     causal.adopt(data, msg)     # replay: same trace, new hop
                     sock.send(data)
         self.check_mesh()
 
-    def serve_peer(self, sock, peer_rank: int) -> None:
-        def on_peer_msg(msg) -> None:
-            if isinstance(msg, wire.V2Data):
-                self.on_data(peer_rank, msg.seq, msg.app)
-            elif isinstance(msg, wire.V2GcNote):
-                log = self.send_log[msg.rank]
-                while log and log[0][0] <= msg.upto:
-                    log.popleft()
+    def on_peer_msg(self, sock, msg) -> None:
+        if isinstance(msg, wire.V2Data):
+            self.on_data(sock.tag, msg.seq, msg.app)
+        elif isinstance(msg, wire.V2GcNote):
+            log = self.send_log.get(msg.rank)
+            while log and log[0][0] <= msg.upto:
+                log.popleft()
 
-        def on_peer_gone() -> None:
-            # peer failed: keep its slot; the new incarnation dials in
-            if self.peers.get(peer_rank) is sock:
-                del self.peers[peer_rank]
-
-        self.proc.spawn_reader(sock, on_peer_msg, on_peer_gone)
+    def on_peer_gone(self, sock) -> None:
+        # peer failed: keep its slot; the new incarnation dials in
+        if self.peers.get(sock.tag) is sock:
+            del self.peers[sock.tag]
 
     def on_evlog_msg(self, msg) -> None:
         if isinstance(msg, wire.EvLogAck):

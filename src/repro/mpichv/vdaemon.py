@@ -118,12 +118,10 @@ class VclDaemon(MpichDaemon):
                 state=copy.deepcopy(self.app_state),
                 logs=[], img_size=int(self.config.image_size))
             self.late_logs = []
-        # Relay the marker on every outgoing channel.
+        # Relay the marker on every outgoing channel: one flood.
         out_marker = wire.Marker(wave=wave, src_rank=self.rank)
         causal.derive(self.engine, out_marker, f"r{self.rank}", cause)
-        for sock in self.peers.values():
-            if not sock.closed:
-                sock.send(out_marker)
+        self.network.send_all(self.peers.values(), out_marker)
         self.pending_markers = set(r for r in range(self.n) if r != self.rank)
         if from_rank >= 0:
             self.pending_markers.discard(from_rank)
@@ -266,14 +264,11 @@ class VclDaemon(MpichDaemon):
     # ------------------------------------------------------------------
     # reader handlers
     # ------------------------------------------------------------------
-    def serve_peer(self, sock, peer_rank: int) -> None:
-        def on_peer_msg(msg) -> None:
-            if isinstance(msg, wire.Marker):
-                self.handle_marker(msg)
-            elif isinstance(msg, wire.DataMsg):
-                self.on_data(peer_rank, msg.app)
-
-        self.proc.spawn_reader(sock, on_peer_msg)
+    def on_peer_msg(self, sock, msg) -> None:
+        if isinstance(msg, wire.Marker):
+            self.handle_marker(msg)
+        elif isinstance(msg, wire.DataMsg):
+            self.on_data(sock.tag, msg.app)
 
     def on_sched_msg(self, msg) -> None:
         if isinstance(msg, wire.Marker):

@@ -21,13 +21,14 @@ What a payload is: an :class:`~repro.simkernel.events.Event` whose
 callbacks step the generator processes waiting on it, in place; a bare
 callable; a :class:`~repro.simkernel.process.CallbackThread` — a socket
 :class:`~repro.simkernel.store.Reader`, a mesh dialer — which *is* its
-wake-up and handles it in place; or an
-:class:`ArrivalBatch`: the items :meth:`Engine.put_at` scheduled back to
-back into one slot (a marker flood lands 127 messages in one instant),
-delivered by one payload.  A wire message is therefore the reader
-payload that handles it plus its share of an arrival batch — 2.6
-payloads per message in that trial, connection set-up and timers
-included.
+wake-up and handles it in place; or a :class:`Batch`: the calls and
+arrivals :meth:`Engine.call_at` / :meth:`Engine.put_at` scheduled back
+to back into one slot (a marker flood lands 127 messages in one
+instant, a daemon's dials start together, a mesh teardown's close
+notifications land together), run by one payload.  A wire message is
+therefore the reader payload that handles it plus its share of a batch
+— 1.48 payloads per message in a faulted 128-rank vcl trial,
+connection set-up and timers included.
 """
 
 from __future__ import annotations
@@ -69,26 +70,26 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-class ArrivalBatch:
-    """The arrivals scheduled back to back into one slot, as one payload.
+class Batch:
+    """Payloads scheduled back to back into one slot, run as one
+    (:meth:`Engine._schedule`'s tail rule builds them).
 
-    :meth:`Engine.put_at` appends to the batch that *ends* the target
-    slot instead of enqueueing a payload per item.  Items that would
-    have been adjacent payloads of a FIFO slot run back to back in the
-    same order, so the global ``(time, priority, insertion)`` order is
-    the one-payload-per-item order by construction.  Between items the
-    batch honours the interrupt the run loop honours between payloads:
-    when :attr:`Engine._preempt` is set (an earlier-sorting slot was
-    created, or :meth:`Engine.stop`) it parks itself, with the items
-    still to deliver, at the head of the slot being drained — as it
-    does when an item raises, so the remainder stays schedulable.
+    Items that would have been adjacent payloads of a FIFO slot run back
+    to back in the same order, so the global ``(time, priority,
+    insertion)`` order is the one-payload-per-item order by
+    construction.  An item is ``(None, fn)`` — ``fn()`` — or ``(store,
+    item)`` — an arrival: ``store.put(item)`` unless the store closed.
+    Between items the batch honours the run loop's interrupt
+    (:attr:`Engine._preempt`: an earlier-sorting slot, :meth:`Engine.stop`)
+    by parking itself, with the items still to run, at the head of the
+    slot being drained — as it does when an item raises.
     """
 
     __slots__ = ("engine", "items", "cursor")
 
-    def __init__(self, engine: "Engine", store, item: Any):
+    def __init__(self, engine: "Engine", items: List[Tuple[Any, Any]]):
         self.engine = engine
-        self.items: List[Tuple[Any, Any]] = [(store, item)]
+        self.items = items
         self.cursor = 0
 
     def __call__(self) -> None:
@@ -100,8 +101,12 @@ class ArrivalBatch:
             while i < n:
                 store, item = items[i]
                 i += 1
-                if not store.closed:
-                    store.put(item)
+                if store is None:
+                    item()
+                else:
+                    store._inflight -= 1
+                    if not store.closed:
+                        store.put(item)
                 if engine._preempt:
                     break
         finally:
@@ -170,14 +175,11 @@ class Engine:
         #: :mod:`repro.analysis.coverage`)
         self.coverage: set = set()
         #: number of payloads processed so far (cheap progress metric);
-        #: an :class:`ArrivalBatch` is one payload however many items
-        #: it carries
+        #: a :class:`Batch` is one payload however many items it carries
         self.events_processed = 0
-        #: arrival batches opened by :meth:`put_at` and the items they
-        #: carried: ``arrivals - arrival_batches`` payloads were
-        #: saved.  Execution metadata, like :attr:`slots_drained`.
-        self.arrival_batches = 0
-        self.arrivals = 0
+        #: batches opened by the tail rule.  Execution metadata, like
+        #: :attr:`slots_drained`.
+        self.batches = 0
         #: interrupted drains put back on the heap (``bench/child.py``
         #: reads it under this name)
         self.front_lane_hits = 0
@@ -214,105 +216,74 @@ class Engine:
         return Process(self, gen, name=name)
 
     # -- scheduling internals ------------------------------------------------
-    # Both enqueue paths insert into the slot table.  A fresh slot
-    # sorting before the one currently being drained (a ``resume()`` at
-    # URGENT from a NORMAL payload) must run first, so its creation
-    # flags the run loop to yield the current batch.  (An *existing*
-    # earlier slot is impossible mid-drain — the heap pop already
-    # returned the smallest key — so only slot creation can preempt.)
-    # The two methods are deliberately duplicated rather than sharing a
-    # helper: they are the enqueue hot path.
-
-    def _enqueue_event(self, event: Event, priority: int, delay: float = 0.0) -> None:
+    def _enqueue(self, payload: Callable[[], None], delay: float = 0.0,
+                 priority: int = PRIORITY_NORMAL) -> None:
+        """A payload of its own at ``now + delay`` (Events, wake-ups).
+        A fresh slot sorting before the one being drained (a ``resume()``
+        at URGENT) flags the run loop to yield; an existing earlier slot
+        is impossible mid-drain."""
         key = (self.now + delay, priority)
         slots = self._slots
         slot = slots.get(key)
         if slot is None:
-            slots[key] = deque((event,))
+            slots[key] = deque((payload,))
             heapq.heappush(self._heap, key)
             cur = self._current_key
             if cur is not None and key < cur:
                 self._preempt = True
         else:
-            slot.append(event)
+            slot.append(payload)
 
-    def _enqueue_call(self, fn: Callable[[], None], delay: float = 0.0,
-                      priority: int = PRIORITY_NORMAL) -> None:
-        key = (self.now + delay, priority)
-        slots = self._slots
-        slot = slots.get(key)
-        if slot is None:
-            slots[key] = deque((fn,))
-            heapq.heappush(self._heap, key)
-            cur = self._current_key
-            if cur is not None and key < cur:
-                self._preempt = True
-        else:
-            slot.append(fn)
+    def _schedule(self, delay: float, store, item: Any) -> Optional[Batch]:
+        """The tail rule: ``item`` (a callable if ``store`` is None, else
+        an arrival, in ``store._inflight`` until it lands) goes where its
+        own NORMAL payload at ``now + delay`` would: into the
+        :class:`Batch` that ends the slot, or with the payload that ends
+        it into a new batch (returned: the tail until the next schedule);
+        a lone callable is a payload of its own."""
+        if store is not None:
+            store._inflight += 1
+        slot = self._slots.get((self.now + delay, PRIORITY_NORMAL))
+        if slot:    # the live slot may be empty mid-drain
+            tail = slot[-1]
+            if type(tail) is not Batch:
+                self.batches += 1
+                tail = slot[-1] = Batch(self, [(None, tail)])
+            tail.items.append((store, item))
+            return tail
+        if store is None:
+            self._enqueue(item, delay)
+            return None
+        self.batches += 1
+        batch = Batch(self, [(store, item)])
+        self._enqueue(batch, delay)
+        return batch
 
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
         """Schedule a bare callable at absolute time ``when`` (>= now)."""
         if when < self.now:
             raise ValueError(f"call_at past time {when} < now {self.now}")
-        self._enqueue_call(fn, delay=when - self.now)
-
-    def put_at(self, when: float, store, item: Any) -> None:
-        """``store.put(item)`` at absolute time ``when`` (>= now), or
-        nothing if the store has closed by then — a message's arrival.
-
-        The tail rule: if the slot ``when`` falls into currently *ends*
-        in an open :class:`ArrivalBatch`, the item joins it; anything
-        else — no slot, a slot ending in another kind of payload, the
-        slot being drained with nothing left in it — opens a new batch
-        where the item's own payload would have gone.
-        """
-        now = self.now
-        if when < now:
-            raise ValueError(f"put_at past time {when} < now {now}")
-        self.arrivals += 1
-        delay = when - now
-        # the key call_at would compute: ``now + (when - now)`` is not
-        # always ``when`` in floating point
-        slot = self._slots.get((now + delay, PRIORITY_NORMAL))
-        if slot:    # the live slot may be empty mid-drain
-            tail = slot[-1]
-            if type(tail) is ArrivalBatch:
-                tail.items.append((store, item))
-                return
-        self.arrival_batches += 1
-        self._enqueue_call(ArrivalBatch(self, store, item), delay)
+        # every path keys ``now + (when - now)``: not always ``when``
+        self._schedule(when - self.now, None, fn)
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> None:
         """Schedule a bare callable ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        self._enqueue_call(fn, delay=delay)
+        self._schedule(delay, None, fn)
+
+    def put_at(self, when: float, store, item: Any) -> None:
+        """``store.put(item)`` at absolute time ``when`` (>= now), or
+        nothing if the store has closed by then — a message's arrival.
+        """
+        now = self.now
+        if when < now:
+            raise ValueError(f"put_at past time {when} < now {now}")
+        self._schedule(when - now, store, item)
 
     # -- main loop ----------------------------------------------------------
-    def peek(self) -> float:
-        """Time of the next pending event, or ``float('inf')``."""
-        best = self._heap[0][0] if self._heap else float("inf")
-        # Mid-drain, the current slot's undrained tail is not in the
-        # heap — but it is still pending.
-        cur = self._current_key
-        if cur is not None and cur[0] < best and self._slots.get(cur):
-            best = cur[0]
-        return best
-
-    def step(self) -> None:
-        """Process exactly one payload, advancing the clock — one
-        :class:`ArrivalBatch`, if that is what comes next, up to the
-        first item that interrupts it.
-
-        This is the single-step API (tests and debuggers): one turn of
-        :meth:`run`'s loop.
-        """
-        if not self._heap:
-            raise IndexError("step() on an empty engine")
-        self.run(max_events=1)
-
-    def run(self, until: Optional[float] = None, *, raise_on_timeout: bool = False,
-            max_events: Optional[int] = None) -> float:
+    def run(self, until: Optional[float] = None, *,
+            raise_on_timeout: bool = False) -> float:
         """Run until the slots drain or the clock reaches ``until``.
 
         Returns the final simulated time.  If ``until`` is hit with work
@@ -323,18 +294,15 @@ class Engine:
         timer and context switch of a trial passes through it): one
         heap pop fetches a whole slot, whose payloads dispatch as a
         batch with hoisted locals.  Mid-batch interruptions (a payload
-        scheduling an earlier-sorting slot, :meth:`stop`, the
-        ``max_events`` budget) push the undrained tail back, keeping
-        the global order exactly ``(time, priority, insertion order)``.
-        ``max_events`` counts payloads: an :class:`ArrivalBatch` is one,
-        and is never cut by the budget.
+        scheduling an earlier-sorting slot, :meth:`stop`) push the
+        undrained tail back, keeping the global order exactly
+        ``(time, priority, insertion order)``.
         """
         self._stopped = False
         heap = self._heap
         slots = self._slots
         pop = heapq.heappop
         limit = float("inf") if until is None else until
-        budget = float("inf") if max_events is None else max_events
         processed = 0
         drained = 0
         try:
@@ -371,15 +339,12 @@ class Engine:
                         break
                     # Interrupt checks run only *between* payloads; an
                     # undrained tail goes back on the heap under its
-                    # key.  stop() sets the preempt flag, so two checks
-                    # suffice.
-                    if self._preempt or processed >= budget:
+                    # key.  stop() sets the preempt flag.
+                    if self._preempt:
                         heapq.heappush(heap, key)
                         self.front_lane_hits += 1
                         break
                 self._current_key = None
-                if processed >= budget:
-                    break
         finally:
             # A payload that raised leaves its slot undrained: requeue
             # the key so the engine stays consistent for a subsequent run.

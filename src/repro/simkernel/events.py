@@ -15,7 +15,6 @@ from typing import Any, Callable, List, Optional
 #: Heap priority classes.  Lower sorts first among events at equal time.
 PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
-PRIORITY_LAZY = 2
 
 
 class Event:
@@ -76,7 +75,7 @@ class Event:
             raise RuntimeError(f"event {self!r} already triggered")
         self._triggered = True
         self._value = value
-        self.engine._enqueue_event(self, priority)
+        self.engine._enqueue(self, 0.0, priority)
         return self
 
     def fail(self, exc: BaseException, priority: int = PRIORITY_NORMAL) -> "Event":
@@ -87,7 +86,7 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._triggered = True
         self._exc = exc
-        self.engine._enqueue_event(self, priority)
+        self.engine._enqueue(self, 0.0, priority)
         return self
 
     # -- callback plumbing ---------------------------------------------------
@@ -99,7 +98,7 @@ class Event:
         """
         if self.callbacks is None:
             # Already processed: deliver asynchronously but immediately.
-            self.engine._enqueue_call(lambda: cb(self))
+            self.engine._enqueue(lambda: cb(self))
         else:
             self.callbacks.append(cb)
 
@@ -141,4 +140,4 @@ class Timeout(Event):
         self.delay = delay
         self._triggered = True
         self._value = value
-        engine._enqueue_event(self, PRIORITY_NORMAL, delay=delay)
+        engine._enqueue(self, delay)

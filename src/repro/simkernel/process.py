@@ -89,17 +89,13 @@ class Process(Event):
         self._target: Optional[Event] = None
         #: the wake-up that fired while suspended, until resumed
         self._parked: Any = None
-        engine._enqueue_call(self._start)
+        engine._enqueue(self._start)
 
     # -- public inspection ---------------------------------------------------
     @property
     def alive(self) -> bool:
         """True while the generator can still run."""
         return self.state in (NEW, RUNNING, SUSPENDED)
-
-    @property
-    def is_suspended(self) -> bool:
-        return self.state == SUSPENDED
 
     # -- lifecycle -------------------------------------------------------------
     def _start(self) -> None:
@@ -176,7 +172,7 @@ class Process(Event):
         if self.state == SUSPENDED:
             self.state = RUNNING
             if self._parked is not None:
-                self.engine._enqueue_call(self._unpark, priority=PRIORITY_URGENT)
+                self.engine._enqueue(self._unpark, 0.0, PRIORITY_URGENT)
 
     def kill(self) -> None:
         """Terminate without executing further generator code."""
@@ -225,8 +221,9 @@ class CallbackThread:
     control verbs a ``UnixProcess`` needs of its threads, with
     :class:`Process` semantics:
 
-    * the first step runs from a NORMAL payload enqueued at
-      construction (where ``Process._start`` ran);
+    * the first step runs from a NORMAL payload scheduled at
+      construction (where ``Process._start`` ran) — by the tail rule,
+      so threads built back to back start in one payload;
     * ``kill()`` turns every pending or later wake-up into a no-op;
     * ``suspend()`` parks a wake-up that fires meanwhile and
       ``resume()`` re-issues it at URGENT, as ``Process.resume`` does;
@@ -241,14 +238,15 @@ class CallbackThread:
     __slots__ = ("engine", "on_error", "alive", "suspended", "error",
                  "_parked")
 
-    def __init__(self, engine, on_error=None):
+    def __init__(self, engine, on_error=None, start: bool = True):
         self.engine = engine
         self.on_error = on_error
         self.alive = True
         self.suspended = False
         self.error: Optional[BaseException] = None
         self._parked = False
-        engine._enqueue_call(self)
+        if start:
+            engine._schedule(0.0, None, self)
 
     @property
     def name(self) -> str:
@@ -274,7 +272,7 @@ class CallbackThread:
         self.engine.process_failures.append(self)
         on_error = self.on_error
         if on_error is not None:
-            self.engine._enqueue_call(lambda: on_error(err))
+            self.engine._enqueue(lambda: on_error(err))
 
     def suspend(self) -> None:
         if self.alive:
@@ -285,7 +283,7 @@ class CallbackThread:
             self.suspended = False
             if self._parked:
                 self._parked = False
-                self.engine._enqueue_call(self, priority=PRIORITY_URGENT)
+                self.engine._enqueue(self, 0.0, PRIORITY_URGENT)
 
     def kill(self) -> None:
         self.alive = False

@@ -32,31 +32,31 @@ class Store:
     Sized for the O(N²) case — one store per end of every mesh
     connection, nearly all of them served by a :class:`Reader` that
     takes each item as it comes: the instance is slotted, the item and
-    getter queues exist only once something has to wait in them, and
-    ``name`` may be given as ``(format, *args)``, formatted on first
-    read.
+    getter queues exist only while something has to wait in them, and
+    a socket's store is named by its connection id alone (formatted on
+    first read).
     """
 
     __slots__ = ("engine", "_label", "items", "_getters", "_reader",
-                 "closed")
+                 "closed", "_inflight")
 
     def __init__(self, engine, name=None):
         self.engine = engine
         self._label = name or "store"
-        #: buffered items / waiting getter events; None until first used
+        #: buffered items / waiting getter events; None while empty
         self.items: Optional[Deque[Any]] = None
         self._getters: Optional[Deque[Event]] = None
         #: the :class:`Reader` waiting for the next item, if one is
         self._reader: Optional["Reader"] = None
         self.closed = False
+        #: network events (arrivals, a close notice) scheduled, not landed
+        self._inflight = 0
 
     @property
     def name(self) -> str:
         label = self._label
-        if type(label) is tuple:
-            # the arguments, not a bound formatter: a callable here
-            # would tie every socket into a cycle with its store
-            label = self._label = label[0] % label[1:]
+        if type(label) is int:
+            label = self._label = f"sock#{label}"
         return label
 
     def __len__(self) -> int:
@@ -84,7 +84,7 @@ class Store:
             self._reader = None
             reader._item = item
             reader._pending = _ITEM
-            self.engine._enqueue_call(reader)
+            self.engine._enqueue(reader)
         elif self.items is None:
             self.items = deque((item,))
         else:
@@ -96,8 +96,11 @@ class Store:
         # once per message and a per-call f-string label would be pure
         # allocation overhead on the hot path.
         ev = Event(self.engine, name=self.name)
-        if self.items:
-            ev.succeed(self.items.popleft())
+        items = self.items
+        if items:
+            ev.succeed(items.popleft())
+            if not items:
+                self.items = None
         elif self.closed:
             ev.fail(StoreClosed(f"get on closed store {self.name!r}"))
         elif self._getters is None:
@@ -153,8 +156,12 @@ class Reader(CallbackThread):
     are the store's.  It mirrors, slot position for slot position, what
     a generator loop on the same store did:
 
-    * it first looks at the store in the NORMAL payload enqueued at
-      construction;
+    * it first looks at the store in the NORMAL payload scheduled at
+      construction — or, built with ``bind`` on an open, empty store
+      nothing is in flight to (``_inflight``), binds at once: ``bind``
+      promises an unsuspended thread and that, for the rest of the
+      instant, only the network acts on the store and nothing suspends
+      the thread, so nothing can tell the two apart;
     * an item put while it waits is handed over in one NORMAL payload
       enqueued by :meth:`Store.put` (where the getter ``Event`` was),
       and the handler runs inside that payload, as the generator's
@@ -169,21 +176,28 @@ class Reader(CallbackThread):
     * ``kill()`` also detaches it from the store.
 
     A running handler may :meth:`retarget` its reader; the change takes
-    effect when the handler returns.
+    effect when the handler returns.  A ``key`` is passed first to both
+    handlers, so one handler can serve many streams.
     """
 
-    __slots__ = ("store", "on_item", "on_close", "_pending", "_item")
+    __slots__ = ("store", "on_item", "on_close", "key", "_pending", "_item")
 
     def __init__(self, engine, store: Store,
-                 on_item: Callable[[Any], None],
-                 on_close: Optional[Callable[[], None]] = None,
-                 on_error: Optional[Callable[[BaseException], None]] = None):
+                 on_item: Callable[..., None],
+                 on_close: Optional[Callable[..., None]] = None,
+                 on_error: Optional[Callable[[BaseException], None]] = None,
+                 key: Any = None, bind: bool = False):
         self.store = store
         self.on_item = on_item
         self.on_close = on_close
+        self.key = key
         self._pending = _START
         self._item: Any = None
-        super().__init__(engine, on_error)
+        bind = (bind and store._reader is None and not store.items
+                and not store.closed and not store._inflight)
+        super().__init__(engine, on_error, start=not bind)
+        if bind:
+            store._reader = self
 
     @property
     def name(self) -> str:
@@ -211,10 +225,12 @@ class Reader(CallbackThread):
         try:
             if pending == _ITEM:
                 item, self._item = self._item, None
-                self.on_item(item)
+                key = self.key
+                self.on_item(item) if key is None else self.on_item(key, item)
             elif pending == _CLOSE:
                 store = self.store
-                self.on_close()
+                key = self.key
+                self.on_close() if key is None else self.on_close(key)
                 if self.store is store:
                     self.kill()         # not retargeted: the loop is over
         except Exception as err:
@@ -224,10 +240,13 @@ class Reader(CallbackThread):
             return
         # the loop's next ``yield store.get()``
         store = self.store
-        if store.items:
-            self._item = store.items.popleft()
+        items = store.items
+        if items:
+            self._item = items.popleft()
+            if not items:
+                store.items = None
             self._pending = _ITEM
-            self.engine._enqueue_call(self)
+            self.engine._enqueue(self)
         elif store.closed:
             self._closed()
         elif store._reader is None:
@@ -240,7 +259,7 @@ class Reader(CallbackThread):
             self.kill()
         else:
             self._pending = _CLOSE
-            self.engine._enqueue_call(self)
+            self.engine._enqueue(self)
 
     def kill(self) -> None:
         super().kill()
@@ -254,3 +273,4 @@ class Reader(CallbackThread):
         ``reader <-> store`` and closure cycles)."""
         super().dispose()
         self.store = self.on_item = self.on_close = self._item = None
+        self.key = None

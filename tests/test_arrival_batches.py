@@ -1,46 +1,38 @@
-"""Arrival batches: ``Engine.put_at`` and the ``ArrivalBatch`` payload.
+"""Batches: ``Engine.put_at`` / ``call_at`` and the ``Batch`` payload.
 
-Evidence that delivering the arrivals of one instant in one payload is
-the one-payload-per-message schedule with the plumbing removed:
+Evidence that running the arrivals and calls of one instant in one
+payload is the one-payload-per-item schedule with the plumbing removed:
 
 * a hypothesis model test runs the same random program through the
-  engine and through ``PerMessageEngine`` — the reference, written
-  here: ``put_at`` as ``call_at`` plus the closure every transmission
-  used to schedule — and demands the same global ``(engine.now,
-  handler, item)`` log.  The program drives real sockets served by
-  readers (bursts on one connection and floods on all of them, sizes
-  that split arrivals across instants, zero-latency echoes into the
-  slot being drained, closes, process kill / suspend / resume) and
-  *taps*: receivers that handle in place, so that their handlers run
-  inside a batch — an URGENT payload, ``stop()``, a close of the next
-  item's receiver, a raise, all between two items of one batch — with
-  ``run(max_events=k)`` cuts throughout;
-* one unit test per rule of the ``ArrivalBatch`` / ``put_at``
-  docstrings.
+  engine and through the one-heap ``ReferenceEngine``
+  (``tests/reference_engine.py``: every arrival and every call a payload
+  of its own) and demands the same global ``(engine.now, handler,
+  item)`` log.  The program drives real sockets served by readers
+  (bursts on one connection and floods on all of them, sizes that split
+  arrivals across instants, zero-latency echoes into the slot being
+  drained, closes, process kill / suspend / resume) and *taps*:
+  receivers that handle in place, so that their handlers run inside a
+  batch — an URGENT payload, ``stop()``, a close of the next item's
+  receiver, a raise, all between two items of one batch;
+* one unit test per rule of the ``Batch`` / ``_schedule`` docstrings.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from reference_engine import ReferenceEngine
 from repro.cluster.cluster import Cluster
-from repro.simkernel.engine import ArrivalBatch, Engine
-from repro.simkernel.events import PRIORITY_LAZY, PRIORITY_URGENT
+from repro.simkernel.engine import Batch, Engine
+from repro.simkernel.events import PRIORITY_URGENT
 from repro.simkernel.store import Store
+
+#: a priority class sorting after NORMAL — nothing in the program uses
+#: one, but the slot table orders any int
+LAZY = 2
 
 # ---------------------------------------------------------------------------
 # model equivalence
 # ---------------------------------------------------------------------------
-
-
-class PerMessageEngine(Engine):
-    """The reference: every arrival is a payload of its own."""
-
-    def put_at(self, when, store, item):
-        def _arrive():
-            if not store.closed:
-                store.put(item)
-
-        self.call_at(when, _arrive)
 
 
 class Boom(Exception):
@@ -55,6 +47,7 @@ class Tap:
         self.world = world
         self.name = name
         self.closed = False
+        self._inflight = 0
 
     def put(self, item):
         self.world.handle(self.name, item)
@@ -130,8 +123,8 @@ class World:
         if n % 4 == 1:
             eng.call_later(0.0, lambda: self.probe("normal-after", item))
         if n % 5 == 2:
-            eng._enqueue_call(lambda: self.probe("urgent-after", item),
-                              priority=PRIORITY_URGENT)
+            eng._enqueue(lambda: self.probe("urgent-after", item), 0.0,
+                         PRIORITY_URGENT)
         if n % 7 == 3:
             # maybe the receiver of the batch's next item
             (self.taps[n % 2] if n % 2 else self.end(n)).close()
@@ -174,7 +167,7 @@ class World:
     def control(self, verb, proc):
         getattr(self.procs[proc], verb)()
 
-    def run(self, program, cut):
+    def run(self, program):
         eng = self.eng
         for when, verb, args in program:
             eng.call_at(when, lambda verb=verb, args=args:
@@ -182,15 +175,15 @@ class World:
         # a program is a few hundred payloads: a driver still looping
         # after 5000 returns is an engine re-running the same work
         for _ in range(5000):
-            if eng.peek() > END:
-                return self.log
             try:
-                eng.run(until=END, max_events=cut)
+                eng.run(until=END)
             except Boom:
                 self.probe("boom")
-            if self.stop_requested:
-                self.stop_requested = False
-                self.probe("stopped")
+                continue
+            if not self.stop_requested:
+                return self.log
+            self.stop_requested = False
+            self.probe("stopped")
         raise AssertionError("the program never drained")
 
 
@@ -213,40 +206,36 @@ _programs = st.lists(
     min_size=1, max_size=14)
 
 
-@given(program=_programs, latency=st.sampled_from([0.0, 1e-4]),
-       cut=st.sampled_from([None, 1, 2, 5]))
+@given(program=_programs, latency=st.sampled_from([0.0, 1e-4]))
 # six taps in one instant with a plain payload between them: an URGENT
 # payload, a stop(), a close of the next receiver and a raise all fall
 # between two items of one batch
 @example(program=[(1.0, "tap", (0, 0, 3, 2)), (1.0, "plain", (0, 0)),
-                  (1.0, "tap", (1, 0, 6, 3))], latency=1e-4, cut=None)
+                  (1.0, "tap", (1, 0, 6, 3))], latency=1e-4)
 @example(program=[(1.0, "tap", (0, 1, 6, 5)), (1.0, "tap", (1, 1, 6, 16)),
-                  (1.2, "tap", (0, 1, 4, 0))], latency=0.0, cut=2)
+                  (1.2, "tap", (0, 1, 4, 0))], latency=0.0)
 # a flood answered by zero-latency echoes into the slot being drained
 @example(program=[(1.0, "flood", (0, 0)), (1.0, "flood", (0, 3)),
-                  (1.0, "send", (2, 0, 5, 6))], latency=0.0, cut=None)
+                  (1.0, "send", (2, 0, 5, 6))], latency=0.0)
 # arrivals for t = 3.4 scheduled from 1.0 (exactly 3.4) and from 1.2 (one
 # ulp off): neighbours, not one batch
 @example(program=[(1.0, "tap", (0, 3, 2, 0)), (1.2, "plain", (3, 1)),
                   (1.2, "tap", (0, 3, 3, 2)), (1.2, "plain", (3, 2))],
-         latency=1e-4, cut=None)
+         latency=1e-4)
 # suspended receivers park their wake-ups; the resume is URGENT
 @example(program=[(1.0, "control", ("suspend", 0)), (1.0, "flood", (1, 0)),
                   (1.1, "tap", (0, 0, 2, 9)), (1.2, "flood", (2, 40))],
-         latency=1e-4, cut=5)
+         latency=1e-4)
 @settings(max_examples=300, deadline=None)
-def test_batched_arrivals_keep_the_per_message_order(program, latency, cut):
+def test_batched_arrivals_keep_the_per_message_order(program, latency):
     batched = World(Engine, latency)
-    reference = World(PerMessageEngine, latency)
-    assert batched.run(program, cut) == reference.run(program, cut)
-    # the same wire, in fewer payloads — never more: a batch of n items
-    # that parks r times is 1 + r <= n payloads
+    reference = World(ReferenceEngine, latency)
+    assert batched.run(program) == reference.run(program)
+    # the same wire, in fewer payloads — never more
     for counter in ("messages_sent", "bytes_sent"):
         assert getattr(batched.cluster.network, counter) \
             == getattr(reference.cluster.network, counter)
-    eng = batched.eng
-    saved = reference.eng.events_processed - eng.events_processed
-    assert 0 <= saved <= eng.arrivals - eng.arrival_batches
+    assert batched.eng.events_processed <= reference.eng.events_processed
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +248,7 @@ class Sink:
     def __init__(self, eng, log, name="sink", then=None):
         self.eng, self.log, self.name, self.then = eng, log, name, then
         self.closed = False
+        self._inflight = 0
 
     def put(self, item):
         self.log.append((self.eng.now, self.name, item))
@@ -277,21 +267,38 @@ def test_same_instant_arrivals_share_one_payload():
     assert log == [(1.0, "a", 0), (1.0, "b", 0), (1.0, "a", 1),
                    (1.0, "b", 1), (1.0, "a", 2), (1.0, "b", 2),
                    (2.0, "a", "later")]
-    assert eng.events_processed == 2
-    assert (eng.arrival_batches, eng.arrivals) == (2, 7)
+    assert eng.events_processed == 2 and eng.batches == 2
 
 
 def test_only_the_batch_that_ends_the_slot_is_joined():
+    """A payload of its own (an event, a wake-up) ends the batch before
+    it; the next call or arrival turns that payload into a new batch."""
     eng, log = Engine(), []
     sink = Sink(eng, log)
     eng.put_at(1.0, sink, "a")
-    eng.call_at(1.0, lambda: log.append("between"))
+    eng.call_at(1.0, lambda: log.append("joins a"))
+    eng._enqueue(lambda: log.append("own payload"), 1.0)
     eng.put_at(1.0, sink, "b")          # not into the batch of "a"
     eng.put_at(1.0, sink, "c")
+    (first, second) = eng._slots[(1.0, 1)]
+    assert [store for store, _ in first.items] == [sink, None]
+    assert [store for store, _ in second.items] == [None, sink, sink]
     eng.run()
-    assert log == [(1.0, "sink", "a"), "between",
+    assert log == [(1.0, "sink", "a"), "joins a", "own payload",
                    (1.0, "sink", "b"), (1.0, "sink", "c")]
-    assert eng.events_processed == 3 and eng.arrival_batches == 2
+    assert eng.events_processed == 2 and eng.batches == 2
+
+
+def test_a_lone_call_is_a_payload_of_its_own():
+    eng, log = Engine(), []
+    fn = lambda: log.append(eng.now)    # noqa: E731
+    eng.call_at(1.0, fn)
+    assert list(eng._slots[(1.0, 1)]) == [fn]
+    eng.call_at(1.0, fn)                # the second makes them a batch
+    (batch,) = eng._slots[(1.0, 1)]
+    assert type(batch) is Batch and batch.items == [(None, fn), (None, fn)]
+    eng.run()
+    assert log == [1.0, 1.0] and eng.batches == 1
 
 
 def test_put_at_lands_where_call_at_lands():
@@ -316,7 +323,7 @@ def test_put_at_lands_where_call_at_lands():
                (twin, "call", 2)]
     at_when = [(when, "sink", "from t=0")]
     assert log == (at_twin + at_when if twin < when else at_when + at_twin)
-    assert eng.arrival_batches == 2
+    assert eng.batches == 2
 
 
 def test_put_at_in_the_past_raises():
@@ -343,8 +350,8 @@ def test_a_receiver_closed_by_then_gets_nothing():
 
 def test_urgent_payload_cuts_in_between_two_items():
     eng, log = Engine(), []
-    sink = Sink(eng, log, then=lambda item: item == "a" and eng._enqueue_call(
-        lambda: log.append("urgent"), priority=PRIORITY_URGENT))
+    sink = Sink(eng, log, then=lambda item: item == "a" and eng._enqueue(
+        lambda: log.append("urgent"), 0.0, PRIORITY_URGENT))
     for item in "abc":
         eng.put_at(1.0, sink, item)
     eng.call_at(1.0, lambda: log.append("after"))
@@ -352,7 +359,7 @@ def test_urgent_payload_cuts_in_between_two_items():
     assert log == [(1.0, "sink", "a"), "urgent", (1.0, "sink", "b"),
                    (1.0, "sink", "c"), "after"]
     # the batch ran twice: the remainder parked at the head of its slot
-    assert eng.events_processed == 4 and eng.arrival_batches == 1
+    assert eng.events_processed == 3 and eng.batches == 1
 
 
 def test_a_parked_batch_that_is_the_whole_slot_still_takes_arrivals():
@@ -371,10 +378,10 @@ def test_a_parked_batch_that_is_the_whole_slot_still_takes_arrivals():
     eng.run()
     assert [row[2] for row in log] == ["a"]
     (batch,) = eng._slots[(1.0, 1)]
-    assert type(batch) is ArrivalBatch and batch.cursor == 1
+    assert type(batch) is Batch and batch.cursor == 1
     eng.run()
     assert [row[2] for row in log] == ["a", "b", "c", "d"]
-    assert eng.arrival_batches == 2     # "d": its batch had been popped
+    assert eng.batches == 2             # "d": its batch had been popped
 
 
 def test_zero_latency_arrival_from_a_later_priority_preempts():
@@ -385,9 +392,8 @@ def test_zero_latency_arrival_from_a_later_priority_preempts():
         log.append("lazy-1")
         eng.put_at(eng.now, sink, "x")          # NORMAL sorts before LAZY
 
-    eng._enqueue_call(lazy, delay=1.0, priority=PRIORITY_LAZY)
-    eng._enqueue_call(lambda: log.append("lazy-2"), delay=1.0,
-                      priority=PRIORITY_LAZY)
+    eng._enqueue(lazy, 1.0, LAZY)
+    eng._enqueue(lambda: log.append("lazy-2"), 1.0, LAZY)
     eng.run()
     assert log == ["lazy-1", (1.0, "sink", "x"), "lazy-2"]
 
@@ -410,18 +416,14 @@ def test_raising_item_leaves_the_remainder_schedulable():
     assert log[2:] == [(1.0, "sink", "c"), (1.0, "sink", "d"), "after"]
 
 
-def test_a_batch_is_one_payload_for_step_and_max_events():
+def test_a_batch_is_one_payload():
     eng, log = Engine(), []
     sink = Sink(eng, log)
     for item in "abc":
         eng.put_at(1.0, sink, item)
     eng.call_at(1.0, lambda: log.append("after"))
     eng.put_at(2.0, sink, "d")
-    eng.step()
-    assert [row[2] for row in log] == ["a", "b", "c"]
-    assert eng.events_processed == 1
-    eng.run(max_events=2)
-    assert log[3:] == ["after", (2.0, "sink", "d")]
-    assert eng.events_processed == 3
-    with pytest.raises(IndexError):
-        eng.step()
+    eng.run()
+    assert [row if type(row) is str else row[2] for row in log] \
+        == ["a", "b", "c", "after", "d"]
+    assert eng.events_processed == 2 and eng.batches == 2

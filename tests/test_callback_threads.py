@@ -14,8 +14,10 @@ handle((yield store.get()))`` with the plumbing removed, and that a
   ``UnixProcess`` surface (a reader is a thread of its process);
 * a regression test that a crashed handler is named in the trace, the
   verdict and the timeline instead of hiding behind a timeout;
-* the same model test for the dialer against the generator it replaced
-  (refusals, back-off, suspend / resume / kill, early termination).
+* the same model test for the dialer — on the slotted engine, taking
+  its outcome from the network — against the generator it replaced run
+  on the one-heap reference engine (refusals, back-off, suspend /
+  resume / kill, early termination).
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -56,8 +58,8 @@ class World:
         if n % 4 == 1:
             self.eng.call_later(0.0, lambda: self.probe("normal-after", item))
         if n % 5 == 2:
-            self.eng._enqueue_call(lambda: self.probe("urgent-after", item),
-                                   priority=PRIORITY_URGENT)
+            self.eng._enqueue(lambda: self.probe("urgent-after", item),
+                              0.0, PRIORITY_URGENT)
         if n % 7 == 3 and name in self.stores:
             self.stores[name].close()           # close with items queued
         if n % 11 == 5:
@@ -268,6 +270,25 @@ def test_item_arriving_while_busy_is_enqueued_when_the_handler_returns():
     assert not store.items
 
 
+def test_a_drained_queue_is_released():
+    """A store keeps an item queue only while something waits in it:
+    drained by a reader or by ``get``, the queue is dropped."""
+    eng = Engine()
+    store = Store(eng)
+    log = []
+    store.put("a")
+    store.put("b")                      # no reader yet: both wait
+    assert len(store.items) == 2
+    _reader(eng, store, log)
+    eng.run()
+    assert log == [(0.0, "a"), (0.0, "b")]
+    assert store.items is None
+    other = Store(eng)
+    other.put("c")
+    other.get()
+    assert other.items is None
+
+
 def test_close_with_an_item_in_flight_delivers_it_then_on_close():
     eng = Engine()
     store = Store(eng)
@@ -402,6 +423,26 @@ def test_two_readers_waiting_on_one_store_is_an_error():
     assert eng.process_failures == [second]
 
 
+def test_bind_waits_at_once_only_where_the_first_look_would_find_nothing():
+    """``bind`` skips the first-look payload only on an open, empty,
+    unread store with nothing in flight to it (the state machine in
+    ``test_reference_engine.py`` shows the histories then agree)."""
+    eng = Engine()
+
+    def bound(store):
+        reader = Reader(eng, store, lambda item: None, bind=True)
+        return store._reader is reader
+
+    assert bound(Store(eng))
+    full, closed, arriving = Store(eng), Store(eng), Store(eng)
+    full.put("waiting")
+    closed.close()
+    eng.put_at(eng.now, arriving, "in flight")
+    assert not any(bound(s) for s in (full, closed, arriving))
+    eng.run()
+    assert arriving._inflight == 0
+
+
 # ---------------------------------------------------------------------------
 # a reader is a thread of its UnixProcess
 # ---------------------------------------------------------------------------
@@ -478,6 +519,20 @@ def test_reader_spawned_on_a_suspended_process_starts_suspended(engine, cluster)
         pass
     else:
         raise AssertionError("spawn_reader on a dead process must fail")
+
+
+def test_only_a_running_process_binds_its_socket_readers(engine, cluster):
+    def main(proc):
+        proc.node.listen(9, owner=proc)
+        yield proc.engine.event()
+
+    server, client, sock = _pair(engine, cluster, main)
+    client.suspend()
+    held = client.spawn_reader(sock, lambda msg: None, bind=True)
+    assert sock._rx._reader is None and held.suspended     # looks on resume
+    server_end = sock._peer                 # in the backlog, the server's
+    ready = server.spawn_reader(server_end, lambda msg: None, bind=True)
+    assert server_end._rx._reader is ready
 
 
 def test_acceptor_takes_one_connection_at_a_time(engine, cluster):
@@ -561,15 +616,19 @@ def test_crash_free_run_has_no_crash_lane_or_record():
 
 class _DialWorld:
     """A dialing process on node 1 and a listener on node 0 that comes
-    up late, so the first attempts are refused and back off."""
+    up late, so the first attempts are refused and back off.  The
+    dialer runs on the slotted engine, the generator on the reference."""
 
     def __init__(self, callbacks: bool):
+        from reference_engine import ReferenceEngine
         from repro.analysis.traces import Trace
         from repro.cluster.cluster import Cluster
         from repro.mpichv.config import VclConfig
 
-        self.engine = Engine(seed=3, trace=Trace())
+        engine_cls = Engine if callbacks else ReferenceEngine
+        self.engine = engine_cls(seed=3, trace=Trace())
         self.cluster = Cluster(self.engine, 2)
+        self.network = self.cluster.network
         self.timing = VclConfig(n_procs=2, n_machines=3).timing
         self.callbacks = callbacks
         self.log = []

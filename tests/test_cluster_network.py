@@ -190,15 +190,15 @@ def test_bad_network_params_rejected():
 
 def test_connection_ends_are_slotted_and_label_lazily(engine, cluster):
     """What a connection costs: no instance dict on either end, no
-    queue until something waits in one, no label until one is read —
-    and then the label that was always there."""
+    queue until something waits in one, no label but the connection id
+    both ends already hold, no remote address at the server end."""
     listener = cluster.node(2).listen(7000)
     srv, cli = _pair(engine, cluster)
     for end in (srv, cli, listener, srv._rx, listener._rx):
         assert not hasattr(end, "__dict__")
-    assert type(cli._rx._label) is tuple and cli._rx.items is None
-    assert cli._rx.name == f"sock#{cli.conn_id}@{cli.local_host}"
-    assert srv._rx.name == f"sock#{srv.conn_id}@{srv.local_host}"
+    assert cli._rx._label is cli.conn_id and cli._rx.items is None
+    assert cli._rx.name == srv._rx.name == f"sock#{cli.conn_id}"
+    assert srv.remote is None and cli.remote == cluster.node(0).addr(5000)
     assert listener._rx.name == f"listen({listener.addr})" == "listen(node2:7000)"
 
 
@@ -216,3 +216,38 @@ def test_size_hint_comes_from_the_message_when_not_given(engine, cluster):
     cli.send("no hint at all")
     cli.send(Sized(300), size=7)        # an explicit size wins
     assert cluster.network.bytes_sent - before == 300 + 2 + 3 * 1024 + 7
+
+
+def test_a_connection_refused_at_delivery_leaves_nothing_behind(
+        engine, cluster, monkeypatch):
+    """The listener's process dies inside the round trip: the dialer is
+    refused, its process gains no socket, and no close notification is
+    ever scheduled for the half-built pair — not at the kill, not when
+    the dialer exits later."""
+    from repro.cluster.network import Socket
+
+    notified = []
+    monkeypatch.setattr(Socket, "_closed_by_peer",
+                        lambda sock: notified.append(sock))
+
+    def server(proc):
+        proc.node.listen(5000, owner=proc)
+        yield engine.event()
+
+    def idle(proc):
+        yield engine.event()
+
+    srv = cluster.node(0).spawn("server", server)
+    dialer = cluster.node(1).spawn("dialer", idle)
+    engine.run(until=0.5)
+    outcome = []
+    cluster.node(1).connect(cluster.node(0).addr(5000), owner=dialer) \
+        .add_callback(lambda ev: outcome.append(ev.exception))
+    assert len(dialer._sockets) == 1            # adopted while in flight
+    engine.call_later(1e-4, srv.kill)           # the round trip is 2e-4
+    engine.run(until=1.0)
+    assert isinstance(outcome[0], ConnectionRefused)
+    assert dialer._sockets == []
+    dialer.kill()
+    engine.run(until=2.0)
+    assert notified == []

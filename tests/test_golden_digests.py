@@ -77,27 +77,27 @@ GOLDEN_FAULTED = {
         "6bc10cbe5091fd53a3c65f3cb7b46e5ef284f1de8e86b3e68ad69011f2d7bfd1",
 }
 
-#: engine events the same trials cost.  Re-recorded by PR 20: a
-#: generator wake-up is one payload, stepped inside the awaited event
-#: (PR 18: vcl-1-uniform 1396, vcl-1-twotier 1441, v2-1-uniform 1941,
-#: v1-1-uniform 1566, faulted 27513).  The two-tier fabric's shared
-#: pipes spread arrivals over more instants, so fewer of them share an
-#: ``ArrivalBatch`` payload.
+#: engine events the same trials cost.  Re-recorded 2026-10-15: bare
+#: calls join the same-instant batches and mesh readers start bound
+#: (before: vcl-1-uniform 1001, vcl-1-twotier 1046, v2-1-uniform 1562,
+#: v1-1-uniform 1187, faulted 27156).  The two-tier fabric's shared
+#: pipes spread arrivals over more instants, so fewer of them share a
+#: ``Batch`` payload.
 EVENTS_CLEAN = {
-    ("vcl", 1, "uniform"): 1001,
-    ("vcl", 1, "twotier"): 1046,
-    ("vcl", 4, "uniform"): 1010,
-    ("vcl", 4, "twotier"): 1079,
-    ("v2", 1, "uniform"): 1562,
-    ("v2", 1, "twotier"): 1597,
-    ("v2", 4, "uniform"): 1571,
-    ("v2", 4, "twotier"): 1606,
-    ("v1", 1, "uniform"): 1187,
-    ("v1", 1, "twotier"): 1197,
-    ("v1", 4, "uniform"): 1196,
-    ("v1", 4, "twotier"): 1206,
+    ("vcl", 1, "uniform"): 940,
+    ("vcl", 1, "twotier"): 998,
+    ("vcl", 4, "uniform"): 941,
+    ("vcl", 4, "twotier"): 1025,
+    ("v2", 1, "uniform"): 1507,
+    ("v2", 1, "twotier"): 1554,
+    ("v2", 4, "uniform"): 1510,
+    ("v2", 4, "twotier"): 1560,
+    ("v1", 1, "uniform"): 1153,
+    ("v1", 1, "twotier"): 1171,
+    ("v1", 4, "uniform"): 1156,
+    ("v1", 4, "twotier"): 1177,
 }
-EVENTS_FAULTED = {("vcl", 4, "twotier"): 27156}
+EVENTS_FAULTED = {("vcl", 4, "twotier"): 27032}
 
 
 def _setup(protocol, shards, topo, faulty=False):

@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from reference_engine import ReferenceEngine
 from repro.simkernel.engine import Engine
 from repro.simkernel.store import Store, StoreClosed
 
@@ -10,13 +11,21 @@ from repro.simkernel.store import Store, StoreClosed
                                  allow_nan=False), max_size=50))
 @settings(max_examples=100, deadline=None)
 def test_clock_is_monotone_under_any_schedule(delays):
-    eng = Engine(seed=0)
-    seen = []
-    for d in delays:
-        eng.call_later(d, lambda: seen.append(eng.now))
-    eng.run()
-    assert seen == sorted(seen)
-    assert eng.events_processed == len(delays)
+    """Calls run in clock order and in the reference's order — where
+    each call is one payload; the slotted engine batches same-instant
+    calls, so it never needs more."""
+    engines, logs = {}, {}
+    for cls in (Engine, ReferenceEngine):
+        eng = engines[cls] = cls(seed=0)
+        seen = logs[cls] = []
+        for i, d in enumerate(delays):
+            eng.call_later(d, lambda i=i, eng=eng, seen=seen:
+                           seen.append((eng.now, i)))
+        eng.run()
+        assert [t for t, _ in seen] == sorted(t for t, _ in seen)
+    assert logs[Engine] == logs[ReferenceEngine]
+    assert engines[ReferenceEngine].events_processed == len(delays)
+    assert engines[Engine].events_processed <= len(delays)
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=100.0,

@@ -9,8 +9,8 @@ carved-out case: a *plain* callback registered on an event **after** a
 waiting process ran before that process's step under deferred dispatch
 and runs after it in place.  No code under ``src/`` does that
 (``spawn_thread``'s exit callback is registered at spawn, ahead of any
-waiter, which is what ``on_exit`` mirrors here; ``PeerDialer`` is the
-only callback on its connect event), so the model's programs do not
+waiter, which is what ``on_exit`` mirrors here, and a mesh dial takes
+its connection outcome without an event), so the model's programs do not
 either, and ``tests/test_simkernel_process.py`` pins the in-place order
 for that case on its own.
 
@@ -45,7 +45,7 @@ class DeferredProcess(Event):
         self._inbox = deque()
         self._dispatch_scheduled = False
         self._started = False
-        engine._enqueue_call(self._start)
+        engine._enqueue(self._start)
 
     @property
     def alive(self):
@@ -95,7 +95,7 @@ class DeferredProcess(Event):
         if (self.state in ("new", "running") and self._inbox
                 and not self._dispatch_scheduled and self._started):
             self._dispatch_scheduled = True
-            self.engine._enqueue_call(self._dispatch, priority=PRIORITY_URGENT)
+            self.engine._enqueue(self._dispatch, 0.0, PRIORITY_URGENT)
 
     def _dispatch(self):
         self._dispatch_scheduled = False
@@ -167,8 +167,7 @@ class World:
             getattr(self.procs[idx], verb)()
 
     def after(self, priority, tag):
-        self.eng._enqueue_call(lambda: self.probe("payload", tag),
-                               priority=priority)
+        self.eng._enqueue(lambda: self.probe("payload", tag), 0.0, priority)
 
     def spawn(self, script, exit_kills):
         idx = len(self.procs)

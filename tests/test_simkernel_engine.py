@@ -8,7 +8,7 @@ from repro.simkernel.engine import Engine, SimTimeoutError
 def test_clock_starts_at_zero():
     eng = Engine(seed=0)
     assert eng.now == 0.0
-    assert eng.peek() == float("inf")
+    assert eng.run() == 0.0             # nothing pending: nothing moves
 
 
 def test_timeout_advances_clock():
@@ -150,14 +150,6 @@ def test_seeded_determinism():
 
     assert history(99) == history(99)
     assert history(99) != history(100)
-
-
-def test_max_events_bound():
-    eng = Engine(seed=0)
-    for i in range(100):
-        eng.call_later(float(i), lambda: None)
-    eng.run(max_events=10)
-    assert eng.events_processed == 10
 
 
 def test_engine_log_without_trace_is_noop():

@@ -153,11 +153,11 @@ def test_close_and_dispose_of_a_never_used_store():
 
 def test_store_label_is_formatted_once_on_first_read():
     eng = Engine(seed=0)
-    store = Store(eng, name=("sock#%d@%s", 7, "m3"))
-    assert store._label == ("sock#%d@%s", 7, "m3")     # not yet
-    assert store.name == "sock#7@m3" == f"sock#{7}@{'m3'}"
-    assert store._label == "sock#7@m3" and store.name is store.name
+    store = Store(eng, name=7)          # a socket's: its connection id
+    assert store._label == 7                            # not yet
+    assert store.name == "sock#7"
+    assert store._label == "sock#7" and store.name is store.name
     assert Store(eng).name == "store" and Store(eng, name="q").name == "q"
-    with pytest.raises(StoreClosed, match="sock#7@m3"):
+    with pytest.raises(StoreClosed, match="sock#7"):
         store.close()
         store.put(1)

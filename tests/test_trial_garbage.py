@@ -24,13 +24,13 @@ from repro.mpichv.runtime import VclRuntime
 #: what is left: the dispatcher's mutually recursive closures
 #: (``spawn_slot`` <-> ``on_spawn_exit``) and the fixed handful of
 #: objects they name (config, timing, workload, the emptied cluster
-#: and engine) — 46 objects today whatever the protocol, the rank
+#: and engine) — 44 objects today whatever the protocol, the rank
 #: count or the recorder
 LEFTOVER_BOUND = 64
 
 #: nothing of what a deployment is made of may be among them
 DEPLOYMENT_TYPES = ("Socket", "ListenSocket", "Store", "Reader", "Acceptor",
-                    "PeerDialer", "Process", "UnixProcess", "Node",
+                    "PeerDialer", "Batch", "Process", "UnixProcess", "Node",
                     "VclDaemon", "V2Daemon", "V1Daemon", "MpiEndpoint",
                     "FailDaemon", "Machine", "Debugger", "Span",
                     "CheckpointImage", "VclRuntime", "ScenarioDeployment")

@@ -26,6 +26,15 @@ class FakeSock:
         self.sent.append(msg)
 
 
+class FakeNet:
+    """A flood is one ``send_all``: hand it to the open fake sockets."""
+
+    def send_all(self, socks, msg, size=None):
+        for sock in socks:
+            if not sock.closed:
+                sock.send(msg, size)
+
+
 def make_core(n=3, blocking=False, seed=0):
     engine = Engine(seed=seed)
     cluster = Cluster(engine, 1, name_prefix="m")
@@ -41,6 +50,7 @@ def make_core(n=3, blocking=False, seed=0):
 
     core = VclDaemon(proc, config, rank=0, epoch=0, incarnation=1,
                      app_factory=app)
+    core.network = FakeNet()
     core.peers = {r: FakeSock() for r in range(1, n)}
     core.sched_sock = FakeSock()
     core.ckpt_sock = FakeSock()

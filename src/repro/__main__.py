@@ -1,9 +1,11 @@
 """Command-line entry point: ``python -m repro <experiment> [...]``.
 
-Dispatches to the per-figure experiment drivers; each accepts its own
-flags (``--reps``, ``--procs``, ``--fixed``, …) plus the shared trial
-execution flags (``--workers N``, ``--cache-dir DIR``, ``--no-cache``)
-from :mod:`repro.experiments.runner`.
+The figure, table and sweep commands are :class:`ExperimentSpec`s run
+by :func:`repro.experiments.spec.main`; each takes its own flags
+(``--reps``, ``--procs``, ``--fixed``, …) plus the shared trial
+execution flags of :mod:`repro.experiments.runner`.  The other
+commands parse their own arguments.  Modules are imported only once
+their command is chosen.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ def usage() -> str:
     for name, (_module, blurb) in COMMANDS.items():
         lines.append(f"  {name:<18} {blurb}")
     lines.append("")
-    lines.append("shared flags: --workers N  --cache-dir DIR  --no-cache")
+    lines.append("shared flags: --workers N  --cache-dir DIR  --no-cache  "
+                 "--trace-out FILE  --obs-report DIR")
     lines.append("pass --help after a command for its options")
     return "\n".join(lines)
 
@@ -65,8 +68,12 @@ def main(argv=None) -> int:
     module_name, _blurb = entry
     import importlib
     module = importlib.import_module(module_name)
-    sys.argv = [f"repro {command}"] + argv
-    module.main()
+    if hasattr(module, "SPEC"):
+        from repro.experiments.spec import main as run_spec
+        run_spec(module, argv)
+    else:
+        sys.argv = [f"repro {command}"] + argv
+        module.main()
     return 0
 
 

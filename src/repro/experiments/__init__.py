@@ -6,6 +6,8 @@
   (:class:`TrialRunner`) with an on-disk result cache;
 * :mod:`repro.experiments.resultstore` — JSON round-trip and storage
   of per-trial results;
+* :mod:`repro.experiments.spec` — :class:`ExperimentSpec` and the one
+  CLI that runs every figure, table and sweep command;
 * :mod:`repro.experiments.fig5_frequency` — impact of fault frequency;
 * :mod:`repro.experiments.fig6_scale` — impact of scale;
 * :mod:`repro.experiments.fig7_simultaneous` — simultaneous faults;
@@ -20,8 +22,10 @@
 * :mod:`repro.experiments.scale_sweep` — protocol × ranks (up to 512)
   × checkpoint-server shards, past the paper's Fig. 6 range.
 
-Every module exposes ``run_experiment(...) -> ExperimentResult`` and a
-``main()`` CLI that prints the regenerated table.
+Every driver module exposes ``run_experiment(...)``, whose defaults
+are the paper's scale, and a ``SPEC``: its command's flags, quick
+scale, printed blocks and the figure's expected shape (``expect``),
+which the tests check at both scales.
 """
 
 from repro.experiments.harness import (

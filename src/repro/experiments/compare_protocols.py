@@ -29,8 +29,10 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments.harness import ExperimentResult, TrialSetup, run_trials
-from repro.experiments.runner import (TrialRunner, add_runner_arguments,
-                                      runner_from_args)
+from repro.experiments.runner import TrialRunner
+from repro.experiments.spec import (MACHINES_FLAG, PROCS_FLAG, REPS_FLAG,
+                                    ExperimentSpec, comma_list, flag,
+                                    table)
 from repro.fail import builtin_scenarios as bs
 
 PERIODS: Sequence[Optional[int]] = (None, 65, 50, 40)
@@ -114,45 +116,52 @@ def crossover_summary(result: ExperimentResult,
     return "\n".join(lines)
 
 
-def main() -> None:  # pragma: no cover - CLI
-    import argparse
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--reps", type=int, default=REPS)
-    parser.add_argument("--procs", type=int, default=N_PROCS)
-    parser.add_argument("--machines", type=int, default=N_MACHINES)
-    parser.add_argument(
-        "--protocols", default=",".join(PROTOCOLS), metavar="LIST",
-        help="comma-separated protocol names (default: %(default)s)")
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="reduced smoke configuration (BT-4, two fault periods) — "
-             "exercises every protocol's deploy/run/classify path in "
-             "seconds; used by the CI compare-protocols job")
-    add_runner_arguments(parser)
-    args = parser.parse_args()
-    protocols = tuple(p for p in args.protocols.split(",") if p)
-    if args.quick:
-        if (args.procs, args.machines) != (N_PROCS, N_MACHINES):
-            parser.error("--quick fixes the scale at BT-4 on 6 machines; "
-                         "drop --procs/--machines or drop --quick")
-        # the reduced run lasts ~45 s, so the fault period must sit
-        # well below that for the smoke to exercise actual recovery
-        periods: Sequence[Optional[int]] = (None, 25)
-        print("quick smoke: BT-4 on 6 machines, fault periods "
-              f"{periods} — reduced workload (niters=10)")
-        result = run_experiment(
-            reps=args.reps, periods=periods, protocols=protocols,
-            n_procs=4, n_machines=6, niters=10, total_compute=180.0,
-            footprint=1e8, runner=runner_from_args(args))
-    else:
-        result = run_experiment(reps=args.reps, protocols=protocols,
-                                n_procs=args.procs, n_machines=args.machines,
-                                runner=runner_from_args(args))
-        periods = PERIODS
-    print(result.render())
-    print()
-    print(crossover_summary(result, periods=periods, protocols=protocols))
+def expect(result: ExperimentResult, kwargs) -> None:
+    # [LBH+04] via our substrate:
+    # (1) fault-free, coordinated checkpointing is at least as fast as
+    #     either message-logging protocol;
+    t_vcl0 = result.row("vcl no faults").mean_exec_time
+    assert t_vcl0 <= result.row("v2 no faults").mean_exec_time * 1.02
+    assert t_vcl0 <= result.row("v1 no faults").mean_exec_time * 1.02
+    # (2) at high fault frequency, message logging wins decisively.
+    #     V1 always finishes (remote logs survive overlapping faults);
+    #     V2 finishes at least as often as Vcl (its volatile sender
+    #     logs can stall when failures overlap a recovery — faithful);
+    fastest = f"1/{kwargs['periods'][-1]}s"
+    vcl_hi = result.row(f"vcl {fastest}")
+    v2_hi = result.row(f"v2 {fastest}")
+    v1_hi = result.row(f"v1 {fastest}")
+    assert v1_hi.pct_terminated == 100.0
+    assert v2_hi.pct_terminated >= vcl_hi.pct_terminated
+    if vcl_hi.mean_exec_time is not None:
+        for row_hi in (v2_hi, v1_hi):
+            if row_hi.mean_exec_time is not None:
+                assert row_hi.mean_exec_time < vcl_hi.mean_exec_time, \
+                    row_hi.label
+    # (3) the single-rank-restart protocols never go buggy here (no
+    #     Vcl dispatcher restart waves to misattribute closures in).
+    for row in result.rows:
+        if row.label.startswith(("v2", "v1")):
+            assert row.pct_buggy == 0.0, row.label
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+SPEC = ExperimentSpec(
+    name="compare-protocols", run=run_experiment, expect=expect,
+    # the reduced run lasts ~45 s, so the fault period must sit well
+    # below that for the smoke to exercise actual recovery
+    quick=dict(periods=(None, 25), n_procs=4, n_machines=6, niters=10,
+               total_compute=180.0, footprint=1e8),
+    flags=(REPS_FLAG, PROCS_FLAG, MACHINES_FLAG,
+           flag("--protocols", type=comma_list(), metavar="LIST",
+                help="comma-separated protocol names (default: "
+                     f"{','.join(PROTOCOLS)})"),
+           flag("--quick", action="store_true",
+                help="reduced smoke configuration (BT-4, two fault "
+                     "periods) — exercises every protocol's "
+                     "deploy/run/classify path in seconds; used by the "
+                     "CI compare-protocols job")),
+    blocks=(table, lambda result, kwargs: crossover_summary(
+        result, kwargs["periods"], kwargs["protocols"])),
+    quick_banner=("quick smoke: BT-{n_procs} on {n_machines} machines, "
+                  "fault periods {periods} — reduced workload "
+                  "(niters={niters})"))

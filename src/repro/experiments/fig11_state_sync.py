@@ -14,68 +14,31 @@ dispatcher (``bug_compat=False``), every run terminates.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
-
-from repro.experiments.harness import ExperimentResult, TrialSetup, run_trials
-from repro.experiments.fig5_frequency import setup_for_period
-from repro.experiments.runner import (TrialRunner, add_runner_arguments,
-                                      runner_from_args)
+from repro.experiments.fig9_synchronized import synchronized_experiment
+from repro.experiments.harness import ExperimentResult
+from repro.experiments.spec import (FIXED_FLAG, QUICK_BT, REPS_FLAG,
+                                    ExperimentSpec)
 from repro.fail import builtin_scenarios as bs
 
-SCALES: Sequence[int] = (25, 36, 49, 64)
-REPS = 6
+run_experiment = synchronized_experiment(
+    bs.FIG10A_MASTER + bs.FIG10B_NODE_DAEMON, "state-sync",
+    "Fig. 11 — synchronized faults on MPI state "
+    "(breakpoint at localMPI_setCommand)", 11000)
 
 
-def setup_for_scale(scale: int, n_spares: int = 4, bug_compat: bool = True,
-                    **workload_kwargs) -> TrialSetup:
-    return TrialSetup(
-        n_procs=scale, n_machines=scale + n_spares,
-        scenario_source=bs.FIG10A_MASTER + bs.FIG10B_NODE_DAEMON,
-        master_daemon="ADV1", node_daemon="ADVnodes",
-        bug_compat=bug_compat,
-        **workload_kwargs)
+def expect(result: ExperimentResult, kwargs) -> None:
+    for row in result.rows:
+        if not kwargs["bug_compat"]:
+            # the fix flips Fig. 11 from 100 % buggy to 100 % terminated
+            assert row.pct_terminated == 100.0, row.label
+        elif row.label.endswith("state-sync"):
+            # the paper's headline: EVERY experiment freezes, at EVERY
+            # scale — the scenario that pinpointed the dispatcher bug
+            assert row.pct_buggy == 100.0, row.label
 
 
-def run_experiment(reps: int = REPS,
-                   scales: Sequence[int] = SCALES,
-                   bug_compat: bool = True,
-                   include_baseline: bool = True,
-                   base_seed: int = 11000,
-                   runner: Optional[TrialRunner] = None,
-                   **workload_kwargs) -> ExperimentResult:
-    configs: List[Tuple[int, bool]] = []
-    labels: List[str] = []
-    for scale in scales:
-        if include_baseline:
-            configs.append((scale, False))
-            labels.append(f"BT {scale} no faults")
-        configs.append((scale, True))
-        labels.append(f"BT {scale} state-sync")
-
-    def setup_for(config: Tuple[int, bool]) -> TrialSetup:
-        scale, faulty = config
-        if not faulty:
-            return setup_for_period(None, n_procs=scale,
-                                    n_machines=scale + 4, **workload_kwargs)
-        return setup_for_scale(scale, bug_compat=bug_compat, **workload_kwargs)
-
-    return run_trials(
-        setup_for=setup_for, configs=configs, labels=labels, reps=reps,
-        name=("Fig. 11 — synchronized faults on MPI state "
-              "(breakpoint at localMPI_setCommand)"),
-        base_seed=base_seed, runner=runner)
-
-
-def main() -> None:  # pragma: no cover - CLI
-    import argparse
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--reps", type=int, default=REPS)
-    parser.add_argument("--fixed", action="store_true")
-    add_runner_arguments(parser)
-    args = parser.parse_args()
-    print(run_experiment(reps=args.reps, bug_compat=not args.fixed,
-                         runner=runner_from_args(args)).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+SPEC = ExperimentSpec(
+    name="fig11", run=run_experiment, expect=expect,
+    quick=dict(reps=2, scales=(9, 16), include_baseline=False, **QUICK_BT),
+    ablation=dict(bug_compat=False, reps=3),
+    flags=(REPS_FLAG, FIXED_FLAG))

@@ -21,8 +21,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.harness import ExperimentResult, TrialSetup, run_trials
-from repro.experiments.runner import (TrialRunner, add_runner_arguments,
-                                      runner_from_args)
+from repro.experiments.runner import TrialRunner
+from repro.experiments.spec import (MACHINES_FLAG, PROCS_FLAG, QUICK_BT,
+                                    REPS_FLAG, ExperimentSpec)
 from repro.fail import builtin_scenarios as bs
 
 #: paper x-axis: no faults, then one fault every X seconds
@@ -79,19 +80,27 @@ def run_experiment(reps: int = REPS,
         runner=runner)
 
 
-def main() -> None:  # pragma: no cover - CLI
-    import argparse
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--reps", type=int, default=REPS)
-    parser.add_argument("--procs", type=int, default=N_PROCS)
-    parser.add_argument("--machines", type=int, default=N_MACHINES)
-    add_runner_arguments(parser)
-    args = parser.parse_args()
-    result = run_experiment(reps=args.reps, n_procs=args.procs,
-                            n_machines=args.machines,
-                            runner=runner_from_args(args))
-    print(result.render())
+def expect(result: ExperimentResult, kwargs) -> None:
+    nofault = result.row("no faults")
+    assert nofault.pct_terminated == 100.0
+    # (1) zero buggy runs at every frequency;
+    for row in result.rows:
+        assert row.pct_buggy == 0.0, row.label
+    # (2) exec time grows as the period shrinks (65 -> 50);
+    t65 = result.row("every 65 sec").mean_exec_time
+    t50 = result.row("every 50 sec").mean_exec_time
+    assert t65 is not None and t50 is not None
+    assert nofault.mean_exec_time < t65 < t50
+    # (3) the 45 s anomaly: better than the 50 s trend point;
+    t45 = result.row("every 45 sec").mean_exec_time
+    if t45 is not None:
+        assert t45 < t50
+    # (4) non-termination dominates at 40 s.
+    assert result.row("every 40 sec").pct_non_terminating >= 50.0
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+SPEC = ExperimentSpec(
+    name="fig5", run=run_experiment, expect=expect,
+    quick=dict(reps=2, periods=(None, 65, 50, 45, 40), n_procs=16,
+               n_machines=20, **QUICK_BT),
+    flags=(REPS_FLAG, PROCS_FLAG, MACHINES_FLAG))

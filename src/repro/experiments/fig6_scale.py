@@ -23,8 +23,9 @@ from typing import List, Optional, Sequence, Tuple
 from repro.experiments.harness import (ExperimentResult, TrialSetup,
                                        run_trials)
 from repro.experiments.fig5_frequency import setup_for_period
-from repro.experiments.runner import (TrialRunner, add_runner_arguments,
-                                      runner_from_args)
+from repro.experiments.runner import TrialRunner
+from repro.experiments.spec import (QUICK_BT, REPS_FLAG, ExperimentSpec,
+                                    flag)
 
 SCALES: Sequence[int] = (25, 36, 49, 64)
 #: past the paper's range (BT needs perfect squares); the sharded
@@ -62,30 +63,27 @@ def run_experiment(reps: int = REPS,
         base_seed=base_seed, runner=runner)
 
 
-def variance_by_scale(result: ExperimentResult, fault_period: int = FAULT_PERIOD):
-    """(scale, stdev of faulty exec time) pairs — the paper's variance
-    argument, extracted for EXPERIMENTS.md."""
-    out = []
+def expect(result: ExperimentResult, kwargs) -> None:
+    scales, period = kwargs["scales"], kwargs["fault_period"]
+    # (1) no-fault execution time decreases with scale;
+    nofault = [result.row(f"BT {s} no faults").mean_exec_time for s in scales]
+    assert all(t is not None for t in nofault)
+    assert all(a > b for a, b in zip(nofault, nofault[1:]))
+    # (2) faults never make a scale *faster* than its no-fault time;
+    for s, t in zip(scales, nofault):
+        faulty = result.row(f"BT {s} 1/{period}s").mean_exec_time
+        if faulty is not None:
+            assert faulty > t
+    # (3) no buggy runs (single faults only).
     for row in result.rows:
-        if row.label.endswith(f"1/{fault_period}s"):
-            scale = int(row.label.split()[1])
-            out.append((scale, row.stdev_exec_time))
-    return out
+        assert row.pct_buggy == 0.0, row.label
 
 
-def main() -> None:  # pragma: no cover - CLI
-    import argparse
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--reps", type=int, default=REPS)
-    parser.add_argument("--extended", action="store_true",
-                        help="extend the scale axis past the paper's range "
-                             f"(scales {', '.join(map(str, EXTENDED_SCALES))})")
-    add_runner_arguments(parser)
-    args = parser.parse_args()
-    scales = EXTENDED_SCALES if args.extended else SCALES
-    print(run_experiment(reps=args.reps, scales=scales,
-                         runner=runner_from_args(args)).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+SPEC = ExperimentSpec(
+    name="fig6", run=run_experiment, expect=expect,
+    quick=dict(reps=2, scales=(9, 16, 25), **QUICK_BT),
+    flags=(REPS_FLAG,
+           flag("--extended", action="store_const", const=EXTENDED_SCALES,
+                dest="scales",
+                help="extend the scale axis past the paper's range (scales "
+                     f"{', '.join(map(str, EXTENDED_SCALES))})")))

@@ -17,8 +17,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.experiments.harness import ExperimentResult, TrialSetup, run_trials
-from repro.experiments.runner import (TrialRunner, add_runner_arguments,
-                                      runner_from_args)
+from repro.experiments.runner import TrialRunner
+from repro.experiments.spec import (FIXED_FLAG, QUICK_BT, REPS_FLAG,
+                                    ExperimentSpec)
 from repro.fail import builtin_scenarios as bs
 
 BATCH_SIZES: Sequence[int] = (1, 2, 3, 4, 5)
@@ -60,17 +61,21 @@ def run_experiment(reps: int = REPS,
         base_seed=base_seed, runner=runner)
 
 
-def main() -> None:  # pragma: no cover - CLI
-    import argparse
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--reps", type=int, default=REPS)
-    parser.add_argument("--fixed", action="store_true",
-                        help="run with the dispatcher bug fixed (ablation)")
-    add_runner_arguments(parser)
-    args = parser.parse_args()
-    print(run_experiment(reps=args.reps, bug_compat=not args.fixed,
-                         runner=runner_from_args(args)).render())
+def expect(result: ExperimentResult, kwargs) -> None:
+    if not kwargs["bug_compat"]:
+        # the fixed dispatcher removes every buggy outcome
+        for row in result.rows:
+            assert row.pct_buggy == 0.0, row.label
+        return
+    # one fault per batch never shows the bug; large batches do (~1/3
+    # at X = 5 on the paper's scale)
+    assert result.row("1 fault").pct_buggy == 0.0
+    assert result.row("5 faults").pct_buggy > 0.0
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+SPEC = ExperimentSpec(
+    name="fig7", run=run_experiment, expect=expect,
+    quick=dict(reps=3, batches=(1, 5), n_procs=16, n_machines=20,
+               **QUICK_BT),
+    ablation=dict(batches=(5,), bug_compat=False),
+    flags=(REPS_FLAG, FIXED_FLAG))

@@ -18,21 +18,22 @@ bytes and the per-link hot spot, which is where oversubscription
 bites.
 
 Results land in ``BENCH_net.json`` (per-row means, hot-spot links,
-wall-clock and cache stats); trials flow through the shared cached
+wall-clock and runner stats); trials flow through the shared cached
 :class:`~repro.experiments.runner.TrialRunner`, so re-sweeps are
 cache hits.
 """
 
 from __future__ import annotations
 
-import json
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.harness import (ExperimentResult, TrialSetup,
                                        run_trials)
-from repro.experiments.runner import (TrialRunner, add_runner_arguments,
-                                      runner_from_args)
+from repro.experiments.runner import TrialRunner
+from repro.experiments.spec import (MACHINES_FLAG, NO_FAULTS_FLAG,
+                                    PROCS_FLAG, PROTOCOL_NAMES_FLAG,
+                                    REPS_FLAG, ExperimentSpec, comma_list,
+                                    flag, table)
 from repro.explore.generators import TimedKill, render_plan
 from repro.mpichv import protocols
 from repro.netmodel import TopologySpec
@@ -134,62 +135,35 @@ def render_hotspots(result: ExperimentResult) -> str:
     return "\n".join(lines)
 
 
-def main() -> None:  # pragma: no cover - CLI
-    import argparse
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--reps", type=int, default=REPS)
-    parser.add_argument("--protocols", action="append", default=[],
-                        metavar="NAME[,NAME]",
-                        help="protocols to sweep (default: all registered)")
-    parser.add_argument("--oversub", default=None, metavar="N[,N]",
-                        help="twotier oversubscription factors "
-                             "(default: 2,8)")
-    parser.add_argument("--procs", type=int, default=4)
-    parser.add_argument("--machines", type=int, default=7)
-    parser.add_argument("--no-faults", action="store_true",
-                        help="sweep fault-free (no recovery traffic)")
-    parser.add_argument("--quick", action="store_true",
-                        help="one trial per topology x protocol (CI smoke)")
-    parser.add_argument("--json", default="BENCH_net.json", metavar="PATH",
-                        help="benchmark JSON output path")
-    add_runner_arguments(parser)
-    args = parser.parse_args()
-
-    protos = [p for chunk in args.protocols for p in chunk.split(",") if p]
-    oversubs = tuple(float(x) for x in args.oversub.split(",")) \
-        if args.oversub else OVERSUBS
-    runner = runner_from_args(args)
-    reps = 1 if args.quick else args.reps
-
-    t0 = time.perf_counter()
-    result = run_experiment(
-        reps=reps, protocol_names=protos or None, oversubs=oversubs,
-        n_procs=args.procs, n_machines=args.machines,
-        faulty=not args.no_faults, runner=runner)
-    wall = time.perf_counter() - t0
-
-    print(result.render())
-    print()
-    print(render_hotspots(result))
-    stats = runner.stats
-    print(f"[runner] executed {stats.executed}, cache hits "
-          f"{stats.cache_hits} ({100.0 * stats.hit_rate:.0f}% hit rate)")
-    if args.json:
-        doc = {
-            "experiment": "net-sensitivity",
-            "reps": reps,
-            "protocols": list(protos or protocols.available()),
-            "oversubscriptions": list(oversubs),
-            "faulty": not args.no_faults,
-            "rows": summarize(result),
-            "wall_seconds": wall,
-            "executed": stats.executed,
-            "cache_hits": stats.cache_hits,
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+def bench_doc(result: ExperimentResult, kwargs) -> Dict[str, object]:
+    """The command-specific keys of ``BENCH_net.json``."""
+    return {
+        "reps": kwargs["reps"],
+        "protocols": list(kwargs["protocol_names"] or protocols.available()),
+        "oversubscriptions": list(kwargs["oversubs"]),
+        "faulty": kwargs["faulty"],
+        "rows": summarize(result),
+    }
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def expect(result: ExperimentResult, kwargs) -> None:
+    # every topology x protocol row is present, and carries traffic
+    protos = kwargs["protocol_names"] or protocols.available()
+    assert {row.label for row in result.rows} == {
+        f"{protocol}/{topo}" for protocol in protos
+        for topo, _spec in topology_grid(kwargs["oversubs"])}
+    assert all(row.mean_net_bytes > 0 for row in result.rows)
+
+
+SPEC = ExperimentSpec(
+    name="net-sensitivity", run=run_experiment, expect=expect,
+    quick=dict(reps=1),
+    flags=(REPS_FLAG, PROTOCOL_NAMES_FLAG,
+           flag("--oversub", type=comma_list(float), dest="oversubs",
+                metavar="N[,N]",
+                help="twotier oversubscription factors (default: 2,8)"),
+           PROCS_FLAG, MACHINES_FLAG, NO_FAULTS_FLAG,
+           flag("--quick", action="store_true",
+                help="one trial per topology x protocol (CI smoke)")),
+    blocks=(table, lambda result, kwargs: render_hotspots(result)),
+    bench_json="BENCH_net.json", summarize=bench_doc)

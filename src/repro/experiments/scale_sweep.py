@@ -24,21 +24,19 @@ shard.  Trials flow through the cached
 
 from __future__ import annotations
 
-import json
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.harness import (ExperimentResult, ExperimentRow,
                                        TrialSetup, run_trials)
-from repro.experiments.runner import (TrialRunner, add_runner_arguments,
-                                      runner_from_args)
+from repro.experiments.runner import TrialRunner
+from repro.experiments.spec import (NO_FAULTS_FLAG, PROTOCOL_NAMES_FLAG,
+                                    REPS_FLAG, ExperimentSpec, comma_list,
+                                    flag, table)
 from repro.mpichv import protocols
 
 REPS = 1
 RANKS: Sequence[int] = (32, 64, 128, 256, 512)
 SHARDS: Sequence[int] = (1, 2, 4, 8)
-QUICK_RANKS: Sequence[int] = (32, 64)
-QUICK_SHARDS: Sequence[int] = (1, 4)
 FAULT_AT = 45
 
 #: ring calibration — per-rank work is held constant
@@ -112,50 +110,6 @@ def run_experiment(reps: int = REPS,
 
 
 # ---------------------------------------------------------------------------
-# instrumentation-overhead self-profiling (BENCH artifacts only)
-# ---------------------------------------------------------------------------
-
-def obs_overhead_row(n_procs: int = 8, repeats: int = 2) -> Dict[str, object]:
-    """Span-instrumentation cost, measured on/off (``obs_overhead``).
-
-    Runs one small faulted trial with observation enabled and disabled,
-    ``repeats`` times each, and reports the best wall of each mode plus
-    their ratio.  Wall clock only — it lands in ``BENCH_*.json`` next
-    to the runner's self-profiling, never in the wire format.
-    """
-    from repro.explore import generators
-    from repro.explore.generators import TimedKill, render_plan
-
-    scenario = render_plan((TimedKill(at=FAULT_AT, target=0),))
-    walls: Dict[bool, float] = {}
-    for observe in (True, False):
-        setup = TrialSetup(
-            n_procs=n_procs, n_machines=n_procs + 4,
-            scenario_source=scenario,
-            master_daemon=generators.MASTER,
-            node_daemon=generators.NODE_DAEMON,
-            timeout=600.0, footprint=FOOTPRINT,
-            workload="ring", niters=ROUNDS,
-            total_compute=COMPUTE_PER_RANK * n_procs,
-            observe=observe)
-        best = None
-        for _ in range(max(1, repeats)):
-            t0 = time.perf_counter()
-            setup.run_one(0)
-            wall = time.perf_counter() - t0
-            best = wall if best is None else min(best, wall)
-        walls[observe] = best
-    return {
-        "benchmark": "obs_overhead",
-        "n_procs": n_procs,
-        "wall_observed_s": round(walls[True], 4),
-        "wall_unobserved_s": round(walls[False], 4),
-        "overhead_ratio": round(walls[True] / walls[False], 4)
-        if walls[False] else 0.0,
-    }
-
-
-# ---------------------------------------------------------------------------
 # shard-balance reporting
 # ---------------------------------------------------------------------------
 
@@ -178,8 +132,7 @@ def _row_shard_stats(row: ExperimentRow) -> Tuple[float, float, int]:
 
 
 def summarize(result: ExperimentResult) -> List[Dict[str, object]]:
-    """Per-row summary rows for ``BENCH_scale.json`` (deterministic
-    apart from ``mean_wall_seconds``)."""
+    """Per-row summary rows for ``BENCH_scale.json`` (deterministic)."""
     out: List[Dict[str, object]] = []
     for row in result.rows:
         share, imbalance, n_shards = _row_shard_stats(row)
@@ -201,8 +154,6 @@ def summarize(result: ExperimentResult) -> List[Dict[str, object]]:
             "ckpt_shard_imbalance": imbalance,
             "mean_events": (sum(r.events_processed for r in results)
                             / row.n if row.n else 0),
-            "mean_wall_seconds": (sum(r.wall_seconds for r in results)
-                                  / row.n if row.n else 0.0),
         })
     return out
 
@@ -222,74 +173,56 @@ def render_shard_balance(result: ExperimentResult) -> str:
     return "\n".join(lines)
 
 
-def main() -> None:  # pragma: no cover - CLI
-    import argparse
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--reps", type=int, default=REPS)
-    parser.add_argument("--protocols", action="append", default=[],
-                        metavar="NAME[,NAME]",
-                        help="protocols to sweep (default: all registered)")
-    parser.add_argument("--ranks", default=None, metavar="N[,N]",
-                        help=f"rank counts (default: "
-                             f"{','.join(map(str, RANKS))})")
-    parser.add_argument("--shards", default=None, metavar="K[,K]",
-                        help=f"checkpoint-server counts (default: "
-                             f"{','.join(map(str, SHARDS))})")
-    parser.add_argument("--topology", default="uniform",
-                        help="fabric model for every cell (uniform, star, "
-                             "twotier; see repro.netmodel)")
-    parser.add_argument("--no-faults", action="store_true",
-                        help="sweep fault-free (no recovery traffic)")
-    parser.add_argument("--quick", action="store_true",
-                        help=f"reduced CI grid: ranks "
-                             f"{','.join(map(str, QUICK_RANKS))} x shards "
-                             f"{','.join(map(str, QUICK_SHARDS))}, 1 rep")
-    parser.add_argument("--json", default="BENCH_scale.json", metavar="PATH",
-                        help="benchmark JSON output path")
-    add_runner_arguments(parser)
-    args = parser.parse_args()
-
-    protos = [p for chunk in args.protocols for p in chunk.split(",") if p]
-    ranks = tuple(int(x) for x in args.ranks.split(",")) if args.ranks \
-        else (QUICK_RANKS if args.quick else RANKS)
-    shards = tuple(int(x) for x in args.shards.split(",")) if args.shards \
-        else (QUICK_SHARDS if args.quick else SHARDS)
-    reps = 1 if args.quick else args.reps
-    runner = runner_from_args(args)
-
-    t0 = time.perf_counter()
-    result = run_experiment(
-        reps=reps, protocol_names=protos or None, ranks=ranks,
-        shards=shards, faulty=not args.no_faults, topology=args.topology,
-        runner=runner)
-    wall = time.perf_counter() - t0
-
-    print(result.render())
-    print()
-    print(render_shard_balance(result))
-    stats = runner.stats
-    print(f"[runner] {stats.describe()}, wall {wall:.1f}s")
-    rows = summarize(result)
-    if args.json:
-        doc = {
-            "experiment": "scale-sweep",
-            "reps": reps,
-            "protocols": list(protos or protocols.available()),
-            "ranks": list(ranks),
-            "shards": list(shards),
-            "topology": args.topology,
-            "faulty": not args.no_faults,
-            "rows": rows,
-            "wall_seconds": wall,
-            "executed": stats.executed,
-            "cache_hits": stats.cache_hits,
-            "runner_stats": stats.to_doc(),
-            "obs_overhead": obs_overhead_row(),
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+def bench_doc(result: ExperimentResult, kwargs) -> Dict[str, object]:
+    """The command-specific keys of ``BENCH_scale.json``."""
+    return {
+        "reps": kwargs["reps"],
+        "protocols": list(kwargs["protocol_names"] or protocols.available()),
+        "ranks": list(kwargs["ranks"]),
+        "shards": list(kwargs["shards"]),
+        "topology": kwargs["topology"],
+        "faulty": kwargs["faulty"],
+        "rows": summarize(result),
+    }
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def expect(result: ExperimentResult, kwargs) -> None:
+    ranks, shards = kwargs["ranks"], kwargs["shards"]
+    protos = kwargs["protocol_names"] or protocols.available()
+    assert [row.label for row in result.rows] == [
+        f"{protocol}/n{n}/k{k}"
+        for protocol, n, k in sweep_grid(protos, ranks, shards)]
+    for row in result.rows:
+        assert row.pct_terminated == 100.0, row.label
+        share, imbalance, n_shards = _row_shard_stats(row)
+        if n_shards == 1:
+            # the paper's regime: one server takes every byte
+            assert share == 1.0, row.label
+        else:
+            # sharding dissolves the hot spot (~1/k each, small skew)
+            assert share < 1.5 / n_shards, (row.label, share)
+            assert imbalance < 1.25, (row.label, imbalance)
+    # Vcl's wave drain contends on the shared servers: more shards must
+    # never slow it down
+    for n in ranks:
+        k_lo = result.row(f"vcl/n{n}/k{shards[0]}").mean_exec_time
+        k_hi = result.row(f"vcl/n{n}/k{shards[-1]}").mean_exec_time
+        assert k_hi <= k_lo, (n, k_lo, k_hi)
+
+
+SPEC = ExperimentSpec(
+    name="scale-sweep", run=run_experiment, expect=expect,
+    quick=dict(reps=1, ranks=(32, 64), shards=(1, 4)),
+    flags=(REPS_FLAG, PROTOCOL_NAMES_FLAG,
+           flag("--ranks", type=comma_list(int), metavar="N[,N]",
+                help=f"rank counts (default: {','.join(map(str, RANKS))})"),
+           flag("--shards", type=comma_list(int), metavar="K[,K]",
+                help="checkpoint-server counts (default: "
+                     f"{','.join(map(str, SHARDS))})"),
+           flag("--topology", help="fabric model for every cell (uniform, "
+                                   "star, twotier; see repro.netmodel)"),
+           NO_FAULTS_FLAG,
+           flag("--quick", action="store_true",
+                help="reduced CI grid: ranks 32,64 x shards 1,4, 1 rep")),
+    blocks=(table, lambda result, kwargs: render_shard_balance(result)),
+    bench_json="BENCH_scale.json", summarize=bench_doc)

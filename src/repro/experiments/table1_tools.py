@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro.experiments.spec import ExperimentSpec
+
 CRITERIA: Tuple[str, ...] = (
     "High Expressiveness",
     "High-level Language",
@@ -109,23 +111,38 @@ def render() -> str:
     return "\n".join(lines)
 
 
-def main() -> None:  # pragma: no cover - CLI
-    import argparse
-
-    from repro.experiments.runner import add_runner_arguments
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    # The table is regenerated from the registry — no trials run — but
-    # every `python -m repro` subcommand accepts the shared runner
-    # flags so campaign scripts can pass them uniformly.
-    add_runner_arguments(parser)
-    parser.parse_args()
-    print(render())
-    print()
-    print("FAIL-FCI evidence in this repository:")
-    for criterion, where in SUPPORT_EVIDENCE.items():
-        print(f"  {criterion}: {where}")
+def render_evidence() -> str:
+    lines = ["FAIL-FCI evidence in this repository:"]
+    lines += [f"  {criterion}: {where}"
+              for criterion, where in SUPPORT_EVIDENCE.items()]
+    return "\n".join(lines)
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def run_experiment(runner=None) -> List[List[str]]:
+    """The table's rows; no trials run, so ``runner`` is unused."""
+    return build_table()
+
+
+def expect(rows: List[List[str]], kwargs) -> None:
+    # the table exactly as printed in the paper §2.1
+    assert rows[0] == ["Criteria", "NFTAPE", "LOKI", "FAIL-FCI"]
+    by_criterion = {r[0]: r[1:] for r in rows[1:]}
+    assert by_criterion == {
+        "High Expressiveness": ["yes", "no", "yes"],
+        "High-level Language": ["no", "no", "yes"],
+        "Low Intrusion": ["yes", "yes", "yes"],
+        "Probabilistic Scenario": ["yes", "no", "yes"],
+        "No Code Modification": ["no", "no", "yes"],
+        "Scalability": ["no", "yes", "yes"],
+        "Global-state Injection": ["yes", "yes", "yes"],
+    }
+    # every FAIL-FCI "yes" is backed by evidence in this repository
+    for criterion, answers in by_criterion.items():
+        if answers[2] == "yes":
+            assert criterion in SUPPORT_EVIDENCE
+
+
+SPEC = ExperimentSpec(
+    name="table1", run=run_experiment, expect=expect,
+    blocks=(lambda rows, kwargs: render(),
+            lambda rows, kwargs: render_evidence()))

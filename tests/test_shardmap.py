@@ -15,6 +15,7 @@ import dataclasses
 import pytest
 
 from repro.analysis.classify import Outcome
+from repro.experiments import scale_sweep
 from repro.experiments.harness import TrialSetup
 from repro.experiments.runner import TrialRunner, trial_key
 from repro.mpichv import shardmap
@@ -217,3 +218,33 @@ def test_shard_count_is_part_of_the_cache_key():
     k4 = dataclasses.replace(
         base, config_overrides={"n_ckpt_servers": 4})
     assert trial_key(k2, 1) != trial_key(k4, 1)
+
+
+def test_scale_sweep_summary_is_the_same_from_the_cache(tmp_path):
+    """The BENCH_scale.json rows hold no wall clock, which a cached
+    result does not carry."""
+    def summary():
+        return scale_sweep.summarize(scale_sweep.run_experiment(
+            protocol_names=("v1",), ranks=(8,), shards=(1, 2),
+            runner=TrialRunner(cache_dir=str(tmp_path))))
+
+    assert summary() == summary()
+
+
+# ---------------------------------------------------------------------------
+# 512 ranks end to end
+# ---------------------------------------------------------------------------
+
+def test_scale_512_rank_delivery():
+    """One 512-rank deployment through the full runtime (mesh build,
+    message delivery, checkpoint waves), its checkpoint traffic spread
+    over four shards."""
+    setup = TrialSetup(
+        n_procs=512, n_machines=516, protocol="vcl", timeout=600.0,
+        workload="ring", niters=10, total_compute=110.0 * 512,
+        footprint=1e9, ckpt_period=15.0,
+        config_overrides={"n_ckpt_servers": 4})
+    result = setup.run_one(seed=2)
+    assert result.outcome is Outcome.TERMINATED
+    assert len(result.ckpt_shard_bytes) == 4
+    assert all(b > 0 for b in result.ckpt_shard_bytes)

@@ -1,40 +1,8 @@
-"""Benchmark regenerating Fig. 11 — state-synchronized faults."""
+"""Fig. 11 — state-synchronized faults: ``fig11_state_sync.SPEC.expect``
+at quick scale, or at the paper's scale under ``REPRO_FULL=1``."""
 
-import pytest
-
-from benchmarks.conftest import (attach, figure_kwargs, make_runner, reps,
-                                 scales)
-from repro.experiments import fig11_state_sync as fig11
+from repro.experiments import fig11_state_sync
 
 
-@pytest.mark.benchmark(group="fig11")
-def test_fig11_state_sync(benchmark):
-    use_scales = scales(fig11.SCALES, (9, 16))
-    n_reps = reps(fig11.REPS)
-    result = benchmark.pedantic(
-        lambda: fig11.run_experiment(reps=n_reps, scales=use_scales,
-                                     include_baseline=False,
-                                     runner=make_runner(),
-                                     **figure_kwargs()),
-        rounds=1, iterations=1)
-    attach(benchmark, result)
-
-    # The paper's headline: EVERY experiment freezes, at EVERY scale —
-    # the scenario that pinpointed the dispatcher bug.
-    for row in result.rows:
-        assert row.pct_buggy == 100.0, row.label
-
-
-@pytest.mark.benchmark(group="fig11")
-def test_fig11_bugfix_ablation(benchmark):
-    """The fix flips Fig. 11 from 100% buggy to 100% terminated."""
-    use_scales = scales((25, 49), (9, 16))
-    result = benchmark.pedantic(
-        lambda: fig11.run_experiment(reps=3, scales=use_scales,
-                                     include_baseline=False, bug_compat=False,
-                                     runner=make_runner(),
-                                     **figure_kwargs()),
-        rounds=1, iterations=1)
-    attach(benchmark, result)
-    for row in result.rows:
-        assert row.pct_terminated == 100.0, row.label
+def test_fig11_state_sync(figure_shape):
+    figure_shape(fig11_state_sync.SPEC)

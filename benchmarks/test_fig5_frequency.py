@@ -1,41 +1,8 @@
-"""Benchmark regenerating Fig. 5 — impact of fault frequency."""
+"""Fig. 5 — impact of fault frequency: ``fig5_frequency.SPEC.expect``
+at quick scale, or at the paper's scale under ``REPRO_FULL=1``."""
 
-import pytest
-
-from benchmarks.conftest import FULL, attach, figure_kwargs, make_runner, reps
-from repro.experiments import fig5_frequency as fig5
+from repro.experiments import fig5_frequency
 
 
-@pytest.mark.benchmark(group="fig5")
-def test_fig5_frequency(benchmark):
-    if FULL:
-        kwargs = dict(n_procs=fig5.N_PROCS, n_machines=fig5.N_MACHINES,
-                      periods=fig5.PERIODS)
-    else:
-        kwargs = dict(n_procs=16, n_machines=20,
-                      periods=(None, 65, 50, 45, 40), **figure_kwargs())
-
-    result = benchmark.pedantic(
-        lambda: fig5.run_experiment(reps=reps(fig5.REPS),
-                                    runner=make_runner(), **kwargs),
-        rounds=1, iterations=1)
-    attach(benchmark, result)
-
-    nofault = result.row("no faults")
-    assert nofault.pct_terminated == 100.0
-
-    # Shape assertions from the paper:
-    # (1) zero buggy runs at every frequency;
-    for row in result.rows:
-        assert row.pct_buggy == 0.0, row.label
-    # (2) exec time grows as the period shrinks (65 -> 50);
-    t65 = result.row("every 65 sec").mean_exec_time
-    t50 = result.row("every 50 sec").mean_exec_time
-    assert t65 is not None and t50 is not None
-    assert nofault.mean_exec_time < t65 < t50
-    # (3) the 45 s anomaly: better than the 50 s trend point;
-    t45 = result.row("every 45 sec").mean_exec_time
-    if t45 is not None:
-        assert t45 < t50
-    # (4) non-termination dominates at 40 s.
-    assert result.row("every 40 sec").pct_non_terminating >= 50.0
+def test_fig5_frequency(figure_shape):
+    figure_shape(fig5_frequency.SPEC)

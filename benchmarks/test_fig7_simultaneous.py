@@ -1,46 +1,8 @@
-"""Benchmark regenerating Fig. 7 — impact of simultaneous faults."""
+"""Fig. 7 — impact of simultaneous faults: ``fig7_simultaneous.SPEC.expect``
+at quick scale, or at the paper's scale under ``REPRO_FULL=1``."""
 
-import pytest
-
-from benchmarks.conftest import FULL, attach, figure_kwargs, make_runner, reps
-from repro.experiments import fig7_simultaneous as fig7
+from repro.experiments import fig7_simultaneous
 
 
-@pytest.mark.benchmark(group="fig7")
-def test_fig7_simultaneous(benchmark):
-    if FULL:
-        kwargs = dict(n_procs=fig7.N_PROCS, n_machines=fig7.N_MACHINES,
-                      batches=fig7.BATCH_SIZES)
-        n_reps = reps(fig7.REPS)
-    else:
-        kwargs = dict(n_procs=16, n_machines=20, batches=(1, 5),
-                      **figure_kwargs())
-        n_reps = 3
-
-    result = benchmark.pedantic(
-        lambda: fig7.run_experiment(reps=n_reps, runner=make_runner(),
-                                    **kwargs),
-        rounds=1, iterations=1)
-    attach(benchmark, result)
-
-    # Shape assertions from the paper: one fault per batch never shows
-    # the bug; large batches do (~1/3 at X=5 on the paper's scale).
-    assert result.row("1 fault").pct_buggy == 0.0
-    largest = result.rows[-1]
-    smallest_buggy = result.rows[0].pct_buggy
-    assert largest.pct_buggy >= smallest_buggy
-
-
-@pytest.mark.benchmark(group="fig7")
-def test_fig7_bugfix_ablation(benchmark):
-    """Post-paper ablation: the fixed dispatcher removes every buggy
-    outcome at the largest batch size."""
-    kwargs = (dict(n_procs=fig7.N_PROCS, n_machines=fig7.N_MACHINES)
-              if FULL else dict(n_procs=16, n_machines=20, **figure_kwargs()))
-    result = benchmark.pedantic(
-        lambda: fig7.run_experiment(reps=3 if not FULL else reps(fig7.REPS),
-                                    batches=(5,), bug_compat=False,
-                                    runner=make_runner(), **kwargs),
-        rounds=1, iterations=1)
-    attach(benchmark, result)
-    assert result.rows[0].pct_buggy == 0.0
+def test_fig7_simultaneous(figure_shape):
+    figure_shape(fig7_simultaneous.SPEC)

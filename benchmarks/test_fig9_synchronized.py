@@ -1,43 +1,8 @@
-"""Benchmark regenerating Fig. 9 — synchronized faults (onload-timed)."""
+"""Fig. 9 — synchronized faults: ``fig9_synchronized.SPEC.expect`` at
+quick scale, or at the paper's scale under ``REPRO_FULL=1``."""
 
-import pytest
-
-from benchmarks.conftest import (FULL, attach, figure_kwargs, make_runner,
-                                 reps, scales)
-from repro.experiments import fig9_synchronized as fig9
+from repro.experiments import fig9_synchronized
 
 
-@pytest.mark.benchmark(group="fig9")
-def test_fig9_synchronized(benchmark):
-    use_scales = scales(fig9.SCALES, (9, 16))
-    n_reps = reps(fig9.REPS) if FULL else 6
-    result = benchmark.pedantic(
-        lambda: fig9.run_experiment(reps=n_reps, scales=use_scales,
-                                    include_baseline=False,
-                                    runner=make_runner(), **figure_kwargs()),
-        rounds=1, iterations=1)
-    attach(benchmark, result)
-
-    # Shape assertions from the paper: the bug appears at every scale,
-    # but a majority of runs is not subject to it; the rest terminate
-    # (2 faults cannot make BT non-terminating).
-    total_buggy = sum(round(r.pct_buggy / 100.0 * r.n) for r in result.rows)
-    assert total_buggy >= 1
-    for row in result.rows:
-        assert row.pct_buggy <= 70.0, row.label
-        assert row.pct_terminated + row.pct_buggy == 100.0, row.label
-
-
-@pytest.mark.benchmark(group="fig9")
-def test_fig9_bugfix_ablation(benchmark):
-    """With the fixed dispatcher the same scenario never freezes."""
-    use_scales = scales((25, 49), (9, 16))
-    result = benchmark.pedantic(
-        lambda: fig9.run_experiment(reps=4, scales=use_scales,
-                                    include_baseline=False, bug_compat=False,
-                                    runner=make_runner(), **figure_kwargs()),
-        rounds=1, iterations=1)
-    attach(benchmark, result)
-    for row in result.rows:
-        assert row.pct_buggy == 0.0, row.label
-        assert row.pct_terminated == 100.0, row.label
+def test_fig9_synchronized(figure_shape):
+    figure_shape(fig9_synchronized.SPEC)

@@ -3,13 +3,15 @@
 ``test_figure_shape`` runs each spec's ``run_experiment`` at its quick
 scale and checks the paper's shape with the spec's own ``expect`` —
 and its ablation, where it has one.  Under ``REPRO_FULL=1`` the same
-test runs the paper's scales instead (serially: tens of minutes).
+test runs the paper's scales instead (serially: tens of minutes).  The
+``figure_shape`` fixture (root ``conftest.py``) shares each run with
+the older per-figure test names in ``benchmarks/`` and
+``tests/test_figure_shapes_quick.py``.
 """
 
 import argparse
 import importlib
 import json
-import os
 import re
 import sys
 
@@ -17,8 +19,6 @@ import pytest
 
 from repro.__main__ import COMMANDS, main, usage
 from repro.experiments.runner import add_runner_arguments
-
-FULL = os.environ.get("REPRO_FULL", "") not in ("", "0")
 
 SPECS = [spec for spec in (
     getattr(importlib.import_module(module), "SPEC", None)
@@ -30,11 +30,8 @@ SPECS = [spec for spec in (
     pytest.param(spec, ablated, id=spec.name + ("-ablation" if ablated else ""))
     for spec in SPECS for ablated in (False, True)
     if spec.ablation or not ablated])
-def test_figure_shape(spec, ablated):
-    # run_experiment's defaults are the paper's scale
-    kwargs = {**({} if FULL else spec.quick),
-              **(spec.ablation if ablated else {})}
-    spec.expect(spec.run(**kwargs), spec.resolve(kwargs))
+def test_figure_shape(spec, ablated, figure_shape):
+    figure_shape(spec, ablated)
 
 
 RUNNER = " --workers --cache-dir --no-cache --trace-out --obs-report"

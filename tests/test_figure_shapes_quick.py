@@ -1,10 +1,7 @@
-"""Quick-scale assertions of the paper's figure *shapes* inside the
-regular test suite (the benchmarks re-check them at larger scale).
+"""The paper's figure shapes at quick scale, one test per figure.
 
-Scales are small (BT-9/BT-16) and compute budgets short, but the
-protocol-duration quantities that shape every figure (checkpoint-wave
-length, recovery, injection pacing) stay at their calibrated values,
-so the qualitative claims carry over.
+Each is its spec's ``expect`` through the shared ``figure_shape``
+fixture, so it shares its run with ``test_figure_shape[<figure>]``.
 """
 
 import pytest
@@ -12,62 +9,23 @@ import pytest
 from repro.experiments import (fig5_frequency, fig7_simultaneous,
                                fig9_synchronized, fig11_state_sync)
 
-# enough work that the 40 s fault period undercuts checkpoint progress
-# (the stall regime needs several wave cycles before completion)
-QUICK = dict(niters=40, total_compute=2400.0)
-SCALE = dict(n_procs=16, n_machines=20)
+
+@pytest.mark.slow
+def test_fig5_shape_frequency_kills_progress(figure_shape):
+    figure_shape(fig5_frequency.SPEC)
 
 
 @pytest.mark.slow
-def test_fig5_shape_frequency_kills_progress():
-    result = fig5_frequency.run_experiment(
-        reps=2, periods=(None, 60, 40), **SCALE, **QUICK)
-    nofault = result.row("no faults")
-    slow = result.row("every 60 sec")
-    fast = result.row("every 40 sec")
-    # no faults: everything terminates, no bug, fastest
-    assert nofault.pct_terminated == 100.0
-    assert slow.mean_exec_time > nofault.mean_exec_time
-    # single faults never trigger the dispatcher bug
-    for row in result.rows:
-        assert row.pct_buggy == 0.0
-    # At 40 s the fault inter-arrival undercuts wave completion.  At
-    # this reduced scale the regime is marginal (it depends on the
-    # fault-vs-wave phase): runs either stall outright or limp home
-    # several times slower than fault-free — both are the paper's
-    # "too many faults to progress" signature.
-    severely_degraded = (fast.mean_exec_time is not None
-                         and fast.mean_exec_time
-                         > 4 * nofault.mean_exec_time)
-    assert fast.pct_non_terminating > 0.0 or severely_degraded
+def test_fig7_shape_bug_needs_overlapping_faults(figure_shape):
+    figure_shape(fig7_simultaneous.SPEC)
 
 
 @pytest.mark.slow
-def test_fig7_shape_bug_needs_overlapping_faults():
-    result = fig7_simultaneous.run_experiment(
-        reps=3, batches=(1, 5), **SCALE, **QUICK)
-    assert result.row("1 fault").pct_buggy == 0.0
-    assert result.row("5 faults").pct_buggy > 0.0
+def test_fig9_shape_recovery_synchronized_faults_race(figure_shape):
+    figure_shape(fig9_synchronized.SPEC)
 
 
 @pytest.mark.slow
-def test_fig9_shape_recovery_synchronized_faults_race():
-    result = fig9_synchronized.run_experiment(
-        reps=8, scales=(16,), include_baseline=False, **QUICK)
-    row = result.rows[0]
-    # the bug appears, but not in every run: it is a race on the
-    # recovered daemon's registration
-    assert 0.0 < row.pct_buggy < 100.0
-    # every non-frozen run terminates (2 faults can't stall BT)
-    assert row.pct_terminated + row.pct_buggy == 100.0
-
-
-@pytest.mark.slow
-def test_fig11_shape_state_synchronized_always_freezes():
-    buggy = fig11_state_sync.run_experiment(
-        reps=3, scales=(9,), include_baseline=False, **QUICK)
-    assert buggy.rows[0].pct_buggy == 100.0
-    fixed = fig11_state_sync.run_experiment(
-        reps=3, scales=(9,), include_baseline=False, bug_compat=False,
-        **QUICK)
-    assert fixed.rows[0].pct_terminated == 100.0
+def test_fig11_shape_state_synchronized_always_freezes(figure_shape):
+    figure_shape(fig11_state_sync.SPEC)
+    figure_shape(fig11_state_sync.SPEC, ablated=True)

@@ -286,8 +286,9 @@ class Network:
                 client._peer = server._peer = None
                 deliver(ConnectionRefused(f"listener at {addr} closed"))
                 return
-            self._sockets[client] = None
-            self._sockets[server] = None
+            if not client.closed:   # a dialer that died in the round trip
+                self._sockets[client] = None
+                self._sockets[server] = None
             if server.owner is not None:
                 server.owner.adopt_socket(server)
             listener._rx.put(server)

@@ -251,3 +251,27 @@ def test_a_connection_refused_at_delivery_leaves_nothing_behind(
     dialer.kill()
     engine.run(until=2.0)
     assert notified == []
+
+
+def test_a_dialer_killed_in_the_round_trip_leaves_no_live_end(engine,
+                                                              cluster):
+    """A client end closed while its connection is still in flight (the
+    dialer died 10 µs into the 200 µs round trip) is never registered
+    as a live connection when the round trip completes: severance would
+    otherwise scan a closed end for the rest of the run."""
+    def server(proc):
+        proc.node.listen(5000, owner=proc)
+        yield engine.event()
+
+    def idle(proc):
+        yield engine.event()
+
+    cluster.node(0).spawn("server", server)
+    dialer = cluster.node(1).spawn("dialer", idle)
+    engine.run(until=0.5)
+    cluster.node(1).connect(cluster.node(0).addr(5000), owner=dialer)
+    engine.call_later(1e-5, dialer.kill)
+    engine.run(until=1.0)
+    network = cluster.network
+    assert [s for s in network._sockets if s.closed] == []
+    assert [s.local_host for s in network._sockets] == []

@@ -39,12 +39,16 @@ partition fault class the paper leaves out.
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Dict, FrozenSet, Iterable,
+from array import array
+from collections import deque
+from functools import partial
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, List,
                     NamedTuple, Optional, Sequence, Set, Tuple, Union)
 
 from repro.netmodel import (DEFAULT_BANDWIDTH, DEFAULT_LATENCY, build_fabric)
 from repro.simkernel.engine import Engine
-from repro.simkernel.events import Event
+from repro.simkernel.events import PRIORITY_URGENT, Event
+from repro.simkernel.process import CallbackThread
 from repro.simkernel.store import Store
 
 
@@ -90,12 +94,16 @@ class Network:
         self.messages_sent = 0
         #: uniform fabric -> the hot path never consults the fabric
         self._fast_uniform = self.fabric.is_uniform
-        #: live connection endpoints (for partition severing); an
-        #: insertion-ordered dict-as-set — severance must scan
-        #: connections in creation order or same-instant closure
-        #: notifications land in address-dependent (nondeterministic)
-        #: tie-break order
-        self._sockets: Dict["Socket", None] = {}
+        #: live connections for partition severing, in creation order:
+        #: a client :class:`Socket` -> its sequence number, or a
+        #: :class:`Mesh` whose dialed rows carry theirs
+        #: (:attr:`Mesh.born`).  Severance must scan connections in
+        #: creation order or same-instant closure notifications land in
+        #: address-dependent (nondeterministic) tie-break order
+        self._conns: Dict[Any, int] = {}
+        self._next_seq = 0
+        #: connections whose severance is on its way
+        self._severing: Set[Any] = set()
         #: hosts on the isolated side of an accumulated partition
         self._isolated: Set[str] = set()
         #: explicitly cut host pairs
@@ -181,35 +189,59 @@ class Network:
         if obs is not None:
             obs.close_all("netsplit", self.engine.now)
 
+    def _register(self) -> int:
+        seq = self._next_seq
+        self._next_seq += 1
+        return seq
+
     def _sever_spanning(self) -> None:
         """Schedule severance of live connections that now span a cut."""
-        for sock in list(self._sockets):
-            peer = sock._peer
-            if peer is None or sock.remote is None:
-                continue            # pairs are processed once, client side
-            if sock._rx.closed and peer._rx.closed:
-                continue            # already dead
-            if sock._sever_pending:
+        live = []
+        for conn, seq in self._conns.items():
+            if type(conn) is Mesh:
+                live += [(conn.born[row], (conn, row))
+                         for row, state in enumerate(conn.state)
+                         if state == CLIENT]
+            else:
+                live.append((seq, conn))
+        live.sort(key=lambda entry: entry[0])
+        for _seq, conn in live:
+            if conn in self._severing:
                 continue
-            if self.reachable(sock.local_host, peer.local_host):
+            if type(conn) is tuple:
+                mesh, row = conn
+                far = mesh.far[row]
+                if far is None:
+                    continue        # both receive streams are closed
+                a, b = mesh.host, far.host
+            else:
+                far = conn._peer
+                if far is None or (conn._rx.closed and far._rx.closed):
+                    continue        # already dead
+                a, b = conn.local_host, far.local_host
+            if self.reachable(a, b):
                 continue
-            sock._sever_pending = True
-            delay = self._latency_between(sock.local_host, peer.local_host)
-            sock._rx._inflight += 1
-            peer._rx._inflight += 1
+            self._severing.add(conn)
+            self.engine.call_later(self._latency_between(a, b),
+                                   partial(self._sever, conn, far, a, b))
 
-            def _fire(a=sock, b=peer) -> None:
-                a._sever_pending = False
-                a._rx._inflight -= 1
-                b._rx._inflight -= 1
-                if self.reachable(a.local_host, b.local_host):
-                    return          # healed before the closure landed
-                for s in (a, b):
-                    s._rx.close()
-                    # dead for good: drop from the severing scan set
-                    self._sockets.pop(s, None)
-
-            self.engine.call_later(delay, _fire)
+    def _sever(self, conn, far, a: str, b: str) -> None:
+        """A severance lands: both receive streams close, unless a heal
+        came first."""
+        self._severing.discard(conn)
+        if self.reachable(a, b):
+            return                  # healed before the closure landed
+        if type(conn) is tuple:
+            mesh, row = conn
+            if not mesh.closed and mesh.far[row] is far:
+                mesh._close_rx(row)
+            if not far.closed and far.far[mesh.rank] is mesh:
+                far._close_rx(mesh.rank)
+        else:
+            # dead for good: drop from the severing scan set
+            self._conns.pop(conn, None)
+            conn._rx.close()
+            far._rx.close()
 
     # -- traffic accounting ----------------------------------------------------
     def link_stats(self) -> Dict[str, Dict[str, int]]:
@@ -287,8 +319,7 @@ class Network:
                 deliver(ConnectionRefused(f"listener at {addr} closed"))
                 return
             if not client.closed:   # a dialer that died in the round trip
-                self._sockets[client] = None
-                self._sockets[server] = None
+                self._conns[client] = self._register()
             if server.owner is not None:
                 server.owner.adopt_socket(server)
             listener._rx.put(server)
@@ -308,17 +339,15 @@ class Network:
         """
         if size is None:
             size = getattr(msg, "size", None)
-            if isinstance(size, (int, float)) and size >= 0:
-                size = int(size)
-            else:
-                size = DEFAULT_MSG_SIZE
+            size = int(size) if isinstance(size, (int, float)) \
+                and size >= 0 else DEFAULT_MSG_SIZE
         engine = self.engine
         now = engine.now
         obs = engine.obs
         # Causal choke point: every stamped message crosses here once
         # per transmission, with the arrival already computed — so the
         # graph is a pure function of the simulated history (see
-        # repro.obs.causal).
+        # repro.obs.causal).  Mesh.send_all is the other half.
         ctx = getattr(msg, "_causal_ctx", None) if obs is not None else None
         cut = self._isolated or self._cut_pairs
         uniform = self._fast_uniform
@@ -353,7 +382,6 @@ class Network:
                                        now, arrival, size)
             rx = peer._rx
             if arrival == last:     # that arrival's batch still ends the slot
-                rx._inflight += 1
                 batch.items.append((rx, msg))
             else:
                 batch, last = schedule(arrival - now, rx, msg), arrival
@@ -364,9 +392,10 @@ class Network:
         """Break the reference cycles of every endpoint still open at
         the end (teardown only — see ``VclRuntime.dispose``); a pair
         closed at both ends unlinked itself."""
-        for sock in self._sockets:
-            sock.dispose()
-        self._sockets.clear()
+        for conn in self._conns:
+            if type(conn) is not Mesh:
+                conn.dispose()
+        self._conns.clear()
         for listener in self._listeners.values():
             listener.dispose()
         self._listeners.clear()
@@ -375,16 +404,18 @@ class Network:
 class ListenSocket:
     """A bound listening endpoint; ``accept()`` yields server sockets."""
 
-    __slots__ = ("network", "addr", "owner", "_rx", "closed")
+    __slots__ = ("network", "addr", "owner", "_rx", "closed", "mesh")
 
     def __init__(self, network: Network, addr: Address, owner=None):
         self.network = network
         self.addr = addr
         self.owner = owner
         #: the backlog of accepted server sockets; named like
-        #: :attr:`Socket._rx` so a reader binds to either endpoint
+        #: :attr:`Socket._rx` so a reader serves either endpoint
         self._rx: Store = Store(network.engine, name=f"listen({addr})")
         self.closed = False
+        #: the :class:`Mesh` that accepts what is dialed here, if any
+        self.mesh: Optional["Mesh"] = None
 
     def accept(self) -> Event:
         """Event yielding the next incoming :class:`Socket`.
@@ -405,10 +436,13 @@ class ListenSocket:
             srv = self._rx.get_nowait()
             srv.close()
         self._rx.close()
+        if self.mesh is not None:
+            self.mesh._refuse_backlog()
+            self.mesh = None
 
     def dispose(self) -> None:
         """Teardown-only cycle breaking (owner link, queued peers)."""
-        self.owner = None
+        self.owner = self.mesh = None
         self._rx.dispose()
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -416,17 +450,15 @@ class ListenSocket:
 
 
 class Socket:
-    """One endpoint of an established connection.
-
-    A 128-rank mesh is 16 256 of these at once (a 512-rank one
-    261 632), so the instance is slotted, its receive store is lean, a
-    server end keeps no remote address, and a pair closed at both ends
-    unlinks itself.  :attr:`tag` is the owner's (a mesh peer's rank).
+    """One endpoint of an established service connection (dispatcher,
+    scheduler, checkpoint shards, event logger, channel memories): a
+    few per daemon, where the daemons' full mesh is one :class:`Mesh`
+    each.  Slotted; a server end keeps no remote address, and a pair
+    closed at both ends unlinks itself.
     """
 
     __slots__ = ("network", "conn_id", "local_host", "remote", "owner",
-                 "_rx", "_peer", "_pipe_free", "closed", "_sever_pending",
-                 "tag")
+                 "_rx", "_peer", "_pipe_free", "closed")
 
     def __init__(self, network: Network, conn_id: int, local_host: str,
                  remote: Optional[Address], owner=None):
@@ -440,8 +472,6 @@ class Socket:
         self._peer: Optional["Socket"] = None
         self._pipe_free: float = 0.0  # next time the outgoing pipe is free
         self.closed = False
-        self._sever_pending = False
-        self.tag: Any = None
 
     # -- I/O ------------------------------------------------------------------
     def send(self, msg: Any, size: Optional[int] = None) -> None:
@@ -474,7 +504,7 @@ class Socket:
             self.owner.disown_socket(self)
             self.owner = None
         network = self.network
-        network._sockets.pop(self, None)
+        network._conns.pop(self, None)
         peer = self._peer
         if peer is None:
             return
@@ -485,11 +515,9 @@ class Socket:
                       network.engine.now
                       + network._latency_between(self.local_host,
                                                  peer.local_host))
-        peer._rx._inflight += 1
         network.engine.call_at(arrival, peer._closed_by_peer)
 
     def _closed_by_peer(self) -> None:
-        self._rx._inflight -= 1
         self._rx.close()
 
     @property
@@ -500,9 +528,464 @@ class Socket:
         """Teardown-only cycle breaking (the ``_peer`` pair link is the
         cycle; owner and buffered messages pin the rest)."""
         self._peer = None
-        self.owner = self.tag = None
+        self.owner = None
         self._rx.dispose()
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<Socket #{self.conn_id} {self.local_host}->{self.remote} "
                 f"closed={self.closed}>")
+
+
+#: a :class:`Mesh` row's end: none, dialing, landed (awaiting the
+#: accept side), accepted, dialed
+FREE, DIALING, PENDING, SERVER, CLIENT = range(5)
+#: a row reader's (or, on a PENDING row, the accept side's) next step:
+#: none, wait, read the handed-over item, first look, see the close
+IDLE, WAIT, ITEM, START, CLOSE = range(5)
+#: the accept side waits for a landing / has a look at the backlog due
+_ACCEPTING, _ACCEPT_DUE = -1, -2
+#: the arrival that closes a row's receive stream: a close notice
+_NOTICE = object()
+
+
+class Mesh(CallbackThread):
+    """One daemon incarnation's end of its full mesh of connections.
+
+    Every connection of the mesh is simulated — dial, round trip,
+    handshake, FIFO pipe, close notice, severance — at the instant and
+    slot position a :class:`Socket` pair read by a
+    :class:`~repro.simkernel.store.Reader` at each end took, but as a
+    *row*: the connection to rank ``r`` is entry ``r`` of per-peer
+    columns (the far end's mesh, None once this end's receive stream
+    closed; the pipe's free time; arrivals in flight; the inbound
+    queue), served by one handler keyed by rank.
+
+    The mesh is its process's thread and the payload of every read: an
+    arrival is a ``(rank, message)`` item of its instant's
+    :class:`~repro.simkernel.engine.Batch`, handed to a waiting row
+    and read in a payload of its own (a hop; :attr:`_hops` says which
+    row), where the reader's was.  Dials start in one payload, land one
+    callable per round-trip instant, and retry with a doubling back-off;
+    a landed end waits in the backlog, and the accept side looks at one
+    connection at a time, handing its first message to ``on_hello``.
+    A debugger stop parks hops, continuing re-runs them from one URGENT
+    payload.  When the process dies each end closes in its fd order
+    (:attr:`fd`), owing a notice to a far end still reading.  A row holds one end at a time: a
+    rank's next incarnation binds its port, and dials, once the last
+    one is dead.
+    """
+
+    __slots__ = ("network", "proc", "host", "rank", "closed", "_died",
+                 "on_msg", "on_gone", "on_hello", "on_connected",
+                 "far", "pipe", "state", "inbox", "item", "inflight", "rd",
+                 "fd", "born", "peers", "joined",
+                 "_hops", "_backlog", "_acc", "_outcomes", "_outcome_hop",
+                 "_backoff_max", "_stop")
+
+    def __init__(self, proc, listener: ListenSocket, rank: int, n: int,
+                 on_msg: Callable[[int, Any], None],
+                 on_gone: Optional[Callable[[int], None]],
+                 on_hello: Callable[[int, Any], None],
+                 on_connected: Callable[[int], None]):
+        super().__init__(proc.engine, start=False)
+        self.network = listener.network
+        self.proc = proc
+        self.host = proc.node.name
+        self.rank = rank
+        self.closed = False
+        self._died = 0.0
+        self.on_msg, self.on_gone = on_msg, on_gone
+        self.on_hello, self.on_connected = on_hello, on_connected
+        self.far: List[Optional[Mesh]] = [None] * n
+        self.pipe = array("d", bytes(8 * n))
+        self.state = bytearray(n)               # FREE
+        #: lists, not deques: a row rarely queues more than its hello,
+        #: and at N(N-1) rows a deque's block is a noticeable share
+        self.inbox: List[Optional[list]] = [None] * n
+        self.item: List[Any] = [None] * n
+        self.inflight: List[int] = [0] * n
+        self.rd = bytearray(n)                  # IDLE
+        #: when the process opened each end, when the network
+        #: registered each dialed one
+        self.fd = array("q", bytes(8 * n))
+        self.born = array("q", bytes(8 * n))
+        #: the rows the daemon talks to, in the order they joined (a
+        #: marker flood goes out in this order), and a membership column
+        self.peers: List[int] = []
+        self.joined = bytearray(n)
+        self._hops: deque = deque()     # -1: the accept side's look
+        self._backlog: deque = deque()
+        self._acc = _ACCEPTING
+        self._outcomes: deque = deque()
+        self._outcome_hop = self._dialed
+        self._parked = []
+        listener.mesh = proc.mesh = self
+        proc.adopt_thread(self)
+
+    @property
+    def name(self) -> str:
+        return f"mesh.r{self.rank}@{self.host}"
+
+    def _adopt(self, row: int) -> None:
+        self.fd[row] = self.proc._open()
+
+    def join(self, row: int) -> None:
+        """``row`` joins :attr:`peers` (where it is, if it is there)."""
+        if not self.joined[row]:
+            self.joined[row] = 1
+            self.peers.append(row)
+
+    def leave(self, row: int) -> None:
+        if self.joined[row]:
+            self.joined[row] = 0
+            self.peers.remove(row)
+
+    # -- dialing ---------------------------------------------------------------
+    def dial(self, targets: Sequence[Tuple[int, Address]], backoff: float,
+             backoff_max: float, stop: Callable[[], bool]) -> None:
+        """Dial every ``(rank, address)``, from one payload at this
+        instant; a refused dial retries ``backoff`` seconds later,
+        doubling up to ``backoff_max``, unless ``stop()``."""
+        self._backoff_max = backoff_max
+        self._stop = stop
+        if targets:
+            self.engine._schedule(0.0, None,
+                                  partial(self._redial, targets, backoff))
+
+    def _redial(self, targets, delay: float) -> None:
+        if not self.alive:
+            return
+        if self.suspended:
+            self._parked.append(partial(self._redial, targets, delay))
+            return
+        if self._stop():
+            return
+        network, host = self.network, self.host
+        landings: Dict[float, list] = {}
+        for row, addr in targets:
+            listener = network._listeners.get(addr)
+            far = None
+            if listener is not None and not listener.closed \
+                    and network.reachable(host, addr.host):
+                far = self.far[row] = listener.mesh
+                self.state[row] = DIALING
+                self.pipe[row] = 0.0
+                self._adopt(row)
+            rtt = 2 * network._latency_between(host, addr.host)
+            landings.setdefault(rtt, []).append((row, addr, far, delay))
+        for rtt, dials in landings.items():
+            self.engine._schedule(rtt, None, partial(self._land, dials))
+
+    def _land(self, dials) -> None:
+        """Dials land, in the order they were made."""
+        network = self.network
+        for row, addr, far, delay in dials:
+            if far is not None and not far.closed \
+                    and network.reachable(self.host, far.host):
+                if self.closed:
+                    # died in the round trip: its close notice reached
+                    # the far end first, or is still on its way
+                    dead = self._died + network._latency_between(
+                        self.host, far.host) < self.engine.now
+                    far._landed(self.rank, None if dead else self)
+                    continue
+                network._conns.setdefault(self, 0)
+                self.born[row] = network._register()
+                far._landed(self.rank, self)
+                self.state[row] = CLIENT
+            elif self.closed:
+                continue
+            else:
+                if self.state[row] == DIALING:
+                    self.state[row] = FREE
+                    self.far[row] = None
+                far = None
+            self._outcomes.append((row, addr, far is not None, delay))
+            self.engine._schedule(0.0, None, self._outcome_hop)
+
+    def _dialed(self) -> None:
+        """A dial's outcome, where the connect event's payload was."""
+        if not self.alive:
+            return
+        outcome = self._outcomes.popleft()
+        if self.suspended:
+            self._parked.append(partial(self._react, *outcome))
+        else:
+            self._react(*outcome)
+
+    def _react(self, row: int, addr: Address, connected: bool,
+               delay: float) -> None:
+        try:
+            if connected:
+                self.on_connected(row)
+                return
+            self.engine.cover("daemon.connect.refused")
+            self.engine._schedule(delay, None, partial(
+                self._redial, ((row, addr),),
+                min(delay * 2, self._backoff_max)))
+        except Exception as err:
+            self._crash(err)
+
+    # -- accepting ---------------------------------------------------------------
+    def _landed(self, row: int, dialer: Optional["Mesh"]) -> None:
+        """A dial from ``row`` lands (``dialer`` None: closed already)."""
+        self.state[row] = PENDING
+        self.far[row] = dialer
+        self.pipe[row] = 0.0
+        self.inbox[row] = self.item[row] = None
+        self.rd[row] = IDLE
+        self._adopt(row)
+        if self._acc != _ACCEPTING:
+            self._backlog.append(row)
+        elif dialer is not None and not self.suspended:
+            # the accept side's look at it would find nothing yet
+            self._acc = row
+            self.rd[row] = WAIT
+        else:
+            self._backlog.append(row)
+            self._acc = _ACCEPT_DUE
+            self._hop(-1)
+
+    def _first_word(self, row: int) -> None:
+        """The accept side's hop on a landed end: its first message goes
+        to ``on_hello`` (a silent close is skipped); the next one's turn."""
+        handed = self.rd[row] == ITEM
+        self.rd[row] = IDLE
+        self._acc = _ACCEPT_DUE
+        if handed:
+            msg, self.item[row] = self.item[row], None
+            self.on_hello(row, msg)
+        if not self.alive:
+            return
+        if self._backlog:
+            self._hop(-1)
+        else:
+            self._acc = _ACCEPTING
+
+    # -- reading -------------------------------------------------------------------
+    def serve(self, row: int) -> None:
+        """Read ``row``: ``on_msg(row, message)`` per arrival,
+        ``on_gone(row)`` once it closes.  It waits at once where its
+        first look would find nothing (nothing queued or in flight, the
+        stream open, the process running), else looks in a payload."""
+        if self.state[row] == PENDING:
+            self.state[row] = SERVER
+        if self.inbox[row] or self.far[row] is None or self.inflight[row] \
+                or self.suspended:
+            self.rd[row] = START
+            self._hops.append(row)
+            self.engine._schedule(0.0, None, self)
+        else:
+            self.rd[row] = WAIT
+
+    def _hop(self, row: int) -> None:
+        self._hops.append(row)
+        self.engine._enqueue(self)
+
+    def __call__(self) -> None:
+        if not self.alive:
+            return
+        row = self._hops.popleft()
+        if self.suspended:
+            self._parked.append(row)
+        elif row >= 0 and self.rd[row] == ITEM and self.state[row] > PENDING:
+            # a message for a served row: read it, look for the next
+            msg, self.item[row] = self.item[row], None
+            try:
+                self.on_msg(row, msg)
+            except Exception as err:
+                return self._crash(err)
+            if not self.alive:
+                return
+            queue = self.inbox[row]
+            if queue:
+                self.item[row] = queue.pop(0)
+                if not queue:
+                    self.inbox[row] = None
+                self._hops.append(row)
+                self.engine._enqueue(self)
+            elif self.far[row] is None:
+                self._gone(row)
+            else:
+                self.rd[row] = WAIT
+        else:
+            self._step(row)
+
+    def _step(self, row: int) -> None:
+        try:
+            if row < 0:
+                row = self._acc = self._backlog.popleft()
+            elif self.state[row] == PENDING:
+                return self._first_word(row)
+            else:
+                mode = self.rd[row]
+                if mode == ITEM:
+                    msg, self.item[row] = self.item[row], None
+                    self.on_msg(row, msg)
+                    if not self.alive:
+                        return
+                elif mode == CLOSE:
+                    self.rd[row] = IDLE
+                    return self.on_gone(row)
+                elif mode != START:
+                    return
+            # the next look
+            queue = self.inbox[row]
+            if queue:
+                self.item[row] = queue.pop(0)
+                if not queue:
+                    self.inbox[row] = None
+                self.rd[row] = ITEM
+                self._hop(row)
+            elif self.far[row] is None:
+                self._gone(row)
+            else:
+                self.rd[row] = WAIT
+        except Exception as err:
+            self._crash(err)
+
+    def _gone(self, row: int) -> None:
+        if self.on_gone is None and self.state[row] != PENDING:
+            self.rd[row] = IDLE         # the loop that simply returned
+        else:
+            self.rd[row] = CLOSE
+            self._hop(row)
+
+    def put(self, arrival: Tuple[int, Any]) -> None:
+        """A :class:`~repro.simkernel.engine.Batch` item lands: a message
+        for row ``arrival[0]``, or its close notice."""
+        row, msg = arrival
+        self.inflight[row] -= 1
+        if self.far[row] is None:
+            return                      # the receive stream has closed
+        rd = self.rd
+        if msg is _NOTICE:
+            self._close_rx(row)
+        elif rd[row] == WAIT:
+            self.item[row] = msg
+            rd[row] = ITEM
+            self._hops.append(row)
+            self.engine._enqueue(self)
+        elif self.inbox[row] is None:
+            self.inbox[row] = [msg]
+        else:
+            self.inbox[row].append(msg)
+
+    def _close_rx(self, row: int) -> None:
+        """``row``'s receive stream closes: what waits in it is lost, an
+        item already handed over is still read."""
+        self.far[row] = self.inbox[row] = None
+        if self.rd[row] == WAIT:
+            self._gone(row)
+
+    # -- sending -------------------------------------------------------------------
+    def send(self, row: int, msg: Any, size: Optional[int] = None) -> None:
+        self.send_all((row,), msg, size)
+
+    def send_all(self, rows: Iterable[int], msg: Any,
+                 size: Optional[int] = None) -> None:
+        """:meth:`Network.send_all` over ``rows``: an arrival per row
+        whose far end still reads and is reachable."""
+        if self.closed:
+            return
+        network = self.network
+        if size is None:
+            size = getattr(msg, "size", None)
+            size = int(size) if isinstance(size, (int, float)) \
+                and size >= 0 else DEFAULT_MSG_SIZE
+        engine = network.engine
+        now = engine.now
+        obs = engine.obs
+        ctx = getattr(msg, "_causal_ctx", None) if obs is not None else None
+        cut = network._isolated or network._cut_pairs
+        uniform = network._fast_uniform
+        if uniform:
+            earliest = now + network.latency + size / network.bandwidth
+        schedule = engine._schedule
+        host, me, far_of, pipe = self.host, self.rank, self.far, self.pipe
+        item = (me, msg)
+        sent = 0
+        last = batch = None
+        for row in rows:
+            far = far_of[row]
+            if far is None or far.closed:
+                continue        # packets to a dead endpoint vanish
+            if cut and not network.reachable(host, far.host):
+                continue        # packets into a cut vanish
+            sent += 1
+            if uniform:
+                arrival = pipe[row]
+                if arrival < earliest:
+                    arrival = earliest
+            else:
+                arrival = network.fabric.delivery(now, host, far.host, size,
+                                                  pipe[row])
+            pipe[row] = arrival
+            if ctx is not None:
+                obs.causal.on_transmit(ctx, type(msg).__name__, host,
+                                       far.host, now, arrival, size)
+            far.inflight[me] += 1
+            if arrival == last:     # that arrival's batch still ends the slot
+                batch.items.append((far, item))
+            else:
+                batch, last = schedule(arrival - now, far, item), arrival
+        network.messages_sent += sent
+        network.bytes_sent += sent * size
+
+    # -- closing ---------------------------------------------------------------------
+    def close_end(self, row: int) -> None:
+        """Close this end of ``row`` (the process died); a far end still
+        reading learns one latency later, behind what this end sent."""
+        state = self.state[row]
+        if state == FREE:
+            return
+        self.state[row] = FREE
+        far, self.far[row] = self.far[row], None
+        if far is None or far.closed:
+            return
+        now = self.engine.now
+        arrival = max(self.pipe[row], now + self.network._latency_between(
+            self.host, far.host))
+        far.inflight[self.rank] += 1
+        self.engine._schedule(arrival - now, far, (self.rank, _NOTICE))
+
+    def _refuse_backlog(self) -> None:
+        """The listener closes: ends never accepted close first."""
+        for row in self._backlog:
+            self.close_end(row)
+
+    def open_ends(self) -> List[Tuple[int, int]]:
+        """``(fd, row)`` of every end, in the order they were opened."""
+        return sorted((self.fd[row], row)
+                      for row, state in enumerate(self.state) if state)
+
+    # -- the thread's control verbs ------------------------------------------------
+    def kill(self) -> None:
+        super().kill()
+        if not self.closed:
+            self.closed = True
+            self._died = self.engine.now
+            self.network._conns.pop(self, None)
+
+    def resume(self) -> None:
+        if self.suspended:
+            self.suspended = False
+            if self._parked:
+                self.engine._enqueue(self._unpark, 0.0, PRIORITY_URGENT)
+
+    def _unpark(self) -> None:
+        while self._parked and self.alive and not self.suspended:
+            hop = self._parked.pop(0)
+            self._step(hop) if type(hop) is int else hop()
+
+    def dispose(self) -> None:
+        """Drop columns and handlers; what a late landing or severance
+        reads of a dead mesh stays."""
+        super().dispose()
+        self.closed = True
+        self.proc = self.on_msg = self.on_gone = self.on_hello = None
+        self.on_connected = self._stop = self._outcome_hop = None
+        self.far = self.pipe = self.state = self.inbox = self.item = None
+        self.inflight = self.rd = self._hops = self._backlog = None
+        self.fd = self.born = self.peers = self.joined = None
+        self._outcomes = self._parked = None

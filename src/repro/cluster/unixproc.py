@@ -3,8 +3,9 @@
 A :class:`UnixProcess` groups one *main* simulated coroutine plus any
 helper threads — generator threads for code that blocks, callback
 threads (:meth:`UnixProcess.spawn_reader`, :meth:`UnixProcess.adopt_thread`)
-for code that only reacts, e.g. to what a socket delivers — owns
-sockets (closed by the "OS" when the process dies), and exposes the
+for code that only reacts, e.g. to what a socket delivers, or a
+daemon's :class:`~repro.cluster.network.Mesh` — owns sockets and mesh
+ends (closed by the "OS" when the process dies), and exposes the
 control surface the FAIL debugger needs:
 
 * ``kill()``   — SIGKILL: all threads die instantly, sockets close;
@@ -46,38 +47,6 @@ class ProcState(enum.Enum):
 _LIVE = (ProcState.RUNNING, ProcState.SUSPENDED)
 
 
-class Acceptor(Reader):
-    """The reader behind :meth:`UnixProcess.spawn_acceptor`: accept a
-    connection, wait for its first message, hand both over, accept
-    again.  Its state lives in slots, not in closures that would name
-    each other (a cycle that outlives ``dispose``)."""
-
-    __slots__ = ("backlog", "on_first", "_sock")
-
-    def __init__(self, engine, listener, on_first: Callable[[Any, Any], None]):
-        self.backlog = listener._rx
-        self.on_first = on_first
-        self._sock = None
-        super().__init__(engine, self.backlog, self._on_conn)
-
-    def _on_conn(self, sock) -> None:
-        self._sock = sock
-        self.retarget(self._on_msg, self._accept_next, store=sock._rx)
-
-    def _on_msg(self, msg) -> None:
-        sock = self._sock
-        self._accept_next()
-        self.on_first(sock, msg)
-
-    def _accept_next(self) -> None:
-        self._sock = None
-        self.retarget(self._on_conn, store=self.backlog)
-
-    def dispose(self) -> None:
-        super().dispose()
-        self.backlog = self.on_first = self._sock = None
-
-
 class UnixProcess:
     """A process on a :class:`~repro.cluster.node.Node`.
 
@@ -104,7 +73,11 @@ class UnixProcess:
         #: generator threads (Process) and callback threads alike: both
         #: answer ``alive`` / ``kill`` / ``suspend`` / ``resume`` / ``dispose``
         self._threads: List[Any] = []
-        self._sockets: List[Any] = []
+        #: open sockets and listeners -> when they were opened (the
+        #: ends of :attr:`mesh`, if any, keep theirs in ``mesh.fd``)
+        self._sockets: Dict[Any, int] = {}
+        self._opened = 0
+        self.mesh = None
         self._exit_listeners: List[Callable[["UnixProcess", ProcState], None]] = []
         #: breakpoint interceptors: name -> callable(proc, name, resume_event)
         #: returning True if it took ownership of the pause (see trace_point)
@@ -125,19 +98,15 @@ class UnixProcess:
             t.suspend()
         return t
 
-    def spawn_reader(self, source, on_item: Callable[..., None],
-                     on_close: Optional[Callable[..., None]] = None,
-                     key: Any = None, bind: bool = False) -> Reader:
+    def spawn_reader(self, source, on_item: Callable[[Any], None],
+                     on_close: Optional[Callable[[], None]] = None) -> Reader:
         """Serve ``source`` — a socket's messages or a listener's
         accepted sockets — with ``on_item``, as a thread of this
         process that never blocks: ``on_close`` (if given) runs once
-        when the stream closes, and a ``key`` is passed first to both.
-        ``bind`` (sockets only) is :class:`~repro.simkernel.store.Reader`'s
-        promise; it takes effect only while this process runs.
+        when the stream closes.
         """
-        bind = bind and self.state is ProcState.RUNNING
         return self.adopt_thread(Reader(self.engine, source._rx, on_item,
-                                        on_close, key=key, bind=bind))
+                                        on_close))
 
     def adopt_thread(self, thread: CallbackThread) -> CallbackThread:
         """Make a just-built callback thread one of this process's
@@ -151,21 +120,6 @@ class UnixProcess:
         if self.state is ProcState.SUSPENDED:
             thread.suspend()
         return thread
-
-    def retire_thread(self, thread: CallbackThread) -> None:
-        """End a callback thread and let go of it."""
-        thread.kill()
-        self._threads.remove(thread)
-
-    def spawn_acceptor(self, listener,
-                       on_first: Callable[[Any, Any], None]) -> Reader:
-        """Serve ``listener`` one connection at a time: accept, wait
-        for the connection's first message, call ``on_first(sock,
-        msg)``, accept again.  One reader alternates between the
-        backlog and the accepted socket, so connection B is not looked
-        at while A's first message is awaited; a connection that closes
-        before saying anything is skipped."""
-        return self.adopt_thread(Acceptor(self.engine, listener, on_first))
 
     def _thread_done(self, ev, is_main: bool) -> None:
         if not ev.ok:
@@ -181,12 +135,16 @@ class UnixProcess:
             self._terminate(ProcState.ERRORED)
 
     # -- sockets ---------------------------------------------------------------
+    def _open(self) -> int:
+        fd = self._opened
+        self._opened += 1
+        return fd
+
     def adopt_socket(self, sock) -> None:
-        self._sockets.append(sock)
+        self._sockets[sock] = self._open()
 
     def disown_socket(self, sock) -> None:
-        if sock in self._sockets:
-            self._sockets.remove(sock)
+        self._sockets.pop(sock, None)
 
     # -- lifecycle ---------------------------------------------------------------
     def kill(self) -> None:
@@ -216,9 +174,18 @@ class UnixProcess:
         for t in self._threads:
             if t.alive:
                 t.kill()
-        # The OS closes every fd the process held: peers see closure.
-        for sock in list(self._sockets):
+        # The OS closes every fd the process held, in the order they
+        # were opened: peers see closure.
+        mesh = self.mesh
+        ends = mesh.open_ends() if mesh is not None else []
+        i = 0
+        for sock, fd in list(self._sockets.items()):
+            while i < len(ends) and ends[i][0] < fd:
+                mesh.close_end(ends[i][1])
+                i += 1
             sock.close()
+        for _fd, row in ends[i:]:
+            mesh.close_end(row)
         self._sockets.clear()
         self.node._proc_gone(self)
         self.engine.log("proc_exit", pid=self.pid, name=self.name,
@@ -241,7 +208,7 @@ class UnixProcess:
                 dispose()
         self._exit_listeners.clear()
         self._bp_handlers.clear()
-        self._crash_handler = None
+        self._crash_handler = self.mesh = None
 
     def on_exit(self, listener: Callable[["UnixProcess", ProcState], None]) -> None:
         """Register an exit listener (FAIL onexit/onerror plumbing).

@@ -27,17 +27,16 @@ order is acknowledged by socket closure *after* the
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.analysis.coverage import hit_bucket
-from repro.cluster.network import ConnectionRefused
+from repro.cluster.network import ConnectionRefused, Mesh
 from repro.cluster.unixproc import UnixProcess
 from repro.mpi.endpoint import LocalDelivery, MpiEndpoint
 from repro.mpi.message import AppMessage
 from repro.mpichv import shardmap, wire
 from repro.mpichv.checkpoint import CheckpointImage, node_local_store
 from repro.obs import causal
-from repro.simkernel.process import CallbackThread
 from repro.simkernel.store import StoreClosed
 
 
@@ -61,56 +60,6 @@ def connect_retry(proc: UnixProcess, addr, backoff_initial: float,
     return None
 
 
-class PeerDialer(CallbackThread):
-    """One mesh dial — :func:`connect_retry` plus the handshake — as a
-    callback thread: every step (the first attempt, the connection's
-    outcome, the end of a back-off) reacts and returns, so the N·(N−1)/2
-    dials of a mesh build need no generator each.  Each step runs at the
-    slot position the generator's did: the first where the dial thread
-    started (a daemon's dials start in one payload), an outcome where
-    the connect event's payload was, a retry where the back-off
-    ``Timeout`` fired.  A dial that is over leaves its process's threads.
-    """
-
-    __slots__ = ("core", "peer_rank", "addr", "delay", "_outcome")
-
-    def __init__(self, core: "MpichDaemon", peer_rank: int, addr):
-        self.core = core
-        self.peer_rank = peer_rank
-        self.addr = addr
-        self.delay = core.timing.connect_retry_initial
-        self._outcome = None
-        super().__init__(core.engine)
-
-    @property
-    def name(self) -> str:
-        return f"{self.core.protocol}.{self.core.rank}.dial{self.peer_rank}"
-
-    def _deliver(self, outcome) -> None:
-        # react where the connect event's payload would have run
-        self._outcome = outcome
-        self.engine._schedule(0.0, None, self)
-
-    def _run(self) -> None:
-        core = self.core
-        outcome, self._outcome = self._outcome, None
-        if outcome is None and not core.terminating:
-            core.network.connect(core.proc.node.name, self.addr, core.proc,
-                                 self._deliver)
-        elif isinstance(outcome, ConnectionRefused):
-            core.engine.cover("daemon.connect.refused")
-            core.engine._schedule(self.delay, None, self)
-            self.delay = min(self.delay * 2, core.timing.connect_retry_max)
-        else:
-            core.proc.retire_thread(self)
-            if outcome is not None:
-                core.on_peer_connected(self.peer_rank, outcome)
-
-    def dispose(self) -> None:
-        super().dispose()
-        self.core = self._outcome = None
-
-
 class MpichDaemon:
     """State, threads and reader handlers shared by every communication
     daemon instance.
@@ -125,10 +74,10 @@ class MpichDaemon:
     protocol: str = "?"
     #: mesh handshake message type accepted by the listener (None: no mesh)
     hello_cls: Optional[type] = None
-    #: handlers of every mesh connection's reader, if there is a mesh
-    #: (``sock.tag`` is the peer's rank)
-    on_peer_msg: Optional[Callable[[Any, Any], None]] = None
-    on_peer_gone: Optional[Callable[[Any], None]] = None
+    #: handlers of the mesh, if there is one: ``on_peer_msg(rank, msg)``
+    #: per message, ``on_peer_gone(rank)`` once a connection closes
+    on_peer_msg: Optional[Callable[[int, Any], None]] = None
+    on_peer_gone: Optional[Callable[[int], None]] = None
 
     def __init__(self, proc: UnixProcess, config, rank: int, epoch: int,
                  incarnation: int, app_factory: Callable[[MpiEndpoint], Any]):
@@ -151,11 +100,9 @@ class MpichDaemon:
                                       name=f"{self.protocol}.inbox.r{rank}")
         self.endpoint: Optional[MpiEndpoint] = None
 
-        # mesh: one reader per connection, the handlers bound once
-        self.peers: Dict[int, Any] = {}         # rank -> socket
+        # mesh: its ``peers`` are the ranks this daemon talks to
+        self.mesh: Optional[Mesh] = None
         self.expected_peers = self.n - 1 if self.hello_cls is not None else 0
-        self._peer_msg = self.on_peer_msg
-        self._peer_gone = self.on_peer_gone
         self.mesh_ready = self.engine.event(
             name=f"{self.protocol}.mesh.r{rank}")
 
@@ -184,8 +131,9 @@ class MpichDaemon:
     def app_send(self, msg: AppMessage) -> None:
         raise NotImplementedError
 
-    def on_mesh_hello(self, sock, hello) -> None:
-        """An inbound mesh connection completed its handshake."""
+    def on_mesh_hello(self, rank: int, hello) -> None:
+        """The mesh connection dialed by ``rank`` completed its
+        handshake."""
         raise NotImplementedError
 
     def connect_services(self, cmd: wire.CommandMap):
@@ -200,7 +148,7 @@ class MpichDaemon:
         """Peer ranks this daemon actively dials (it accepts the rest)."""
         return range(self.rank)
 
-    def on_peer_connected(self, peer_rank: int, sock) -> None:
+    def on_peer_connected(self, peer_rank: int) -> None:
         """A dial of ours reached ``peer_rank``: perform the handshake."""
         raise NotImplementedError
 
@@ -234,16 +182,8 @@ class MpichDaemon:
     def restarted(self) -> bool:
         return self.incarnation > 1
 
-    def serve_peer(self, sock, peer_rank: int) -> None:
-        """Read the mesh connection to ``peer_rank``, waiting at once:
-        only the daemon's death closes it, and nothing suspends a daemon
-        in a handshake's instant (FAIL acts ``fail_event_handling`` on)."""
-        sock.tag = peer_rank
-        self.proc.spawn_reader(sock, self._peer_msg, self._peer_gone,
-                               key=sock, bind=True)
-
     def check_mesh(self) -> None:
-        if len(self.peers) == self.expected_peers \
+        if len(self.mesh.peers) == self.expected_peers \
                 and not self.mesh_ready.triggered:
             self.mesh_ready.succeed()
 
@@ -358,10 +298,11 @@ class MpichDaemon:
             self.engine.cover("daemon.shutdown_order")
             self.proc.exit()
 
-    def accept_hello(self, sock, hello) -> None:
-        """Acceptor handler: an inbound connection said its first word."""
-        if self.hello_cls is not None and isinstance(hello, self.hello_cls):
-            self.on_mesh_hello(sock, hello)
+    def accept_hello(self, rank: int, hello) -> None:
+        """The mesh's accept side: the connection dialed by ``rank``
+        said its first word."""
+        if isinstance(hello, self.hello_cls):
+            self.on_mesh_hello(rank, hello)
 
     def _terminator(self):
         """Cleanup then clean exit; the dispatcher reads the resulting
@@ -374,9 +315,7 @@ class MpichDaemon:
     def dispose(self) -> None:
         """Cycle breaking, reached through ``proc.tags`` when the
         process exits (or at teardown)."""
-        self.endpoint = self.proc = None
-        self._peer_msg = self._peer_gone = None
-        self.peers.clear()
+        self.endpoint = self.proc = self.mesh = None
 
 
 def daemon_lifecycle(core_cls, proc: UnixProcess, config, rank: int,
@@ -412,7 +351,10 @@ def daemon_lifecycle(core_cls, proc: UnixProcess, config, rank: int,
         proc.abort()
         return
 
-    proc.spawn_acceptor(listener, core.accept_hello)
+    if core.hello_cls is not None:
+        core.mesh = Mesh(proc, listener, rank, core.n, core.on_peer_msg,
+                         core.on_peer_gone, core.accept_hello,
+                         core.on_peer_connected)
 
     # exec + library initialisation time
     yield engine.timeout(timing.uniform(engine.random, timing.daemon_startup))
@@ -473,8 +415,11 @@ def daemon_lifecycle(core_cls, proc: UnixProcess, config, rank: int,
         yield from core.restore_state(cmd)
 
     # --- build the peer mesh ----------------------------------------------
-    for peer_rank in core.mesh_dial_targets(cmd):
-        proc.adopt_thread(PeerDialer(core, peer_rank, cmd.addrs[peer_rank]))
+    if core.mesh is not None:
+        core.mesh.dial([(peer, cmd.addrs[peer])
+                        for peer in core.mesh_dial_targets(cmd)],
+                       timing.connect_retry_initial, timing.connect_retry_max,
+                       stop=lambda: core.terminating)
     if core.expected_peers:
         yield core.mesh_ready
 

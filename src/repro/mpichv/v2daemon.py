@@ -106,11 +106,10 @@ class V2Daemon(MpichDaemon):
         if log is None:
             log = self.send_log[msg.dst] = deque()
         log.append((seq, msg))
-        sock = self.peers.get(msg.dst)
-        if sock is not None and not sock.closed:
+        if self.mesh.joined[msg.dst]:
             data = wire.V2Data(app=msg, seq=seq)
             causal.adopt(data, msg)     # envelope continues the trace
-            sock.send(data)
+            self.mesh.send(msg.dst, data)
         # else: peer down — the log holds it until the new incarnation
         # dials in and requests a resend.
 
@@ -201,31 +200,29 @@ class V2Daemon(MpichDaemon):
     # ------------------------------------------------------------------
     # peer handling
     # ------------------------------------------------------------------
-    def attach_peer(self, peer_rank: int, sock, resend_from: int) -> None:
-        old = self.peers.get(peer_rank)
-        if old is not None and not old.closed and old is not sock:
-            old.close()
-        self.peers[peer_rank] = sock
+    def attach_peer(self, peer_rank: int, resend_from: int) -> None:
+        # the mesh row holds the new incarnation's connection: the old
+        # one's reader saw it close (on_peer_gone) before it was dialed
+        self.mesh.join(peer_rank)
         if resend_from:
             for seq, msg in self.send_log.get(peer_rank, ()):
-                if seq >= resend_from and not sock.closed:
+                if seq >= resend_from:
                     data = wire.V2Data(app=msg, seq=seq)
                     causal.adopt(data, msg)     # replay: same trace, new hop
-                    sock.send(data)
+                    self.mesh.send(peer_rank, data)
         self.check_mesh()
 
-    def on_peer_msg(self, sock, msg) -> None:
+    def on_peer_msg(self, rank: int, msg) -> None:
         if isinstance(msg, wire.V2Data):
-            self.on_data(sock.tag, msg.seq, msg.app)
+            self.on_data(rank, msg.seq, msg.app)
         elif isinstance(msg, wire.V2GcNote):
             log = self.send_log.get(msg.rank)
             while log and log[0][0] <= msg.upto:
                 log.popleft()
 
-    def on_peer_gone(self, sock) -> None:
+    def on_peer_gone(self, rank: int) -> None:
         # peer failed: keep its slot; the new incarnation dials in
-        if self.peers.get(sock.tag) is sock:
-            del self.peers[sock.tag]
+        self.mesh.leave(rank)
 
     def on_evlog_msg(self, msg) -> None:
         if isinstance(msg, wire.EvLogAck):
@@ -236,13 +233,11 @@ class V2Daemon(MpichDaemon):
     # ------------------------------------------------------------------
     def post_checkpoint(self, img: CheckpointImage) -> None:
         # sender logs + event log can be pruned up to this image
-        for peer_rank, sock in self.peers.items():
-            if not sock.closed:
-                note = wire.V2GcNote(
-                    rank=self.rank,
-                    upto=img.state[DELIVERED].get(peer_rank, 0))
-                causal.stamp(self.engine, note, f"r{self.rank}")
-                sock.send(note)
+        for peer_rank in self.mesh.peers:
+            note = wire.V2GcNote(
+                rank=self.rank, upto=img.state[DELIVERED].get(peer_rank, 0))
+            causal.stamp(self.engine, note, f"r{self.rank}")
+            self.mesh.send(peer_rank, note)
         if self.evlog_sock is not None and not self.evlog_sock.closed:
             prune = wire.EvPrune(rank=self.rank, upto=img.state[POS])
             causal.stamp(self.engine, prune, f"r{self.rank}")
@@ -251,9 +246,9 @@ class V2Daemon(MpichDaemon):
     # ------------------------------------------------------------------
     # lifecycle hooks
     # ------------------------------------------------------------------
-    def on_mesh_hello(self, sock, hello) -> None:
-        self.serve_peer(sock, hello.rank)
-        self.attach_peer(hello.rank, sock, hello.resend_from)
+    def on_mesh_hello(self, rank: int, hello) -> None:
+        self.mesh.serve(rank)
+        self.attach_peer(rank, hello.resend_from)
 
     def connect_services(self, cmd):
         yield from self.connect_ckpt_server()
@@ -272,15 +267,15 @@ class V2Daemon(MpichDaemon):
             return range(self.rank)
         return [r for r in range(self.n) if r != self.rank]
 
-    def on_peer_connected(self, peer_rank: int, sock) -> None:
+    def on_peer_connected(self, peer_rank: int) -> None:
         resend_from = (self.app_state[DELIVERED].get(peer_rank, 0) + 1
                        if self.restarted else 0)
         hello = wire.V2Hello(rank=self.rank, incarnation=self.incarnation,
                              resend_from=resend_from)
         causal.stamp(self.engine, hello, f"r{self.rank}")
-        sock.send(hello)
-        self.serve_peer(sock, peer_rank)
-        self.attach_peer(peer_rank, sock, 0)
+        self.mesh.send(peer_rank, hello)
+        self.mesh.serve(peer_rank)
+        self.attach_peer(peer_rank, 0)
 
     def after_mesh(self, cmd):
         # --- replay the delivery history of a restarted incarnation ---

@@ -72,11 +72,10 @@ class VclDaemon(MpichDaemon):
         if msg.dst == self.rank:
             self.delivery.deliver(msg)
             return
-        sock = self.peers.get(msg.dst)
-        if sock is not None and not sock.closed:
+        if self.mesh.joined[msg.dst]:
             dm = wire.DataMsg(msg)
             causal.adopt(dm, msg)   # the envelope continues the trace
-            sock.send(dm)
+            self.mesh.send(msg.dst, dm)
         # else: peer dead — a failure is being detected; the rollback
         # will discard this whole execution line anyway.
 
@@ -121,7 +120,7 @@ class VclDaemon(MpichDaemon):
         # Relay the marker on every outgoing channel: one flood.
         out_marker = wire.Marker(wave=wave, src_rank=self.rank)
         causal.derive(self.engine, out_marker, f"r{self.rank}", cause)
-        self.network.send_all(self.peers.values(), out_marker)
+        self.mesh.send_all(self.mesh.peers, out_marker)
         self.pending_markers = set(r for r in range(self.n) if r != self.rank)
         if from_rank >= 0:
             self.pending_markers.discard(from_rank)
@@ -264,11 +263,11 @@ class VclDaemon(MpichDaemon):
     # ------------------------------------------------------------------
     # reader handlers
     # ------------------------------------------------------------------
-    def on_peer_msg(self, sock, msg) -> None:
+    def on_peer_msg(self, rank: int, msg) -> None:
         if isinstance(msg, wire.Marker):
             self.handle_marker(msg)
         elif isinstance(msg, wire.DataMsg):
-            self.on_data(sock.tag, msg.app)
+            self.on_data(rank, msg.app)
 
     def on_sched_msg(self, msg) -> None:
         if isinstance(msg, wire.Marker):
@@ -283,9 +282,9 @@ class VclDaemon(MpichDaemon):
     # ------------------------------------------------------------------
     # lifecycle hooks
     # ------------------------------------------------------------------
-    def on_mesh_hello(self, sock, hello) -> None:
-        self.peers[hello.rank] = sock
-        self.serve_peer(sock, hello.rank)
+    def on_mesh_hello(self, rank: int, hello) -> None:
+        self.mesh.join(rank)
+        self.mesh.serve(rank)
         self.check_mesh()
 
     def connect_services(self, cmd):
@@ -304,12 +303,12 @@ class VclDaemon(MpichDaemon):
         yield from self.restore(cmd.restore_wave)
         self.proc.spawn_reader(self.ckpt_sock, self.on_ckpt_msg)
 
-    def on_peer_connected(self, peer_rank: int, sock) -> None:
+    def on_peer_connected(self, peer_rank: int) -> None:
         hello = wire.Hello(rank=self.rank, epoch=self.epoch)
         causal.stamp(self.engine, hello, f"r{self.rank}")
-        sock.send(hello)
-        self.peers[peer_rank] = sock
-        self.serve_peer(sock, peer_rank)
+        self.mesh.send(peer_rank, hello)
+        self.mesh.join(peer_rank)
+        self.mesh.serve(peer_rank)
         self.check_mesh()
 
     def after_mesh(self, cmd):

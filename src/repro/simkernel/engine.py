@@ -78,7 +78,8 @@ class Batch:
     to back in the same order, so the global ``(time, priority,
     insertion)`` order is the one-payload-per-item order by
     construction.  An item is ``(None, fn)`` — ``fn()`` — or ``(store,
-    item)`` — an arrival: ``store.put(item)`` unless the store closed.
+    item)`` — an arrival: ``store.put(item)`` unless the store closed
+    (a :class:`~repro.cluster.network.Mesh` is such a store).
     Between items the batch honours the run loop's interrupt
     (:attr:`Engine._preempt`: an earlier-sorting slot, :meth:`Engine.stop`)
     by parking itself, with the items still to run, at the head of the
@@ -103,10 +104,8 @@ class Batch:
                 i += 1
                 if store is None:
                     item()
-                else:
-                    store._inflight -= 1
-                    if not store.closed:
-                        store.put(item)
+                elif not store.closed:
+                    store.put(item)
                 if engine._preempt:
                     break
         finally:
@@ -236,13 +235,10 @@ class Engine:
 
     def _schedule(self, delay: float, store, item: Any) -> Optional[Batch]:
         """The tail rule: ``item`` (a callable if ``store`` is None, else
-        an arrival, in ``store._inflight`` until it lands) goes where its
-        own NORMAL payload at ``now + delay`` would: into the
-        :class:`Batch` that ends the slot, or with the payload that ends
-        it into a new batch (returned: the tail until the next schedule);
-        a lone callable is a payload of its own."""
-        if store is not None:
-            store._inflight += 1
+        an arrival) goes where its own NORMAL payload at ``now + delay``
+        would: into the :class:`Batch` that ends the slot, or with the
+        payload that ends it into a new batch (returned: the tail until
+        the next schedule); a lone callable is a payload of its own."""
         slot = self._slots.get((self.now + delay, PRIORITY_NORMAL))
         if slot:    # the live slot may be empty mid-drain
             tail = slot[-1]

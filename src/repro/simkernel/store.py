@@ -29,16 +29,15 @@ class StoreClosed(Exception):
 class Store:
     """Deterministic FIFO queue of items with event-based ``get``.
 
-    Sized for the O(N²) case — one store per end of every mesh
-    connection, nearly all of them served by a :class:`Reader` that
-    takes each item as it comes: the instance is slotted, the item and
-    getter queues exist only while something has to wait in them, and
-    a socket's store is named by its connection id alone (formatted on
-    first read).
+    One per end of every service connection, most of them served by a
+    :class:`Reader` that takes each item as it comes: the instance is
+    slotted, the item and getter queues exist only while something has
+    to wait in them, and a socket's store is named by its connection
+    id alone (formatted on first read).
     """
 
     __slots__ = ("engine", "_label", "items", "_getters", "_reader",
-                 "closed", "_inflight")
+                 "closed")
 
     def __init__(self, engine, name=None):
         self.engine = engine
@@ -49,8 +48,6 @@ class Store:
         #: the :class:`Reader` waiting for the next item, if one is
         self._reader: Optional["Reader"] = None
         self.closed = False
-        #: network events (arrivals, a close notice) scheduled, not landed
-        self._inflight = 0
 
     @property
     def name(self) -> str:
@@ -157,11 +154,7 @@ class Reader(CallbackThread):
     a generator loop on the same store did:
 
     * it first looks at the store in the NORMAL payload scheduled at
-      construction — or, built with ``bind`` on an open, empty store
-      nothing is in flight to (``_inflight``), binds at once: ``bind``
-      promises an unsuspended thread and that, for the rest of the
-      instant, only the network acts on the store and nothing suspends
-      the thread, so nothing can tell the two apart;
+      construction;
     * an item put while it waits is handed over in one NORMAL payload
       enqueued by :meth:`Store.put` (where the getter ``Event`` was),
       and the handler runs inside that payload, as the generator's
@@ -176,28 +169,21 @@ class Reader(CallbackThread):
     * ``kill()`` also detaches it from the store.
 
     A running handler may :meth:`retarget` its reader; the change takes
-    effect when the handler returns.  A ``key`` is passed first to both
-    handlers, so one handler can serve many streams.
+    effect when the handler returns.
     """
 
-    __slots__ = ("store", "on_item", "on_close", "key", "_pending", "_item")
+    __slots__ = ("store", "on_item", "on_close", "_pending", "_item")
 
     def __init__(self, engine, store: Store,
-                 on_item: Callable[..., None],
-                 on_close: Optional[Callable[..., None]] = None,
-                 on_error: Optional[Callable[[BaseException], None]] = None,
-                 key: Any = None, bind: bool = False):
+                 on_item: Callable[[Any], None],
+                 on_close: Optional[Callable[[], None]] = None,
+                 on_error: Optional[Callable[[BaseException], None]] = None):
         self.store = store
         self.on_item = on_item
         self.on_close = on_close
-        self.key = key
         self._pending = _START
         self._item: Any = None
-        bind = (bind and store._reader is None and not store.items
-                and not store.closed and not store._inflight)
-        super().__init__(engine, on_error, start=not bind)
-        if bind:
-            store._reader = self
+        super().__init__(engine, on_error)
 
     @property
     def name(self) -> str:
@@ -225,12 +211,10 @@ class Reader(CallbackThread):
         try:
             if pending == _ITEM:
                 item, self._item = self._item, None
-                key = self.key
-                self.on_item(item) if key is None else self.on_item(key, item)
+                self.on_item(item)
             elif pending == _CLOSE:
                 store = self.store
-                key = self.key
-                self.on_close() if key is None else self.on_close(key)
+                self.on_close()
                 if self.store is store:
                     self.kill()         # not retargeted: the loop is over
         except Exception as err:
@@ -273,4 +257,3 @@ class Reader(CallbackThread):
         ``reader <-> store`` and closure cycles)."""
         super().dispose()
         self.store = self.on_item = self.on_close = self._item = None
-        self.key = None

@@ -7,8 +7,7 @@ Every bare callable, every arrival and every wake-up is a payload of its
 own — no slots, no batches, no preemption bookkeeping — so the global
 order is ``(time, priority, insertion order)`` by definition.  Everything
 above the scheduler (events, processes, stores, readers, sockets) is the
-production code, unchanged — a reference world builds its readers
-without ``bind``, so each takes its first look in a payload of its own.
+production code, unchanged.
 """
 
 import heapq
@@ -32,10 +31,8 @@ class ReferenceEngine(Engine):
         if store is None:
             self._enqueue(item, delay)
             return
-        store._inflight += 1
 
         def arrive():
-            store._inflight -= 1
             if not store.closed:
                 store.put(item)
 

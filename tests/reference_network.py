@@ -21,14 +21,24 @@ closing, a dial's outcome — is a ``(time, what)`` entry in that end's
   when it lands, and the dialer may have died meanwhile;
 * a cut severs every registered connection that spans it one latency
   later, unless a heal comes first; a heal never resurrects anything;
+* a reader is handed the first message that reaches it while it
+  waits; what lands behind it waits until the reader is done with the
+  instant's arrivals, so a close notice landing in that instant drops
+  it (a reset drops unread data) — the handed message is still read;
 * a process stopped by the debugger reads nothing until it is
-  continued: what reached it waits, and is read at the continue; a
-  close in between drops the waiting messages, except the one handed
-  over before the stop took effect.
+  continued: what reached it waits, and is read at the continue, under
+  the same rule.
 
-Commands are applied *between* instants: :meth:`Model.advance` first
-runs every model event up to and including ``t``, as ``Engine.run(until=
-t)`` does, and a command then acts after them.
+With ``mesh=True`` the model is the one a daemon's
+:class:`~repro.cluster.network.Mesh` keeps: a dialer says ``"hello"``
+the instant its dial lands, and the accepting side looks at one landed
+connection at a time, in landing order — it reads a connection from its
+first message on, and skips one that closes before saying anything.
+
+Commands are applied *between* instants: :meth:`Model.advance` runs
+every model event up to and including ``t`` an instant at a time, as
+``Engine.run(until=t)`` does, the readers reading after each instant's
+arrivals; a command then acts after them, and its readers read at once.
 """
 
 from __future__ import annotations
@@ -57,13 +67,20 @@ class End:
         self.handed = None
         self.buf: List = []
         self.close_seen = False
-        #: a server end exists once its dial lands
-        self.exists = True
+        #: its owner holds it: a client end from the dial, a server end
+        #: once the dial lands
+        self.held = False
+        #: its owner reads it: once the dial lands
+        self.exists = False
 
 
 class Model:
     def __init__(self, latency: float, bandwidth: float,
-                 hosts: Dict[str, str], listener_owner: str):
+                 hosts: Dict[str, str], listener_owner: str,
+                 mesh: bool = False):
+        self.mesh = mesh
+        #: landed connections the accept side has yet to read (mesh)
+        self.accepting: List[End] = []
         self.L = latency
         self.B = bandwidth
         #: process -> host
@@ -81,6 +98,8 @@ class Model:
         self.severing: Set[End] = set()
         self.cuts: Set[frozenset] = set()
         self.next_conn = 1
+        #: messages that went on the wire (not the vanished ones)
+        self.sent = 0
         self.log: Dict[str, List[Tuple[float, object]]] = {}
 
     # -- time --------------------------------------------------------------
@@ -89,9 +108,11 @@ class Model:
 
     def advance(self, t: float) -> None:
         while self._events and self._events[0][0] <= t:
-            when, _seq, fn = heapq.heappop(self._events)
+            when = self._events[0][0]
             self.now = when
-            fn()
+            while self._events and self._events[0][0] == when:
+                heapq.heappop(self._events)[2]()
+            self.read()
         self.now = t
 
     def note(self, who: str, what) -> None:
@@ -107,26 +128,38 @@ class Model:
     def _arrive(self, end: End, msg) -> None:
         if end.rx_closed or end.owner not in self.alive:
             return
-        if self.running(end.owner) and end.started:
-            self.note(end.name, msg)
-        elif end.started and end.handed is None and not end.buf:
+        if end.started and end.handed is None and not end.buf:
             end.handed = (msg,)
         else:
             end.buf.append(msg)
 
     def _rx_close(self, end: End) -> None:
-        if end.rx_closed:
-            return
-        end.rx_closed = True
-        end.buf = []
-        if end.exists and end.owner in self.alive and end.started \
-                and self.running(end.owner):
-            self._see_closed(end)
+        if not end.rx_closed:
+            end.rx_closed = True
+            end.buf = []
 
     def _see_closed(self, end: End) -> None:
         if not end.close_seen:
             end.close_seen = True
             self.note(end.name, CLOSED)
+
+    def read(self) -> None:
+        """Every running reader reads what reached it."""
+        while self.accepting and self.running(self.listener_owner):
+            end = self.accepting[0]
+            end.started = True          # the accept side waits on it
+            if end.handed is None and not end.buf:
+                if not end.rx_closed:
+                    break
+            else:
+                msg = end.handed[0] if end.handed else end.buf.pop(0)
+                end.handed = None
+                self.note(end.name, msg)
+                end.exists = True
+            self.accepting.pop(0)
+        for end in self.ends:
+            if end.exists and self.running(end.owner):
+                self._first_look(end)
 
     def _first_look(self, end: End) -> None:
         """The reader takes its first look, or reads what waited."""
@@ -147,31 +180,36 @@ class Model:
         t = self.now
         land = t + 2 * self.L
         if not self.listening or not self.reachable(src, dst):
-            self.at(land, lambda: self.note(proc, "refused"))
+            if not self.mesh:
+                self.at(land, lambda: self.note(proc, "refused"))
             return
-        cid = self.next_conn
+        cid = proc if self.mesh else self.next_conn
         self.next_conn += 1
         client = End(f"c{cid}", proc, src)
         server = End(f"s{cid}", self.listener_owner, dst)
-        server.exists = False
+        client.held = True
         client.far, server.far = server, client
         self.ends += [client, server]
 
         def landed():
             if not self.listening or not self.reachable(src, dst):
-                self.note(proc, "refused")
+                if not self.mesh:
+                    self.note(proc, "refused")
                 self.ends.remove(client)
                 self.ends.remove(server)
                 return
             if not client.closed:
                 self.registry[client] = None
-            server.exists = True
-            server.started = self.running(self.listener_owner)
-            if server.rx_closed and server.started:
-                self._see_closed(server)
+            server.held = True
+            if self.mesh:
+                self.accepting.append(server)
+            else:
+                server.exists = True
             if proc in self.alive:
                 self.note(proc, f"connected c{cid}")
-                client.started = self.running(proc)
+                client.exists = True
+                if self.mesh:
+                    self.send(client, "hello", 0)
 
         self.at(land, landed)
 
@@ -183,6 +221,7 @@ class Model:
             return
         arrival = max(end.pipe, self.now + self.L + size / self.B)
         end.pipe = arrival
+        self.sent += 1
         self.at(arrival, lambda: self._arrive(far, msg))
 
     def close(self, end: End, seen: bool = True) -> None:
@@ -209,7 +248,7 @@ class Model:
         if proc == self.listener_owner:
             self.listening = False
         for end in self.ends:
-            if end.owner == proc:
+            if end.owner == proc and end.held:
                 self.close(end, seen=False)
 
     def stop(self, proc: str) -> None:
@@ -217,12 +256,7 @@ class Model:
             self.stopped.add(proc)
 
     def cont(self, proc: str) -> None:
-        if proc not in self.stopped:
-            return
         self.stopped.discard(proc)
-        for end in self.ends:
-            if end.owner == proc and end.exists:
-                self._first_look(end)
 
     def cut(self, a: str, b: str) -> None:
         self.cuts.add(frozenset((a, b)))

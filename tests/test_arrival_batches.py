@@ -47,7 +47,6 @@ class Tap:
         self.world = world
         self.name = name
         self.closed = False
-        self._inflight = 0
 
     def put(self, item):
         self.world.handle(self.name, item)
@@ -248,7 +247,6 @@ class Sink:
     def __init__(self, eng, log, name="sink", then=None):
         self.eng, self.log, self.name, self.then = eng, log, name, then
         self.closed = False
-        self._inflight = 0
 
     def put(self, item):
         self.log.append((self.eng.now, self.name, item))

@@ -1,9 +1,7 @@
-"""Callback threads: ``simkernel.store.Reader`` (the socket reader
-lane) and ``mpichv.daemonbase.PeerDialer`` (the mesh dial).
+"""Callback threads: ``simkernel.store.Reader``, the socket reader lane.
 
 Evidence that a :class:`Reader` is the generator loop ``while True:
-handle((yield store.get()))`` with the plumbing removed, and that a
-``PeerDialer`` is ``connect_retry`` + handshake likewise:
+handle((yield store.get()))`` with the plumbing removed:
 
 * a hypothesis model test drives both with the same random program —
   same-instant ``put`` bursts on one store and across stores, ``close``,
@@ -13,11 +11,9 @@ handle((yield store.get()))`` with the plumbing removed, and that a
 * one unit test per rule of the :class:`Reader` docstring, and the
   ``UnixProcess`` surface (a reader is a thread of its process);
 * a regression test that a crashed handler is named in the trace, the
-  verdict and the timeline instead of hiding behind a timeout;
-* the same model test for the dialer — on the slotted engine, taking
-  its outcome from the network — against the generator it replaced run
-  on the one-heap reference engine (refusals, back-off, suspend /
-  resume / kill, early termination).
+  verdict and the timeline instead of hiding behind a timeout.
+
+The daemons' mesh dial and accept side are ``tests/test_mesh.py``'s.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -423,26 +419,6 @@ def test_two_readers_waiting_on_one_store_is_an_error():
     assert eng.process_failures == [second]
 
 
-def test_bind_waits_at_once_only_where_the_first_look_would_find_nothing():
-    """``bind`` skips the first-look payload only on an open, empty,
-    unread store with nothing in flight to it (the state machine in
-    ``test_reference_engine.py`` shows the histories then agree)."""
-    eng = Engine()
-
-    def bound(store):
-        reader = Reader(eng, store, lambda item: None, bind=True)
-        return store._reader is reader
-
-    assert bound(Store(eng))
-    full, closed, arriving = Store(eng), Store(eng), Store(eng)
-    full.put("waiting")
-    closed.close()
-    eng.put_at(eng.now, arriving, "in flight")
-    assert not any(bound(s) for s in (full, closed, arriving))
-    eng.run()
-    assert arriving._inflight == 0
-
-
 # ---------------------------------------------------------------------------
 # a reader is a thread of its UnixProcess
 # ---------------------------------------------------------------------------
@@ -521,50 +497,6 @@ def test_reader_spawned_on_a_suspended_process_starts_suspended(engine, cluster)
         raise AssertionError("spawn_reader on a dead process must fail")
 
 
-def test_only_a_running_process_binds_its_socket_readers(engine, cluster):
-    def main(proc):
-        proc.node.listen(9, owner=proc)
-        yield proc.engine.event()
-
-    server, client, sock = _pair(engine, cluster, main)
-    client.suspend()
-    held = client.spawn_reader(sock, lambda msg: None, bind=True)
-    assert sock._rx._reader is None and held.suspended     # looks on resume
-    server_end = sock._peer                 # in the backlog, the server's
-    ready = server.spawn_reader(server_end, lambda msg: None, bind=True)
-    assert server_end._rx._reader is ready
-
-
-def test_acceptor_takes_one_connection_at_a_time(engine, cluster):
-    """Connection B is not looked at while A's first message is
-    awaited; a connection that closes silently is skipped."""
-    firsts = []
-
-    def main(proc):
-        listener = proc.node.listen(9, owner=proc)
-        proc.spawn_acceptor(
-            listener, lambda sock, msg: firsts.append((engine.now, msg)))
-        yield proc.engine.event()
-
-    cluster.node(0).spawn("server", main)
-    client = cluster.node(1).spawn("client", _idle)
-    engine.run(until=0.5)
-    socks = {}
-    for name in "abc":
-        ev = cluster.node(1).connect(cluster.node(0).addr(9), owner=client)
-        ev.add_callback(lambda e, name=name: socks.setdefault(name, e.value))
-    engine.run(until=1.0)
-    socks["b"].send("from b")           # b speaks first, but a was accepted first
-    engine.run(until=2.0)
-    assert firsts == []
-    socks["a"].close()                  # a never speaks: skipped
-    engine.run(until=3.0)
-    assert [msg for _t, msg in firsts] == ["from b"]
-    socks["c"].send("from c")
-    engine.run(until=4.0)
-    assert [msg for _t, msg in firsts] == ["from b", "from c"]
-
-
 # ---------------------------------------------------------------------------
 # a crash in a real deployment must not hide behind the timeout it causes
 # ---------------------------------------------------------------------------
@@ -608,121 +540,3 @@ def test_crash_free_run_has_no_crash_lane_or_record():
     assert res.trace.count("thread_crashed") == 0
     assert "crashed" not in res.verdict.reason
     assert "\ncrash " not in render_timeline(res.trace)
-
-
-# ---------------------------------------------------------------------------
-# the mesh dial as a callback thread (PeerDialer) vs the generator it replaced
-# ---------------------------------------------------------------------------
-
-class _DialWorld:
-    """A dialing process on node 1 and a listener on node 0 that comes
-    up late, so the first attempts are refused and back off.  The
-    dialer runs on the slotted engine, the generator on the reference."""
-
-    def __init__(self, callbacks: bool):
-        from reference_engine import ReferenceEngine
-        from repro.analysis.traces import Trace
-        from repro.cluster.cluster import Cluster
-        from repro.mpichv.config import VclConfig
-
-        engine_cls = Engine if callbacks else ReferenceEngine
-        self.engine = engine_cls(seed=3, trace=Trace())
-        self.cluster = Cluster(self.engine, 2)
-        self.network = self.cluster.network
-        self.timing = VclConfig(n_procs=2, n_machines=3).timing
-        self.callbacks = callbacks
-        self.log = []
-        # the stub of MpichDaemon that PeerDialer talks to
-        self.protocol, self.rank, self.terminating = "stub", 1, False
-        self.proc = self.cluster.node(1).spawn("dialer", _idle)
-        self.server = self.cluster.node(0).spawn("server", _idle)
-
-    def probe(self, *what):
-        self.log.append((round(self.engine.now, 9),) + what)
-
-    def on_peer_connected(self, peer_rank, sock):
-        self.probe("connected", peer_rank, sock.conn_id)
-        sock.send("hello")
-
-    def dial(self):
-        from repro.mpichv.daemonbase import PeerDialer, connect_retry
-
-        addr = self.cluster.node(0).addr(9)
-        if self.callbacks:
-            self.proc.adopt_thread(PeerDialer(self, 0, addr))
-            return
-
-        def dial_peer():
-            sock = yield from connect_retry(
-                self.proc, addr, self.timing.connect_retry_initial,
-                self.timing.connect_retry_max, stop=lambda: self.terminating)
-            if sock is not None:
-                self.on_peer_connected(0, sock)
-
-        self.proc.spawn_thread(dial_peer())
-
-    def listen(self):
-        if self.cluster.node(0).addr(9) in self.cluster.network._listeners:
-            return
-        listener = self.cluster.node(0).listen(9, owner=self.server)
-        self.server.spawn_acceptor(
-            listener, lambda sock, msg: self.probe("accepted", msg))
-
-    def terminate(self):
-        self.terminating = True
-
-    def ticker(self):
-        for _ in range(40):
-            yield self.engine.timeout(0.05)
-            self.probe("tick")
-
-    def run(self, program):
-        eng = self.engine
-        eng.call_at(0.0, self.dial)
-        eng.process(self.ticker())
-        for when, verb in program:
-            target = self if verb in ("listen", "terminate") else self.proc
-            eng.call_at(when, getattr(target, verb))
-        eng.run(until=3.0)
-        return self.log, sorted(eng.coverage), self.proc.state
-
-
-_dial_times = st.sampled_from([0.0, 0.05, 0.1, 0.15, 0.3, 0.35, 0.75, 1.0])
-_dial_program = st.lists(st.tuples(
-    _dial_times, st.sampled_from(["listen", "suspend", "resume_all",
-                                  "resume_all", "kill", "terminate"])),
-    max_size=8)
-
-
-@given(program=_dial_program)
-@example(program=[(0.3, "listen")])
-@example(program=[(0.1, "suspend"), (0.3, "listen"), (1.0, "resume_all")])
-@example(program=[(0.15, "suspend"), (0.15, "listen"), (0.35, "resume_all")])
-@settings(max_examples=200, deadline=None)
-def test_peer_dialer_and_generator_dial_log_the_same_history(program):
-    assert _DialWorld(callbacks=True).run(program) \
-        == _DialWorld(callbacks=False).run(program)
-
-
-def test_peer_dialer_backs_off_then_connects_and_shakes_hands():
-    log, coverage, _state = _DialWorld(callbacks=True).run([(0.3, "listen")])
-    assert "daemon.connect.refused" in coverage
-    events = [entry for entry in log if entry[1] != "tick"]
-    # refused at ~0, 0.05, 0.15 (back-off 0.05, 0.1, 0.2); the attempt
-    # made at ~0.35 finds the listener
-    [connected, accepted] = events
-    assert connected[1:3] == ("connected", 0) and 0.35 < connected[0] < 0.36
-    assert accepted[1:] == ("accepted", "hello")
-
-
-def test_peer_dialer_handshake_crash_takes_the_process_down():
-    world = _DialWorld(callbacks=True)
-
-    def boom(peer_rank, sock):
-        raise RuntimeError("handshake bug")
-
-    world.on_peer_connected = boom
-    world.run([(0.0, "listen")])
-    assert world.proc.state is ProcState.ERRORED
-    [failed] = world.engine.process_failures
-    assert failed.name == "stub.1.dial0"

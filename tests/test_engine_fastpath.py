@@ -55,14 +55,14 @@ GOLDEN_FAULTY = {
 }
 
 #: engine events those trials cost — not part of the history, so kept
-#: apart from the digests.  Re-recorded 2026-10-15, when bare calls
-#: joined the same-instant batches and mesh readers started bound
-#: (before: vcl 1001/1010, v2 1562/1571, v1 1187/1196 clean,
-#: 1454/1457, 1686/1695, 1285/1294 faulty and 281 for SYNTHETIC_EVENTS).
-EVENTS_CLEAN = {("vcl", 1): 940, ("vcl", 4): 941, ("v2", 1): 1507,
-                ("v2", 4): 1510, ("v1", 1): 1153, ("v1", 4): 1156}
-EVENTS_FAULTY = {("vcl", 1): 1327, ("vcl", 4): 1319, ("v2", 1): 1613,
-                 ("v2", 4): 1616, ("v1", 1): 1247, ("v1", 4): 1250}
+#: apart from the digests.  Re-recorded 2026-10-17, when the daemons'
+#: mesh became one ``Mesh`` per incarnation (before: vcl 940/941, v2
+#: 1507/1510, v1 1153/1156 clean, 1327/1319, 1613/1616, 1247/1250
+#: faulty).
+EVENTS_CLEAN = {("vcl", 1): 937, ("vcl", 4): 938, ("v2", 1): 1504,
+                ("v2", 4): 1507, ("v1", 1): 1152, ("v1", 4): 1155}
+EVENTS_FAULTY = {("vcl", 1): 1315, ("vcl", 4): 1307, ("v2", 1): 1604,
+                 ("v2", 4): 1607, ("v1", 1): 1242, ("v1", 4): 1245}
 
 
 def test_synthetic_schedule_matches_heap_engine_digest():

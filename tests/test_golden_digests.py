@@ -16,9 +16,9 @@ The ``uniform`` rows deliberately share their setup with
 constants, so a drift in either file points at the same engine.
 
 The faulted row also pins the severance-scan ordering fix: partition
-injection scans live connections in *creation order* (an
-insertion-ordered dict in ``Network._sockets``), not in address-
-dependent set order — the digest is stable across processes only
+injection scans live connections — service sockets and mesh rows
+alike — in *creation order* (an insertion-ordered dict in
+``Network._conns``), not in address-dependent set order — the digest is stable across processes only
 because of that.
 """
 
@@ -77,27 +77,29 @@ GOLDEN_FAULTED = {
         "6bc10cbe5091fd53a3c65f3cb7b46e5ef284f1de8e86b3e68ad69011f2d7bfd1",
 }
 
-#: engine events the same trials cost.  Re-recorded 2026-10-15: bare
-#: calls join the same-instant batches and mesh readers start bound
-#: (before: vcl-1-uniform 1001, vcl-1-twotier 1046, v2-1-uniform 1562,
-#: v1-1-uniform 1187, faulted 27156).  The two-tier fabric's shared
-#: pipes spread arrivals over more instants, so fewer of them share a
-#: ``Batch`` payload.
+#: engine events the same trials cost.  Re-recorded 2026-10-17, when
+#: the daemons' mesh became one ``Mesh`` per incarnation: an accepted
+#: connection no longer costs the acceptor a payload to look at it when
+#: nothing has been said on it yet (before: vcl-1-uniform 940,
+#: vcl-1-twotier 998, v2-1-uniform 1507, v1-1-uniform 1153, faulted
+#: 27032; v1, which has no mesh, only lost its acceptor's first look).
+#: The two-tier fabric's shared pipes spread arrivals over more
+#: instants, so fewer of them share a ``Batch`` payload.
 EVENTS_CLEAN = {
-    ("vcl", 1, "uniform"): 940,
-    ("vcl", 1, "twotier"): 998,
-    ("vcl", 4, "uniform"): 941,
-    ("vcl", 4, "twotier"): 1025,
-    ("v2", 1, "uniform"): 1507,
-    ("v2", 1, "twotier"): 1554,
-    ("v2", 4, "uniform"): 1510,
-    ("v2", 4, "twotier"): 1560,
-    ("v1", 1, "uniform"): 1153,
-    ("v1", 1, "twotier"): 1171,
-    ("v1", 4, "uniform"): 1156,
-    ("v1", 4, "twotier"): 1177,
+    ("vcl", 1, "uniform"): 937,
+    ("vcl", 1, "twotier"): 995,
+    ("vcl", 4, "uniform"): 938,
+    ("vcl", 4, "twotier"): 1022,
+    ("v2", 1, "uniform"): 1504,
+    ("v2", 1, "twotier"): 1551,
+    ("v2", 4, "uniform"): 1507,
+    ("v2", 4, "twotier"): 1557,
+    ("v1", 1, "uniform"): 1152,
+    ("v1", 1, "twotier"): 1170,
+    ("v1", 4, "uniform"): 1155,
+    ("v1", 4, "twotier"): 1176,
 }
-EVENTS_FAULTED = {("vcl", 4, "twotier"): 27032}
+EVENTS_FAULTED = {("vcl", 4, "twotier"): 27016}
 
 
 def _setup(protocol, shards, topo, faulty=False):

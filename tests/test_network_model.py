@@ -7,8 +7,10 @@ heals (one of them before its severance lands), debugger stops and
 continues — each between instants, after the clock has moved by 0, a
 fraction of a latency, one or two latencies or much more.  After every
 move of the clock, what each end's reader was handed (and when), when
-each receive stream closed, and when and how each dial ended must be
-what the model says.
+each receive stream closed, when and how each dial ended and how many
+messages went on the wire must be what the model says.  The same
+machine then drives the daemons' :class:`~repro.cluster.network.Mesh`
+against the model's mesh reading.
 
 Mutants this kills (each checked on a copy of the tree): a close notice
 that overtakes what its end already sent; a severance that ignores a
@@ -20,7 +22,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from reference_network import CLOSED, Model
 from repro.cluster.cluster import Cluster
-from repro.cluster.network import ConnectionRefused
+from repro.cluster.network import ConnectionRefused, Mesh
 from repro.simkernel.engine import Engine
 
 LATENCY = 1.37e-4
@@ -105,6 +107,13 @@ class NetworkVersusModel(RuleBasedStateMachine):
         self.real.eng.run(until=self.t)
         self.model.advance(self.t)
         assert self.real.log == self.model.log
+        assert self.real.network.messages_sent == self.model.sent
+
+    def settle(self):
+        """What a verb set off at this instant runs before the next
+        verb."""
+        self.real.eng.run(until=self.t)
+        self.model.read()
 
     @rule(who=st.sampled_from(PROCS[1:]))
     def connect(self, who):
@@ -128,21 +137,25 @@ class NetworkVersusModel(RuleBasedStateMachine):
         if name is not None:
             self.real.ends[name].close()
             self.model.close(self.model_end(name))
+            self.settle()
 
     @rule(who=st.sampled_from(PROCS))
     def kill(self, who):
         self.real.procs[who].kill()
         self.model.kill(who)
+        self.settle()
 
     @rule(who=st.sampled_from(PROCS))
     def stop(self, who):
         self.real.procs[who].suspend()
         self.model.stop(who)
+        self.settle()
 
     @rule(who=st.sampled_from(PROCS))
     def cont(self, who):
         self.real.procs[who].resume_all()
         self.model.cont(who)
+        self.settle()
 
     @rule(who=st.sampled_from(PROCS[1:]))
     def cut(self, who):
@@ -166,3 +179,114 @@ class NetworkVersusModel(RuleBasedStateMachine):
 NetworkVersusModel.TestCase.settings = settings(
     max_examples=150, stateful_step_count=40, deadline=None)
 TestNetworkVersusModel = NetworkVersusModel.TestCase
+
+
+# ---------------------------------------------------------------------------
+# the same machine over Mesh channels
+# ---------------------------------------------------------------------------
+
+class MeshWorld:
+    """``p0``'s mesh (rank 0) is dialed once by each of ``p1`` and ``p2``
+    (ranks 1 and 2), whose first word is ``"hello"``; every end is read
+    from its handshake on.  A refused dial is not retried."""
+
+    def __init__(self):
+        self.eng = eng = Engine(seed=0)
+        self.cluster = Cluster(eng, 3, latency=LATENCY, bandwidth=BANDWIDTH)
+        self.network = self.cluster.network
+        self.log = {}
+        self.ends = {}
+
+        def forever(proc):
+            yield eng.event()
+
+        self.procs = {name: self.cluster.node(i).spawn(name, forever)
+                      for i, name in enumerate(PROCS)}
+        eng.run(until=0.0)
+        self.meshes = [self.mesh(i) for i in range(3)]
+
+    def note(self, who, what):
+        self.log.setdefault(who, []).append((round(self.eng.now, 9), what))
+
+    def mesh(self, rank):
+        proc = self.procs[PROCS[rank]]
+        listener = proc.node.listen(1, owner=proc)
+        # rank 0 reads the server end of peer row r, rank r its client end
+        name = (lambda row: f"sp{row}") if rank == 0 else (
+            lambda row: f"cp{rank}")
+
+        def hello(row, msg):
+            self.ends[name(row)] = (rank, row)
+            self.note(name(row), msg)
+            mesh.serve(row)
+
+        def connected(row):
+            self.ends[name(row)] = (rank, row)
+            self.note(PROCS[rank], f"connected cp{rank}")
+            mesh.send(row, "hello", size=0)
+            mesh.serve(row)
+
+        mesh = Mesh(proc, listener, rank, 3,
+                    lambda row, msg: self.note(name(row), msg),
+                    lambda row: self.note(name(row), CLOSED), hello,
+                    connected)
+        return mesh
+
+    def connect(self, name):
+        tried = []
+
+        def stop():
+            tried.append(1)
+            return len(tried) > 1
+
+        rank = PROCS.index(name)
+        self.meshes[rank].dial([(0, self.cluster.node(0).addr(1))],
+                               1.0, 1.0, stop)
+
+    def send(self, name, msg, size):
+        rank, row = self.ends[name]
+        self.meshes[rank].send(row, msg, size=size)
+
+
+class MeshVersusModel(NetworkVersusModel):
+    """No ``close`` of a single end (a mesh end closes with its
+    process), one dial per process, and only the accepting process is
+    stopped: a stopped dialer's hello would wait for the continue."""
+
+    @initialize()
+    def build(self):
+        self.real = MeshWorld()
+        hosts = {name: proc.node.name
+                 for name, proc in self.real.procs.items()}
+        self.model = Model(LATENCY, BANDWIDTH, hosts, "p0", mesh=True)
+        self.t = 0.0
+        self.msg = 0
+        self.dialed = set()
+
+    def end(self, i):
+        names = sorted(self.real.ends)
+        return names[i % len(names)] if names else None
+
+    @rule(who=st.sampled_from(PROCS[1:]))
+    def connect(self, who):
+        if who not in self.dialed:
+            self.dialed.add(who)
+            NetworkVersusModel.connect(self, who)
+            self.settle()           # a mesh dials from a payload
+
+    @rule()
+    def close(self):
+        pass
+
+    @rule()
+    def stop(self):
+        NetworkVersusModel.stop(self, "p0")
+
+    @rule()
+    def cont(self):
+        NetworkVersusModel.cont(self, "p0")
+
+
+MeshVersusModel.TestCase.settings = settings(
+    max_examples=250, stateful_step_count=40, deadline=None)
+TestMeshVersusModel = MeshVersusModel.TestCase

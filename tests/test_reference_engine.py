@@ -12,20 +12,14 @@ messages, have arrivals in flight or belong to a suspended process.
 Handlers answer with zero-size echoes, same-instant NORMAL and URGENT
 payloads, closes, ``stop()`` and crashes.  After every step the two logs
 must be equal: the slots, the batches (:meth:`Engine._schedule`'s tail
-rule), ``send_all`` and the readers the slotted world binds at birth
-(``spawn_reader(bind=True)``; the reference world's readers all take
-their first look in a payload) are invisible in the history.  ``bind``
-is a promise that nothing closes the socket or suspends its process
-for the rest of the reader's birth instant, so a spawn runs at an
-instant of its own, ``SPAWN_AT`` past a step — alone, or right after a
-zero-size flood whose echoes keep arrivals in flight through it.
+rule) and ``send_all`` are invisible in the history.  A spawn runs at
+an instant of its own, ``SPAWN_AT`` past a step — alone, or right after
+a zero-size flood whose echoes keep arrivals in flight through it.
 
 Mutants this kills (each checked on a copy of the tree): a call joining a
 batch that is not its slot's tail; ``send_all`` reading the first
 socket's pipe for all of them, or appending an arrival to the previous
-one's batch at another instant; a batch that ignores ``_preempt``; a
-reader bound at birth on a non-empty store, on a suspended process, or
-with a same-instant arrival still in flight.
+one's batch at another instant; a batch that ignores ``_preempt``.
 """
 
 from hypothesis import settings, strategies as st
@@ -62,7 +56,7 @@ class World:
 
     def __init__(self, engine_cls, latency):
         self.eng = eng = engine_cls(seed=0)
-        self.bind = engine_cls is not ReferenceEngine
+        self.slotted = engine_cls is not ReferenceEngine
         self.cluster = Cluster(eng, 3, latency=latency, bandwidth=1e6)
         self.log = []
         self.stopped = False
@@ -155,7 +149,7 @@ class World:
         # the reference floods one send at a time: send_all must be
         # that loop (each socket's pipe its own) with the rest done once
         socks = [e[2] for e in self.ends]
-        if self.bind:
+        if self.slotted:
             self.cluster.network.send_all(socks, ("f", n), size=SIZES[size])
             return
         for sock in socks:
@@ -173,8 +167,7 @@ class World:
         def on_close():
             self.probe(name, "closed")
 
-        self.readers[name] = proc.spawn_reader(sock, on_item, on_close,
-                                               bind=self.bind)
+        self.readers[name] = proc.spawn_reader(sock, on_item, on_close)
 
     def close(self, i):
         self.end(i)[2].close()

@@ -29,8 +29,8 @@ from repro.mpichv.runtime import VclRuntime
 LEFTOVER_BOUND = 64
 
 #: nothing of what a deployment is made of may be among them
-DEPLOYMENT_TYPES = ("Socket", "ListenSocket", "Store", "Reader", "Acceptor",
-                    "PeerDialer", "Batch", "Process", "UnixProcess", "Node",
+DEPLOYMENT_TYPES = ("Socket", "ListenSocket", "Store", "Reader", "Mesh",
+                    "Batch", "Process", "UnixProcess", "Node",
                     "VclDaemon", "V2Daemon", "V1Daemon", "MpiEndpoint",
                     "FailDaemon", "Machine", "Debugger", "Span",
                     "CheckpointImage", "VclRuntime", "ScenarioDeployment")

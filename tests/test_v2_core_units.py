@@ -22,6 +22,28 @@ class FakeSock:
         self.closed = True
 
 
+class FakeMesh:
+    """Records what each mesh row is sent; every rank but 0 has joined."""
+
+    def __init__(self, n):
+        self.sent = {r: [] for r in range(n)}
+        self.peers = list(range(1, n))
+        self.joined = [0] + [1] * (n - 1)
+
+    def send(self, row, msg, size=None):
+        self.sent[row].append(msg)
+
+    def join(self, row):
+        if not self.joined[row]:
+            self.joined[row] = 1
+            self.peers.append(row)
+
+    def leave(self, row):
+        if self.joined[row]:
+            self.joined[row] = 0
+            self.peers.remove(row)
+
+
 def make_core(n=3, seed=0):
     engine = Engine(seed=seed)
     cluster = Cluster(engine, 1, name_prefix="m")
@@ -38,7 +60,7 @@ def make_core(n=3, seed=0):
 
     core = V2Daemon(proc, config, rank=0, epoch=0, incarnation=1,
                     app_factory=app)
-    core.peers = {r: FakeSock() for r in range(1, n)}
+    core.mesh = FakeMesh(n)
     core.evlog_sock = FakeSock()
     core.ckpt_sock = FakeSock()
     core.next_pos_to_log = core.app_state[POS]
@@ -57,7 +79,7 @@ def test_send_assigns_sequence_and_logs():
     engine, core = make_core()
     for tag in (1, 2, 3):
         core.app_send(AppMessage(src=0, dst=1, tag=tag, payload=0, size=64))
-    sent = core.peers[1].sent
+    sent = core.mesh.sent[1]
     assert [d.seq for d in sent] == [1, 2, 3]
     assert core.app_state[SENT][1] == 3
     assert [seq for seq, _m in core.send_log[1]] == [1, 2, 3]
@@ -65,11 +87,9 @@ def test_send_assigns_sequence_and_logs():
 
 def test_send_to_down_peer_logged_not_transmitted():
     engine, core = make_core()
-    del core.peers[1]
-    core.peers[1] = FakeSock()
-    core.peers[1].closed = True
+    core.on_peer_gone(1)
     core.app_send(AppMessage(src=0, dst=1, tag=7, payload=0, size=64))
-    assert core.peers[1].sent == []
+    assert core.mesh.sent[1] == []
     assert len(core.send_log[1]) == 1
 
 
@@ -150,14 +170,13 @@ def test_attach_peer_resends_from_request():
     engine, core = make_core()
     for tag in (1, 2, 3):
         core.app_send(AppMessage(src=0, dst=1, tag=tag, payload=0, size=64))
-    fresh = FakeSock()
-    core.attach_peer(1, fresh, resend_from=2)
-    assert [d.seq for d in fresh.sent] == [2, 3]
+    core.on_peer_gone(1)
+    core.attach_peer(1, resend_from=2)
+    assert [d.seq for d in core.mesh.sent[1][3:]] == [2, 3]
 
 
 def test_attach_peer_zero_means_no_resend():
     engine, core = make_core()
     core.app_send(AppMessage(src=0, dst=1, tag=1, payload=0, size=64))
-    fresh = FakeSock()
-    core.attach_peer(1, fresh, resend_from=0)
-    assert fresh.sent == []
+    core.attach_peer(1, resend_from=0)
+    assert len(core.mesh.sent[1]) == 1

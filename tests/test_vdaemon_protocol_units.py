@@ -26,13 +26,23 @@ class FakeSock:
         self.sent.append(msg)
 
 
-class FakeNet:
-    """A flood is one ``send_all``: hand it to the open fake sockets."""
+class FakeMesh:
+    """Records what each row is sent; every rank but 0 has joined, and a
+    row whose peer is down (its close notice has landed) takes nothing."""
 
-    def send_all(self, socks, msg, size=None):
-        for sock in socks:
-            if not sock.closed:
-                sock.send(msg, size)
+    def __init__(self, n):
+        self.sent = {r: [] for r in range(n)}
+        self.peers = list(range(1, n))
+        self.joined = [0] + [1] * (n - 1)
+        self.down = set()
+
+    def send(self, row, msg, size=None):
+        if row not in self.down:
+            self.sent[row].append(msg)
+
+    def send_all(self, rows, msg, size=None):
+        for row in rows:
+            self.send(row, msg, size)
 
 
 def make_core(n=3, blocking=False, seed=0):
@@ -50,8 +60,7 @@ def make_core(n=3, blocking=False, seed=0):
 
     core = VclDaemon(proc, config, rank=0, epoch=0, incarnation=1,
                      app_factory=app)
-    core.network = FakeNet()
-    core.peers = {r: FakeSock() for r in range(1, n)}
+    core.mesh = FakeMesh(n)
     core.sched_sock = FakeSock()
     core.ckpt_sock = FakeSock()
     return engine, core
@@ -66,8 +75,9 @@ def test_marker_starts_checkpoint_and_relays():
     core.handle_marker(wire.Marker(wave=1, src_rank=-1))
     assert core.logging_wave == 1
     assert core.pending_markers == {1, 2}
-    for peer_sock in core.peers.values():
-        relayed = [m for m in peer_sock.sent if isinstance(m, wire.Marker)]
+    for peer in core.mesh.peers:
+        relayed = [m for m in core.mesh.sent[peer]
+                   if isinstance(m, wire.Marker)]
         assert len(relayed) == 1 and relayed[0].wave == 1
 
 
@@ -81,8 +91,8 @@ def test_duplicate_and_stale_markers_ignored():
     # stale re-delivery changes nothing
     core.handle_marker(wire.Marker(wave=1, src_rank=1))
     assert core.current_wave == 1
-    relays = sum(1 for s in core.peers.values()
-                 for m in s.sent if isinstance(m, wire.Marker))
+    relays = sum(1 for peer in core.mesh.peers
+                 for m in core.mesh.sent[peer] if isinstance(m, wire.Marker))
     assert relays == 2      # one per peer, once
 
 
@@ -164,11 +174,11 @@ def test_self_send_bypasses_network():
     engine, core = make_core()
     core.app_send(AppMessage(src=0, dst=0, tag=9, payload="x", size=10))
     assert [m.tag for m in core.app_state[UNMATCHED_KEY]] == [9]
-    assert all(not s.sent for s in core.peers.values())
+    assert all(not sent for sent in core.mesh.sent.values())
 
 
 def test_send_to_dead_peer_dropped():
     engine, core = make_core()
-    core.peers[1].closed = True
+    core.mesh.down.add(1)
     core.app_send(AppMessage(src=0, dst=1, tag=9, payload="x", size=10))
-    assert core.peers[1].sent == []
+    assert core.mesh.sent[1] == []

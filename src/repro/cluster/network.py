@@ -43,7 +43,7 @@ from array import array
 from collections import deque
 from functools import partial
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, List,
-                    NamedTuple, Optional, Sequence, Set, Tuple, Union)
+                    NamedTuple, Optional, Sequence, Set, Tuple)
 
 from repro.netmodel import (DEFAULT_BANDWIDTH, DEFAULT_LATENCY, build_fabric)
 from repro.simkernel.engine import Engine
@@ -280,24 +280,21 @@ class Network:
         self._listeners.pop(addr, None)
 
     # -- connecting -----------------------------------------------------------
-    def connect(self, src_host: str, addr: Address, owner,
-                deliver: Callable[[Union["Socket", ConnectionRefused]], None]
-                ) -> None:
-        """Open a connection to ``addr``: after one round trip,
-        ``deliver`` gets the client :class:`Socket` or a
-        :class:`ConnectionRefused` (nothing listens, or the path is cut),
-        inside the delivery payload — a caller that reacts later
-        schedules its reaction from there (:meth:`repro.cluster.node.Node.connect`
-        succeeds an Event, a mesh dialer schedules itself)."""
+    def connect(self, src_host: str, addr: Address, owner) -> Event:
+        """Open a connection to ``addr``: an Event that yields the client
+        :class:`Socket` after one round trip, or fails with
+        :class:`ConnectionRefused` (nothing listens, or the path is
+        cut)."""
         engine = self.engine
+        ev = Event(engine, name=f"connect({addr})")
         rtt = 2 * self._latency_between(src_host, addr.host)
         listener = self._listeners.get(addr)
         if listener is None or listener.closed \
                 or not self.reachable(src_host, addr.host):
             # Refusal (or the partition timeout) still takes a round trip.
-            engine.call_later(rtt, lambda: deliver(
+            engine.call_later(rtt, lambda: ev.fail(
                 ConnectionRefused(f"no listener at {addr}")))
-            return
+            return ev
         conn_id = self._next_conn_id
         self._next_conn_id += 1
         client = Socket(self, conn_id, src_host, addr, owner)
@@ -316,16 +313,17 @@ class Network:
                 if owner is not None:
                     owner.disown_socket(client)
                 client._peer = server._peer = None
-                deliver(ConnectionRefused(f"listener at {addr} closed"))
+                ev.fail(ConnectionRefused(f"listener at {addr} closed"))
                 return
             if not client.closed:   # a dialer that died in the round trip
                 self._conns[client] = self._register()
             if server.owner is not None:
                 server.owner.adopt_socket(server)
             listener._rx.put(server)
-            deliver(client)
+            ev.succeed(client)
 
         engine.call_later(rtt, _deliver)
+        return ev
 
     # -- transmission ------------------------------------------------------------
     def send_all(self, socks: Iterable["Socket"], msg: Any,
@@ -569,10 +567,10 @@ class Mesh(CallbackThread):
     a landed end waits in the backlog, and the accept side looks at one
     connection at a time, handing its first message to ``on_hello``.
     A debugger stop parks hops, continuing re-runs them from one URGENT
-    payload.  When the process dies each end closes in its fd order
-    (:attr:`fd`), owing a notice to a far end still reading.  A row holds one end at a time: a
-    rank's next incarnation binds its port, and dials, once the last
-    one is dead.
+    payload.  When the process dies each end closes in the order the
+    process opened it (:attr:`fd`), owing a notice to a far end still
+    reading.  A row holds one end at a time: a rank's next incarnation
+    binds its port, and dials, once the last one is dead.
     """
 
     __slots__ = ("network", "proc", "host", "rank", "closed", "_died",

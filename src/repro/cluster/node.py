@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, List, Optional
 
-from repro.cluster.network import Address, ConnectionRefused
+from repro.cluster.network import Address
 from repro.cluster.unixproc import UnixProcess
 from repro.simkernel.events import Event
 
@@ -73,13 +73,8 @@ class Node:
 
     def connect(self, addr: Address,
                 owner: Optional[UnixProcess] = None) -> Event:
-        """:meth:`repro.cluster.network.Network.connect` as an Event,
-        for generator callers: the client socket, or ConnectionRefused."""
-        ev = self.engine.event(name=f"connect({addr})")
-        self.cluster.network.connect(self.name, addr, owner, lambda out: (
-            ev.fail(out) if isinstance(out, ConnectionRefused)
-            else ev.succeed(out)))
-        return ev
+        """:meth:`repro.cluster.network.Network.connect` from here."""
+        return self.cluster.network.connect(self.name, addr, owner)
 
     def dispose(self) -> None:
         """Teardown-only cycle breaking of the processes still alive at

@@ -9,7 +9,8 @@ wakeups, the periodic checkpoint/heartbeat grids — measured ~85 % at
 128 ranks), so most enqueues are a dict lookup + list append instead
 of an ``O(log n)`` heap push, and the heap holds one entry per
 *distinct* instant rather than one per event.  Dispatch drains a slot
-as a batch (16 payloads per slot visit in a faulted 128-rank trial).
+as a batch (9.25 payloads per slot visit in a faulted 128-rank vcl
+trial).
 Ordering is bit-identical to the classic one-entry-per-event heap:
 globally ``(time, priority, insertion order)`` — FIFO
 within a slot *is* insertion order, and a payload that schedules work
@@ -20,15 +21,16 @@ runs first (guarded by golden digests in
 What a payload is: an :class:`~repro.simkernel.events.Event` whose
 callbacks step the generator processes waiting on it, in place; a bare
 callable; a :class:`~repro.simkernel.process.CallbackThread` — a socket
-:class:`~repro.simkernel.store.Reader`, a mesh dialer — which *is* its
-wake-up and handles it in place; or a :class:`Batch`: the calls and
-arrivals :meth:`Engine.call_at` / :meth:`Engine.put_at` scheduled back
-to back into one slot (a marker flood lands 127 messages in one
-instant, a daemon's dials start together, a mesh teardown's close
-notifications land together), run by one payload.  A wire message is
-therefore the reader payload that handles it plus its share of a batch
-— 1.48 payloads per message in a faulted 128-rank vcl trial,
-connection set-up and timers included.
+:class:`~repro.simkernel.store.Reader`, a daemon's
+:class:`~repro.cluster.network.Mesh` — which *is* its wake-up and
+handles it in place; or a :class:`Batch`: the calls and arrivals
+:meth:`Engine.call_at` / :meth:`Engine.put_at` scheduled back to back
+into one slot (a marker flood lands 127 messages in one instant, a
+daemon's dials land together, a dead incarnation's close notices land
+together), run by one payload.  A wire message is therefore the payload
+that reads it plus its share of a batch — 1.47 payloads per message
+(135 522 / 91 922) in a faulted 128-rank vcl trial, connection set-up
+and timers included.
 """
 
 from __future__ import annotations

@@ -292,7 +292,7 @@ class CallbackThread:
     def dispose(self) -> None:
         """Teardown-only cycle breaking; subclasses drop their own
         references too.  Dead, but not ``kill()``: a deployment has
-        tens of thousands of these, so teardown clears fields and
+        thousands of these, so teardown clears fields and
         makes no calls."""
         self.alive = self.suspended = False
         self.on_error = None

@@ -66,15 +66,16 @@ class RealWorld:
     def connect(self, name):
         proc = self.procs[name]
 
-        def outcome(out):
-            if isinstance(out, ConnectionRefused):
+        def outcome(ev):
+            if isinstance(ev.exception, ConnectionRefused):
                 self.note(name, "refused")
             elif proc.state.alive:
-                self.note(name, f"connected c{out.conn_id}")
-                self.read(proc, f"c{out.conn_id}", out)
+                sock = ev.value
+                self.note(name, f"connected c{sock.conn_id}")
+                self.read(proc, f"c{sock.conn_id}", sock)
 
-        self.network.connect(proc.node.name, self.listener.addr, proc,
-                             outcome)
+        self.network.connect(proc.node.name, self.listener.addr,
+                             proc).add_callback(outcome)
 
     def send(self, name, msg, size):
         sock = self.ends[name]

@@ -24,7 +24,7 @@ from repro.mpichv.runtime import VclRuntime
 #: what is left: the dispatcher's mutually recursive closures
 #: (``spawn_slot`` <-> ``on_spawn_exit``) and the fixed handful of
 #: objects they name (config, timing, workload, the emptied cluster
-#: and engine) — 44 objects today whatever the protocol, the rank
+#: and engine) — 45 objects today whatever the protocol, the rank
 #: count or the recorder
 LEFTOVER_BOUND = 64
 

@@ -39,7 +39,6 @@ partition fault class the paper leaves out.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from functools import partial
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, List,
@@ -595,7 +594,7 @@ class Mesh(CallbackThread):
         self.on_msg, self.on_gone = on_msg, on_gone
         self.on_hello, self.on_connected = on_hello, on_connected
         self.far: List[Optional[Mesh]] = [None] * n
-        self.pipe = array("d", bytes(8 * n))
+        self.pipe: List[float] = [0.0] * n
         self.state = bytearray(n)               # FREE
         #: lists, not deques: a row rarely queues more than its hello,
         #: and at N(N-1) rows a deque's block is a noticeable share
@@ -605,8 +604,8 @@ class Mesh(CallbackThread):
         self.rd = bytearray(n)                  # IDLE
         #: when the process opened each end, when the network
         #: registered each dialed one
-        self.fd = array("q", bytes(8 * n))
-        self.born = array("q", bytes(8 * n))
+        self.fd: List[int] = [0] * n
+        self.born: List[int] = [0] * n
         #: the rows the daemon talks to, in the order they joined (a
         #: marker flood goes out in this order), and a membership column
         self.peers: List[int] = []

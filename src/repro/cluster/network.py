@@ -780,35 +780,14 @@ class Mesh(CallbackThread):
         self.engine._enqueue(self)
 
     def __call__(self) -> None:
+        """A hop: the accept side's look at the backlog (row -1), its
+        wake-up on a landed end, or a row reader's."""
         if not self.alive:
             return
         row = self._hops.popleft()
         if self.suspended:
             self._parked.append(row)
-        elif row >= 0 and self.rd[row] == ITEM and self.state[row] > PENDING:
-            # a message for a served row: read it, look for the next
-            msg, self.item[row] = self.item[row], None
-            try:
-                self.on_msg(row, msg)
-            except Exception as err:
-                return self._crash(err)
-            if not self.alive:
-                return
-            queue = self.inbox[row]
-            if queue:
-                self.item[row] = queue.pop(0)
-                if not queue:
-                    self.inbox[row] = None
-                self._hops.append(row)
-                self.engine._enqueue(self)
-            elif self.far[row] is None:
-                self._gone(row)
-            else:
-                self.rd[row] = WAIT
-        else:
-            self._step(row)
-
-    def _step(self, row: int) -> None:
+            return
         try:
             if row < 0:
                 row = self._acc = self._backlog.popleft()
@@ -973,7 +952,11 @@ class Mesh(CallbackThread):
     def _unpark(self) -> None:
         while self._parked and self.alive and not self.suspended:
             hop = self._parked.pop(0)
-            self._step(hop) if type(hop) is int else hop()
+            if type(hop) is int:
+                self._hops.appendleft(hop)
+                self()
+            else:
+                hop()
 
     def dispose(self) -> None:
         """Drop columns and handlers; what a late landing or severance

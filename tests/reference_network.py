@@ -31,9 +31,10 @@ closing, a dial's outcome — is a ``(time, what)`` entry in that end's
 
 With ``mesh=True`` the model is the one a daemon's
 :class:`~repro.cluster.network.Mesh` keeps: a dialer says ``"hello"``
-the instant its dial lands, and the accepting side looks at one landed
-connection at a time, in landing order — it reads a connection from its
-first message on, and skips one that closes before saying anything.
+the instant its dial lands, a dead process dials nothing, and the
+accepting side looks at one landed connection at a time, in landing
+order — it reads a connection from its first message on, and skips one
+that closes before saying anything.
 
 Commands are applied *between* instants: :meth:`Model.advance` runs
 every model event up to and including ``t`` an instant at a time, as
@@ -175,6 +176,8 @@ class Model:
 
     # -- commands ----------------------------------------------------------------
     def connect(self, proc: str) -> None:
+        if self.mesh and proc not in self.alive:
+            return                  # a mesh dials from its process
         src = self.hosts[proc]
         dst = self.hosts[self.listener_owner]
         t = self.now

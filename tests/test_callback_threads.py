@@ -13,15 +13,20 @@ handle((yield store.get()))`` with the plumbing removed:
 * a regression test that a crashed handler is named in the trace, the
   verdict and the timeline instead of hiding behind a timeout.
 
-The daemons' mesh dial and accept side are ``tests/test_mesh.py``'s.
+The waiting first look — a reader that skips its first-look payload
+where that look would find nothing — is now a mesh row's
+(``Mesh.serve``), tested here on rows; the daemons' mesh dial and accept
+side are ``tests/test_mesh.py``'s.
 """
 
 from hypothesis import example, given, settings, strategies as st
 
+from repro.cluster.network import ITEM, START, WAIT
 from repro.cluster.unixproc import ProcState
 from repro.simkernel.engine import Engine
 from repro.simkernel.events import PRIORITY_URGENT
 from repro.simkernel.store import Reader, Store, StoreClosed
+from test_mesh import _mesh
 
 # ---------------------------------------------------------------------------
 # model equivalence
@@ -495,6 +500,84 @@ def test_reader_spawned_on_a_suspended_process_starts_suspended(engine, cluster)
         pass
     else:
         raise AssertionError("spawn_reader on a dead process must fail")
+
+
+# ---------------------------------------------------------------------------
+# the waiting first look: a mesh row's ``serve``
+# ---------------------------------------------------------------------------
+
+def _accepted(engine, cluster, n, log):
+    """Rank 0's mesh on node 0, dialed by ranks 1..n-1 on their own
+    nodes; each dialer's mesh and process, once every dial landed."""
+    procs = [cluster.node(i).spawn(f"p{i}", _idle) for i in range(n)]
+    engine.run(until=0.1)
+    meshes = [_mesh(p, i, n, log) for i, p in enumerate(procs)]
+    for mesh in meshes[1:]:
+        mesh.dial([(0, cluster.node(0).addr(9))], 0.1, 1.0, lambda: False)
+    engine.run(until=1.0)
+    return meshes, procs
+
+
+def test_bind_waits_at_once_only_where_the_first_look_would_find_nothing(
+        engine, cluster):
+    """``Mesh.serve`` waits at once only on an open row with nothing
+    queued or in flight to it; a queued message, an arrival in flight or
+    a closed stream makes its first look a payload of its own."""
+    log = []
+    (a, b, c, d), procs = _accepted(engine, cluster, 4, log)
+    for row, mesh in ((1, b), (2, c), (3, d)):
+        mesh.send(0, f"hello {row}")
+    c.send(0, "queued")
+    engine.run(until=2.0)
+    procs[3].kill()                     # its close notice lands
+    engine.run(until=3.0)
+    assert log == [("hello", 1, "hello 1"), ("hello", 2, "hello 2"),
+                   ("hello", 3, "hello 3")]
+    a.serve(1)                          # open, empty: waits
+    assert a.rd[1] == WAIT
+    a.serve(2)                          # "queued" waits in the row
+    assert a.rd[2] == START
+    a.serve(3)                          # closed
+    assert a.rd[3] == START
+    a.send(1, "in flight")
+    b.serve(0)                          # open, but a message is on its way
+    assert b.rd[0] == START
+    c.serve(0)
+    assert c.rd[0] == WAIT
+    engine.run(until=4.0)
+    assert log[3:] == [("msg", 2, "queued"), ("msg", 0, "in flight")]
+    assert a.rd[3] != WAIT              # looked, found it closed
+    b.send(0, "to a waiting row")
+    engine.run(until=5.0)
+    assert log[5:] == [("msg", 1, "to a waiting row")]
+
+
+def test_only_a_running_process_binds_its_socket_readers(engine, cluster):
+    """A stopped process's ``serve`` never waits at once: its first look
+    is a payload, parked until the continue.  A message handed to a
+    waiting row of a process stopped meanwhile is read at the continue."""
+    log = []
+    (a, b), procs = _accepted(engine, cluster, 2, log)
+    b.send(0, "hi")
+    engine.run(until=2.0)
+    procs[0].suspend()
+    a.serve(1)                          # open and empty, but stopped
+    assert a.rd[1] == START
+    b.serve(0)                          # running: waits
+    assert b.rd[0] == WAIT
+    b.send(0, "to a stopped process")
+    engine.run(until=3.0)
+    assert log == [("hello", 1, "hi")]
+    procs[0].resume_all()
+    engine.run(until=4.0)
+    assert log[1:] == [("msg", 1, "to a stopped process")]
+    a.send(1, "in flight")
+    procs[1].suspend()
+    engine.run(until=5.0)               # handed over, parked
+    assert b.rd[0] == ITEM and log[2:] == []
+    procs[1].resume_all()
+    engine.run(until=6.0)
+    assert log[2:] == [("msg", 0, "in flight")]
 
 
 # ---------------------------------------------------------------------------

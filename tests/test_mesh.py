@@ -8,7 +8,6 @@
   early termination), and demands the same log;
 * the accept side takes one connection at a time and skips one that
   closes without a word;
-* a row is read at once only where its first look would find nothing;
 * a crashing handler takes the process down and names the mesh.
 """
 
@@ -18,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from reference_engine import ReferenceEngine
 from repro.analysis.traces import Trace
 from repro.cluster.cluster import Cluster
-from repro.cluster.network import ITEM, START, WAIT, Mesh
+from repro.cluster.network import Mesh
 from repro.cluster.unixproc import ProcState
 from repro.mpichv.config import VclConfig
 from repro.simkernel.engine import Engine
@@ -198,38 +197,6 @@ def test_the_accept_side_takes_one_connection_at_a_time(engine, cluster):
     dialers["c"][1].send(0, "from c")
     engine.run(until=4.0)
     assert firsts == [("hello", 2, "from b"), ("hello", 3, "from c")]
-
-
-def test_a_row_is_read_at_once_only_where_its_first_look_finds_nothing(
-        engine, cluster):
-    """``serve`` waits at once on an open row with nothing queued or in
-    flight while the process runs; otherwise its first look is a
-    payload of its own, as a reader spawned on a socket's store."""
-    log = []
-    procs = [cluster.node(i).spawn(f"p{i}", _idle) for i in range(2)]
-    engine.run(until=0.1)
-    a, b = (_mesh(p, i, 2, log) for i, p in enumerate(procs))
-    b.dial([(0, cluster.node(0).addr(9))], 0.1, 1.0, lambda: False)
-    engine.run(until=1.0)
-    assert a.rd[1] == WAIT              # the accept side waits on it
-    b.send(0, "hi")
-    b.send(0, "more")
-    engine.run(until=2.0)
-    assert log == [("hello", 1, "hi")]
-    a.serve(1)                          # "more" is queued
-    assert a.rd[1] == START
-    b.serve(0)
-    assert b.rd[0] == WAIT
-    engine.run(until=3.0)
-    assert log == [("hello", 1, "hi"), ("msg", 1, "more")]
-    a.send(1, "in flight")
-    procs[0].suspend()
-    b.send(0, "to a stopped process")
-    engine.run(until=4.0)               # handed over, parked
-    assert a.rd[1] == ITEM and log[-1] == ("msg", 0, "in flight")
-    procs[0].resume_all()
-    engine.run(until=5.0)
-    assert log[-1] == ("msg", 1, "to a stopped process")
 
 
 # ---------------------------------------------------------------------------

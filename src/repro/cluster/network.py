@@ -93,13 +93,13 @@ class Network:
         self.messages_sent = 0
         #: uniform fabric -> the hot path never consults the fabric
         self._fast_uniform = self.fabric.is_uniform
-        #: live connections for partition severing, in creation order:
-        #: a client :class:`Socket` -> its sequence number, or a
-        #: :class:`Mesh` whose dialed rows carry theirs
-        #: (:attr:`Mesh.born`).  Severance must scan connections in
-        #: creation order or same-instant closure notifications land in
-        #: address-dependent (nondeterministic) tie-break order
-        self._conns: Dict[Any, int] = {}
+        #: what holds live connections, for partition severing: a
+        #: client :class:`Socket` -> its registration number, or a
+        #: :class:`Mesh` (its dialed rows carry theirs).  Severance must
+        #: scan connections in registration order or same-instant
+        #: closure notifications land in address-dependent
+        #: (nondeterministic) tie-break order
+        self._conns: Dict[Any, Optional[int]] = {}
         self._next_seq = 0
         #: connections whose severance is on its way
         self._severing: Set[Any] = set()
@@ -195,52 +195,22 @@ class Network:
 
     def _sever_spanning(self) -> None:
         """Schedule severance of live connections that now span a cut."""
-        live = []
-        for conn, seq in self._conns.items():
-            if type(conn) is Mesh:
-                live += [(conn.born[row], (conn, row))
-                         for row, state in enumerate(conn.state)
-                         if state == CLIENT]
-            else:
-                live.append((seq, conn))
+        live = [entry for conn, seq in self._conns.items()
+                for entry in conn._live(seq)]
         live.sort(key=lambda entry: entry[0])
-        for _seq, conn in live:
-            if conn in self._severing:
+        for _seq, key, a, b in live:
+            if key in self._severing or self.reachable(a, b):
                 continue
-            if type(conn) is tuple:
-                mesh, row = conn
-                far = mesh.far[row]
-                if far is None:
-                    continue        # both receive streams are closed
-                a, b = mesh.host, far.host
-            else:
-                far = conn._peer
-                if far is None or (conn._rx.closed and far._rx.closed):
-                    continue        # already dead
-                a, b = conn.local_host, far.local_host
-            if self.reachable(a, b):
-                continue
-            self._severing.add(conn)
+            self._severing.add(key)
             self.engine.call_later(self._latency_between(a, b),
-                                   partial(self._sever, conn, far, a, b))
+                                   partial(self._sever, key, a, b))
 
-    def _sever(self, conn, far, a: str, b: str) -> None:
+    def _sever(self, key, a: str, b: str) -> None:
         """A severance lands: both receive streams close, unless a heal
         came first."""
-        self._severing.discard(conn)
-        if self.reachable(a, b):
-            return                  # healed before the closure landed
-        if type(conn) is tuple:
-            mesh, row = conn
-            if not mesh.closed and mesh.far[row] is far:
-                mesh._close_rx(row)
-            if not far.closed and far.far[mesh.rank] is mesh:
-                far._close_rx(mesh.rank)
-        else:
-            # dead for good: drop from the severing scan set
-            self._conns.pop(conn, None)
-            conn._rx.close()
-            far._rx.close()
+        self._severing.discard(key)
+        if not self.reachable(a, b):
+            key[0]._sever(key)
 
     # -- traffic accounting ----------------------------------------------------
     def link_stats(self) -> Dict[str, Dict[str, int]]:
@@ -325,14 +295,12 @@ class Network:
         return ev
 
     # -- transmission ------------------------------------------------------------
-    def send_all(self, socks: Iterable["Socket"], msg: Any,
-                 size: Optional[int] = None) -> None:
-        """Queue ``msg`` on every open socket of ``socks`` (a marker
-        flood; :meth:`Socket.send` is the one-socket case).  ``size``
-        defaults to the message's ``size`` hint, else
-        :data:`DEFAULT_MSG_SIZE`.  What no connection changes is worked
-        out once; each socket pays for its own pipe and arrival, which
-        joins the batch of its instant.  Every message passes here.
+    def _wire(self, msg: Any, size: Optional[int]):
+        """What no connection changes about sending ``msg``: its size
+        (``size``, else the message's ``size`` hint, else
+        :data:`DEFAULT_MSG_SIZE`), now, the landing time on an idle
+        pipe of the uniform fabric (None on another: each pair asks the
+        fabric), the causal context to stamp, and whether a cut is on.
         """
         if size is None:
             size = getattr(msg, "size", None)
@@ -340,19 +308,37 @@ class Network:
                 and size >= 0 else DEFAULT_MSG_SIZE
         engine = self.engine
         now = engine.now
-        obs = engine.obs
-        # Causal choke point: every stamped message crosses here once
-        # per transmission, with the arrival already computed — so the
-        # graph is a pure function of the simulated history (see
-        # repro.obs.causal).  Mesh.send_all is the other half.
-        ctx = getattr(msg, "_causal_ctx", None) if obs is not None else None
-        cut = self._isolated or self._cut_pairs
-        uniform = self._fast_uniform
-        if uniform:
-            # the historical arithmetic, no fabric lookup:
-            # max(pipe free, now + latency + size / bandwidth)
-            earliest = now + self.latency + size / self.bandwidth
-        schedule = engine._schedule     # put_at, minus its past check
+        # the historical arithmetic, no fabric lookup:
+        # max(pipe free, now + latency + size / bandwidth)
+        earliest = now + self.latency + size / self.bandwidth \
+            if self._fast_uniform else None
+        ctx = getattr(msg, "_causal_ctx", None) \
+            if engine.obs is not None else None
+        return size, now, earliest, ctx, self._isolated or self._cut_pairs
+
+    def _stamp(self, ctx, msg: Any, a: str, b: str, arrival: float,
+               size: int) -> None:
+        """Causal choke point: every stamped message crosses here once
+        per transmission, with the arrival already computed — so the
+        graph is a pure function of the simulated history (see
+        :mod:`repro.obs.causal`)."""
+        self.engine.obs.causal.on_transmit(ctx, type(msg).__name__, a, b,
+                                           self.engine.now, arrival, size)
+
+    def _count(self, sent: int, size: int) -> None:
+        self.messages_sent += sent
+        self.bytes_sent += sent * size
+
+    def send_all(self, socks: Iterable["Socket"], msg: Any,
+                 size: Optional[int] = None) -> None:
+        """Queue ``msg`` on every open socket of ``socks`` (a marker
+        flood; :meth:`Socket.send` is the one-socket case).  What no
+        connection changes is worked out once (:meth:`_wire`); each
+        socket pays for its own pipe and arrival, which joins the batch
+        of its instant.  :meth:`Mesh.send_all` is the mesh's half.
+        """
+        size, now, earliest, ctx, cut = self._wire(msg, size)
+        schedule = self.engine._schedule    # put_at, minus its past check
         sent = 0
         last = batch = None
         for sock in socks:
@@ -361,37 +347,31 @@ class Network:
             peer = sock._peer
             if peer is None or peer._rx.closed:
                 continue        # packets to a dead endpoint vanish
-            if cut and not self.reachable(sock.local_host, peer.local_host):
+            a, b = sock.local_host, peer.local_host
+            if cut and not self.reachable(a, b):
                 continue        # packets into a cut vanish
             sent += 1
-            if uniform:
-                arrival = sock._pipe_free
-                if arrival < earliest:
-                    arrival = earliest
-            else:
-                arrival = self.fabric.delivery(now, sock.local_host,
-                                               peer.local_host, size,
-                                               sock._pipe_free)
+            arrival = sock._pipe_free
+            if earliest is None:
+                arrival = self.fabric.delivery(now, a, b, size, arrival)
+            elif arrival < earliest:
+                arrival = earliest
             sock._pipe_free = arrival
             if ctx is not None:
-                obs.causal.on_transmit(ctx, type(msg).__name__,
-                                       sock.local_host, peer.local_host,
-                                       now, arrival, size)
+                self._stamp(ctx, msg, a, b, arrival, size)
             rx = peer._rx
             if arrival == last:     # that arrival's batch still ends the slot
                 batch.items.append((rx, msg))
             else:
                 batch, last = schedule(arrival - now, rx, msg), arrival
-        self.messages_sent += sent
-        self.bytes_sent += sent * size
+        self._count(sent, size)
 
     def dispose(self) -> None:
         """Break the reference cycles of every endpoint still open at
         the end (teardown only — see ``VclRuntime.dispose``); a pair
         closed at both ends unlinked itself."""
         for conn in self._conns:
-            if type(conn) is not Mesh:
-                conn.dispose()
+            conn.dispose()
         self._conns.clear()
         for listener in self._listeners.values():
             listener.dispose()
@@ -517,6 +497,19 @@ class Socket:
     def _closed_by_peer(self) -> None:
         self._rx.close()
 
+    def _live(self, seq: int):
+        """:meth:`Network._sever_spanning`'s view of this connection."""
+        far = self._peer
+        if far is None or (self._rx.closed and far._rx.closed):
+            return ()
+        return ((seq, (self, far), self.local_host, far.local_host),)
+
+    def _sever(self, key) -> None:
+        # dead for good: drop from the severing scan set
+        self.network._conns.pop(self, None)
+        self._rx.close()
+        key[1]._rx.close()
+
     @property
     def peer_alive(self) -> bool:
         return not self._rx.closed      # a peer's close notice closes it
@@ -533,9 +526,10 @@ class Socket:
                 f"closed={self.closed}>")
 
 
-#: a :class:`Mesh` row's end: none, dialing, landed (awaiting the
-#: accept side), accepted, dialed
-FREE, DIALING, PENDING, SERVER, CLIENT = range(5)
+#: a :class:`Mesh` row's end: none, reserved by a dial still in its round
+#: trip, dialing, landed (awaiting the accept side), accepted, dialed (its
+#: outcome not yet seen), connected
+FREE, INCOMING, DIALING, PENDING, SERVER, DIALED, CLIENT = range(7)
 #: a row reader's (or, on a PENDING row, the accept side's) next step:
 #: none, wait, read the handed-over item, first look, see the close
 IDLE, WAIT, ITEM, START, CLOSE = range(5)
@@ -552,32 +546,37 @@ class Mesh(CallbackThread):
     handshake, FIFO pipe, close notice, severance — at the instant and
     slot position a :class:`Socket` pair read by a
     :class:`~repro.simkernel.store.Reader` at each end took, but as a
-    *row*: the connection to rank ``r`` is entry ``r`` of per-peer
-    columns (the far end's mesh, None once this end's receive stream
-    closed; the pipe's free time; arrivals in flight; the inbound
-    queue), served by one handler keyed by rank.
+    *row*: an end is entry ``row`` of per-row columns (the far end's
+    mesh, None once this end's receive stream closed, and its row
+    there; the pipe's free time; arrivals in flight; the inbound queue),
+    served by one handler.  The connection with rank ``r`` is row ``r``
+    unless the last one on it is still going — a restarted incarnation
+    dialing in while its predecessor's close is unread, or a dial each
+    way — and then a spill row past the ranks (:meth:`rank_of`).  The
+    daemon talks to each rank over the row it :meth:`join`\\ ed.
 
     The mesh is its process's thread and the payload of every read: an
-    arrival is a ``(rank, message)`` item of its instant's
+    arrival is a ``(row, message)`` item of its instant's
     :class:`~repro.simkernel.engine.Batch`, handed to a waiting row
     and read in a payload of its own (a hop; :attr:`_hops` says which
     row), where the reader's was.  Dials start in one payload, land one
     callable per round-trip instant, and retry with a doubling back-off;
     a landed end waits in the backlog, and the accept side looks at one
     connection at a time, handing its first message to ``on_hello``.
-    A debugger stop parks hops, continuing re-runs them from one URGENT
-    payload.  When the process dies each end closes in the order the
-    process opened it (:attr:`fd`), owing a notice to a far end still
-    reading.  A row holds one end at a time: a rank's next incarnation
-    binds its port, and dials, once the last one is dead.
+    A debugger stop parks hops; at the continue each is re-run from an
+    URGENT payload of its own, in the process's thread order
+    (:meth:`unpark`): a row reader where it was served, the accept side
+    where the mesh was built, a dial where it was made.  When the
+    process dies each end closes in the order the process opened it
+    (:attr:`fd`), owing a notice to a far end still reading.
     """
 
-    __slots__ = ("network", "proc", "host", "rank", "closed", "_died",
+    __slots__ = ("network", "proc", "host", "rank", "n", "closed", "_died",
                  "on_msg", "on_gone", "on_hello", "on_connected",
-                 "far", "pipe", "state", "inbox", "item", "inflight", "rd",
-                 "fd", "born", "peers", "joined",
-                 "_hops", "_backlog", "_acc", "_outcomes", "_outcome_hop",
-                 "_backoff_max", "_stop")
+                 "far", "frow", "pipe", "state", "inbox", "item", "inflight",
+                 "rd", "fd", "born", "pos", "peers", "attached", "_spilled",
+                 "_pos", "_hops", "_backlog", "_acc", "_outcomes",
+                 "_outcome_hop", "_backoff_max", "_stop")
 
     def __init__(self, proc, listener: ListenSocket, rank: int, n: int,
                  on_msg: Callable[[int, Any], None],
@@ -589,11 +588,14 @@ class Mesh(CallbackThread):
         self.proc = proc
         self.host = proc.node.name
         self.rank = rank
+        self.n = n
         self.closed = False
         self._died = 0.0
+        #: each handler names the connection by its row
         self.on_msg, self.on_gone = on_msg, on_gone
         self.on_hello, self.on_connected = on_hello, on_connected
         self.far: List[Optional[Mesh]] = [None] * n
+        self.frow: List[int] = [rank] * n
         self.pipe: List[float] = [0.0] * n
         self.state = bytearray(n)               # FREE
         #: lists, not deques: a row rarely queues more than its hello,
@@ -603,39 +605,84 @@ class Mesh(CallbackThread):
         self.inflight: List[int] = [0] * n
         self.rd = bytearray(n)                  # IDLE
         #: when the process opened each end, when the network
-        #: registered each dialed one
+        #: registered each connection, where each row's reader stands
+        #: in the process's thread order
         self.fd: List[int] = [0] * n
         self.born: List[int] = [0] * n
-        #: the rows the daemon talks to, in the order they joined (a
-        #: marker flood goes out in this order), and a membership column
+        self.pos: List[int] = [0] * n
+        #: the joined rows, in the order they joined (a marker flood
+        #: goes out in this order), and each rank's joined row or -1
         self.peers: List[int] = []
-        self.joined = bytearray(n)
+        self.attached: List[int] = [-1] * n
+        #: spill row -> its rank
+        self._spilled: Dict[int, int] = {}
         self._hops: deque = deque()     # -1: the accept side's look
         self._backlog: deque = deque()
         self._acc = _ACCEPTING
         self._outcomes: deque = deque()
         self._outcome_hop = self._dialed
+        #: ``(thread position, hop)`` of what fired while stopped
         self._parked = []
         listener.mesh = proc.mesh = self
         proc.adopt_thread(self)
+        self._pos = proc._threads[self]
 
     @property
     def name(self) -> str:
         return f"mesh.r{self.rank}@{self.host}"
 
+    def rank_of(self, row: int) -> int:
+        return row if row < self.n else self._spilled[row]
+
     def _adopt(self, row: int) -> None:
-        self.fd[row] = self.proc._open()
+        self.fd[row] = self.proc._tick()
 
     def join(self, row: int) -> None:
-        """``row`` joins :attr:`peers` (where it is, if it is there)."""
-        if not self.joined[row]:
-            self.joined[row] = 1
+        """The daemon talks to ``row``'s rank over ``row``: it takes the
+        place in :attr:`peers` of the row the rank had, else the end."""
+        rank = self.rank_of(row)
+        old = self.attached[rank]
+        if old == row:
+            return
+        self.attached[rank] = row
+        if old < 0:
             self.peers.append(row)
+        else:
+            self.peers[self.peers.index(old)] = row
 
     def leave(self, row: int) -> None:
-        if self.joined[row]:
-            self.joined[row] = 0
+        """``row`` leaves :attr:`peers`, if it is the rank's row."""
+        rank = self.rank_of(row)
+        if self.attached[rank] == row:
+            self.attached[rank] = -1
             self.peers.remove(row)
+
+    def _row(self, rank: int) -> int:
+        """The row a new connection with ``rank`` takes."""
+        if self._over(rank):
+            return rank
+        for row in self._spilled:
+            if self._over(row):
+                self._spilled[row] = rank
+                return row
+        row = len(self.far)
+        self._spilled[row] = rank
+        for column, blank in ((self.far, None), (self.frow, 0),
+                              (self.pipe, 0.0), (self.state, FREE),
+                              (self.inbox, None), (self.item, None),
+                              (self.inflight, 0), (self.rd, IDLE),
+                              (self.fd, 0), (self.born, 0), (self.pos, 0)):
+            column.append(blank)
+        return row
+
+    def _over(self, row: int) -> bool:
+        """Nothing more can happen to ``row``'s last connection: not
+        joined, its receive stream closed and read to the end, nothing
+        in flight to it, no dial or accept step owed."""
+        return self.far[row] is None and not self.rd[row] \
+            and not self.inflight[row] \
+            and self.state[row] in (FREE, SERVER, CLIENT) \
+            and self.attached[self.rank_of(row)] != row
 
     # -- dialing ---------------------------------------------------------------
     def dial(self, targets: Sequence[Tuple[int, Address]], backoff: float,
@@ -645,7 +692,9 @@ class Mesh(CallbackThread):
         doubling up to ``backoff_max``, unless ``stop()``."""
         self._backoff_max = backoff_max
         self._stop = stop
-        if targets:
+        if targets and self.alive:
+            tick = self.proc._tick
+            targets = [(rank, addr, tick()) for rank, addr in targets]
             self.engine._schedule(0.0, None,
                                   partial(self._redial, targets, backoff))
 
@@ -653,30 +702,36 @@ class Mesh(CallbackThread):
         if not self.alive:
             return
         if self.suspended:
-            self._parked.append(partial(self._redial, targets, delay))
+            self._parked.append(
+                (targets[0][2], partial(self._redial, targets, delay)))
             return
         if self._stop():
             return
         network, host = self.network, self.host
         landings: Dict[float, list] = {}
-        for row, addr in targets:
+        for rank, addr, pos in targets:
             listener = network._listeners.get(addr)
-            far = None
+            row = far = fr = None
             if listener is not None and not listener.closed \
                     and network.reachable(host, addr.host):
-                far = self.far[row] = listener.mesh
+                far = listener.mesh
+                row, fr = self._row(rank), far._row(self.rank)
+                far.state[fr] = INCOMING
+                far.frow[fr] = row
                 self.state[row] = DIALING
+                self.far[row], self.frow[row] = far, fr
                 self.pipe[row] = 0.0
                 self._adopt(row)
             rtt = 2 * network._latency_between(host, addr.host)
-            landings.setdefault(rtt, []).append((row, addr, far, delay))
+            landings.setdefault(rtt, []).append(
+                (rank, addr, pos, row, far, fr, delay))
         for rtt, dials in landings.items():
             self.engine._schedule(rtt, None, partial(self._land, dials))
 
     def _land(self, dials) -> None:
         """Dials land, in the order they were made."""
         network = self.network
-        for row, addr, far, delay in dials:
+        for rank, addr, pos, row, far, fr, delay in dials:
             if far is not None and not far.closed \
                     and network.reachable(self.host, far.host):
                 if self.closed:
@@ -684,20 +739,24 @@ class Mesh(CallbackThread):
                     # the far end first, or is still on its way
                     dead = self._died + network._latency_between(
                         self.host, far.host) < self.engine.now
-                    far._landed(self.rank, None if dead else self)
+                    far._landed(fr, None if dead else self)
                     continue
-                network._conns.setdefault(self, 0)
-                self.born[row] = network._register()
-                far._landed(self.rank, self)
-                self.state[row] = CLIENT
-            elif self.closed:
-                continue
+                network._conns.setdefault(self, None)
+                self.born[row] = far.born[fr] = network._register()
+                far._landed(fr, self)
+                self.state[row] = DIALED
             else:
-                if self.state[row] == DIALING:
+                if far is not None and not far.closed \
+                        and far.state[fr] == INCOMING:
+                    far.state[fr] = FREE
+                if self.closed:
+                    continue
+                if far is not None:
                     self.state[row] = FREE
                     self.far[row] = None
                 far = None
-            self._outcomes.append((row, addr, far is not None, delay))
+            self._outcomes.append((rank, addr, pos, row, far is not None,
+                                   delay))
             self.engine._schedule(0.0, None, self._outcome_hop)
 
     def _dialed(self) -> None:
@@ -706,26 +765,27 @@ class Mesh(CallbackThread):
             return
         outcome = self._outcomes.popleft()
         if self.suspended:
-            self._parked.append(partial(self._react, *outcome))
+            self._parked.append((outcome[2], partial(self._react, *outcome)))
         else:
             self._react(*outcome)
 
-    def _react(self, row: int, addr: Address, connected: bool,
-               delay: float) -> None:
+    def _react(self, rank: int, addr: Address, pos: int, row: int,
+               connected: bool, delay: float) -> None:
         try:
             if connected:
+                self.state[row] = CLIENT
                 self.on_connected(row)
                 return
             self.engine.cover("daemon.connect.refused")
             self.engine._schedule(delay, None, partial(
-                self._redial, ((row, addr),),
+                self._redial, ((rank, addr, pos),),
                 min(delay * 2, self._backoff_max)))
         except Exception as err:
             self._crash(err)
 
     # -- accepting ---------------------------------------------------------------
     def _landed(self, row: int, dialer: Optional["Mesh"]) -> None:
-        """A dial from ``row`` lands (``dialer`` None: closed already)."""
+        """A dial lands on ``row`` (``dialer`` None: closed already)."""
         self.state[row] = PENDING
         self.far[row] = dialer
         self.pipe[row] = 0.0
@@ -752,6 +812,8 @@ class Mesh(CallbackThread):
         if handed:
             msg, self.item[row] = self.item[row], None
             self.on_hello(row, msg)
+        if self.state[row] == PENDING:
+            self.state[row] = SERVER        # accepted, and never read
         if not self.alive:
             return
         if self._backlog:
@@ -767,6 +829,7 @@ class Mesh(CallbackThread):
         stream open, the process running), else looks in a payload."""
         if self.state[row] == PENDING:
             self.state[row] = SERVER
+        self.pos[row] = self.proc._tick()
         if self.inbox[row] or self.far[row] is None or self.inflight[row] \
                 or self.suspended:
             self.rd[row] = START
@@ -786,7 +849,9 @@ class Mesh(CallbackThread):
             return
         row = self._hops.popleft()
         if self.suspended:
-            self._parked.append(row)
+            self._parked.append((self._pos if row < 0
+                                 or self.state[row] == PENDING
+                                 else self.pos[row], row))
             return
         try:
             if row < 0:
@@ -865,20 +930,10 @@ class Mesh(CallbackThread):
         if self.closed:
             return
         network = self.network
-        if size is None:
-            size = getattr(msg, "size", None)
-            size = int(size) if isinstance(size, (int, float)) \
-                and size >= 0 else DEFAULT_MSG_SIZE
-        engine = network.engine
-        now = engine.now
-        obs = engine.obs
-        ctx = getattr(msg, "_causal_ctx", None) if obs is not None else None
-        cut = network._isolated or network._cut_pairs
-        uniform = network._fast_uniform
-        if uniform:
-            earliest = now + network.latency + size / network.bandwidth
-        schedule = engine._schedule
-        host, me, far_of, pipe = self.host, self.rank, self.far, self.pipe
+        size, now, earliest, ctx, cut = network._wire(msg, size)
+        schedule = network.engine._schedule
+        host, me, far_of, frow, pipe = (self.host, self.rank, self.far,
+                                        self.frow, self.pipe)
         item = (me, msg)
         sent = 0
         last = batch = None
@@ -889,41 +944,52 @@ class Mesh(CallbackThread):
             if cut and not network.reachable(host, far.host):
                 continue        # packets into a cut vanish
             sent += 1
-            if uniform:
-                arrival = pipe[row]
-                if arrival < earliest:
-                    arrival = earliest
-            else:
+            arrival = pipe[row]
+            if earliest is None:
                 arrival = network.fabric.delivery(now, host, far.host, size,
-                                                  pipe[row])
+                                                  arrival)
+            elif arrival < earliest:
+                arrival = earliest
             pipe[row] = arrival
             if ctx is not None:
-                obs.causal.on_transmit(ctx, type(msg).__name__, host,
-                                       far.host, now, arrival, size)
-            far.inflight[me] += 1
+                network._stamp(ctx, msg, host, far.host, arrival, size)
+            fr = frow[row]
+            far.inflight[fr] += 1
+            landing = item if fr == me else (fr, msg)
             if arrival == last:     # that arrival's batch still ends the slot
-                batch.items.append((far, item))
+                batch.items.append((far, landing))
             else:
-                batch, last = schedule(arrival - now, far, item), arrival
-        network.messages_sent += sent
-        network.bytes_sent += sent * size
+                batch, last = schedule(arrival - now, far, landing), arrival
+        network._count(sent, size)
 
     # -- closing ---------------------------------------------------------------------
+    def close(self, row: int) -> None:
+        """Close this end of ``row``: its reader sees the close, and a
+        far end still reading learns one latency later."""
+        if self.state[row] >= DIALING:
+            far = self.far[row]
+            self._close_rx(row)
+            self.state[row] = FREE
+            self._notify(row, far)
+
     def close_end(self, row: int) -> None:
-        """Close this end of ``row`` (the process died); a far end still
-        reading learns one latency later, behind what this end sent."""
-        state = self.state[row]
-        if state == FREE:
-            return
-        self.state[row] = FREE
-        far, self.far[row] = self.far[row], None
+        """Close this end of ``row`` as its process dies."""
+        if self.state[row] >= DIALING:
+            self.state[row] = FREE
+            far, self.far[row] = self.far[row], None
+            self._notify(row, far)
+
+    def _notify(self, row: int, far: Optional["Mesh"]) -> None:
+        """A close notice to a far end still reading, behind what this
+        end sent."""
         if far is None or far.closed:
             return
         now = self.engine.now
         arrival = max(self.pipe[row], now + self.network._latency_between(
             self.host, far.host))
-        far.inflight[self.rank] += 1
-        self.engine._schedule(arrival - now, far, (self.rank, _NOTICE))
+        fr = self.frow[row]
+        far.inflight[fr] += 1
+        self.engine._schedule(arrival - now, far, (fr, _NOTICE))
 
     def _refuse_backlog(self) -> None:
         """The listener closes: ends never accepted close first."""
@@ -933,7 +999,28 @@ class Mesh(CallbackThread):
     def open_ends(self) -> List[Tuple[int, int]]:
         """``(fd, row)`` of every end, in the order they were opened."""
         return sorted((self.fd[row], row)
-                      for row, state in enumerate(self.state) if state)
+                      for row, state in enumerate(self.state)
+                      if state >= DIALING)
+
+    # -- severance ---------------------------------------------------------------
+    def _live(self, _seq: int):
+        """:meth:`Network._sever_spanning`'s view: ``(registration,
+        key, host, far host)`` per dialed connection still open."""
+        far_of, frow, born = self.far, self.frow, self.born
+        return [(born[row], (self, row, frow[row], far_of[row], born[row]),
+                 self.host, far_of[row].host)
+                for row, state in enumerate(self.state)
+                if state >= DIALED and far_of[row] is not None]
+
+    def _sever(self, key) -> None:
+        """Both receive streams of a connection close, if it is still
+        the one on those rows."""
+        _, row, fr, far, born = key
+        if not self.closed and self.far[row] is far \
+                and self.born[row] == born:
+            self._close_rx(row)
+        if not far.closed and far.far[fr] is self and far.born[fr] == born:
+            far._close_rx(fr)
 
     # -- the thread's control verbs ------------------------------------------------
     def kill(self) -> None:
@@ -944,28 +1031,39 @@ class Mesh(CallbackThread):
             self.network._conns.pop(self, None)
 
     def resume(self) -> None:
-        if self.suspended:
-            self.suspended = False
-            if self._parked:
-                self.engine._enqueue(self._unpark, 0.0, PRIORITY_URGENT)
+        self.suspended = False
 
-    def _unpark(self) -> None:
-        while self._parked and self.alive and not self.suspended:
-            hop = self._parked.pop(0)
-            if type(hop) is int:
-                self._hops.appendleft(hop)
-                self()
-            else:
-                hop()
+    def unpark(self) -> List[Tuple[int, Any]]:
+        """What fired while the process was stopped, by thread position
+        (:meth:`UnixProcess.resume_all` re-runs each with
+        :meth:`rerun` at its place among the process's threads)."""
+        parked, self._parked = self._parked, []
+        parked.sort(key=lambda entry: entry[0])
+        return parked
+
+    def rerun(self, pos: int, hop) -> None:
+        self.engine._enqueue(partial(self._rerun, pos, hop), 0.0,
+                             PRIORITY_URGENT)
+
+    def _rerun(self, pos: int, hop) -> None:
+        if not self.alive:
+            return
+        if self.suspended:
+            self._parked.append((pos, hop))
+        elif type(hop) is int:
+            self._hops.appendleft(hop)
+            self()
+        else:
+            hop()
 
     def dispose(self) -> None:
-        """Drop columns and handlers; what a late landing or severance
-        reads of a dead mesh stays."""
+        """Drop columns and handlers: a late landing, arrival or
+        severance reads no more of a dead mesh than :attr:`closed`."""
         super().dispose()
         self.closed = True
         self.proc = self.on_msg = self.on_gone = self.on_hello = None
         self.on_connected = self._stop = self._outcome_hop = None
-        self.far = self.pipe = self.state = self.inbox = self.item = None
-        self.inflight = self.rd = self._hops = self._backlog = None
-        self.fd = self.born = self.peers = self.joined = None
-        self._outcomes = self._parked = None
+        self.far = self.frow = self.pipe = self.state = self.inbox = None
+        self.item = self.inflight = self.rd = self.fd = self.born = None
+        self.pos = self.peers = self.attached = self._spilled = None
+        self._hops = self._backlog = self._outcomes = self._parked = None

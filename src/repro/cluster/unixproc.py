@@ -71,12 +71,14 @@ class UnixProcess:
         self.exit_value: Any = None
         self.exit_error: Optional[BaseException] = None
         #: generator threads (Process) and callback threads alike: both
-        #: answer ``alive`` / ``kill`` / ``suspend`` / ``resume`` / ``dispose``
-        self._threads: List[Any] = []
-        #: open sockets and listeners -> when they were opened (the
-        #: ends of :attr:`mesh`, if any, keep theirs in ``mesh.fd``)
+        #: answer ``alive`` / ``kill`` / ``suspend`` / ``resume`` /
+        #: ``dispose``; each -> when it was started (:meth:`_tick`)
+        self._threads: Dict[Any, int] = {}
+        #: open sockets and listeners -> when they were opened.  The
+        #: ends of :attr:`mesh`, if any, keep theirs in ``mesh.fd``, and
+        #: its row readers and dials their thread positions
         self._sockets: Dict[Any, int] = {}
-        self._opened = 0
+        self._ticks = 0
         self.mesh = None
         self._exit_listeners: List[Callable[["UnixProcess", ProcState], None]] = []
         #: breakpoint interceptors: name -> callable(proc, name, resume_event)
@@ -92,7 +94,7 @@ class UnixProcess:
         if not self.state.alive:
             raise RuntimeError(f"spawn_thread on dead process {self}")
         t = self.engine.process(gen, name=name or f"{self.name}.t{len(self._threads)}")
-        self._threads.append(t)
+        self._threads[t] = self._tick()
         t.add_callback(lambda ev, main=_main: self._thread_done(ev, main))
         if self.state is ProcState.SUSPENDED:
             t.suspend()
@@ -116,7 +118,7 @@ class UnixProcess:
             thread.kill()
             raise RuntimeError(f"adopt_thread on dead process {self}")
         thread.on_error = self._crash_handler
-        self._threads.append(thread)
+        self._threads[thread] = self._tick()
         if self.state is ProcState.SUSPENDED:
             thread.suspend()
         return thread
@@ -135,13 +137,15 @@ class UnixProcess:
             self._terminate(ProcState.ERRORED)
 
     # -- sockets ---------------------------------------------------------------
-    def _open(self) -> int:
-        fd = self._opened
-        self._opened += 1
-        return fd
+    def _tick(self) -> int:
+        """The next number in the order things of this process were
+        opened or started."""
+        tick = self._ticks
+        self._ticks += 1
+        return tick
 
     def adopt_socket(self, sock) -> None:
-        self._sockets[sock] = self._open()
+        self._sockets[sock] = self._tick()
 
     def disown_socket(self, sock) -> None:
         self._sockets.pop(sock, None)
@@ -233,12 +237,22 @@ class UnixProcess:
                     t.suspend()
 
     def resume_all(self) -> None:
-        """Debugger continue."""
+        """Debugger continue: every thread re-issues what fired while
+        stopped, in the order the threads started (what the mesh parked
+        goes in at its readers' and dials' places)."""
         if self.state is ProcState.SUSPENDED:
             self.state = ProcState.RUNNING
-            for t in self._threads:
+            mesh = self.mesh
+            parked = mesh.unpark() if mesh is not None else []
+            i = 0
+            for t, tick in self._threads.items():
+                while i < len(parked) and parked[i][0] < tick:
+                    mesh.rerun(*parked[i])
+                    i += 1
                 if t.alive:
                     t.resume()
+            for pos, hop in parked[i:]:
+                mesh.rerun(pos, hop)
 
     def set_breakpoint(self, fn_name: str, handler: Callable) -> None:
         """Arm a breakpoint at trace point ``fn_name``.

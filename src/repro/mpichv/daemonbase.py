@@ -74,8 +74,9 @@ class MpichDaemon:
     protocol: str = "?"
     #: mesh handshake message type accepted by the listener (None: no mesh)
     hello_cls: Optional[type] = None
-    #: handlers of the mesh, if there is one: ``on_peer_msg(rank, msg)``
-    #: per message, ``on_peer_gone(rank)`` once a connection closes
+    #: handlers of the mesh, if there is one: ``on_peer_msg(row, msg)``
+    #: per message on mesh row ``row``, ``on_peer_gone(row)`` once its
+    #: connection closes (``mesh.rank_of(row)`` is the peer's rank)
     on_peer_msg: Optional[Callable[[int, Any], None]] = None
     on_peer_gone: Optional[Callable[[int], None]] = None
 
@@ -131,9 +132,9 @@ class MpichDaemon:
     def app_send(self, msg: AppMessage) -> None:
         raise NotImplementedError
 
-    def on_mesh_hello(self, rank: int, hello) -> None:
-        """The mesh connection dialed by ``rank`` completed its
-        handshake."""
+    def on_mesh_hello(self, row: int, hello) -> None:
+        """The mesh connection on ``row``, dialed by
+        ``mesh.rank_of(row)``, completed its handshake."""
         raise NotImplementedError
 
     def connect_services(self, cmd: wire.CommandMap):
@@ -148,8 +149,9 @@ class MpichDaemon:
         """Peer ranks this daemon actively dials (it accepts the rest)."""
         return range(self.rank)
 
-    def on_peer_connected(self, peer_rank: int) -> None:
-        """A dial of ours reached ``peer_rank``: perform the handshake."""
+    def on_peer_connected(self, row: int) -> None:
+        """A dial of ours reached ``mesh.rank_of(row)``, on ``row``:
+        perform the handshake."""
         raise NotImplementedError
 
     def after_mesh(self, cmd: wire.CommandMap):
@@ -298,11 +300,11 @@ class MpichDaemon:
             self.engine.cover("daemon.shutdown_order")
             self.proc.exit()
 
-    def accept_hello(self, rank: int, hello) -> None:
-        """The mesh's accept side: the connection dialed by ``rank``
-        said its first word."""
+    def accept_hello(self, row: int, hello) -> None:
+        """The mesh's accept side: the connection on ``row`` said its
+        first word."""
         if isinstance(hello, self.hello_cls):
-            self.on_mesh_hello(rank, hello)
+            self.on_mesh_hello(row, hello)
 
     def _terminator(self):
         """Cleanup then clean exit; the dispatcher reads the resulting

@@ -106,10 +106,11 @@ class V2Daemon(MpichDaemon):
         if log is None:
             log = self.send_log[msg.dst] = deque()
         log.append((seq, msg))
-        if self.mesh.joined[msg.dst]:
+        row = self.mesh.attached[msg.dst]
+        if row >= 0:
             data = wire.V2Data(app=msg, seq=seq)
             causal.adopt(data, msg)     # envelope continues the trace
-            self.mesh.send(msg.dst, data)
+            self.mesh.send(row, data)
         # else: peer down — the log holds it until the new incarnation
         # dials in and requests a resend.
 
@@ -200,29 +201,34 @@ class V2Daemon(MpichDaemon):
     # ------------------------------------------------------------------
     # peer handling
     # ------------------------------------------------------------------
-    def attach_peer(self, peer_rank: int, resend_from: int) -> None:
-        # the mesh row holds the new incarnation's connection: the old
-        # one's reader saw it close (on_peer_gone) before it was dialed
-        self.mesh.join(peer_rank)
+    def attach_peer(self, row: int, resend_from: int) -> None:
+        # talk to the peer over ``row`` from now on; a connection it
+        # still had (a dial each way, or an unread close) is closed
+        mesh = self.mesh
+        peer_rank = mesh.rank_of(row)
+        old = mesh.attached[peer_rank]
+        if old >= 0 and old != row:
+            mesh.close(old)
+        mesh.join(row)
         if resend_from:
             for seq, msg in self.send_log.get(peer_rank, ()):
                 if seq >= resend_from:
                     data = wire.V2Data(app=msg, seq=seq)
                     causal.adopt(data, msg)     # replay: same trace, new hop
-                    self.mesh.send(peer_rank, data)
+                    mesh.send(row, data)
         self.check_mesh()
 
-    def on_peer_msg(self, rank: int, msg) -> None:
+    def on_peer_msg(self, row: int, msg) -> None:
         if isinstance(msg, wire.V2Data):
-            self.on_data(rank, msg.seq, msg.app)
+            self.on_data(self.mesh.rank_of(row), msg.seq, msg.app)
         elif isinstance(msg, wire.V2GcNote):
             log = self.send_log.get(msg.rank)
             while log and log[0][0] <= msg.upto:
                 log.popleft()
 
-    def on_peer_gone(self, rank: int) -> None:
+    def on_peer_gone(self, row: int) -> None:
         # peer failed: keep its slot; the new incarnation dials in
-        self.mesh.leave(rank)
+        self.mesh.leave(row)
 
     def on_evlog_msg(self, msg) -> None:
         if isinstance(msg, wire.EvLogAck):
@@ -233,11 +239,12 @@ class V2Daemon(MpichDaemon):
     # ------------------------------------------------------------------
     def post_checkpoint(self, img: CheckpointImage) -> None:
         # sender logs + event log can be pruned up to this image
-        for peer_rank in self.mesh.peers:
-            note = wire.V2GcNote(
-                rank=self.rank, upto=img.state[DELIVERED].get(peer_rank, 0))
+        mesh = self.mesh
+        for row in mesh.peers:
+            note = wire.V2GcNote(rank=self.rank, upto=img.state[
+                DELIVERED].get(mesh.rank_of(row), 0))
             causal.stamp(self.engine, note, f"r{self.rank}")
-            self.mesh.send(peer_rank, note)
+            mesh.send(row, note)
         if self.evlog_sock is not None and not self.evlog_sock.closed:
             prune = wire.EvPrune(rank=self.rank, upto=img.state[POS])
             causal.stamp(self.engine, prune, f"r{self.rank}")
@@ -246,9 +253,9 @@ class V2Daemon(MpichDaemon):
     # ------------------------------------------------------------------
     # lifecycle hooks
     # ------------------------------------------------------------------
-    def on_mesh_hello(self, rank: int, hello) -> None:
-        self.mesh.serve(rank)
-        self.attach_peer(rank, hello.resend_from)
+    def on_mesh_hello(self, row: int, hello) -> None:
+        self.mesh.serve(row)
+        self.attach_peer(row, hello.resend_from)
 
     def connect_services(self, cmd):
         yield from self.connect_ckpt_server()
@@ -267,15 +274,16 @@ class V2Daemon(MpichDaemon):
             return range(self.rank)
         return [r for r in range(self.n) if r != self.rank]
 
-    def on_peer_connected(self, peer_rank: int) -> None:
+    def on_peer_connected(self, row: int) -> None:
+        peer_rank = self.mesh.rank_of(row)
         resend_from = (self.app_state[DELIVERED].get(peer_rank, 0) + 1
                        if self.restarted else 0)
         hello = wire.V2Hello(rank=self.rank, incarnation=self.incarnation,
                              resend_from=resend_from)
         causal.stamp(self.engine, hello, f"r{self.rank}")
-        self.mesh.send(peer_rank, hello)
-        self.mesh.serve(peer_rank)
-        self.attach_peer(peer_rank, 0)
+        self.mesh.send(row, hello)
+        self.mesh.serve(row)
+        self.attach_peer(row, 0)
 
     def after_mesh(self, cmd):
         # --- replay the delivery history of a restarted incarnation ---

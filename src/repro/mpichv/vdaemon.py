@@ -72,10 +72,11 @@ class VclDaemon(MpichDaemon):
         if msg.dst == self.rank:
             self.delivery.deliver(msg)
             return
-        if self.mesh.joined[msg.dst]:
+        row = self.mesh.attached[msg.dst]
+        if row >= 0:
             dm = wire.DataMsg(msg)
             causal.adopt(dm, msg)   # the envelope continues the trace
-            self.mesh.send(msg.dst, dm)
+            self.mesh.send(row, dm)
         # else: peer dead — a failure is being detected; the rollback
         # will discard this whole execution line anyway.
 
@@ -263,11 +264,11 @@ class VclDaemon(MpichDaemon):
     # ------------------------------------------------------------------
     # reader handlers
     # ------------------------------------------------------------------
-    def on_peer_msg(self, rank: int, msg) -> None:
+    def on_peer_msg(self, row: int, msg) -> None:
         if isinstance(msg, wire.Marker):
             self.handle_marker(msg)
         elif isinstance(msg, wire.DataMsg):
-            self.on_data(rank, msg.app)
+            self.on_data(self.mesh.rank_of(row), msg.app)
 
     def on_sched_msg(self, msg) -> None:
         if isinstance(msg, wire.Marker):
@@ -282,9 +283,9 @@ class VclDaemon(MpichDaemon):
     # ------------------------------------------------------------------
     # lifecycle hooks
     # ------------------------------------------------------------------
-    def on_mesh_hello(self, rank: int, hello) -> None:
-        self.mesh.join(rank)
-        self.mesh.serve(rank)
+    def on_mesh_hello(self, row: int, hello) -> None:
+        self.mesh.join(row)
+        self.mesh.serve(row)
         self.check_mesh()
 
     def connect_services(self, cmd):
@@ -303,12 +304,12 @@ class VclDaemon(MpichDaemon):
         yield from self.restore(cmd.restore_wave)
         self.proc.spawn_reader(self.ckpt_sock, self.on_ckpt_msg)
 
-    def on_peer_connected(self, peer_rank: int) -> None:
+    def on_peer_connected(self, row: int) -> None:
         hello = wire.Hello(rank=self.rank, epoch=self.epoch)
         causal.stamp(self.engine, hello, f"r{self.rank}")
-        self.mesh.send(peer_rank, hello)
-        self.mesh.join(peer_rank)
-        self.mesh.serve(peer_rank)
+        self.mesh.send(row, hello)
+        self.mesh.join(row)
+        self.mesh.serve(row)
         self.check_mesh()
 
     def after_mesh(self, cmd):

@@ -30,11 +30,12 @@ closing, a dial's outcome — is a ``(time, what)`` entry in that end's
   the same rule.
 
 With ``mesh=True`` the model is the one a daemon's
-:class:`~repro.cluster.network.Mesh` keeps: a dialer says ``"hello"``
-the instant its dial lands, a dead process dials nothing, and the
-accepting side looks at one landed connection at a time, in landing
-order — it reads a connection from its first message on, and skips one
-that closes before saying anything.
+:class:`~repro.cluster.network.Mesh` keeps: a dialer says its name the
+instant its dial lands, a dead process dials nothing (its next
+incarnation, :meth:`Model.restart`, may), and the accepting side looks
+at one landed connection at a time, in landing order — it reads a
+connection from its first message on, and skips one that closes before
+saying anything.
 
 Commands are applied *between* instants: :meth:`Model.advance` runs
 every model event up to and including ``t`` an instant at a time, as
@@ -212,7 +213,7 @@ class Model:
                 self.note(proc, f"connected c{cid}")
                 client.exists = True
                 if self.mesh:
-                    self.send(client, "hello", 0)
+                    self.send(client, proc, 0)
 
         self.at(land, landed)
 
@@ -253,6 +254,11 @@ class Model:
         for end in self.ends:
             if end.owner == proc and end.held:
                 self.close(end, seen=False)
+
+    def restart(self, proc: str, incarnation: str) -> None:
+        """``incarnation`` runs where dead ``proc`` did."""
+        self.hosts[incarnation] = self.hosts[proc]
+        self.alive.add(incarnation)
 
     def stop(self, proc: str) -> None:
         if proc in self.alive:

@@ -199,6 +199,182 @@ def test_the_accept_side_takes_one_connection_at_a_time(engine, cluster):
     assert firsts == [("hello", 2, "from b"), ("hello", 3, "from c")]
 
 
+def test_a_restarted_peer_dials_a_stopped_mesh(engine, cluster):
+    """Rank 1 dies while rank 0's process is stopped, and its next
+    incarnation dials in before the continue: the old connection's
+    close is still unread, so the new one takes a spill row.  At the
+    continue the old row's reader sees the close, the accept side reads
+    the new hello, and the new row reads on."""
+    log = []
+    a = cluster.node(0).spawn("a", _idle)
+    engine.run(until=0.1)
+
+    def hello(row, msg):
+        log.append(("hello", row, msg))
+        mesh.serve(row)
+
+    mesh = Mesh(a, cluster.node(0).listen(9, owner=a), 0, 2,
+                lambda row, msg: log.append(("msg", row, msg)),
+                lambda row: log.append(("gone", row)), hello, None)
+
+    def incarnation(name):
+        proc = cluster.node(1).spawn(name, _idle)
+        engine.run(until=engine.now + 0.1)
+        dialer = _mesh(proc, 1, 2, [], lambda row: dialer.send(row, name))
+        dialer.dial([(0, cluster.node(0).addr(9))], 0.1, 1.0, lambda: False)
+        engine.run(until=engine.now + 1.0)
+        return proc, dialer
+
+    b1, first = incarnation("b1")
+    first.send(0, "x")
+    engine.run(until=engine.now + 1.0)
+    assert log == [("hello", 1, "b1"), ("msg", 1, "x")]
+    a.suspend()
+    b1.kill()
+    engine.run(until=engine.now + 1.0)
+    b2, second = incarnation("b2")
+    assert len(log) == 2
+    a.resume_all()
+    engine.run(until=engine.now + 1.0)
+    second.send(0, "y")
+    engine.run(until=engine.now + 1.0)
+    [gone, (said, row, word), msg] = log[2:]
+    assert gone == ("gone", 1) and (said, word) == ("hello", "b2")
+    assert row != 1 and mesh.rank_of(row) == 1
+    assert msg == ("msg", row, "y")
+    assert a.state is ProcState.RUNNING and not engine.process_failures
+
+
+def test_a_continue_reads_in_the_order_the_readers_were_started(engine,
+                                                                 cluster):
+    """Rows are served d, b, c with a service reader started between b
+    and c; while the process is stopped, c, the service, b and d are
+    handed something, in that order.  The continue reads them where
+    their readers stand among the process's threads — d, b, the
+    service, c — each from a payload of its own, as a Reader per
+    connection did."""
+    log = []
+    a = cluster.node(0).spawn("a", _idle)
+    engine.run(until=0.1)
+
+    def hello(row, msg):
+        mesh.serve(row)
+
+    mesh = Mesh(a, cluster.node(0).listen(9, owner=a), 0, 4,
+                lambda row, msg: log.append((row, msg)), None, hello, None)
+    service = cluster.node(0).listen(10, owner=a)
+    dialers = {}
+
+    def dial(rank):
+        proc = cluster.node(rank).spawn(f"r{rank}", _idle)
+        engine.run(until=engine.now + 0.1)
+        dialers[rank] = _mesh(proc, rank, 4, [],
+                              lambda row: dialers[rank].send(row, "hi"))
+        dialers[rank].dial([(0, cluster.node(0).addr(9))], 0.1, 1.0,
+                           lambda: False)
+        engine.run(until=engine.now + 1.0)
+
+    dial(3)
+    dial(1)
+    a.spawn_reader(service, lambda sock: log.append("service"))
+    dial(2)
+    a.suspend()
+    dialers[2].send(0, "x")
+    engine.run(until=engine.now + 0.5)
+    caller = cluster.node(1).spawn("caller", _idle)
+    cluster.node(1).connect(service.addr, owner=caller)
+    engine.run(until=engine.now + 0.5)
+    for rank in (1, 3):
+        dialers[rank].send(0, "x")
+        engine.run(until=engine.now + 0.5)
+    assert log == []
+    a.resume_all()
+    engine.run(until=engine.now + 1.0)
+    assert log == [(3, "x"), (1, "x"), "service", (2, "x")]
+
+
+# ---------------------------------------------------------------------------
+# a daemon stopped with its mesh built
+# ---------------------------------------------------------------------------
+
+#: Fig. 4's node daemon, plus a stop on ``?pause`` and a continue on
+#: ``?resume``
+PAUSING_NODE = """
+Daemon ADV2 {
+  node 1:
+    onload -> continue, goto 2;
+    ?crash -> !no(P1), goto 1;
+    ?pause -> goto 1;
+    ?resume -> goto 1;
+  node 2:
+    onexit -> goto 1;
+    onerror -> goto 1;
+    onload -> continue, goto 2;
+    ?crash -> !ok(P1), halt, goto 1;
+    ?pause -> stop, goto 3;
+    ?resume -> goto 2;
+  node 3:
+    onexit -> goto 1;
+    onerror -> goto 1;
+    ?resume -> continue, goto 2;
+    ?crash -> !ok(P1), halt, goto 1;
+    ?pause -> goto 3;
+}
+"""
+
+
+def _pausing_master(stopped, killed, at, kill_after, resume_after):
+    crashes = " ".join(f"!crash(G1[{k}])," for k in killed)
+    return f"""
+Daemon ADV1 {{
+  node 1:
+    time g_timer = {at};
+    timer -> !pause(G1[{stopped}]), goto 2;
+  node 2:
+    time g_timer = {kill_after};
+    timer -> {crashes} goto 3;
+  node 3:
+    time g_timer = {resume_after};
+    timer -> !resume(G1[{stopped}]), goto 4;
+    ?ok -> goto 3;
+    ?no -> goto 3;
+  node 4:
+    ?ok -> goto 4;
+    ?no -> goto 4;
+}}
+"""
+
+
+#: (protocol, stopped machine, killed machines, pause at, kill after,
+#: continue after) -> trace digest recorded with a Socket pair and a
+#: Reader per connection.  The v2 rows restart the killed ranks while
+#: the stopped daemon's reads of their old connections are parked, so
+#: their dials take spill rows; every row parks hops whose thread order
+#: is not their park order.
+STOPPED_WITH_A_MESH = {
+    ("v2", 0, (1,), 40, 2, 40):
+        "1769fcc4d0ac5167d5d8efcfbf3d2e673858e3c07eb5dbf4096fe9f42be05909",
+    ("v2", 0, (2, 3), 40, 1, 10):
+        "5ca555e1fd38d2455b6e8355c2274801e5879e5422f96068d9880bc8d8cb43cf",
+    ("vcl", 2, (3,), 55, 5, 90):
+        "e4fdeb0bf3dc278e7e5c6ed4888bb29205cebfe12e0a1415d6bfc0a56b60612a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(STOPPED_WITH_A_MESH))
+def test_a_stopped_daemon_resumes_its_mesh_in_thread_order(case):
+    from repro.experiments.harness import TrialSetup
+    from test_golden_digests import _digest
+
+    protocol, stopped, killed, at, kill_after, resume_after = case
+    setup = TrialSetup(
+        n_procs=4, n_machines=7, protocol=protocol, timeout=400.0,
+        workload="ring", niters=40, total_compute=1280.0, footprint=1e8,
+        keep_trace=True, scenario_source=PAUSING_NODE + _pausing_master(
+            stopped, killed, at, kill_after, resume_after))
+    assert _digest(setup.run_one(seed=7)) == STOPPED_WITH_A_MESH[case]
+
+
 # ---------------------------------------------------------------------------
 # the mesh is still simulated in full
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ that overtakes what its end already sent; a severance that ignores a
 heal landing first; a close that keeps its buffered messages readable.
 """
 
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
@@ -187,9 +188,10 @@ TestNetworkVersusModel = NetworkVersusModel.TestCase
 # ---------------------------------------------------------------------------
 
 class MeshWorld:
-    """``p0``'s mesh (rank 0) is dialed once by each of ``p1`` and ``p2``
-    (ranks 1 and 2), whose first word is ``"hello"``; every end is read
-    from its handshake on.  A refused dial is not retried."""
+    """``p0``'s mesh (rank 0) is dialed once by each incarnation of
+    ``p1`` and ``p2`` (ranks 1 and 2), whose first word is its name;
+    every end is read from its handshake on.  A refused dial is not
+    retried."""
 
     def __init__(self):
         self.eng = eng = Engine(seed=0)
@@ -197,41 +199,51 @@ class MeshWorld:
         self.network = self.cluster.network
         self.log = {}
         self.ends = {}
-
-        def forever(proc):
-            yield eng.event()
-
-        self.procs = {name: self.cluster.node(i).spawn(name, forever)
+        self.procs = {name: self.spawn(name, i)
                       for i, name in enumerate(PROCS)}
         eng.run(until=0.0)
-        self.meshes = [self.mesh(i) for i in range(3)]
+        self.meshes = {name: self.mesh(name) for name in PROCS}
+
+    def spawn(self, name, rank):
+        def forever(proc):
+            yield self.eng.event()
+
+        return self.cluster.node(rank).spawn(name, forever)
 
     def note(self, who, what):
         self.log.setdefault(who, []).append((round(self.eng.now, 9), what))
 
-    def mesh(self, rank):
-        proc = self.procs[PROCS[rank]]
+    def mesh(self, name):
+        rank = int(name[1])
+        proc = self.procs[name]
         listener = proc.node.listen(1, owner=proc)
-        # rank 0 reads the server end of peer row r, rank r its client end
-        name = (lambda row: f"sp{row}") if rank == 0 else (
-            lambda row: f"cp{rank}")
+        # rank 0 names the server end of a row by who said hello on it,
+        # a dialer its client end by itself
+        names = {}
 
         def hello(row, msg):
-            self.ends[name(row)] = (rank, row)
-            self.note(name(row), msg)
+            names[row] = f"s{msg}"
+            self.ends[names[row]] = (mesh, row)
+            self.note(names[row], msg)
             mesh.serve(row)
 
         def connected(row):
-            self.ends[name(row)] = (rank, row)
-            self.note(PROCS[rank], f"connected cp{rank}")
-            mesh.send(row, "hello", size=0)
+            names[row] = f"c{name}"
+            self.ends[names[row]] = (mesh, row)
+            self.note(name, f"connected c{name}")
+            mesh.send(row, name, size=0)
             mesh.serve(row)
 
         mesh = Mesh(proc, listener, rank, 3,
-                    lambda row, msg: self.note(name(row), msg),
-                    lambda row: self.note(name(row), CLOSED), hello,
+                    lambda row, msg: self.note(names[row], msg),
+                    lambda row: self.note(names[row], CLOSED), hello,
                     connected)
         return mesh
+
+    def restart(self, name, incarnation):
+        self.procs[incarnation] = self.spawn(incarnation, int(name[1]))
+        self.eng.run(until=self.eng.now)
+        self.meshes[incarnation] = self.mesh(incarnation)
 
     def connect(self, name):
         tried = []
@@ -240,19 +252,21 @@ class MeshWorld:
             tried.append(1)
             return len(tried) > 1
 
-        rank = PROCS.index(name)
-        self.meshes[rank].dial([(0, self.cluster.node(0).addr(1))],
+        self.meshes[name].dial([(0, self.cluster.node(0).addr(1))],
                                1.0, 1.0, stop)
 
     def send(self, name, msg, size):
-        rank, row = self.ends[name]
-        self.meshes[rank].send(row, msg, size=size)
+        mesh, row = self.ends[name]
+        mesh.send(row, msg, size=size)
 
 
 class MeshVersusModel(NetworkVersusModel):
     """No ``close`` of a single end (a mesh end closes with its
-    process), one dial per process, and only the accepting process is
-    stopped: a stopped dialer's hello would wait for the continue."""
+    process), one dial per incarnation, a dead dialer's next
+    incarnation starts on its node and dials at once (the accepting
+    side's row for that rank may still be busy with the last one: its
+    close unread, or still on its way), and only the accepting process
+    is stopped: a stopped dialer's hello would wait for the continue."""
 
     @initialize()
     def build(self):
@@ -263,6 +277,7 @@ class MeshVersusModel(NetworkVersusModel):
         self.t = 0.0
         self.msg = 0
         self.dialed = set()
+        self.current = {name: name for name in PROCS}
 
     def end(self, i):
         names = sorted(self.real.ends)
@@ -270,10 +285,25 @@ class MeshVersusModel(NetworkVersusModel):
 
     @rule(who=st.sampled_from(PROCS[1:]))
     def connect(self, who):
-        if who not in self.dialed:
-            self.dialed.add(who)
-            NetworkVersusModel.connect(self, who)
+        name = self.current[who]
+        if name not in self.dialed:
+            self.dialed.add(name)
+            NetworkVersusModel.connect(self, name)
             self.settle()           # a mesh dials from a payload
+
+    @rule(who=st.sampled_from(PROCS))
+    def kill(self, who):
+        NetworkVersusModel.kill(self, self.current[who])
+
+    @rule(who=st.sampled_from(PROCS[1:]))
+    def restart(self, who):
+        """A dead dialer's next incarnation starts and dials."""
+        name = self.current[who]
+        if not self.real.procs[name].state.alive:
+            self.current[who] = incarnation = name + "'"
+            self.real.restart(name, incarnation)
+            self.model.restart(name, incarnation)
+            self.connect(who)
 
     @rule()
     def close(self):
@@ -291,3 +321,30 @@ class MeshVersusModel(NetworkVersusModel):
 MeshVersusModel.TestCase.settings = settings(
     max_examples=250, stateful_step_count=40, deadline=None)
 TestMeshVersusModel = MeshVersusModel.TestCase
+
+
+@pytest.mark.parametrize("stopped", [False, True])
+@pytest.mark.parametrize("gap", STEPS)
+def test_a_restart_while_the_last_connection_is_busy(stopped, gap):
+    """The machine's moves where ``p0``'s row for rank 1 is still busy
+    with the last incarnation's connection when the next one dials: its
+    close not yet landed, landed but unread (``p0`` stopped), or landed
+    and read — the random machine rarely strings these together."""
+    machine = MeshVersusModel()
+    machine.build()
+    machine.connect("p1")
+    machine.connect("p2")
+    machine.advance(STEPS[3])
+    if stopped:
+        machine.stop()
+    machine.kill("p1")
+    machine.advance(gap)
+    machine.restart("p1")
+    for dt in STEPS[1:]:
+        machine.advance(dt)
+        machine.send(1, 137, 1)
+    machine.cont()
+    machine.advance(STEPS[-1])
+    machine.send(2, 1999, 2)
+    machine.advance(STEPS[-1])
+    assert "sp1'" in machine.real.ends

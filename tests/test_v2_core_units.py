@@ -23,24 +23,32 @@ class FakeSock:
 
 
 class FakeMesh:
-    """Records what each mesh row is sent; every rank but 0 has joined."""
+    """Records what each mesh row is sent; every rank but 0 has joined
+    over its own row."""
 
     def __init__(self, n):
         self.sent = {r: [] for r in range(n)}
         self.peers = list(range(1, n))
-        self.joined = [0] + [1] * (n - 1)
+        self.attached = [-1] + list(range(1, n))
+        self.closed = []
+
+    def rank_of(self, row):
+        return row
 
     def send(self, row, msg, size=None):
         self.sent[row].append(msg)
 
+    def close(self, row):
+        self.closed.append(row)
+
     def join(self, row):
-        if not self.joined[row]:
-            self.joined[row] = 1
+        if self.attached[row] < 0:
+            self.attached[row] = row
             self.peers.append(row)
 
     def leave(self, row):
-        if self.joined[row]:
-            self.joined[row] = 0
+        if self.attached[row] == row:
+            self.attached[row] = -1
             self.peers.remove(row)
 
 

@@ -7,6 +7,7 @@ late-channel logging windows, blocking-mode hold-back, scheduler acks.
 """
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.network import Mesh
 from repro.mpi.endpoint import UNMATCHED_KEY
 from repro.mpi.message import AppMessage
 from repro.mpichv import wire
@@ -27,18 +28,16 @@ class FakeSock:
 
 
 class FakeMesh:
-    """Records what each row is sent; every rank but 0 has joined, and a
-    row whose peer is down (its close notice has landed) takes nothing."""
+    """Records what each row is sent; every rank but 0 has joined over
+    its own row."""
 
     def __init__(self, n):
         self.sent = {r: [] for r in range(n)}
         self.peers = list(range(1, n))
-        self.joined = [0] + [1] * (n - 1)
-        self.down = set()
+        self.attached = [-1] + list(range(1, n))
 
     def send(self, row, msg, size=None):
-        if row not in self.down:
-            self.sent[row].append(msg)
+        self.sent[row].append(msg)
 
     def send_all(self, rows, msg, size=None):
         for row in rows:
@@ -178,7 +177,37 @@ def test_self_send_bypasses_network():
 
 
 def test_send_to_dead_peer_dropped():
-    engine, core = make_core()
-    core.mesh.down.add(1)
+    """Over a real mesh: once the peer's process is dead, what the
+    daemon sends it goes on no wire."""
+    engine = Engine(seed=0)
+    cluster = Cluster(engine, 2, name_prefix="m")
+
+    def idle(p):
+        yield engine.event()
+
+    proc = cluster.node(0).spawn("vdaemon.0", idle, notify=False)
+    peer = cluster.node(1).spawn("peer", idle, notify=False)
+    core = VclDaemon(proc, VclConfig(n_procs=2, n_machines=3,
+                                     footprint=3e8),
+                     rank=0, epoch=0, incarnation=1, app_factory=idle)
+    core.mesh = Mesh(proc, cluster.node(0).listen(9, owner=proc), 0, 2,
+                     core.on_peer_msg, None, core.accept_hello,
+                     core.on_peer_connected)
+    got = []
+    far = Mesh(peer, cluster.node(1).listen(9, owner=peer), 1, 2,
+               lambda row, msg: got.append(msg.app.tag), None, None,
+               lambda row: (far.send(row, wire.Hello(rank=1, epoch=0)),
+                            far.serve(row)))
+    far.dial([(0, cluster.node(0).addr(9))], 1.0, 1.0, lambda: False)
+    engine.run(until=1.0)
+    assert core.mesh.peers == [1]
+    network = cluster.network
+    core.app_send(AppMessage(src=0, dst=1, tag=8, payload="x", size=10))
+    engine.run(until=2.0)
+    assert got == [8]
+    peer.kill()
+    engine.run(until=3.0)
+    before = network.messages_sent
     core.app_send(AppMessage(src=0, dst=1, tag=9, payload="x", size=10))
-    assert core.mesh.sent[1] == []
+    engine.run(until=4.0)
+    assert network.messages_sent == before and got == [8]

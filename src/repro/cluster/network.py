@@ -325,10 +325,6 @@ class Network:
         self.engine.obs.causal.on_transmit(ctx, type(msg).__name__, a, b,
                                            self.engine.now, arrival, size)
 
-    def _count(self, sent: int, size: int) -> None:
-        self.messages_sent += sent
-        self.bytes_sent += sent * size
-
     def send_all(self, socks: Iterable["Socket"], msg: Any,
                  size: Optional[int] = None) -> None:
         """Queue ``msg`` on every open socket of ``socks`` (a marker
@@ -364,7 +360,8 @@ class Network:
                 batch.items.append((rx, msg))
             else:
                 batch, last = schedule(arrival - now, rx, msg), arrival
-        self._count(sent, size)
+        self.messages_sent += sent
+        self.bytes_sent += sent * size
 
     def dispose(self) -> None:
         """Break the reference cycles of every endpoint still open at
@@ -539,6 +536,14 @@ _ACCEPTING, _ACCEPT_DUE = -1, -2
 _NOTICE = object()
 
 
+def _counts(n: int, old: Optional[memoryview] = None) -> memoryview:
+    """A column of ``n`` unsigned C ints, starting with ``old``'s."""
+    column = memoryview(bytearray(4 * n)).cast("I")
+    if old is not None:
+        column[:len(old)] = old
+    return column
+
+
 class Mesh(CallbackThread):
     """One daemon incarnation's end of its full mesh of connections.
 
@@ -553,7 +558,7 @@ class Mesh(CallbackThread):
     unless the last one on it is still going — a restarted incarnation
     dialing in while its predecessor's close is unread, or a dial each
     way — and then a spill row past the ranks (:meth:`rank_of`).  The
-    daemon talks to each rank over the row it :meth:`join`\\ ed.
+    daemon talks to each rank over the row it joined (:meth:`join`).
 
     The mesh is its process's thread and the payload of every read: an
     arrival is a ``(row, message)`` item of its instant's
@@ -606,10 +611,8 @@ class Mesh(CallbackThread):
         self.rd = bytearray(n)                  # IDLE
         #: when the process opened each end, when the network
         #: registered each connection, where each row's reader stands
-        #: in the process's thread order
-        self.fd: List[int] = [0] * n
-        self.born: List[int] = [0] * n
-        self.pos: List[int] = [0] * n
+        #: in the process's thread order: C ints, not N(N-1) int objects
+        self.fd, self.born, self.pos = _counts(n), _counts(n), _counts(n)
         #: the joined rows, in the order they joined (a marker flood
         #: goes out in this order), and each rank's joined row or -1
         self.peers: List[int] = []
@@ -632,15 +635,13 @@ class Mesh(CallbackThread):
         return f"mesh.r{self.rank}@{self.host}"
 
     def rank_of(self, row: int) -> int:
+        """The rank at the far end of ``row``."""
         return row if row < self.n else self._spilled[row]
-
-    def _adopt(self, row: int) -> None:
-        self.fd[row] = self.proc._tick()
 
     def join(self, row: int) -> None:
         """The daemon talks to ``row``'s rank over ``row``: it takes the
         place in :attr:`peers` of the row the rank had, else the end."""
-        rank = self.rank_of(row)
+        rank = row if row < self.n else self._spilled[row]
         old = self.attached[rank]
         if old == row:
             return
@@ -659,6 +660,9 @@ class Mesh(CallbackThread):
 
     def _row(self, rank: int) -> int:
         """The row a new connection with ``rank`` takes."""
+        if not self.state[rank] and not self.rd[rank] \
+                and not self.inflight[rank] and self.attached[rank] != rank:
+            return rank                 # FREE, and nothing owed
         if self._over(rank):
             return rank
         for row in self._spilled:
@@ -670,9 +674,11 @@ class Mesh(CallbackThread):
         for column, blank in ((self.far, None), (self.frow, 0),
                               (self.pipe, 0.0), (self.state, FREE),
                               (self.inbox, None), (self.item, None),
-                              (self.inflight, 0), (self.rd, IDLE),
-                              (self.fd, 0), (self.born, 0), (self.pos, 0)):
+                              (self.inflight, 0), (self.rd, IDLE)):
             column.append(blank)
+        self.fd, self.born, self.pos = (_counts(row + 1, column)
+                                        for column in (self.fd, self.born,
+                                                       self.pos))
         return row
 
     def _over(self, row: int) -> bool:
@@ -707,7 +713,7 @@ class Mesh(CallbackThread):
             return
         if self._stop():
             return
-        network, host = self.network, self.host
+        network, host, tick = self.network, self.host, self.proc._tick
         landings: Dict[float, list] = {}
         for rank, addr, pos in targets:
             listener = network._listeners.get(addr)
@@ -721,7 +727,7 @@ class Mesh(CallbackThread):
                 self.state[row] = DIALING
                 self.far[row], self.frow[row] = far, fr
                 self.pipe[row] = 0.0
-                self._adopt(row)
+                self.fd[row] = tick()
             rtt = 2 * network._latency_between(host, addr.host)
             landings.setdefault(rtt, []).append(
                 (rank, addr, pos, row, far, fr, delay))
@@ -791,7 +797,7 @@ class Mesh(CallbackThread):
         self.pipe[row] = 0.0
         self.inbox[row] = self.item[row] = None
         self.rd[row] = IDLE
-        self._adopt(row)
+        self.fd[row] = self.proc._tick()
         if self._acc != _ACCEPTING:
             self._backlog.append(row)
         elif dialer is not None and not self.suspended:
@@ -960,28 +966,27 @@ class Mesh(CallbackThread):
                 batch.items.append((far, landing))
             else:
                 batch, last = schedule(arrival - now, far, landing), arrival
-        network._count(sent, size)
+        network.messages_sent += sent
+        network.bytes_sent += sent * size
 
     # -- closing ---------------------------------------------------------------------
     def close(self, row: int) -> None:
         """Close this end of ``row``: its reader sees the close, and a
         far end still reading learns one latency later."""
-        if self.state[row] >= DIALING:
-            far = self.far[row]
+        self.close_end(row, True)
+
+    def close_end(self, row: int, read: bool = False) -> None:
+        """Close this end of ``row`` as its process dies (``read``: as
+        it lives on, and reads the close); a far end still reading
+        learns one latency later, behind what this end sent."""
+        if self.state[row] < DIALING:
+            return
+        self.state[row] = FREE
+        far = self.far[row]
+        if read:
             self._close_rx(row)
-            self.state[row] = FREE
-            self._notify(row, far)
-
-    def close_end(self, row: int) -> None:
-        """Close this end of ``row`` as its process dies."""
-        if self.state[row] >= DIALING:
-            self.state[row] = FREE
-            far, self.far[row] = self.far[row], None
-            self._notify(row, far)
-
-    def _notify(self, row: int, far: Optional["Mesh"]) -> None:
-        """A close notice to a far end still reading, behind what this
-        end sent."""
+        else:
+            self.far[row] = None
         if far is None or far.closed:
             return
         now = self.engine.now

@@ -26,6 +26,7 @@ the simulation goes on.
 from __future__ import annotations
 
 import enum
+import itertools
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.simkernel.process import CallbackThread, Process
@@ -72,13 +73,15 @@ class UnixProcess:
         self.exit_error: Optional[BaseException] = None
         #: generator threads (Process) and callback threads alike: both
         #: answer ``alive`` / ``kill`` / ``suspend`` / ``resume`` /
-        #: ``dispose``; each -> when it was started (:meth:`_tick`)
+        #: ``dispose``; each -> when it was started (``_tick``)
         self._threads: Dict[Any, int] = {}
         #: open sockets and listeners -> when they were opened.  The
         #: ends of :attr:`mesh`, if any, keep theirs in ``mesh.fd``, and
         #: its row readers and dials their thread positions
         self._sockets: Dict[Any, int] = {}
-        self._ticks = 0
+        #: the next number in the order things of this process were
+        #: opened or started
+        self._tick: Callable[[], int] = itertools.count().__next__
         self.mesh = None
         self._exit_listeners: List[Callable[["UnixProcess", ProcState], None]] = []
         #: breakpoint interceptors: name -> callable(proc, name, resume_event)
@@ -137,13 +140,6 @@ class UnixProcess:
             self._terminate(ProcState.ERRORED)
 
     # -- sockets ---------------------------------------------------------------
-    def _tick(self) -> int:
-        """The next number in the order things of this process were
-        opened or started."""
-        tick = self._ticks
-        self._ticks += 1
-        return tick
-
     def adopt_socket(self, sock) -> None:
         self._sockets[sock] = self._tick()
 

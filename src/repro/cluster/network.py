@@ -300,7 +300,13 @@ class Network:
         (``size``, else the message's ``size`` hint, else
         :data:`DEFAULT_MSG_SIZE`), now, the landing time on an idle
         pipe of the uniform fabric (None on another: each pair asks the
-        fabric), the causal context to stamp, and whether a cut is on.
+        fabric), what stamps a transmission of it (None when nothing
+        records it), and whether a cut is on.
+
+        Causal choke point: every stamped message is stamped once per
+        transmission, with the arrival already computed — so the graph
+        is a pure function of the simulated history (see
+        :mod:`repro.obs.causal`).
         """
         if size is None:
             size = getattr(msg, "size", None)
@@ -314,16 +320,9 @@ class Network:
             if self._fast_uniform else None
         ctx = getattr(msg, "_causal_ctx", None) \
             if engine.obs is not None else None
-        return size, now, earliest, ctx, self._isolated or self._cut_pairs
-
-    def _stamp(self, ctx, msg: Any, a: str, b: str, arrival: float,
-               size: int) -> None:
-        """Causal choke point: every stamped message crosses here once
-        per transmission, with the arrival already computed — so the
-        graph is a pure function of the simulated history (see
-        :mod:`repro.obs.causal`)."""
-        self.engine.obs.causal.on_transmit(ctx, type(msg).__name__, a, b,
-                                           self.engine.now, arrival, size)
+        stamp = None if ctx is None else partial(
+            engine.obs.causal.on_transmit, ctx, type(msg).__name__)
+        return size, now, earliest, stamp, self._isolated or self._cut_pairs
 
     def send_all(self, socks: Iterable["Socket"], msg: Any,
                  size: Optional[int] = None) -> None:
@@ -333,7 +332,7 @@ class Network:
         socket pays for its own pipe and arrival, which joins the batch
         of its instant.  :meth:`Mesh.send_all` is the mesh's half.
         """
-        size, now, earliest, ctx, cut = self._wire(msg, size)
+        size, now, earliest, stamp, cut = self._wire(msg, size)
         schedule = self.engine._schedule    # put_at, minus its past check
         sent = 0
         last = batch = None
@@ -353,8 +352,8 @@ class Network:
             elif arrival < earliest:
                 arrival = earliest
             sock._pipe_free = arrival
-            if ctx is not None:
-                self._stamp(ctx, msg, a, b, arrival, size)
+            if stamp is not None:
+                stamp(a, b, now, arrival, size)
             rx = peer._rx
             if arrival == last:     # that arrival's batch still ends the slot
                 batch.items.append((rx, msg))
@@ -936,7 +935,7 @@ class Mesh(CallbackThread):
         if self.closed:
             return
         network = self.network
-        size, now, earliest, ctx, cut = network._wire(msg, size)
+        size, now, earliest, stamp, cut = network._wire(msg, size)
         schedule = network.engine._schedule
         host, me, far_of, frow, pipe = (self.host, self.rank, self.far,
                                         self.frow, self.pipe)
@@ -957,8 +956,8 @@ class Mesh(CallbackThread):
             elif arrival < earliest:
                 arrival = earliest
             pipe[row] = arrival
-            if ctx is not None:
-                network._stamp(ctx, msg, host, far.host, arrival, size)
+            if stamp is not None:
+                stamp(host, far.host, now, arrival, size)
             fr = frow[row]
             far.inflight[fr] += 1
             landing = item if fr == me else (fr, msg)

@@ -362,17 +362,6 @@ class Network:
         self.messages_sent += sent
         self.bytes_sent += sent * size
 
-    def dispose(self) -> None:
-        """Break the reference cycles of every endpoint still open at
-        the end (teardown only — see ``VclRuntime.dispose``); a pair
-        closed at both ends unlinked itself."""
-        for conn in self._conns:
-            conn.dispose()
-        self._conns.clear()
-        for listener in self._listeners.values():
-            listener.dispose()
-        self._listeners.clear()
-
 
 class ListenSocket:
     """A bound listening endpoint; ``accept()`` yields server sockets."""
@@ -412,11 +401,6 @@ class ListenSocket:
         if self.mesh is not None:
             self.mesh._refuse_backlog()
             self.mesh = None
-
-    def dispose(self) -> None:
-        """Teardown-only cycle breaking (owner link, queued peers)."""
-        self.owner = self.mesh = None
-        self._rx.dispose()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<ListenSocket {self.addr} closed={self.closed}>"
@@ -509,13 +493,6 @@ class Socket:
     @property
     def peer_alive(self) -> bool:
         return not self._rx.closed      # a peer's close notice closes it
-
-    def dispose(self) -> None:
-        """Teardown-only cycle breaking (the ``_peer`` pair link is the
-        cycle; owner and buffered messages pin the rest)."""
-        self._peer = None
-        self.owner = None
-        self._rx.dispose()
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<Socket #{self.conn_id} {self.local_host}->{self.remote} "

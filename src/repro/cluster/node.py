@@ -76,13 +76,5 @@ class Node:
         """:meth:`repro.cluster.network.Network.connect` from here."""
         return self.cluster.network.connect(self.name, addr, owner)
 
-    def dispose(self) -> None:
-        """Teardown-only cycle breaking of the processes still alive at
-        the end (see ``VclRuntime.dispose``)."""
-        for proc in self.procs:
-            proc.dispose()
-        self.procs.clear()
-        self._spawn_listeners.clear()
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Node {self.name} procs={len(self.procs)}>"

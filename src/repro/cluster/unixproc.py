@@ -72,8 +72,8 @@ class UnixProcess:
         self.exit_value: Any = None
         self.exit_error: Optional[BaseException] = None
         #: generator threads (Process) and callback threads alike: both
-        #: answer ``alive`` / ``kill`` / ``suspend`` / ``resume`` /
-        #: ``dispose``; each -> when it was started (``_tick``)
+        #: answer ``alive`` / ``kill`` / ``suspend`` / ``resume``; each
+        #: -> when it was started (``_tick``)
         self._threads: Dict[Any, int] = {}
         #: open sockets and listeners -> when they were opened.  The
         #: ends of :attr:`mesh`, if any, keep theirs in ``mesh.fd``, and
@@ -276,19 +276,6 @@ class UnixProcess:
         # Notify asynchronously so the handler may safely kill/suspend us.
         self.engine.call_later(0.0, lambda: handler(self, fn_name, resume))
         yield resume
-
-    def dispose(self) -> None:
-        """Teardown-only: :meth:`_release` for a process still alive at
-        the end, every thread and socket included (see
-        ``VclRuntime.dispose``); the process is unusable after."""
-        for thread in self._threads:
-            thread.dispose()
-        for sock in self._sockets:
-            sock.dispose()
-        self._sockets.clear()
-        self._release()
-        self.tags.clear()
-        self.main_thread = None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<UnixProcess pid={self.pid} {self.name!r} on {self.node.name} {self.state.value}>"

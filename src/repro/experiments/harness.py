@@ -111,21 +111,18 @@ class TrialSetup:
 
     def run_one(self, seed: int) -> RunResult:
         # Throughput path: the collector stays off from the first
-        # object of the deployment to the last, and dispose() severs
-        # every cycle, so reference counting has freed the whole
-        # deployment by the time the collector is back and its next
-        # pass finds only the result to walk (load-bearing at 512
-        # ranks; see VclRuntime.dispose) — on error paths too, or
-        # every later trial in the worker pays the collector for
-        # this one.
+        # object of the deployment to the last — with it on, a faulted
+        # 512-rank trial takes ~1.35x the CPU in passes that find
+        # nothing to free (see gc_paused).  The deployment is dropped
+        # inside the pause, on error paths too; the dead graph is O(N)
+        # cycles, and the first collection after the pause frees it.
+        # dispose() unpins it from the result's trace.
         with gc_paused():
             runtime, deployment = self.build(seed)
             try:
                 return runtime.run()
             finally:
                 runtime.dispose()
-                if deployment is not None:
-                    deployment.dispose()
                 del runtime, deployment
 
 

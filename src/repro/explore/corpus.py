@@ -103,7 +103,8 @@ class Corpus:
                 if doc.get("format") != CORPUS_FORMAT:
                     continue
                 docs.append(CorpusEntry.from_dict(doc))
-            except (OSError, ValueError, KeyError, TypeError):
+            except (OSError, ValueError, KeyError, TypeError,
+                    AttributeError):
                 continue               # truncated/foreign file: skip
         docs.sort(key=lambda e: e.seq)
         for entry in docs:

@@ -316,7 +316,7 @@ class MpichDaemon:
 
     def dispose(self) -> None:
         """Cycle breaking, reached through ``proc.tags`` when the
-        process exits (or at teardown)."""
+        process exits."""
         self.endpoint = self.proc = self.mesh = None
 
 

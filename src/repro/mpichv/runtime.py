@@ -208,8 +208,8 @@ class VclRuntime:
         # cyclic collector for the simulation (see
         # :func:`repro.simkernel.engine.gc_paused` for the policy;
         # ``TrialSetup.run_one`` holds an outer pause until the
-        # deployment has been disposed of, a caller that keeps the
-        # runtime gets the collector back here).
+        # deployment is dropped, a caller that keeps the runtime gets
+        # the collector back here).
         wall_start = time.perf_counter()
         try:
             with gc_paused():
@@ -326,35 +326,16 @@ class VclRuntime:
 
     # -- teardown ---------------------------------------------------------------
     def dispose(self) -> None:
-        """Break the finished deployment's reference cycles.
+        """Unpin the finished deployment from the result.
 
-        A 512-rank deployment is hundreds of thousands of
-        process ↔ generator-frame, socket ↔ socket, daemon ↔ endpoint
-        and daemon ↔ process cycles; handing that to ``gc.collect``
-        costs seconds of scanning.  Severing the cycle edges explicitly
-        — engine, trace wiring, then cluster → network / node → process
-        → thread, socket and whatever the program hung on
-        ``proc.tags`` — lets plain reference counting reclaim the
-        graph at C speed instead: what is left for the collector is a
-        constant few dozen objects (the dispatcher's mutually recursive
-        closures and what they name), whatever the rank count; a test
-        holds it to that.  A FAIL platform attached to the runtime has
-        its own :meth:`~repro.fail.scenario.ScenarioDeployment.dispose`.
-        After this the runtime is unusable — only the already-built
-        :class:`RunResult` (whose trace was unpinned by :meth:`run`)
-        remains meaningful.  Throughput paths
+        The returned :class:`RunResult` shares this runtime's
+        :class:`Trace`, and the listeners still on it — FAIL trigger
+        plumbing, a caller's observers — name the deployment, so a kept
+        result would keep the whole deployment alive.  Clearing them is
+        all teardown takes: the dead deployment is O(N) objects, and
+        the ambient collector frees it in one pass.  Throughput paths
         (:meth:`repro.experiments.harness.TrialSetup.run_one`, i.e.
         every runner/campaign trial) call this; interactive users and
         tests that inspect runtime state afterwards simply don't.
         """
-        self.engine.dispose()
-        # Any remaining live wiring (FAIL trigger plumbing, caller
-        # observers) would pin the dead graph through the result's
-        # trace — the runtime is over, so drop it wholesale here.
         self.trace.clear_listeners()
-        self.cluster.dispose()
-        self.service_procs.clear()
-        self.dispatcher_proc = None
-        if self.obs is not None:
-            self.obs.spans.clear()      # every span names its recorder
-            self.obs = None

@@ -121,17 +121,20 @@ def gc_paused():
     """Disable the cyclic GC for the duration of a simulation.
 
     Big deployments allocate millions of interlinked objects (events,
-    processes, sockets); the generational collector re-scans that live
-    graph over and over, dominating wall-clock (a faulted 512-rank
-    trial drops ~3x with collection paused).  On exit the collector is
-    restored, and its next young-generation pass walks whatever the
-    pause allocated that is still alive — so the pause should end
-    *after* the deployment is gone, not before: the trial throughput
-    path (:meth:`repro.experiments.harness.TrialSetup.run_one`) holds
-    it across build, run and
-    :meth:`repro.mpichv.runtime.VclRuntime.dispose`, which severs every
-    cycle so plain reference counting has freed the deployment by the
-    time the collector is back.  Pauses nest (an inner exit leaves the
+    processes, meshes); the generational collector re-scans that live
+    graph over and over without finding garbage (a faulted 512-rank
+    vcl trial takes ~1.35x the CPU with collection on: 31 full passes,
+    ~3 CPU s, that free 5 objects between them).  A killed process
+    frees what it held as it dies (``UnixProcess._release``), so the
+    pause does not let the dead pile up.  On exit the collector is
+    restored, and its next pass walks whatever the pause allocated
+    that is still alive — so the pause should end *after* the
+    deployment is dropped: the trial throughput path
+    (:meth:`repro.experiments.harness.TrialSetup.run_one`) holds it
+    across build, run and drop, and that one pass frees the dead
+    deployment's O(N) cycles, once
+    :meth:`repro.mpichv.runtime.VclRuntime.dispose` has unpinned them
+    from the result's trace.  Pauses nest (an inner exit leaves the
     collector off); anyone who keeps the runtime just lets the
     re-enabled ambient GC get to it.
     """
@@ -364,16 +367,6 @@ class Engine:
         """Make :meth:`run` return after the current event."""
         self._stopped = True
         self._preempt = True        # yield the current batch immediately
-
-    def dispose(self) -> None:
-        """Teardown-only: drop all pending work and the trace sink so
-        the finished simulation's object graph loses its scheduler
-        roots (see ``VclRuntime.dispose``)."""
-        self._slots.clear()
-        self._heap.clear()
-        self.process_failures.clear()
-        self.trace = None
-        self.obs = None
 
     # -- tracing ------------------------------------------------------------
     def log(self, kind: str, **fields) -> None:

@@ -195,16 +195,6 @@ class Process(Event):
         if not self.triggered:
             self.succeed(None)
 
-    def dispose(self) -> None:
-        """Break this (finished) process's reference cycles — the
-        generator frame, the waited-on event, a parked wakeup — so
-        teardown can reclaim it by refcount (see
-        ``VclRuntime.dispose``).  The process is unusable afterwards."""
-        self.gen = None
-        self._detach()      # a never-fired target and our wake-up name each other
-        self._parked = None
-        self.callbacks = None
-
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"<Process pid={self.pid} {self.name!r} {self.state}>"
 
@@ -290,10 +280,11 @@ class CallbackThread:
         self.suspended = False
 
     def dispose(self) -> None:
-        """Teardown-only cycle breaking; subclasses drop their own
-        references too.  Dead, but not ``kill()``: a deployment has
-        thousands of these, so teardown clears fields and
-        makes no calls."""
+        """Cycle breaking, reached through
+        :meth:`repro.cluster.unixproc.UnixProcess._release` when the
+        owning process dies; subclasses drop their own references too.
+        Dead, but not ``kill()``: it clears fields and makes no
+        calls."""
         self.alive = self.suspended = False
         self.on_error = None
 

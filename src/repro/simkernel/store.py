@@ -132,11 +132,6 @@ class Store:
             reader._closed()
         self.items = None
 
-    def dispose(self) -> None:
-        """Drop buffered items and waiting getters (cycle-bearing refs)
-        without the close() semantics — teardown only."""
-        self.items = self._getters = self._reader = None
-
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<Store {self.name!r} items={len(self)} "
                 f"getters={len(self._getters or ())} closed={self.closed}>")
@@ -253,7 +248,7 @@ class Reader(CallbackThread):
             store._reader = None
 
     def dispose(self) -> None:
-        """Teardown-only: drop the store and handler references (the
-        ``reader <-> store`` and closure cycles)."""
+        """Drop the store and handler references (the ``reader <->
+        store`` and closure cycles) when the owning process dies."""
         super().dispose()
         self.store = self.on_item = self.on_close = self._item = None

@@ -2,7 +2,7 @@
 
 The transmission table never leaves the recorder — the ``obs``
 document carries only its folds — so tests that pin the table read it
-off the recorder, before the runtime is disposed of:
+off the recorder, before the runtime is dropped:
 
 * :func:`run_keeping_recorder` runs one trial and hands back the result
   together with its recorder;
@@ -28,14 +28,12 @@ E_SRC, E_DST, E_TYPE = 0, 1, 2
 
 def run_keeping_recorder(setup, seed):
     """``(result, CausalGraph)`` of one trial of a ``TrialSetup``."""
-    runtime, deployment = setup.build(seed)
+    runtime, _deployment = setup.build(seed)
     try:
         result = runtime.run()
         graph = runtime.obs.causal
     finally:
         runtime.dispose()
-        if deployment is not None:
-            deployment.dispose()
     return result, graph
 
 

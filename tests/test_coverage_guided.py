@@ -4,6 +4,8 @@ corpus persistence, and the guided campaign loop."""
 import json
 import random
 
+import pytest
+
 from repro.analysis import coverage
 from repro.analysis.coverage import Signature
 from repro.experiments.harness import TrialSetup
@@ -196,6 +198,17 @@ def test_corpus_persists_and_replays_failures_first(tmp_path):
     order = reloaded.entries()
     assert order[0].plan == bad_plan and order[0].failed == ["progress"]
     assert order[1].plan == ok_plan
+
+
+@pytest.mark.parametrize("text", ["[]", "1", '"x"'])
+def test_corpus_skips_json_that_is_not_an_object(tmp_path, text):
+    root = tmp_path / "corpus"
+    corpus = Corpus(str(root))
+    corpus.admit(_entry((TimedKill(at=10, target=0),), ["a"]))
+    (root / "a.json").write_text(text, encoding="utf-8")
+    reloaded = Corpus(str(root))
+    assert len(reloaded) == 1
+    assert reloaded.accumulated == corpus.accumulated
 
 
 # ---------------------------------------------------------------------------

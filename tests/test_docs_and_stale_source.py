@@ -135,6 +135,9 @@ STALE_PHRASES = [
     # pre-registry protocol dispatch
     r"string-match(?:ing|es) on the protocol name",
     r"if config\.protocol ==",
+    # pre-collector teardown: a hand-written dispose() chain
+    r"Teardown-only",
+    r"dispose\(\) severs",
 ]
 
 

@@ -140,15 +140,13 @@ def test_a_reader_served_store_never_allocates():
     assert store.items is None and store._getters is None
 
 
-def test_close_and_dispose_of_a_never_used_store():
+def test_close_of_a_never_used_store():
     eng = Engine(seed=0)
-    closed, disposed = Store(eng), Store(eng)
+    closed = Store(eng)
     closed.close()
     assert closed.closed and len(closed) == 0
     with pytest.raises(StoreClosed):
         closed.put(1)
-    disposed.dispose()
-    assert len(disposed) == 0 and not disposed.closed
 
 
 def test_store_label_is_formatted_once_on_first_read():

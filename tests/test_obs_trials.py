@@ -3,6 +3,7 @@ heal scenario for every protocol, the phase-sum acceptance check
 against the trace, verdict identity with observation off, exporter
 byte-determinism across execution paths, and the wire round trip."""
 
+import hashlib
 import json
 
 import pytest
@@ -16,6 +17,7 @@ from repro.explore.generators import (Heal, TimedKill, TimedPartition,
                                       render_plan)
 from repro.mpichv import protocols
 from repro.analysis.critpath import critical_paths, critpath_rollup
+from repro.experiments.compare_protocols import setup_for
 from repro.obs import (FIELDS, KIND, LANE, T0, T1, chrome_trace_json,
                        epoch_phase_table, span_rollups)
 from repro.obs.causal import MAX_CHAIN, causal_totals
@@ -327,6 +329,63 @@ def test_cached_document_byte_budget(tmp_path):
 
 def test_cached_document_byte_budget_at_64_ranks(tmp_path):
     assert _cache_file_bytes(tmp_path, 64) <= BUDGET_64_RANK_VCL
+
+
+# ---------------------------------------------------------------------------
+# whole documents, pinned
+# ---------------------------------------------------------------------------
+
+def _document_digest(result):
+    """sha256 of a trial's result document without ``obs.exec`` (host
+    timings, the one section that legitimately varies)."""
+    doc = run_result_to_dict(result)
+    doc["obs"] = {k: v for k, v in doc["obs"].items() if k != "exec"}
+    return hashlib.sha256(json.dumps(doc).encode("utf-8")).hexdigest()
+
+
+def _bt16(protocol):
+    """One 16-rank BT trial under the Fig. 5 scenario, as the
+    ``compare-protocols`` campaign runs it."""
+    return setup_for((protocol, 50), n_procs=16, n_machines=20, niters=40,
+                     total_compute=2400.0).run_one(13001)
+
+
+#: ``_document_digest`` per trial.  The golden trace digests pin the
+#: trace records and the fold oracle recomputes the causal folds from
+#: the same columns, so a wrong recorder column passes both: these pin
+#: every byte of the observed document — spans, metrics, the causal
+#: totals, kind rollup and per-epoch folds (the 64-rank v2 ring runs
+#: past the causal cap).
+DOCUMENT_DIGESTS = {
+    ("ring4", "v1"):
+        "02c8b10da998a2922bfaeee8e030d144bb52373fa6fcc0effac37e8726619dc1",
+    ("ring4", "v2"):
+        "0e7230ec431e2b77b979047065208b8f9b790bd43f8d469a3145caa6175fe796",
+    ("ring4", "vcl"):
+        "14540d9bccd7a81501ea07edeeffe9def5e9b1ad1ebb8065e7cc921738f96dd3",
+    ("ring64", "v1"):
+        "eb34886797a6225a293446fc13f282fc4e9d2f792896435b486a1a87efcaad43",
+    ("ring64", "v2"):
+        "8352bad8a4ac6c0072c158a5ac691067031efd8b61b61bed7edd546be9c345a2",
+    ("ring64", "vcl"):
+        "49612ff403a3ce656f89b39985bb8dfe28f83a2612defa8f190b842cd9d36f4a",
+    ("bt16", "v1"):
+        "ad9c5838925b0429cbb578d1db83e58a6ccda9a1272994bc132b94ff63e478e0",
+    ("bt16", "v2"):
+        "fceafe2b351a4605288b7eb30ecbfaf0dae7b28b4016d4ad751e9de0d9db7033",
+    ("bt16", "vcl"):
+        "2547fda90016ad85fa0ac507eaba15459cf70b231c9ed72311f6db45873dfa9e",
+}
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_observed_documents_pinned(observed, ring64, protocol):
+    results = {"ring4": observed[protocol], "ring64": ring64[protocol][0],
+               "bt16": _bt16(protocol)}
+    assert {trial: _document_digest(result)
+            for trial, result in results.items()} \
+        == {trial: digest for (trial, p), digest in DOCUMENT_DIGESTS.items()
+            if p == protocol}
 
 
 # ---------------------------------------------------------------------------

@@ -300,12 +300,13 @@ class Network:
         (``size``, else the message's ``size`` hint, else
         :data:`DEFAULT_MSG_SIZE`), now, the landing time on an idle
         pipe of the uniform fabric (None on another: each pair asks the
-        fabric), what stamps a transmission of it (None when nothing
-        records it), and whether a cut is on.
+        fabric), its causal context (None when nothing records it), and
+        whether a cut is on.
 
-        Causal choke point: every stamped message is stamped once per
-        transmission, with the arrival already computed — so the graph
-        is a pure function of the simulated history (see
+        Causal choke point: a send of a stamped message writes one row
+        per copy, with the arrival already computed, and closes with
+        one :meth:`~repro.obs.causal.CausalGraph.on_send` — so the
+        graph is a pure function of the simulated history (see
         :mod:`repro.obs.causal`).
         """
         if size is None:
@@ -320,9 +321,7 @@ class Network:
             if self._fast_uniform else None
         ctx = getattr(msg, "_causal_ctx", None) \
             if engine.obs is not None else None
-        stamp = None if ctx is None else partial(
-            engine.obs.causal.on_transmit, ctx, type(msg).__name__)
-        return size, now, earliest, stamp, self._isolated or self._cut_pairs
+        return size, now, earliest, ctx, self._isolated or self._cut_pairs
 
     def send_all(self, socks: Iterable["Socket"], msg: Any,
                  size: Optional[int] = None) -> None:
@@ -332,7 +331,11 @@ class Network:
         socket pays for its own pipe and arrival, which joins the batch
         of its instant.  :meth:`Mesh.send_all` is the mesh's half.
         """
-        size, now, earliest, stamp, cut = self._wire(msg, size)
+        size, now, earliest, ctx, cut = self._wire(msg, size)
+        causal = put = None
+        if ctx is not None:
+            causal = self.engine.obs.causal
+            put = causal.put
         schedule = self.engine._schedule    # put_at, minus its past check
         sent = 0
         last = batch = None
@@ -352,13 +355,15 @@ class Network:
             elif arrival < earliest:
                 arrival = earliest
             sock._pipe_free = arrival
-            if stamp is not None:
-                stamp(a, b, now, arrival, size)
+            if put is not None:
+                put((arrival, a, b))
             rx = peer._rx
             if arrival == last:     # that arrival's batch still ends the slot
                 batch.items.append((rx, msg))
             else:
                 batch, last = schedule(arrival - now, rx, msg), arrival
+        if causal is not None:
+            causal.on_send(ctx, type(msg).__name__, now, sent)
         self.messages_sent += sent
         self.bytes_sent += sent * size
 
@@ -912,7 +917,11 @@ class Mesh(CallbackThread):
         if self.closed:
             return
         network = self.network
-        size, now, earliest, stamp, cut = network._wire(msg, size)
+        size, now, earliest, ctx, cut = network._wire(msg, size)
+        causal = put = None
+        if ctx is not None:
+            causal = network.engine.obs.causal
+            put = causal.put
         schedule = network.engine._schedule
         host, me, far_of, frow, pipe = (self.host, self.rank, self.far,
                                         self.frow, self.pipe)
@@ -933,8 +942,8 @@ class Mesh(CallbackThread):
             elif arrival < earliest:
                 arrival = earliest
             pipe[row] = arrival
-            if stamp is not None:
-                stamp(host, far.host, now, arrival, size)
+            if put is not None:
+                put((arrival, host, far.host))
             fr = frow[row]
             far.inflight[fr] += 1
             landing = item if fr == me else (fr, msg)
@@ -942,6 +951,8 @@ class Mesh(CallbackThread):
                 batch.items.append((far, landing))
             else:
                 batch, last = schedule(arrival - now, far, landing), arrival
+        if causal is not None:
+            causal.on_send(ctx, type(msg).__name__, now, sent)
         network.messages_sent += sent
         network.bytes_sent += sent * size
 

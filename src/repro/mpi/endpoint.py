@@ -87,6 +87,8 @@ class MpiEndpoint:
 
     def __init__(self, rank: int, size: int, state: dict, transport: Transport, engine):
         self.rank = rank
+        #: causal site name of the messages this rank sends
+        self.site = f"r{rank}"
         self.size = size
         self.state = state
         self.transport = transport
@@ -109,7 +111,7 @@ class MpiEndpoint:
         msg = AppMessage(self.rank, dst, tag, payload, size)
         # root of a causal trace: every hop this message takes (daemon
         # envelope, channel-memory relay, logged replay) extends it
-        stamp(self.engine, msg, f"r{self.rank}")
+        stamp(self.engine, msg, self.site)
         self.transport.app_send(msg)
         self.sent_count += 1
 

@@ -83,6 +83,7 @@ def channel_memory_main(proc: UnixProcess, config, index: int):
     proc.tags["cm_state"] = state
     listener = proc.node.listen(config.channel_memory_port_base + index,
                                 owner=proc)
+    site = f"cm{index}"      # causal site name
     #: receiver rank -> forwarding socket of its attached daemon
     attached: Dict[int, Any] = {}
 
@@ -90,7 +91,7 @@ def channel_memory_main(proc: UnixProcess, config, index: int):
         pos, src, seq, msg = entry
         out = wire.CMDeliver(rank=dst, pos=pos, src=src, seq=seq, app=msg)
         # second hop: caused by the put (live) or the attach (replay)
-        causal.derive(engine, out, f"cm{index}", cause)
+        causal.derive(engine, out, site, cause)
         sock.send(out)
         state.forwarded += 1
 

@@ -76,6 +76,7 @@ def ckpt_server_main(proc: UnixProcess, config, server_index: int):
     state = CkptServerState()
     proc.tags["ckpt_state"] = state
     listener = proc.node.listen(config.ckpt_server_port_base + server_index, owner=proc)
+    site = f"ckpt{server_index}"     # causal site name
 
     #: FIFO disk queue: (kind, nbytes, t_enqueued, fn) — fn runs when
     #: the disk I/O ends; kind/t_enqueued feed the store spans and the
@@ -120,7 +121,7 @@ def ckpt_server_main(proc: UnixProcess, config, server_index: int):
                                server=server_index)
                     if not sock.closed and sock.peer_alive:
                         ack = wire.CkptStoredAck(rank=img.rank, wave=img.wave)
-                        causal.derive(engine, ack, f"ckpt{server_index}", msg)
+                        causal.derive(engine, ack, site, msg)
                         sock.send(ack)
 
                 disk_q.put(("image", msg.img_size, engine.now, _stored))
@@ -131,7 +132,7 @@ def ckpt_server_main(proc: UnixProcess, config, server_index: int):
                     state.bytes_ingested += msg.size
                     if not sock.closed and sock.peer_alive:
                         ack = wire.CkptStoredAck(rank=msg.rank, wave=msg.wave)
-                        causal.derive(engine, ack, f"ckpt{server_index}", msg)
+                        causal.derive(engine, ack, site, msg)
                         sock.send(ack)
 
                 disk_q.put(("logs", msg.size, engine.now, _logged))
@@ -146,7 +147,7 @@ def ckpt_server_main(proc: UnixProcess, config, server_index: int):
                         resp = wire.FetchResp(rank=msg.rank, wave=snap.wave,
                                               state=snap.state, logs=snap.logs,
                                               img_size=snap.img_size)
-                    causal.derive(engine, resp, f"ckpt{server_index}", msg)
+                    causal.derive(engine, resp, site, msg)
                     if not sock.closed and sock.peer_alive:
                         sock.send(resp)
 

@@ -88,6 +88,8 @@ class MpichDaemon:
         self.config = config
         self.timing = config.timing
         self.rank = rank
+        #: this rank's causal site name (:func:`repro.obs.causal.stamp`)
+        self.site = f"r{rank}"
         self.epoch = epoch
         self.incarnation = incarnation
         self.app_factory = app_factory
@@ -169,7 +171,7 @@ class MpichDaemon:
         self.finished = True
         if self.disp_sock is not None and not self.disp_sock.closed:
             done = wire.Done(rank=self.rank)
-            causal.stamp(self.engine, done, f"r{self.rank}")
+            causal.stamp(self.engine, done, self.site)
             self.disp_sock.send(done)
 
     def app_thread(self):
@@ -244,7 +246,7 @@ class MpichDaemon:
             store_msg = wire.CkptStore(
                 rank=self.rank, wave=wave, state=img.state, logs=[],
                 img_size=img.img_size)
-            causal.stamp(self.engine, store_msg, f"r{self.rank}")
+            causal.stamp(self.engine, store_msg, self.site)
             self.ckpt_sock.send(store_msg)
         span.close()
         self.post_checkpoint(img)
@@ -268,7 +270,7 @@ class MpichDaemon:
             img = img.snapshot_of()
         else:
             req = wire.FetchReq(rank=self.rank, wave=None)
-            causal.stamp(self.engine, req, f"r{self.rank}")
+            causal.stamp(self.engine, req, self.site)
             self.ckpt_sock.send(req)
             resp = yield self.ckpt_sock.recv()
             assert isinstance(resp, wire.FetchResp), resp
@@ -367,7 +369,7 @@ def daemon_lifecycle(core_cls, proc: UnixProcess, config, rank: int,
         proc, disp_addr, timing.connect_retry_initial, timing.connect_retry_max)
     reg = wire.Register(rank=rank, addr=listener.addr,
                         epoch=epoch, incarnation=incarnation)
-    causal.stamp(engine, reg, f"r{rank}")
+    causal.stamp(engine, reg, core.site)
     core.disp_sock.send(reg)
     try:
         ack = yield core.disp_sock.recv()

@@ -102,7 +102,7 @@ class V1Daemon(MpichDaemon):
         if sock is not None and not sock.closed:
             prune = wire.CMPrune(rank=self.rank,
                                  upto=img.state[DELIVERED])
-            causal.stamp(self.engine, prune, f"r{self.rank}")
+            causal.stamp(self.engine, prune, self.site)
             sock.send(prune)
 
     # ------------------------------------------------------------------
@@ -128,7 +128,7 @@ class V1Daemon(MpichDaemon):
         sock = self.cm_socks[self.home_cm]
         attach = wire.CMAttach(rank=self.rank,
                                after=self.app_state[DELIVERED])
-        causal.stamp(self.engine, attach, f"r{self.rank}")
+        causal.stamp(self.engine, attach, self.site)
         sock.send(attach)
         self.proc.spawn_reader(sock, self.on_cm_msg)
         self.proc.spawn_thread(self.independent_ckpt_loop(),

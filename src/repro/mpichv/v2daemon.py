@@ -134,7 +134,7 @@ class V2Daemon(MpichDaemon):
         if self.evlog_sock is not None and not self.evlog_sock.closed:
             ev = wire.EvLog(rank=self.rank, pos=pos, src=src, src_seq=seq)
             # the log record is caused by the message's arrival
-            causal.derive(self.engine, ev, f"r{self.rank}", msg)
+            causal.derive(self.engine, ev, self.site, msg)
             self.evlog_sock.send(ev)
 
     def on_evlog_ack(self, pos: int) -> None:
@@ -243,11 +243,11 @@ class V2Daemon(MpichDaemon):
         for row in mesh.peers:
             note = wire.V2GcNote(rank=self.rank, upto=img.state[
                 DELIVERED].get(mesh.rank_of(row), 0))
-            causal.stamp(self.engine, note, f"r{self.rank}")
+            causal.stamp(self.engine, note, self.site)
             mesh.send(row, note)
         if self.evlog_sock is not None and not self.evlog_sock.closed:
             prune = wire.EvPrune(rank=self.rank, upto=img.state[POS])
-            causal.stamp(self.engine, prune, f"r{self.rank}")
+            causal.stamp(self.engine, prune, self.site)
             self.evlog_sock.send(prune)
 
     # ------------------------------------------------------------------
@@ -280,7 +280,7 @@ class V2Daemon(MpichDaemon):
                        if self.restarted else 0)
         hello = wire.V2Hello(rank=self.rank, incarnation=self.incarnation,
                              resend_from=resend_from)
-        causal.stamp(self.engine, hello, f"r{self.rank}")
+        causal.stamp(self.engine, hello, self.site)
         self.mesh.send(row, hello)
         self.mesh.serve(row)
         self.attach_peer(row, 0)
@@ -289,7 +289,7 @@ class V2Daemon(MpichDaemon):
         # --- replay the delivery history of a restarted incarnation ---
         if self.restarted:
             fetch = wire.EvFetch(rank=self.rank, after=self.app_state[POS])
-            causal.stamp(self.engine, fetch, f"r{self.rank}")
+            causal.stamp(self.engine, fetch, self.site)
             self.evlog_sock.send(fetch)
             resp = yield self.evlog_sock.recv()
             assert isinstance(resp, wire.EvFetchResp), resp

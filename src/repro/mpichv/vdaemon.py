@@ -120,7 +120,7 @@ class VclDaemon(MpichDaemon):
             self.late_logs = []
         # Relay the marker on every outgoing channel: one flood.
         out_marker = wire.Marker(wave=wave, src_rank=self.rank)
-        causal.derive(self.engine, out_marker, f"r{self.rank}", cause)
+        causal.derive(self.engine, out_marker, self.site, cause)
         self.mesh.send_all(self.mesh.peers, out_marker)
         self.pending_markers = set(r for r in range(self.n) if r != self.rank)
         if from_rank >= 0:
@@ -164,7 +164,7 @@ class VclDaemon(MpichDaemon):
         if self.ckpt_sock is not None and not self.ckpt_sock.closed:
             append = wire.CkptLogAppend(rank=self.rank, wave=wave,
                                         logs=list(self.late_logs))
-            causal.stamp(self.engine, append, f"r{self.rank}")
+            causal.stamp(self.engine, append, self.site)
             self.ckpt_sock.send(append)
         self.late_logs = []
 
@@ -186,7 +186,7 @@ class VclDaemon(MpichDaemon):
             store_msg = wire.CkptStore(
                 rank=self.rank, wave=img.wave, state=img.state,
                 logs=list(img.logs), img_size=img.img_size)
-            causal.stamp(self.engine, store_msg, f"r{self.rank}")
+            causal.stamp(self.engine, store_msg, self.site)
             self.ckpt_sock.send(store_msg)
         span.close()
 
@@ -202,7 +202,7 @@ class VclDaemon(MpichDaemon):
                 and wave in self.logging_done
                 and self.sched_sock is not None and not self.sched_sock.closed):
             ack = wire.SchedAck(rank=self.rank, wave=wave)
-            causal.stamp(self.engine, ack, f"r{self.rank}")
+            causal.stamp(self.engine, ack, self.site)
             self.sched_sock.send(ack)
 
     def on_data(self, from_rank: int, msg: AppMessage) -> None:
@@ -235,7 +235,7 @@ class VclDaemon(MpichDaemon):
             img = local.snapshot_of()
         else:
             req = wire.FetchReq(rank=self.rank, wave=restore_wave)
-            causal.stamp(self.engine, req, f"r{self.rank}")
+            causal.stamp(self.engine, req, self.site)
             self.ckpt_sock.send(req)
             resp = yield self.ckpt_sock.recv()
             assert isinstance(resp, wire.FetchResp), resp
@@ -306,7 +306,7 @@ class VclDaemon(MpichDaemon):
 
     def on_peer_connected(self, row: int) -> None:
         hello = wire.Hello(rank=self.rank, epoch=self.epoch)
-        causal.stamp(self.engine, hello, f"r{self.rank}")
+        causal.stamp(self.engine, hello, self.site)
         self.mesh.send(row, hello)
         self.mesh.join(row)
         self.mesh.serve(row)
@@ -318,7 +318,7 @@ class VclDaemon(MpichDaemon):
         # channels (which would strand the wave).
         if self.config.fault_tolerant:
             shello = wire.SchedHello(rank=self.rank, epoch=self.epoch)
-            causal.stamp(self.engine, shello, f"r{self.rank}")
+            causal.stamp(self.engine, shello, self.site)
             self.sched_sock.send(shello)
             self.proc.spawn_reader(self.sched_sock, self.on_sched_msg)
         yield from ()

@@ -6,6 +6,9 @@ off the recorder, before the runtime is dropped:
 
 * :func:`run_keeping_recorder` runs one trial and hands back the result
   together with its recorder;
+* :func:`mint` and :func:`send` drive a bare recorder the way protocol
+  code and the network do: a context stamped on a message, and one
+  send's rows written through ``put`` then closed with ``on_send``;
 * :func:`graph_view` expands the columns into the node/edge graph they
   encode — row ``r`` is the node pair ``2r`` (send) / ``2r + 1``
   (receive) joined by a ``net`` edge, and a recorded parent row ``p``
@@ -16,8 +19,10 @@ off the recorder, before the runtime is dropped:
   :func:`assert_folds_equal_reference` is the comparison).
 """
 
+from types import SimpleNamespace
+
 from repro.analysis.critpath import critical_paths
-from repro.obs.causal import causal_kind_rollup, causal_totals
+from repro.obs.causal import causal_kind_rollup, causal_totals, ctx_of, stamp
 from repro.obs.phases import epoch_phase_table
 
 #: indices into a node ``[id, t, host, kind]`` and an edge
@@ -35,6 +40,30 @@ def run_keeping_recorder(setup, seed):
     finally:
         runtime.dispose()
     return result, graph
+
+
+class Msg:
+    """A stand-in for a wire message (plain object, stampable)."""
+
+
+def mint(graph, site, t, parent=None):
+    """A fresh context on ``graph``, minted by ``site`` at ``t`` with
+    cause ``parent`` (a context, or None), through :func:`stamp`."""
+    msg = Msg()
+    engine = SimpleNamespace(obs=SimpleNamespace(causal=graph), now=t)
+    stamp(engine, msg, site, parent)
+    return ctx_of(msg)
+
+
+def send(graph, ctx, kind, src, t_send, arrivals):
+    """One send of ``ctx`` as the network's send loops record it: a row
+    per ``(dst, t_recv)`` of ``arrivals`` while the recorder takes
+    rows, then one ``on_send`` for the whole send."""
+    put = graph.put
+    for dst, t_recv in arrivals:
+        if put is not None:
+            put((t_recv, src, dst))
+    graph.on_send(ctx, kind, t_send, len(arrivals))
 
 
 def columns_of(graph):

@@ -14,17 +14,12 @@ from repro.analysis.traces import Trace
 from repro.obs import Obs
 from repro.obs.causal import (MAX_CAUSAL_NODES, MAX_CHAIN, OBS_VERSION,
                               CausalGraph, adopt, causal_kind_rollup,
-                              causal_totals, ctx_of, derive, parent_of,
-                              stamp)
+                              causal_totals, ctx_of, derive, stamp)
 from repro.obs.phases import epoch_phase_table, recovery_window
 from repro.obs.report import aggregate_obs, html_report, openmetrics_text
 from repro.simkernel.engine import Engine
-from tests.causal_view import (E_TYPE, N_ID, assert_folds_equal_reference,
-                               columns_doc, columns_of, graph_view)
-
-
-class Msg:
-    """A stand-in for a wire message (plain object, stampable)."""
+from tests.causal_view import (E_TYPE, N_ID, Msg, assert_folds_equal_reference,
+                               columns_doc, columns_of, graph_view, mint, send)
 
 
 # ---------------------------------------------------------------------------
@@ -33,19 +28,21 @@ class Msg:
 
 def test_mint_ids_are_per_site_and_deterministic():
     g = CausalGraph()
-    assert g.mint_id("r0", 1.5) == "r0.1.1500000"
-    assert g.mint_id("r0", 1.5) == "r0.2.1500000"
-    assert g.mint_id("disp", 1.5) == "disp.1.1500000"
+    assert [mint(g, "r0", 1.5), mint(g, "r0", 1.5), mint(g, "disp", 1.5)] \
+        == [0, 1, 2]
+    assert g.trace_ids([2, 0, 1]) == {0: "r0.1.1500000", 1: "r0.2.1500000",
+                                      2: "disp.1.1500000"}
     assert g.minted == 3
 
 
 def test_transmit_records_nodes_and_edges():
     g = CausalGraph()
-    tid = g.mint_id("r0", 1.0)
-    g.on_transmit((tid, None), "AppMessage", "m1", "m2", 1.0, 1.25, 1024)
+    first = mint(g, "r0", 1.0)
+    send(g, first, "AppMessage", "m1", 1.0, [("m2", 1.25)])
     # a derived message parented on the first one's receive
-    tid2 = g.mint_id("r1", 1.25)
-    g.on_transmit((tid2, tid), "EvLog", "m2", "svc1", 1.25, 1.5, 64)
+    second = mint(g, "r1", 1.25, parent=first)
+    send(g, second, "EvLog", "m2", 1.25, [("svc1", 1.5)])
+    tid, tid2 = "r0.1.1000000", "r1.1.1250000"
     # the table: one row per transmission, strings interned in
     # first-seen order, the parent as a row number
     assert columns_of(g) == {
@@ -74,36 +71,43 @@ def test_transmit_records_nodes_and_edges():
 
 def test_broadcast_fanout_gets_unique_node_ids():
     g = CausalGraph()
-    tid = g.mint_id("disp", 2.0)
-    for i in range(3):
-        g.on_transmit((tid, None), "CommandMap", "svc0", f"m{i}",
-                      2.0, 2.1, 256)
+    ctx = mint(g, "disp", 2.0)
+    for i in range(3):          # one socket at a time
+        send(g, ctx, "CommandMap", "svc0", 2.0, [(f"m{i}", 2.1)])
     # a reply to any copy hangs off the trace's first receive
-    g.on_transmit((g.mint_id("r1", 2.1), tid), "Register", "m1", "svc0",
-                  2.1, 2.2, 64)
+    send(g, mint(g, "r1", 2.1, parent=ctx), "Register", "m1", 2.1,
+         [("svc0", 2.2)])
+    tid = "disp.1.2000000"
     assert g.tid[:3] == [tid, f"{tid}#1", f"{tid}#2"]
     assert g.parent == [-1, -1, -1, 0]
     ids = [n[N_ID] for n in graph_view(g)[0]]
     assert len(ids) == len(set(ids)) == 8
     assert f"{tid}:s" in ids and f"{tid}#1:s" in ids and f"{tid}#2:s" in ids
+    # one flood over the three sockets records the same table
+    flood = CausalGraph()
+    ctx = mint(flood, "disp", 2.0)
+    send(flood, ctx, "CommandMap", "svc0", 2.0,
+         [(f"m{i}", 2.1) for i in range(3)])
+    send(flood, mint(flood, "r1", 2.1, parent=ctx), "Register", "m1", 2.1,
+         [("svc0", 2.2)])
+    assert columns_of(flood) == columns_of(g)
 
 
 def test_node_cap_and_drop_accounting():
     g = CausalGraph(max_nodes=4)
-    t1 = g.mint_id("r0", 1.0)
-    g.on_transmit((t1, None), "A", "m1", "m2", 1.0, 1.1, 1)
+    t1 = mint(g, "r0", 1.0)
+    send(g, t1, "A", "m1", 1.0, [("m2", 1.1)])
     # a parent that never crossed the network: the row is kept, its
     # causal edge is dropped rather than dangling
-    t2 = g.mint_id("r0", 2.0)
-    g.on_transmit((t2, "ghost.1.0"), "B", "m2", "m3", 2.0, 2.1, 1)
+    ghost = mint(g, "ghost", 0.0)
+    send(g, mint(g, "r0", 2.0, parent=ghost), "B", "m2", 2.0, [("m3", 2.1)])
     assert (g.dropped_nodes, g.dropped_edges) == (0, 1)
     assert g.first_drop_t is None
     # over the cap a transmission drops whole: two nodes, its net edge
     # and — when it had a parent — its causal edge
-    t3 = g.mint_id("r0", 3.0)
-    g.on_transmit((t3, t1), "C", "m3", "m1", 3.0, 3.1, 1)
+    send(g, mint(g, "r0", 3.0, parent=t1), "C", "m3", 3.0, [("m1", 3.1)])
     assert (g.dropped_nodes, g.dropped_edges) == (2, 3)
-    g.on_transmit((t1, None), "A", "m1", "m3", 3.5, 3.6, 1)
+    send(g, t1, "A", "m1", 3.5, [("m3", 3.6)])
     assert (g.dropped_nodes, g.dropped_edges) == (4, 4)
     assert g.first_drop_t == 3.0            # the first drop, not the last
     # a parent that fell to the cap resolves to nothing, never to a row
@@ -111,9 +115,28 @@ def test_node_cap_and_drop_accounting():
     nodes, edges = graph_view(g)
     assert len(nodes) == 4 and g.parent == [-1, -1]
     assert all(e[0] < 4 and e[1] < 4 for e in edges)
-    assert g.totals() == {"nodes": 4, "edges": 2, "minted": 3,
+    assert g.totals() == {"nodes": 4, "edges": 2, "minted": 4,
                           "dropped_nodes": 4, "dropped_edges": 4}
     assert MAX_CAUSAL_NODES == 50000
+
+
+def test_cap_falls_inside_a_flood():
+    """The send that reaches the cap keeps its copies up to it; past it
+    the loops write nothing and each copy only counts."""
+    g = CausalGraph(max_nodes=6)
+    cause = mint(g, "sched", 1.0)
+    send(g, cause, "SchedHello", "m1", 1.0, [("svc0", 1.1)])
+    marker = mint(g, "sched", 2.0, parent=cause)
+    send(g, marker, "Marker", "svc0", 2.0,
+         [(f"m{i}", 2.5) for i in range(4)])
+    assert g.put is None and len(g.tid) == 3
+    assert g.tid[1:] == ["sched.2.2000000", "sched.2.2000000#1"]
+    assert (g.dropped_nodes, g.dropped_edges, g.first_drop_t) == (4, 4, 2.0)
+    send(g, marker, "Marker", "svc0", 3.0, [("m9", 3.5)])
+    assert (g.dropped_nodes, g.dropped_edges) == (6, 6)
+    assert g.to_doc()["kinds"] == {
+        "SchedHello": {"count": 1, "seconds": 0.1},
+        "Marker": {"count": 2, "seconds": 1.0}}
 
 
 # ---------------------------------------------------------------------------
@@ -125,44 +148,57 @@ def test_stamp_is_inert_without_a_recorder():
     assert eng.obs is None
     msg = Msg()
     stamp(eng, msg, "r0")
-    assert ctx_of(msg) is None and parent_of(msg) is None
+    derive(eng, msg, "r0", msg)
+    assert ctx_of(msg) is None and not vars(msg)
 
 
 def test_stamp_derive_adopt_with_recorder():
     eng = Engine(seed=0)
     eng.obs = Obs(eng)
+    graph = eng.obs.causal
     root = Msg()
     stamp(eng, root, "r0")
-    tid, parent = ctx_of(root)
-    assert tid.startswith("r0.1.") and parent is None
-    assert parent_of(root) == tid
+    assert ctx_of(root) == 0
     child = Msg()
     derive(eng, child, "evlog", root)
-    ctid, cparent = ctx_of(child)
-    assert ctid.startswith("evlog.1.") and cparent == tid
+    assert ctx_of(child) == 1
+    assert graph.trace_ids([0, 1]) == {0: "r0.1.0", 1: "evlog.1.0"}
     envelope = Msg()
     adopt(envelope, root)
     assert ctx_of(envelope) == ctx_of(root)     # same trace, verbatim
-    unstamped = Msg()
-    adopt(Msg(), unstamped)                     # no ctx: no-op, no error
+    adopt(Msg(), Msg())                         # no ctx: no-op, no error
+    # the child's parent link is the root's first receive
+    send(graph, ctx_of(envelope), "DataMsg", "m1", 0.0, [("m2", 0.5)])
+    send(graph, ctx_of(child), "EvLog", "m2", 0.5, [("svc1", 0.75)])
+    assert graph.parent == [-1, 0] and graph.minted == 2
 
 
 def _recorder(spans=(), transmissions=(), max_nodes=MAX_CAUSAL_NODES):
     """A recorder holding ``[t0, t1, kind, lane, fields]`` spans and
-    ``(ctx, kind, src, dst, t_send, t_recv)`` transmissions."""
+    ``(name, parent_name, kind, src, dst, t_send, t_recv)`` single-copy
+    transmissions.  Each name is minted once, at t = 0 by site
+    ``name`` (trace id ``<name>.1.0``), its parent first."""
     obs = Obs()
-    obs.causal = CausalGraph(max_nodes=max_nodes)
+    obs.causal = graph = CausalGraph(max_nodes=max_nodes)
+    ctxs = {}
+
+    def ctx(name, parent=None):
+        if name not in ctxs:
+            cause = None if parent is None else ctx(parent)
+            ctxs[name] = mint(graph, name, 0.0, parent=cause)
+        return ctxs[name]
+
     for t0, t1, kind, lane, fields in spans:
         obs.open(kind, lane, t0, dict(fields)).close_at(t1)
-    for ctx, kind, src, dst, t_send, t_recv in transmissions:
-        obs.causal.on_transmit(ctx, kind, src, dst, t_send, t_recv, 0)
+    for name, parent, kind, src, dst, t_send, t_recv in transmissions:
+        send(graph, ctx(name, parent), kind, src, t_send, [(dst, t_recv)])
     return obs
 
 
 def test_causal_kind_rollup():
     doc = _recorder(transmissions=[
-        (("a", None), "DataMsg", "m1", "m2", 1.0, 1.5),
-        (("b", "a"), "EvLog", "m2", "svc1", 2.0, 2.25)]).to_doc()
+        ("a", None, "DataMsg", "m1", "m2", 1.0, 1.5),
+        ("b", "a", "EvLog", "m2", "svc1", 2.0, 2.25)]).to_doc()
     roll = causal_kind_rollup(doc)
     assert roll == {"DataMsg": {"count": 1, "seconds": 0.5},
                     "EvLog": {"count": 1, "seconds": 0.25}}
@@ -216,8 +252,8 @@ _RECOVERY_SPANS = [
 
 def _recovery_recorder(**kwargs):
     return _recorder(_RECOVERY_SPANS, [
-        (("f.1.0", None), "FetchReq", "svc0", "svc2", 11.0, 11.2),
-        (("g.1.0", "f.1.0"), "FetchResp", "svc2", "m1", 11.2, 12.9)],
+        ("f", None, "FetchReq", "svc0", "svc2", 11.0, 11.2),
+        ("g", "f", "FetchResp", "svc2", "m1", 11.2, 12.9)],
         **kwargs)
 
 
@@ -259,34 +295,36 @@ def test_folds_equal_the_column_readers_on_synthetic_tables():
     t0, t_end = recovery_window(epoch_phase_table({"spans": spans})[0])
     assert (t0, round(t_end, 6)) == (10.0, 13.4)
     recorder = _recorder(spans, [
-        (("a", None), "Hello", "m1", "m2", 9.0, 9.5),
-        (("z", None), "Terminate", "svc0", "m9", t0 - 1e-9, 10.1),
-        (("b", None), "CommandMap", "svc0", "m1", 10.0 - 5e-10, 10.2),
-        (("b", None), "CommandMap", "svc0", "m2", 10.0, 10.2),
-        (("c", "b"), "Register", "m1", "svc0", 10.2, 10.3),
-        (("d", "c"), "Marker", "svc0", "m3", 10.3, 13.4 + 5e-10),
-        (("e", "c"), "Oddity", "svc0", "m4", 10.3, t_end + 1e-9),
-        (("e", "c"), "Oddity", "svc0", "m5", 10.3, t_end + 1e-9),
-        (("f", "e"), "DataMsg", "m4", "m1", 13.4 + 2e-9, 14.0),
-        (("g", "a"), "FetchReq", "m2", "svc2", 20.5, 20.6),
-        (("h", "g"), "FetchResp", "svc2", "m2", 20.6, 22.0)])
+        ("a", None, "Hello", "m1", "m2", 9.0, 9.5),
+        ("z", None, "Terminate", "svc0", "m9", t0 - 1e-9, 10.1),
+        ("b", None, "CommandMap", "svc0", "m1", 10.0 - 5e-10, 10.2),
+        ("b", None, "CommandMap", "svc0", "m2", 10.0, 10.2),
+        ("c", "b", "Register", "m1", "svc0", 10.2, 10.3),
+        ("d", "c", "Marker", "svc0", "m3", 10.3, 13.4 + 5e-10),
+        ("e", "c", "Oddity", "svc0", "m4", 10.3, t_end + 1e-9),
+        ("e", "c", "Oddity", "svc0", "m5", 10.3, t_end + 1e-9),
+        ("f", "e", "DataMsg", "m4", "m1", 13.4 + 2e-9, 14.0),
+        ("g", "a", "FetchReq", "m2", "svc2", 20.5, 20.6),
+        ("h", "g", "FetchResp", "svc2", "m2", 20.6, 22.0)])
     assert _truncation_flags(recorder) == [False, False]
     first, second = critical_paths(recorder.to_doc())
     assert {cat: entry["count"]
             for cat, entry in first["attribution"].items()} \
         == {"relaunch_control": 4, "sched_commit": 1, "other": 2}
-    assert first["chain"] == ["b:s", "b:r", "c:s", "c:r", "e#1:s", "e#1:r"]
-    assert second["chain"] == ["g:s", "g:r"]
+    assert first["chain"] == ["b.1.0:s", "b.1.0:r", "c.1.0:s", "c.1.0:r",
+                              "e.1.0#1:s", "e.1.0#1:r"]
+    assert second["chain"] == ["g.1.0:s", "g.1.0:r"]
 
 
 def test_chain_is_bounded_by_max_chain():
-    hops = [((f"t{i}", f"t{i - 1}" if i else None), "DataMsg", "m1", "m2",
+    hops = [(f"t{i}", f"t{i - 1}" if i else None, "DataMsg", "m1", "m2",
              10.0 + i * 0.01, 10.0 + i * 0.01 + 0.005) for i in range(60)]
     recorder = _recorder(_RECOVERY_SPANS, hops)
     doc = recorder.to_doc()
     (fold,) = doc["causal"]["epochs"]
     assert len(fold["chain"]) == MAX_CHAIN
-    assert fold["chain"][-1] == "t59:r" and fold["chain"][0] == "t28:s"
+    assert fold["chain"][-1] == "t59.1.0:r"
+    assert fold["chain"][0] == "t28.1.0:s"
     assert_folds_equal_reference(doc, recorder.causal)
 
 
@@ -298,15 +336,15 @@ def test_window_past_the_first_drop_is_causal_truncated():
              [5.0, 6.0, "relaunch", "svc0", {"epoch": 0, "rank": 2}]] \
         + _RECOVERY_SPANS
     recorder = _recorder(spans, [
-        (("a", None), "Register", "m3", "svc0", 5.5, 5.6),
-        (("f.1.0", None), "FetchReq", "svc0", "svc2", 11.0, 11.2),
-        (("g.1.0", "f.1.0"), "FetchResp", "svc2", "m1", 11.2, 12.9)],
+        ("a", None, "Register", "m3", "svc0", 5.5, 5.6),
+        ("f", None, "FetchReq", "svc0", "svc2", 11.0, 11.2),
+        ("g", "f", "FetchResp", "svc2", "m1", 11.2, 12.9)],
         max_nodes=4)
     assert recorder.causal.first_drop_t == 11.2
     doc = recorder.to_doc()
     assert _truncation_flags(recorder) == [False, True]
     early, cut = critical_paths(doc)
-    assert early["chain"] == ["a:s", "a:r"]
+    assert early["chain"] == ["a.1.0:s", "a.1.0:r"]
     assert cut["chain"] == ["f.1.0:s", "f.1.0:r"] and not cut["truncated"]
     # the span-derived verdict figures do not move with it
     assert critpath_rollup(doc) == critpath_rollup(_recovery_doc() | {

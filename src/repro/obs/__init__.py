@@ -13,11 +13,12 @@ Three cooperating pieces, all pure functions of the simulated history
   log-bucketed histograms keyed by stable label strings (the
   ``hit_bucket`` idiom of :mod:`repro.analysis.coverage`);
 * :mod:`repro.obs.causal` — the causal message-tracing graph: every
-  minted wire message carries a deterministic ``(trace_id, parent)``
-  context, and the network's transmit choke point records the bounded
-  per-trial transmission table whose folds (totals, per-kind rollup,
-  per-epoch attribution and chain) ship in the document and feed
-  :mod:`repro.analysis.critpath`;
+  minted wire message carries an integer context (its mint's index;
+  site, instant and parent are recorded once per mint), and the
+  network's send loops append the bounded per-trial transmission table
+  — a row per copy, one recorder call per send — whose folds (totals,
+  per-kind rollup, per-epoch attribution and chain) ship in the
+  document and feed :mod:`repro.analysis.critpath`;
 * exporters — :mod:`repro.obs.chrometrace` (Chrome-trace / Perfetto
   JSON, one lane per host, plus critical-path flow events),
   :mod:`repro.obs.phases` (the per-epoch phase table behind ``python

@@ -121,7 +121,7 @@ class Obs:
         #: execution metadata (never read by deterministic exporters)
         self.exec_metrics = MetricsRegistry()
         #: causal message graph (see :mod:`repro.obs.causal`), fed by
-        #: the network transmit choke point
+        #: the network's send loops
         self.causal = CausalGraph()
         self._finalized = False
 

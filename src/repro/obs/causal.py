@@ -53,7 +53,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import chain, compress, repeat
-from operator import is_not, lt, sub
+from operator import ge, lt, sub
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: version of the ``obs`` wire document (4: folded causal section)
@@ -124,10 +124,11 @@ class _Sends:
     rows of a send share these, so the folds walk sends, not rows."""
 
     __slots__ = ("ctx", "kind", "t_send", "start", "end", "count",
-                 "parent", "kinds", "first", "linked", "unresolved")
+                 "parent", "kinds", "first", "t_recv", "linked",
+                 "unresolved")
 
     def __init__(self, graph: "CausalGraph"):
-        sends = graph.sends
+        sends, rows = graph.sends, len(graph.rows) // 3
         self.ctx = ctx = sends[0::4]
         self.t_send = sends[2::4]
         self.end = end = sends[3::4]
@@ -135,15 +136,19 @@ class _Sends:
         self.count = count = list(map(sub, end, start))
         self.kinds = kinds = _StringTable()
         self.kind = list(map(kinds.__getitem__, sends[1::4]))
-        #: context -> its first recorded row
-        self.first = first = dict(zip(reversed(ctx), reversed(start)))
+        self.t_recv = graph.rows[0::3]
+        #: per context, its first recorded row (``rows``: none); the
+        #: extra last entry is what "no cause" (-1) looks up
+        self.first = first = [rows] * (graph.minted + 1)
+        for c, row in zip(reversed(ctx), reversed(start)):
+            first[c] = row
         causes = list(map(graph.mints[2::3].__getitem__, ctx))
-        self.parent = list(map(first.get, causes, start))
+        self.parent = list(map(first.__getitem__, causes))
         #: rows with a parent link, and rows whose cause has no row
         #: before theirs
         self.linked = sum(compress(count, map(lt, self.parent, start)))
         self.unresolved = sum(compress(
-            count, map(is_not, causes, repeat(None)))) - self.linked
+            count, map(ge, causes, repeat(0)))) - self.linked
 
     def of(self, row: int) -> int:
         """The send ``row`` belongs to."""
@@ -174,7 +179,7 @@ class CausalGraph:
     Recording is extending three flat lists (flat, so a trial's
     thousands of records are no objects the cyclic GC walks):
     ``mints`` takes ``site, t, parent`` per context (``parent``: the
-    causing context, or None), ``rows`` takes ``t_recv, src_host,
+    causing context, or -1), ``rows`` takes ``t_recv, src_host,
     dst_host`` per recorded transmission (the network's send loops
     write them through :attr:`put`), and ``sends`` takes ``ctx, kind,
     t_send, end`` per send that recorded rows — its rows run from the
@@ -224,7 +229,7 @@ class CausalGraph:
             if self.first_drop_t is None:
                 self.first_drop_t = t_send
             self.dropped_nodes += 2 * sent
-            self._cap_edges += sent if self.mints[3 * ctx + 2] is None \
+            self._cap_edges += sent if self.mints[3 * ctx + 2] < 0 \
                 else 2 * sent
 
     def _sends(self) -> _Sends:
@@ -334,7 +339,8 @@ class CausalGraph:
         """``{kind: {count, seconds}}`` where ``seconds`` sums the
         in-flight time (receive minus send) of every recorded
         transmission of that kind, in row order."""
-        sends, t_recv = self._sends(), self.t_recv
+        sends = self._sends()
+        t_recv = sends.t_recv
         count = [0] * len(sends.kinds)
         seconds = [0.0] * len(sends.kinds)
         for k, sent, start, n in zip(sends.kind, sends.t_send,
@@ -363,11 +369,8 @@ class CausalGraph:
         if not windows:
             return []
         sends = self._sends()
-        t_send, t_recv = sends.t_send, self.t_recv
+        t_send, t_recv = sends.t_send, sends.t_recv
         category = [ATTRIBUTION.get(name, "other") for name in sends.kinds]
-        # rows by receive instant (the sort is stable: ties in row order)
-        recv_order = sorted(range(len(t_recv)), key=t_recv.__getitem__)
-        recv_times = [t_recv[row] for row in recv_order]
 
         folds: List[Dict[str, Any]] = []
         walks: List[List[Tuple[int, bool]]] = []
@@ -389,8 +392,11 @@ class CausalGraph:
             # a receive steps to its own send, a send to the receive
             # that caused it
             walk: List[Tuple[int, bool]] = []
-            last = bisect_right(recv_times, hi) - 1
-            row = recv_order[last] if last >= 0 else -1
+            # the walk starts at the latest receive up to ``hi`` (of
+            # equal ones, the latest row)
+            last = max(filter(hi.__ge__, t_recv), default=None)
+            row = -1 if last is None \
+                else len(t_recv) - 1 - t_recv[::-1].index(last)
             at_recv = True
             while row >= 0 and len(walk) < MAX_CHAIN:
                 send = sends.of(row)
@@ -448,7 +454,7 @@ def stamp(engine: Any, msg: Any, site: str,
         return
     mints = obs.causal.mints
     msg.__dict__[_CTX_ATTR] = len(mints) // 3
-    mints.extend((site, engine.now, parent))
+    mints.extend((site, engine.now, -1 if parent is None else parent))
 
 
 def derive(engine: Any, msg: Any, site: str, cause: Any) -> None:
@@ -458,7 +464,7 @@ def derive(engine: Any, msg: Any, site: str, cause: Any) -> None:
         return
     mints = obs.causal.mints
     msg.__dict__[_CTX_ATTR] = len(mints) // 3
-    mints.extend((site, engine.now, getattr(cause, _CTX_ATTR, None)))
+    mints.extend((site, engine.now, getattr(cause, _CTX_ATTR, -1)))
 
 
 def adopt(msg: Any, original: Any) -> None:

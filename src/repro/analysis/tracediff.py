@@ -12,12 +12,12 @@ partition — and prints what moved:
 * the **causal wire rollup** (transmission count and in-flight seconds
   per wire message kind).
 
-Input files are either full result documents (the wire format of
+Input files are result documents (the wire format of
 :mod:`repro.experiments.resultstore`, e.g. ``repro timeline
---obs-out``) or bare ``obs`` documents; trials with no recoveries —
-or with observation off — diff cleanly to empty sections rather than
-erroring.  Output is a pure function of the two documents: same
-inputs, same bytes.
+--obs-out`` or a cache entry) of the current format; trials with no
+recoveries — or with observation off — diff cleanly to empty sections
+rather than erroring.  Output is a pure function of the two
+documents: same inputs, same bytes.
 """
 
 from __future__ import annotations
@@ -26,34 +26,34 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.critpath import PHASES, critical_paths
-from repro.obs.causal import causal_kind_rollup, causal_section
+from repro.experiments.resultstore import (FORMAT_VERSION,
+                                           run_result_from_dict)
+from repro.obs.causal import causal_kind_rollup
 from repro.obs.spans import span_rollups
 
 
 def load_obs_doc(path: str) -> Tuple[Optional[Dict[str, Any]], str]:
-    """Read an ``obs`` document from a result file or a bare obs file.
+    """Read the ``obs`` document of a result document file.
 
-    Returns ``(obs_doc_or_None, description)``; raises ``ValueError``
-    for files that are neither, or whose obs document was recorded
-    under another layout version.
+    Returns ``(obs_doc_or_None, description)``; raises one
+    ``ValueError`` naming ``path`` for a file that cannot be read, is
+    not JSON, or is not a result document of :data:`FORMAT_VERSION`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: not a JSON object")
-    if "format" in doc:                     # full result document
-        verdict = doc.get("verdict") or {}
-        obs = doc.get("obs")
-        desc = (f"result format {doc['format']}, "
-                f"outcome {verdict.get('outcome', '?')}")
-    elif "spans" in doc:                    # bare obs document
-        obs = doc
-        desc = f"obs document version {doc.get('version', '?')}"
-    else:
-        raise ValueError(f"{path}: neither a result document (no "
-                         f"'format') nor an obs document (no 'spans')")
-    causal_section(obs, where=f"{path}: ")     # refuses another layout
-    return obs, desc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as err:
+        raise ValueError(f"{path}: {err.strerror}") from None
+    except ValueError as err:
+        raise ValueError(f"{path}: not JSON ({err})") from None
+    try:
+        result = run_result_from_dict(doc)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    except (KeyError, TypeError, AttributeError):
+        raise ValueError(f"{path}: not a result document") from None
+    return result.obs, (f"result format {FORMAT_VERSION}, "
+                        f"outcome {result.outcome.value}")
 
 
 def _fmt(v: Any) -> str:

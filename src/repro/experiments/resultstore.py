@@ -35,17 +35,13 @@ from repro.analysis.traces import Trace, TraceRecord
 from repro.mpichv.runtime import RunResult
 from repro.obs.spans import json_safe
 
-#: bump when the document layout changes; readers reject other versions
-FORMAT_VERSION = 10   # 10: ``causal`` section holds the recorder's
-#                       folds, not its table (obs version 4, see
-#                       repro.obs.causal).
-#                       Earlier formats: EXPERIMENTS.md, version history.
-#                       wall_seconds is deliberately NOT serialized:
-#                       wall clock is never deterministic, and the wire
-#                       document must stay bit-for-bit identical across
-#                       serial/pool/cache paths
-#                       (tests/test_network_partition.py) — wall-clock
-#                       numbers live in BENCH_*.json artifacts only.
+#: the one version of the result document: bump when its layout or
+#: the simulation's semantics change; readers reject other versions
+#: and the cache re-executes their entries.  No field carries wall
+#: clock, so the document is byte-identical however the trial ran.
+FORMAT_VERSION = 11   # 11: one version number, each number stated
+#                       once.  Earlier formats: EXPERIMENTS.md,
+#                       version history.
 
 
 def trace_to_dict(trace: Trace) -> Dict[str, Any]:
@@ -180,9 +176,6 @@ class ResultStore:
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             self.stale += 1
             return None
-
-    def put(self, key: str, result: RunResult) -> None:
-        self.put_dict(key, run_result_to_dict(result))
 
     def put_dict(self, key: str, doc: Dict[str, Any]) -> None:
         path = self.path_for(key)

@@ -3,9 +3,9 @@
 Every trial in a campaign is an independent, seed-deterministic
 simulation, so a figure's worth of repetitions is embarrassingly
 parallel: :class:`TrialRunner` fans trials out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` (``workers > 1``) or
-runs them in-process (``workers=1``, the default — byte-identical to
-the historical serial path; also any batch of one, whatever the width).
+:class:`~concurrent.futures.ProcessPoolExecutor`, or runs them
+in-process when the pool would be one worker wide (``workers=1``, the
+default, or a batch of one trial).
 
 **Determinism contract.**  A trial is fully determined by its
 ``(TrialSetup, seed)`` pair; seeds are derived *before* any scheduling
@@ -22,11 +22,12 @@ from the store and executes only the missing trials; a fully-cached
 re-run executes zero.  ``use_cache=False`` ignores the store entirely
 (neither reads nor writes).
 
-Workers ship results back in the JSON wire form (the live trace holds
-subscriber callables and cannot cross a process boundary), so results
-produced by a pool worker — like results loaded from the cache — carry
-a reconstructed :class:`~repro.analysis.traces.Trace` with identical
-counters and records but no listeners.
+Every result comes back through the JSON result document (the live
+trace holds subscriber callables and cannot cross a process boundary),
+whether it ran in-process, in a pool worker or was read from the
+cache: one path, so serial == pooled == cached holds by construction.
+Each carries a reconstructed :class:`~repro.analysis.traces.Trace`
+with the trial's counters and records but no listeners.
 """
 
 from __future__ import annotations
@@ -46,28 +47,17 @@ from repro.mpichv.runtime import RunResult
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.experiments.harness import TrialSetup
 
-#: bump to invalidate every existing cache entry (key derivation or
-#: simulation semantics changed).  A result *layout* change bumps only
-#: ``resultstore.FORMAT_VERSION``: the old entry under the same key
-#: reads as a stale miss and is overwritten.
-CACHE_VERSION = 9        # 9: causal event graph in the obs document
-#                          and critpath_segments on verdicts.  Earlier
-#                          versions: EXPERIMENTS.md, version history.
-
-
 def trial_key(setup: "TrialSetup", seed: int) -> str:
     """Stable cache key for one ``(setup, seed)`` trial.
 
     The key hashes the canonical JSON of every :class:`TrialSetup`
-    field plus the seed and :data:`CACHE_VERSION`, so any change to the
-    configuration — scale, scenario source, protocol, workload
-    calibration, ... — lands in a different cache slot.
+    field plus the seed, so any change to the configuration — scale,
+    scenario source, protocol, workload calibration, ... — lands in a
+    different cache slot.  It carries no version: a layout or
+    semantics change bumps ``resultstore.FORMAT_VERSION``, and the old
+    entry under the same key reads as a stale miss and is overwritten.
     """
-    doc = {
-        "version": CACHE_VERSION,
-        "seed": seed,
-        "setup": dataclasses.asdict(setup),
-    }
+    doc = {"seed": seed, "setup": dataclasses.asdict(setup)}
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"),
                            default=repr)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -93,8 +83,7 @@ class RunnerStats:
     The wall-clock series here are the runner's *self-profiling* — they
     describe this machine and this run, never the simulation, so they
     are printed in campaign summaries and written to ``BENCH_*.json``
-    artifacts but are deliberately absent from the deterministic result
-    wire format (the ``wall_seconds`` lesson: see resultstore).
+    artifacts and never enter the deterministic result document.
     """
 
     executed: int = 0
@@ -165,9 +154,9 @@ class RunnerStats:
 
 
 def _execute_trial_wire(setup: "TrialSetup", seed: int) -> Tuple[dict, float]:
-    """Pool worker entry point: run one trial, return its wire form
-    plus the worker-side wall seconds (self-profiling only — the wire
-    doc itself never carries wall clock)."""
+    """Run one trial, in-process or in a pool worker: its result
+    document plus the wall seconds it took (self-profiling only — the
+    document itself never carries wall clock)."""
     start = time.perf_counter()
     doc = run_result_to_dict(setup.run_one(seed))
     return doc, time.perf_counter() - start
@@ -176,12 +165,14 @@ def _execute_trial_wire(setup: "TrialSetup", seed: int) -> Tuple[dict, float]:
 class TrialRunner:
     """Executes batches of ``(TrialSetup, seed)`` trials.
 
+    Every executed trial returns through its result document, the
+    form the cache stores, so a result never depends on how it ran.
+
     Parameters
     ----------
     workers:
-        Process-pool width.  ``1`` (default) runs every trial
-        in-process, serially, preserving the pre-runner behaviour
-        exactly (live traces included).
+        Process-pool width.  A pool of one (``1``, the default, or a
+        batch with one pending trial) runs in-process instead.
     cache_dir:
         Root of the on-disk result store; ``None`` disables caching.
     use_cache:
@@ -226,43 +217,28 @@ class TrialRunner:
         if self.store is not None:
             self.stats.stale_entries = self.store.stale
 
-        if pending and self.workers == 1:
-            for i in pending:
-                setup, seed = jobs[i]
-                start = time.perf_counter()
-                result = setup.run_one(seed)
-                self.stats.note_executed(time.perf_counter() - start)
-                if self.store is not None:
-                    self.store.put(keys[i], result)
-                results[i] = result
-        elif pending:
-            self._run_pool(jobs, pending, keys, results)
-        self._maybe_export_trace(results)
-        self._maybe_export_obs_report(results)
-        return results  # type: ignore[return-value]  # every slot filled
-
-    def _run_pool(self, jobs, pending, keys, results) -> None:
         def finish(i: int, doc: dict, wall: float) -> None:
             self.stats.note_executed(wall)
             if self.store is not None:
                 self.store.put_dict(keys[i], doc)
             results[i] = run_result_from_dict(doc)
 
-        if len(pending) == 1:
-            # a pool for one job is start-up cost and nothing else
-            # (guided search, shrinking and corpus minimisation submit
-            # one candidate per batch): run what a worker would run,
-            # here, and take its result through the same wire form
-            (i,) = pending
-            finish(i, *_execute_trial_wire(*jobs[i]))
-            return
         width = min(self.workers, len(pending))
-        with ProcessPoolExecutor(max_workers=width) as pool:
-            futures = {
-                pool.submit(_execute_trial_wire, jobs[i][0], jobs[i][1]): i
-                for i in pending}
-            for future in as_completed(futures):
-                finish(futures[future], *future.result())
+        if width == 1:
+            # a pool of one is start-up cost and nothing else: run what
+            # a worker would run, here
+            for i in pending:
+                finish(i, *_execute_trial_wire(*jobs[i]))
+        elif width > 1:
+            with ProcessPoolExecutor(max_workers=width) as pool:
+                futures = {
+                    pool.submit(_execute_trial_wire, *jobs[i]): i
+                    for i in pending}
+                for future in as_completed(futures):
+                    finish(futures[future], *future.result())
+        self._maybe_export_trace(results)
+        self._maybe_export_obs_report(results)
+        return results  # type: ignore[return-value]  # every slot filled
 
     def _maybe_export_trace(self, results: Sequence[Optional[RunResult]]
                             ) -> None:

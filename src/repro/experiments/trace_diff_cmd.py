@@ -1,9 +1,8 @@
 """``python -m repro trace-diff`` — align two trials' observability.
 
-Takes two JSON files — full result documents (``repro timeline
---obs-out``) or bare ``obs`` documents — and prints the deterministic
-delta table: span rollups, epoch-aligned recovery critical paths, and
-the causal wire rollup.  See :mod:`repro.analysis.tracediff`.
+Takes two result documents (``repro timeline --obs-out``, or cache
+entries) and prints the deterministic delta table: span rollups,
+epoch-aligned recovery critical paths, and the causal wire rollup.  See :mod:`repro.analysis.tracediff`.
 
 Example::
 
@@ -22,8 +21,8 @@ from repro.analysis.tracediff import load_obs_doc, trace_diff_text
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("a", help="first trial (result or obs JSON)")
-    parser.add_argument("b", help="second trial (result or obs JSON)")
+    parser.add_argument("a", help="first trial (result document JSON)")
+    parser.add_argument("b", help="second trial (result document JSON)")
     parser.add_argument("--label-a", default=None,
                         help="display label for the first trial "
                              "(default: its file name)")

@@ -24,7 +24,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.harness import TrialSetup
@@ -40,6 +40,7 @@ from repro.explore.mutate import mutate
 from repro.explore.oracles import (OracleReport, coverage_labels,
                                    failed_names, run_oracles)
 from repro.mpichv import protocols
+from repro.mpichv.config import VclConfig
 from repro.mpichv.runtime import RunResult
 from repro.workloads import available_workloads
 
@@ -770,6 +771,9 @@ def _parse_override(text: str) -> Tuple[str, object]:
     if not _:
         raise argparse.ArgumentTypeError(
             f"override {text!r} is not of the form key=value")
+    if key not in {f.name for f in fields(VclConfig) if f.init}:
+        raise argparse.ArgumentTypeError(
+            f"override key {key!r} is not a VclConfig field")
     value: object
     lowered = raw.lower()
     if lowered in ("true", "false"):

@@ -13,7 +13,6 @@ compute machines).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -62,15 +61,9 @@ class RunResult:
     #: plus hit-bucketed trace counters, folded into a fixed-width
     #: bitmap.  Empty string on legacy results.
     coverage: str = ""
-    #: host wall-clock seconds spent inside the engine run (execution
-    #: metadata — varies by machine and mode, not by simulation; live
-    #: results only, never serialized to the result cache: a result
-    #: loaded from the store or a pool worker reads 0.0)
-    wall_seconds: float = 0.0
     #: the compact observability document (see :mod:`repro.obs`):
-    #: span rows, the metrics registry and the ``exec`` execution-
-    #: metadata section.  ``None`` when the trial ran with
-    #: ``observe=False``.  Everything outside ``exec`` is a pure
+    #: span rows, the metrics registry and the causal folds.  ``None``
+    #: when the trial ran with ``observe=False``.  All of it is a pure
     #: function of the simulated history — serialized, cached, and
     #: byte-compared across serial/pooled/cached execution.
     obs: Optional[Dict[str, Any]] = None
@@ -210,7 +203,6 @@ class VclRuntime:
         # ``TrialSetup.run_one`` holds an outer pause until the
         # deployment is dropped, a caller that keeps the runtime gets
         # the collector back here).
-        wall_start = time.perf_counter()
         try:
             with gc_paused():
                 self.engine.run(until=timeout)
@@ -220,7 +212,6 @@ class VclRuntime:
             # are not ours to drop; dispose() clears those.
             self.trace.unsubscribe(_stop_on_done)
             self.trace.unsubscribe(_capture)
-        wall_seconds = time.perf_counter() - wall_start
         # A crashed simulated thread usually shows up only as the
         # timeout it causes; name it in the trace so the timeline and
         # the verdict's reason do.
@@ -249,7 +240,7 @@ class VclRuntime:
             ckpt_state = proc.tags.get("ckpt_state")
             shard_bytes.append(int(ckpt_state.bytes_ingested)
                                if ckpt_state is not None else 0)
-        obs_doc = self._finalize_obs(disp, sched, network, shard_bytes)
+        obs_doc = self._finalize_obs()
         verdict = classify_run(self.trace, timeout, obs=obs_doc)
         return RunResult(
             verdict=verdict,
@@ -268,35 +259,20 @@ class VclRuntime:
             net_hotspot_bytes=hotspot_bytes,
             ckpt_shard_bytes=shard_bytes,
             coverage=coverage,
-            wall_seconds=wall_seconds,
             obs=obs_doc,
         )
 
-    def _finalize_obs(self, disp, sched, network,
-                      shard_bytes: List[int]) -> Optional[Dict[str, Any]]:
+    def _finalize_obs(self) -> Optional[Dict[str, Any]]:
         """Fold end-of-run state into the recorder and freeze the doc.
 
-        Simulation-determined quantities (dispatcher / scheduler /
-        channel-memory counters, fabric traffic, per-shard checkpoint
-        ingest) go into :attr:`Obs.metrics` and ship with the result;
-        execution metadata (payload and slot dispatch totals) goes
-        into the ``exec`` section, which deterministic exporters never
-        read.
+        The channel-memory counters go into :attr:`Obs.metrics`; the
+        dispatcher, scheduler, fabric and checkpoint-ingest totals are
+        flat fields of the result and are not restated there.
         """
         obs = self.obs
         if obs is None:
             return None
         m = obs.metrics
-        if disp is not None:
-            m.gauge("disp.restarts", disp.restarts)
-            m.gauge("disp.failures_detected", disp.failures_detected)
-            m.gauge("disp.bug_events", disp.bug_events)
-        if sched is not None:
-            m.gauge("sched.waves_committed", sched.waves_committed)
-        m.gauge("net.bytes", network.bytes_sent)
-        m.gauge("net.messages", network.messages_sent)
-        for shard, nbytes in enumerate(shard_bytes):
-            m.gauge(f"ckptsrv.{shard}.bytes_ingested", nbytes)
         cm_items = sorted(
             (name, proc) for name, proc in self.service_procs.items()
             if name.startswith("channelmemory."))
@@ -309,18 +285,6 @@ class VclRuntime:
             m.gauge(f"{prefix}.duplicates", cm.duplicates)
             m.gauge(f"{prefix}.forwarded", cm.forwarded)
             m.gauge(f"{prefix}.pruned", cm.pruned)
-        x = obs.exec_metrics
-        x.gauge("engine.events_processed", self.engine.events_processed)
-        x.gauge("engine.slots_drained", self.engine.slots_drained)
-        # events_processed counts payloads, and one batch carries many
-        # same-instant arrivals and calls
-        x.gauge("engine.batches", self.engine.batches)
-        if self.engine.slots_drained:
-            # mean events dispatched per slot visit — the slot-table
-            # occupancy, i.e. how much batching the slotted heap buys
-            x.gauge("engine.slot_occupancy",
-                    round(self.engine.events_processed
-                          / self.engine.slots_drained, 6))
         obs.finalize(self.engine.now)
         return obs.to_doc()
 

@@ -26,11 +26,11 @@ Three cooperating pieces, all pure functions of the simulated history
   campaign-level OpenMetrics + HTML rollup).
 
 The wire form is the compact ``obs`` document on
-:class:`repro.mpichv.runtime.RunResult`: span rows plus the metrics
-registry, identical byte-for-byte across serial / pooled / cached
-execution.  Execution metadata (payloads processed, slot occupancy —
-how the engine ran, not what it simulated) lives in a separate
-``exec`` section that the deterministic exporters never read.
+:class:`repro.mpichv.runtime.RunResult`: span rows, the metrics
+registry and the causal folds, identical byte-for-byte across serial /
+pooled / cached execution.  It rides in the result document and shares
+that document's one version number
+(:data:`repro.experiments.resultstore.FORMAT_VERSION`).
 """
 
 from repro.obs.metrics import MetricsRegistry

@@ -56,9 +56,6 @@ from itertools import chain, compress, repeat
 from operator import ge, lt, sub
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-#: version of the ``obs`` wire document (4: folded causal section)
-OBS_VERSION = 4
-
 #: hard cap on recorded causal nodes per trial (mirrors ``MAX_SPANS``)
 MAX_CAUSAL_NODES = 50000
 
@@ -482,15 +479,10 @@ def adopt(msg: Any, original: Any) -> None:
 
 # -- reading the document ---------------------------------------------------
 
-def causal_section(obs_doc: Optional[Dict[str, Any]],
-                   where: str = "") -> Dict[str, Any]:
+def causal_section(obs_doc: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     """The ``causal`` section of an obs document ({} when there is
-    none); ``ValueError`` if it was recorded under another layout."""
-    causal = (obs_doc or {}).get("causal") or {}
-    if causal and obs_doc.get("version") != OBS_VERSION:
-        raise ValueError(f"{where}obs document version "
-                         f"{obs_doc.get('version')}, expected {OBS_VERSION}")
-    return causal
+    none)."""
+    return (obs_doc or {}).get("causal") or {}
 
 
 def causal_totals(obs_doc: Optional[Dict[str, Any]]) -> Dict[str, int]:

@@ -15,19 +15,15 @@ digest matrix (``tests/test_golden_digests.py``) and the byte
 equality of serial / pooled / cached results are unaffected by turning
 observation on or off.
 
-The recorder keeps two registries: :attr:`Obs.metrics` for quantities
-that are pure functions of the simulation (exported, cached,
-byte-compared) and :attr:`Obs.exec_metrics` for execution metadata —
-payloads processed, slot occupancy — which describes how the engine ran,
-not what it simulated, and therefore never feeds the deterministic
-exporters.
+The recorder's :attr:`Obs.metrics` registry holds quantities that are
+pure functions of the simulation (exported, cached, byte-compared).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.obs.causal import OBS_VERSION, CausalGraph
+from repro.obs.causal import CausalGraph
 from repro.obs.metrics import MetricsRegistry
 
 #: indices into a span row ``[t0, t1, kind, lane, fields]``
@@ -105,7 +101,8 @@ NULL_SPAN = _NullSpan()
 
 
 class Obs:
-    """Per-trial recorder: the span list plus the two registries."""
+    """Per-trial recorder: the span list, the metrics registry and the
+    causal graph."""
 
     def __init__(self, engine=None, max_spans: int = MAX_SPANS):
         self.engine = engine
@@ -118,8 +115,6 @@ class Obs:
         self.truncated_spans = 0
         #: simulation-deterministic metrics (exported, cached)
         self.metrics = MetricsRegistry()
-        #: execution metadata (never read by deterministic exporters)
-        self.exec_metrics = MetricsRegistry()
         #: causal message graph (see :mod:`repro.obs.causal`), fed by
         #: the network's send loops
         self.causal = CausalGraph()
@@ -226,12 +221,10 @@ class Obs:
         windows = [recovery_window(prow)
                    for prow in epoch_phase_table({"spans": spans})]
         return {
-            "version": OBS_VERSION,
             "spans": spans,
             "dropped_spans": self.dropped_spans,
             "truncated_spans": self.truncated_spans,
             "metrics": self.metrics.to_doc(),
-            "exec": self.exec_metrics.to_doc(),
             "causal": self.causal.to_doc(windows),
         }
 

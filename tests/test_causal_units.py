@@ -12,14 +12,14 @@ from repro.analysis.critpath import (critical_paths, critpath_rollup,
 from repro.analysis.tracediff import trace_diff_text
 from repro.analysis.traces import Trace
 from repro.obs import Obs
-from repro.obs.causal import (MAX_CAUSAL_NODES, MAX_CHAIN, OBS_VERSION,
-                              CausalGraph, adopt, causal_kind_rollup,
-                              causal_totals, ctx_of, derive, stamp)
+from repro.obs.causal import (MAX_CAUSAL_NODES, MAX_CHAIN, CausalGraph,
+                              adopt, causal_kind_rollup, causal_totals,
+                              ctx_of, derive, stamp)
 from repro.obs.phases import epoch_phase_table, recovery_window
 from repro.obs.report import aggregate_obs, html_report, openmetrics_text
 from repro.simkernel.engine import Engine
 from tests.causal_view import (E_TYPE, N_ID, Msg, assert_folds_equal_reference,
-                               columns_doc, columns_of, graph_view, mint, send)
+                               columns_of, graph_view, mint, send)
 
 
 # ---------------------------------------------------------------------------
@@ -212,30 +212,34 @@ def test_causal_kind_rollup():
 
 def test_old_layout_document_is_refused_by_name(tmp_path, monkeypatch,
                                                 capsys):
-    """A version-3 document (the columns where the folds now are) fails
-    every reader with one message naming both versions, not a KeyError
-    in a lookup."""
+    """trace-diff refuses what is not a result document of this format
+    — a format-10 document, a bare obs document, a missing or non-JSON
+    file — at the boundary, with one line naming the file and no
+    traceback."""
     from repro.analysis.tracediff import load_obs_doc
     from repro.experiments import trace_diff_cmd
-    recorder = _recovery_recorder()
-    old = {**columns_doc(recorder.to_doc(), recorder.causal), "version": 3}
-    message = "obs document version 3, expected 4"
-    for reader in (critical_paths, causal_kind_rollup, causal_totals,
-                   lambda doc: aggregate_obs([doc])):
-        with pytest.raises(ValueError, match=message):
-            reader(old)
-    bare, result = tmp_path / "obs.json", tmp_path / "result.json"
-    bare.write_text(json.dumps(old))
-    result.write_text(json.dumps({"format": 9, "obs": old}))
-    for path in (bare, result):
-        with pytest.raises(ValueError, match=f"{path.name}: {message}"):
+    from repro.experiments.resultstore import FORMAT_VERSION
+    obs = _recovery_doc()
+    old, bare = tmp_path / "result.json", tmp_path / "obs.json"
+    missing, garbage = tmp_path / "missing.json", tmp_path / "garbage.json"
+    old.write_text(json.dumps({"format": 10, "obs": obs}))
+    bare.write_text(json.dumps(obs))
+    garbage.write_text("not json")
+    expected = f"(expected {FORMAT_VERSION})"
+    cases = {old: f"unsupported result format 10 {expected}",
+             bare: f"unsupported result format None {expected}",
+             missing: "No such file or directory",
+             garbage: "not JSON (Expecting value: line 1 column 1 (char 0))"}
+    for path, message in cases.items():
+        with pytest.raises(ValueError) as err:
             load_obs_doc(str(path))
-    # the CLI: one line on stderr and a non-zero exit, no traceback
-    monkeypatch.setattr("sys.argv", ["trace-diff", str(bare), str(bare)])
-    with pytest.raises(SystemExit) as exit_info:
-        trace_diff_cmd.main()
-    assert exit_info.value.code == f"trace-diff: {bare}: {message}"
-    assert capsys.readouterr().out == ""
+        assert str(err.value) == f"{path}: {message}"
+        # the CLI: one line on stderr and a non-zero exit
+        monkeypatch.setattr("sys.argv", ["trace-diff", str(path), str(path)])
+        with pytest.raises(SystemExit) as exit_info:
+            trace_diff_cmd.main()
+        assert exit_info.value.code == f"trace-diff: {path}: {message}"
+        assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -368,11 +372,9 @@ def test_window_past_the_first_drop_is_causal_truncated():
 
 
 def test_zero_recovery_is_safe_everywhere():
-    empty = {"version": OBS_VERSION, "spans": [], "dropped_spans": 0,
-             "truncated_spans": 0,
+    empty = {"spans": [], "dropped_spans": 0, "truncated_spans": 0,
              "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
-             "causal": CausalGraph().to_doc(),
-             "exec": {}}
+             "causal": CausalGraph().to_doc()}
     assert critical_paths(empty) == []
     assert critpath_rollup(empty) == {}
     assert "no recovery" in render_critical_paths(empty)

@@ -420,3 +420,19 @@ def test_explore_command_registered():
     from repro.__main__ import COMMANDS
     assert "explore" in COMMANDS
     assert COMMANDS["explore"][0] == "repro.explore.campaign"
+
+
+@pytest.mark.parametrize("text, key", [("bogus=1", "'bogus'"), ("=5", "''")])
+def test_override_of_an_unknown_key_is_a_usage_error(text, key, monkeypatch,
+                                                     capsys):
+    """An --override key that is not a VclConfig field stops the parser
+    with one line naming it, before any trial runs."""
+    from repro.explore import campaign
+    monkeypatch.setattr("sys.argv", ["explore", "--override", text,
+                                     "--workers", "2"])
+    with pytest.raises(SystemExit) as exit_info:
+        campaign.main()
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(
+        f"override key {key} is not a VclConfig field")

@@ -138,14 +138,14 @@ def test_faulted_trial_matches_reference_digest():
 
 
 # ---------------------------------------------------------------------------
-# cache keys: the literal was recorded under CACHE_VERSION 9, so an edit
-# to TrialSetup or trial_key that moves every existing cache entry
-# without bumping the version fails here
+# cache keys: the key hashes the setup and the seed only, so an edit to
+# TrialSetup or trial_key that moves every existing cache entry fails
+# here, and a result-format bump leaves it where it is
 # ---------------------------------------------------------------------------
 
 def test_trial_key_is_the_recorded_hex():
     assert trial_key(_setup("vcl", 1, "uniform"), 7) == \
-        "ff6b0836665bd535cb0f8746dabd440a79af454651b7e7afbe6e28430d694a20"
+        "b83286e377d9de2a4dce8c38ee5b90da7d519e790210ce43a63a5fd57030147a"
 
 
 def test_trial_key_still_separates_real_configuration():
@@ -156,3 +156,13 @@ def test_trial_key_still_separates_real_configuration():
     assert trial_key(dataclasses.replace(setup, niters=41), 7) != key
     assert trial_key(_setup("vcl", 1, "twotier"), 7) != key
     assert trial_key(_setup("vcl", 4, "uniform"), 7) != key
+
+
+def test_trial_key_does_not_move_with_the_result_format(monkeypatch):
+    """A format bump re-executes an entry as a counted stale miss under
+    the same key; it must not move the key itself."""
+    from repro.experiments import resultstore
+    key = trial_key(_setup("vcl", 1, "uniform"), 7)
+    monkeypatch.setattr(resultstore, "FORMAT_VERSION",
+                        resultstore.FORMAT_VERSION + 1)
+    assert trial_key(_setup("vcl", 1, "uniform"), 7) == key

@@ -72,7 +72,7 @@ def observed(recorded):
 def test_span_nesting_well_formed(observed, protocol):
     result = observed[protocol]
     obs = result.obs
-    assert obs is not None and obs["version"] == 4
+    assert obs is not None and "version" not in obs
     spans = obs["spans"]
     assert spans and obs["dropped_spans"] == 0
     for row in spans:
@@ -336,10 +336,8 @@ def test_cached_document_byte_budget_at_64_ranks(tmp_path):
 # ---------------------------------------------------------------------------
 
 def _document_digest(result):
-    """sha256 of a trial's result document without ``obs.exec`` (host
-    timings, the one section that legitimately varies)."""
+    """sha256 of a trial's result document."""
     doc = run_result_to_dict(result)
-    doc["obs"] = {k: v for k, v in doc["obs"].items() if k != "exec"}
     return hashlib.sha256(json.dumps(doc).encode("utf-8")).hexdigest()
 
 
@@ -358,23 +356,23 @@ def _bt16(protocol):
 #: past the causal cap).
 DOCUMENT_DIGESTS = {
     ("ring4", "v1"):
-        "02c8b10da998a2922bfaeee8e030d144bb52373fa6fcc0effac37e8726619dc1",
+        "aca1abfa950eb7b50307f1f5b13de522a3996bed50667589ba60d8b5b30c24dc",
     ("ring4", "v2"):
-        "0e7230ec431e2b77b979047065208b8f9b790bd43f8d469a3145caa6175fe796",
+        "dfce1e3c3e6639cd955fd1a2900efb795dbb29006b02be50224789184b7484b3",
     ("ring4", "vcl"):
-        "14540d9bccd7a81501ea07edeeffe9def5e9b1ad1ebb8065e7cc921738f96dd3",
+        "7c32982eec6dff54d417e399bb7f7635369fde305b3527883743ef9c94f544b9",
     ("ring64", "v1"):
-        "eb34886797a6225a293446fc13f282fc4e9d2f792896435b486a1a87efcaad43",
+        "8856954711cabf4a1a11cb195fe2d4d1fdebba5622f7026be832a62a7714e4bb",
     ("ring64", "v2"):
-        "8352bad8a4ac6c0072c158a5ac691067031efd8b61b61bed7edd546be9c345a2",
+        "a581d51dcf6ce47d57be9e2bfc1f0a93dad1b1476a00f4ee40ddbe0ba8a21fb8",
     ("ring64", "vcl"):
-        "49612ff403a3ce656f89b39985bb8dfe28f83a2612defa8f190b842cd9d36f4a",
+        "519d404a13eb77a87f68410379b4eb7dfc508d74e37202cc364eae0be7bc6122",
     ("bt16", "v1"):
-        "ad9c5838925b0429cbb578d1db83e58a6ccda9a1272994bc132b94ff63e478e0",
+        "a3d13242a2d077c41c0a50e7b93778e20cde6d22f9915dee932a379929910f5c",
     ("bt16", "v2"):
-        "fceafe2b351a4605288b7eb30ecbfaf0dae7b28b4016d4ad751e9de0d9db7033",
+        "cc70713770188ddbd52c0dda2df54513db87795004bd95aba9c6937c8a85bdc0",
     ("bt16", "vcl"):
-        "2547fda90016ad85fa0ac507eaba15459cf70b231c9ed72311f6db45873dfa9e",
+        "70b823995c1438ad0e545b85a4364d0a1e9f3cd66e8b6134e9866a10015c957d",
 }
 
 
@@ -415,8 +413,9 @@ def test_verdict_identical_with_observation_off(observed, protocol):
 
 @pytest.mark.slow
 def test_chrome_trace_byte_identical_across_paths(tmp_path):
-    """Serial, pooled and cold/warm cache must all produce
-    byte-identical Chrome-trace JSON for the same trials."""
+    """Serial, pooled and cold/warm cache must all produce the same
+    result documents, and so byte-identical Chrome-trace JSON, for
+    the same trials."""
     jobs = [(_setup(protocol), 7) for protocol in PROTOCOLS]
 
     batches = {
@@ -429,11 +428,13 @@ def test_chrome_trace_byte_identical_across_paths(tmp_path):
     }
     reference = [chrome_trace_json(r.obs) for r in batches["serial"]]
     causal = [r.obs["causal"] for r in batches["serial"]]
+    documents = [run_result_to_dict(r) for r in batches["serial"]]
     assert all(json.loads(blob)["traceEvents"] for blob in reference)
     for name, results in batches.items():
         blobs = [chrome_trace_json(r.obs) for r in results]
         assert blobs == reference, f"{name} diverged from serial"
         assert [r.obs["causal"] for r in results] == causal, name
+        assert [run_result_to_dict(r) for r in results] == documents, name
 
 
 def test_trace_out_exports_first_faulted_trial(tmp_path):

@@ -913,11 +913,16 @@ class Mesh(CallbackThread):
     def send_all(self, rows: Iterable[int], msg: Any,
                  size: Optional[int] = None) -> None:
         """:meth:`Network.send_all` over ``rows``: an arrival per row
-        whose far end still reads and is reachable."""
-        if self.closed:
+        whose far end still reads and is reachable.  ``msg`` is one
+        message for every row (a flood), or a list of one per row, all
+        of one kind and size (a note per peer): each of those is a send
+        of its own context, closed as its row goes out."""
+        each = type(msg) is list
+        if self.closed or (each and not msg):
             return
         network = self.network
-        size, now, earliest, ctx, cut = network._wire(msg, size)
+        size, now, earliest, ctx, cut = network._wire(
+            msg[0] if each else msg, size)
         causal = put = None
         if ctx is not None:
             causal = network.engine.obs.causal
@@ -925,10 +930,14 @@ class Mesh(CallbackThread):
         schedule = network.engine._schedule
         host, me, far_of, frow, pipe = (self.host, self.rank, self.far,
                                         self.frow, self.pipe)
+        ones = iter(msg) if each else None
+        one = msg
         item = (me, msg)
         sent = 0
         last = batch = None
         for row in rows:
+            if each:
+                one = next(ones)
             far = far_of[row]
             if far is None or far.closed:
                 continue        # packets to a dead endpoint vanish
@@ -946,12 +955,15 @@ class Mesh(CallbackThread):
                 put((arrival, host, far.host))
             fr = frow[row]
             far.inflight[fr] += 1
-            landing = item if fr == me else (fr, msg)
+            landing = item if fr == me and not each else (fr, one)
             if arrival == last:     # that arrival's batch still ends the slot
                 batch.items.append((far, landing))
             else:
                 batch, last = schedule(arrival - now, far, landing), arrival
-        if causal is not None:
+            if each and causal is not None:
+                causal.on_send(one._causal_ctx, type(one).__name__, now, 1)
+                put = causal.put        # None once that send hit the cap
+        if causal is not None and not each:
             causal.on_send(ctx, type(msg).__name__, now, sent)
         network.messages_sent += sent
         network.bytes_sent += sent * size

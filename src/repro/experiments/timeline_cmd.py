@@ -30,12 +30,25 @@ from repro.explore.generators import (Heal, Step, TimedKill, TimedPartition,
 from repro.mpichv import protocols
 from repro.obs import (epoch_phase_table, render_phase_table, span_rollups,
                        write_chrome_trace)
+from repro.workloads import available_workloads
+
+
+def _time(at: str) -> int:
+    if int(at) < 0:
+        raise argparse.ArgumentTypeError(f"time {at} is negative")
+    return int(at)
+
+
+def _positive(value: str) -> int:
+    if int(value) < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive count")
+    return int(value)
 
 
 def _parse_kill(spec: str) -> TimedKill:
     """``T`` or ``T:IDX`` — kill machine IDX (default 0) at t=T."""
     at, _, target = spec.partition(":")
-    return TimedKill(at=int(at), target=int(target) if target else 0)
+    return TimedKill(at=_time(at), target=int(target) if target else 0)
 
 
 def _parse_partition(spec: str) -> TimedPartition:
@@ -44,7 +57,7 @@ def _parse_partition(spec: str) -> TimedPartition:
     if not targets:
         raise argparse.ArgumentTypeError(
             f"partition spec {spec!r} needs targets, e.g. 60:1,2")
-    return TimedPartition(at=int(at),
+    return TimedPartition(at=_time(at),
                           targets=tuple(int(x) for x in targets.split(",")))
 
 
@@ -63,9 +76,10 @@ def main() -> None:
     parser.add_argument("--protocol", default="vcl",
                         choices=list(protocols.available()),
                         help="fault-tolerance protocol (default: vcl)")
-    parser.add_argument("--procs", type=int, default=8, metavar="N",
+    parser.add_argument("--procs", type=_positive, default=8, metavar="N",
                         help="MPI processes (default: 8)")
     parser.add_argument("--workload", default="ring",
+                        choices=available_workloads(),
                         help="registered workload (default: ring)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--timeout", type=float, default=600.0,
@@ -92,10 +106,19 @@ def main() -> None:
                              "(verdict + obs, the wire format) to FILE — "
                              "feed two of these to `repro trace-diff`")
     args = parser.parse_args()
+    machines = args.procs + 4
+    for option, steps in (("--kill", args.kill),
+                          ("--partition", args.partition)):
+        for step in steps:
+            for idx in getattr(step, "targets", None) or (step.target,):
+                if not 0 <= idx < machines:
+                    parser.error(f"argument {option}: machine {idx} is not "
+                                 f"in 0..{machines - 1} ({args.procs} "
+                                 f"procs run on {machines} machines)")
 
     plan = build_plan(args.kill, args.partition, args.heal_after)
     setup = TrialSetup(
-        n_procs=args.procs, n_machines=args.procs + 4,
+        n_procs=args.procs, n_machines=machines,
         protocol=args.protocol, workload=args.workload,
         timeout=args.timeout, keep_trace=True,
         scenario_source=render_plan(plan) if plan else None,

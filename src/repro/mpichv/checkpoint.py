@@ -1,9 +1,9 @@
 """Checkpoint images and node-local checkpoint storage.
 
 Stands in for BLCR/Condor/libckpt (paper §3): an image captures the
-whole MPI process state — for our restartable applications that is the
-deep-copied ``state`` dict — plus the Chandy-Lamport channel state
-(the logged in-transit messages).
+whole MPI process state — for our restartable applications that is a
+:func:`snapshot` of the ``state`` dict — plus the Chandy-Lamport
+channel state (the logged in-transit messages).
 
 Node-local storage models the local disk the forked clone writes to:
 it *survives process death* (it lives on the Node, not the process),
@@ -14,10 +14,40 @@ restart from the local checkpoint stored on the disk if it exists").
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 from repro.mpi.message import AppMessage
+
+#: shared, never copied: immutable values and the frozen message
+_ATOMS = frozenset((int, float, str, bool, type(None), AppMessage))
+
+
+def snapshot(state: Any) -> Any:
+    """A copy of ``state`` that nothing later done to ``state`` changes.
+
+    Contract: the state is a tree (no container reachable twice) and no
+    message payload is mutated, as in every registered workload.  Dicts
+    and lists are copied, only their containers recursed into; atoms
+    (numbers, strings, None, tuples of atoms, :class:`AppMessage`) are
+    shared; any other type falls back to :func:`copy.deepcopy`.
+    """
+    cls = type(state)
+    if cls is dict:
+        out = state.copy()
+        for key, value in out.items():
+            if type(value) not in _ATOMS:
+                out[key] = snapshot(value)
+        return out
+    if cls is list:
+        return [v if type(v) in _ATOMS else snapshot(v) for v in state]
+    if cls in _ATOMS:
+        return state
+    if cls is tuple:
+        parts = tuple(map(snapshot, state))
+        return state if all(map(operator.is_, parts, state)) else parts
+    return copy.deepcopy(state)
 
 
 @dataclass
@@ -32,15 +62,8 @@ class CheckpointImage:
     complete: bool = False      # logging finished (all peer markers seen)
 
     def snapshot_of(self) -> "CheckpointImage":
-        """An independent deep copy (what a fork would capture)."""
-        return CheckpointImage(
-            rank=self.rank,
-            wave=self.wave,
-            state=copy.deepcopy(self.state),
-            logs=list(self.logs),
-            img_size=self.img_size,
-            complete=self.complete,
-        )
+        """An independent copy (what a fork would capture)."""
+        return replace(self, state=snapshot(self.state), logs=list(self.logs))
 
 
 class LocalCkptStore:

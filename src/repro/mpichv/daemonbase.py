@@ -26,7 +26,6 @@ order is acknowledged by socket closure *after* the
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Callable, Iterable, Optional
 
 from repro.analysis.coverage import hit_bucket
@@ -35,7 +34,7 @@ from repro.cluster.unixproc import UnixProcess
 from repro.mpi.endpoint import LocalDelivery, MpiEndpoint
 from repro.mpi.message import AppMessage
 from repro.mpichv import shardmap, wire
-from repro.mpichv.checkpoint import CheckpointImage, node_local_store
+from repro.mpichv.checkpoint import CheckpointImage, node_local_store, snapshot
 from repro.obs import causal
 from repro.simkernel.store import StoreClosed
 
@@ -234,7 +233,7 @@ class MpichDaemon:
         wave = self.ckpt_counter
         img = CheckpointImage(
             rank=self.rank, wave=wave,
-            state=copy.deepcopy(self.app_state),
+            state=snapshot(self.app_state),
             logs=[], img_size=int(self.config.image_size), complete=True)
         span = self.engine.span("transfer", lane=self.proc.node.name,
                                 rank=self.rank, wave=wave,
@@ -279,7 +278,7 @@ class MpichDaemon:
                 return          # nothing stored: fresh start
             self.engine.cover("daemon.restore.remote")
             img = CheckpointImage(rank=self.rank, wave=resp.wave,
-                                  state=copy.deepcopy(resp.state),
+                                  state=snapshot(resp.state),
                                   logs=[], img_size=resp.img_size)
         self.app_state = img.state
         self.init_state_keys()

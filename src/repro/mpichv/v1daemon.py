@@ -25,7 +25,8 @@ deduplicated at the destination CMs.
 
 Bookkeeping lives in the application state dict (``_v1_delivered``,
 ``_v1_sent``), updated in the same atomic step as the delivery/send it
-describes, so every snapshot is internally consistent.
+describes, so every snapshot is internally consistent.  ``_v1_sent``
+is sparse (an absent destination reads 0): an image copies only those sent to.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.mpichv.daemonbase import MpichDaemon, daemon_lifecycle
 from repro.obs import causal
 
 DELIVERED = "_v1_delivered"      # position in the home CM's delivery order
-SENT = "_v1_sent"                # dst -> last channel sequence number sent
+SENT = "_v1_sent"                # dst -> last channel seq sent (sparse)
 
 
 def home_cm(rank: int, n_channel_memories: int) -> int:
@@ -53,7 +54,7 @@ class V1Daemon(MpichDaemon):
 
     def init_state_keys(self) -> None:
         self.app_state.setdefault(DELIVERED, 0)
-        self.app_state.setdefault(SENT, {r: 0 for r in range(self.n)})
+        self.app_state.setdefault(SENT, {})
 
     def init_protocol(self) -> None:
         ncm = self.config.n_channel_memories
@@ -69,8 +70,7 @@ class V1Daemon(MpichDaemon):
             self.delivery.deliver(msg)
             return
         sent = self.app_state[SENT]
-        seq = sent[msg.dst] + 1
-        sent[msg.dst] = seq
+        seq = sent[msg.dst] = sent.get(msg.dst, 0) + 1
         sock = self.cm_socks[home_cm(msg.dst, len(self.cm_socks))]
         if sock is not None and not sock.closed:
             put = wire.CMPut(src=self.rank, dst=msg.dst, seq=seq, app=msg)

@@ -28,7 +28,8 @@ trade per-message latency for immunity to exactly this.)
 Checkpoint-safety bookkeeping lives inside the application state dict
 (``_v2_delivered``, ``_v2_sent``, ``_v2_pos``), written by the daemon
 in the same atomic step as the delivery/send it describes, so every
-snapshot is internally consistent.
+snapshot is internally consistent.  The per-peer counters are sparse
+(an absent peer reads 0): an image copies only the peers touched.
 
 The generic daemon lifecycle lives in :mod:`repro.mpichv.daemonbase`;
 this module contains only the message-logging protocol logic.
@@ -57,8 +58,8 @@ class V2Daemon(MpichDaemon):
     hello_cls = wire.V2Hello
 
     def init_state_keys(self) -> None:
-        self.app_state.setdefault(DELIVERED, {r: 0 for r in range(self.n)})
-        self.app_state.setdefault(SENT, {r: 0 for r in range(self.n)})
+        self.app_state.setdefault(DELIVERED, {})
+        self.app_state.setdefault(SENT, {})
         self.app_state.setdefault(POS, 0)
 
     def init_protocol(self) -> None:
@@ -100,8 +101,7 @@ class V2Daemon(MpichDaemon):
             self.delivery.deliver(msg)
             return
         sent = self.app_state[SENT]
-        seq = sent[msg.dst] + 1
-        sent[msg.dst] = seq
+        seq = sent[msg.dst] = sent.get(msg.dst, 0) + 1
         log = self.send_log.get(msg.dst)
         if log is None:
             log = self.send_log[msg.dst] = deque()
@@ -239,12 +239,13 @@ class V2Daemon(MpichDaemon):
     # ------------------------------------------------------------------
     def post_checkpoint(self, img: CheckpointImage) -> None:
         # sender logs + event log can be pruned up to this image
-        mesh = self.mesh
-        for row in mesh.peers:
-            note = wire.V2GcNote(rank=self.rank, upto=img.state[
-                DELIVERED].get(mesh.rank_of(row), 0))
+        mesh, delivered = self.mesh, img.state[DELIVERED]
+        notes = [wire.V2GcNote(rank=self.rank,
+                               upto=delivered.get(mesh.rank_of(row), 0))
+                 for row in mesh.peers]
+        for note in notes:
             causal.stamp(self.engine, note, self.site)
-            mesh.send(row, note)
+        mesh.send_all(mesh.peers, notes)
         if self.evlog_sock is not None and not self.evlog_sock.closed:
             prune = wire.EvPrune(rank=self.rank, upto=img.state[POS])
             causal.stamp(self.engine, prune, self.site)

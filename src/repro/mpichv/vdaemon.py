@@ -31,12 +31,11 @@ module contains only the Chandy-Lamport protocol logic.
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, List, Optional, Set
 
 from repro.mpi.message import AppMessage
 from repro.mpichv import shardmap, wire
-from repro.mpichv.checkpoint import CheckpointImage, node_local_store
+from repro.mpichv.checkpoint import CheckpointImage, node_local_store, snapshot
 from repro.mpichv.daemonbase import MpichDaemon, daemon_lifecycle
 from repro.obs import causal
 
@@ -108,14 +107,14 @@ class VclDaemon(MpichDaemon):
             self.late_logs = []
             self.post_flush = []
         else:
-            # Non-blocking Vcl: snapshot now (the fork).  The deep copy
-            # of the MPI process state already contains every delivered
+            # Non-blocking Vcl: snapshot now (the fork).  The copy of
+            # the MPI process state already contains every delivered
             # message (delivery contract), so the image needs no
             # separate in-buffer capture — only the channel-state
             # messages still to arrive (late_logs).
             self.wave_img = CheckpointImage(
                 rank=self.rank, wave=wave,
-                state=copy.deepcopy(self.app_state),
+                state=snapshot(self.app_state),
                 logs=[], img_size=int(self.config.image_size))
             self.late_logs = []
         # Relay the marker on every outgoing channel: one flood.
@@ -148,7 +147,7 @@ class VclDaemon(MpichDaemon):
             # only after the snapshot is taken.
             img = CheckpointImage(
                 rank=self.rank, wave=wave,
-                state=copy.deepcopy(self.app_state),
+                state=snapshot(self.app_state),
                 logs=[], img_size=int(self.config.image_size),
                 complete=True)
             self.wave_img = img
@@ -244,7 +243,7 @@ class VclDaemon(MpichDaemon):
                 self.delivery.rebind(self.app_state)
                 return
             img = CheckpointImage(rank=self.rank, wave=resp.wave,
-                                  state=copy.deepcopy(resp.state),
+                                  state=snapshot(resp.state),
                                   logs=list(resp.logs), img_size=resp.img_size)
         self.app_state = img.state
         self.delivery.rebind(self.app_state)

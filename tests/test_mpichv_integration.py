@@ -5,14 +5,19 @@ checkpoint servers + daemons + application) through the public
 runtime, with and without injected failures, in both dispatcher modes.
 """
 
+import copy
+import dataclasses
+
 import pytest
 
 from repro.analysis.classify import Outcome
+from repro.explore.generators import TimedKill, render_plan
 from repro.mpichv.config import VclConfig
 from repro.mpichv.runtime import VclRuntime
 from repro.workloads.masterworker import MasterWorkerWorkload
 from repro.workloads.nas_bt import BTWorkload
 from repro.workloads.ring import RingWorkload
+from test_trial_garbage import faulted_ring
 
 
 def bt_runtime(n=4, seed=0, niters=20, total_compute=400.0,
@@ -228,3 +233,44 @@ def test_bug_freeze_is_deterministic_per_seed(seed):
     assert first.outcome == second.outcome
     assert first.sim_time == second.sim_time
     assert first.events_processed == second.events_processed
+
+
+# ---------------------------------------------------------------------------
+# what an image copies
+# ---------------------------------------------------------------------------
+
+def _deepcopies(monkeypatch):
+    """The objects ``copy.deepcopy`` is called on from now on."""
+    calls = []
+    deepcopy = copy.deepcopy
+    monkeypatch.setattr(copy, "deepcopy", lambda x, *memo: calls.append(x)
+                        or deepcopy(x, *memo))
+    return calls
+
+
+@pytest.mark.parametrize("protocol", ["vcl", "v2", "v1"])
+def test_images_and_restores_copy_no_state_deeply(protocol, monkeypatch):
+    """Every image and every restore copies the state with
+    ``checkpoint.snapshot``: the state is dicts, lists and atoms, so
+    nothing falls back to ``copy.deepcopy``.  A kill at t=90 comes
+    after the killed rank's first image, so the restart restores."""
+    setup = dataclasses.replace(
+        faulted_ring(16, protocol), keep_trace=True,
+        scenario_source=render_plan((TimedKill(at=90, target=13),)))
+    calls = _deepcopies(monkeypatch)
+    result = setup.run_one(3)
+    assert result.outcome is Outcome.TERMINATED and result.restarts == 1
+    assert result.waves_committed + result.trace.count(
+        f"{protocol}_ckpt") > 0
+    assert result.trace.count("restore") >= 1
+    assert calls == []
+
+
+def test_a_bt_trial_copies_no_state_deeply(monkeypatch):
+    calls = _deepcopies(monkeypatch)
+    rt = bt_runtime()
+    kill_at(rt, 60.0)
+    res = rt.run()
+    assert res.outcome is Outcome.TERMINATED and res.restarts == 1
+    assert res.waves_committed > 0 and res.trace.count("restore") == 4
+    assert calls == []

@@ -1,11 +1,14 @@
 """Unit tests for MPICH-V components: config, checkpoint stores,
 checkpoint server state, scheduler bookkeeping."""
 
+import copy
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.mpi.message import AppMessage
 from repro.mpichv.checkpoint import (CheckpointImage, LocalCkptStore,
-                                     node_local_store)
+                                     node_local_store, snapshot)
 from repro.mpichv.ckptserver import CkptServerState
 from repro.mpichv.config import TimingModel, VclConfig
 from repro.mpichv import wire
@@ -65,6 +68,65 @@ def test_snapshot_is_independent_copy():
     snap = img.snapshot_of()
     snap.state["iter"] = 999
     assert img.state["iter"] == 1
+
+
+_ATOMS = (st.integers() | st.floats(allow_nan=False) | st.text(max_size=4)
+          | st.booleans() | st.none()
+          | st.builds(AppMessage, src=st.integers(0, 7), dst=st.integers(0, 7),
+                      tag=st.integers(0, 3), payload=st.integers()))
+#: application states: trees of dicts, lists and tuples over atoms
+_STATES = st.recursive(
+    _ATOMS,
+    lambda kids: (st.dictionaries(st.text(max_size=4) | st.integers(), kids,
+                                  max_size=4)
+                  | st.lists(kids, max_size=4)
+                  | st.tuples(kids, kids)),
+    max_leaves=24)
+
+
+def _containers(x):
+    """Every dict and list in ``x``."""
+    if isinstance(x, (dict, list)):
+        yield x
+    if isinstance(x, (dict, list, tuple)):
+        for value in (x.values() if isinstance(x, dict) else x):
+            yield from _containers(value)
+
+
+@given(_STATES)
+def test_snapshot_equals_deepcopy_and_shares_no_container(state):
+    expected = copy.deepcopy(state)
+    snap = snapshot(state)
+    assert snap == expected
+    for container in list(_containers(state)):
+        if isinstance(container, dict):
+            container["mutated"] = None
+            for key in list(container):
+                container[key] = "mutated"
+        else:
+            container.append("mutated")
+            container[0] = "mutated"
+    assert snap == expected
+
+
+class _Box:
+    def __init__(self, items):
+        self.items = items
+
+
+def test_snapshot_deep_copies_an_unknown_type(monkeypatch):
+    copied = []
+    deepcopy = copy.deepcopy
+    monkeypatch.setattr(copy, "deepcopy",
+                        lambda x, *memo: copied.append(x) or deepcopy(x, *memo))
+    box = _Box([1, [2]])
+    state = {"box": box, "seen": {3, 4}, "n": 1}
+    snap = snapshot(state)
+    assert copied[:1] == [box] and {3, 4} in copied
+    assert snap["box"] is not box and snap["box"].items == [1, [2]]
+    box.items[1].append(5)
+    state["seen"].add(5)
+    assert snap["box"].items == [1, [2]] and snap["seen"] == {3, 4}
 
 
 def test_local_store_two_slot_alternation():

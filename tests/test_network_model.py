@@ -266,7 +266,9 @@ class MeshVersusModel(NetworkVersusModel):
     incarnation starts on its node and dials at once (the accepting
     side's row for that rank may still be busy with the last one: its
     close unread, or still on its way), and only the accepting process
-    is stopped: a stopped dialer's hello would wait for the continue."""
+    is stopped: a stopped dialer's hello would wait for the continue.
+    ``p0`` also sends a message per row in one call, as V2's prune notes
+    go out."""
 
     @initialize()
     def build(self):
@@ -304,6 +306,20 @@ class MeshVersusModel(NetworkVersusModel):
             self.real.restart(name, incarnation)
             self.model.restart(name, incarnation)
             self.connect(who)
+
+    @rule(size=st.sampled_from(SIZES))
+    def send_each(self, size):
+        """``p0`` sends a message of its own down each row it accepted,
+        in one call: a list of one message per row."""
+        mesh = self.real.meshes["p0"]
+        ends = [(name, row) for name, (m, row) in sorted(self.real.ends.items())
+                if m is mesh]
+        msgs = []
+        for name, _row in ends:
+            self.msg += 1
+            msgs.append(self.msg)
+            self.model.send(self.model_end(name), self.msg, size)
+        mesh.send_all([row for _name, row in ends], msgs, size=size)
 
     @rule()
     def close(self):

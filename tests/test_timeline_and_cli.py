@@ -1,5 +1,7 @@
 """Tests for the timeline renderer and the CLI dispatcher."""
 
+import sys
+
 import pytest
 
 from repro.__main__ import COMMANDS, main, usage
@@ -125,3 +127,27 @@ def test_cli_table1_runs(capsys):
     assert main(["table1"]) == 0
     out = capsys.readouterr().out
     assert "FAIL-FCI" in out
+
+
+@pytest.mark.parametrize("args, named", [
+    (["--kill", "45:12"], "machine 12"),      # 8 procs: machines 0..11
+    (["--kill", "10:99"], "machine 99"),
+    (["--kill", "10:-1"], "machine -1"),
+    (["--kill", "-5"], "time -5"),
+    (["--partition", "10:99"], "machine 99"),
+    (["--partition", "10:3,12"], "machine 12"),
+    (["--procs", "2", "--kill", "10:6"], "machine 6"),
+    (["--procs", "0"], "0 is not"),
+    (["--workload", "nosuch"], "'nosuch'"),
+])
+def test_timeline_rejects_a_fault_it_cannot_inject(args, named, capsys,
+                                                   monkeypatch):
+    """A fault the trial could not inject is a usage error (exit 2, one
+    line naming the value), not a fault-free run or a traceback."""
+    monkeypatch.setattr(sys, "argv", list(sys.argv))
+    with pytest.raises(SystemExit) as exit_:
+        main(["timeline", *args])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    [line] = [ln for ln in err.splitlines() if "error:" in ln]
+    assert named in line, line

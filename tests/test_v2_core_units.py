@@ -5,8 +5,10 @@ from repro.cluster.cluster import Cluster
 from repro.mpi.endpoint import UNMATCHED_KEY
 from repro.mpi.message import AppMessage
 from repro.mpichv import wire
+from repro.mpichv.checkpoint import CheckpointImage
 from repro.mpichv.config import VclConfig
 from repro.mpichv.v2daemon import DELIVERED, POS, SENT, V2Daemon
+from repro.obs import Obs
 from repro.simkernel.engine import Engine
 
 
@@ -28,6 +30,7 @@ class FakeMesh:
 
     def __init__(self, n):
         self.sent = {r: [] for r in range(n)}
+        self.order = []         # the rows sent to, in send order
         self.peers = list(range(1, n))
         self.attached = [-1] + list(range(1, n))
         self.closed = []
@@ -37,6 +40,13 @@ class FakeMesh:
 
     def send(self, row, msg, size=None):
         self.sent[row].append(msg)
+        self.order.append(row)
+
+    def send_all(self, rows, msg, size=None):
+        # a list is one message per row, anything else goes to every row
+        for row, one in zip(rows, msg if type(msg) is list
+                            else [msg] * len(rows)):
+            self.send(row, one, size)
 
     def close(self, row):
         self.closed.append(row)
@@ -172,6 +182,34 @@ def test_gc_note_prunes_sender_log():
     while log and log[0][0] <= note.upto:
         log.popleft()
     assert [seq for seq, _ in core.send_log[1]] == [4, 5]
+
+
+def test_post_checkpoint_sends_one_note_per_peer_in_peer_order():
+    engine, core = make_core(n=5)
+    engine.obs = Obs(engine)
+    mints = engine.obs.causal.mints
+    core.on_peer_gone(2)
+    core.mesh.join(2)               # rejoined: now last in peer order
+    assert core.mesh.peers == [1, 3, 4, 2]
+    img = CheckpointImage(rank=0, wave=1,
+                          state={DELIVERED: {1: 7, 2: 4}, POS: 11})
+    before = len(mints)
+    core.post_checkpoint(img)
+    assert core.mesh.order == core.mesh.peers
+    notes = []
+    for row in core.mesh.peers:
+        [note] = core.mesh.sent[row]
+        assert isinstance(note, wire.V2GcNote) and note.rank == 0
+        notes.append(note)
+    # the image's counters, an untouched peer reading 0
+    assert [note.upto for note in notes] == [7, 0, 0, 4]
+    # a context of its own per note, minted in peer order, then the
+    # event logger's prune note
+    assert [note._causal_ctx for note in notes] == [
+        before // 3 + i for i in range(4)]
+    assert len(mints) == before + 3 * (len(notes) + 1)
+    [prune] = core.evlog_sock.sent
+    assert isinstance(prune, wire.EvPrune) and prune.upto == 11
 
 
 def test_attach_peer_resends_from_request():

@@ -4,8 +4,8 @@ The figure, table and sweep commands are :class:`ExperimentSpec`s run
 by :func:`repro.experiments.spec.main`; each takes its own flags
 (``--reps``, ``--procs``, ``--fixed``, …) plus the shared trial
 execution flags of :mod:`repro.experiments.runner`.  The other
-commands parse their own arguments.  Modules are imported only once
-their command is chosen.
+commands parse their own arguments in ``main(argv)``.  Modules are
+imported only once their command is chosen.
 """
 
 from __future__ import annotations
@@ -72,8 +72,7 @@ def main(argv=None) -> int:
         from repro.experiments.spec import main as run_spec
         run_spec(module, argv)
     else:
-        sys.argv = [f"repro {command}"] + argv
-        module.main()
+        module.main(argv)
     return 0
 
 

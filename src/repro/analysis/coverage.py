@@ -52,10 +52,7 @@ def edge_bit(label: str) -> int:
 
 def hit_bucket(count: int) -> int:
     """AFL-style logarithmic hit-count bucket (1,2,4,8,...)."""
-    bucket = 1
-    while bucket * 2 <= count:
-        bucket *= 2
-    return bucket
+    return 1 << (count.bit_length() - 1) if count > 1 else 1
 
 
 class Signature:

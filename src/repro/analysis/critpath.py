@@ -69,18 +69,6 @@ def critical_paths(obs_doc: Optional[Dict[str, Any]]
     return out
 
 
-def critpath_rollup(obs_doc: Optional[Dict[str, Any]]
-                    ) -> Dict[str, float]:
-    """Total per-phase critical-path seconds across a trial's epochs.
-
-    ``{phase: seconds, "recovery": seconds}`` over non-truncated
-    epochs; empty for fault-free or unobserved trials.
-    """
-    rollup: Dict[str, float] = {}
-    add_phase_seconds(rollup, obs_doc)
-    return {k: round(v, 9) for k, v in rollup.items()}
-
-
 def add_phase_seconds(totals: Dict[str, float],
                       obs_doc: Optional[Dict[str, Any]]) -> int:
     """Add each non-truncated epoch's phase durations, and their sum as

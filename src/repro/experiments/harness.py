@@ -259,25 +259,20 @@ def run_trials(setup_for: Callable[[object], TrialSetup],
                reps: int,
                name: str,
                base_seed: int = 1000,
-               runner: Optional[TrialRunner] = None,
-               workers: int = 1,
-               cache_dir: Optional[str] = None,
-               use_cache: bool = True) -> ExperimentResult:
+               runner: Optional[TrialRunner] = None) -> ExperimentResult:
     """Run ``reps`` repetitions of each configuration.
 
     ``setup_for(config)`` builds the TrialSetup for one x-axis value.
     Seeds come from :func:`trial_seed` — deterministic in
     ``(config index, rep)`` and independent of execution order.
 
-    Execution is delegated to a :class:`TrialRunner`: pass one
-    explicitly to share a pool/cache/stats across figures, or let the
-    ``workers`` / ``cache_dir`` / ``use_cache`` knobs build a private
-    one.  The whole campaign is submitted as a single flat job list so
-    a multi-worker pool stays busy across row boundaries.
+    Execution is delegated to ``runner`` (pass one to choose the pool
+    width and cache, and to share them and their stats across figures;
+    the default runs serially, uncached).  The whole campaign is
+    submitted as a single flat job list so a multi-worker pool stays
+    busy across row boundaries.
     """
-    if runner is None:
-        runner = TrialRunner(workers=workers, cache_dir=cache_dir,
-                             use_cache=use_cache)
+    runner = runner or TrialRunner()
     pairs = list(zip(configs, labels))
     setups = [setup_for(config) for config, _label in pairs]
     jobs = [(setup, trial_seed(base_seed, ci, rep))

@@ -53,15 +53,16 @@ def collect_obs_docs(store_root: str):
     return docs, skipped
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(prog="repro obs-report",
+                                     description=__doc__.split("\n\n")[0])
     parser.add_argument("--store", required=True, metavar="DIR",
                         help="result-store root (a campaign's --cache-dir)")
     parser.add_argument("--out", required=True, metavar="DIR",
                         help="output directory for metrics.txt + index.html")
     parser.add_argument("--title", default="repro campaign",
                         help="report title (default: 'repro campaign')")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     if not os.path.isdir(args.store):
         raise SystemExit(f"no such result store: {args.store}")

@@ -39,9 +39,9 @@ from repro.obs.spans import json_safe
 #: the simulation's semantics change; readers reject other versions
 #: and the cache re-executes their entries.  No field carries wall
 #: clock, so the document is byte-identical however the trial ran.
-FORMAT_VERSION = 11   # 11: one version number, each number stated
-#                       once.  Earlier formats: EXPERIMENTS.md,
-#                       version history.
+FORMAT_VERSION = 12   # 12: the verdict is the trace's alone; its
+#                       phase figures are read from ``obs``.  Earlier
+#                       formats: EXPERIMENTS.md, version history.
 
 
 def trace_to_dict(trace: Trace) -> Dict[str, Any]:
@@ -75,9 +75,6 @@ def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
             "exec_time": verdict.exec_time,
             "last_activity": verdict.last_activity,
             "reason": verdict.reason,
-            "detect_latency": verdict.detect_latency,
-            "replay_seconds": verdict.replay_seconds,
-            "critpath_segments": verdict.critpath_segments,
         },
         "trace": trace_to_dict(result.trace),
         "sim_time": result.sim_time,
@@ -110,9 +107,6 @@ def run_result_from_dict(doc: Dict[str, Any]) -> RunResult:
         exec_time=v["exec_time"],
         last_activity=v["last_activity"],
         reason=v["reason"],
-        detect_latency=v.get("detect_latency"),
-        replay_seconds=v.get("replay_seconds"),
-        critpath_segments=v.get("critpath_segments"),
     )
     return RunResult(
         verdict=verdict,

@@ -19,8 +19,8 @@ submission order regardless of completion order.
 :func:`trial_key` — a stable hash of the setup's fields and the seed.
 Re-running a figure (or resuming an interrupted campaign) loads hits
 from the store and executes only the missing trials; a fully-cached
-re-run executes zero.  ``use_cache=False`` ignores the store entirely
-(neither reads nor writes).
+re-run executes zero.  With no ``cache_dir`` (``--no-cache`` drops
+one) the runner neither reads nor writes a store.
 
 Every result comes back through the JSON result document (the live
 trace holds subscriber callables and cannot cross a process boundary),
@@ -174,20 +174,17 @@ class TrialRunner:
         Process-pool width.  A pool of one (``1``, the default, or a
         batch with one pending trial) runs in-process instead.
     cache_dir:
-        Root of the on-disk result store; ``None`` disables caching.
-    use_cache:
-        ``False`` makes the runner ignore ``cache_dir`` entirely —
-        nothing is read from or written to the store.
+        Root of the on-disk result store; ``None`` disables caching —
+        nothing is read from or written to a store.
     """
 
     def __init__(self, workers: int = 1,
                  cache_dir: Optional[str] = None,
-                 use_cache: bool = True,
                  trace_out: Optional[str] = None,
                  obs_report: Optional[str] = None):
         self.workers = max(1, int(workers))
         self.store: Optional[ResultStore] = (
-            ResultStore(cache_dir) if (cache_dir and use_cache) else None)
+            ResultStore(cache_dir) if cache_dir else None)
         self.stats = RunnerStats()
         #: Chrome-trace export path (``--trace-out``); the first
         #: observed result — preferring a faulted one — is written once
@@ -314,8 +311,9 @@ def add_runner_arguments(parser) -> None:
 
 def runner_from_args(args) -> TrialRunner:
     """Build the :class:`TrialRunner` described by parsed CLI args."""
+    no_cache = getattr(args, "no_cache", False)
     return TrialRunner(workers=getattr(args, "workers", 1),
-                       cache_dir=getattr(args, "cache_dir", None),
-                       use_cache=not getattr(args, "no_cache", False),
+                       cache_dir=None if no_cache
+                       else getattr(args, "cache_dir", None),
                        trace_out=getattr(args, "trace_out", None),
                        obs_report=getattr(args, "obs_report", None))

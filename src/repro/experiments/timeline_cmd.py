@@ -71,8 +71,9 @@ def build_plan(kills: List[TimedKill],
     return tuple(steps)
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(prog="repro timeline",
+                                     description=__doc__.split("\n\n")[0])
     parser.add_argument("--protocol", default="vcl",
                         choices=list(protocols.available()),
                         help="fault-tolerance protocol (default: vcl)")
@@ -105,7 +106,7 @@ def main() -> None:
                         help="write the trial's full result document "
                              "(verdict + obs, the wire format) to FILE — "
                              "feed two of these to `repro trace-diff`")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     machines = args.procs + 4
     for option, steps in (("--kill", args.kill),
                           ("--partition", args.partition)):

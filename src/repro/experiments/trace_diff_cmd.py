@@ -19,8 +19,9 @@ import os
 from repro.analysis.tracediff import load_obs_doc, trace_diff_text
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(prog="repro trace-diff",
+                                     description=__doc__.split("\n\n")[0])
     parser.add_argument("a", help="first trial (result document JSON)")
     parser.add_argument("b", help="second trial (result document JSON)")
     parser.add_argument("--label-a", default=None,
@@ -29,7 +30,7 @@ def main() -> None:
     parser.add_argument("--label-b", default=None,
                         help="display label for the second trial "
                              "(default: its file name)")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     try:
         obs_a, desc_a = load_obs_doc(args.a)

@@ -587,12 +587,14 @@ def seeded_first_failure(cfg: ExploreConfig, runner: TrialRunner,
                          cap: int) -> Optional[int]:
     """Trials the *seeded* families need to hit an unexcused failure.
 
-    Walks the canonical campaign order (scenario index outermost, then
-    sorted families × protocols × workloads — exactly the stream
-    ``run_campaign`` would execute) and returns the 1-based trial count
-    at the first oracle failure, or None within ``cap`` trials.  Seeds
-    and scenario identity match the seeded campaign, so against a
-    shared cache this baseline costs almost nothing.
+    Walks the seeded scenarios index-major (scenario index outermost,
+    then sorted families × protocols × workloads), so every family
+    runs its first scenario before any family runs its second, and
+    returns the 1-based trial count at the first oracle failure, or
+    None within ``cap`` trials.  ``run_campaign`` runs these trials in
+    another order — family-major, as ``generators.generate_suite``
+    lists them — but with the same seeds and scenario identity, so
+    against a shared cache this baseline costs almost nothing.
     """
     families = cfg.resolved_families()
     protos = cfg.resolved_protocols()
@@ -796,8 +798,9 @@ def _csv(values: List[str]) -> Tuple[str, ...]:
     return tuple(out)
 
 
-def main() -> None:  # pragma: no cover - CLI
+def main(argv=None) -> None:  # pragma: no cover - CLI
     parser = argparse.ArgumentParser(
+        prog="repro explore",
         description="property-based fault-space exploration")
     parser.add_argument("--budget", type=int, default=90,
                         help="total fault-trial budget (default: 90)")
@@ -849,7 +852,7 @@ def main() -> None:  # pragma: no cover - CLI
     parser.add_argument("--trial-seed", type=int, default=0,
                         help="trial seed for --replay")
     add_runner_arguments(parser)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     overrides = dict(args.override)
     if args.topology is not None:

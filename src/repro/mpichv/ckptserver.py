@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.analysis.coverage import hit_bucket
 from repro.cluster.unixproc import UnixProcess
 from repro.mpichv.checkpoint import CheckpointImage
 from repro.mpichv import wire
@@ -38,6 +39,17 @@ class CkptServerState:
         #: ``RunResult.ckpt_shard_bytes`` — the Fig. 6 ingest hot
         #: spot, and how sharding dissolves it
         self.bytes_ingested: int = 0
+        #: disk-queue wait of every request, in milliseconds, as a
+        #: log-bucketed histogram (bucket -> requests): how long the
+        #: Fig. 6 ingest bottleneck keeps a daemon waiting
+        self.disk_wait_ms: Dict[int, int] = {}
+
+    def note_disk_wait(self, wait_ms: float) -> None:
+        """Count one request's queue wait in its log bucket (1, 2, 4,
+        ...); a wait below 1 ms shares the bucket 1 — smaller than the
+        resolution is one behaviour, not many."""
+        bucket = hit_bucket(max(1, int(wait_ms)))
+        self.disk_wait_ms[bucket] = self.disk_wait_ms.get(bucket, 0) + 1
 
     def store_image(self, img: CheckpointImage) -> None:
         early = self._early_logs.pop((img.wave, img.rank), None)
@@ -89,14 +101,9 @@ def ckpt_server_main(proc: UnixProcess, config, server_index: int):
                 kind, nbytes, t_enq, fn = yield disk_q.get()
             except StoreClosed:
                 return
-            obs = engine.obs
-            if obs is not None:
-                # the disk serializes, so store spans on this lane are
-                # disjoint; the queue wait is what the Fig. 6 ingest
-                # bottleneck looks like from a daemon's point of view
-                obs.metrics.observe(
-                    f"ckptsrv.{server_index}.disk.wait_ms",
-                    (engine.now - t_enq) * 1000.0)
+            state.note_disk_wait((engine.now - t_enq) * 1000.0)
+            # the disk serializes, so store spans on this lane are
+            # disjoint
             span = engine.span("store", lane=proc.node.name,
                                op=kind, bytes=nbytes,
                                server=server_index)

@@ -84,11 +84,6 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
     epoch_relaunch: List[Any] = [None]
     relaunch_by_rank: Dict[int, Any] = {}
 
-    def obs_inc(name: str) -> None:
-        obs = engine.obs
-        if obs is not None:
-            obs.metrics.inc(name)
-
     def close_detect(rank: int, fallback: bool = True,
                      **fields: Any) -> None:
         """End the ``detect`` span of this rank's machine.
@@ -157,7 +152,6 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
         engine.cover("disp.launch_death")
         engine.log("failure_detected", rank=rank, where="launch")
         close_detect(rank, fallback=False, where="launch")
-        obs_inc("disp.detect.launch")
         spawn_slot(rank)
 
     # ------------------------------------------------------------------
@@ -257,13 +251,11 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
                 # detect span ends here, marked missed, with no
                 # relaunch ever following it
                 close_detect(rank, missed=True, epoch=ep)
-                obs_inc("disp.detect.missed")
                 return
             state.failures_detected += 1
             engine.cover(f"disp.closure.failure.{state.phase}")
             engine.log("failure_detected", rank=rank, where=state.phase)
             close_detect(rank, where=state.phase, epoch=ep)
-            obs_inc("disp.detect.closure")
             if single_rank_restart:
                 # message logging: only the failed rank restarts
                 engine.cover("disp.closure.single_rank_restart")
@@ -297,7 +289,6 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
     def serve_conn(sock) -> None:
         def on_first(first) -> None:
             engine.cover(f"disp.rx.{type(first).__name__}")
-            obs_inc(f"disp.rx.{type(first).__name__}")
             if isinstance(first, wire.WaveCommit):
                 # the checkpoint scheduler's commit-note connection
                 sched_conn[0] = sock
@@ -349,7 +340,6 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
             # from here on: Done notifications until closure
             def on_daemon_msg(msg) -> None:
                 engine.cover(f"disp.rx.{type(msg).__name__}")
-                obs_inc(f"disp.rx.{type(msg).__name__}")
                 if isinstance(msg, wire.Done):
                     if state.phase == RUNNING and ep == state.epoch:
                         state.done_ranks.add(msg.rank)

@@ -27,6 +27,19 @@ from repro.obs import Obs
 from repro.simkernel.engine import Engine, gc_paused
 
 
+#: the dispatcher's metric counters, as folds of its coverage probes'
+#: hit counts: each probe label starting with the first entry counts
+#: into the second (``None``: the label names its own counter).  A
+#: failure detected on a socket closure is one probe per dispatcher
+#: phase, so those sum into one counter.
+METRIC_COUNTERS = (
+    ("disp.rx.", None),
+    ("disp.launch_death", "disp.detect.launch"),
+    ("disp.closure.bug_misattribution", "disp.detect.missed"),
+    ("disp.closure.failure.", "disp.detect.closure"),
+)
+
+
 @dataclass
 class RunResult:
     """Everything an experiment needs from a single run."""
@@ -62,7 +75,7 @@ class RunResult:
     #: bitmap.  Empty string on legacy results.
     coverage: str = ""
     #: the compact observability document (see :mod:`repro.obs`):
-    #: span rows, the metrics registry and the causal folds.  ``None``
+    #: span rows, the metrics and the causal folds.  ``None``
     #: when the trial ran with ``observe=False``.  All of it is a pure
     #: function of the simulated history — serialized, cached, and
     #: byte-compared across serial/pooled/cached execution.
@@ -97,9 +110,10 @@ class VclRuntime:
         self.config = config
         self.trace = Trace(keep=keep_trace)
         self.engine = Engine(seed=seed, trace=self.trace)
-        #: recovery-phase spans + metrics (see :mod:`repro.obs`); with
-        #: ``observe=False`` every instrumented call site short-circuits
-        #: to a shared null span and the result carries ``obs=None``
+        #: recovery-phase spans + the causal record (see
+        #: :mod:`repro.obs`); with ``observe=False`` every instrumented
+        #: call site short-circuits to a shared null span and the result
+        #: carries ``obs=None``
         self.obs: Optional[Obs] = Obs(self.engine) if observe else None
         if self.obs is not None:
             self.engine.obs = self.obs
@@ -231,17 +245,11 @@ class VclRuntime:
         network = self.cluster.network
         hotspot_link, hotspot_bytes = network.hotspot()
         # per-shard ingest accounting (service state outlives the procs)
-        shard_bytes = []
-        server_items = sorted(
-            ((name, proc) for name, proc in self.service_procs.items()
-             if name.startswith("ckptserver.")),
-            key=lambda item: int(item[0].split(".")[-1]))
-        for _name, proc in server_items:
-            ckpt_state = proc.tags.get("ckpt_state")
-            shard_bytes.append(int(ckpt_state.bytes_ingested)
-                               if ckpt_state is not None else 0)
+        shard_bytes = [int(ckpt_state.bytes_ingested)
+                       if ckpt_state is not None else 0
+                       for ckpt_state in self._ckpt_states()]
         obs_doc = self._finalize_obs()
-        verdict = classify_run(self.trace, timeout, obs=obs_doc)
+        verdict = classify_run(self.trace, timeout)
         return RunResult(
             verdict=verdict,
             trace=self.trace,
@@ -262,17 +270,38 @@ class VclRuntime:
             obs=obs_doc,
         )
 
-    def _finalize_obs(self) -> Optional[Dict[str, Any]]:
-        """Fold end-of-run state into the recorder and freeze the doc.
+    def _ckpt_states(self) -> List[Any]:
+        """Each checkpoint server's state (None if it never started),
+        in shard order."""
+        server_items = sorted(
+            ((name, proc) for name, proc in self.service_procs.items()
+             if name.startswith("ckptserver.")),
+            key=lambda item: int(item[0].split(".")[-1]))
+        return [proc.tags.get("ckpt_state") for _name, proc in server_items]
 
-        The channel-memory counters go into :attr:`Obs.metrics`; the
-        dispatcher, scheduler, fabric and checkpoint-ingest totals are
-        flat fields of the result and are not restated there.
+    def _finalize_obs(self) -> Optional[Dict[str, Any]]:
+        """Fold end-of-run state into the ``metrics`` document and
+        freeze the obs document.
+
+        Every metric is a fold of state the run keeps anyway: the
+        dispatcher's counters are hit counts of its coverage probes
+        (:data:`METRIC_COUNTERS`), the disk-wait histograms are the
+        checkpoint servers' own, the gauges are the channel memories'
+        counters.  The dispatcher, scheduler, fabric and
+        checkpoint-ingest totals are flat fields of the result and are
+        not restated here.
         """
         obs = self.obs
         if obs is None:
             return None
-        m = obs.metrics
+        counters: Dict[str, int] = {}
+        for label, hits in self.engine.coverage.items():
+            for probe, name in METRIC_COUNTERS:
+                if label.startswith(probe):
+                    name = name or label
+                    counters[name] = counters.get(name, 0) + hits
+                    break
+        gauges: Dict[str, int] = {}
         cm_items = sorted(
             (name, proc) for name, proc in self.service_procs.items()
             if name.startswith("channelmemory."))
@@ -281,12 +310,21 @@ class VclRuntime:
             if cm is None:
                 continue
             prefix = f"cm.{name.split('.')[-1]}"
-            m.gauge(f"{prefix}.logged", cm.logged)
-            m.gauge(f"{prefix}.duplicates", cm.duplicates)
-            m.gauge(f"{prefix}.forwarded", cm.forwarded)
-            m.gauge(f"{prefix}.pruned", cm.pruned)
+            for field_name in ("logged", "duplicates", "forwarded", "pruned"):
+                gauges[f"{prefix}.{field_name}"] = getattr(cm, field_name)
+        histograms = {
+            f"ckptsrv.{i}.disk.wait_ms": ckpt_state.disk_wait_ms
+            for i, ckpt_state in enumerate(self._ckpt_states())
+            if ckpt_state is not None and ckpt_state.disk_wait_ms}
+        metrics = {
+            "counters": dict(sorted(counters.items())),
+            "gauges": dict(sorted(gauges.items())),
+            "histograms": {
+                name: {str(b): n for b, n in sorted(hist.items())}
+                for name, hist in sorted(histograms.items())},
+        }
         obs.finalize(self.engine.now)
-        return obs.to_doc()
+        return obs.to_doc(metrics)
 
     # -- teardown ---------------------------------------------------------------
     def dispose(self) -> None:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from repro.mpi.message import AppMessage
 from repro.mpichv import shardmap, wire
 from repro.mpichv.checkpoint import CheckpointImage
-from repro.mpichv.daemonbase import MpichDaemon, daemon_lifecycle
+from repro.mpichv.daemonbase import MpichDaemon
 from repro.obs import causal
 
 DELIVERED = "_v1_delivered"      # position in the home CM's delivery order
@@ -134,10 +134,3 @@ class V1Daemon(MpichDaemon):
         self.proc.spawn_thread(self.independent_ckpt_loop(),
                                name=f"v1.{self.rank}.ckpt")
         yield from ()
-
-
-def v1daemon_main(proc, config, rank: int, epoch: int, incarnation: int,
-                  app_factory):
-    """Main generator of a V1 communication daemon process."""
-    return daemon_lifecycle(V1Daemon, proc, config, rank, epoch,
-                            incarnation, app_factory)

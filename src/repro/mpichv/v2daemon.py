@@ -43,7 +43,7 @@ from typing import Dict, List, Tuple
 from repro.mpi.message import AppMessage
 from repro.mpichv import shardmap, wire
 from repro.mpichv.checkpoint import CheckpointImage
-from repro.mpichv.daemonbase import MpichDaemon, daemon_lifecycle
+from repro.mpichv.daemonbase import MpichDaemon
 from repro.obs import causal
 
 DELIVERED = "_v2_delivered"
@@ -298,10 +298,3 @@ class V2Daemon(MpichDaemon):
         self.proc.spawn_reader(self.evlog_sock, self.on_evlog_msg)
         self.proc.spawn_thread(self.independent_ckpt_loop(),
                                name=f"v2.{self.rank}.ckpt")
-
-
-def v2daemon_main(proc, config, rank: int, epoch: int, incarnation: int,
-                  app_factory):
-    """Main generator of a V2 communication daemon process."""
-    return daemon_lifecycle(V2Daemon, proc, config, rank, epoch,
-                            incarnation, app_factory)

@@ -36,10 +36,10 @@ from typing import Dict, List, Optional, Set
 from repro.mpi.message import AppMessage
 from repro.mpichv import shardmap, wire
 from repro.mpichv.checkpoint import CheckpointImage, node_local_store, snapshot
-from repro.mpichv.daemonbase import MpichDaemon, daemon_lifecycle
+from repro.mpichv.daemonbase import MpichDaemon
 from repro.obs import causal
 
-__all__ = ["VclDaemon", "vdaemon_main"]
+__all__ = ["VclDaemon"]
 
 
 class VclDaemon(MpichDaemon):
@@ -321,10 +321,3 @@ class VclDaemon(MpichDaemon):
             self.sched_sock.send(shello)
             self.proc.spawn_reader(self.sched_sock, self.on_sched_msg)
         yield from ()
-
-
-def vdaemon_main(proc, config, rank: int, epoch: int, incarnation: int,
-                 app_factory):
-    """Main generator of a Vcl communication daemon process."""
-    return daemon_lifecycle(VclDaemon, proc, config, rank, epoch,
-                            incarnation, app_factory)

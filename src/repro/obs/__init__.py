@@ -1,7 +1,7 @@
 """repro.obs — deterministic, sim-time observability.
 
-Three cooperating pieces, all pure functions of the simulated history
-(never of the wall clock or the worker pool):
+Two recording pieces and their exporters, all pure functions of the
+simulated history (never of the wall clock or the worker pool):
 
 * :mod:`repro.obs.spans` — nested ``[t0, t1)`` intervals opened through
   :meth:`repro.simkernel.engine.Engine.span` at protocol call sites
@@ -9,9 +9,6 @@ Three cooperating pieces, all pure functions of the simulated history
   the network fault API), so a restart epoch decomposes into
   ``detect → relaunch → restore → replay → catchup`` and a checkpoint
   wave into ``initiate → transfer → commit``;
-* :mod:`repro.obs.metrics` — a registry of counters, gauges and
-  log-bucketed histograms keyed by stable label strings (the
-  ``hit_bucket`` idiom of :mod:`repro.analysis.coverage`);
 * :mod:`repro.obs.causal` — the causal message-tracing graph: every
   minted wire message carries an integer context (its mint's index;
   site, instant and parent are recorded once per mint), and the
@@ -26,14 +23,18 @@ Three cooperating pieces, all pure functions of the simulated history
   campaign-level OpenMetrics + HTML rollup).
 
 The wire form is the compact ``obs`` document on
-:class:`repro.mpichv.runtime.RunResult`: span rows, the metrics
-registry and the causal folds, identical byte-for-byte across serial /
-pooled / cached execution.  It rides in the result document and shares
-that document's one version number
+:class:`repro.mpichv.runtime.RunResult`: span rows, metrics and the
+causal folds, identical byte-for-byte across serial / pooled / cached
+execution.  The ``metrics`` section (counters, gauges and log-bucketed
+histograms, the ``hit_bucket`` idiom of :mod:`repro.analysis.coverage`)
+is no recorder of its own: the runtime folds it at the end of the run
+(:meth:`repro.mpichv.runtime.VclRuntime._finalize_obs`) from the
+dispatcher's coverage-probe hit counts, the checkpoint servers'
+disk-wait histograms and the channel memories' counters.  The document
+rides in the result document and shares its one version number
 (:data:`repro.experiments.resultstore.FORMAT_VERSION`).
 """
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import (FIELDS, KIND, LANE, NULL_SPAN, T0, T1, Obs,
                              span_rollups)
 from repro.obs.causal import CausalGraph, causal_kind_rollup
@@ -44,7 +45,6 @@ from repro.obs.report import (aggregate_obs, html_report, openmetrics_text,
                               write_obs_report)
 
 __all__ = [
-    "MetricsRegistry",
     "Obs",
     "NULL_SPAN",
     "T0", "T1", "KIND", "LANE", "FIELDS",

@@ -14,9 +14,6 @@ span list is derived *from* the simulated history, so the golden
 digest matrix (``tests/test_golden_digests.py``) and the byte
 equality of serial / pooled / cached results are unaffected by turning
 observation on or off.
-
-The recorder's :attr:`Obs.metrics` registry holds quantities that are
-pure functions of the simulation (exported, cached, byte-compared).
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.obs.causal import CausalGraph
-from repro.obs.metrics import MetricsRegistry
 
 #: indices into a span row ``[t0, t1, kind, lane, fields]``
 T0, T1, KIND, LANE, FIELDS = 0, 1, 2, 3, 4
@@ -101,8 +97,7 @@ NULL_SPAN = _NullSpan()
 
 
 class Obs:
-    """Per-trial recorder: the span list, the metrics registry and the
-    causal graph."""
+    """Per-trial recorder: the span list and the causal graph."""
 
     def __init__(self, engine=None, max_spans: int = MAX_SPANS):
         self.engine = engine
@@ -113,8 +108,6 @@ class Obs:
         self._open: Dict[str, List[Span]] = {}
         self.dropped_spans = 0
         self.truncated_spans = 0
-        #: simulation-deterministic metrics (exported, cached)
-        self.metrics = MetricsRegistry()
         #: causal message graph (see :mod:`repro.obs.causal`), fed by
         #: the network's send loops
         self.causal = CausalGraph()
@@ -211,10 +204,12 @@ class Obs:
                 self.truncated_spans += 1
         self._open.clear()
 
-    def to_doc(self) -> Dict[str, Any]:
+    def to_doc(self, metrics: Dict[str, Any]) -> Dict[str, Any]:
         """The compact ``obs`` wire document (see RunResult.obs); of
         the causal table it carries the folds, the per-epoch ones over
-        the recovery windows the span rows define."""
+        the recovery windows the span rows define.  ``metrics`` is the
+        runtime's end-of-run fold
+        (:meth:`repro.mpichv.runtime.VclRuntime._finalize_obs`)."""
         # function-level: the phase table is built on this module
         from repro.obs.phases import epoch_phase_table, recovery_window
         spans = [s.to_row() for s in self.spans]
@@ -224,7 +219,7 @@ class Obs:
             "spans": spans,
             "dropped_spans": self.dropped_spans,
             "truncated_spans": self.truncated_spans,
-            "metrics": self.metrics.to_doc(),
+            "metrics": metrics,
             "causal": self.causal.to_doc(windows),
         }
 

@@ -173,11 +173,12 @@ class Engine:
         self._preempt = False
         #: optional repro.analysis.traces.Trace sink shared by subsystems
         self.trace = trace
-        #: coverage probe labels hit during this run — a plain set, so
-        #: a probe on a hot path costs one set-add; folded into the
-        #: trial's coverage signature by the runtime (see
-        #: :mod:`repro.analysis.coverage`)
-        self.coverage: set = set()
+        #: coverage probe label -> hits during this run.  The label set
+        #: folds into the trial's coverage signature (see
+        #: :mod:`repro.analysis.coverage`); the counts are what the
+        #: runtime's end-of-run fold turns into the dispatcher's
+        #: metrics counters
+        self.coverage: Dict[str, int] = {}
         #: number of payloads processed so far (cheap progress metric);
         #: a :class:`Batch` is one payload however many items it carries
         self.events_processed = 0
@@ -203,8 +204,9 @@ class Engine:
         self._stopped = False
 
     def cover(self, label: str) -> None:
-        """Record that execution reached the probe point ``label``."""
-        self.coverage.add(label)
+        """Count that execution reached the probe point ``label``."""
+        coverage = self.coverage
+        coverage[label] = coverage.get(label, 0) + 1
 
     # -- construction helpers ---------------------------------------------
     def event(self, name: Optional[str] = None) -> Event:

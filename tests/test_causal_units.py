@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.analysis.classify import classify_run
-from repro.analysis.critpath import (critical_paths, critpath_rollup,
+from repro.analysis.critpath import (add_phase_seconds, critical_paths,
                                      render_critical_paths)
 from repro.analysis.tracediff import trace_diff_text
 from repro.analysis.traces import Trace
@@ -173,6 +173,16 @@ def test_stamp_derive_adopt_with_recorder():
     assert graph.parent == [-1, 0] and graph.minted == 2
 
 
+#: the metrics section of a synthetic recorder's document
+NO_METRICS = {"counters": {}, "gauges": {}, "histograms": {}}
+
+
+def _phase_seconds(doc):
+    totals = {}
+    add_phase_seconds(totals, doc)
+    return totals
+
+
 def _recorder(spans=(), transmissions=(), max_nodes=MAX_CAUSAL_NODES):
     """A recorder holding ``[t0, t1, kind, lane, fields]`` spans and
     ``(name, parent_name, kind, src, dst, t_send, t_recv)`` single-copy
@@ -198,7 +208,7 @@ def _recorder(spans=(), transmissions=(), max_nodes=MAX_CAUSAL_NODES):
 def test_causal_kind_rollup():
     doc = _recorder(transmissions=[
         ("a", None, "DataMsg", "m1", "m2", 1.0, 1.5),
-        ("b", "a", "EvLog", "m2", "svc1", 2.0, 2.25)]).to_doc()
+        ("b", "a", "EvLog", "m2", "svc1", 2.0, 2.25)]).to_doc(NO_METRICS)
     roll = causal_kind_rollup(doc)
     assert roll == {"DataMsg": {"count": 1, "seconds": 0.5},
                     "EvLog": {"count": 1, "seconds": 0.25}}
@@ -262,7 +272,7 @@ def _recovery_recorder(**kwargs):
 
 
 def _recovery_doc():
-    return _recovery_recorder().to_doc()
+    return _recovery_recorder().to_doc(NO_METRICS)
 
 
 def test_critical_path_segments_tile_exactly():
@@ -277,8 +287,7 @@ def test_critical_path_segments_tile_exactly():
     # backward walk: latest receive in the window chains to the fetch
     assert row["chain"] == ["f.1.0:s", "f.1.0:r", "g.1.0:s", "g.1.0:r"]
     assert row["truncated"] is False and row["causal_truncated"] is False
-    roll = critpath_rollup(_recovery_doc())
-    assert roll["recovery"] == round(row["recovery"], 9)
+    assert _phase_seconds(_recovery_doc())["recovery"] == row["recovery"]
     assert "recovery" in render_critical_paths(_recovery_doc())
 
 
@@ -286,7 +295,7 @@ def _truncation_flags(recorder):
     """``causal_truncated`` per epoch, the folds having matched the
     version-3 readers on the recorder's columns."""
     return [row["causal_truncated"] for row in
-            assert_folds_equal_reference(recorder.to_doc(), recorder.causal)]
+            assert_folds_equal_reference(recorder.to_doc(NO_METRICS), recorder.causal)]
 
 
 def test_folds_equal_the_column_readers_on_synthetic_tables():
@@ -311,7 +320,7 @@ def test_folds_equal_the_column_readers_on_synthetic_tables():
         ("g", "a", "FetchReq", "m2", "svc2", 20.5, 20.6),
         ("h", "g", "FetchResp", "svc2", "m2", 20.6, 22.0)])
     assert _truncation_flags(recorder) == [False, False]
-    first, second = critical_paths(recorder.to_doc())
+    first, second = critical_paths(recorder.to_doc(NO_METRICS))
     assert {cat: entry["count"]
             for cat, entry in first["attribution"].items()} \
         == {"relaunch_control": 4, "sched_commit": 1, "other": 2}
@@ -324,7 +333,7 @@ def test_chain_is_bounded_by_max_chain():
     hops = [(f"t{i}", f"t{i - 1}" if i else None, "DataMsg", "m1", "m2",
              10.0 + i * 0.01, 10.0 + i * 0.01 + 0.005) for i in range(60)]
     recorder = _recorder(_RECOVERY_SPANS, hops)
-    doc = recorder.to_doc()
+    doc = recorder.to_doc(NO_METRICS)
     (fold,) = doc["causal"]["epochs"]
     assert len(fold["chain"]) == MAX_CHAIN
     assert fold["chain"][-1] == "t59.1.0:r"
@@ -345,13 +354,13 @@ def test_window_past_the_first_drop_is_causal_truncated():
         ("g", "f", "FetchResp", "svc2", "m1", 11.2, 12.9)],
         max_nodes=4)
     assert recorder.causal.first_drop_t == 11.2
-    doc = recorder.to_doc()
+    doc = recorder.to_doc(NO_METRICS)
     assert _truncation_flags(recorder) == [False, True]
     early, cut = critical_paths(doc)
     assert early["chain"] == ["a.1.0:s", "a.1.0:r"]
     assert cut["chain"] == ["f.1.0:s", "f.1.0:r"] and not cut["truncated"]
-    # the span-derived verdict figures do not move with it
-    assert critpath_rollup(doc) == critpath_rollup(_recovery_doc() | {
+    # the span-derived phase figures do not move with it
+    assert _phase_seconds(doc) == _phase_seconds(_recovery_doc() | {
         "spans": doc["spans"]})
     # every renderer states it
     assert "(causal record truncated)" in render_critical_paths(doc)
@@ -373,18 +382,15 @@ def test_window_past_the_first_drop_is_causal_truncated():
 
 def test_zero_recovery_is_safe_everywhere():
     empty = {"spans": [], "dropped_spans": 0, "truncated_spans": 0,
-             "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
+             "metrics": NO_METRICS,
              "causal": CausalGraph().to_doc()}
     assert critical_paths(empty) == []
-    assert critpath_rollup(empty) == {}
+    assert _phase_seconds(empty) == {}
     assert "no recovery" in render_critical_paths(empty)
-    # classify: observed fault-free -> empty rollup, not None, no crash
+    # classify: a fault-free run terminates on its trace alone
     trace = Trace()
     trace.record(100.0, "app_done")
-    verdict = classify_run(trace, timeout=1500.0, obs=empty)
-    assert verdict.critpath_segments == {}
-    assert classify_run(trace, timeout=1500.0, obs=None) \
-        .critpath_segments is None
+    assert classify_run(trace, timeout=1500.0).terminated
     # trace-diff: empty vs empty and empty vs faulted both render
     text = trace_diff_text(empty, empty)
     assert "no recoveries on either side" in text

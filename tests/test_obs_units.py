@@ -1,14 +1,18 @@
 """Unit tests for the observability layer (:mod:`repro.obs`):
-span lifecycle, the metrics registry, rollups, the phase table and the
+span lifecycle, the metrics fold, rollups, the phase table and the
 Chrome-trace exporter — all on synthetic documents, no simulation."""
 
 import json
+from types import SimpleNamespace
 
 from repro.analysis.traces import Trace
-from repro.obs import (FIELDS, KIND, LANE, NULL_SPAN, T0, T1,
-                       MetricsRegistry, Obs, chrome_trace_doc,
-                       chrome_trace_json, epoch_phase_table,
-                       render_phase_table, span_rollups)
+from repro.mpichv.channelmemory import ChannelMemoryState
+from repro.mpichv.ckptserver import CkptServerState
+from repro.mpichv.config import VclConfig
+from repro.mpichv.runtime import VclRuntime
+from repro.obs import (FIELDS, KIND, LANE, NULL_SPAN, T0, T1, Obs,
+                       chrome_trace_doc, chrome_trace_json,
+                       epoch_phase_table, render_phase_table, span_rollups)
 from repro.simkernel.engine import Engine
 
 
@@ -18,36 +22,61 @@ class FakeEngine:
 
 
 # ---------------------------------------------------------------------------
-# metrics registry
+# metrics: the runtime's end-of-run fold
 # ---------------------------------------------------------------------------
 
+def _folded_metrics(coverage, ckpt_states=(), cm_states=()):
+    """The ``metrics`` section :meth:`VclRuntime._finalize_obs` folds
+    from the given probe counts and service states (no simulation)."""
+    runtime = VclRuntime(VclConfig(n_procs=2), app_factory=None)
+    runtime.engine.coverage = dict(coverage)
+    runtime.service_procs = {
+        **{f"ckptserver.{i}": SimpleNamespace(tags={"ckpt_state": state})
+           for i, state in enumerate(ckpt_states)},
+        **{f"channelmemory.{i}": SimpleNamespace(tags={"cm_state": state})
+           for i, state in enumerate(cm_states)}}
+    return runtime._finalize_obs()["metrics"]
+
+
 def test_metrics_counters_gauges_histograms_roundtrip():
-    reg = MetricsRegistry()
-    assert not reg
-    reg.inc("disp.detect.closure")
-    reg.inc("disp.detect.closure", 2)
-    reg.gauge("cm.0.logged", 17)
-    reg.observe("disk.wait_ms", 3.7)
-    reg.observe("disk.wait_ms", 900)
-    assert reg
-    doc = reg.to_doc()
-    back = MetricsRegistry.from_doc(doc)
-    assert back.to_doc() == doc
-    assert back.counters["disp.detect.closure"] == 3
-    assert back.gauges["cm.0.logged"] == 17
-    summary = back.histogram_summary("disk.wait_ms")
-    assert summary["count"] == 2
+    server = CkptServerState()
+    server.note_disk_wait(3.7)
+    server.note_disk_wait(900)
+    cm = ChannelMemoryState()
+    cm.logged, cm.pruned = 17, 5
+    doc = _folded_metrics({
+        "disp.rx.Register": 4, "disp.rx.Done": 2,
+        "disp.launch_death": 3,
+        "disp.closure.failure.running": 2,
+        "disp.closure.failure.restarting": 1,
+        "disp.closure.bug_misattribution": 1,
+        "disp.wave.app_start": 1,           # a probe, not a metric
+    }, ckpt_states=[server, CkptServerState()], cm_states=[cm])
+    assert doc == {
+        "counters": {"disp.detect.closure": 3, "disp.detect.launch": 3,
+                     "disp.detect.missed": 1, "disp.rx.Done": 2,
+                     "disp.rx.Register": 4},
+        "gauges": {"cm.0.duplicates": 0, "cm.0.forwarded": 0,
+                   "cm.0.logged": 17, "cm.0.pruned": 5},
+        # a server that never waited has no histogram
+        "histograms": {"ckptsrv.0.disk.wait_ms": {"2": 1, "512": 1}},
+    }
+    # sorted keys, and the document survives the JSON round trip
+    for section in doc.values():
+        assert list(section) == sorted(section)
+    assert json.loads(json.dumps(doc)) == doc
 
 
 def test_metrics_histogram_buckets_are_log_spaced():
-    reg = MetricsRegistry()
+    server = CkptServerState()
     for v in (1, 2, 3, 1000):
-        reg.observe("h", v)
-    doc = reg.to_doc()
-    buckets = doc["histograms"]["h"]
+        server.note_disk_wait(v)
+    doc = _folded_metrics({}, ckpt_states=[server])
+    buckets = doc["histograms"]["ckptsrv.0.disk.wait_ms"]
     # 1 and every value <= the first bucket edge share a bucket; 1000
     # lands far away — at least two distinct buckets, not one per value
     assert 2 <= len(buckets) < 4
+    assert [int(b) for b in buckets] == sorted(int(b) for b in buckets)
     assert json.dumps(doc)  # JSON-safe
 
 
@@ -94,7 +123,7 @@ def test_close_all_and_finalize_truncation():
     obs.finalize(200.0)             # idempotent
     assert left_open.t1 == 100.0
     assert left_open.fields["_truncated"] is True
-    doc = obs.to_doc()
+    doc = obs.to_doc(metrics={})
     assert doc["truncated_spans"] == 1 and doc["dropped_spans"] == 0
 
 

@@ -10,6 +10,7 @@ The two load-bearing properties of the subsystem:
   zero new trials and reproduces the same rows.
 """
 
+import argparse
 import dataclasses
 import json
 
@@ -19,7 +20,8 @@ from repro.experiments.fig5_frequency import run_experiment, setup_for_period
 from repro.experiments.harness import run_trials, trial_seed
 from repro.experiments.resultstore import (ResultStore, run_result_from_dict,
                                            run_result_to_dict)
-from repro.experiments.runner import TrialRunner, runner_from_args, trial_key
+from repro.experiments.runner import (TrialRunner, add_runner_arguments,
+                                      runner_from_args, trial_key)
 
 #: heavily reduced workload so a sweep stays in the second range
 QUICK = dict(niters=10, total_compute=180.0, footprint=1e8)
@@ -141,19 +143,24 @@ def test_no_cache_ignores_store(tmp_path):
     setup = quick_setup(None)
     job = [(setup, 1)]
     TrialRunner(cache_dir=cache).run_jobs(job)
-    runner = TrialRunner(cache_dir=cache, use_cache=False)
+    parser = argparse.ArgumentParser()
+    add_runner_arguments(parser)
+    runner = runner_from_args(parser.parse_args(
+        ["--cache-dir", cache, "--no-cache"]))
+    assert runner.store is None
     runner.run_jobs(job)
     assert runner.stats.executed == 1
     assert runner.stats.cache_hits == 0
 
 
 def test_run_trials_cache_knobs(tmp_path):
-    """The harness-level knobs build the runner without an explicit one."""
+    """A cold serial run and a warm two-worker run over one cache agree."""
     cache = str(tmp_path / "cache")
     kwargs = dict(setup_for=quick_setup, configs=[None], labels=["base"],
                   reps=2, name="t", base_seed=3)
-    first = run_trials(cache_dir=cache, **kwargs)
-    second = run_trials(cache_dir=cache, workers=2, **kwargs)
+    first = run_trials(runner=TrialRunner(cache_dir=cache), **kwargs)
+    second = run_trials(runner=TrialRunner(workers=2, cache_dir=cache),
+                        **kwargs)
     assert_results_identical(first, second)
 
 
@@ -341,10 +348,6 @@ def test_store_rejects_future_format(tmp_path):
 # -- CLI plumbing -------------------------------------------------------------
 
 def test_runner_from_args():
-    import argparse
-
-    from repro.experiments.runner import add_runner_arguments
-
     parser = argparse.ArgumentParser()
     add_runner_arguments(parser)
     args = parser.parse_args(["--workers", "3", "--cache-dir", "/tmp/x",

@@ -54,36 +54,6 @@ def _bucket(t: float, t0: float, t1: float, width: int) -> int:
     return min(max(idx, 0), width - 1)
 
 
-def _counts_only_timeline(trace: Trace,
-                          lanes: Sequence[TimelineLane]) -> str:
-    """Degraded rendering for a trace that dropped its records.
-
-    ``Trace(keep=False)`` (the campaign default) still accumulates
-    ``counts`` / ``first_time`` / ``last_time`` per kind, so instead of
-    silently drawing an all-empty swimlane we render what survives: one
-    row per lane with its event count and observed time range.
-    """
-    label_w = max(len(lane.label) for lane in lanes) if lanes else 8
-    lines = ["(records not kept — counts-only timeline; run with "
-             "keep_trace=True for swimlanes)"]
-    total = 0
-    for lane in lanes:
-        n = sum(trace.counts.get(kind, 0) for kind in lane.kinds)
-        total += n
-        if not n:
-            lines.append(f"{lane.label:<{label_w}} ·")
-            continue
-        firsts = [trace.first_time[k] for k in lane.kinds
-                  if k in trace.first_time]
-        lasts = [trace.last_time[k] for k in lane.kinds
-                 if k in trace.last_time]
-        span = (f" t={min(firsts):.1f}..{max(lasts):.1f}"
-                if firsts and lasts else "")
-        lines.append(f"{lane.label:<{label_w}} {lane.mark} x{n}{span}")
-    lines.append(f"({total} events counted, 0 records kept)")
-    return "\n".join(lines)
-
-
 def render_timeline(trace: Trace, width: int = 72,
                     t0: Optional[float] = None,
                     t1: Optional[float] = None,
@@ -91,9 +61,9 @@ def render_timeline(trace: Trace, width: int = 72,
                     ) -> str:
     """Render the trace as fixed-width swimlanes.
 
-    Wants a trace that kept its records (``Trace(keep=True)``); a
-    counts-only trace that saw events degrades to a per-lane count
-    table instead of an empty swimlane.  Empty buckets show ``·`` so
+    Wants a trace that kept its records (``Trace(keep=True)``): a
+    trace that counted events but kept none raises ``ValueError``
+    rather than drawing empty swimlanes.  Empty buckets show ``·`` so
     gaps — the freeze signature — stand out.
     """
     if width < 10:
@@ -104,8 +74,9 @@ def render_timeline(trace: Trace, width: int = 72,
         if trace.count("thread_crashed"):
             lanes = (*lanes, CRASH_LANE)
     lanes = [TimelineLane(lbl, kinds, mark) for (lbl, kinds, mark) in lanes]
-    if not records and not trace.keep and trace.counts:
-        return _counts_only_timeline(trace, lanes)
+    if not records and trace.counts:
+        raise ValueError("the trace kept no records: run the trial with "
+                         "keep_trace=True to render its timeline")
     if t0 is None:
         t0 = records[0].t if records else 0.0
     if t1 is None:

@@ -32,7 +32,13 @@ class TraceRecord:
 
 
 class Trace:
-    """An append-only list of :class:`TraceRecord` with query helpers."""
+    """An append-only list of :class:`TraceRecord` with query helpers.
+
+    ``counts`` is the one tally of what a run did (restarts, detected
+    failures, committed waves are counts of their kinds) and travels in
+    the result document; ``last_time`` is live state for
+    :func:`repro.analysis.classify.classify_run` and does not.
+    """
 
     def __init__(self, keep: bool = True):
         self.records: List[TraceRecord] = []
@@ -41,13 +47,11 @@ class Trace:
         #: long runs can classify outcomes without storing every record.
         self.counts: Dict[str, int] = {}
         self.last_time: Dict[str, float] = {}
-        self.first_time: Dict[str, float] = {}
         self._listeners: List[Callable[[TraceRecord], None]] = []
 
     def record(self, t: float, kind: str, **fields: Any) -> None:
         self.counts[kind] = self.counts.get(kind, 0) + 1
         self.last_time[kind] = t
-        self.first_time.setdefault(kind, t)
         rec = TraceRecord(t, kind, fields)
         if self.keep:
             self.records.append(rec)
@@ -90,9 +94,6 @@ class Trace:
 
     def last_t(self, kind: str) -> Optional[float]:
         return self.last_time.get(kind)
-
-    def first_t(self, kind: str) -> Optional[float]:
-        return self.first_time.get(kind)
 
     def between(self, t0: float, t1: float) -> List[TraceRecord]:
         return [r for r in self.records if t0 <= r.t <= t1]

@@ -11,12 +11,14 @@ from a trial result that the live object cannot give it directly:
   figure, or a resumed campaign, skips trials that already computed.
 
 Both are the same JSON document, produced by :func:`run_result_to_dict`
-and consumed by :func:`run_result_from_dict`.  The round trip preserves
-everything the experiment layer reads: the verdict, the headline
-counters, the trace counters (``counts`` / ``first_time`` /
-``last_time``) and — when the trial kept them — the full trace records.
-Trace *listeners* are deliberately dropped: they are live wiring, not
-results.
+and consumed by :func:`run_result_from_dict`.  It holds the verdict,
+the trace's per-kind ``counts`` and — when the trial kept them — its
+records, then every other :class:`RunResult` field under its own name,
+in declaration order.  The run counters (restarts, failures detected,
+bug events, committed waves) are trace counts, so they are not stated
+again.  A document that lacks a key is unusable, like one of another
+format.  Trace *listeners* and ``last_time`` are dropped: live wiring
+and live classifier state, not results.
 
 :class:`ResultStore` is the cache: one JSON file per trial under a
 root directory, written atomically so an interrupted campaign never
@@ -25,6 +27,7 @@ leaves a truncated entry behind.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
@@ -39,36 +42,38 @@ from repro.obs.spans import json_safe
 #: the simulation's semantics change; readers reject other versions
 #: and the cache re-executes their entries.  No field carries wall
 #: clock, so the document is byte-identical however the trial ran.
-FORMAT_VERSION = 12   # 12: the verdict is the trace's alone; its
-#                       phase figures are read from ``obs``.  Earlier
-#                       formats: EXPERIMENTS.md, version history.
+FORMAT_VERSION = 13   # 13: the run counters are the trace's counts
+#                       alone; the trace section is ``counts`` and
+#                       ``records``.  Earlier formats: EXPERIMENTS.md,
+#                       version history.
 
 
 def trace_to_dict(trace: Trace) -> Dict[str, Any]:
     return {
-        "keep": trace.keep,
         "counts": dict(trace.counts),
-        "first_time": dict(trace.first_time),
-        "last_time": dict(trace.last_time),
         "records": [[r.t, r.kind, json_safe(r.fields)]
                     for r in trace.records],
     }
 
 
 def trace_from_dict(doc: Dict[str, Any]) -> Trace:
-    trace = Trace(keep=bool(doc.get("keep", False)))
-    trace.counts = dict(doc.get("counts", {}))
-    trace.first_time = dict(doc.get("first_time", {}))
-    trace.last_time = dict(doc.get("last_time", {}))
+    trace = Trace(keep=bool(doc["records"]))
+    trace.counts = dict(doc["counts"])
     trace.records = [TraceRecord(t, kind, fields)
-                     for t, kind, fields in doc.get("records", [])]
+                     for t, kind, fields in doc["records"]]
     return trace
+
+
+#: the result's flat fields, in declaration order — the document's key
+#: order after ``format``, ``verdict`` and ``trace``
+_FLAT = tuple(f.name for f in dataclasses.fields(RunResult)
+              if f.name not in ("verdict", "trace"))
 
 
 def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
     """JSON-safe document capturing one trial's result."""
     verdict = result.verdict
-    return {
+    doc: Dict[str, Any] = {
         "format": FORMAT_VERSION,
         "verdict": {
             "outcome": verdict.outcome.value,
@@ -77,26 +82,15 @@ def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
             "reason": verdict.reason,
         },
         "trace": trace_to_dict(result.trace),
-        "sim_time": result.sim_time,
-        "restarts": result.restarts,
-        "bug_events": result.bug_events,
-        "failures_detected": result.failures_detected,
-        "waves_committed": result.waves_committed,
-        "events_processed": result.events_processed,
-        "app_signature": result.app_signature,
-        "invariant_violations": list(result.invariant_violations),
-        "net_bytes": result.net_bytes,
-        "net_messages": result.net_messages,
-        "net_hotspot": result.net_hotspot,
-        "net_hotspot_bytes": result.net_hotspot_bytes,
-        "ckpt_shard_bytes": list(result.ckpt_shard_bytes),
-        "coverage": result.coverage,
-        "obs": result.obs,
     }
+    for name in _FLAT:
+        doc[name] = getattr(result, name)
+    return doc
 
 
 def run_result_from_dict(doc: Dict[str, Any]) -> RunResult:
-    """Inverse of :func:`run_result_to_dict`."""
+    """Inverse of :func:`run_result_to_dict`; a missing key raises
+    ``KeyError``."""
     version = doc.get("format")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported result format {version!r} "
@@ -108,25 +102,8 @@ def run_result_from_dict(doc: Dict[str, Any]) -> RunResult:
         last_activity=v["last_activity"],
         reason=v["reason"],
     )
-    return RunResult(
-        verdict=verdict,
-        trace=trace_from_dict(doc.get("trace", {})),
-        sim_time=doc["sim_time"],
-        restarts=doc["restarts"],
-        bug_events=doc["bug_events"],
-        failures_detected=doc["failures_detected"],
-        waves_committed=doc["waves_committed"],
-        events_processed=doc["events_processed"],
-        app_signature=doc.get("app_signature"),
-        invariant_violations=list(doc.get("invariant_violations", [])),
-        net_bytes=int(doc.get("net_bytes", 0)),
-        net_messages=int(doc.get("net_messages", 0)),
-        net_hotspot=doc.get("net_hotspot"),
-        net_hotspot_bytes=int(doc.get("net_hotspot_bytes", 0)),
-        ckpt_shard_bytes=[int(b) for b in doc.get("ckpt_shard_bytes", [])],
-        coverage=str(doc.get("coverage", "")),
-        obs=doc.get("obs"),
-    )
+    return RunResult(verdict=verdict, trace=trace_from_dict(doc["trace"]),
+                     **{name: doc[name] for name in _FLAT})
 
 
 class ResultStore:
@@ -159,7 +136,7 @@ class ResultStore:
         """The stored result, or None on a miss.
 
         An entry that is present but unusable — truncated, wrong shape,
-        another :data:`FORMAT_VERSION` — also reads as a miss (the trial
+        a missing key, another :data:`FORMAT_VERSION` — also reads as a miss (the trial
         re-executes and overwrites it) and is counted in :attr:`stale`.
         """
         try:

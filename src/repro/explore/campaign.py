@@ -121,36 +121,29 @@ def quick_config(seed: int = 0, **overrides) -> ExploreConfig:
 # trial construction
 # ---------------------------------------------------------------------------
 
-def _base_setup(cfg: ExploreConfig, workload: str,
-                protocol: str) -> TrialSetup:
+def trial_setup(cfg: ExploreConfig, workload: str, protocol: str,
+                source: Optional[str] = None,
+                meta: Optional[Dict[str, object]] = None,
+                n_machines: Optional[int] = None) -> TrialSetup:
+    """One explore trial: the fault-free golden run without ``source``,
+    else the FAIL scenario ``source`` (provenance ``meta``) deployed
+    through the generators' daemons, on ``n_machines`` machines when a
+    shrink drops some."""
     calibration = CALIBRATIONS.get(workload, {})
+    scenario = {} if source is None else dict(
+        scenario_source=source, scenario_meta=meta or {},
+        master_daemon=generators.MASTER, node_daemon=generators.NODE_DAEMON)
     return TrialSetup(
-        n_procs=cfg.n_procs, n_machines=cfg.n_machines,
+        n_procs=cfg.n_procs,
+        n_machines=cfg.n_machines if n_machines is None else n_machines,
         bug_compat=cfg.bug_compat, timeout=cfg.timeout,
         protocol=protocol, workload=workload,
         niters=int(calibration.get("niters", 30)),
         total_compute=float(calibration.get("total_compute", 480.0)),
         footprint=1e8,
         config_overrides=dict(cfg.config_overrides),
+        **scenario,
     )
-
-
-def scenario_setup(cfg: ExploreConfig, scenario: GeneratedScenario,
-                   workload: str, protocol: str) -> TrialSetup:
-    base = _base_setup(cfg, workload, protocol)
-    return replace(
-        base,
-        scenario_source=scenario.source,
-        scenario_meta=scenario.meta(),
-        master_daemon=generators.MASTER,
-        node_daemon=generators.NODE_DAEMON,
-    )
-
-
-def golden_setup(cfg: ExploreConfig, workload: str,
-                 protocol: str) -> TrialSetup:
-    """The fault-free reference run (no scenario deployed)."""
-    return _base_setup(cfg, workload, protocol)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +427,7 @@ def run_campaign(cfg: ExploreConfig,
     golden_keys = [(protocol, workload)
                    for protocol in protos for workload in workloads]
     jobs: List[Tuple[TrialSetup, int]] = [
-        (golden_setup(cfg, workload, protocol),
+        (trial_setup(cfg, workload, protocol),
          derive_seed(cfg.seed, "golden", protocol, workload))
         for protocol, workload in golden_keys]
     trial_plan: List[Tuple[GeneratedScenario, str, str, int]] = []
@@ -444,8 +437,9 @@ def run_campaign(cfg: ExploreConfig,
                 seed = derive_seed(cfg.seed, scenario.family, scenario.index,
                                    protocol, workload)
                 trial_plan.append((scenario, protocol, workload, seed))
-                jobs.append((scenario_setup(cfg, scenario, workload,
-                                            protocol), seed))
+                jobs.append((trial_setup(cfg, workload, protocol,
+                                         source=scenario.source,
+                                         meta=scenario.meta()), seed))
     results = runner.run_jobs(jobs)
 
     goldens = dict(zip(golden_keys, results[:len(golden_keys)]))
@@ -473,18 +467,15 @@ def _shrink_failures(cfg: ExploreConfig, rows: List[Verdict],
     reports: List[ShrinkReport] = []
     for verdict in [v for v in rows if v.failed][:cfg.max_shrinks]:
         golden = goldens[(verdict.protocol, verdict.workload)]
-        base = _base_setup(cfg, verdict.workload, verdict.protocol)
 
-        def still_fails(plan, n_machines, _base=base, _golden=golden,
+        def still_fails(plan, n_machines, _golden=golden,
                         _seed=verdict.trial_seed,
+                        _workload=verdict.workload,
                         _protocol=verdict.protocol):
-            source = render_plan(plan)
-            setup = replace(
-                _base, n_machines=n_machines, scenario_source=source,
-                scenario_meta={"shrink": generators.plan_digest(
-                    plan, n_machines)},
-                master_daemon=generators.MASTER,
-                node_daemon=generators.NODE_DAEMON)
+            setup = trial_setup(
+                cfg, _workload, _protocol, source=render_plan(plan),
+                meta={"shrink": generators.plan_digest(plan, n_machines)},
+                n_machines=n_machines)
             result = runner.run_jobs([(setup, _seed)])[0]
             return bool(failed_names(run_oracles(
                 result, _golden, plan=plan, protocol=_protocol)))
@@ -539,7 +530,8 @@ def _evaluate(cfg: ExploreConfig, runner: TrialRunner,
               scenario: GeneratedScenario, protocol: str, workload: str,
               trial_seed: int) -> Verdict:
     """Run (or load) one fault trial and judge it."""
-    setup = scenario_setup(cfg, scenario, workload, protocol)
+    setup = trial_setup(cfg, workload, protocol, source=scenario.source,
+                        meta=scenario.meta())
     result = runner.run_jobs([(setup, trial_seed)])[0]
     return Verdict(
         scenario=scenario, protocol=protocol, workload=workload,
@@ -653,7 +645,7 @@ def run_guided(cfg: ExploreConfig,
     ctx = cfg.generator_context()
     cells = [(p, w) for p in protos for w in workloads]
     goldens = dict(zip(cells, runner.run_jobs([
-        (golden_setup(cfg, w, p), derive_seed(cfg.seed, "golden", p, w))
+        (trial_setup(cfg, w, p), derive_seed(cfg.seed, "golden", p, w))
         for p, w in cells])))
 
     rows: List[Verdict] = []
@@ -751,15 +743,12 @@ def replay_scenario(source: str, cfg: ExploreConfig, protocol: str,
                     ) -> Tuple[RunResult, List[OracleReport]]:
     """Run one scenario + its golden and evaluate the oracles."""
     runner = runner or TrialRunner()
-    base = _base_setup(cfg, workload, protocol)
-    setup = replace(base, scenario_source=source,
-                    scenario_meta={"replay": hashlib.sha256(
-                        source.encode("utf-8")).hexdigest()[:12]},
-                    master_daemon=generators.MASTER,
-                    node_daemon=generators.NODE_DAEMON)
+    setup = trial_setup(cfg, workload, protocol, source=source,
+                        meta={"replay": hashlib.sha256(
+                            source.encode("utf-8")).hexdigest()[:12]})
     golden_seed = derive_seed(cfg.seed, "golden", protocol, workload)
     golden, result = runner.run_jobs([
-        (golden_setup(cfg, workload, protocol), golden_seed),
+        (trial_setup(cfg, workload, protocol), golden_seed),
         (setup, trial_seed)])
     return result, run_oracles(result, golden)
 

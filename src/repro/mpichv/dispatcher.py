@@ -58,9 +58,6 @@ class DispatcherState:
         self.done_ranks: Set[int] = set()
         self.last_committed: Optional[int] = None
         self.restore_wave: Optional[int] = None
-        self.restarts = 0
-        self.bug_events = 0
-        self.failures_detected = 0
 
 
 def dispatcher_main(proc: UnixProcess, config, app_factory,
@@ -148,7 +145,6 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
         # Death during launch, before the argument exchange finished.
         # Both the buggy and the fixed dispatcher handle this correctly
         # (the paper's bug needs the daemon to be *running* already).
-        state.failures_detected += 1
         engine.cover("disp.launch_death")
         engine.log("failure_detected", rank=rank, where="launch")
         close_detect(rank, fallback=False, where="launch")
@@ -181,7 +177,6 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
 
     def initiate_restart(failed_ranks: Set[int]) -> None:
         state.epoch += 1
-        state.restarts += 1
         engine.cover(f"disp.restart.epoch.x{hit_bucket(state.epoch)}")
         engine.cover(f"disp.restart.failed.x{hit_bucket(len(failed_ranks))}")
         state.phase = RESTARTING
@@ -243,7 +238,6 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
                 # wave outstanding, the closure is booked against that
                 # cleanup; the new-wave failure goes unnoticed and the
                 # machine is never relaunched.
-                state.bug_events += 1
                 engine.cover("disp.closure.bug_misattribution")
                 engine.log("bug_misattribution", rank=rank, epoch=ep)
                 # the failure *was* observable (the socket closed) but
@@ -252,14 +246,12 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
                 # relaunch ever following it
                 close_detect(rank, missed=True, epoch=ep)
                 return
-            state.failures_detected += 1
             engine.cover(f"disp.closure.failure.{state.phase}")
             engine.log("failure_detected", rank=rank, where=state.phase)
             close_detect(rank, where=state.phase, epoch=ep)
             if single_rank_restart:
                 # message logging: only the failed rank restarts
                 engine.cover("disp.closure.single_rank_restart")
-                state.restarts += 1
                 del state.reg[rank]
                 engine.log("restart_wave", epoch=state.epoch,
                            restore=spec.name, failed=[rank])

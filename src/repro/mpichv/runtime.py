@@ -42,15 +42,16 @@ METRIC_COUNTERS = (
 
 @dataclass
 class RunResult:
-    """Everything an experiment needs from a single run."""
+    """Everything an experiment needs from a single run.
+
+    The run's counted facts — restarts, detected failures, the paper's
+    bug events, committed checkpoint waves — are the trace's per-kind
+    ``counts``, read through properties: the trace states them once.
+    """
 
     verdict: RunVerdict
     trace: Trace
     sim_time: float
-    restarts: int
-    bug_events: int
-    failures_detected: int
-    waves_committed: int
     events_processed: int
     #: workload verification checksum (the ``verify_ok`` record), or
     #: None when the run never verified — the exploration oracles
@@ -72,7 +73,7 @@ class RunResult:
     #: hex wire form of the run's coverage signature (see
     #: :mod:`repro.analysis.coverage`): dispatcher/daemon probe labels
     #: plus hit-bucketed trace counters, folded into a fixed-width
-    #: bitmap.  Empty string on legacy results.
+    #: bitmap.
     coverage: str = ""
     #: the compact observability document (see :mod:`repro.obs`):
     #: span rows, the metrics and the causal folds.  ``None``
@@ -89,6 +90,22 @@ class RunResult:
         if not per_shard or not sum(per_shard):
             return 0.0
         return max(per_shard) / (sum(per_shard) / len(per_shard))
+
+    @property
+    def restarts(self) -> int:
+        return self.trace.count("restart_wave")
+
+    @property
+    def bug_events(self) -> int:
+        return self.trace.count("bug_misattribution")
+
+    @property
+    def failures_detected(self) -> int:
+        return self.trace.count("failure_detected")
+
+    @property
+    def waves_committed(self) -> int:
+        return self.trace.count("ckpt_wave_complete")
 
     @property
     def outcome(self) -> Outcome:
@@ -240,8 +257,6 @@ class VclRuntime:
         # cache-loaded results carry it identically to live ones.
         coverage = run_signature(self.engine.coverage,
                                  self.trace.counts).hex
-        disp = self.dispatcher_state
-        sched = self.scheduler_state
         network = self.cluster.network
         hotspot_link, hotspot_bytes = network.hotspot()
         # per-shard ingest accounting (service state outlives the procs)
@@ -254,10 +269,6 @@ class VclRuntime:
             verdict=verdict,
             trace=self.trace,
             sim_time=self.engine.now,
-            restarts=disp.restarts if disp else 0,
-            bug_events=disp.bug_events if disp else 0,
-            failures_detected=disp.failures_detected if disp else 0,
-            waves_committed=sched.waves_committed if sched else 0,
             events_processed=self.engine.events_processed,
             app_signature=signature[0] if signature else None,
             invariant_violations=protocols.check_invariants(self),

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.obs.causal import CausalGraph
+from repro.simkernel.engine import _NULL_SPAN as NULL_SPAN
 
 #: indices into a span row ``[t0, t1, kind, lane, fields]``
 T0, T1, KIND, LANE, FIELDS = 0, 1, 2, 3, 4
@@ -80,22 +81,6 @@ class Span:
         return f"<Span {self.kind}@{self.lane} [{self.t0:.3f},{end})>"
 
 
-class _NullSpan:
-    """Shared no-op handle returned when observation is off."""
-
-    __slots__ = ()
-    closed = True
-
-    def close(self, **fields: Any) -> "_NullSpan":
-        return self
-
-    def close_at(self, t1: float, **fields: Any) -> "_NullSpan":
-        return self
-
-
-NULL_SPAN = _NullSpan()
-
-
 class Obs:
     """Per-trial recorder: the span list and the causal graph."""
 
@@ -131,9 +116,6 @@ class Obs:
         bucket = self._open.get(span.kind)
         if bucket is not None and span in bucket:
             bucket.remove(span)
-
-    def open_spans(self, kind: str) -> List[Span]:
-        return list(self._open.get(kind, ()))
 
     def end_oldest(self, kind: str, t1: float,
                    match: Optional[Dict[str, Any]] = None,

@@ -54,10 +54,10 @@ class SimTimeoutError(Exception):
 
 class _NullSpan:
     """No-op span handle returned by :meth:`Engine.span` when no
-    observability recorder is attached.  The simkernel defines its own
-    (rather than importing :data:`repro.obs.NULL_SPAN`) so the engine
-    stays importable without the obs package and the off-path cost is
-    one attribute test."""
+    observability recorder is attached, and by a recorder past its
+    span cap (:data:`repro.obs.NULL_SPAN` is this one object).  It
+    lives here so the engine stays importable without the obs package
+    and the off-path cost is one attribute test."""
 
     __slots__ = ()
     closed = True

@@ -1,12 +1,23 @@
-"""Shared fixtures and tiny builders for the test suite."""
+"""Shared fixtures and tiny builders for the test suite.
+
+``figure_shape(spec, ablated=False)`` runs a spec's ``run_experiment``
+at its quick scale — at the paper's scale under ``REPRO_FULL=1`` —
+with the spec's ablation laid over it if ``ablated``, and checks the
+result with the spec's ``expect``.  Each run is made once per session,
+so the tests that check one figure under different names share it.
+"""
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
 from repro.analysis.traces import Trace
 from repro.cluster.cluster import Cluster
 from repro.simkernel.engine import Engine
+
+FULL = os.environ.get("REPRO_FULL", "") not in ("", "0")
 
 
 @pytest.fixture
@@ -27,3 +38,19 @@ def run_quiet(engine, until=None):
     failures = getattr(engine, "process_failures", [])
     assert not failures, [(p.name, p.error) for p in failures]
     return engine.now
+
+
+@pytest.fixture(scope="session")
+def figure_shape():
+    results = {}
+
+    def check(spec, ablated=False):
+        # run_experiment's defaults are the paper's scale
+        kwargs = {**({} if FULL else spec.quick),
+                  **(spec.ablation if ablated else {})}
+        key = (spec.name, ablated)
+        if key not in results:
+            results[key] = spec.run(**kwargs)
+        spec.expect(results[key], spec.resolve(kwargs))
+
+    return check

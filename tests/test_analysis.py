@@ -22,7 +22,6 @@ def test_trace_records_and_counters():
     assert len(tr) == 3
     assert tr.count("a") == 2
     assert tr.last_t("a") == 3.0
-    assert tr.first_t("a") == 1.0
     assert tr.last("a").x == 2
     assert [r.kind for r in tr.of_kind("a")] == ["a", "a"]
 

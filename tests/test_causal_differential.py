@@ -20,8 +20,8 @@ from types import SimpleNamespace
 from hypothesis import given, settings, strategies as st
 
 from repro.obs import causal
-from tests import reference_causal as reference
-from tests.causal_view import Msg, columns_of, send
+import reference_causal as reference
+from causal_view import Msg, columns_of, send
 
 SITES = ("r0", "r1", "disp", "sched", "cm0")
 HOSTS = ("m0", "m1", "m2", "m3", "svc0", "svc1")

@@ -18,8 +18,8 @@ from repro.obs.causal import (MAX_CAUSAL_NODES, MAX_CHAIN, CausalGraph,
 from repro.obs.phases import epoch_phase_table, recovery_window
 from repro.obs.report import aggregate_obs, html_report, openmetrics_text
 from repro.simkernel.engine import Engine
-from tests.causal_view import (E_TYPE, N_ID, Msg, assert_folds_equal_reference,
-                               columns_of, graph_view, mint, send)
+from causal_view import (E_TYPE, N_ID, Msg, assert_folds_equal_reference,
+                         columns_of, graph_view, mint, send)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from repro.fail.lang import ast
 from repro.fail.lang.parser import parse_fail
 from repro.fail.machine import Machine
 
-from tests.test_fail_codegen import compile_handler
-from tests.test_fail_machine import FakeCtx
+from test_fail_codegen import compile_handler
+from test_fail_machine import FakeCtx
 
 BUILTINS = {
     "fig4": scenarios.FIG4_NODE_DAEMON,

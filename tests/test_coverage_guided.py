@@ -12,8 +12,8 @@ from repro.experiments.harness import TrialSetup
 from repro.experiments.runner import TrialRunner
 from repro.explore import generators
 from repro.explore.campaign import (ExploreConfig, derive_seed,
-                                    golden_setup, quick_config, run_guided,
-                                    scenario_setup, seeded_first_failure)
+                                    quick_config, run_guided,
+                                    seeded_first_failure, trial_setup)
 from repro.explore.corpus import Corpus, CorpusEntry, default_corpus_dir
 from repro.explore.generators import (GeneratorContext, Heal, TimedKill,
                                       TimedPartition, plan_from_doc,
@@ -71,7 +71,8 @@ def test_oracle_coverage_labels_expose_branches():
 def _one_setup(cfg, protocol="vcl", family="random_schedule"):
     scenario = generators.generate(family, 0, cfg.seed,
                                    cfg.generator_context())
-    return (scenario_setup(cfg, scenario, "ring", protocol),
+    return (trial_setup(cfg, "ring", protocol, source=scenario.source,
+                        meta=scenario.meta()),
             derive_seed(cfg.seed, family, 0, protocol, "ring"))
 
 
@@ -82,14 +83,14 @@ def test_same_seed_gives_identical_coverage_bitmap():
     second = setup.run_one(seed)
     assert first.coverage and first.coverage == second.coverage
     # a behaviourally different run (no faults at all) covers less
-    golden = golden_setup(cfg, "ring", "vcl").run_one(seed)
+    golden = trial_setup(cfg, "ring", "vcl").run_one(seed)
     assert golden.coverage != first.coverage
 
 
 def test_parallel_and_serial_runs_carry_identical_signatures():
     cfg = ExploreConfig(seed=3)
     jobs = [_one_setup(cfg), _one_setup(cfg, protocol="v1"),
-            (golden_setup(cfg, "ring", "vcl"),
+            (trial_setup(cfg, "ring", "vcl"),
              derive_seed(cfg.seed, "golden", "vcl", "ring"))]
     serial = TrialRunner(workers=1).run_jobs(jobs)
     pooled = TrialRunner(workers=2).run_jobs(jobs)
@@ -299,7 +300,7 @@ def test_guided_campaign_at_width_2_never_builds_a_pool(tmp_path,
 def test_seeded_baseline_walks_canonical_order(tmp_path):
     cfg = _guided_cfg()
     runner = TrialRunner(cache_dir=str(tmp_path / "cache"))
-    goldens = {("v1", "ring"): golden_setup(cfg, "ring", "v1").run_one(
+    goldens = {("v1", "ring"): trial_setup(cfg, "ring", "v1").run_one(
         derive_seed(cfg.seed, "golden", "v1", "ring"))}
     n = seeded_first_failure(cfg, runner, goldens, cap=cfg.budget)
     assert n is not None and 1 <= n <= cfg.budget

@@ -4,8 +4,8 @@
 scale and checks the paper's shape with the spec's own ``expect`` —
 and its ablation, where it has one.  Under ``REPRO_FULL=1`` the same
 test runs the paper's scales instead (serially: tens of minutes).  The
-``figure_shape`` fixture (root ``conftest.py``) shares each run with
-the older per-figure test names in ``benchmarks/`` and
+``figure_shape`` fixture (``tests/conftest.py``) shares each run with
+the older per-figure test names in ``tests/test_fig*.py`` and
 ``tests/test_figure_shapes_quick.py``.
 """
 

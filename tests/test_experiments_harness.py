@@ -19,8 +19,7 @@ def _fake_result(outcome, exec_time=None):
     verdict = RunVerdict(outcome=outcome, exec_time=exec_time,
                          last_activity=0.0, reason="")
     return RunResult(verdict=verdict, trace=Trace(), sim_time=0.0,
-                     restarts=0, bug_events=0, failures_detected=0,
-                     waves_committed=0, events_processed=0)
+                     events_processed=0)
 
 
 def test_row_percentages_and_stats():

@@ -25,13 +25,14 @@ def make_result(outcome=Outcome.TERMINATED, exec_time=100.0,
                 last_activity=None):
     if outcome is not Outcome.TERMINATED:
         exec_time = None
+    trace = Trace(keep=False)
+    trace.counts = {"failure_detected": failures, "restart_wave": failures}
     return RunResult(
         verdict=RunVerdict(outcome=outcome, exec_time=exec_time,
                            last_activity=last_activity if last_activity
                            is not None else (exec_time or 250.0),
                            reason="test"),
-        trace=Trace(keep=False), sim_time=300.0, restarts=failures,
-        bug_events=0, failures_detected=failures, waves_committed=0,
+        trace=trace, sim_time=300.0,
         events_processed=1000, app_signature=signature,
         invariant_violations=list(violations))
 
@@ -322,14 +323,12 @@ def test_v2_survives_rekilling_the_same_rank():
     collided with existing positions and were dropped) and deadlock
     the second recovery.  Found by the explore campaign; pinned here."""
     cfg = quick_config(seed=0)
-    from repro.explore.campaign import _base_setup
+    from repro.explore.campaign import trial_setup
 
     src = generators.render_plan((TimedKill(40, 0), TimedKill(55, 0),
                                   TimedKill(70, 0)))
     setup = dataclasses.replace(
-        _base_setup(cfg, "ring", "v2"), scenario_source=src,
-        timeout=600.0, master_daemon=generators.MASTER,
-        node_daemon=generators.NODE_DAEMON)
+        trial_setup(cfg, "ring", "v2", source=src), timeout=600.0)
     result = setup.run_one(12345)
     assert result.outcome is Outcome.TERMINATED
     assert result.failures_detected == 3
@@ -345,13 +344,12 @@ def test_v2_replay_mode_survives_resends_racing_the_history_fetch():
     colliding positions, and deadlock once the real history arrived.
     The v2_replay_done record must never precede v2_replay_start."""
     cfg = quick_config(seed=0)
-    from repro.explore.campaign import _base_setup
+    from repro.explore.campaign import trial_setup
 
     src = generators.render_plan((TimedKill(40, 0),))
     setup = dataclasses.replace(
-        _base_setup(cfg, "ring", "v2"), scenario_source=src,
-        timeout=600.0, keep_trace=True, master_daemon=generators.MASTER,
-        node_daemon=generators.NODE_DAEMON)
+        trial_setup(cfg, "ring", "v2", source=src), timeout=600.0,
+        keep_trace=True)
     result = setup.run_one(2024)
     assert result.outcome is Outcome.TERMINATED
     starts = [r.t for r in result.trace.records

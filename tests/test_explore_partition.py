@@ -13,7 +13,7 @@ from repro.explore.generators import (GeneratorContext, Heal, TimedKill,
 from repro.fail.compile import compile_scenario
 from repro.fail.lang.parser import parse_fail
 
-from tests.test_explore import GOLDEN, make_result
+from test_explore import GOLDEN, make_result
 
 CTX = GeneratorContext(n_machines=7, n_busy=4)
 

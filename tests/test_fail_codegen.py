@@ -11,7 +11,7 @@ from repro.fail import builtin_scenarios as scenarios
 from repro.fail.codegen import generate_module, generate_python
 from repro.fail.lang.parser import parse_fail
 from repro.fail.machine import Machine
-from tests.test_fail_machine import FakeCtx
+from test_fail_machine import FakeCtx
 
 
 class GenCtx:

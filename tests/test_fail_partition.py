@@ -15,8 +15,8 @@ from repro.fail.lang.parser import parse_fail
 from repro.fail.lang.pretty import pretty_print
 from repro.fail.machine import Machine
 
-from tests.test_fail_codegen import compile_handler
-from tests.test_fail_machine import FakeCtx
+from test_fail_codegen import compile_handler
+from test_fail_machine import FakeCtx
 
 PARTITION_SRC = """Daemon ADV {
   node 1:

@@ -223,4 +223,4 @@ def test_partition_scenario_parallel_serial_cache_bit_for_bit(tmp_path):
             for batch in (serial, parallel, cold_results, warm_results)]
     assert docs[0] == docs[1] == docs[2] == docs[3]
     # the trials actually exercised the partition machinery
-    assert all(doc["failures_detected"] > 0 for doc in docs[0])
+    assert all(result.failures_detected > 0 for result in serial)

@@ -14,7 +14,7 @@ from repro.experiments.resultstore import (run_result_from_dict,
 from repro.experiments.runner import TrialRunner
 from repro.explore import generators
 from repro.explore.campaign import (ExploreConfig, derive_seed,
-                                    scenario_setup)
+                                    trial_setup)
 from repro.explore.generators import (Heal, TimedKill, TimedPartition,
                                       render_plan)
 from repro.mpichv import protocols
@@ -23,9 +23,9 @@ from repro.experiments.compare_protocols import setup_for
 from repro.obs import (FIELDS, KIND, LANE, T0, T1, chrome_trace_json,
                        epoch_phase_table, span_rollups)
 from repro.obs.causal import MAX_CHAIN, causal_totals
-from tests.causal_view import (E_DST, E_SRC, E_TYPE, N_ID, N_KIND, N_T,
-                               assert_folds_equal_reference, graph_view,
-                               run_keeping_recorder)
+from causal_view import (E_DST, E_SRC, E_TYPE, N_ID, N_KIND, N_T,
+                         assert_folds_equal_reference, graph_view,
+                         run_keeping_recorder)
 
 CAL = dict(workload="ring", niters=40, total_compute=1280.0, footprint=1e8)
 
@@ -367,23 +367,23 @@ def _bt16(protocol):
 #: past the causal cap).
 DOCUMENT_DIGESTS = {
     ("ring4", "v1"):
-        "0e068994c62152e51552f751dcfd38ba55f3ee23a046026f1df73acf0c1da68d",
+        "d9cdc4392175c2756ba61c3771c39c7de42896a71e4b9059cd28335e2158cf1d",
     ("ring4", "v2"):
-        "b26b9b9342dc181ea3e1754d398c7b10d5494a3f856d349ebd421468d8287c9a",
+        "8ba2e188263dba1b010661c5212c06c4c175be2d7e0a2597e31e736d0f6f76a1",
     ("ring4", "vcl"):
-        "4dc6793d767d4692bdb5379dce7fb100976d041acef6491c98e76d205b32c29c",
+        "889232cd96e2de15eb19a27887cdd8f219c3b698db618738c11849368831f3ac",
     ("ring64", "v1"):
-        "e37c95614f9a5ca209c50e0c57a4896320f4f1440481670437ff351d8b6a3457",
+        "1b1f5b8f68b98f554b9ea3e296114eab74eeb9384383324f848b304edf6619be",
     ("ring64", "v2"):
-        "e9ca73c5a696e9e465623858ab5bffec6661104bda29452d40460300ebcfeaff",
+        "f196c65ebee467da51489e6422da05e64d88624c8c503f868e901a3da065b6e5",
     ("ring64", "vcl"):
-        "6941785924323d58db537162b4d3cb5670aa96a33ce36ca6e52782f88c6a518e",
+        "7627eaacf0bf1d46f92865410a0658de9415602177801fce68103da8b36b11b6",
     ("bt16", "v1"):
-        "2d29133e698b70f80ef1fac1218cc106309fed894e3ea578a00cf8dc955649d0",
+        "e7f08c68ec8544c30d680d58c5f7f836861a806fc6cf9253b8600942e518e27d",
     ("bt16", "v2"):
-        "7140da325460d6c761528cc6ff59f43f17fd68045fe464529216d0a6b45924f6",
+        "b6a6a5d68298930fbf720b941937529d86e72f0aa49fb9ec8f6f90673c720bb9",
     ("bt16", "vcl"):
-        "79c6d40564fb583f27edee9db4aeda3165c9c4b86ec840acde780ece8a01cdde",
+        "c0be904936def1d77fbc67e111d8532a3483502feafe8ea16be781b82335e537",
 }
 
 
@@ -429,7 +429,8 @@ def test_metrics_fold_pinned(family, index, bug_compat, protocol):
     cfg = ExploreConfig(seed=0, bug_compat=bug_compat)
     scenario = generators.generate(family, index, cfg.seed,
                                    cfg.generator_context())
-    result = scenario_setup(cfg, scenario, "ring", protocol).run_one(
+    result = trial_setup(cfg, "ring", protocol, source=scenario.source,
+                         meta=scenario.meta()).run_one(
         derive_seed(cfg.seed, family, index, protocol, "ring"))
     metrics = result.obs["metrics"]
     assert metrics == PINNED_METRICS[family, index, bug_compat, protocol]

@@ -13,8 +13,8 @@ from repro.mpichv.runtime import VclRuntime
 from repro.simkernel.engine import Engine
 from repro.simkernel.store import StoreClosed
 from repro.workloads.nas_bt import BTWorkload
-from tests.test_fail_machine import FakeCtx
-from tests.test_properties import _daemons
+from test_fail_machine import FakeCtx
+from test_properties import _daemons
 from repro.fail.machine import Machine
 
 SLOW = settings(max_examples=10, deadline=None,

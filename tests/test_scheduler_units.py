@@ -42,8 +42,8 @@ def test_wave_duration_scales_with_footprint():
     def duration(footprint):
         rt = runtime(footprint=footprint)
         res = rt.run()
-        start = res.trace.first_t("ckpt_wave_start")
-        done = res.trace.first_t("ckpt_wave_complete")
+        start = res.trace.of_kind("ckpt_wave_start")[0].t
+        done = res.trace.of_kind("ckpt_wave_complete")[0].t
         return done - start
 
     assert duration(6e8) > duration(1.2e8)

@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""A tour of the FAIL language: parse, check, pretty-print, compile to
-Python (the FCI-compiler analogue), and dry-run a state machine.
+"""A tour of the FAIL language: parse, check, pretty-print, and dry-run
+a state machine through the interpreter.
 
 Run:  python examples/scenario_tour.py
 """
@@ -8,10 +8,10 @@ Run:  python examples/scenario_tour.py
 import random
 
 from repro.fail import builtin_scenarios as scenarios
-from repro.fail.codegen import generate_python
 from repro.fail.compile import compile_scenario
 from repro.fail.lang.parser import parse_fail
 from repro.fail.lang.pretty import pretty_print
+from repro.fail.machine import Machine
 
 SCENARIO = """
 // Inject a batch of X faults every 50 seconds (paper Fig. 7a).
@@ -39,15 +39,6 @@ class TourCtx:
     def send_msg(self, msg, dest):
         print(f"    -> send {msg!r} to {dest}")
 
-    def resolve_dest(self, dest, env, sender):
-        from repro.fail.lang import ast
-        from repro.fail.machine import eval_expr
-        if isinstance(dest, ast.DestSender):
-            return sender
-        if isinstance(dest, ast.DestName):
-            return dest.name
-        return f"{dest.group}[{eval_expr(dest.index, env, self.rng)}]"
-
     def act_halt(self):
         print("    -> HALT the controlled process (inject the fault)")
 
@@ -60,8 +51,9 @@ class TourCtx:
     def arm_timer(self, delay, gen):
         print(f"    [timer armed: fires in {delay:.0f}s]")
 
-    def node_entered(self, node):
-        print(f"    [entered node {node.node_id}]")
+    def arm_breakpoints(self, funcs):
+        if funcs:
+            print(f"    [breakpoints armed: {', '.join(funcs)}]")
 
 
 def main():
@@ -77,13 +69,7 @@ def main():
     print(canonical)
     assert parse_fail(canonical) == compiled.program
 
-    print("3) COMPILE TO PYTHON (the FCI compiler analogue) " + "-" * 22)
-    code = generate_python(daemon, compiled.params)
-    print("\n".join(code.splitlines()[:18]) + "\n   ...")
-
-    print()
-    print("4) DRY-RUN THE STATE MACHINE " + "-" * 42)
-    from repro.fail.machine import Machine
+    print("3) DRY-RUN THE STATE MACHINE " + "-" * 42)
     machine = Machine(daemon, compiled.params, TourCtx(), "P1")
     print("  timer expires:")
     machine.handle(("timer", machine.entry_gen))

@@ -59,7 +59,8 @@ class Trace:
             listener(rec)
 
     def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
-        """Register a live listener (used by FAIL trigger plumbing)."""
+        """Register a live listener (the obs recorder, a run's stop and
+        checksum hooks, a caller's observer)."""
         self._listeners.append(listener)
 
     def unsubscribe(self, listener: Callable[[TraceRecord], None]) -> None:

@@ -42,9 +42,8 @@ from repro.obs.spans import json_safe
 #: the simulation's semantics change; readers reject other versions
 #: and the cache re-executes their entries.  No field carries wall
 #: clock, so the document is byte-identical however the trial ran.
-FORMAT_VERSION = 13   # 13: the run counters are the trace's counts
-#                       alone; the trace section is ``counts`` and
-#                       ``records``.  Earlier formats: EXPERIMENTS.md,
+FORMAT_VERSION = 14   # 14: FAIL's ``/`` is exact integer division
+#                       (no float).  Earlier formats: EXPERIMENTS.md,
 #                       version history.
 
 

@@ -6,9 +6,11 @@ system:
 * :mod:`repro.fail.lang` — the FAIL language: lexer, parser, AST,
   semantic checks and pretty-printer;
 * :mod:`repro.fail.compile` — the "FCI compiler": FAIL source →
-  executable state-machine specs (the paper emits C++; we emit Python
-  objects, plus readable Python source via :mod:`repro.fail.codegen`);
-* :mod:`repro.fail.machine` — the state-machine runtime;
+  checked daemon definitions and their bindings (the paper emits C++
+  per machine; here every instance interprets its definition);
+* :mod:`repro.fail.machine` — the state-machine interpreter, the one
+  semantics of the language and the only run-time reader of a
+  scenario's AST;
 * :mod:`repro.fail.daemon` — the FAIL-MPI daemon controlling the
   application process of its machine through the debugger interface;
 * :mod:`repro.fail.bus` — inter-daemon messaging;
@@ -20,12 +22,11 @@ system:
   8a/8b and 10a/10b transcribed in FAIL.
 """
 
-from repro.fail.scenario import Scenario, Binding, ScenarioDeployment, deploy_scenario
+from repro.fail.scenario import Binding, ScenarioDeployment, deploy_scenario
 from repro.fail.lang.parser import parse_fail
 from repro.fail.lang.errors import FailSyntaxError, FailSemanticError
 
 __all__ = [
-    "Scenario",
     "Binding",
     "ScenarioDeployment",
     "deploy_scenario",

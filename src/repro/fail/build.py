@@ -8,7 +8,7 @@ the program and pretty-prints it to canonical FAIL source.
 
 Everything built here flows through the same pipeline as the
 hand-transcribed listings — ``render`` → ``parse`` → ``check`` →
-interpret/codegen — and the pretty-printer round-trip property
+interpret — and the pretty-printer round-trip property
 (``parse(render(p)) == p``, see ``tests/test_fail_build.py``) is what
 entitles generators to treat the *source text* as the scenario's
 canonical, cache-keyable form.

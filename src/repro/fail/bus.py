@@ -29,12 +29,6 @@ class FailBus:
             raise ValueError(f"FAIL instance {instance!r} already registered")
         self._registry[instance] = daemon
 
-    def lookup(self, instance: str):
-        return self._registry.get(instance)
-
-    def instances(self):
-        return list(self._registry)
-
     def send(self, src: str, dst: str, msg: str) -> None:
         """Deliver ``msg`` (a bare name, as in the paper) to ``dst``."""
         target = self._registry.get(dst)

@@ -20,7 +20,7 @@ Responsibilities (paper §4):
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Deque, Tuple
 
 from repro.cluster.unixproc import ProcState, UnixProcess
 from repro.fail.debugger import Debugger
@@ -150,20 +150,6 @@ class FailDaemon(MachineContext):
     def send_msg(self, msg: str, dest_instance: str) -> None:
         self.platform.bus.send(self.instance, dest_instance, msg)
 
-    def resolve_dest(self, dest: ast.Dest, env, sender: Optional[str]) -> str:
-        from repro.fail.machine import eval_expr
-        if isinstance(dest, ast.DestSender):
-            if sender is None:
-                raise RuntimeError(
-                    f"{self.instance}: FAIL_SENDER outside a message handler")
-            return sender
-        if isinstance(dest, ast.DestName):
-            return dest.name
-        if isinstance(dest, ast.DestIndex):
-            idx = eval_expr(dest.index, env, self.rng, self.read_app_var)
-            return f"{dest.group}[{idx}]"
-        raise TypeError(f"bad destination {dest!r}")
-
     def read_app_var(self, name: str) -> int:
         """``FAIL_READ(name)``: inspect the controlled application's
         state through the debugger (the paper's §6 planned feature).
@@ -239,17 +225,12 @@ class FailDaemon(MachineContext):
         if entry_gen == self.machine.entry_gen:
             self._enqueue(("timer", entry_gen))
 
-    def node_entered(self, node: ast.NodeDef) -> None:
+    def arm_breakpoints(self, funcs: Tuple[str, ...]) -> None:
         self.debugger.clear_breakpoints()
-        for tr in node.transitions:
-            if isinstance(tr.trigger, ast.Before):
-                self.debugger.set_breakpoint(tr.trigger.func, self._on_breakpoint)
+        for fn in funcs:
+            self.debugger.set_breakpoint(fn, self._on_breakpoint)
 
     # -- introspection -------------------------------------------------------
-    @property
-    def controlled(self) -> Optional[UnixProcess]:
-        return self.debugger.target
-
     @property
     def node_id(self) -> int:
         return self.machine.node_id

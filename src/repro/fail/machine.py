@@ -1,18 +1,25 @@
 """Runtime for compiled FAIL state machines.
 
-A :class:`Machine` interprets one daemon definition for one instance:
-it tracks the current node, daemon variables, node-entry (``always``)
-variables and the node timer, and turns delivered events into actions
-through a :class:`MachineContext` (implemented by
-:class:`repro.fail.daemon.FailDaemon`).
+A :class:`Machine` interprets one daemon definition for one instance,
+and is the only run-time reader of a scenario's AST: it tracks the
+current node, daemon variables, node-entry (``always``) variables and
+the node timer, resolves destinations, and turns delivered events into
+actions through a :class:`MachineContext` (implemented by
+:class:`repro.fail.daemon.FailDaemon`).  The context only ever sees
+resolved instance names, timer delays and breakpoint function names.
 
-Determinism: ``FAIL_RANDOM`` draws from the context RNG (the engine's
-seeded stream); transition matching is first-match in source order, as
-in the paper's listings.
+Determinism: ``FAIL_RANDOM`` draws from the context RNG (the
+deployment's seeded stream); transition matching is first-match in
+source order, as in the paper's listings.
+
+Arithmetic is on Python ints: ``/`` truncates toward zero (C's rule,
+computed exactly, never through a float) and ``%`` takes the sign of
+the divisor (Python's rule).
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Dict, Optional, Tuple
 
 from repro.fail.lang import ast
@@ -31,10 +38,6 @@ class MachineContext:
     rng: Any
 
     def send_msg(self, msg: str, dest_instance: str) -> None:
-        raise NotImplementedError
-
-    def resolve_dest(self, dest: ast.Dest, env: Dict[str, int],
-                     sender: Optional[str]) -> str:
         raise NotImplementedError
 
     def act_halt(self) -> None:
@@ -57,9 +60,14 @@ class MachineContext:
     def arm_timer(self, delay: float, entry_gen: int) -> None:
         raise NotImplementedError
 
-    def node_entered(self, node: ast.NodeDef) -> None:
-        """Hook for breakpoint (re)arming."""
+    def arm_breakpoints(self, funcs: Tuple[str, ...]) -> None:
+        """Replace the armed breakpoints by ``funcs``: the ``before(fn)``
+        triggers of the node just entered, in source order."""
         raise NotImplementedError
+
+
+#: the longest timer delay a float (the engine's clock) can hold
+_MAX_DELAY = int(sys.float_info.max)
 
 
 def _truthy(value: int) -> bool:
@@ -116,7 +124,8 @@ def eval_expr(expr: ast.Expr, env: Dict[str, int], rng, reader=None) -> int:
         if op == "/":
             if rhs == 0:
                 raise FailSemanticError("division by zero in FAIL expression")
-            return int(lhs / rhs)
+            quotient = abs(lhs) // abs(rhs)
+            return quotient if (lhs < 0) == (rhs < 0) else -quotient
         if op == "%":
             if rhs == 0:
                 raise FailSemanticError("modulo by zero in FAIL expression")
@@ -150,16 +159,12 @@ class Machine:
         self.always_vars: Dict[str, int] = {}
         self.entry_gen = 0
         self.current: Optional[ast.NodeDef] = None
+        self._reader = getattr(ctx, "read_app_var", None)
         base_env = dict(self.params)
-        reader = getattr(ctx, "read_app_var", None)
         for decl in daemon.variables:
             self.vars[decl.name] = eval_expr(decl.init, {**base_env, **self.vars},
-                                             ctx.rng, reader)
+                                             ctx.rng, self._reader)
         self.enter_node(daemon.start_node)
-
-    @property
-    def _reader(self):
-        return getattr(self.ctx, "read_app_var", None)
 
     # -- environment -------------------------------------------------------
     def env(self) -> Dict[str, int]:
@@ -167,6 +172,25 @@ class Machine:
         out.update(self.vars)
         out.update(self.always_vars)
         return out
+
+    def _eval(self, expr: ast.Expr) -> int:
+        return eval_expr(expr, self.env(), self.ctx.rng, self._reader)
+
+    def _dest(self, dest: ast.Dest, sender: Optional[str]) -> str:
+        """The instance name ``dest`` denotes in the current state."""
+        if isinstance(dest, ast.DestName):
+            return dest.name
+        if isinstance(dest, ast.DestSender):
+            if sender is None:
+                raise FailSemanticError(
+                    f"{self.instance}: FAIL_SENDER outside a message handler")
+            return sender
+        index = self._eval(dest.index)
+        try:
+            return f"{dest.group}[{index}]"
+        except ValueError:      # past int-to-str's digit limit
+            raise FailSemanticError(
+                f"{self.instance}: index into {dest.group} too large") from None
 
     @property
     def node_id(self) -> int:
@@ -181,13 +205,16 @@ class Machine:
         self.entry_gen += 1
         self.always_vars = {}
         for decl in node.always:
-            self.always_vars[decl.name] = eval_expr(decl.init, self.env(),
-                                                    self.ctx.rng, self._reader)
+            self.always_vars[decl.name] = self._eval(decl.init)
         for tdecl in node.timers:
-            delay = eval_expr(tdecl.delay, self.env(), self.ctx.rng,
-                              self._reader)
+            delay = self._eval(tdecl.delay)
+            if not 0 <= delay <= _MAX_DELAY:
+                raise FailSemanticError(
+                    f"{self.instance}: timer delay negative or past float range")
             self.ctx.arm_timer(float(delay), self.entry_gen)
-        self.ctx.node_entered(node)
+        self.ctx.arm_breakpoints(tuple(
+            tr.trigger.func for tr in node.transitions
+            if isinstance(tr.trigger, ast.Before)))
 
     # -- event handling -----------------------------------------------------------
     def _matches(self, trigger: ast.Trigger, event: Tuple) -> bool:
@@ -219,9 +246,7 @@ class Machine:
         for tr in self.current.transitions:
             if not self._matches(tr.trigger, event):
                 continue
-            if tr.guard is not None and not _truthy(
-                    eval_expr(tr.guard, self.env(), self.ctx.rng,
-                              self._reader)):
+            if tr.guard is not None and not _truthy(self._eval(tr.guard)):
                 continue
             self._run_actions(tr, sender, bp_controller)
             return True
@@ -232,8 +257,7 @@ class Machine:
         goto_target: Optional[int] = None
         for action in tr.actions:
             if isinstance(action, ast.SendAction):
-                dest = self.ctx.resolve_dest(action.dest, self.env(), sender)
-                self.ctx.send_msg(action.msg, dest)
+                self.ctx.send_msg(action.msg, self._dest(action.dest, sender))
             elif isinstance(action, ast.GotoAction):
                 goto_target = action.node
             elif isinstance(action, ast.HaltAction):
@@ -247,13 +271,11 @@ class Machine:
                     bp_controller.consume_and_release()
                 self.ctx.act_continue()
             elif isinstance(action, ast.PartitionAction):
-                dest = self.ctx.resolve_dest(action.dest, self.env(), sender)
-                self.ctx.act_partition(dest)
+                self.ctx.act_partition(self._dest(action.dest, sender))
             elif isinstance(action, ast.HealAction):
                 self.ctx.act_heal()
             elif isinstance(action, ast.AssignAction):
-                self.vars[action.name] = eval_expr(action.expr, self.env(),
-                                                   self.ctx.rng, self._reader)
+                self.vars[action.name] = self._eval(action.expr)
             else:  # pragma: no cover - parser precludes this
                 raise TypeError(f"unknown action {action!r}")
         if goto_target is not None:

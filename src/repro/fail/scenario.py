@@ -17,70 +17,21 @@ cluster size).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.fail.compile import CompiledScenario, compile_scenario
+from repro.fail.compile import Binding, CompiledScenario, compile_scenario
 from repro.fail.bus import FailBus
 from repro.fail.daemon import FailDaemon
 from repro.fail.lang.errors import FailSemanticError
 
 
-@dataclass
-class Binding:
-    """How one scenario instance name maps onto the cluster.
-
-    ``nodes`` — list of cluster node names (group) or a single-element
-    list / None (computer).  ``None`` means an unattached coordinator
-    (it controls no process; e.g. the paper's P1).
-    """
-
-    daemon: str
-    nodes: Optional[List[str]] = None
-
-
-class Scenario:
-    """A compiled scenario ready for deployment."""
-
-    def __init__(self, compiled: CompiledScenario):
-        self.compiled = compiled
-
-    @classmethod
-    def from_source(cls, source: str, params: Dict[str, int] = None) -> "Scenario":
-        return cls(compile_scenario(source, params))
-
-    @property
-    def program(self):
-        return self.compiled.program
-
-    def default_bindings(self, group_nodes: List[str]) -> Dict[str, Binding]:
-        """Bindings from the scenario's ``Deploy`` block.
-
-        Group directives are spread over ``group_nodes``; a declared
-        group size must not exceed the machines available.
-        """
-        out: Dict[str, Binding] = {}
-        for d in self.program.deploy:
-            if d.group_size is None:
-                out[d.instance] = Binding(daemon=d.daemon, nodes=None)
-            else:
-                if d.group_size > len(group_nodes):
-                    raise FailSemanticError(
-                        f"deploy: group {d.instance!r} wants {d.group_size} "
-                        f"machines, only {len(group_nodes)} available")
-                out[d.instance] = Binding(
-                    daemon=d.daemon, nodes=group_nodes[:d.group_size])
-        return out
-
-
 class ScenarioDeployment:
     """Live FAIL-MPI platform attached to a runtime."""
 
-    def __init__(self, runtime, scenario: Scenario,
+    def __init__(self, runtime, compiled: CompiledScenario,
                  bindings: Dict[str, Binding],
                  app_prefix: str = "vdaemon"):
         self.runtime = runtime
-        self.scenario = scenario
         self.engine = runtime.engine
         self.timing = runtime.config.timing
         # The scenario's own random stream: every FAIL_RANDOM draw of
@@ -94,7 +45,6 @@ class ScenarioDeployment:
         self.app_prefix = app_prefix
         self.daemons: Dict[str, FailDaemon] = {}
         self.groups: Dict[str, List[FailDaemon]] = {}
-        compiled = scenario.compiled
         for instance, binding in bindings.items():
             daemon_ast = compiled.daemon(binding.daemon)
             if binding.nodes is None:
@@ -163,10 +113,10 @@ def deploy_scenario(runtime, source: str, params: Dict[str, int] = None,
     Without explicit ``bindings`` the scenario must carry a ``Deploy``
     block; groups then spread over the runtime's compute machines.
     """
-    scenario = Scenario.from_source(source, params)
+    compiled = compile_scenario(source, params)
     if bindings is None:
-        bindings = scenario.default_bindings(list(runtime.machines))
+        bindings = compiled.default_bindings(list(runtime.machines))
         if not bindings:
             raise FailSemanticError(
                 "scenario has no Deploy block and no bindings were given")
-    return ScenarioDeployment(runtime, scenario, bindings, app_prefix=app_prefix)
+    return ScenarioDeployment(runtime, compiled, bindings, app_prefix=app_prefix)

@@ -239,8 +239,8 @@ class VclRuntime:
                 self.engine.run(until=timeout)
         finally:
             # Remove exactly the wiring this call added — other
-            # subscribers (a caller's observer, FAIL trigger plumbing)
-            # are not ours to drop; dispose() clears those.
+            # subscribers (the obs recorder, a caller's observer) are
+            # not ours to drop; dispose() clears those.
             self.trace.unsubscribe(_stop_on_done)
             self.trace.unsubscribe(_capture)
         # A crashed simulated thread usually shows up only as the
@@ -342,8 +342,8 @@ class VclRuntime:
         """Unpin the finished deployment from the result.
 
         The returned :class:`RunResult` shares this runtime's
-        :class:`Trace`, and the listeners still on it — FAIL trigger
-        plumbing, a caller's observers — name the deployment, so a kept
+        :class:`Trace`, and the listeners still on it — the obs
+        recorder, a caller's observers — name the deployment, so a kept
         result would keep the whole deployment alive.  Clearing them is
         all teardown takes: the dead deployment is O(N) objects, and
         the ambient collector frees it in one pass.  Throughput paths

@@ -14,6 +14,7 @@ Two kinds of rot guard:
   back in.
 """
 
+import importlib
 import pathlib
 import re
 import sys
@@ -138,6 +139,9 @@ STALE_PHRASES = [
     # pre-collector teardown: a hand-written dispose() chain
     r"Teardown-only",
     r"dispose\(\) severs",
+    # a second FAIL semantics: daemons rendered as generated Python
+    r"repro\.fail\.codegen",
+    r"generate_python",
 ]
 
 
@@ -155,6 +159,28 @@ def test_no_stale_phrases_in_source(phrase):
         if pattern.search(line)
     ]
     assert offenders == [], f"stale phrase {phrase!r} in {offenders}"
+
+
+def test_table1_evidence_names_resolve():
+    """Every dotted ``repro.…`` name Table 1 quotes as evidence imports
+    and resolves, so the table cannot cite deleted code."""
+    from repro.experiments.table1_tools import SUPPORT_EVIDENCE
+
+    names = [name for text in SUPPORT_EVIDENCE.values()
+             for name in re.findall(r"repro(?:\.\w+)+", text)]
+    assert "repro.fail.machine.eval_expr" in names
+    for name in names:
+        parts = name.split(".")
+        for split in range(len(parts), 0, -1):
+            try:
+                obj = importlib.import_module(".".join(parts[:split]))
+            except ModuleNotFoundError:
+                continue
+            for attr in parts[split:]:
+                obj = getattr(obj, attr)    # AttributeError names it
+            break
+        else:
+            pytest.fail(f"{name} does not import")
 
 
 def test_service_node_arithmetic_only_in_shardmap():

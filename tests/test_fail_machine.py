@@ -11,10 +11,15 @@ from repro.fail.machine import Machine, eval_expr
 
 
 class FakeCtx:
-    """Records actions; enough context for Machine in isolation."""
+    """Records actions; enough context for Machine in isolation.
 
-    def __init__(self, seed=0):
+    ``app_vars`` is the controlled application's state ``FAIL_READ``
+    sees (absent names read 0, as under a live daemon).
+    """
+
+    def __init__(self, seed=0, app_vars=None):
         self.rng = random.Random(seed)
+        self.app_vars = dict(app_vars or {})
         self.sent = []
         self.halted = 0
         self.stopped = 0
@@ -22,17 +27,13 @@ class FakeCtx:
         self.partitions = []
         self.healed = 0
         self.timers = []
-        self.nodes_entered = []
+        self.breakpoints = ()
 
     def send_msg(self, msg, dest):
         self.sent.append((msg, dest))
 
-    def resolve_dest(self, dest, env, sender):
-        if isinstance(dest, ast.DestSender):
-            return sender
-        if isinstance(dest, ast.DestName):
-            return dest.name
-        return f"{dest.group}[{eval_expr(dest.index, env, self.rng)}]"
+    def read_app_var(self, name):
+        return self.app_vars.get(name, 0)
 
     def act_halt(self):
         self.halted += 1
@@ -52,8 +53,8 @@ class FakeCtx:
     def arm_timer(self, delay, gen):
         self.timers.append((delay, gen))
 
-    def node_entered(self, node):
-        self.nodes_entered.append(node.node_id)
+    def arm_breakpoints(self, funcs):
+        self.breakpoints = funcs
 
 
 def build(src, params=None, seed=0):
@@ -83,6 +84,11 @@ def build(src, params=None, seed=0):
     ("!0", {}, 1),
     ("!5", {}, 0),
     ("-3 + 5", {}, 2),
+    ("-7 / 2", {}, -3),
+    ("7 / -2", {}, -3),
+    ("-7 % 2", {}, 1),              # % takes the divisor's sign
+    ("7 % -2", {}, -1),
+    ("100000000000000001 / 1", {}, 100000000000000001),   # no float
 ])
 def test_eval_expr_table(expr_src, env, expected):
     prog = parse_fail(f"Daemon D {{ int r = {expr_src}; node 1: }}")
@@ -257,9 +263,77 @@ def test_before_trigger_matching():
             before(setCommand) -> halt, goto 1;
         }
     """)
+    assert ctx.breakpoints == ("setCommand",)
     assert not machine.handle(("before", "otherFn"))
     assert machine.handle(("before", "setCommand"))
     assert ctx.halted == 1
+
+
+def test_breakpoints_follow_the_current_node():
+    machine, ctx = build("""
+        Daemon D {
+          node 1:
+            before(a) -> goto 2;
+            ?x -> goto 1;
+            before(b) -> goto 1;
+          node 2:
+            onload -> goto 1;
+        }
+    """)
+    assert ctx.breakpoints == ("a", "b")
+    machine.handle(("before", "a"))
+    assert ctx.breakpoints == ()
+    machine.handle(("onload",))
+    assert ctx.breakpoints == ("a", "b")
+
+
+def test_fail_sender_outside_a_message_handler_raises():
+    machine, ctx = build("""
+        Daemon D {
+          node 1:
+            onload -> !pong(FAIL_SENDER), goto 1;
+        }
+    """)
+    with pytest.raises(FailSemanticError, match="FAIL_SENDER"):
+        machine.handle(("onload",))
+    assert ctx.sent == []
+
+
+def test_destination_index_reads_the_application():
+    prog = parse_fail("""
+        Daemon D {
+          node 1:
+            onload -> !crash(G1[FAIL_READ(iter) % 4]), partition(G1[FAIL_READ(iter)]);
+        }
+    """)
+    ctx = FakeCtx(app_vars={"iter": 7})
+    machine = Machine(prog.daemons[0], {}, ctx, "T")
+    machine.handle(("onload",))
+    assert ctx.sent == [("crash", "G1[3]")]
+    assert ctx.partitions == ["G1[7]"]
+
+
+def test_destination_index_past_str_digit_limit_raises():
+    machine, ctx = build("""
+        Daemon D {
+          node 1:
+            onload -> !crash(G1[X]);
+        }
+    """, params={"X": 10 ** 5000})
+    with pytest.raises(FailSemanticError, match="too large"):
+        machine.handle(("onload",))
+
+
+@pytest.mark.parametrize("delay", ["0 - 1", "X * X * X * X"])
+def test_timer_delay_out_of_range_raises(delay):
+    with pytest.raises(FailSemanticError, match="timer delay"):
+        build(f"""
+            Daemon D {{
+              node 1:
+                time t = {delay};
+                timer -> goto 1;
+            }}
+        """, params={"X": 10 ** 100})
 
 
 def test_paper_fig7a_counting_logic():

@@ -1,21 +1,19 @@
 """The ``partition``/``heal`` FAIL primitives, end to end through the
 language pipeline (lexer → parser → pretty → semantics → build →
-codegen → interpreter) and the live platform (FailDaemon acting on the
-runtime's network fabric)."""
+interpreter) and the live platform (FailDaemon acting on the runtime's
+network fabric)."""
 
 import pytest
 
 from repro.experiments.harness import TrialSetup
 from repro.fail import build as fb
 from repro.fail.compile import compile_scenario
-from repro.fail.codegen import generate_python
 from repro.fail.lang import ast
 from repro.fail.lang.errors import FailSemanticError
 from repro.fail.lang.parser import parse_fail
 from repro.fail.lang.pretty import pretty_print
 from repro.fail.machine import Machine
 
-from test_fail_codegen import compile_handler
 from test_fail_machine import FakeCtx
 
 PARTITION_SRC = """Daemon ADV {
@@ -70,28 +68,20 @@ def test_build_api_constructs_partition_and_heal():
 
 
 def test_interpreter_and_codegen_agree_on_partition_actions():
+    """The interpreter runs PARTITION_SRC as written: node 1's timer
+    (X) cuts ``G1[ran]`` and then ``svc2``; node 2's timer (5) heals."""
     prog = parse_fail(PARTITION_SRC)
-    params = {"X": 3, "N": 5}
-    interp_ctx = FakeCtx(seed=4)
-    interp = Machine(prog.daemons[0], params, interp_ctx, "T")
-    gen, gen_ctx = compile_handler(PARTITION_SRC, params=params, seed=4)
-    assert interp.handle(("timer", interp.entry_gen))
-    assert gen.handle("timer")
-    assert interp_ctx.partitions == gen_ctx.partitions
-    assert len(interp_ctx.partitions) == 2
-    assert interp_ctx.partitions[1] == "svc2"
-    assert interp.handle(("timer", interp.entry_gen))
-    assert gen.handle("timer")
-    assert interp_ctx.healed == gen_ctx.healed == 1
-    assert interp.node_id == gen.node == 3
-
-
-def test_generated_python_contains_partition_calls():
-    prog = parse_fail(PARTITION_SRC)
-    code = generate_python(prog.daemons[0], {"X": 1, "N": 1})
-    assert "self.ctx.partition(" in code
-    assert "self.ctx.heal()" in code
-    compile(code, "<generated>", "exec")
+    ctx = FakeCtx(seed=4)
+    machine = Machine(prog.daemons[0], {"X": 3, "N": 5}, ctx, "T")
+    ran = machine.always_vars["ran"]
+    assert 0 <= ran <= 5
+    assert machine.handle(("timer", machine.entry_gen))
+    assert ctx.partitions == [f"G1[{ran}]", "svc2"]
+    assert machine.node_id == 2
+    assert machine.handle(("timer", machine.entry_gen))
+    assert ctx.healed == 1
+    assert machine.node_id == 3
+    assert ctx.timers == [(3.0, 1), (5.0, 2)]
 
 
 # ---------------------------------------------------------------------------

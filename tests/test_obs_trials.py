@@ -367,23 +367,23 @@ def _bt16(protocol):
 #: past the causal cap).
 DOCUMENT_DIGESTS = {
     ("ring4", "v1"):
-        "d9cdc4392175c2756ba61c3771c39c7de42896a71e4b9059cd28335e2158cf1d",
+        "78a8ea88a9ec3a670d2d77f7f10c31a6dcabc5aaf5952585e65b1ad7e64c32bc",
     ("ring4", "v2"):
-        "8ba2e188263dba1b010661c5212c06c4c175be2d7e0a2597e31e736d0f6f76a1",
+        "acda4833f22c1e2f1ef9a9faa3472598424b9e204cb87358fefe0b368a861c08",
     ("ring4", "vcl"):
-        "889232cd96e2de15eb19a27887cdd8f219c3b698db618738c11849368831f3ac",
+        "9f601a43ee26c3e6bec1aa10650e8d6925de5fdc0ef61e4f66364aaf8c765a21",
     ("ring64", "v1"):
-        "1b1f5b8f68b98f554b9ea3e296114eab74eeb9384383324f848b304edf6619be",
+        "a2a4a467cd847469d53fd4955ae7f10ebffb35d05529f5a7aa42bb55fe03e50b",
     ("ring64", "v2"):
-        "f196c65ebee467da51489e6422da05e64d88624c8c503f868e901a3da065b6e5",
+        "8d45f2fc45950b96bc5dcaa5969e1a1a17f9653a420f51f47910f358c295d90f",
     ("ring64", "vcl"):
-        "7627eaacf0bf1d46f92865410a0658de9415602177801fce68103da8b36b11b6",
+        "56caaf76f6d3ebca5e7af463ac769787b00363b6eba6c1ec0661fc44e07ccddb",
     ("bt16", "v1"):
-        "e7f08c68ec8544c30d680d58c5f7f836861a806fc6cf9253b8600942e518e27d",
+        "215bb0f3c2e9d4c77304ed8e54ec85f47092de5ce8442f7e31ce2232e8f33dcb",
     ("bt16", "v2"):
-        "b6a6a5d68298930fbf720b941937529d86e72f0aa49fb9ec8f6f90673c720bb9",
+        "2288076bdd3d9a939983fcd8645162c5972c9012e1cb1c088fe9c6bdcd4a6266",
     ("bt16", "vcl"):
-        "c0be904936def1d77fbc67e111d8532a3483502feafe8ea16be781b82335e537",
+        "c07f3949056a143a0660b453a6880446f6869dd5f6f5473646183a893b032058",
 }
 
 

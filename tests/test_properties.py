@@ -13,6 +13,7 @@ from repro.analysis.classify import Outcome
 from repro.fail.lang import ast
 from repro.fail.lang.parser import parse_fail
 from repro.fail.lang.pretty import pretty_print
+from repro.fail.machine import eval_expr
 from repro.mpichv.config import VclConfig
 from repro.mpichv.runtime import VclRuntime
 from repro.workloads.masterworker import MasterWorkerWorkload
@@ -38,12 +39,13 @@ def _exprs(var_names):
         st.integers(min_value=0, max_value=999).map(ast.Num),
         st.sampled_from(sorted(var_names)).map(ast.Var) if var_names
         else st.integers(min_value=0, max_value=9).map(ast.Num),
+        _idents.map(ast.ReadCall),
     )
 
     def extend(children):
         return st.one_of(
-            st.tuples(st.sampled_from(["+", "-", "*", "==", "<>", "<", "<=",
-                                       ">", ">=", "&&", "||"]),
+            st.tuples(st.sampled_from(["+", "-", "*", "/", "%", "==", "<>",
+                                       "<", "<=", ">", ">=", "&&", "||"]),
                       children, children).map(lambda t: ast.BinOp(*t)),
             st.tuples(st.sampled_from(["-", "!"]), children).map(
                 lambda t: ast.UnOp(*t)),
@@ -69,6 +71,8 @@ def _daemons(draw):
         st.just(ast.ContinueAction()),
         st.sampled_from(node_ids).map(ast.GotoAction),
         st.tuples(_idents, dests).map(lambda t: ast.SendAction(*t)),
+        dests.map(ast.PartitionAction),
+        st.just(ast.HealAction()),
         st.tuples(st.sampled_from(sorted(var_names)), exprs).map(
             lambda t: ast.AssignAction(*t)),
     )
@@ -105,6 +109,21 @@ def test_pretty_parse_roundtrip(daemon):
     program = ast.Program(daemons=(daemon,))
     source = pretty_print(program)
     assert parse_fail(source) == program
+
+
+@given(st.integers(), st.integers().filter(bool))
+@settings(max_examples=300, deadline=None)
+def test_division_truncates_toward_zero_exactly(a, b):
+    """FAIL's ``/`` is C's truncating division on unbounded ints: the
+    remainder it leaves is smaller than the divisor and has the
+    dividend's sign.  Below 2^53 it also equals ``int(a / b)``, the
+    float quotient truncated."""
+    q = eval_expr(ast.BinOp("/", ast.Num(a), ast.Num(b)), {}, None)
+    r = a - q * b
+    assert abs(r) < abs(b)
+    assert r == 0 or (r < 0) == (a < 0)
+    if abs(a) < 2 ** 53:
+        assert q == int(a / b)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ non-progressing runs from buggy ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,16 @@ class TraceRecord:
 
 
 class Trace:
-    """An append-only list of :class:`TraceRecord` with query helpers.
+    """An append-only log of :class:`TraceRecord` with query helpers.
 
+    Nothing listens: each fact a run acts on is handed over by the call
+    site that knows it, so a trace is plain data once its run returns.
     ``counts`` is the one tally of what a run did (restarts, detected
     failures, committed waves are counts of their kinds) and travels in
-    the result document; ``last_time`` is live state for
-    :func:`repro.analysis.classify.classify_run` and does not.
+    the result document; ``last`` holds each kind's latest ``(t,
+    fields)`` and is kept even when the records are not, so
+    :func:`repro.analysis.classify.classify_run` and the runtime read a
+    ``keep=False`` trace too.
     """
 
     def __init__(self, keep: bool = True):
@@ -46,33 +50,14 @@ class Trace:
         #: running counters per kind, maintained even when keep=False so
         #: long runs can classify outcomes without storing every record.
         self.counts: Dict[str, int] = {}
-        self.last_time: Dict[str, float] = {}
-        self._listeners: List[Callable[[TraceRecord], None]] = []
+        #: kind -> ``(t, fields)`` of its latest record
+        self._last: Dict[str, Tuple[float, Dict[str, Any]]] = {}
 
     def record(self, t: float, kind: str, **fields: Any) -> None:
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        self.last_time[kind] = t
-        rec = TraceRecord(t, kind, fields)
+        self._last[kind] = (t, fields)
         if self.keep:
-            self.records.append(rec)
-        for listener in self._listeners:
-            listener(rec)
-
-    def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
-        """Register a live listener (the obs recorder, a run's stop and
-        checksum hooks, a caller's observer)."""
-        self._listeners.append(listener)
-
-    def unsubscribe(self, listener: Callable[[TraceRecord], None]) -> None:
-        """Remove one registered listener (unknown listeners are a
-        no-op, so teardown paths can be unconditional)."""
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
-    def clear_listeners(self) -> None:
-        """Drop every listener — live wiring must not outlive the run
-        whose records this trace now merely archives."""
-        self._listeners.clear()
+            self.records.append(TraceRecord(t, kind, fields))
 
     # -- queries ----------------------------------------------------------
     def __len__(self) -> int:
@@ -88,18 +73,10 @@ class Trace:
         return self.counts.get(kind, 0)
 
     def last(self, kind: str) -> Optional[TraceRecord]:
-        for rec in reversed(self.records):
-            if rec.kind == kind:
-                return rec
-        return None
+        latest = self._last.get(kind)
+        return None if latest is None else TraceRecord(latest[0], kind,
+                                                       latest[1])
 
     def last_t(self, kind: str) -> Optional[float]:
-        return self.last_time.get(kind)
-
-    def between(self, t0: float, t1: float) -> List[TraceRecord]:
-        return [r for r in self.records if t0 <= r.t <= t1]
-
-    def dump(self, limit: Optional[int] = None) -> str:
-        """Human-readable dump (for debugging failed experiments)."""
-        recs = self.records if limit is None else self.records[-limit:]
-        return "\n".join(repr(r) for r in recs)
+        latest = self._last.get(kind)
+        return None if latest is None else latest[0]

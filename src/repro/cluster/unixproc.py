@@ -214,7 +214,7 @@ class UnixProcess:
         """Register an exit listener (FAIL onexit/onerror plumbing).
 
         A listener registered on an already-dead process fires
-        immediately — subscribers (e.g. the dispatcher's ssh watch)
+        immediately — a watcher (e.g. the dispatcher's ssh watch)
         must not miss a death that happened in the same instant as the
         spawn.
         """

@@ -115,14 +115,13 @@ class TrialSetup:
         # 512-rank trial takes ~1.35x the CPU in passes that find
         # nothing to free (see gc_paused).  The deployment is dropped
         # inside the pause, on error paths too; the dead graph is O(N)
-        # cycles, and the first collection after the pause frees it.
-        # dispose() unpins it from the result's trace.
+        # cycles, and the first collection after the pause frees it:
+        # the result is plain data and names none of it.
         with gc_paused():
             runtime, deployment = self.build(seed)
             try:
                 return runtime.run()
             finally:
-                runtime.dispose()
                 del runtime, deployment
 
 

@@ -1,24 +1,23 @@
 """Serialization and on-disk storage of :class:`RunResult`.
 
-The parallel runner (:mod:`repro.experiments.runner`) needs two things
-from a trial result that the live object cannot give it directly:
+The parallel runner (:mod:`repro.experiments.runner`) needs two forms
+of a trial result:
 
-* a *wire form* it can ship back from a worker process — the live
-  :class:`~repro.analysis.traces.Trace` carries subscriber callables
-  (the runtime's ``app_done`` stop hook) and is therefore not
-  picklable as-is;
+* a *wire form* it can ship back from a worker process;
 * a *rest form* it can write to the result cache so a re-run of a
   figure, or a resumed campaign, skips trials that already computed.
 
-Both are the same JSON document, produced by :func:`run_result_to_dict`
-and consumed by :func:`run_result_from_dict`.  It holds the verdict,
+Both are the same JSON document, produced by
+:func:`run_result_to_dict` and consumed by :func:`run_result_from_dict`,
+so a pooled and a cached result come back through one reader and
+serial == pooled == cached holds by construction.  It holds the verdict,
 the trace's per-kind ``counts`` and — when the trial kept them — its
 records, then every other :class:`RunResult` field under its own name,
 in declaration order.  The run counters (restarts, failures detected,
 bug events, committed waves) are trace counts, so they are not stated
 again.  A document that lacks a key is unusable, like one of another
-format.  Trace *listeners* and ``last_time`` are dropped: live wiring
-and live classifier state, not results.
+format.  A reloaded trace's ``last`` / ``last_t`` are rebuilt from the
+records it restores.
 
 :class:`ResultStore` is the cache: one JSON file per trial under a
 root directory, written atomically so an interrupted campaign never
@@ -34,7 +33,7 @@ import tempfile
 from typing import Any, Dict, Optional
 
 from repro.analysis.classify import Outcome, RunVerdict
-from repro.analysis.traces import Trace, TraceRecord
+from repro.analysis.traces import Trace
 from repro.mpichv.runtime import RunResult
 from repro.obs.spans import json_safe
 
@@ -57,9 +56,9 @@ def trace_to_dict(trace: Trace) -> Dict[str, Any]:
 
 def trace_from_dict(doc: Dict[str, Any]) -> Trace:
     trace = Trace(keep=bool(doc["records"]))
+    for t, kind, fields in doc["records"]:
+        trace.record(t, kind, **fields)
     trace.counts = dict(doc["counts"])
-    trace.records = [TraceRecord(t, kind, fields)
-                     for t, kind, fields in doc["records"]]
     return trace
 
 

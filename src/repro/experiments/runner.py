@@ -22,12 +22,11 @@ from the store and executes only the missing trials; a fully-cached
 re-run executes zero.  With no ``cache_dir`` (``--no-cache`` drops
 one) the runner neither reads nor writes a store.
 
-Every result comes back through the JSON result document (the live
-trace holds subscriber callables and cannot cross a process boundary),
-whether it ran in-process, in a pool worker or was read from the
-cache: one path, so serial == pooled == cached holds by construction.
-Each carries a reconstructed :class:`~repro.analysis.traces.Trace`
-with the trial's counters and records but no listeners.
+Every result comes back through the JSON result document, whether it
+ran in-process, in a pool worker or was read from the cache: one path,
+so serial == pooled == cached holds by construction.  Each carries a
+reconstructed :class:`~repro.analysis.traces.Trace` with the trial's
+counters and the records it kept.
 """
 
 from __future__ import annotations

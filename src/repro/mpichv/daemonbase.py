@@ -332,17 +332,14 @@ def daemon_lifecycle(core_cls, proc: UnixProcess, config, rank: int,
     engine = proc.engine
     timing = config.timing
     cluster = proc.node.cluster
-    core = core_cls(proc, config, rank, epoch, incarnation, app_factory)
-    proc.tags["vcl"] = core        # FAIL_READ inspects app state here
-    proc.tags[core.protocol] = core
-    name = core.protocol
     if incarnation > 1:
         # a restarted rank: the recovery path itself is coverage
         engine.cover(f"daemon.restarted.x{hit_bucket(incarnation - 1)}")
     if epoch > 0:
         engine.cover("daemon.launched_in_restart_epoch")
 
-    # Bind the mesh listener before anything else so peers never race us.
+    # Bind the mesh listener before anything else so peers never race
+    # us, and so a daemon that cannot bind builds nothing.
     try:
         listener = proc.node.listen(config.daemon_port_base + rank, owner=proc)
     except OSError:
@@ -354,6 +351,10 @@ def daemon_lifecycle(core_cls, proc: UnixProcess, config, rank: int,
         proc.abort()
         return
 
+    core = core_cls(proc, config, rank, epoch, incarnation, app_factory)
+    proc.tags["vcl"] = core        # FAIL_READ inspects app state here
+    proc.tags[core.protocol] = core
+    name = core.protocol
     if core.hello_cls is not None:
         core.mesh = Mesh(proc, listener, rank, core.n, core.on_peer_msg,
                          core.on_peer_gone, core.accept_hello,

@@ -168,7 +168,7 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
                 span.close(ranks=n)
                 epoch_relaunch[0] = None
             # catch-up runs from here to the first application progress
-            # (closed by the recorder's trace listener)
+            # (closed by Obs.on_log, which Engine.log calls)
             engine.span("catchup", lane=shardmap.DISPATCHER_NODE,
                         epoch=state.epoch)
         else:
@@ -217,6 +217,11 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
     def finish() -> None:
         state.phase = DONE
         engine.log("app_done", epoch=state.epoch)
+        # Stop the engine the moment the application finalizes so the
+        # measured execution time is the app_done instant, not whatever
+        # cleanup runs afterwards (stop() only flags the run loop,
+        # which halts after the current payload).
+        engine.stop()
         down = wire.Shutdown()
         causal.stamp(engine, down, "disp")
         cluster.network.send_all(state.reg.values(), down)

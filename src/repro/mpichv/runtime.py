@@ -53,9 +53,12 @@ class RunResult:
     trace: Trace
     sim_time: float
     events_processed: int
-    #: workload verification checksum (the ``verify_ok`` record), or
-    #: None when the run never verified — the exploration oracles
-    #: compare it bit-for-bit against a fault-free golden run
+    #: workload verification checksum (the ``checksum`` of the last
+    #: ``verify_ok`` record; every workload logs ``verify_ok`` only
+    #: once its total equals the expected value, and raises otherwise,
+    #: so the last is the first), or None when the run never verified
+    #: — the exploration oracles compare it bit-for-bit against a
+    #: fault-free golden run
     app_signature: Optional[int] = None
     #: violations reported by the protocol's invariant hook
     #: (:func:`repro.mpichv.protocols.check_invariants`)
@@ -132,9 +135,7 @@ class VclRuntime:
         #: call site short-circuits to a shared null span and the result
         #: carries ``obs=None``
         self.obs: Optional[Obs] = Obs(self.engine) if observe else None
-        if self.obs is not None:
-            self.engine.obs = self.obs
-            self.trace.subscribe(self.obs.on_trace)
+        self.engine.obs = self.obs
         self.cluster = Cluster(
             self.engine, config.n_machines,
             latency=config.timing.net_latency,
@@ -210,39 +211,15 @@ class VclRuntime:
         """
         timeout = timeout if timeout is not None else self.config.timeout
         self.deploy()
-
-        # Stop the engine the moment the application finalizes so the
-        # measured execution time is the app_done instant, not whatever
-        # cleanup runs afterwards.
-        def _stop_on_done(rec):
-            if rec.kind == "app_done":
-                self.engine.stop()
-
-        self.trace.subscribe(_stop_on_done)
-        # Capture the workload's verification checksum live: counters
-        # survive keep_trace=False, record fields do not.
-        signature: List[Any] = []
-
-        def _capture(rec):
-            if rec.kind == "verify_ok":
-                signature.append(rec.fields.get("checksum"))
-
-        self.trace.subscribe(_capture)
         # Large deployments are GC-bound, not CPU-bound: pause the
         # cyclic collector for the simulation (see
         # :func:`repro.simkernel.engine.gc_paused` for the policy;
         # ``TrialSetup.run_one`` holds an outer pause until the
         # deployment is dropped, a caller that keeps the runtime gets
-        # the collector back here).
-        try:
-            with gc_paused():
-                self.engine.run(until=timeout)
-        finally:
-            # Remove exactly the wiring this call added — other
-            # subscribers (the obs recorder, a caller's observer) are
-            # not ours to drop; dispose() clears those.
-            self.trace.unsubscribe(_stop_on_done)
-            self.trace.unsubscribe(_capture)
+        # the collector back here).  The dispatcher stops the engine at
+        # ``app_done``.
+        with gc_paused():
+            self.engine.run(until=timeout)
         # A crashed simulated thread usually shows up only as the
         # timeout it causes; name it in the trace so the timeline and
         # the verdict's reason do.
@@ -265,12 +242,14 @@ class VclRuntime:
                        for ckpt_state in self._ckpt_states()]
         obs_doc = self._finalize_obs()
         verdict = classify_run(self.trace, timeout)
+        verified = self.trace.last("verify_ok")
         return RunResult(
             verdict=verdict,
             trace=self.trace,
             sim_time=self.engine.now,
             events_processed=self.engine.events_processed,
-            app_signature=signature[0] if signature else None,
+            app_signature=(verified.fields.get("checksum")
+                           if verified is not None else None),
             invariant_violations=protocols.check_invariants(self),
             net_bytes=network.bytes_sent,
             net_messages=network.messages_sent,
@@ -339,16 +318,10 @@ class VclRuntime:
 
     # -- teardown ---------------------------------------------------------------
     def dispose(self) -> None:
-        """Unpin the finished deployment from the result.
+        """Does nothing; kept because ``bench/child.py`` times it.
 
-        The returned :class:`RunResult` shares this runtime's
-        :class:`Trace`, and the listeners still on it — the obs
-        recorder, a caller's observers — name the deployment, so a kept
-        result would keep the whole deployment alive.  Clearing them is
-        all teardown takes: the dead deployment is O(N) objects, and
-        the ambient collector frees it in one pass.  Throughput paths
-        (:meth:`repro.experiments.harness.TrialSetup.run_one`, i.e.
-        every runner/campaign trial) call this; interactive users and
-        tests that inspect runtime state afterwards simply don't.
+        A :class:`RunResult` names nothing of the deployment — its
+        trace is plain data with no live wiring — so dropping the
+        runtime is all teardown takes, and the collector frees the
+        dead deployment's O(N) cycles in one pass.
         """
-        self.trace.clear_listeners()

@@ -26,7 +26,7 @@ rollup, each recovery epoch's attribution and chain
 ``src``, ``dst``, ``kind``, ``parent`` and the ``hosts`` / ``kinds``
 string tables — is derived from the mints, rows and sends when a fold
 or a reader asks; code that wants it reads ``runtime.obs.causal``
-before the runtime is disposed of.
+while it still holds the runtime.
 
 Identity is deterministic by construction: a trace id is
 ``<site>.<seq>.<t_us>`` — the minting component's stable site name, a

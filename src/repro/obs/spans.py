@@ -147,24 +147,25 @@ class Obs:
                 span.fields.update(fields)
         return len(bucket)
 
-    # -- trace listener ----------------------------------------------------
-    def on_trace(self, rec) -> None:
-        """Live trace hook: application-progress records end catch-up.
+    # -- log hook ----------------------------------------------------------
+    def on_log(self, kind: str, t: float) -> None:
+        """Called by :meth:`repro.simkernel.engine.Engine.log` with each
+        trace record's kind and instant: application progress ends
+        catch-up.
 
         The ``catchup`` phase has no natural closing call site — "the
         system is caught up" is observable only as the application
-        making progress again — so the recorder watches the trace: the
-        first ``progress`` / ``verify_ok`` / ``app_done`` record closes
-        every open catch-up span, and a new ``failure_detected`` cuts
-        them short (the next recovery supersedes the current one).
+        making progress again — so the first ``progress`` /
+        ``verify_ok`` / ``app_done`` record closes every open catch-up
+        span, and a new ``failure_detected`` cuts them short (the next
+        recovery supersedes the current one).
         """
-        kind = rec.kind
         if kind in ("progress", "verify_ok", "app_done"):
             if self._open.get("catchup"):
-                self.close_all("catchup", rec.t)
+                self.close_all("catchup", t)
         elif kind == "failure_detected":
             if self._open.get("catchup"):
-                self.close_all("catchup", rec.t, cut_short=True)
+                self.close_all("catchup", t, cut_short=True)
 
     # -- end of run --------------------------------------------------------
     def finalize(self, end_time: float) -> None:

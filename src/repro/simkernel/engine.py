@@ -132,9 +132,8 @@ def gc_paused():
     deployment is dropped: the trial throughput path
     (:meth:`repro.experiments.harness.TrialSetup.run_one`) holds it
     across build, run and drop, and that one pass frees the dead
-    deployment's O(N) cycles, once
-    :meth:`repro.mpichv.runtime.VclRuntime.dispose` has unpinned them
-    from the result's trace.  Pauses nest (an inner exit leaves the
+    deployment's O(N) cycles (the result it returns names none of
+    them).  Pauses nest (an inner exit leaves the
     collector off); anyone who keeps the runtime just lets the
     re-enabled ambient GC get to it.
     """
@@ -193,8 +192,8 @@ class Engine:
         #: slot — the slot-table occupancy.  Execution metadata: never
         #: exported into the deterministic obs document.
         self.slots_drained = 0
-        #: optional repro.obs.Obs recorder; None keeps :meth:`span` a
-        #: single attribute test on the hot path
+        #: optional repro.obs.Obs recorder; None keeps :meth:`span` and
+        #: :meth:`log`'s hand-off a single attribute test on the hot path
         self.obs = None
         #: every :class:`Process` whose generator raised and every
         #: :class:`~repro.simkernel.store.Reader` whose handler did
@@ -372,9 +371,13 @@ class Engine:
 
     # -- tracing ------------------------------------------------------------
     def log(self, kind: str, **fields) -> None:
-        """Record a structured trace record if a trace sink is attached."""
+        """Record a structured trace record if a trace sink is attached,
+        and hand its kind and instant to the obs recorder if one is
+        (:meth:`repro.obs.Obs.on_log`)."""
         if self.trace is not None:
             self.trace.record(self.now, kind, **fields)
+        if self.obs is not None:
+            self.obs.on_log(kind, self.now)
 
     def span(self, kind: str, lane: str = "sim", **fields):
         """Open an observability span at the current instant.

@@ -94,7 +94,7 @@ class Event:
         """Register ``cb`` to run when this event is processed.
 
         If the event was already processed the callback is scheduled to
-        run at the current time (so late subscribers never miss it).
+        run at the current time (so a late callback never misses it).
         """
         if self.callbacks is None:
             # Already processed: deliver asynchronously but immediately.

@@ -34,12 +34,7 @@ E_SRC, E_DST, E_TYPE = 0, 1, 2
 def run_keeping_recorder(setup, seed):
     """``(result, CausalGraph)`` of one trial of a ``TrialSetup``."""
     runtime, _deployment = setup.build(seed)
-    try:
-        result = runtime.run()
-        graph = runtime.obs.causal
-    finally:
-        runtime.dispose()
-    return result, graph
+    return runtime.run(), runtime.obs.causal
 
 
 class Msg:

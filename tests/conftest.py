@@ -1,9 +1,10 @@
 """Shared fixtures and tiny builders for the test suite.
 
 ``figure_shape(spec, ablated=False)`` runs a spec's ``run_experiment``
-at its quick scale — at the paper's scale under ``REPRO_FULL=1`` —
-with the spec's ablation laid over it if ``ablated``, and checks the
-result with the spec's ``expect``.  Each run is made once per session,
+at its quick scale — at the paper's scale, over a pool of
+``os.cpu_count()`` workers, under ``REPRO_FULL=1`` — with the spec's
+ablation laid over it if ``ablated``, and checks the result with the
+spec's ``expect``.  Each run is made once per session,
 so the tests that check one figure under different names share it.
 """
 
@@ -15,6 +16,7 @@ import pytest
 
 from repro.analysis.traces import Trace
 from repro.cluster.cluster import Cluster
+from repro.experiments.runner import TrialRunner
 from repro.simkernel.engine import Engine
 
 FULL = os.environ.get("REPRO_FULL", "") not in ("", "0")
@@ -50,7 +52,11 @@ def figure_shape():
                   **(spec.ablation if ablated else {})}
         key = (spec.name, ablated)
         if key not in results:
-            results[key] = spec.run(**kwargs)
+            # the paper's scale on every core: results do not depend
+            # on the worker count
+            runner = ({"runner": TrialRunner(workers=os.cpu_count())}
+                      if FULL else {})
+            results[key] = spec.run(**kwargs, **runner)
         spec.expect(results[key], spec.resolve(kwargs))
 
     return check

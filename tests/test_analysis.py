@@ -7,7 +7,8 @@ import pytest
 from repro.analysis.classify import Outcome, classify_run, last_activity_time
 from repro.analysis.stats import (coefficient_of_variation,
                                   confidence_interval, mean, stdev, summarize)
-from repro.analysis.traces import Trace
+from repro.analysis.traces import Trace, TraceRecord
+from repro.experiments.resultstore import trace_from_dict, trace_to_dict
 
 
 # ---------------------------------------------------------------------------
@@ -28,11 +29,14 @@ def test_trace_records_and_counters():
 
 def test_trace_counters_without_keeping_records():
     tr = Trace(keep=False)
+    assert tr.last("tick") is None and tr.last_t("tick") is None
     for i in range(100):
-        tr.record(float(i), "tick")
+        tr.record(float(i), "tick", i=i)
+    tr.record(100.0, "tock")
     assert len(tr) == 0
     assert tr.count("tick") == 100
     assert tr.last_t("tick") == 99.0
+    assert tr.last("tick") == TraceRecord(99.0, "tick", {"i": 99})
 
 
 def test_trace_record_attribute_error():
@@ -44,20 +48,22 @@ def test_trace_record_attribute_error():
         _ = rec.absent
 
 
-def test_trace_listeners_fire_live():
+def test_reloaded_trace_last_agrees_with_its_records():
     tr = Trace()
-    seen = []
-    tr.subscribe(lambda rec: seen.append(rec.kind))
-    tr.record(0.0, "x")
-    assert seen == ["x"]
-
-
-def test_trace_between_and_dump():
-    tr = Trace()
-    for i in range(5):
-        tr.record(float(i), "k", i=i)
-    assert [r.i for r in tr.between(1.0, 3.0)] == [1, 2, 3]
-    assert len(tr.dump(limit=2).splitlines()) == 2
+    tr.record(1.0, "a", x=1)
+    tr.record(2.0, "b")
+    tr.record(3.0, "a", x=2)
+    back = trace_from_dict(trace_to_dict(tr))
+    assert back.records == tr.records and back.counts == tr.counts
+    for kind in ("a", "b", "absent"):
+        assert back.last(kind) == tr.last(kind)
+        assert back.last_t(kind) == tr.last_t(kind)
+    assert back.last("a") == back.of_kind("a")[-1]
+    # a trace that kept no records reloads its counts and nothing else
+    quiet = Trace(keep=False)
+    quiet.record(1.0, "a")
+    back = trace_from_dict(trace_to_dict(quiet))
+    assert back.counts == {"a": 1} and back.last("a") is None
 
 
 # ---------------------------------------------------------------------------

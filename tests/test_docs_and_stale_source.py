@@ -142,6 +142,10 @@ STALE_PHRASES = [
     # a second FAIL semantics: daemons rendered as generated Python
     r"repro\.fail\.codegen",
     r"generate_python",
+    # the trace as a live bus: callables listening to its records
+    r"subscriber callables",
+    r"clear_listeners",
+    r"trace listener",
 ]
 
 

@@ -5,6 +5,8 @@ Chrome-trace exporter — all on synthetic documents, no simulation."""
 import json
 from types import SimpleNamespace
 
+import pytest
+
 from repro.analysis.traces import Trace
 from repro.mpichv.channelmemory import ChannelMemoryState
 from repro.mpichv.ckptserver import CkptServerState
@@ -139,17 +141,24 @@ def test_span_cap_drops_deterministically():
     assert [s1, s2] == obs.spans
 
 
-def test_trace_listener_closes_catchup_on_progress():
-    eng = FakeEngine()
-    obs = Obs(eng)
-    trace = Trace()
-    trace.subscribe(obs.on_trace)
-    span = obs.open("catchup", "svc0", 10.0, {"epoch": 1})
-    trace.record(12.5, "progress", rank=0)
+@pytest.mark.parametrize("kind", ["progress", "verify_ok", "app_done",
+                                  "failure_detected"])
+def test_engine_log_closes_catchup(kind):
+    engine = Engine(seed=1, trace=Trace())
+    engine.obs = Obs(engine)
+    engine.now = 10.0
+    span = engine.span("catchup", lane="svc0", epoch=1)
+    other = engine.span("relaunch", lane="svc0", epoch=1)
+    engine.now = 11.0
+    engine.log("recovery_complete", epoch=1)
+    assert not span.closed
+    engine.now = 12.5
+    engine.log(kind, rank=0)
     assert span.closed and span.t1 == 12.5
-    cut = obs.open("catchup", "svc0", 20.0, {"epoch": 2})
-    trace.record(21.0, "failure_detected", rank=1)
-    assert cut.closed and cut.fields.get("cut_short") is True
+    assert span.fields.get("cut_short") is (
+        True if kind == "failure_detected" else None)
+    assert not other.closed
+    assert engine.trace.last(kind).t == 12.5
 
 
 def test_engine_span_without_recorder_is_free():

@@ -4,15 +4,15 @@
 (with it on, a faulted 512-rank trial takes ~1.35x the CPU in passes
 that free nothing) and drops the deployment inside the pause.  What is
 left is O(N) cycles, and the first collection after the pause frees
-them — provided nothing outside names them.  The returned result
-shares the runtime's trace, and the FAIL trigger plumbing and caller
-observers still listening on it name the deployment;
-``VclRuntime.dispose`` clears them.  So the results are kept here, and
-one ``gc.collect()`` with the collector on must leave no trial's
-engine or cluster alive.
+them — provided nothing outside names them.  The returned result is
+plain data: its trace is a log with no live wiring, so a kept result
+names nothing of the deployment, however it was obtained.  So the
+results are kept here, and one ``gc.collect()`` with the collector on
+must leave no trial's engine or cluster alive.
 """
 
 import gc
+import pickle
 import weakref
 
 import pytest
@@ -64,8 +64,25 @@ def test_a_trial_leaves_no_deployment_behind(monkeypatch, protocol, n_procs):
     assert [ref() for ref in refs if ref() is not None] == []
 
 
-def test_the_collector_is_paused_from_build_to_dispose(monkeypatch):
+def test_a_kept_live_result_is_plain_data():
+    """A result kept from ``runtime.run()`` itself, the runtime dropped
+    with no teardown call: the collector frees the deployment, and the
+    result's trace pickles."""
+    runtime, deployment = faulted_ring(8, "vcl").build(0)
+    engine = weakref.ref(runtime.engine)
+    result = runtime.run()
+    del runtime, deployment
+    gc.collect()
+    assert engine() is None
+    assert result.restarts >= 1 and result.exec_time is not None
+    trace = pickle.loads(pickle.dumps(result.trace))
+    assert trace.counts == result.trace.counts
+
+
+def test_the_collector_is_paused_until_the_deployment_is_dropped(
+        monkeypatch):
     seen = []
+    refs = deployment_refs(monkeypatch)
 
     def probed(cls, name):
         original = getattr(cls, name)
@@ -78,8 +95,18 @@ def test_the_collector_is_paused_from_build_to_dispose(monkeypatch):
 
     probed(TrialSetup, "build")
     probed(VclRuntime, "run")
-    probed(VclRuntime, "dispose")
+    real_enable = gc.enable
+
+    def enable():
+        # the pause ends here: by now nothing but its own cycles may
+        # name the deployment, so one pass frees it
+        gc.collect()
+        seen.append(("enable", [ref for ref in refs if ref() is not None]))
+        real_enable()
+
+    monkeypatch.setattr(gc, "enable", enable)
     assert gc.isenabled()
     faulted_ring(4, "vcl").run_one(0)
-    assert seen == [("build", False), ("run", False), ("dispose", False)]
+    assert len(refs) == 2
+    assert seen == [("build", False), ("run", False), ("enable", [])]
     assert gc.isenabled()

@@ -1,16 +1,1 @@
 """Trace recording, outcome classification and statistics helpers."""
-
-from repro.analysis.traces import Trace, TraceRecord
-from repro.analysis.classify import Outcome, classify_run
-from repro.analysis.stats import mean, stdev, confidence_interval, summarize
-
-__all__ = [
-    "Trace",
-    "TraceRecord",
-    "Outcome",
-    "classify_run",
-    "mean",
-    "stdev",
-    "confidence_interval",
-    "summarize",
-]

@@ -6,28 +6,3 @@ semantic the paper relies on: *killing a task immediately breaks its
 TCP connections*, so a peer blocked on a receive observes the closure
 right away.
 """
-
-from repro.cluster.network import (
-    Address,
-    ConnectionClosed,
-    ConnectionRefused,
-    ListenSocket,
-    Network,
-    Socket,
-)
-from repro.cluster.unixproc import ProcState, UnixProcess
-from repro.cluster.node import Node
-from repro.cluster.cluster import Cluster
-
-__all__ = [
-    "Address",
-    "Network",
-    "Socket",
-    "ListenSocket",
-    "ConnectionClosed",
-    "ConnectionRefused",
-    "UnixProcess",
-    "ProcState",
-    "Node",
-    "Cluster",
-]

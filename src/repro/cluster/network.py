@@ -44,7 +44,8 @@ from functools import partial
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, List,
                     NamedTuple, Optional, Sequence, Set, Tuple)
 
-from repro.netmodel import (DEFAULT_BANDWIDTH, DEFAULT_LATENCY, build_fabric)
+from repro.netmodel.fabric import build_fabric
+from repro.netmodel.spec import DEFAULT_BANDWIDTH, DEFAULT_LATENCY
 from repro.simkernel.engine import Engine
 from repro.simkernel.events import PRIORITY_URGENT, Event
 from repro.simkernel.process import CallbackThread

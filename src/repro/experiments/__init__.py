@@ -27,23 +27,3 @@ are the paper's scale, and a ``SPEC``: its command's flags, quick
 scale, printed blocks and the figure's expected shape (``expect``),
 which the tests check at both scales.
 """
-
-from repro.experiments.harness import (
-    ExperimentResult,
-    ExperimentRow,
-    TrialSetup,
-    run_trials,
-    trial_seed,
-)
-from repro.experiments.runner import RunnerStats, TrialRunner, trial_key
-
-__all__ = [
-    "ExperimentResult",
-    "ExperimentRow",
-    "RunnerStats",
-    "TrialRunner",
-    "TrialSetup",
-    "run_trials",
-    "trial_key",
-    "trial_seed",
-]

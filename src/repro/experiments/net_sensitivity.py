@@ -36,7 +36,7 @@ from repro.experiments.spec import (MACHINES_FLAG, NO_FAULTS_FLAG,
                                     flag, table)
 from repro.explore.generators import TimedKill, render_plan
 from repro.mpichv import protocols
-from repro.netmodel import TopologySpec
+from repro.netmodel.spec import TopologySpec
 
 REPS = 3
 OVERSUBS: Sequence[float] = (2.0, 8.0)

@@ -35,7 +35,6 @@ import dataclasses
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -55,11 +54,23 @@ def trial_key(setup: "TrialSetup", seed: int) -> str:
     different cache slot.  It carries no version: a layout or
     semantics change bumps ``resultstore.FORMAT_VERSION``, and the old
     entry under the same key reads as a stale miss and is overwritten.
+    The fields are read, not copied (``dataclasses.asdict`` deep-copies
+    every one); :func:`_json_default` spells a nested dataclass out as
+    ``asdict`` would, so the keys are the ones ``asdict`` gave.
     """
-    doc = {"seed": seed, "setup": dataclasses.asdict(setup)}
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                           default=repr)
+    fields = {f.name: getattr(setup, f.name)
+              for f in dataclasses.fields(setup)}
+    canonical = json.dumps({"seed": seed, "setup": fields}, sort_keys=True,
+                           separators=(",", ":"), default=_json_default)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _json_default(value: object) -> object:
+    """A nested dataclass (a ``TopologySpec`` override) as its fields,
+    anything else JSON cannot spell as its ``repr``."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return dataclasses.asdict(value)
+    return repr(value)
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -226,6 +237,8 @@ class TrialRunner:
             for i in pending:
                 finish(i, *_execute_trial_wire(*jobs[i]))
         elif width > 1:
+            # imported here: a serial run never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor, as_completed
             with ProcessPoolExecutor(max_workers=width) as pool:
                 futures = {
                     pool.submit(_execute_trial_wire, *jobs[i]): i
@@ -251,7 +264,7 @@ class TrialRunner:
         if not observed:
             return
         pick = next((r for r in observed if r.restarts), observed[0])
-        from repro.obs import write_chrome_trace
+        from repro.obs.chrometrace import write_chrome_trace
         write_chrome_trace(self.trace_out, pick.obs)
         self._trace_written = True
         print(f"wrote Chrome trace to {self.trace_out} "

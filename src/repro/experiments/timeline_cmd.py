@@ -5,7 +5,9 @@ plan (``--kill``, ``--partition``, ``--heal-after``) and renders what
 the paper's methodology reads off the execution trace: the ASCII
 swimlane timeline, optionally the per-epoch recovery *phase table*
 derived from the observability spans (``--phases``), and optionally a
-Chrome-trace/Perfetto JSON of the same spans (``--trace-out``).
+Chrome-trace/Perfetto JSON of the same spans (``--trace-out``).  A
+non-terminating trial whose relaunches kept dying says how many did,
+under the header (``failed launches: N``).
 
 Examples::
 
@@ -18,8 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
-from typing import List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.analysis.classify import Outcome
 from repro.analysis.critpath import render_critical_paths
 from repro.analysis.timeline import render_timeline
 from repro.experiments.harness import TrialSetup
@@ -28,8 +31,9 @@ from repro.explore import generators
 from repro.explore.generators import (Heal, Step, TimedKill, TimedPartition,
                                       render_plan)
 from repro.mpichv import protocols
-from repro.obs import (epoch_phase_table, render_phase_table, span_rollups,
-                       write_chrome_trace)
+from repro.obs.chrometrace import write_chrome_trace
+from repro.obs.phases import epoch_phase_table, render_phase_table
+from repro.obs.spans import span_rollups
 from repro.workloads import available_workloads
 
 
@@ -69,6 +73,16 @@ def build_plan(kills: List[TimedKill],
     if heal_after and partitions:
         steps.append(Heal(after=heal_after))
     return tuple(steps)
+
+
+def failed_launches_line(outcome: Outcome,
+                         obs_doc: Optional[Dict[str, Any]]) -> Optional[str]:
+    """Why a trial never ended, when its relaunches kept dying: the
+    ``disp.detect.launch`` count of a non-terminating trial, else None."""
+    if outcome is not Outcome.NON_TERMINATING or not obs_doc:
+        return None
+    launches = obs_doc["metrics"]["counters"].get("disp.detect.launch", 0)
+    return f"failed launches: {launches}" if launches else None
 
 
 def main(argv=None) -> None:
@@ -129,6 +143,9 @@ def main(argv=None) -> None:
 
     print(f"== {args.protocol} / {args.workload} x{args.procs} "
           f"(seed {args.seed}) — {result.verdict.outcome.value} ==")
+    launches = failed_launches_line(result.verdict.outcome, result.obs)
+    if launches:
+        print(launches)
     print(render_timeline(result.trace, width=args.width))
     if args.phases:
         print()

@@ -14,33 +14,3 @@ oracles, and shrinks failures to minimal reproducers:
 * :mod:`repro.explore.shrink` — delta-debugging of failing fault
   plans down to minimal ``.fail`` scenarios.
 """
-
-from repro.explore.campaign import (CampaignResult, ExploreConfig,
-                                    quick_config, replay_scenario,
-                                    run_campaign)
-from repro.explore.generators import (FAMILIES, GeneratedScenario,
-                                      GeneratorContext, generate,
-                                      generate_suite, render_plan)
-from repro.explore.oracles import ORACLE_NAMES, OracleReport, run_oracles
-from repro.explore.shrink import ShrinkResult
-
-# NOTE: the minimizer itself is reached as ``repro.explore.shrink.shrink``
-# — re-exporting the function here would shadow the submodule name.
-
-__all__ = [
-    "CampaignResult",
-    "ExploreConfig",
-    "FAMILIES",
-    "GeneratedScenario",
-    "GeneratorContext",
-    "ORACLE_NAMES",
-    "OracleReport",
-    "ShrinkResult",
-    "generate",
-    "generate_suite",
-    "quick_config",
-    "render_plan",
-    "replay_scenario",
-    "run_campaign",
-    "run_oracles",
-]

@@ -21,16 +21,3 @@ system:
 * :mod:`repro.fail.builtin_scenarios` — the paper's Figs. 4, 5a, 7a,
   8a/8b and 10a/10b transcribed in FAIL.
 """
-
-from repro.fail.scenario import Binding, ScenarioDeployment, deploy_scenario
-from repro.fail.lang.parser import parse_fail
-from repro.fail.lang.errors import FailSyntaxError, FailSemanticError
-
-__all__ = [
-    "Binding",
-    "ScenarioDeployment",
-    "deploy_scenario",
-    "parse_fail",
-    "FailSyntaxError",
-    "FailSemanticError",
-]

@@ -1,15 +1,1 @@
 """The FAIL language front end (lexer, parser, AST, checks, printer)."""
-
-from repro.fail.lang.errors import FailSemanticError, FailSyntaxError
-from repro.fail.lang.lexer import Token, tokenize
-from repro.fail.lang.parser import parse_fail
-from repro.fail.lang.pretty import pretty_print
-
-__all__ = [
-    "FailSyntaxError",
-    "FailSemanticError",
-    "Token",
-    "tokenize",
-    "parse_fail",
-    "pretty_print",
-]

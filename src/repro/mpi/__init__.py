@@ -17,25 +17,3 @@ returns and before the next ``yield``.  The helpers in
 :mod:`repro.mpi.collectives` follow the same contract, making the
 collectives resumable from any snapshot instant.
 """
-
-from repro.mpi.message import ANY, AppMessage
-from repro.mpi.endpoint import MpiEndpoint, Transport
-from repro.mpi.collectives import (
-    barrier,
-    bcast,
-    gather_to_root,
-    reduce_bcast,
-    ring_exchange,
-)
-
-__all__ = [
-    "ANY",
-    "AppMessage",
-    "MpiEndpoint",
-    "Transport",
-    "barrier",
-    "bcast",
-    "gather_to_root",
-    "reduce_bcast",
-    "ring_exchange",
-]

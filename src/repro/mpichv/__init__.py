@@ -33,16 +33,3 @@ Components (mirroring Fig. 2 of the paper):
   the V1 protocol (remote pessimistic logging through stable Channel
   Memories), selectable via ``VclConfig(protocol="v1")``.
 """
-
-from repro.mpichv.config import TimingModel, VclConfig
-from repro.mpichv.checkpoint import CheckpointImage, LocalCkptStore
-from repro.mpichv.runtime import VclRuntime, RunResult
-
-__all__ = [
-    "TimingModel",
-    "VclConfig",
-    "CheckpointImage",
-    "LocalCkptStore",
-    "VclRuntime",
-    "RunResult",
-]

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.netmodel import DEFAULT_BANDWIDTH, DEFAULT_LATENCY, TopologySpec
-from repro.netmodel import validate_model as _validate_fabric_model
+from repro.netmodel.fabric import validate_model as _validate_fabric_model
+from repro.netmodel.spec import (DEFAULT_BANDWIDTH, DEFAULT_LATENCY,
+                                 TopologySpec)
 
 MB = 1e6
 GB = 1e9

@@ -23,7 +23,7 @@ from repro.cluster.cluster import Cluster
 from repro.mpichv import protocols, shardmap
 from repro.mpichv.config import VclConfig
 from repro.mpichv.dispatcher import dispatcher_main
-from repro.obs import Obs
+from repro.obs.spans import Obs
 from repro.simkernel.engine import Engine, gc_paused
 
 

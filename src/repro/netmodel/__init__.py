@@ -13,17 +13,3 @@ Runtime-mutable link state (``cut_link`` / ``partition`` / ``heal``)
 lives on :class:`repro.cluster.network.Network`, which owns the live
 connections a cut must sever; the fabric only shapes delivery times.
 """
-
-from repro.netmodel.spec import (DEFAULT_BANDWIDTH, DEFAULT_LATENCY,
-                                 TopologySpec)
-from repro.netmodel.fabric import (FABRICS, FabricModel, Link, StarFabric,
-                                   TwoTierFabric, UniformFabric,
-                                   available_fabrics, build_fabric,
-                                   register_fabric, validate_model)
-
-__all__ = [
-    "DEFAULT_BANDWIDTH", "DEFAULT_LATENCY", "TopologySpec",
-    "FABRICS", "FabricModel", "Link", "StarFabric", "TwoTierFabric",
-    "UniformFabric", "available_fabrics", "build_fabric",
-    "register_fabric", "validate_model",
-]

@@ -34,30 +34,3 @@ disk-wait histograms and the channel memories' counters.  The document
 rides in the result document and shares its one version number
 (:data:`repro.experiments.resultstore.FORMAT_VERSION`).
 """
-
-from repro.obs.spans import (FIELDS, KIND, LANE, NULL_SPAN, T0, T1, Obs,
-                             span_rollups)
-from repro.obs.causal import CausalGraph, causal_kind_rollup
-from repro.obs.chrometrace import (chrome_trace_doc, chrome_trace_json,
-                                   write_chrome_trace)
-from repro.obs.phases import epoch_phase_table, render_phase_table
-from repro.obs.report import (aggregate_obs, html_report, openmetrics_text,
-                              write_obs_report)
-
-__all__ = [
-    "Obs",
-    "NULL_SPAN",
-    "T0", "T1", "KIND", "LANE", "FIELDS",
-    "span_rollups",
-    "CausalGraph",
-    "causal_kind_rollup",
-    "chrome_trace_doc",
-    "chrome_trace_json",
-    "write_chrome_trace",
-    "epoch_phase_table",
-    "render_phase_table",
-    "aggregate_obs",
-    "openmetrics_text",
-    "html_report",
-    "write_obs_report",
-]

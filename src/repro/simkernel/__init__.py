@@ -14,19 +14,3 @@ fully deterministic: two runs with the same seed produce the same event
 order, including tie-breaking between events scheduled at the same
 instant.
 """
-
-from repro.simkernel.engine import Engine, SimTimeoutError
-from repro.simkernel.events import Event, Timeout
-from repro.simkernel.process import Process
-from repro.simkernel.store import Reader, Store, StoreClosed
-
-__all__ = [
-    "Engine",
-    "Event",
-    "Timeout",
-    "Process",
-    "Store",
-    "StoreClosed",
-    "Reader",
-    "SimTimeoutError",
-]

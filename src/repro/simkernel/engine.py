@@ -55,7 +55,7 @@ class SimTimeoutError(Exception):
 class _NullSpan:
     """No-op span handle returned by :meth:`Engine.span` when no
     observability recorder is attached, and by a recorder past its
-    span cap (:data:`repro.obs.NULL_SPAN` is this one object).  It
+    span cap (:data:`repro.obs.spans.NULL_SPAN` is this one object).  It
     lives here so the engine stays importable without the obs package
     and the off-path cost is one attribute test."""
 
@@ -192,8 +192,9 @@ class Engine:
         #: slot — the slot-table occupancy.  Execution metadata: never
         #: exported into the deterministic obs document.
         self.slots_drained = 0
-        #: optional repro.obs.Obs recorder; None keeps :meth:`span` and
-        #: :meth:`log`'s hand-off a single attribute test on the hot path
+        #: optional repro.obs.spans.Obs recorder; None keeps :meth:`span`
+        #: and :meth:`log`'s hand-off a single attribute test on the hot
+        #: path
         self.obs = None
         #: every :class:`Process` whose generator raised and every
         #: :class:`~repro.simkernel.store.Reader` whose handler did
@@ -373,7 +374,7 @@ class Engine:
     def log(self, kind: str, **fields) -> None:
         """Record a structured trace record if a trace sink is attached,
         and hand its kind and instant to the obs recorder if one is
-        (:meth:`repro.obs.Obs.on_log`)."""
+        (:meth:`repro.obs.spans.Obs.on_log`)."""
         if self.trace is not None:
             self.trace.record(self.now, kind, **fields)
         if self.obs is not None:
@@ -382,7 +383,7 @@ class Engine:
     def span(self, kind: str, lane: str = "sim", **fields):
         """Open an observability span at the current instant.
 
-        With no :class:`repro.obs.Obs` recorder attached this is a
+        With no :class:`repro.obs.spans.Obs` recorder attached this is a
         single attribute test returning a shared no-op handle — the
         off switch that keeps instrumented call sites free on the
         dispatch hot path.  Opening a span never schedules events,

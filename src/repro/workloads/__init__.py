@@ -1,8 +1,9 @@
 """Workloads: the NAS-BT-like benchmark plus smaller demo applications.
 
-Every workload is written against :class:`repro.mpi.MpiEndpoint` and
-follows the restartability contract (all progress in ``ep.state``), so
-it survives checkpoint/rollback at any instant.
+Every workload is written against
+:class:`repro.mpi.endpoint.MpiEndpoint` and follows the restartability
+contract (all progress in ``ep.state``), so it survives
+checkpoint/rollback at any instant.
 
 The module also hosts the **workload registry**: experiment campaigns
 select a workload by name (``TrialSetup(workload="ring")``) and the
@@ -82,14 +83,3 @@ def _build_masterworker(*, n_procs, niters, total_compute, footprint, params):
 register_workload("bt", _build_bt)
 register_workload("ring", _build_ring)
 register_workload("masterworker", _build_masterworker)
-
-__all__ = [
-    "BTWorkload",
-    "bt_expected_checksum",
-    "RingWorkload",
-    "MasterWorkerWorkload",
-    "register_workload",
-    "unregister_workload",
-    "available_workloads",
-    "build_workload",
-]

@@ -11,7 +11,7 @@ from repro.analysis.critpath import (add_phase_seconds, critical_paths,
                                      render_critical_paths)
 from repro.analysis.tracediff import trace_diff_text
 from repro.analysis.traces import Trace
-from repro.obs import Obs
+from repro.obs.spans import Obs
 from repro.obs.causal import (MAX_CAUSAL_NODES, MAX_CHAIN, CausalGraph,
                               adopt, causal_kind_rollup, causal_totals,
                               ctx_of, derive, stamp)

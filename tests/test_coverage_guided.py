@@ -270,8 +270,7 @@ def test_guided_campaign_at_width_2_never_builds_a_pool(tmp_path,
     produces."""
     def no_pool(*_args, **_kwargs):
         raise AssertionError("a pool was built for a single job")
-    monkeypatch.setattr("repro.experiments.runner.ProcessPoolExecutor",
-                        no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     cfg = quick_config(seed=7, protocols=("v1",),
                        config_overrides={"cm_replay": False},
                        max_shrinks=1, shrink_budget=8,

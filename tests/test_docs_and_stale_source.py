@@ -146,6 +146,18 @@ STALE_PHRASES = [
     r"subscriber callables",
     r"clear_listeners",
     r"trace listener",
+    # package-level spellings: a package __init__ is a module map that
+    # re-exports nothing (``from repro.obs import causal`` stays legal)
+    r"from repro\.obs import \(?(Obs|NULL_SPAN|span_rollups|CausalGraph"
+    r"|causal_kind_rollup|chrome_trace_doc|chrome_trace_json"
+    r"|write_chrome_trace|epoch_phase_table|render_phase_table"
+    r"|aggregate_obs|openmetrics_text|html_report|write_obs_report)\b",
+    r"from repro\.explore import \(?(run_campaign|ExploreConfig|quick_config"
+    r"|CampaignResult|replay_scenario|FAMILIES|GeneratedScenario"
+    r"|GeneratorContext|generate|generate_suite|render_plan|ORACLE_NAMES"
+    r"|OracleReport|run_oracles|ShrinkResult)\b",
+    r"from repro\.(analysis|cluster|experiments|fail|fail\.lang|mpi|mpichv"
+    r"|netmodel|simkernel) import \(?[A-Z]",
 ]
 
 

@@ -30,8 +30,9 @@ import pytest
 from repro.experiments.harness import TrialSetup
 from repro.experiments.runner import trial_key
 from repro.explore.generators import (MASTER, NODE_DAEMON, Heal, TimedKill,
-                                      TimedPartition, render_plan)
-from repro.netmodel import TopologySpec
+                                      TimedPartition, plan_digest,
+                                      render_plan)
+from repro.netmodel.spec import TopologySpec
 
 TOPOLOGIES = {
     "uniform": TopologySpec("uniform"),
@@ -156,6 +157,55 @@ def test_trial_key_still_separates_real_configuration():
     assert trial_key(dataclasses.replace(setup, niters=41), 7) != key
     assert trial_key(_setup("vcl", 1, "twotier"), 7) != key
     assert trial_key(_setup("vcl", 4, "uniform"), 7) != key
+
+
+#: one setup per shape a key must spell: plain scalars, a generated
+#: scenario's provenance dict, a nested dataclass (net-sensitivity's
+#: ``TopologySpec`` override), tuples and nested dicts in overrides
+KEY_PLAN = (TimedKill(at=20, target=1), TimedPartition(at=30, targets=(2, 3)),
+            Heal(after=10))
+KEY_SETUPS = {
+    "quick_ring": TrialSetup(n_procs=4, n_machines=6, workload="ring",
+                             niters=10, total_compute=180.0, footprint=1e8),
+    "generated": TrialSetup(
+        n_procs=4, n_machines=6, timeout=300.0, protocol="v2",
+        workload="ring", niters=30, total_compute=480.0, footprint=1e8,
+        scenario_source=render_plan(KEY_PLAN), master_daemon=MASTER,
+        node_daemon=NODE_DAEMON,
+        scenario_meta={"family": "rekill_race", "index": 3, "gen_seed": 7,
+                       "plan": repr(KEY_PLAN),
+                       "digest": plan_digest(KEY_PLAN, 6)}),
+    "topology": TrialSetup(
+        n_procs=4, n_machines=7, workload="ring", niters=10,
+        total_compute=180.0, footprint=1e8,
+        config_overrides={"topology": TopologySpec(
+            "twotier", rack_size=4, oversubscription=2.0)}),
+    "containers": TrialSetup(
+        n_procs=4, n_machines=6, workload="masterworker",
+        workload_params={"n_tasks": 12, "nested": {"b": (1, 2), "a": [3.5]}},
+        scenario_params={"X": 2},
+        config_overrides={"n_ckpt_servers": 2, "cm_replay": False,
+                          "shape": (4, (5, 6))}),
+}
+
+#: seed 11 keys of ``KEY_SETUPS``, as ``dataclasses.asdict`` hashed them
+#: when it built the key document: reading the fields in place must
+#: not move a single cache slot
+KEYS = {
+    "quick_ring":
+        "0563c2193b4475d08a4a9d21b0e3ebc083eae16c577b101b738a16247563e614",
+    "generated":
+        "e4052f1ea7d4a83e052dc10108a1f3cb82e4073af48c05dbadd5aa8de10b02e9",
+    "topology":
+        "c2e3c14a96b349582a0e5ee2f59743f99b986829b38ac3af9020a3becfaf842b",
+    "containers":
+        "c6b51710089f4b7289378fbdaf5d341c84b78125c84c3d55618a4f6b572a5edc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEY_SETUPS))
+def test_trial_key_of_each_setup_shape_is_pinned(name):
+    assert trial_key(KEY_SETUPS[name], 11) == KEYS[name]
 
 
 def test_trial_key_does_not_move_with_the_result_format(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments import net_sensitivity
 from repro.experiments.runner import TrialRunner
-from repro.netmodel import TopologySpec
+from repro.netmodel.spec import TopologySpec
 
 
 def test_topology_grid_shape():

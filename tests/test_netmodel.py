@@ -6,9 +6,10 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import Network
 from repro.mpichv.config import TimingModel, VclConfig
-from repro.netmodel import (DEFAULT_BANDWIDTH, DEFAULT_LATENCY, FABRICS,
-                            TopologySpec, build_fabric, register_fabric)
-from repro.netmodel.fabric import UniformFabric
+from repro.netmodel.fabric import (FABRICS, UniformFabric, build_fabric,
+                                   register_fabric)
+from repro.netmodel.spec import (DEFAULT_BANDWIDTH, DEFAULT_LATENCY,
+                                 TopologySpec)
 from repro.simkernel.engine import Engine
 
 

@@ -20,9 +20,10 @@ from repro.explore.generators import (Heal, TimedKill, TimedPartition,
 from repro.mpichv import protocols
 from repro.analysis.critpath import add_phase_seconds, critical_paths
 from repro.experiments.compare_protocols import setup_for
-from repro.obs import (FIELDS, KIND, LANE, T0, T1, chrome_trace_json,
-                       epoch_phase_table, span_rollups)
 from repro.obs.causal import MAX_CHAIN, causal_totals
+from repro.obs.chrometrace import chrome_trace_json
+from repro.obs.phases import epoch_phase_table
+from repro.obs.spans import FIELDS, KIND, LANE, T0, T1, span_rollups
 from causal_view import (E_DST, E_SRC, E_TYPE, N_ID, N_KIND, N_T,
                          assert_folds_equal_reference, graph_view,
                          run_keeping_recorder)

@@ -1,20 +1,24 @@
 """Unit tests for the observability layer (:mod:`repro.obs`):
-span lifecycle, the metrics fold, rollups, the phase table and the
-Chrome-trace exporter — all on synthetic documents, no simulation."""
+span lifecycle, the metrics fold, rollups, the phase table, the
+Chrome-trace exporter and the timeline's failed-launch line — all on
+synthetic documents, no simulation."""
 
 import json
 from types import SimpleNamespace
 
 import pytest
 
+from repro.analysis.classify import Outcome
 from repro.analysis.traces import Trace
+from repro.experiments.timeline_cmd import failed_launches_line
 from repro.mpichv.channelmemory import ChannelMemoryState
 from repro.mpichv.ckptserver import CkptServerState
 from repro.mpichv.config import VclConfig
 from repro.mpichv.runtime import VclRuntime
-from repro.obs import (FIELDS, KIND, LANE, NULL_SPAN, T0, T1, Obs,
-                       chrome_trace_doc, chrome_trace_json,
-                       epoch_phase_table, render_phase_table, span_rollups)
+from repro.obs.chrometrace import chrome_trace_doc, chrome_trace_json
+from repro.obs.phases import epoch_phase_table, render_phase_table
+from repro.obs.spans import (FIELDS, KIND, LANE, NULL_SPAN, T0, T1, Obs,
+                             span_rollups)
 from repro.simkernel.engine import Engine
 
 
@@ -282,3 +286,22 @@ def test_phase_table_marks_suspected_and_truncated():
     rows = epoch_phase_table(doc)
     assert rows[0]["suspected"] and rows[0]["truncated"]
     assert "(suspected, truncated)" in render_phase_table(doc)
+
+
+@pytest.mark.parametrize("outcome, counters, line", [
+    (Outcome.NON_TERMINATING, {"disp.detect.launch": 3998,
+                               "disp.detect.closure": 1},
+     "failed launches: 3998"),
+    # a trial that never ended for another reason says nothing more
+    (Outcome.NON_TERMINATING, {"disp.detect.closure": 1}, None),
+    (Outcome.NON_TERMINATING, {"disp.detect.launch": 0}, None),
+    # launch deaths behind a trial that did end are not its story
+    (Outcome.TERMINATED, {"disp.detect.launch": 3}, None),
+    (Outcome.BUGGY, {"disp.detect.launch": 3}, None),
+])
+def test_timeline_names_the_failed_launches_of_a_stalled_trial(
+        outcome, counters, line):
+    doc = {"spans": [], "metrics": {"counters": counters, "gauges": {},
+                                    "histograms": {}}}
+    assert failed_launches_line(outcome, doc) == line
+    assert failed_launches_line(outcome, None) is None

@@ -75,8 +75,7 @@ def test_single_job_batch_never_builds_a_pool(monkeypatch, tmp_path):
     the wire form a worker would have shipped back."""
     def no_pool(*_args, **_kwargs):
         raise AssertionError("a pool was built for a single job")
-    monkeypatch.setattr("repro.experiments.runner.ProcessPoolExecutor",
-                        no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     job = (quick_setup(35), 3)
     wide = TrialRunner(workers=2, cache_dir=str(tmp_path))
     (result,) = wide.run_jobs([job])

@@ -8,7 +8,7 @@ from repro.mpichv import wire
 from repro.mpichv.checkpoint import CheckpointImage
 from repro.mpichv.config import VclConfig
 from repro.mpichv.v2daemon import DELIVERED, POS, SENT, V2Daemon
-from repro.obs import Obs
+from repro.obs.spans import Obs
 from repro.simkernel.engine import Engine
 
 

@@ -10,6 +10,7 @@ imported only once their command is chosen.
 
 from __future__ import annotations
 
+import os
 import sys
 
 COMMANDS = {
@@ -68,11 +69,20 @@ def main(argv=None) -> int:
     module_name, _blurb = entry
     import importlib
     module = importlib.import_module(module_name)
-    if hasattr(module, "SPEC"):
-        from repro.experiments.spec import main as run_spec
-        run_spec(module, argv)
-    else:
-        module.main(argv)
+    try:
+        try:
+            if hasattr(module, "SPEC"):
+                from repro.experiments.spec import main as run_spec
+                run_spec(module, argv)
+            else:
+                module.main(argv)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): a normal end.  Point
+        # stdout at /dev/null so the interpreter's exit flush of what is
+        # still buffered does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 
-from repro.experiments.resultstore import FORMAT_VERSION
+from repro.experiments.resultstore import UNREADABLE, run_result_from_dict
 from repro.obs.report import write_obs_report
 
 
@@ -26,9 +26,9 @@ def collect_obs_docs(store_root: str):
 
     Walks the two-level store in sorted order (deterministic
     aggregation input order) and yields the obs document of every
-    readable, current-format result that recorded one.  Returns the
-    list plus a count of skipped entries (unreadable, version-skewed,
-    or unobserved).
+    result that recorded one, read as the result store reads it.
+    Returns the list plus a count of skipped entries (unreadable,
+    version-skewed, incomplete, or unobserved).
     """
     docs = []
     skipped = 0
@@ -40,16 +40,13 @@ def collect_obs_docs(store_root: str):
             path = os.path.join(dirpath, name)
             try:
                 with open(path, "r", encoding="utf-8") as fh:
-                    doc = json.load(fh)
-            except (OSError, ValueError):
+                    obs = run_result_from_dict(json.load(fh)).obs
+            except UNREADABLE:
+                obs = None
+            if obs:
+                docs.append(obs)
+            else:
                 skipped += 1
-                continue
-            if not isinstance(doc, dict) \
-                    or doc.get("format") != FORMAT_VERSION \
-                    or not doc.get("obs"):
-                skipped += 1
-                continue
-            docs.append(doc["obs"])
     return docs, skipped
 
 

@@ -104,6 +104,11 @@ def run_result_from_dict(doc: Dict[str, Any]) -> RunResult:
                      **{name: doc[name] for name in _FLAT})
 
 
+#: what reading a present but unusable entry raises: truncated or not
+#: JSON, wrong shape, a missing key, another :data:`FORMAT_VERSION`
+UNREADABLE = (OSError, ValueError, KeyError, TypeError, AttributeError)
+
+
 class ResultStore:
     """Directory of per-trial JSON documents keyed by the trial hash.
 
@@ -142,7 +147,7 @@ class ResultStore:
                 return run_result_from_dict(json.loads(fh.read()))
         except FileNotFoundError:
             return None
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        except UNREADABLE:
             self.stale += 1
             return None
 

@@ -25,11 +25,12 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.experiments.harness import TrialSetup
 from repro.experiments.runner import (TrialRunner, add_runner_arguments,
                                       runner_from_args)
+from repro.experiments.spec import comma_list
 import repro.analysis.coverage as coveragelib
 import repro.explore.shrink as shrinklib
 from repro.explore import generators
@@ -112,9 +113,8 @@ def quick_config(seed: int = 0, **overrides) -> ExploreConfig:
     """The CI-sized campaign: one scenario per grid cell, ring only."""
     overrides.setdefault("workloads", ("ring",))
     cfg = ExploreConfig(seed=seed, budget=0, **overrides)
-    cells = (len(cfg.resolved_families()) * len(cfg.resolved_protocols())
-             * len(cfg.resolved_workloads()))
-    return replace(cfg, budget=cells)
+    return replace(cfg, budget=len(cfg.resolved_families())
+                   * len(golden_cells(cfg)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +245,6 @@ class GuidedStats:
     def novel_admits(self) -> int:
         return len(self.admit_trials)
 
-    def trials_to_novelty(self, total_trials: int) -> Optional[float]:
-        """Mean trials spent per novel admission (search efficiency)."""
-        if not self.admit_trials:
-            return None
-        return total_trials / len(self.admit_trials)
-
     def to_dict(self, total_trials: int) -> Dict[str, object]:
         return {
             "corpus_dir": self.corpus_dir,
@@ -260,7 +254,9 @@ class GuidedStats:
             "edges_end": self.edges_end,
             "novel_admits": self.novel_admits,
             "admit_trials": list(self.admit_trials),
-            "trials_to_novelty": self.trials_to_novelty(total_trials),
+            # mean trials spent per novel admission (search efficiency)
+            "trials_to_novelty": (total_trials / self.novel_admits
+                                  if self.admit_trials else None),
             "replayed": self.replayed,
             "seeded": self.seeded,
             "mutants": self.mutants,
@@ -383,6 +379,69 @@ class CampaignResult:
 
 
 # ---------------------------------------------------------------------------
+# the judge: every trial the explorer runs goes through it
+# ---------------------------------------------------------------------------
+
+class Trial(NamedTuple):
+    """One fault trial: ``scenario`` on a ``(protocol, workload)`` cell.
+
+    ``meta`` is the trial's identity in the cache key; None keys it by
+    the scenario's own provenance (``GeneratedScenario.meta``).
+    """
+
+    scenario: GeneratedScenario
+    protocol: str
+    workload: str
+    seed: int
+    meta: Optional[Dict[str, object]] = None
+
+
+def golden_cells(cfg: ExploreConfig) -> List[Tuple[str, str]]:
+    """The campaign's ``(protocol, workload)`` cells, in golden order."""
+    return [(protocol, workload) for protocol in cfg.resolved_protocols()
+            for workload in cfg.resolved_workloads()]
+
+
+def _seeded_trial(cfg: ExploreConfig, scenario: GeneratedScenario,
+                  protocol: str, workload: str) -> Trial:
+    return Trial(scenario, protocol, workload,
+                 derive_seed(cfg.seed, scenario.family, scenario.index,
+                             protocol, workload))
+
+
+def judge(cfg: ExploreConfig, runner: TrialRunner,
+          goldens: Dict[Tuple[str, str], RunResult], trials: List[Trial],
+          cells: Sequence[Tuple[str, str]] = ()) -> List[Verdict]:
+    """Run (or load) ``trials`` in one batch and judge each by the oracles.
+
+    This is where golden runs are made: the fault-free golden of every
+    cell in ``cells`` or among ``trials`` that ``goldens`` lacks leads
+    the same batch and is added to ``goldens``.  A trial's plan feeds
+    the progress oracle's documented-limitation excuse; a scenario
+    without one (a replayed ``.fail`` file) is judged strictly.
+    """
+    wanted = [*cells, *((t.protocol, t.workload) for t in trials)]
+    missing = [cell for cell in dict.fromkeys(wanted) if cell not in goldens]
+    jobs = [(trial_setup(cfg, workload, protocol),
+             derive_seed(cfg.seed, "golden", protocol, workload))
+            for protocol, workload in missing]
+    jobs += [(trial_setup(cfg, t.workload, t.protocol,
+                          source=t.scenario.source,
+                          meta=t.scenario.meta() if t.meta is None else t.meta,
+                          n_machines=t.scenario.n_machines), t.seed)
+             for t in trials]
+    results = runner.run_jobs(jobs)
+    goldens.update(zip(missing, results))
+    return [Verdict(scenario=t.scenario, protocol=t.protocol,
+                    workload=t.workload, trial_seed=t.seed, result=result,
+                    oracles=run_oracles(result,
+                                        goldens[(t.protocol, t.workload)],
+                                        plan=t.scenario.plan,
+                                        protocol=t.protocol))
+            for t, result in zip(trials, results[len(missing):])]
+
+
+# ---------------------------------------------------------------------------
 # the driver
 # ---------------------------------------------------------------------------
 
@@ -415,41 +474,17 @@ def run_campaign(cfg: ExploreConfig,
     runner = runner or TrialRunner()
     before = runner.stats.snapshot()
     families = cfg.resolved_families()
-    protos = cfg.resolved_protocols()
-    workloads = cfg.resolved_workloads()
-    ctx = cfg.generator_context()
+    cells = golden_cells(cfg)
+    per_family = max(1, cfg.budget // max(1, len(families) * len(cells)))
+    scenarios = generators.generate_suite(families, per_family, cfg.seed,
+                                          cfg.generator_context())
 
-    cells = len(families) * len(protos) * len(workloads)
-    per_family = max(1, cfg.budget // max(1, cells))
-    scenarios = generators.generate_suite(families, per_family, cfg.seed, ctx)
-
-    # one flat job list: goldens first, then every (scenario, cell) trial
-    golden_keys = [(protocol, workload)
-                   for protocol in protos for workload in workloads]
-    jobs: List[Tuple[TrialSetup, int]] = [
-        (trial_setup(cfg, workload, protocol),
-         derive_seed(cfg.seed, "golden", protocol, workload))
-        for protocol, workload in golden_keys]
-    trial_plan: List[Tuple[GeneratedScenario, str, str, int]] = []
-    for scenario in scenarios:
-        for protocol in protos:
-            for workload in workloads:
-                seed = derive_seed(cfg.seed, scenario.family, scenario.index,
-                                   protocol, workload)
-                trial_plan.append((scenario, protocol, workload, seed))
-                jobs.append((trial_setup(cfg, workload, protocol,
-                                         source=scenario.source,
-                                         meta=scenario.meta()), seed))
-    results = runner.run_jobs(jobs)
-
-    goldens = dict(zip(golden_keys, results[:len(golden_keys)]))
-    rows = [
-        Verdict(scenario=scenario, protocol=protocol, workload=workload,
-                trial_seed=seed, result=result,
-                oracles=run_oracles(result, goldens[(protocol, workload)],
-                                    plan=scenario.plan, protocol=protocol))
-        for (scenario, protocol, workload, seed), result
-        in zip(trial_plan, results[len(golden_keys):])]
+    # one batch: the goldens first, then every (scenario, cell) trial
+    goldens: Dict[Tuple[str, str], RunResult] = {}
+    rows = judge(cfg, runner, goldens,
+                 [_seeded_trial(cfg, scenario, protocol, workload)
+                  for scenario in scenarios for protocol, workload in cells],
+                 cells=cells)
     rows.sort(key=Verdict.sort_key)
 
     shrinks = _shrink_failures(cfg, rows, goldens, runner, out_dir)
@@ -466,19 +501,16 @@ def _shrink_failures(cfg: ExploreConfig, rows: List[Verdict],
                      out_dir: Optional[str]) -> List[ShrinkReport]:
     reports: List[ShrinkReport] = []
     for verdict in [v for v in rows if v.failed][:cfg.max_shrinks]:
-        golden = goldens[(verdict.protocol, verdict.workload)]
 
-        def still_fails(plan, n_machines, _golden=golden,
-                        _seed=verdict.trial_seed,
-                        _workload=verdict.workload,
-                        _protocol=verdict.protocol):
-            setup = trial_setup(
-                cfg, _workload, _protocol, source=render_plan(plan),
-                meta={"shrink": generators.plan_digest(plan, n_machines)},
-                n_machines=n_machines)
-            result = runner.run_jobs([(setup, _seed)])[0]
-            return bool(failed_names(run_oracles(
-                result, _golden, plan=plan, protocol=_protocol)))
+        def still_fails(plan, n_machines, _verdict=verdict):
+            scenario = replace(_verdict.scenario, plan=plan,
+                               n_machines=n_machines,
+                               source=render_plan(plan))
+            digest = generators.plan_digest(plan, n_machines)
+            (candidate,) = judge(cfg, runner, goldens, [Trial(
+                scenario, _verdict.protocol, _verdict.workload,
+                _verdict.trial_seed, meta={"shrink": digest})])
+            return bool(candidate.failed)
 
         outcome = shrinklib.shrink(
             verdict.scenario.plan, cfg.n_machines,
@@ -519,25 +551,11 @@ def _guided_scenario(cfg: ExploreConfig, plan,
         description=description)
 
 
-def _guided_seed(cfg: ExploreConfig, scenario: GeneratedScenario,
-                 protocol: str, workload: str) -> int:
-    return derive_seed(cfg.seed, "guided", scenario.family, protocol,
-                       workload)
-
-
-def _evaluate(cfg: ExploreConfig, runner: TrialRunner,
-              goldens: Dict[Tuple[str, str], RunResult],
-              scenario: GeneratedScenario, protocol: str, workload: str,
-              trial_seed: int) -> Verdict:
-    """Run (or load) one fault trial and judge it."""
-    setup = trial_setup(cfg, workload, protocol, source=scenario.source,
-                        meta=scenario.meta())
-    result = runner.run_jobs([(setup, trial_seed)])[0]
-    return Verdict(
-        scenario=scenario, protocol=protocol, workload=workload,
-        trial_seed=trial_seed, result=result,
-        oracles=run_oracles(result, goldens[(protocol, workload)],
-                            plan=scenario.plan, protocol=protocol))
+def _guided_trial(cfg: ExploreConfig, scenario: GeneratedScenario,
+                  protocol: str, workload: str) -> Trial:
+    return Trial(scenario, protocol, workload,
+                 derive_seed(cfg.seed, "guided", scenario.family, protocol,
+                             workload))
 
 
 def _minimize_for_corpus(cfg: ExploreConfig, runner: TrialRunner,
@@ -555,23 +573,24 @@ def _minimize_for_corpus(cfg: ExploreConfig, runner: TrialRunner,
     plan = verdict.scenario.plan
     if len(plan) <= 1 or cfg.corpus_shrink_budget <= 0:
         return verdict
-    protocol, workload = verdict.protocol, verdict.workload
+
+    def judge_plan(candidate, description: str) -> Verdict:
+        scenario = _guided_scenario(cfg, candidate, description)
+        (judged,) = judge(cfg, runner, goldens, [_guided_trial(
+            cfg, scenario, verdict.protocol, verdict.workload)])
+        return judged
 
     def keeps_novelty(candidate, _n_machines):
-        scenario = _guided_scenario(cfg, candidate, "corpus minimization")
-        v = _evaluate(cfg, runner, goldens, scenario, protocol, workload,
-                      _guided_seed(cfg, scenario, protocol, workload))
-        return v.signature().covers(mask)
+        return judge_plan(candidate, "corpus minimization") \
+            .signature().covers(mask)
 
     outcome = shrinklib.shrink(
         plan, cfg.n_machines, still_fails=keeps_novelty,
         min_machines=cfg.n_machines, budget=cfg.corpus_shrink_budget)
     if outcome.plan == plan:
         return verdict
-    scenario = _guided_scenario(cfg, outcome.plan,
-                                f"minimized: {verdict.scenario.description}")
-    return _evaluate(cfg, runner, goldens, scenario, protocol, workload,
-                     _guided_seed(cfg, scenario, protocol, workload))
+    return judge_plan(outcome.plan,
+                      f"minimized: {verdict.scenario.description}")
 
 
 def seeded_first_failure(cfg: ExploreConfig, runner: TrialRunner,
@@ -588,26 +607,20 @@ def seeded_first_failure(cfg: ExploreConfig, runner: TrialRunner,
     lists them — but with the same seeds and scenario identity, so
     against a shared cache this baseline costs almost nothing.
     """
-    families = cfg.resolved_families()
-    protos = cfg.resolved_protocols()
-    workloads = cfg.resolved_workloads()
     ctx = cfg.generator_context()
+    cells = golden_cells(cfg)
     trial = 0
     for index in range(max(1, cap)):
-        for family in families:
-            for protocol in protos:
-                for workload in workloads:
-                    scenario = generators.generate(family, index, cfg.seed,
-                                                   ctx)
-                    seed = derive_seed(cfg.seed, family, index, protocol,
-                                       workload)
-                    trial += 1
-                    verdict = _evaluate(cfg, runner, goldens, scenario,
-                                        protocol, workload, seed)
-                    if verdict.failed:
-                        return trial
-                    if trial >= cap:
-                        return None
+        for family in cfg.resolved_families():
+            scenario = generators.generate(family, index, cfg.seed, ctx)
+            for protocol, workload in cells:
+                trial += 1
+                (verdict,) = judge(cfg, runner, goldens, [_seeded_trial(
+                    cfg, scenario, protocol, workload)])
+                if verdict.failed:
+                    return trial
+                if trial >= cap:
+                    return None
     return None
 
 
@@ -640,13 +653,10 @@ def run_guided(cfg: ExploreConfig,
     size_start, edges_start = len(corpus), corpus.accumulated.popcount
 
     families = cfg.resolved_families()
-    protos = cfg.resolved_protocols()
-    workloads = cfg.resolved_workloads()
     ctx = cfg.generator_context()
-    cells = [(p, w) for p in protos for w in workloads]
-    goldens = dict(zip(cells, runner.run_jobs([
-        (trial_setup(cfg, w, p), derive_seed(cfg.seed, "golden", p, w))
-        for p, w in cells])))
+    cells = golden_cells(cfg)
+    goldens: Dict[Tuple[str, str], RunResult] = {}
+    judge(cfg, runner, goldens, [], cells=cells)
 
     rows: List[Verdict] = []
     admit_trials: List[int] = []
@@ -655,16 +665,15 @@ def run_guided(cfg: ExploreConfig,
     tried: set = set()
     rng = random.Random(f"explore-guided:{cfg.seed}")
 
-    def consider(verdict: Verdict) -> None:
-        """Account one finished trial; admit it if coverage is novel."""
+    def consider(trial: Trial) -> None:
+        """Judge one trial; admit it if its coverage is novel."""
         nonlocal first_failure
+        (verdict,) = judge(cfg, runner, goldens, [trial])
         rows.append(verdict)
-        trial = len(rows)
         tried.add(verdict.scenario.family)
         if verdict.failed and first_failure is None:
-            first_failure = trial
-        sig = verdict.signature()
-        mask = sig.minus(corpus.accumulated)
+            first_failure = len(rows)
+        mask = verdict.signature().minus(corpus.accumulated)
         if not mask:
             return
         lean = _minimize_for_corpus(cfg, runner, goldens, verdict, mask)
@@ -674,7 +683,7 @@ def run_guided(cfg: ExploreConfig,
                 workload=lean.workload, trial_seed=lean.trial_seed,
                 description=lean.scenario.description,
                 failed=lean.failed)):
-            admit_trials.append(trial)
+            admit_trials.append(len(rows))
 
     # 1. replay the persisted corpus (crashers first), budget-capped
     for entry in corpus.entries():
@@ -682,9 +691,8 @@ def run_guided(cfg: ExploreConfig,
             break
         if (entry.protocol, entry.workload) not in goldens:
             continue
-        scenario = _guided_scenario(cfg, entry.plan, entry.description)
-        consider(_evaluate(cfg, runner, goldens, scenario, entry.protocol,
-                           entry.workload, entry.trial_seed))
+        consider(Trial(_guided_scenario(cfg, entry.plan, entry.description),
+                       entry.protocol, entry.workload, entry.trial_seed))
         replayed += 1
 
     # 2./3. the search loop: seed while thin, mutate once fed
@@ -712,9 +720,7 @@ def run_guided(cfg: ExploreConfig,
                 plan = mutate(plan, rng, ctx, donors=donors)
             scenario = _guided_scenario(cfg, plan, "mutant")
             mutants += 1
-        consider(_evaluate(cfg, runner, goldens, scenario, protocol,
-                           workload,
-                           _guided_seed(cfg, scenario, protocol, workload)))
+        consider(_guided_trial(cfg, scenario, protocol, workload))
 
     baseline = seeded_first_failure(cfg, runner, goldens, cap=cfg.budget)
     shrinks = _shrink_failures(cfg, rows, goldens, runner, out_dir)
@@ -741,16 +747,17 @@ def replay_scenario(source: str, cfg: ExploreConfig, protocol: str,
                     workload: str, trial_seed: int,
                     runner: Optional[TrialRunner] = None
                     ) -> Tuple[RunResult, List[OracleReport]]:
-    """Run one scenario + its golden and evaluate the oracles."""
-    runner = runner or TrialRunner()
-    setup = trial_setup(cfg, workload, protocol, source=source,
-                        meta={"replay": hashlib.sha256(
-                            source.encode("utf-8")).hexdigest()[:12]})
-    golden_seed = derive_seed(cfg.seed, "golden", protocol, workload)
-    golden, result = runner.run_jobs([
-        (trial_setup(cfg, workload, protocol), golden_seed),
-        (setup, trial_seed)])
-    return result, run_oracles(result, golden)
+    """Run one scenario + its golden and evaluate the oracles.
+
+    A ``.fail`` file carries no plan, so nothing excuses its
+    non-termination: the progress oracle judges it strictly."""
+    scenario = GeneratedScenario(
+        family="replay", index=0, seed=0, plan=None,
+        n_machines=cfg.n_machines, source=source, description="replay")
+    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()[:12]
+    (verdict,) = judge(cfg, runner or TrialRunner(), {}, [Trial(
+        scenario, protocol, workload, trial_seed, meta={"replay": digest})])
+    return verdict.result, verdict.oracles
 
 
 # ---------------------------------------------------------------------------
@@ -780,27 +787,20 @@ def _parse_override(text: str) -> Tuple[str, object]:
     return key, value
 
 
-def _csv(values: List[str]) -> Tuple[str, ...]:
-    out: List[str] = []
-    for chunk in values:
-        out.extend(p for p in chunk.split(",") if p)
-    return tuple(out)
-
-
 def main(argv=None) -> None:  # pragma: no cover - CLI
     parser = argparse.ArgumentParser(
         prog="repro explore",
         description="property-based fault-space exploration")
     parser.add_argument("--budget", type=int, default=90,
                         help="total fault-trial budget (default: 90)")
-    parser.add_argument("--protocols", action="append", default=[],
-                        metavar="NAME[,NAME]",
+    parser.add_argument("--protocols", action="extend", default=[],
+                        type=comma_list(), metavar="NAME[,NAME]",
                         help="protocols to race (default: all registered)")
-    parser.add_argument("--workloads", action="append", default=[],
-                        metavar="NAME[,NAME]",
+    parser.add_argument("--workloads", action="extend", default=[],
+                        type=comma_list(), metavar="NAME[,NAME]",
                         help="workloads to stress (default: ring)")
-    parser.add_argument("--families", action="append", default=[],
-                        metavar="NAME[,NAME]",
+    parser.add_argument("--families", action="extend", default=[],
+                        type=comma_list(), metavar="NAME[,NAME]",
                         help="generator families (default: all)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--quick", action="store_true",
@@ -814,9 +814,6 @@ def main(argv=None) -> None:  # pragma: no cover - CLI
                         type=_parse_override, metavar="KEY=VALUE",
                         help="extra VclConfig attribute (e.g. "
                              "cm_replay=false plants the broken-replay bug)")
-    parser.add_argument("--topology", default=None, metavar="MODEL",
-                        help="network fabric model for every trial "
-                             "(uniform/star/twotier; see repro.netmodel)")
     parser.add_argument("--max-shrinks", type=int, default=4)
     parser.add_argument("--shrink-budget", type=int, default=48)
     parser.add_argument("--guided", action="store_true",
@@ -843,14 +840,12 @@ def main(argv=None) -> None:  # pragma: no cover - CLI
     add_runner_arguments(parser)
     args = parser.parse_args(argv)
 
-    overrides = dict(args.override)
-    if args.topology is not None:
-        overrides["topology"] = args.topology
     common = dict(
-        protocols=_csv(args.protocols), workloads=_csv(args.workloads)
-        or ("ring",), families=_csv(args.families), seed=args.seed,
+        protocols=tuple(args.protocols),
+        workloads=tuple(args.workloads) or ("ring",),
+        families=tuple(args.families), seed=args.seed,
         n_procs=args.procs, n_machines=args.machines, timeout=args.timeout,
-        bug_compat=args.bug_compat, config_overrides=overrides,
+        bug_compat=args.bug_compat, config_overrides=dict(args.override),
         max_shrinks=args.max_shrinks, shrink_budget=args.shrink_budget)
     if args.self_check and args.guided:
         parser.error("--self-check needs a seeded campaign: the guided "
@@ -882,7 +877,7 @@ def main(argv=None) -> None:  # pragma: no cover - CLI
         cfg = ExploreConfig(budget=args.budget, **common)
     if args.guided:
         corpus_dir = args.corpus_dir or default_corpus_dir(
-            getattr(args, "cache_dir", None), args.out)
+            args.cache_dir, args.out)
         result = run_guided(cfg, runner=runner, out_dir=args.out,
                             corpus_dir=corpus_dir)
         g = result.guided
@@ -923,8 +918,7 @@ def main(argv=None) -> None:  # pragma: no cover - CLI
     for report in result.shrinks:
         print(f"minimal reproducer: {report.fail_file}")
         print(f"  {report.command}")
-    stats = runner.stats
-    print(f"[runner] {stats.describe()}")
+    print(f"[runner] {runner.stats.describe()}")
     if args.require_clean and result.failures:
         raise SystemExit(1)
 

@@ -69,7 +69,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.fail import build as fb
 
@@ -460,7 +460,7 @@ class GeneratedScenario:
     family: str
     index: int
     seed: int                    # generator stream seed
-    plan: FaultPlan
+    plan: Optional[FaultPlan]    # None for a replayed .fail file
     n_machines: int
     source: str                  # rendered FAIL text
     description: str

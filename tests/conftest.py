@@ -6,17 +6,21 @@ at its quick scale — at the paper's scale, over a pool of
 ablation laid over it if ``ablated``, and checks the result with the
 spec's ``expect``.  Each run is made once per session,
 so the tests that check one figure under different names share it.
+
+``trial_keys`` records the cache key of every job any
+:class:`TrialRunner` is given during the test.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 import pytest
 
 from repro.analysis.traces import Trace
 from repro.cluster.cluster import Cluster
-from repro.experiments.runner import TrialRunner
+from repro.experiments.runner import TrialRunner, trial_key
 from repro.simkernel.engine import Engine
 
 FULL = os.environ.get("REPRO_FULL", "") not in ("", "0")
@@ -60,3 +64,26 @@ def figure_shape():
         spec.expect(results[key], spec.resolve(kwargs))
 
     return check
+
+
+class TrialKeys(list):
+    """The ``trial_key`` of every submitted job, in submission order."""
+
+    def pin(self):
+        """``(distinct keys, digest of the sorted distinct keys)``."""
+        distinct = sorted(set(self))
+        text = "\n".join(distinct).encode("utf-8")
+        return len(distinct), hashlib.sha256(text).hexdigest()[:16]
+
+
+@pytest.fixture
+def trial_keys(monkeypatch):
+    keys = TrialKeys()
+    run_jobs = TrialRunner.run_jobs
+
+    def recording(self, jobs):
+        keys.extend(trial_key(setup, seed) for setup, seed in jobs)
+        return run_jobs(self, jobs)
+
+    monkeypatch.setattr(TrialRunner, "run_jobs", recording)
+    return keys

@@ -262,12 +262,13 @@ def test_guided_beats_seeded_baseline_and_corpus_carries_over(tmp_path):
 
 
 def test_guided_campaign_at_width_2_never_builds_a_pool(tmp_path,
-                                                        monkeypatch):
+                                                        monkeypatch,
+                                                        trial_keys):
     """The guided loop, corpus minimisation, the seeded baseline and
     the shrinker submit one job per batch (and one protocol × one
     workload makes the golden batch one job as well): such a campaign
     runs in-process at any ``--workers``, with the rows a serial run
-    produces."""
+    produces, and its trials keep their cache slots (keys pinned)."""
     def no_pool(*_args, **_kwargs):
         raise AssertionError("a pool was built for a single job")
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
@@ -282,6 +283,7 @@ def test_guided_campaign_at_width_2_never_builds_a_pool(tmp_path,
             cfg, runner=TrialRunner(workers=workers), out_dir=str(out),
             corpus_dir=str(out / "corpus"))
     wide, serial = runs[2], runs[1]
+    assert trial_keys.pin() == (17, "314ad5a7b249592c")
     assert len(wide.rows) == cfg.budget and wide.executed > cfg.budget
     assert wide.failures and len(wide.shrinks) == 1
     assert [v.to_dict() for v in wide.rows] \

@@ -50,8 +50,8 @@ OPTIONS = {
     "explore": "--budget --bug-compat --corpus-dir --families --guided "
                "--json --machines --max-shrinks --out --override --procs "
                "--protocols --quick --replay --require-clean --seed "
-               "--self-check --shrink-budget --timeout --topology "
-               "--trial-seed --workloads" + RUNNER,
+               "--self-check --shrink-budget --timeout --trial-seed "
+               "--workloads" + RUNNER,
     "net-sensitivity": "--reps --protocols --oversub --procs --machines "
                        "--no-faults --quick --json" + RUNNER,
     "scale-sweep": "--reps --protocols --ranks --shards --topology "

@@ -247,12 +247,14 @@ def test_invariants_skipped_without_fault_tolerance():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.slow
-def test_quick_campaign_seed7_is_deterministic_and_clean():
+def test_quick_campaign_seed7_is_deterministic_and_clean(trial_keys):
     """`python -m repro explore --quick --seed 7`: byte-identical
     verdict tables, every registered protocol, >= 4 generator
-    families, zero oracle failures on the happy path."""
+    families, zero oracle failures on the happy path.  Its trials keep
+    their cache slots: the keys are pinned."""
     first = run_campaign(quick_config(seed=7))
     second = run_campaign(quick_config(seed=7))
+    assert trial_keys.pin() == (21, "869ade74b983bde2")
     assert first.render_table() == second.render_table()
     assert first.to_json() == second.to_json()
     assert {v.protocol for v in first.rows} == set(protocols.available())
@@ -262,15 +264,19 @@ def test_quick_campaign_seed7_is_deterministic_and_clean():
 
 
 @pytest.mark.slow
-def test_broken_cm_replay_is_caught_and_shrunk(tmp_path):
+def test_broken_cm_replay_is_caught_and_shrunk(tmp_path, trial_keys):
     """Disabling Channel-Memory replay (the planted protocol bug) must
     be caught by an oracle and delta-debugged to a minimal ``.fail``
-    reproducer that still fails when replayed."""
+    reproducer that still fails when replayed.  The campaign with its
+    shrink, and the replay, keep their cache slots: the keys are
+    pinned."""
     cfg = quick_config(seed=7, protocols=("v1",),
                        families=("random_schedule",),
                        config_overrides={"cm_replay": False},
                        max_shrinks=1)
     result = run_campaign(cfg, out_dir=str(tmp_path))
+    assert trial_keys.pin() == (7, "df7ddce127626716")
+    trial_keys.clear()
     assert result.failures, "the planted bug escaped every oracle"
     assert result.shrinks, "no shrink attempted"
     report = result.shrinks[0]
@@ -285,6 +291,7 @@ def test_broken_cm_replay_is_caught_and_shrunk(tmp_path):
     _res, reports = replay_scenario(
         source, cfg, "v1", "ring", report.verdict.trial_seed)
     assert oracles.failed_names(reports)
+    assert trial_keys.pin() == (2, "33c012137f377b25")
     assert "python -m repro explore --replay" in report.command
     assert "cm_replay=False" in report.command
 

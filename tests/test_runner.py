@@ -295,13 +295,25 @@ def test_format9_cache_directory_migrates_on_first_run(tmp_path):
     assert [run_result_to_dict(r) for r in again] == reference
 
 
-def test_obs_report_skips_and_counts_a_format9_entry(tmp_path, monkeypatch,
-                                                     capsys):
+def _strip_to_obs(path):
+    """A current-format entry holding nothing but its obs section."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump({"format": doc["format"], "obs": doc["obs"]}, fh)
+
+
+@pytest.mark.parametrize("spoil", [_rewrite_as_format_9, _strip_to_obs],
+                         ids=["format 9", "obs only"])
+def test_obs_report_skips_and_counts_a_format9_entry(spoil, tmp_path,
+                                                     monkeypatch, capsys):
+    """obs-report reads an entry as the result store does: an entry
+    the store would refuse is skipped and counted, not aggregated."""
     from repro.experiments import obs_report_cmd
     jobs = [(quick_setup(period), 3) for period in (40, 35)]
     runner = TrialRunner(cache_dir=str(tmp_path / "store"))
     runner.run_jobs(jobs)
-    _rewrite_as_format_9(runner.store.path_for(trial_key(*jobs[0])))
+    spoil(runner.store.path_for(trial_key(*jobs[0])))
     docs, skipped = obs_report_cmd.collect_obs_docs(str(tmp_path / "store"))
     assert (len(docs), skipped) == (1, 1)
     monkeypatch.setattr("sys.argv", [

@@ -1,5 +1,8 @@
 """Tests for the timeline renderer and the CLI dispatcher."""
 
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -114,6 +117,27 @@ def test_cli_help_exits_zero(capsys):
 def test_cli_unknown_command(capsys):
     assert main(["nope"]) == 2
     assert "unknown command" in capsys.readouterr().err
+
+
+def test_cli_ends_quietly_when_the_reader_closes_stdout():
+    """``timeline ... | head -c 100``: the reader goes away mid-output,
+    and the command ends without a traceback or an "Exception ignored"
+    from the interpreter's exit flush."""
+    env = dict(os.environ)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "timeline", "--kill", "45",
+         "--width", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert len(head) == 100
+    assert err == b"", err.decode(errors="replace")
 
 
 def test_cli_table1_runs(capsys):

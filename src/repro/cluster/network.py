@@ -39,6 +39,7 @@ partition fault class the paper leaves out.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from functools import partial
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, List,
@@ -101,7 +102,8 @@ class Network:
         #: closure notifications land in address-dependent
         #: (nondeterministic) tie-break order
         self._conns: Dict[Any, Optional[int]] = {}
-        self._next_seq = 0
+        #: the next registration number
+        self._register: Callable[[], int] = itertools.count().__next__
         #: connections whose severance is on its way
         self._severing: Set[Any] = set()
         #: hosts on the isolated side of an accumulated partition
@@ -188,11 +190,6 @@ class Network:
         obs = self.engine.obs
         if obs is not None:
             obs.close_all("netsplit", self.engine.now)
-
-    def _register(self) -> int:
-        seq = self._next_seq
-        self._next_seq += 1
-        return seq
 
     def _sever_spanning(self) -> None:
         """Schedule severance of live connections that now span a cut."""
@@ -546,9 +543,9 @@ class Mesh(CallbackThread):
     arrival is a ``(row, message)`` item of its instant's
     :class:`~repro.simkernel.engine.Batch`, handed to a waiting row
     and read in a payload of its own (a hop; :attr:`_hops` says which
-    row), where the reader's was.  Dials start in one payload, land one
-    callable per round-trip instant, and retry with a doubling back-off;
-    a landed end waits in the backlog, and the accept side looks at one
+    row), where the reader's was.  Dials start in one payload, land and
+    reach ``on_connected`` together per round trip, and back off; a
+    landed end waits in the backlog, and the accept side looks at one
     connection at a time, handing its first message to ``on_hello``.
     A debugger stop parks hops; at the continue each is re-run from an
     URGENT payload of its own, in the process's thread order
@@ -562,14 +559,14 @@ class Mesh(CallbackThread):
                  "on_msg", "on_gone", "on_hello", "on_connected",
                  "far", "frow", "pipe", "state", "inbox", "item", "inflight",
                  "rd", "fd", "born", "pos", "peers", "attached", "_spilled",
-                 "_pos", "_hops", "_backlog", "_acc", "_outcomes",
-                 "_outcome_hop", "_backoff_max", "_stop")
+                 "_pos", "_hops", "_backlog", "_acc", "_backoff_max",
+                 "_stop")
 
     def __init__(self, proc, listener: ListenSocket, rank: int, n: int,
                  on_msg: Callable[[int, Any], None],
                  on_gone: Optional[Callable[[int], None]],
                  on_hello: Callable[[int, Any], None],
-                 on_connected: Callable[[int], None]):
+                 on_connected: Callable[[List[int]], None]):
         super().__init__(proc.engine, start=False)
         self.network = listener.network
         self.proc = proc
@@ -604,8 +601,6 @@ class Mesh(CallbackThread):
         self._hops: deque = deque()     # -1: the accept side's look
         self._backlog: deque = deque()
         self._acc = _ACCEPTING
-        self._outcomes: deque = deque()
-        self._outcome_hop = self._dialed
         #: ``(thread position, hop)`` of what fired while stopped
         self._parked = []
         listener.mesh = proc.mesh = self
@@ -696,12 +691,14 @@ class Mesh(CallbackThread):
         if self._stop():
             return
         network, host, tick = self.network, self.host, self.proc._tick
+        cut = network._isolated or network._cut_pairs
+        rtt = 2 * network.latency if network._fast_uniform else None
         landings: Dict[float, list] = {}
         for rank, addr, pos in targets:
             listener = network._listeners.get(addr)
             row = far = fr = None
             if listener is not None and not listener.closed \
-                    and network.reachable(host, addr.host):
+                    and (not cut or network.reachable(host, addr.host)):
                 far = listener.mesh
                 row, fr = self._row(rank), far._row(self.rank)
                 far.state[fr] = INCOMING
@@ -710,18 +707,23 @@ class Mesh(CallbackThread):
                 self.far[row], self.frow[row] = far, fr
                 self.pipe[row] = 0.0
                 self.fd[row] = tick()
-            rtt = 2 * network._latency_between(host, addr.host)
-            landings.setdefault(rtt, []).append(
+            when = rtt or 2 * network.fabric.latency_between(host, addr.host)
+            landings.setdefault(when, []).append(
                 (rank, addr, pos, row, far, fr, delay))
         for rtt, dials in landings.items():
             self.engine._schedule(rtt, None, partial(self._land, dials))
 
     def _land(self, dials) -> None:
-        """Dials land, in the order they were made."""
+        """Dials land, in the order they were made; their outcomes follow
+        where the first one's payload was, in runs (:meth:`_dialed`) that
+        end after connected rows: what ``on_connected`` puts at URGENT
+        runs before the next outcome, as between two payloads."""
         network = self.network
+        cut = network._isolated or network._cut_pairs
+        outcomes = None
         for rank, addr, pos, row, far, fr, delay in dials:
             if far is not None and not far.closed \
-                    and network.reachable(self.host, far.host):
+                    and (not cut or network.reachable(self.host, far.host)):
                 if self.closed:
                     # died in the round trip: its close notice reached
                     # the far end first, or is still on its way
@@ -742,32 +744,39 @@ class Mesh(CallbackThread):
                 if far is not None:
                     self.state[row] = FREE
                     self.far[row] = None
-                far = None
-            self._outcomes.append((rank, addr, pos, row, far is not None,
-                                   delay))
-            self.engine._schedule(0.0, None, self._outcome_hop)
+                row = -1
+                if outcomes is not None and outcomes[-1][3] >= 0:
+                    outcomes = None
+            if outcomes is None:
+                outcomes = []
+                self.engine._schedule(0.0, None,
+                                      partial(self._dialed, outcomes))
+            outcomes.append((rank, addr, pos, row, delay))
 
-    def _dialed(self) -> None:
-        """A dial's outcome, where the connect event's payload was."""
+    def _dialed(self, outcomes) -> None:
+        """A run of outcomes, refused (row -1) before connected: a refused
+        dial retries ``delay`` later, the rows reached go to
+        ``on_connected`` in one call.  Stopped, each parks where its
+        dial was made."""
         if not self.alive:
             return
-        outcome = self._outcomes.popleft()
         if self.suspended:
-            self._parked.append((outcome[2], partial(self._react, *outcome)))
-        else:
-            self._react(*outcome)
-
-    def _react(self, rank: int, addr: Address, pos: int, row: int,
-               connected: bool, delay: float) -> None:
+            self._parked.extend((outcome[2], partial(self._dialed, [outcome]))
+                                for outcome in outcomes)
+            return
         try:
-            if connected:
-                self.state[row] = CLIENT
-                self.on_connected(row)
-                return
-            self.engine.cover("daemon.connect.refused")
-            self.engine._schedule(delay, None, partial(
-                self._redial, ((rank, addr, pos),),
-                min(delay * 2, self._backoff_max)))
+            rows = []
+            for rank, addr, pos, row, delay in outcomes:
+                if row >= 0:
+                    self.state[row] = CLIENT
+                    rows.append(row)
+                    continue
+                self.engine.cover("daemon.connect.refused")
+                self.engine._schedule(delay, None, partial(
+                    self._redial, ((rank, addr, pos),),
+                    min(delay * 2, self._backoff_max)))
+            if rows:
+                self.on_connected(rows)
         except Exception as err:
             self._crash(err)
 
@@ -970,11 +979,6 @@ class Mesh(CallbackThread):
         network.bytes_sent += sent * size
 
     # -- closing ---------------------------------------------------------------------
-    def close(self, row: int) -> None:
-        """Close this end of ``row``: its reader sees the close, and a
-        far end still reading learns one latency later."""
-        self.close_end(row, True)
-
     def close_end(self, row: int, read: bool = False) -> None:
         """Close this end of ``row`` as its process dies (``read``: as
         it lives on, and reads the close); a far end still reading
@@ -1067,8 +1071,8 @@ class Mesh(CallbackThread):
         super().dispose()
         self.closed = True
         self.proc = self.on_msg = self.on_gone = self.on_hello = None
-        self.on_connected = self._stop = self._outcome_hop = None
+        self.on_connected = self._stop = None
         self.far = self.frow = self.pipe = self.state = self.inbox = None
         self.item = self.inflight = self.rd = self.fd = self.born = None
         self.pos = self.peers = self.attached = self._spilled = None
-        self._hops = self._backlog = self._outcomes = self._parked = None
+        self._hops = self._backlog = self._parked = None

@@ -17,14 +17,15 @@ import argparse
 import json
 import os
 
-from repro.experiments.resultstore import UNREADABLE, run_result_from_dict
+from repro.experiments.resultstore import (UNREADABLE, entry_paths,
+                                           run_result_from_dict)
 from repro.obs.report import write_obs_report
 
 
 def collect_obs_docs(store_root: str):
     """Every ``obs`` document in a result-store directory.
 
-    Walks the two-level store in sorted order (deterministic
+    Reads the store's entries in sorted order (deterministic
     aggregation input order) and yields the obs document of every
     result that recorded one, read as the result store reads it.
     Returns the list plus a count of skipped entries (unreadable,
@@ -32,21 +33,16 @@ def collect_obs_docs(store_root: str):
     """
     docs = []
     skipped = 0
-    for dirpath, dirnames, filenames in sorted(os.walk(store_root)):
-        dirnames.sort()
-        for name in sorted(filenames):
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(dirpath, name)
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    obs = run_result_from_dict(json.load(fh)).obs
-            except UNREADABLE:
-                obs = None
-            if obs:
-                docs.append(obs)
-            else:
-                skipped += 1
+    for path in entry_paths(store_root):
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                obs = run_result_from_dict(json.load(fh)).obs
+        except UNREADABLE:
+            obs = None
+        if obs:
+            docs.append(obs)
+        else:
+            skipped += 1
     return docs, skipped
 
 

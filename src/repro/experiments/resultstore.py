@@ -30,7 +30,7 @@ import dataclasses
 import json
 import os
 import tempfile
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.analysis.classify import Outcome, RunVerdict
 from repro.analysis.traces import Trace
@@ -109,6 +109,20 @@ def run_result_from_dict(doc: Dict[str, Any]) -> RunResult:
 UNREADABLE = (OSError, ValueError, KeyError, TypeError, AttributeError)
 
 
+def entry_paths(root: str) -> List[str]:
+    """The entry files of the result store at ``root``, in sorted order:
+    ``<key[:2]>/<key>.json`` only, so what else lives under the root (a
+    guided campaign's ``corpus/``) is no entry."""
+    paths = []
+    for shard in sorted(os.listdir(root)):
+        folder = os.path.join(root, shard)
+        if len(shard) == 2 and os.path.isdir(folder):
+            paths.extend(os.path.join(folder, name)
+                         for name in sorted(os.listdir(folder))
+                         if name.startswith(shard) and name.endswith(".json"))
+    return paths
+
+
 class ResultStore:
     """Directory of per-trial JSON documents keyed by the trial hash.
 
@@ -170,7 +184,4 @@ class ResultStore:
             raise
 
     def __len__(self) -> int:
-        n = 0
-        for _dir, _subdirs, files in os.walk(self.root):
-            n += sum(1 for f in files if f.endswith(".json"))
-        return n
+        return len(entry_paths(self.root))

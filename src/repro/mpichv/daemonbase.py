@@ -26,7 +26,7 @@ order is acknowledged by socket closure *after* the
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, List, Optional
 
 from repro.analysis.coverage import hit_bucket
 from repro.cluster.network import ConnectionRefused, Mesh
@@ -150,9 +150,9 @@ class MpichDaemon:
         """Peer ranks this daemon actively dials (it accepts the rest)."""
         return range(self.rank)
 
-    def on_peer_connected(self, row: int) -> None:
-        """A dial of ours reached ``mesh.rank_of(row)``, on ``row``:
-        perform the handshake."""
+    def on_peer_connected(self, rows: List[int]) -> None:
+        """Dials of ours that landed together reached ``rows`` (the rank
+        of each is ``mesh.rank_of(row)``), in dial order: shake hands."""
         raise NotImplementedError
 
     def after_mesh(self, cmd: wire.CommandMap):

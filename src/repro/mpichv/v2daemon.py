@@ -208,7 +208,7 @@ class V2Daemon(MpichDaemon):
         peer_rank = mesh.rank_of(row)
         old = mesh.attached[peer_rank]
         if old >= 0 and old != row:
-            mesh.close(old)
+            mesh.close_end(old, True)
         mesh.join(row)
         if resend_from:
             for seq, msg in self.send_log.get(peer_rank, ()):
@@ -275,16 +275,17 @@ class V2Daemon(MpichDaemon):
             return range(self.rank)
         return [r for r in range(self.n) if r != self.rank]
 
-    def on_peer_connected(self, row: int) -> None:
-        peer_rank = self.mesh.rank_of(row)
-        resend_from = (self.app_state[DELIVERED].get(peer_rank, 0) + 1
-                       if self.restarted else 0)
-        hello = wire.V2Hello(rank=self.rank, incarnation=self.incarnation,
-                             resend_from=resend_from)
-        causal.stamp(self.engine, hello, self.site)
-        self.mesh.send(row, hello)
-        self.mesh.serve(row)
-        self.attach_peer(row, 0)
+    def on_peer_connected(self, rows: List[int]) -> None:
+        for row in rows:        # a hello each; an attach may close a row
+            peer_rank = self.mesh.rank_of(row)
+            resend_from = (self.app_state[DELIVERED].get(peer_rank, 0) + 1
+                           if self.restarted else 0)
+            hello = wire.V2Hello(rank=self.rank, incarnation=self.incarnation,
+                                 resend_from=resend_from)
+            causal.stamp(self.engine, hello, self.site)
+            self.mesh.send(row, hello)
+            self.mesh.serve(row)
+            self.attach_peer(row, 0)
 
     def after_mesh(self, cmd):
         # --- replay the delivery history of a restarted incarnation ---

@@ -303,13 +303,15 @@ class VclDaemon(MpichDaemon):
         yield from self.restore(cmd.restore_wave)
         self.proc.spawn_reader(self.ckpt_sock, self.on_ckpt_msg)
 
-    def on_peer_connected(self, row: int) -> None:
-        hello = wire.Hello(rank=self.rank, epoch=self.epoch)
-        causal.stamp(self.engine, hello, self.site)
-        self.mesh.send(row, hello)
-        self.mesh.join(row)
-        self.mesh.serve(row)
-        self.check_mesh()
+    def on_peer_connected(self, rows: List[int]) -> None:
+        for row in rows:
+            self.on_mesh_hello(row, None)   # as the accept side does
+        # one Hello flood; observed, a stamped copy per row
+        hellos = [wire.Hello(rank=self.rank, epoch=self.epoch)
+                  for _ in (rows if self.engine.obs else rows[:1])]
+        for hello in hellos:
+            causal.stamp(self.engine, hello, self.site)
+        self.mesh.send_all(rows, hellos if self.engine.obs else hellos[0])
 
     def after_mesh(self, cmd):
         # Announce to the scheduler only once the mesh is complete, so a

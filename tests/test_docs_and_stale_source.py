@@ -158,6 +158,9 @@ STALE_PHRASES = [
     r"|OracleReport|run_oracles|ShrinkResult)\b",
     r"from repro\.(analysis|cluster|experiments|fail|fail\.lang|mpi|mpichv"
     r"|netmodel|simkernel) import \(?[A-Z]",
+    # a mesh handshake hook per connection: a landing's connected rows
+    # reach the daemon together
+    r"def on_peer_connected\(self, row\b",
 ]
 
 

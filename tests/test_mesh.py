@@ -6,6 +6,10 @@
   accept loop — on the one-heap reference engine, with the same random
   program (refusals, back-off, suspend / resume / kill of the dialer,
   early termination), and demands the same log;
+* dials that land at one instant — refused and connected ones mixed, a
+  dialer stopped between the landing and the outcomes, far ends
+  stopped at the landing, a continue from inside an outcome — log and
+  count engine payloads as they did with one outcome payload per dial;
 * the accept side takes one connection at a time and skips one that
   closes without a word;
 * a crashing handler takes the process down and names the mesh.
@@ -17,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 from reference_engine import ReferenceEngine
 from repro.analysis.traces import Trace
 from repro.cluster.cluster import Cluster
-from repro.cluster.network import Mesh
+from repro.cluster.network import DIALED, Mesh
 from repro.cluster.unixproc import ProcState
 from repro.mpichv.config import VclConfig
 from repro.simkernel.engine import Engine
@@ -33,7 +37,7 @@ def _mesh(proc, rank, n, log, on_connected=None):
     return Mesh(proc, listener, rank, n,
                 lambda row, msg: log.append(("msg", row, msg)), None,
                 lambda row, msg: log.append(("hello", row, msg)),
-                on_connected or (lambda row: None))
+                on_connected or (lambda rows: None))
 
 
 # ---------------------------------------------------------------------------
@@ -41,20 +45,24 @@ def _mesh(proc, rank, n, log, on_connected=None):
 # ---------------------------------------------------------------------------
 
 class _DialWorld:
-    """A dialing process on node 1 and a listener on node 0 that comes
-    up late, so the first attempts are refused and back off.  The mesh
-    runs on the slotted engine, the generators on the reference."""
+    """A dialing process on the last node and ``servers`` listeners on
+    the others that come up late, so the first attempts are refused and
+    back off; with several servers the dials of one attempt land at one
+    instant.  The mesh runs on the slotted engine, the generators on the
+    reference."""
 
-    def __init__(self, mesh: bool):
+    def __init__(self, mesh: bool, servers: int = 1):
         engine_cls = Engine if mesh else ReferenceEngine
         self.engine = engine_cls(seed=3, trace=Trace())
-        self.cluster = Cluster(self.engine, 2)
+        self.cluster = Cluster(self.engine, servers + 1)
         self.timing = VclConfig(n_procs=2, n_machines=3).timing
         self.mesh = mesh
+        self.n_servers = servers
         self.log = []
         self.terminating = False
-        self.proc = self.cluster.node(1).spawn("dialer", _idle)
-        self.server = self.cluster.node(0).spawn("server", _idle)
+        self.proc = self.cluster.node(servers).spawn("dialer", _idle)
+        self.servers = [self.cluster.node(rank).spawn(f"server{rank}", _idle)
+                        for rank in range(servers)]
         self.engine.run(until=0.0)
 
     def probe(self, *what):
@@ -63,36 +71,45 @@ class _DialWorld:
     def dial(self):
         from repro.mpichv.daemonbase import connect_retry
 
-        addr = self.cluster.node(0).addr(9)
+        addrs = [self.cluster.node(rank).addr(9)
+                 for rank in range(self.n_servers)]
         if self.mesh:
-            def connected(row):
-                self.probe("connected", row)
-                dialer.send(row, "hello")
+            def connected(rows):
+                for row in rows:
+                    self.probe("connected", row)
+                    dialer.send(row, "hello")
 
-            dialer = Mesh(self.proc, self.cluster.node(1).listen(
-                9, owner=self.proc), 1, 2, None, None, None, connected)
-            dialer.dial([(0, addr)], self.timing.connect_retry_initial,
+            me = self.n_servers
+            dialer = Mesh(self.proc, self.cluster.node(me).listen(
+                9, owner=self.proc), me, me + 1, None, None, None, connected)
+            dialer.dial(list(enumerate(addrs)),
+                        self.timing.connect_retry_initial,
                         self.timing.connect_retry_max,
                         stop=lambda: self.terminating)
             return
 
-        def dial_peer():
+        def dial_peer(rank, addr):
             sock = yield from connect_retry(
                 self.proc, addr, self.timing.connect_retry_initial,
                 self.timing.connect_retry_max, stop=lambda: self.terminating)
             if sock is not None:
-                self.probe("connected", 0)
+                self.probe("connected", rank)
                 sock.send("hello")
 
-        self.proc.spawn_thread(dial_peer())
+        for rank, addr in enumerate(addrs):
+            self.proc.spawn_thread(dial_peer(rank, addr))
 
     def listen(self):
-        if self.cluster.node(0).addr(9) in self.cluster.network._listeners:
+        for rank, server in enumerate(self.servers):
+            self._listen(rank, server)
+
+    def _listen(self, rank, server):
+        if self.cluster.node(rank).addr(9) in self.cluster.network._listeners:
             return
-        listener = self.cluster.node(0).listen(9, owner=self.server)
+        listener = self.cluster.node(rank).listen(9, owner=server)
         if self.mesh:
-            Mesh(self.server, listener, 0, 2, None, None,
-                 lambda row, msg: self.probe("accepted", msg), None)
+            Mesh(server, listener, rank, self.n_servers + 1, None, None,
+                 lambda row, msg: self.probe("accepted", rank, msg), None)
             return
 
         def accept():
@@ -102,9 +119,9 @@ class _DialWorld:
                     msg = yield sock.recv()
                 except StoreClosed:
                     continue
-                self.probe("accepted", msg)
+                self.probe("accepted", rank, msg)
 
-        self.server.spawn_thread(accept())
+        server.spawn_thread(accept())
 
     def terminate(self):
         self.terminating = True
@@ -132,14 +149,21 @@ _dial_program = st.lists(st.tuples(
     max_size=8)
 
 
-@given(program=_dial_program)
-@example(program=[(0.3, "listen")])
-@example(program=[(0.1, "suspend"), (0.3, "listen"), (1.0, "resume_all")])
-@example(program=[(0.15, "suspend"), (0.15, "listen"), (0.35, "resume_all")])
+@given(program=_dial_program, servers=st.sampled_from([1, 3]))
+@example(program=[(0.3, "listen")], servers=1)
+@example(program=[(0.1, "suspend"), (0.3, "listen"), (1.0, "resume_all")],
+         servers=1)
+@example(program=[(0.15, "suspend"), (0.15, "listen"), (0.35, "resume_all")],
+         servers=1)
+@example(program=[(0.0, "listen")], servers=3)
+@example(program=[(0.0, "listen"), (0.0, "suspend"), (0.1, "resume_all")],
+         servers=3)
+@example(program=[(0.1, "suspend"), (0.3, "listen"), (0.75, "resume_all"),
+                  (1.0, "kill")], servers=3)
 @settings(max_examples=200, deadline=None)
-def test_mesh_dial_and_generator_dial_log_the_same_history(program):
-    assert _DialWorld(mesh=True).run(program) \
-        == _DialWorld(mesh=False).run(program)
+def test_mesh_dial_and_generator_dial_log_the_same_history(program, servers):
+    assert _DialWorld(mesh=True, servers=servers).run(program) \
+        == _DialWorld(mesh=False, servers=servers).run(program)
 
 
 def test_mesh_dial_backs_off_then_connects_and_shakes_hands():
@@ -150,7 +174,7 @@ def test_mesh_dial_backs_off_then_connects_and_shakes_hands():
     # made at ~0.35 finds the listener
     [connected, accepted] = events
     assert connected[1:] == ("connected", 0) and 0.35 < connected[0] < 0.36
-    assert accepted[1:] == ("accepted", "hello")
+    assert accepted[1:] == ("accepted", 0, "hello")
 
 
 def test_mesh_handshake_crash_takes_the_process_down():
@@ -166,6 +190,156 @@ def test_mesh_handshake_crash_takes_the_process_down():
     [failed] = world.engine.process_failures
     assert failed.name == "mesh.r1@node1"
     assert isinstance(failed.error, RuntimeError)
+
+
+# ---------------------------------------------------------------------------
+# one landing, several dials
+# ---------------------------------------------------------------------------
+
+class _Landing:
+    """Rank 3 (node 3) dials ranks 0, 1 and 2 from one payload, so the
+    dials land at one instant; it greets each peer it reaches with
+    ``hi <row>``, and each listening rank logs the greeting it reads.
+    ``log`` entries are ``(time, what, ...)``."""
+
+    def __init__(self, engine, cluster, listening=(0, 1, 2)):
+        self.engine, self.cluster = engine, cluster
+        self.log = []
+        self.procs = [cluster.node(rank).spawn(f"r{rank}", _idle)
+                      for rank in range(4)]
+        self.dialer = self.procs[3]
+        self.also = lambda row: None
+        engine.run(until=0.1)
+        for rank in listening:
+            self.listen(rank)
+        self.mesh = Mesh(self.dialer, cluster.node(3).listen(
+            9, owner=self.dialer), 3, 4, None, None, None, self.connected)
+
+    def probe(self, *what):
+        self.log.append((round(self.engine.now, 9),) + what)
+
+    def listen(self, rank):
+        def hello(row, msg):
+            self.probe("hello", rank, msg)
+
+        proc = self.procs[rank]
+        Mesh(proc, self.cluster.node(rank).listen(9, owner=proc), rank, 4,
+             None, None, hello, None)
+
+    def connected(self, rows):
+        for row in rows:
+            self.probe("connected", row)
+            self.mesh.send(row, f"hi {row}")
+            self.also(row)
+
+    def dial(self):
+        self.mesh.dial([(rank, self.cluster.node(rank).addr(9))
+                        for rank in range(3)], 0.1, 1.0, lambda: False)
+
+
+def test_one_landing_mixes_refused_and_connected_dials(engine, cluster):
+    """Rank 1 listens late: its dial is refused in the landing it shares
+    with two that connect, and retries after its back-off (0.1, then
+    0.2) while the greetings go out in dial order."""
+    world = _Landing(engine, cluster, listening=(0, 2))
+    world.dial()
+    engine.run(until=0.3)
+    world.listen(1)
+    engine.run(until=1.0)
+    assert world.log == LANDING_LOGS["mixed"]
+    assert engine.coverage["daemon.connect.refused"] == 2
+    assert engine.events_processed == LANDING_EVENTS["mixed"]
+
+
+def test_a_dialer_stopped_between_its_landing_and_the_outcomes(engine,
+                                                                cluster):
+    """A stop lands in the slot after the dials' landing and before
+    their outcomes: every outcome parks, and the continue greets each
+    peer where its dial was made."""
+    world = _Landing(engine, cluster)
+    world.dial()
+    rtt = 2 * cluster.network.latency
+    engine.call_later(0.0, lambda: engine.call_later(rtt,
+                                                     world.dialer.suspend))
+    engine.run(until=0.5)
+    assert world.log == []
+    assert [world.mesh.state[rank] for rank in range(3)] == [DIALED] * 3
+    world.dialer.resume_all()
+    engine.run(until=1.0)
+    assert world.log == LANDING_LOGS["stopped dialer"]
+    assert engine.events_processed == LANDING_EVENTS["stopped dialer"]
+
+
+def test_stopped_far_meshes_take_dials_that_land_together(engine, cluster):
+    """Ranks 0 and 2 are stopped when the dials land, so their accept
+    sides' looks are hops in the landing's slot, among the dialer's
+    outcomes; each reads its greeting at its continue."""
+    world = _Landing(engine, cluster)
+    world.procs[0].suspend()
+    world.procs[2].suspend()
+    world.dial()
+    engine.run(until=0.5)
+    world.procs[2].resume_all()
+    engine.run(until=0.7)
+    world.procs[0].resume_all()
+    engine.run(until=1.0)
+    assert world.log == LANDING_LOGS["stopped fars"]
+    assert engine.events_processed == LANDING_EVENTS["stopped fars"]
+
+
+def test_a_continue_from_an_outcome_runs_before_the_next_outcome(engine,
+                                                                 cluster):
+    """Greeting rank 0 continues a stopped process whose mesh holds an
+    unread greeting: its URGENT re-run reads it before the landing's
+    next outcomes (rank 1's refusal, rank 2's greeting)."""
+    world = _Landing(engine, cluster, listening=(0, 2))
+    stopped = cluster.node(1).spawn("stopped", _idle)
+    early = cluster.node(2).spawn("early", _idle)
+    engine.run(until=0.2)
+    Mesh(stopped, cluster.node(1).listen(11, owner=stopped), 0, 2, None,
+         None, lambda row, msg: world.probe("read", msg), None)
+    caller = Mesh(early, cluster.node(2).listen(12, owner=early), 1, 2,
+                  None, None, None, lambda rows: caller.send(0, "early"))
+    caller.dial([(0, cluster.node(1).addr(11))], 0.1, 1.0, lambda: False)
+    engine.run(until=0.2003)
+    stopped.suspend()           # landed, its greeting still on the way
+    engine.run(until=0.3)
+    world.also = lambda row: row == 0 and stopped.resume_all()
+    world.dial()
+    engine.run(until=0.35)
+    assert world.log == LANDING_LOGS["continue"]
+    assert engine.events_processed == LANDING_EVENTS["continue"]
+
+
+#: the logs and engine payload counts, recorded with one outcome
+#: payload per dial
+LANDING_LOGS = {
+    "mixed": [(0.1002, "connected", 0),
+              (0.1002, "connected", 2),
+              (0.10031024, "hello", 0, "hi 0"),
+              (0.10031024, "hello", 2, "hi 2"),
+              (0.4006, "connected", 1),
+              (0.40071024, "hello", 1, "hi 1")],
+    "stopped dialer": [(0.5, "connected", 0),
+                       (0.5, "connected", 1),
+                       (0.5, "connected", 2),
+                       (0.50011024, "hello", 0, "hi 0"),
+                       (0.50011024, "hello", 1, "hi 1"),
+                       (0.50011024, "hello", 2, "hi 2")],
+    "stopped fars": [(0.1002, "connected", 0),
+                     (0.1002, "connected", 1),
+                     (0.1002, "connected", 2),
+                     (0.10031024, "hello", 1, "hi 1"),
+                     (0.5, "hello", 2, "hi 2"),
+                     (0.7, "hello", 0, "hi 0")],
+    "continue": [(0.3002, "connected", 0),
+                 (0.3002, "read", "early"),
+                 (0.3002, "connected", 2),
+                 (0.30031024, "hello", 0, "hi 0"),
+                 (0.30031024, "hello", 2, "hi 2")],
+}
+LANDING_EVENTS = {"mixed": 18, "stopped dialer": 14, "stopped fars": 14,
+                  "continue": 19}
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +394,7 @@ def test_a_restarted_peer_dials_a_stopped_mesh(engine, cluster):
     def incarnation(name):
         proc = cluster.node(1).spawn(name, _idle)
         engine.run(until=engine.now + 0.1)
-        dialer = _mesh(proc, 1, 2, [], lambda row: dialer.send(row, name))
+        dialer = _mesh(proc, 1, 2, [], lambda rows: dialer.send(0, name))
         dialer.dial([(0, cluster.node(0).addr(9))], 0.1, 1.0, lambda: False)
         engine.run(until=engine.now + 1.0)
         return proc, dialer
@@ -269,7 +443,7 @@ def test_a_continue_reads_in_the_order_the_readers_were_started(engine,
         proc = cluster.node(rank).spawn(f"r{rank}", _idle)
         engine.run(until=engine.now + 0.1)
         dialers[rank] = _mesh(proc, rank, 4, [],
-                              lambda row: dialers[rank].send(row, "hi"))
+                              lambda rows: dialers[rank].send_all(rows, "hi"))
         dialers[rank].dial([(0, cluster.node(0).addr(9))], 0.1, 1.0,
                            lambda: False)
         engine.run(until=engine.now + 1.0)

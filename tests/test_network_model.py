@@ -227,7 +227,8 @@ class MeshWorld:
             self.note(names[row], msg)
             mesh.serve(row)
 
-        def connected(row):
+        def connected(rows):
+            [row] = rows        # one dial per incarnation
             names[row] = f"c{name}"
             self.ends[names[row]] = (mesh, row)
             self.note(name, f"connected c{name}")

@@ -326,6 +326,21 @@ def test_obs_report_skips_and_counts_a_format9_entry(spoil, tmp_path,
         .endswith("# EOF\n")
 
 
+def test_a_corpus_kept_under_the_store_is_no_entry(tmp_path):
+    """A guided campaign keeps its corpus in ``<cache>/corpus/``: those
+    files are neither results nor skipped entries, to ``len()`` and to
+    obs-report alike."""
+    from repro.experiments import obs_report_cmd
+    jobs = [(quick_setup(period), 3) for period in (40, 35)]
+    runner = TrialRunner(cache_dir=str(tmp_path / "store"))
+    runner.run_jobs(jobs)
+    (tmp_path / "store" / "corpus").mkdir()
+    (tmp_path / "store" / "corpus" / "x.json").write_text("{}")
+    docs, skipped = obs_report_cmd.collect_obs_docs(str(tmp_path / "store"))
+    assert (len(docs), skipped) == (2, 0)
+    assert len(runner.store) == 2
+
+
 def test_format9_entry_with_extra_keys_is_a_hit(tmp_path):
     """The reader takes keys by name, so an entry carrying keys it does
     not know (format 9 once had ``engine_workers`` / ``parallel``) is

@@ -48,8 +48,8 @@ class FakeMesh:
                             else [msg] * len(rows)):
             self.send(row, one, size)
 
-    def close(self, row):
-        self.closed.append(row)
+    def close_end(self, row, read=False):
+        self.closed.append((row, read))
 
     def join(self, row):
         if self.attached[row] < 0:

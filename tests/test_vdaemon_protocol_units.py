@@ -196,8 +196,8 @@ def test_send_to_dead_peer_dropped():
     got = []
     far = Mesh(peer, cluster.node(1).listen(9, owner=peer), 1, 2,
                lambda row, msg: got.append(msg.app.tag), None, None,
-               lambda row: (far.send(row, wire.Hello(rank=1, epoch=0)),
-                            far.serve(row)))
+               lambda rows: (far.send(0, wire.Hello(rank=1, epoch=0)),
+                             far.serve(0)))
     far.dial([(0, cluster.node(0).addr(9))], 1.0, 1.0, lambda: False)
     engine.run(until=1.0)
     assert core.mesh.peers == [1]

@@ -96,16 +96,9 @@ class Signature:
     def __or__(self, other: "Signature") -> "Signature":
         return Signature(bytes(a | b for a, b in zip(self.bits, other.bits)))
 
-    def __and__(self, other: "Signature") -> "Signature":
-        return Signature(bytes(a & b for a, b in zip(self.bits, other.bits)))
-
     def minus(self, other: "Signature") -> "Signature":
         """Bits set here but not in ``other`` (the novelty mask)."""
         return Signature(bytes(a & ~b for a, b in zip(self.bits, other.bits)))
-
-    def new_bits(self, accumulated: "Signature") -> int:
-        """How many of this signature's bits ``accumulated`` lacks."""
-        return self.minus(accumulated).popcount
 
     def covers(self, other: "Signature") -> bool:
         """Does this signature include every bit of ``other``?"""

@@ -1,13 +1,13 @@
 """Small statistics helpers for experiment aggregation.
 
-Kept dependency-light on purpose: only the mean / standard deviation /
-normal-approximation confidence intervals the paper's plots need.
+Kept dependency-light on purpose: only the mean and standard deviation
+the paper's plots need.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence
+from typing import Sequence
 
 
 def mean(xs: Sequence[float]) -> float:
@@ -27,32 +27,3 @@ def stdev(xs: Sequence[float]) -> float:
     m = mean(xs)
     return math.sqrt(sum((x - m) ** 2 for x in xs) / (n - 1))
 
-
-def confidence_interval(xs: Sequence[float], z: float = 1.96) -> float:
-    """Half-width of the z-based CI of the mean (0.0 for n<2)."""
-    n = len(xs)
-    if n < 2:
-        return 0.0
-    return z * stdev(xs) / math.sqrt(n)
-
-
-def summarize(xs: Sequence[float]) -> Dict[str, Optional[float]]:
-    """Mean/stdev/min/max/n summary; None-filled when empty."""
-    if not xs:
-        return {"n": 0, "mean": None, "stdev": None, "min": None, "max": None}
-    return {
-        "n": len(xs),
-        "mean": mean(xs),
-        "stdev": stdev(xs),
-        "min": min(xs),
-        "max": max(xs),
-    }
-
-
-def coefficient_of_variation(xs: Sequence[float]) -> float:
-    """stdev/mean — the paper's Fig. 6 discussion is about variance
-    growth with scale; this normalizes it for comparison."""
-    m = mean(xs)
-    if m == 0:
-        return 0.0
-    return stdev(xs) / m

@@ -108,13 +108,3 @@ def render_timeline(trace: Trace, width: int = 72,
     lines.append(f"({counted} events shown, {len(records)} in trace)")
     return "\n".join(lines)
 
-
-def lane_density(trace: Trace, kinds: Sequence[str], t0: float, t1: float,
-                 buckets: int = 10) -> List[int]:
-    """Event counts per time bucket — a numeric view of a lane,
-    used by tests and stall detectors."""
-    out = [0] * buckets
-    for rec in trace.records:
-        if rec.kind in kinds and t0 <= rec.t <= t1:
-            out[_bucket(rec.t, t0, t1, buckets)] += 1
-    return out

@@ -18,14 +18,13 @@ Characteristics modelled (and why):
   channel MPICH-V's dispatcher uses ("a failure is assumed after any
   unexpected socket closure");
 * **connection refusal** when nothing listens on the target address;
-* **partitions and link cuts** — :meth:`Network.cut_link`,
-  :meth:`Network.isolate`, :meth:`Network.partition` and
-  :meth:`Network.heal` mutate reachability at runtime.  Packets into a
-  cut vanish; established connections spanning a cut are severed after
-  one path latency (both receive streams fail with
-  :class:`ConnectionClosed`, indistinguishable from peer death — the
-  *false suspicion* adversary); a connection attempt across a cut is
-  refused after the round trip.  Healing restores reachability for
+* **partitions** — :meth:`Network.isolate` and :meth:`Network.heal`
+  mutate reachability at runtime.  Packets into a cut vanish;
+  established connections spanning a cut are severed after one path
+  latency (both receive streams fail with :class:`ConnectionClosed`,
+  indistinguishable from peer death — the *false suspicion*
+  adversary); a connection attempt across a cut is refused after the
+  round trip.  Healing restores reachability for
   new connections but never resurrects severed ones — and a heal that
   lands before the severance notification does (within one latency)
   leaves the connection untouched, so partitions can race the failure
@@ -42,8 +41,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from functools import partial
-from typing import (Any, Callable, Dict, FrozenSet, Iterable, List,
-                    NamedTuple, Optional, Sequence, Set, Tuple)
+from typing import (Any, Callable, Dict, Iterable, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
 from repro.netmodel.fabric import build_fabric
 from repro.netmodel.spec import DEFAULT_BANDWIDTH, DEFAULT_LATENCY
@@ -108,8 +107,6 @@ class Network:
         self._severing: Set[Any] = set()
         #: hosts on the isolated side of an accumulated partition
         self._isolated: Set[str] = set()
-        #: explicitly cut host pairs
-        self._cut_pairs: Set[FrozenSet[str]] = set()
 
     # -- topology ------------------------------------------------------------
     def register_host(self, host: str) -> None:
@@ -122,29 +119,13 @@ class Network:
         return self.fabric.latency_between(a, b)
 
     # -- link state ------------------------------------------------------------
-    @property
-    def partitioned(self) -> bool:
-        """True while any cut is active."""
-        return bool(self._isolated or self._cut_pairs)
-
     def reachable(self, a: str, b: str) -> bool:
         """Can hosts ``a`` and ``b`` currently exchange packets?"""
         if a == b:
             return True
-        if self._cut_pairs and frozenset((a, b)) in self._cut_pairs:
-            return False
         if self._isolated and ((a in self._isolated) != (b in self._isolated)):
             return False
         return True
-
-    def cut_link(self, host_a: str, host_b: str) -> None:
-        """Cut the path between one host pair."""
-        if host_a == host_b:
-            raise ValueError("cannot cut a host from itself")
-        self._cut_pairs.add(frozenset((host_a, host_b)))
-        self.engine.span("netsplit", lane="net", op="cut_link",
-                         hosts=sorted((host_a, host_b)))
-        self._sever_spanning()
 
     def isolate(self, *hosts: str) -> None:
         """Move ``hosts`` onto the isolated side of the partition.
@@ -159,22 +140,6 @@ class Network:
                          hosts=sorted(hosts))
         self._sever_spanning()
 
-    def partition(self, groups: Sequence[Sequence[str]]) -> None:
-        """Cut every path between hosts of different ``groups``.
-
-        Hosts absent from every group keep full connectivity.
-        """
-        groups = [list(g) for g in groups]
-        for i, ga in enumerate(groups):
-            for gb in groups[i + 1:]:
-                for a in ga:
-                    for b in gb:
-                        if a != b:
-                            self._cut_pairs.add(frozenset((a, b)))
-        self.engine.span("netsplit", lane="net", op="partition",
-                         groups=[sorted(g) for g in groups])
-        self._sever_spanning()
-
     def heal(self) -> None:
         """Restore full reachability.
 
@@ -184,7 +149,6 @@ class Network:
         stay dead (a healed partition does not resurrect them).
         """
         self._isolated.clear()
-        self._cut_pairs.clear()
         # one heal ends every open split at the same instant, so
         # overlapping cuts close nested-at-boundary
         obs = self.engine.obs
@@ -211,14 +175,6 @@ class Network:
             key[0]._sever(key)
 
     # -- traffic accounting ----------------------------------------------------
-    def link_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-link counters; the uniform fabric reports its single
-        aggregate pipe (the hot path keeps no per-link books)."""
-        if self._fast_uniform:
-            return {"fabric": {"bytes": self.bytes_sent,
-                               "messages": self.messages_sent}}
-        return self.fabric.link_stats()
-
     def hotspot(self) -> Tuple[Optional[str], int]:
         """``(link name, bytes)`` of the busiest link.
 
@@ -319,7 +275,7 @@ class Network:
             if self._fast_uniform else None
         ctx = getattr(msg, "_causal_ctx", None) \
             if engine.obs is not None else None
-        return size, now, earliest, ctx, self._isolated or self._cut_pairs
+        return size, now, earliest, ctx, self._isolated
 
     def send_all(self, socks: Iterable["Socket"], msg: Any,
                  size: Optional[int] = None) -> None:
@@ -691,7 +647,7 @@ class Mesh(CallbackThread):
         if self._stop():
             return
         network, host, tick = self.network, self.host, self.proc._tick
-        cut = network._isolated or network._cut_pairs
+        cut = network._isolated
         rtt = 2 * network.latency if network._fast_uniform else None
         landings: Dict[float, list] = {}
         for rank, addr, pos in targets:
@@ -719,7 +675,7 @@ class Mesh(CallbackThread):
         end after connected rows: what ``on_connected`` puts at URGENT
         runs before the next outcome, as between two payloads."""
         network = self.network
-        cut = network._isolated or network._cut_pairs
+        cut = network._isolated
         outcomes = None
         for rank, addr, pos, row, far, fr, delay in dials:
             if far is not None and not far.closed \

@@ -59,11 +59,6 @@ class Node:
             out = [p for p in out if p.name.startswith(name_prefix)]
         return out
 
-    def kill_all(self) -> None:
-        """Power-off analogue: kill everything on the node."""
-        for proc in list(self.procs):
-            proc.kill()
-
     # -- network shorthand ----------------------------------------------------
     def addr(self, port: int) -> Address:
         return Address(self.name, port)

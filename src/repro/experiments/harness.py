@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.classify import Outcome
-from repro.analysis.stats import confidence_interval, mean, stdev
+from repro.analysis.stats import mean, stdev
 from repro.experiments.runner import TrialRunner
 from repro.fail.scenario import Binding, deploy_scenario
 from repro.mpichv.config import VclConfig
@@ -168,11 +168,6 @@ class ExperimentRow:
     def stdev_exec_time(self) -> Optional[float]:
         times = self.exec_times
         return stdev(times) if times else None
-
-    @property
-    def ci_exec_time(self) -> Optional[float]:
-        times = self.exec_times
-        return confidence_interval(times) if len(times) >= 2 else None
 
     @property
     def total_faults(self) -> int:

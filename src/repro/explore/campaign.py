@@ -40,6 +40,7 @@ from repro.explore.corpus import Corpus, CorpusEntry, default_corpus_dir
 from repro.explore.mutate import mutate
 from repro.explore.oracles import (OracleReport, coverage_labels,
                                    failed_names, run_oracles)
+from repro.fail.lang.errors import FailError
 from repro.mpichv import protocols
 from repro.mpichv.config import VclConfig
 from repro.mpichv.runtime import RunResult
@@ -857,13 +858,16 @@ def main(argv=None) -> None:  # pragma: no cover - CLI
     runner = runner_from_args(args)
 
     if args.replay is not None:
-        with open(args.replay, "r", encoding="utf-8") as fh:
-            source = fh.read()
         cfg = ExploreConfig(budget=1, **common)
         protocol = cfg.resolved_protocols()[0]
         workload = cfg.resolved_workloads()[0]
-        result, reports = replay_scenario(source, cfg, protocol, workload,
-                                          args.trial_seed, runner=runner)
+        try:
+            with open(args.replay, "r", encoding="utf-8") as fh:
+                source = fh.read()
+            result, reports = replay_scenario(source, cfg, protocol, workload,
+                                              args.trial_seed, runner=runner)
+        except (OSError, FailError) as err:
+            raise SystemExit(f"explore: {args.replay}: {err}") from None
         print(f"replay {args.replay}: protocol={protocol} "
               f"workload={workload} seed={args.trial_seed}")
         print(f"outcome: {result.outcome} ({result.verdict.reason})")

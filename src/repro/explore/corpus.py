@@ -122,10 +122,6 @@ class Corpus:
     def plans(self) -> List[FaultPlan]:
         return [e.plan for e in self._entries]
 
-    def novelty(self, signature: Signature) -> int:
-        """Bits ``signature`` would add to the accumulated coverage."""
-        return signature.new_bits(self.accumulated)
-
     def admit(self, entry: CorpusEntry) -> bool:
         """Persist ``entry`` if its signature is new; True on admit.
 
@@ -156,13 +152,6 @@ class Corpus:
 
     def next_seq(self) -> int:
         return max((e.seq for e in self._entries), default=0) + 1
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "size": len(self._entries),
-            "edges": self.accumulated.popcount,
-            "failing": sum(1 for e in self._entries if e.failed),
-        }
 
 
 def default_corpus_dir(cache_dir: Optional[str],

@@ -81,17 +81,9 @@ def goto(node_id: int) -> ast.GotoAction:
     return ast.GotoAction(node_id)
 
 
-def assign(name: str, value: ExprLike) -> ast.AssignAction:
-    return ast.AssignAction(name, expr(value))
-
-
 def on_msg(name: str) -> ast.MsgTrigger:
     """``?name`` — a FAIL message arrived."""
     return ast.MsgTrigger(name)
-
-
-def before(func: str) -> ast.Before:
-    return ast.Before(func)
 
 
 def when(trigger: ast.Trigger, *actions: ast.Action,

@@ -35,14 +35,6 @@ class Debugger:
         for fn, handler in self._breakpoints.items():
             proc.set_breakpoint(fn, handler)
 
-    def attach_pid(self, node, pid: int) -> bool:
-        """FAIL-MPI's attach-to-running-process-by-pid (paper §4)."""
-        for proc in node.procs:
-            if proc.pid == pid and proc.state.alive:
-                self.attach(proc)
-                return True
-        return False
-
     def detach(self) -> None:
         if self.target is not None:
             for fn in self._breakpoints:

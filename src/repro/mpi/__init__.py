@@ -13,7 +13,7 @@ Checkpointing captures the endpoint's ``state`` dict (plus the
 channel-state message logs kept by the daemon).  Applications must
 therefore keep *all* computation progress inside ``state`` and update
 it atomically between yields — i.e. immediately after a ``recv``
-returns and before the next ``yield``.  The helpers in
-:mod:`repro.mpi.collectives` follow the same contract, making the
-collectives resumable from any snapshot instant.
+returns and before the next ``yield``.  The allreduce in
+:mod:`repro.mpi.collectives` follows the same contract, making it
+resumable from any snapshot instant.
 """

@@ -1,16 +1,15 @@
-"""Restartable collective operations built on point-to-point.
+"""A restartable allreduce built on point-to-point.
 
-Every collective records its progress inside the endpoint ``state``
+The collective records its progress inside the endpoint ``state``
 under a caller-supplied key, so a process image snapped at *any*
-instant resumes the collective without losing or duplicating
-contributions.  The invariant relied upon: in the discrete-event
+instant resumes it without losing or duplicating contributions.  The invariant relied upon: in the discrete-event
 kernel, everything between two ``yield`` points is atomic, so a state
 update performed in the same step as the send/recv it describes can
 never be separated from it by a checkpoint.
 
-These are the flat (linear) algorithms of mpich-1's ch_p4 device for
-small communicators — adequate for ≤64 ranks and simple to make
-restartable.
+It is the flat (linear) algorithm of mpich-1's ch_p4 device for small
+communicators — adequate for ≤64 ranks and simple to make
+restartable.  The ring and BT workloads verify their result with it.
 """
 
 from __future__ import annotations
@@ -19,43 +18,12 @@ from typing import Any, Callable, List
 
 from repro.mpi.message import ANY
 
-TAG_BARRIER_IN = 9001
-TAG_BARRIER_OUT = 9002
 TAG_REDUCE = 9003
 TAG_RESULT = 9004
-TAG_BCAST = 9005
-TAG_GATHER = 9006
-TAG_RING = 9007
 
 
 def _sub(ep, key: str) -> dict:
     return ep.state.setdefault(key, {"stage": "init"})
-
-
-def barrier(ep, key: str):
-    """All ranks synchronize: gather-to-0 then release broadcast."""
-    st = _sub(ep, key)
-    if st["stage"] == "done":
-        return
-    if ep.rank == 0:
-        if st["stage"] == "init":
-            st["got"] = 0
-            st["stage"] = "collect"
-        while st["stage"] == "collect":
-            if st["got"] == ep.size - 1:
-                for dst in range(1, ep.size):
-                    ep.send(dst, TAG_BARRIER_OUT, None, size=64)
-                st["stage"] = "done"
-                break
-            yield from ep.recv(ANY, TAG_BARRIER_IN)
-            st["got"] += 1
-    else:
-        if st["stage"] == "init":
-            ep.send(0, TAG_BARRIER_IN, None, size=64)
-            st["stage"] = "wait"
-        if st["stage"] == "wait":
-            yield from ep.recv(0, TAG_BARRIER_OUT)
-            st["stage"] = "done"
 
 
 def reduce_bcast(ep, key: str, value: Any,
@@ -93,67 +61,3 @@ def reduce_bcast(ep, key: str, value: Any,
             st["result"] = msg.payload
             st["stage"] = "done"
         return st["result"]
-
-
-def bcast(ep, key: str, value: Any = None, root: int = 0, size: int = 256):
-    """Broadcast ``value`` from ``root``; returns it on every rank."""
-    st = _sub(ep, key)
-    if st["stage"] == "done":
-        return st["result"]
-    if ep.rank == root:
-        for dst in range(ep.size):
-            if dst != root:
-                ep.send(dst, TAG_BCAST, value, size=size)
-        st["result"] = value
-        st["stage"] = "done"
-        return value
-    msg = yield from ep.recv(root, TAG_BCAST)
-    st["result"] = msg.payload
-    st["stage"] = "done"
-    return msg.payload
-
-
-def gather_to_root(ep, key: str, value: Any, root: int = 0, size: int = 256):
-    """Gather one value per rank at ``root``.
-
-    Returns the rank-indexed list at root, ``None`` elsewhere.
-    """
-    st = _sub(ep, key)
-    if st["stage"] == "done":
-        return st.get("result")
-    if ep.rank == root:
-        if st["stage"] == "init":
-            st["parts"] = {root: value}
-            st["stage"] = "collect"
-        while st["stage"] == "collect":
-            if len(st["parts"]) == ep.size:
-                st["result"] = [st["parts"][r] for r in range(ep.size)]
-                st["stage"] = "done"
-                break
-            msg = yield from ep.recv(ANY, TAG_GATHER)
-            st["parts"][msg.src] = msg.payload
-        return st["result"]
-    else:
-        ep.send(root, TAG_GATHER, value, size=size)
-        st["stage"] = "done"
-        return None
-
-
-def ring_exchange(ep, key: str, value: Any, size: int = 1024):
-    """Send to (rank+1) % size, receive from (rank-1) % size.
-
-    Returns the received payload; a building block for the ring demo
-    workload and a compact integration test of the matching logic.
-    """
-    st = _sub(ep, key)
-    if st["stage"] == "done":
-        return st["result"]
-    right = (ep.rank + 1) % ep.size
-    left = (ep.rank - 1) % ep.size
-    if st["stage"] == "init":
-        ep.send(right, TAG_RING, value, size=size)
-        st["stage"] = "wait"
-    msg = yield from ep.recv(left, TAG_RING)
-    st["result"] = msg.payload
-    st["stage"] = "done"
-    return msg.payload

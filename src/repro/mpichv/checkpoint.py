@@ -90,9 +90,6 @@ class LocalCkptStore:
     def waves_for(self, rank: int) -> List[int]:
         return sorted(self._images.get(rank, {}))
 
-    def clear(self) -> None:
-        self._images.clear()
-
 
 def node_local_store(node) -> LocalCkptStore:
     """The node's local checkpoint store, created on first use."""

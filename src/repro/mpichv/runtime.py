@@ -185,11 +185,6 @@ class VclRuntime:
         return self.service_procs.get("eventlog")
 
     @property
-    def server_procs(self) -> List[Any]:
-        return [proc for name, proc in self.service_procs.items()
-                if name.startswith("ckptserver.")]
-
-    @property
     def cm_procs(self) -> List[Any]:
         return [proc for name, proc in self.service_procs.items()
                 if name.startswith("channelmemory.")]

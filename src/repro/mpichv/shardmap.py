@@ -26,7 +26,7 @@ outside it may spell ``svc{2+...}`` arithmetic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 #: fixed service nodes of every deployment
 DISPATCHER_NODE = "svc0"
@@ -60,15 +60,6 @@ def ckpt_server_for_rank(config, rank: int) -> Tuple[str, int]:
     """(node, port) of the checkpoint server owning ``rank``."""
     shard = ckpt_shard(rank, config.n_ckpt_servers)
     return ckpt_server_node(shard), ckpt_server_port(config, shard)
-
-
-def shard_table(n_procs: int, n_ckpt_servers: int) -> Dict[int, List[int]]:
-    """shard -> sorted ranks it owns (includes empty shards when
-    ``k > n_procs``, so callers see every deployed server)."""
-    table: Dict[int, List[int]] = {s: [] for s in range(n_ckpt_servers)}
-    for rank in range(n_procs):
-        table[ckpt_shard(rank, n_ckpt_servers)].append(rank)
-    return table
 
 
 def extras_base(config) -> int:

@@ -119,9 +119,6 @@ class V1Daemon(MpichDaemon):
         if self.restarted:
             yield from self.restore_latest_own()
 
-    def mesh_dial_targets(self, cmd):
-        return ()
-
     def after_mesh(self, cmd):
         # (Re)bind the forwarding channel: the CM replays everything
         # past the restored delivery position, then streams live.

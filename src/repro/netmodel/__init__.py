@@ -9,7 +9,8 @@ The subsystem has two halves:
   the built-in ``uniform`` / ``star`` / ``twotier`` models with
   per-link counters.
 
-Runtime-mutable link state (``cut_link`` / ``partition`` / ``heal``)
-lives on :class:`repro.cluster.network.Network`, which owns the live
-connections a cut must sever; the fabric only shapes delivery times.
+Runtime-mutable reachability (``isolate`` / ``heal``) lives on
+:class:`repro.cluster.network.Network`, which owns the live
+connections a partition must sever; the fabric only shapes delivery
+times.
 """

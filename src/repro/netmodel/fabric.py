@@ -2,7 +2,7 @@
 
 A *fabric model* turns (source host, destination host, message size)
 into a delivery time by walking per-link queues, and carries per-link
-byte/message counters the experiments surface as traffic accounting.
+byte counters the experiments surface as the busiest link.
 Models register by name in :data:`FABRICS` (the same
 :class:`repro.registry.Registry` the protocol and workload plugin
 systems use), selected per deployment through a
@@ -36,7 +36,7 @@ top by the network layer's per-socket pipe clamp.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.netmodel.spec import DEFAULT_BANDWIDTH, DEFAULT_LATENCY, TopologySpec
 from repro.registry import Registry
@@ -47,10 +47,6 @@ FABRICS = Registry("fabric model")
 def register_fabric(name: str, cls, replace: bool = False):
     """Register a :class:`FabricModel` subclass under ``name``."""
     return FABRICS.register(name, cls, replace=replace)
-
-
-def available_fabrics() -> List[str]:
-    return FABRICS.available()
 
 
 def validate_model(name: str) -> None:
@@ -77,8 +73,7 @@ def build_fabric(topology, latency: Optional[float] = None,
 class Link:
     """One directed link: latency, bandwidth, a queue, and counters."""
 
-    __slots__ = ("name", "latency", "bandwidth", "free_at", "bytes",
-                 "messages")
+    __slots__ = ("name", "latency", "bandwidth", "free_at", "bytes")
 
     def __init__(self, name: str, latency: float, bandwidth: float):
         self.name = name
@@ -86,7 +81,6 @@ class Link:
         self.bandwidth = bandwidth
         self.free_at = 0.0
         self.bytes = 0
-        self.messages = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetics
         return (f"<Link {self.name} lat={self.latency} bw={self.bandwidth} "
@@ -168,15 +162,9 @@ class FabricModel:
             link.free_at = start + size / link.bandwidth
             t = link.free_at + link.latency
             link.bytes += size
-            link.messages += 1
         return max(t, pipe_free)
 
     # -- accounting -----------------------------------------------------------
-    def link_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-link byte/message counters, keyed by link name."""
-        return {name: {"bytes": link.bytes, "messages": link.messages}
-                for name, link in sorted(self._links.items())}
-
     def hotspot(self) -> Tuple[Optional[str], int]:
         """``(link name, bytes)`` of the busiest link (deterministic
         tie-break on name); ``(None, 0)`` before any traffic."""
@@ -193,10 +181,9 @@ class UniformFabric(FabricModel):
     """The historical model: one homogeneous fabric, per-connection
     pipelining only, infinite switching capacity.
 
-    ``delivery`` reproduces the seed arithmetic bit for bit; the
-    network layer additionally short-circuits it entirely while no
-    links are cut (the fast path), so fault-free uniform runs never
-    consult the fabric per message.
+    Every path is empty, so ``delivery`` is the seed arithmetic bit for
+    bit; the network layer computes it inline (the fast path), so
+    uniform runs never consult the fabric per message.
     """
 
     name = "uniform"
@@ -204,10 +191,6 @@ class UniformFabric(FabricModel):
 
     def _build_path(self, src: str, dst: str) -> Tuple[Link, ...]:
         return ()
-
-    def delivery(self, now: float, src: str, dst: str, size: int,
-                 pipe_free: float) -> float:
-        return max(pipe_free, now + self.latency + size / self.bandwidth)
 
 
 class StarFabric(FabricModel):
@@ -249,10 +232,6 @@ class TwoTierFabric(FabricModel):
     def _core_latency(self) -> float:
         core = self.spec.core_latency
         return core if core is not None else self.latency
-
-    def rack_of(self, host: str) -> int:
-        self.register_host(host)
-        return self._hosts[host] // self.spec.rack_size
 
     def _host_added(self, host: str) -> None:
         spec = self.spec

@@ -207,9 +207,9 @@ class CallbackThread:
     generator and the wake-up ``Event`` of a :class:`Process` are pure
     overhead.  A callback thread is its own engine payload: whoever
     wakes it enqueues the object (or calls it from inside the waking
-    event's payload), and :meth:`_run` does the step.  It keeps the
-    control verbs a ``UnixProcess`` needs of its threads, with
-    :class:`Process` semantics:
+    event's payload), and the subclass's ``__call__`` does the step.
+    It keeps the control verbs a ``UnixProcess`` needs of its threads,
+    with :class:`Process` semantics:
 
     * the first step runs from a NORMAL payload scheduled at
       construction (where ``Process._start`` ran) — by the tail rule,
@@ -221,8 +221,11 @@ class CallbackThread:
       ``engine.process_failures`` and reports to ``on_error`` from a
       NORMAL payload (where the failed process event was processed).
 
-    Subclasses keep what the next step should do in their own fields;
-    :class:`repro.simkernel.store.Reader` is the socket-reading one.
+    Subclasses keep what the next step should do in their own fields,
+    and their ``__call__`` checks ``alive`` and ``suspended`` before
+    it and hands what it raises to :meth:`_crash`:
+    :class:`repro.simkernel.store.Reader` reads one queue,
+    :class:`repro.cluster.network.Mesh` a daemon's connections.
     """
 
     __slots__ = ("engine", "on_error", "alive", "suspended", "error",
@@ -241,20 +244,6 @@ class CallbackThread:
     @property
     def name(self) -> str:
         return type(self).__name__
-
-    def __call__(self) -> None:
-        if not self.alive:
-            return
-        if self.suspended:
-            self._parked = True
-            return
-        try:
-            self._run()
-        except Exception as err:
-            self._crash(err)
-
-    def _run(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
 
     def _crash(self, err: BaseException) -> None:
         self.kill()

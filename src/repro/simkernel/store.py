@@ -196,7 +196,6 @@ class Reader(CallbackThread):
             self.store = store
 
     def __call__(self) -> None:
-        # CallbackThread.__call__ with _run inlined: once per message
         if not self.alive:
             return
         if self.suspended:

@@ -19,8 +19,13 @@ closing, a dial's outcome — is a ``(time, what)`` entry in that end's
 * a dial is refused after one round trip when nothing listens or the
   path is cut, at the dial or when it lands; otherwise both ends exist
   when it lands, and the dialer may have died meanwhile;
-* a cut severs every registered connection that spans it one latency
-  later, unless a heal comes first; a heal never resurrects anything;
+* isolating hosts moves them onto the minority side of one
+  partition, which accumulates: two hosts can reach each other when
+  both or neither are isolated.  An isolation severs every registered
+  connection that then spans the cut one latency later, unless the
+  two hosts can reach each other again by then (a heal, or the other
+  host isolated too); a heal ends the partition and never resurrects
+  anything;
 * a reader is handed the first message that reaches it while it
   waits; what lands behind it waits until the reader is done with the
   instant's arrivals, so a close notice landing in that instant drops
@@ -98,7 +103,8 @@ class Model:
         #: live client ends, in registration order (severance scan)
         self.registry: Dict[End, None] = {}
         self.severing: Set[End] = set()
-        self.cuts: Set[frozenset] = set()
+        #: hosts on the isolated side of the partition
+        self.isolated: Set[str] = set()
         self.next_conn = 1
         #: messages that went on the wire (not the vanished ones)
         self.sent = 0
@@ -121,7 +127,7 @@ class Model:
         self.log.setdefault(who, []).append((round(self.now, 9), what))
 
     def reachable(self, a: str, b: str) -> bool:
-        return a == b or frozenset((a, b)) not in self.cuts
+        return (a in self.isolated) == (b in self.isolated)
 
     def running(self, proc: str) -> bool:
         return proc in self.alive and proc not in self.stopped
@@ -267,8 +273,8 @@ class Model:
     def cont(self, proc: str) -> None:
         self.stopped.discard(proc)
 
-    def cut(self, a: str, b: str) -> None:
-        self.cuts.add(frozenset((a, b)))
+    def isolate(self, host: str) -> None:
+        self.isolated.add(host)
         for client in list(self.registry):
             server = client.far
             if server is None or (client.rx_closed and server.rx_closed):
@@ -289,4 +295,4 @@ class Model:
             self.at(self.now + self.L, fire)
 
     def heal(self) -> None:
-        self.cuts.clear()
+        self.isolated.clear()

@@ -5,8 +5,7 @@ import math
 import pytest
 
 from repro.analysis.classify import Outcome, classify_run, last_activity_time
-from repro.analysis.stats import (coefficient_of_variation,
-                                  confidence_interval, mean, stdev, summarize)
+from repro.analysis.stats import mean, stdev
 from repro.analysis.traces import Trace, TraceRecord
 from repro.experiments.resultstore import trace_from_dict, trace_to_dict
 
@@ -139,24 +138,3 @@ def test_mean_empty_raises():
 
 def test_stdev_single_sample_zero():
     assert stdev([5.0]) == 0.0
-
-
-def test_confidence_interval():
-    assert confidence_interval([1.0]) == 0.0
-    xs = [10.0, 12.0, 14.0, 16.0]
-    ci = confidence_interval(xs)
-    assert ci == pytest.approx(1.96 * stdev(xs) / 2.0)
-
-
-def test_summarize():
-    s = summarize([])
-    assert s["n"] == 0 and s["mean"] is None
-    s = summarize([1.0, 3.0])
-    assert s == {"n": 2, "mean": 2.0, "stdev": stdev([1.0, 3.0]),
-                 "min": 1.0, "max": 3.0}
-
-
-def test_coefficient_of_variation():
-    assert coefficient_of_variation([5.0, 5.0]) == 0.0
-    assert coefficient_of_variation([0.0, 0.0]) == 0.0
-    assert coefficient_of_variation([1.0, 3.0]) > 0

@@ -195,13 +195,6 @@ def test_running_filter(engine, cluster):
     assert names == ["vdaemon.1"]
 
 
-def test_kill_all(engine, cluster):
-    procs = [cluster.node(0).spawn(f"p{i}", idle) for i in range(3)]
-    cluster.node(0).kill_all()
-    assert all(p.state is ProcState.KILLED for p in procs)
-    assert cluster.node(0).procs == []
-
-
 def test_cluster_requires_nodes():
     with pytest.raises(ValueError):
         Cluster(Engine(seed=0), 0)

@@ -42,9 +42,7 @@ def test_signature_set_algebra():
     a = Signature.from_labels(["x", "y"])
     b = Signature.from_labels(["y", "z"])
     assert (a | b).popcount == 3
-    assert (a & b) == Signature.from_labels(["y"])
     assert a.minus(b) == Signature.from_labels(["x"])
-    assert a.new_bits(b) == 1
     assert (a | b).covers(a) and not a.covers(b)
     assert not Signature()
     assert Signature.from_hex("") == Signature()
@@ -182,8 +180,6 @@ def test_corpus_admits_novelty_and_dedups_by_signature(tmp_path):
     assert corpus.admit(_entry(plan, ["a", "c"]))           # new bit
     assert len(corpus) == 2
     assert corpus.accumulated.popcount == 3
-    assert corpus.novelty(Signature.from_labels(["a"])) == 0
-    assert corpus.novelty(Signature.from_labels(["z"])) == 1
 
 
 def test_corpus_persists_and_replays_failures_first(tmp_path):

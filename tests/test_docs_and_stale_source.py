@@ -161,6 +161,9 @@ STALE_PHRASES = [
     # a mesh handshake hook per connection: a landing's connected rows
     # reach the daemon together
     r"def on_peer_connected\(self, row\b",
+    # a link-cut API beside isolate/heal, the path FAIL partitions take
+    r"cut_link",
+    r"_cut_pairs",
 ]
 
 

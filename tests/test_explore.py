@@ -3,6 +3,10 @@ campaign determinism, the planted-bug acceptance path, and shrinking.
 """
 
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -18,6 +22,8 @@ from repro.explore.generators import (GeneratorContext, KillReporter,
                                       RekillRace, TimedKill)
 from repro.mpichv import protocols
 from repro.mpichv.runtime import RunResult
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
 def make_result(outcome=Outcome.TERMINATED, exec_time=100.0,
@@ -441,3 +447,23 @@ def test_override_of_an_unknown_key_is_a_usage_error(text, key, monkeypatch,
     err = capsys.readouterr().err
     assert err.splitlines()[-1].endswith(
         f"override key {key} is not a VclConfig field")
+
+
+@pytest.mark.parametrize("content", [None, "garbage !!\n"],
+                         ids=["missing", "malformed"])
+def test_replay_of_a_bad_file_is_one_line(content, tmp_path):
+    """``explore --replay`` on a file it cannot open or parse ends in
+    one line naming the file, as ``trace-diff`` does, not a traceback."""
+    path = tmp_path / "scenario.fail"
+    if content is not None:
+        path.write_text(content)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "explore", "--replay", str(path)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 1 and proc.stdout == ""
+    expected = ("No such file or directory" if content is None
+                else "line 1:1: expected 'Daemon' or 'Deploy'")
+    assert proc.stderr.startswith(f"explore: {path}: ")
+    assert expected in proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr

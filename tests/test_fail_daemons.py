@@ -9,7 +9,7 @@ from repro.fail import builtin_scenarios as scenarios
 from test_fail_machine import build
 
 
-def test_generated_fig4_behaviour():
+def test_fig4_daemon_behaviour():
     machine, ctx = build(scenarios.FIG4_NODE_DAEMON)
     assert machine.node_id == 1
     # line 2: a crash order with no process -> negative ack, stay
@@ -26,7 +26,7 @@ def test_generated_fig4_behaviour():
     assert machine.node_id == 1
 
 
-def test_generated_matches_interpreter_on_fig8b():
+def test_fig8b_daemon_counts_its_loads():
     """Fig. 8b counts its machine's loads from ``wave = 1``; the load
     that finds ``wave == 2`` is the first recovery wave and reports
     ``waveok`` to P1 (lines 3 / 8)."""
@@ -49,7 +49,7 @@ def test_generated_matches_interpreter_on_fig8b():
     assert (ctx.halted, ctx.continued) == (2, 3)
 
 
-def test_generated_guard_and_assignment():
+def test_guard_reads_the_last_assignment():
     """An assignment made by one event is what the next event's guard
     reads: two ticks count ``n`` down, the third falls through."""
     machine, ctx = build("""
@@ -68,7 +68,7 @@ def test_generated_guard_and_assignment():
     assert ctx.sent == [("done", "P1")]
 
 
-def test_generated_assignment_is_visible_to_the_next_action():
+def test_assignment_is_visible_to_the_next_action():
     """Two assignments in one transition: the second reads the first,
     not the value the event started with."""
     machine, _ctx = build("""

@@ -136,13 +136,13 @@ def drive(source: str, label: str, seed: int, steps: int = 60):
                 ctx.continued - before[6], where
 
 
-def test_builtin_scenarios_roundtrip():
+def test_interpreter_on_builtin_scenarios():
     for label, source in BUILTINS.items():
         for seed in (0, 1, 2):
             drive(source, label, seed)
 
 
-def test_generated_scenarios_roundtrip():
+def test_interpreter_on_generated_scenarios():
     """Both daemons of every generated family, each driven alone from
     its own re-rendered text."""
     ctx = generators.GeneratorContext(n_machines=6, n_busy=4)

@@ -122,13 +122,12 @@ def test_fail_daemon_partitions_and_heals_the_fabric():
     runtime.deploy()
     network = runtime.cluster.network
     engine.run(until=2.5)
-    assert network.partitioned
     assert not network.reachable("m0", "svc0")
     assert network.reachable("m1", "svc0")
     assert deployment.total_partitions_injected() == 1
     assert runtime.trace.counts.get("partition_injected", 0) == 1
     engine.run(until=6.0)
-    assert not network.partitioned
+    assert network.reachable("m0", "svc0")
     assert runtime.trace.counts.get("heal_injected", 0) == 1
 
 

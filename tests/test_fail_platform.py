@@ -39,17 +39,6 @@ def test_debugger_halt_requires_attachment(engine, cluster):
     assert not dbg.attached
 
 
-def test_debugger_attach_pid(engine, cluster):
-    def idle(proc):
-        yield engine.event()
-
-    p = cluster.node(0).spawn("app", idle)
-    dbg = Debugger()
-    assert dbg.attach_pid(cluster.node(0), p.pid)
-    assert dbg.target is p
-    assert not dbg.attach_pid(cluster.node(0), 424242)
-
-
 def test_debugger_breakpoint_applies_to_future_attach(engine, cluster):
     hits = []
 

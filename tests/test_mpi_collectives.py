@@ -1,7 +1,7 @@
-"""Unit tests for restartable collectives, over a real in-sim mesh.
+"""Unit tests for the restartable allreduce, over an in-sim router.
 
 Rather than mocking, we run N endpoints over a shared router that
-models instantaneous delivery — collectives' logic (progress counters,
+models instantaneous delivery — the collective's logic (progress counters,
 dedup, role split) is what's under test here; transport timing is
 covered elsewhere.
 """
@@ -78,71 +78,3 @@ def test_reduce_bcast_idempotent_when_done():
 
     for first, second in run_ranks(3, body):
         assert first == second == 3
-
-
-@pytest.mark.parametrize("n", [1, 2, 5])
-def test_barrier_completes(n):
-    def body(ep):
-        yield from coll.barrier(ep, "b")
-        return "past"
-
-    assert run_ranks(n, body) == ["past"] * n
-
-
-def test_barrier_blocks_until_all_arrive():
-    """Rank 0 must not pass the barrier before the last rank enters."""
-    engine = Engine(seed=0)
-    router = Router(engine, 3)
-    passed = []
-
-    def late(ep, delay):
-        yield ep.engine.timeout(delay)
-        yield from coll.barrier(ep, "b")
-        passed.append((ep.rank, ep.engine.now))
-
-    for rank, delay in [(0, 0.0), (1, 1.0), (2, 5.0)]:
-        ep = MpiEndpoint(rank, 3, {}, router.port(rank), engine)
-        engine.process(late(ep, delay))
-    engine.run()
-    assert all(t >= 5.0 for _, t in passed)
-
-
-@pytest.mark.parametrize("n", [1, 2, 4])
-def test_bcast_distributes_root_value(n):
-    def body(ep):
-        value = "payload" if ep.rank == 0 else None
-        result = yield from coll.bcast(ep, "bc", value, root=0)
-        return result
-
-    assert run_ranks(n, body) == ["payload"] * n
-
-
-def test_bcast_nonzero_root():
-    def body(ep):
-        value = 42 if ep.rank == 2 else None
-        result = yield from coll.bcast(ep, "bc", value, root=2)
-        return result
-
-    assert run_ranks(4, body) == [42] * 4
-
-
-@pytest.mark.parametrize("n", [1, 2, 6])
-def test_gather_to_root(n):
-    def body(ep):
-        result = yield from coll.gather_to_root(ep, "g", ep.rank * 10)
-        return result
-
-    results = run_ranks(n, body)
-    assert results[0] == [r * 10 for r in range(n)]
-    assert all(r is None for r in results[1:])
-
-
-@pytest.mark.parametrize("n", [2, 3, 7])
-def test_ring_exchange(n):
-    def body(ep):
-        result = yield from coll.ring_exchange(ep, "ring", ep.rank)
-        return result
-
-    results = run_ranks(n, body)
-    # each rank receives from its left neighbour
-    assert results == [(r - 1) % n for r in range(n)]

@@ -118,7 +118,8 @@ def test_twotier_inter_rack_is_slower_than_intra_rack():
     intra = fabric.delivery(0.0, "a0", "a1", size, 0.0)
     inter = fabric.delivery(0.0, "a1", "b0", size, 0.0)
     assert inter > intra             # core hop latency + oversubscription
-    assert fabric.rack_of("a1") == 0 and fabric.rack_of("b0") == 1
+    assert [link.name for link in fabric.path("a1", "b0")] \
+        == ["a1/up", "rack0/up", "rack1/down", "b0/down"]
 
 
 def test_twotier_oversubscription_throttles_the_core():
@@ -137,9 +138,9 @@ def test_per_link_counters_and_hotspot():
     fabric = build_fabric("star")
     fabric.delivery(0.0, "h0", "h1", 1000, 0.0)
     fabric.delivery(0.0, "h0", "h2", 500, 0.0)
-    stats = fabric.link_stats()
-    assert stats["h0/up"] == {"bytes": 1500, "messages": 2}
-    assert stats["h1/down"] == {"bytes": 1000, "messages": 1}
+    up, down = fabric.path("h0", "h1")
+    assert (up.name, up.bytes) == ("h0/up", 1500)
+    assert (down.name, down.bytes) == ("h1/down", 1000)
     assert fabric.hotspot() == ("h0/up", 1500)
 
 
@@ -225,12 +226,11 @@ def test_uniform_network_delivery_times_match_explicit_spec():
     assert len(times["default"]) == 4
 
 
-def test_network_link_stats_uniform_and_star():
+def test_network_hotspot_uniform_and_star():
     engine = Engine(seed=2)
     cluster = Cluster(engine, 2)
     _relay(engine, cluster, n_msgs=3, size=100)
-    stats = cluster.network.link_stats()
-    assert stats["fabric"]["messages"] == 3
+    assert cluster.network.messages_sent == 3
     # Uniform keeps no per-link books, so there is no hot spot to name
     # (the old ("fabric", total) answer misread as a saturated link).
     assert cluster.network.hotspot() == (None, 0)

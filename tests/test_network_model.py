@@ -2,9 +2,9 @@
 
 A hypothesis state machine drives a real three-node cluster and the
 model with the same random program: dials into one listener, sends of
-sizes that queue behind each other on a pipe, closes, kills, cuts and
-heals (one of them before its severance lands), debugger stops and
-continues — each between instants, after the clock has moved by 0, a
+sizes that queue behind each other on a pipe, closes, kills, host
+isolations and heals (one of them before its severance lands),
+debugger stops and continues — each between instants, after the clock has moved by 0, a
 fraction of a latency, one or two latencies or much more.  After every
 move of the clock, what each end's reader was handed (and when), when
 each receive stream closed, when and how each dial ended and how many
@@ -159,16 +159,16 @@ class NetworkVersusModel(RuleBasedStateMachine):
         self.model.cont(who)
         self.settle()
 
-    @rule(who=st.sampled_from(PROCS[1:]))
-    def cut(self, who):
-        a, b = "node0", self.real.procs[who].node.name
-        self.real.network.cut_link(a, b)
-        self.model.cut(a, b)
+    @rule(who=st.sampled_from(PROCS))
+    def isolate(self, who):
+        host = self.real.procs[who].node.name
+        self.real.network.isolate(host)
+        self.model.isolate(host)
 
-    @rule(who=st.sampled_from(PROCS[1:]))
+    @rule(who=st.sampled_from(PROCS))
     def flap(self, who):
-        """A cut healed before its severance lands."""
-        self.cut(who)
+        """An isolation healed before its severance lands."""
+        self.isolate(who)
         self.advance(0.4 * LATENCY)
         self.heal()
 

@@ -1,5 +1,5 @@
-"""Connection-closure semantics under partition (satellite of the
-netmodel PR): cut links sever blocked receivers after one latency, the
+"""Connection-closure semantics under partition: isolating a host
+severs blocked receivers across the cut after one latency, the
 dispatcher's socket-closure failure detector fires on the false
 suspicion, heals never resurrect dead connections — and a partition
 trial is bit-for-bit deterministic across serial/parallel/cache
@@ -55,7 +55,7 @@ def test_blocked_recv_across_cut_fails_after_one_latency(engine, cluster):
 
     engine.process(reader())
     start = engine.now
-    engine.call_later(0.5, lambda: cluster.network.cut_link("node0", "node1"))
+    engine.call_later(0.5, lambda: cluster.network.isolate("node1"))
     engine.run(until=start + 2.0)
     assert closed_at and closed_at[0] == pytest.approx(start + 0.5 + LATENCY)
     # both directions die: the client end is severed too
@@ -64,7 +64,7 @@ def test_blocked_recv_across_cut_fails_after_one_latency(engine, cluster):
 
 def test_packets_into_a_cut_vanish(engine, cluster):
     srv, cli = _pair(engine, cluster)
-    cluster.network.cut_link("node0", "node1")
+    cluster.network.isolate("node1")
     before = cluster.network.messages_sent
     cli.send("lost", size=10)       # no error: the packet just vanishes
     engine.run(until=engine.now + 1.0)
@@ -89,7 +89,7 @@ def test_heal_before_severance_wins_the_race(engine, cluster):
     network = cluster.network
 
     def cut_and_heal():
-        network.cut_link("node0", "node1")
+        network.isolate("node1")
         network.heal()              # same instant: before the notification
 
     engine.call_later(0.5, cut_and_heal)
@@ -101,10 +101,10 @@ def test_heal_before_severance_wins_the_race(engine, cluster):
 def test_heal_does_not_resurrect_severed_connections(engine, cluster):
     srv, cli = _pair(engine, cluster)
     network = cluster.network
-    engine.call_later(0.5, lambda: network.cut_link("node0", "node1"))
+    engine.call_later(0.5, lambda: network.isolate("node1"))
     engine.call_later(1.0, network.heal)    # long after the severance
     engine.run(until=engine.now + 2.0)
-    assert not network.partitioned
+    assert network.reachable("node0", "node1")
     assert srv._rx.closed and cli._rx.closed   # severed for good
     # sends to the dead endpoint vanish rather than reviving it
     before = network.messages_sent
@@ -116,7 +116,7 @@ def test_heal_does_not_resurrect_severed_connections(engine, cluster):
 def test_connect_across_cut_is_refused_then_heals(engine, cluster):
     outcomes = []
     cluster.node(0).listen(5000)
-    cluster.network.cut_link("node0", "node1")
+    cluster.network.isolate("node1")
 
     def client(proc):
         try:
@@ -141,18 +141,6 @@ def test_isolation_accumulates_into_one_minority_side(engine, cluster):
     assert not network.reachable("node2", "node3")
     assert network.reachable("node0", "node2")    # minority side coheres
     assert network.reachable("node1", "node3")
-
-
-def test_partition_groups_cut_pairwise_and_spare_hosts_stay(engine, cluster):
-    network = cluster.network
-    network.partition([["node0", "node1"], ["node2"]])
-    assert not network.reachable("node0", "node2")
-    assert not network.reachable("node1", "node2")
-    assert network.reachable("node0", "node1")
-    assert network.reachable("node3", "node0")    # unlisted: untouched
-    assert network.reachable("node3", "node2")
-    with pytest.raises(ValueError):
-        network.cut_link("node0", "node0")
 
 
 # ---------------------------------------------------------------------------

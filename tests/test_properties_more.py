@@ -13,7 +13,7 @@ from repro.mpichv.runtime import VclRuntime
 from repro.simkernel.engine import Engine
 from repro.simkernel.store import StoreClosed
 from repro.workloads.nas_bt import BTWorkload
-from test_codegen_roundtrip import Controller
+from test_fail_machine_scripts import Controller
 from test_fail_machine import FakeCtx
 from test_properties import _daemons, _idents
 
@@ -45,7 +45,7 @@ def _scripts(draw):
 @given(script=_scripts(), app_vars=st.dictionaries(_idents, st.integers()),
        seed=st.integers(0, 1000))
 @settings(max_examples=60, deadline=None)
-def test_codegen_matches_interpreter_on_random_daemons(script, app_vars, seed):
+def test_interpreter_runs_or_rejects_random_daemons(script, app_vars, seed):
     """Whatever a daemon says — any expression, ``FAIL_READ`` of any
     application value, any destination — and whatever arrives — timers
     fresh and stale, breakpoints with a controller — the interpreter

@@ -91,7 +91,6 @@ def test_deploy_follows_the_plan():
     rt = make_runtime("v1")
     rt.deploy()
     assert len(rt.cm_procs) == 2
-    assert len(rt.server_procs) == 2
     assert rt.scheduler_proc is None
     assert rt.eventlog_proc is None
     assert set(rt.service_procs) == {"ckptserver.0", "ckptserver.1",

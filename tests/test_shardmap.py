@@ -66,15 +66,6 @@ def test_node_layout_is_contiguous():
         == ("svc4", config.ckpt_server_port_base + 2)
 
 
-def test_shard_table_covers_all_ranks_and_empty_shards():
-    table = shardmap.shard_table(n_procs=6, n_ckpt_servers=4)
-    assert table == {0: [0, 4], 1: [1, 5], 2: [2], 3: [3]}
-    # k > ranks: surplus shards listed (deployed but idle)
-    table = shardmap.shard_table(n_procs=2, n_ckpt_servers=5)
-    assert table[0] == [0] and table[1] == [1]
-    assert table[2] == table[3] == table[4] == []
-
-
 def test_config_rejects_zero_servers():
     with pytest.raises(ValueError):
         VclConfig(n_procs=4, n_ckpt_servers=0)
@@ -93,10 +84,9 @@ def test_every_protocol_spreads_ingest_over_its_shards(protocol, shards):
     assert len(res.ckpt_shard_bytes) == shards
     # 4 ranks over `shards` servers: every shard that owns a rank
     # ingested checkpoint bytes
-    table = shardmap.shard_table(4, shards)
-    for shard, ranks in table.items():
-        if ranks:
-            assert res.ckpt_shard_bytes[shard] > 0, (shard, ranks)
+    for rank in range(4):
+        shard = shardmap.ckpt_shard(rank, shards)
+        assert res.ckpt_shard_bytes[shard] > 0, (shard, rank)
     if shards > 1:
         # sharding actually spreads the load: no single server took it all
         assert max(res.ckpt_shard_bytes) < sum(res.ckpt_shard_bytes)

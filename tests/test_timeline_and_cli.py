@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from repro.__main__ import COMMANDS, main, usage
-from repro.analysis.timeline import lane_density, render_timeline
+from repro.analysis.timeline import render_timeline
 from repro.analysis.traces import Trace
 
 
@@ -77,13 +77,6 @@ def test_timeline_freeze_signature_visible():
     marks = restart_line.split(None, 1)[1]
     assert marks.count("R") == 1
     assert marks.rstrip("·").endswith("R")     # nothing after the freeze
-
-
-def test_lane_density():
-    tr = make_trace([(t, "restart_wave") for t in (5.0, 15.0, 95.0)])
-    density = lane_density(tr, ("restart_wave",), 0.0, 100.0, buckets=10)
-    assert density[0] == 1 and density[1] == 1 and density[9] == 1
-    assert sum(density) == 3
 
 
 def test_timeline_on_real_run():

@@ -1,11 +1,12 @@
 """Command-line entry point: ``python -m repro <experiment> [...]``.
 
-The figure, table and sweep commands are :class:`ExperimentSpec`s run
-by :func:`repro.experiments.spec.main`; each takes its own flags
-(``--reps``, ``--procs``, ``--fixed``, …) plus the shared trial
-execution flags of :mod:`repro.experiments.runner`.  The other
-commands parse their own arguments in ``main(argv)``.  Modules are
-imported only once their command is chosen.
+Every command is a module with a ``SPEC``
+(:class:`~repro.experiments.spec.ExperimentSpec`), and
+:func:`repro.experiments.spec.main` is the one command line that runs
+them: each takes its own flags (``--reps``, ``--kill``, ``--guided``,
+…), plus the shared trial execution flags of
+:mod:`repro.experiments.runner` when it runs trials through a runner.
+A command's module is imported only once the command is chosen.
 """
 
 from __future__ import annotations
@@ -66,16 +67,12 @@ def main(argv=None) -> int:
         print(f"unknown command {command!r}\n", file=sys.stderr)
         print(usage(), file=sys.stderr)
         return 2
-    module_name, _blurb = entry
     import importlib
-    module = importlib.import_module(module_name)
+    from repro.experiments.spec import main as run_spec
+    module = importlib.import_module(entry[0])
     try:
         try:
-            if hasattr(module, "SPEC"):
-                from repro.experiments.spec import main as run_spec
-                run_spec(module, argv)
-            else:
-                module.main(argv)
+            return run_spec(module, argv)
         finally:
             sys.stdout.flush()
     except BrokenPipeError:
@@ -83,7 +80,7 @@ def main(argv=None) -> int:
         # stdout at /dev/null so the interpreter's exit flush of what is
         # still buffered does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0
+        return 0
 
 
 if __name__ == "__main__":

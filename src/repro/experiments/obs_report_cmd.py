@@ -13,24 +13,20 @@ Example::
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 
 from repro.experiments.resultstore import (UNREADABLE, entry_paths,
                                            run_result_from_dict)
+from repro.experiments.spec import ExperimentSpec, flag
 from repro.obs.report import write_obs_report
 
 
 def collect_obs_docs(store_root: str):
-    """Every ``obs`` document in a result-store directory.
-
-    Reads the store's entries in sorted order (deterministic
-    aggregation input order) and yields the obs document of every
-    result that recorded one, read as the result store reads it.
-    Returns the list plus a count of skipped entries (unreadable,
-    version-skewed, incomplete, or unobserved).
-    """
+    """The ``obs`` document of every entry of a result-store directory
+    that recorded one, in sorted entry order and read as the store
+    reads it, plus the count of entries skipped (unreadable, of another
+    format, incomplete or unobserved)."""
     docs = []
     skipped = 0
     for path in entry_paths(store_root):
@@ -46,26 +42,23 @@ def collect_obs_docs(store_root: str):
     return docs, skipped
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(prog="repro obs-report",
-                                     description=__doc__.split("\n\n")[0])
-    parser.add_argument("--store", required=True, metavar="DIR",
-                        help="result-store root (a campaign's --cache-dir)")
-    parser.add_argument("--out", required=True, metavar="DIR",
-                        help="output directory for metrics.txt + index.html")
-    parser.add_argument("--title", default="repro campaign",
-                        help="report title (default: 'repro campaign')")
-    args = parser.parse_args(argv)
-
-    if not os.path.isdir(args.store):
-        raise SystemExit(f"no such result store: {args.store}")
-    docs, skipped = collect_obs_docs(args.store)
-    paths = write_obs_report(args.out, docs, title=args.title)
-    print(f"aggregated {len(docs)} observed trials "
-          f"({skipped} entries skipped)")
-    for kind in sorted(paths):
-        print(f"  {kind}: {paths[kind]}")
+def run(store: str, out: str, title: str = "repro campaign") -> str:
+    """Write the rollup of result store ``store`` under ``out``; what
+    was aggregated and where it went."""
+    if not os.path.isdir(store):
+        raise SystemExit(f"no such result store: {store}")
+    docs, skipped = collect_obs_docs(store)
+    paths = write_obs_report(out, docs, title=title)
+    return "\n".join([f"aggregated {len(docs)} observed trials "
+                      f"({skipped} entries skipped)"]
+                     + [f"  {kind}: {paths[kind]}" for kind in sorted(paths)])
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+SPEC = ExperimentSpec(
+    name="obs-report", run=run,
+    flags=(flag("--store", required=True, metavar="DIR",
+                help="result-store root (a campaign's --cache-dir)"),
+           flag("--out", required=True, metavar="DIR",
+                help="output directory for metrics.txt + index.html"),
+           flag("--title", help="report title (default: 'repro campaign')")),
+    blocks=(lambda text, kwargs: text,))

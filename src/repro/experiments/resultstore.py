@@ -123,6 +123,26 @@ def entry_paths(root: str) -> List[str]:
     return paths
 
 
+def write_json(path: str, doc: Any, **options: Any) -> None:
+    """Write ``doc`` as JSON (``json.dumps`` ``options``) to ``path``
+    atomically: into a temp file beside it, then :func:`os.replace`.  A
+    dump or write that fails removes the temp file and leaves any
+    earlier ``path`` as it was."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            # dumps, not dump: one pass of the C encoder and one write,
+            # where dump(fh) iterates in Python per token
+            fh.write(json.dumps(doc, **options))
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class ResultStore:
     """Directory of per-trial JSON documents keyed by the trial hash.
 
@@ -168,20 +188,7 @@ class ResultStore:
     def put_dict(self, key: str, doc: Dict[str, Any]) -> None:
         path = self.path_for(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                   suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                # dumps, not dump: one pass of the C encoder and one
-                # write, where dump(fh) iterates in Python per token
-                fh.write(json.dumps(doc, separators=(",", ":")))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_json(path, doc, separators=(",", ":"))
 
     def __len__(self) -> int:
         return len(entry_paths(self.root))

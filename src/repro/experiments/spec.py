@@ -1,19 +1,22 @@
-"""One spec per experiment command, and the one CLI that runs them all.
+"""One spec per command, and the one command line that runs them all.
 
-Each figure, table and sweep module declares a ``SPEC``: its command
-name, its ``run_experiment`` (whose defaults are the paper's scale),
-the keywords of its quick scale, its extra flags, what it prints after
-the run, the ``BENCH_*.json`` document a sweep writes, and ``expect``
-— the figure's shape assertions.  ``tests/test_experiment_specs.py``
-runs every spec's ``expect`` at quick scale, and at paper scale under
-``REPRO_FULL=1``.
+Every command module declares a ``SPEC``: its command name, its
+``run`` (whose defaults are the paper's scale), the keywords of its
+quick scale, its flags, what it prints after the run, the
+``BENCH_*.json`` document a sweep writes, and, for a figure,
+``expect`` — the shape assertions ``tests/test_experiment_specs.py``
+runs at quick scale, and at paper scale under ``REPRO_FULL=1``.
 
 :func:`main` is the command line of every spec: parse, build the
 runner, run, print, write ``--json`` and print the ``[runner]`` line.
-A flag sets the ``run_experiment`` keyword named by its ``dest``, and
-flags keep no defaults of their own: the keywords of a run are
-``run_experiment``'s defaults, overridden by the ``--quick`` preset,
-overridden by the flags actually given.
+A flag sets the ``run`` keyword named by its ``dest``, and flags keep
+no defaults of their own: the keywords of a run are ``run``'s
+defaults, overridden by the ``--quick`` preset, overridden by the
+flags actually given.  A ``run`` with a ``runner`` parameter gets the
+runner flags and the runner they describe (and may name a runner
+flag's dest to read it); a ``ValueError`` from ``run`` is a usage
+error (exit 2); a result's ``exit_status``, if it has one, is the
+command's exit status.
 """
 
 from __future__ import annotations
@@ -67,22 +70,23 @@ def table(result, kwargs: Keywords) -> str:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment command: how to run it, print it and check it."""
+    """One command: how to run it, print it and, for a figure, check it."""
 
     #: the ``python -m repro`` command
     name: str
-    #: the module's ``run_experiment``
+    #: the module's ``run_experiment`` (or the command's ``run``)
     run: Callable[..., Any]
     #: the figure's shape assertions, ``expect(result, kwargs)``, where
-    #: ``kwargs`` are the run's keywords over ``run``'s defaults
-    expect: Callable[[Any, Keywords], None]
+    #: ``kwargs`` are the run's keywords over ``run``'s defaults; None
+    #: for a command that draws no figure
+    expect: Optional[Callable[[Any, Keywords], None]] = None
     #: keywords of the quick scale: the tier-1 shape test, and the
     #: ``--quick`` preset of a command that has that flag
     quick: Keywords = field(default_factory=dict)
     #: keywords of the post-paper ablation, laid over either scale and
     #: checked by the same ``expect``
     ablation: Keywords = field(default_factory=dict)
-    #: flags beyond the runner group
+    #: the command's flags (``run`` decides on the runner group)
     flags: Tuple[Flag, ...] = ()
     #: what is printed after the run, blank-line separated
     blocks: Tuple[Callable[[Any, Keywords], str], ...] = (table,)
@@ -101,42 +105,51 @@ class ExperimentSpec:
         return {**defaults, **kwargs}
 
 
-def main(module, argv) -> None:
-    """Run ``module.SPEC`` as ``python -m repro <name> [argv]``."""
+def main(module, argv) -> int:
+    """Run ``module.SPEC`` as ``python -m repro <name> [argv]``; return
+    the exit status."""
     spec: ExperimentSpec = module.SPEC
-    parser = argparse.ArgumentParser(prog=f"repro {spec.name}",
-                                     description=module.__doc__,
-                                     argument_default=argparse.SUPPRESS)
+    params = inspect.signature(spec.run).parameters
+    parser = argparse.ArgumentParser(
+        prog=f"repro {spec.name}", description=module.__doc__.split("\n\n")[0],
+        argument_default=argparse.SUPPRESS)
     dests = [parser.add_argument(*names, **options).dest
              for names, options in spec.flags]
     if spec.bench_json:
         parser.add_argument("--json", metavar="PATH",
                             help=f"benchmark JSON output path (default: "
                                  f"{spec.bench_json})")
-    add_runner_arguments(parser)
+    if "runner" in params:
+        add_runner_arguments(parser)
     args = parser.parse_args(argv)
 
-    given = {dest: getattr(args, dest) for dest in dests if hasattr(args, dest)}
+    given = {dest: value for dest, value in vars(args).items()
+             if dest in dests or dest in params}
     quick = given.pop("quick", False)
     kwargs = {**(spec.quick if quick else {}), **given}
     resolved = spec.resolve(kwargs)
     if quick and spec.quick_banner:
         print(spec.quick_banner.format(**resolved))
-    runner = runner_from_args(args)
+    runner = None
+    if "runner" in params:
+        runner = kwargs["runner"] = runner_from_args(args)
     start = time.perf_counter()
-    result = spec.run(runner=runner, **kwargs)
+    try:
+        result = spec.run(**kwargs)
+    except ValueError as err:
+        parser.error(str(err))
     wall = time.perf_counter() - start
 
     print("\n\n".join(block(result, resolved) for block in spec.blocks))
-    stats = runner.stats
-    if stats.total:
-        print(f"[runner] {stats.describe()}, wall {wall:.1f}s")
+    if runner is not None and runner.stats.total:
+        print(f"[runner] {runner.stats.describe()}, wall {wall:.1f}s")
     path = getattr(args, "json", spec.bench_json)
     if path:
         doc = {"experiment": spec.name, **spec.summarize(result, resolved),
-               "wall_seconds": wall, "executed": stats.executed,
-               "cache_hits": stats.cache_hits,
-               "runner_stats": stats.to_doc()}
+               "wall_seconds": wall, "executed": runner.stats.executed,
+               "cache_hits": runner.stats.cache_hits,
+               "runner_stats": runner.stats.to_doc()}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    return getattr(result, "exit_status", 0)

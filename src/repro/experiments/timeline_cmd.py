@@ -20,19 +20,21 @@ from __future__ import annotations
 
 import argparse
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.classify import Outcome
 from repro.analysis.critpath import render_critical_paths
 from repro.analysis.timeline import render_timeline
 from repro.experiments.harness import TrialSetup
 from repro.experiments.resultstore import run_result_to_dict
+from repro.experiments.spec import ExperimentSpec, flag
 from repro.explore import generators
 from repro.explore.generators import (Heal, Step, TimedKill, TimedPartition,
                                       render_plan)
 from repro.mpichv import protocols
+from repro.mpichv.runtime import RunResult
 from repro.obs.chrometrace import write_chrome_trace
-from repro.obs.phases import epoch_phase_table, render_phase_table
+from repro.obs.phases import render_phase_table
 from repro.obs.spans import span_rollups
 from repro.workloads import available_workloads
 
@@ -65,16 +67,6 @@ def _parse_partition(spec: str) -> TimedPartition:
                           targets=tuple(int(x) for x in targets.split(",")))
 
 
-def build_plan(kills: List[TimedKill],
-               partitions: List[TimedPartition],
-               heal_after: int) -> Tuple[Step, ...]:
-    """Assemble the fault plan in injection order."""
-    steps: List[Step] = sorted([*kills, *partitions], key=lambda s: s.at)
-    if heal_after and partitions:
-        steps.append(Heal(after=heal_after))
-    return tuple(steps)
-
-
 def failed_launches_line(outcome: Outcome,
                          obs_doc: Optional[Dict[str, Any]]) -> Optional[str]:
     """Why a trial never ended, when its relaunches kept dying: the
@@ -85,96 +77,105 @@ def failed_launches_line(outcome: Outcome,
     return f"failed launches: {launches}" if launches else None
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(prog="repro timeline",
-                                     description=__doc__.split("\n\n")[0])
-    parser.add_argument("--protocol", default="vcl",
-                        choices=list(protocols.available()),
-                        help="fault-tolerance protocol (default: vcl)")
-    parser.add_argument("--procs", type=_positive, default=8, metavar="N",
-                        help="MPI processes (default: 8)")
-    parser.add_argument("--workload", default="ring",
-                        choices=available_workloads(),
-                        help="registered workload (default: ring)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="simulated-seconds cap (default: 600)")
-    parser.add_argument("--kill", action="append", default=[],
-                        type=_parse_kill, metavar="T[:IDX]",
-                        help="kill machine IDX (default 0) at t=T; repeatable")
-    parser.add_argument("--partition", action="append", default=[],
-                        type=_parse_partition, metavar="T:IDX[,IDX...]",
-                        help="isolate machines at t=T; repeatable")
-    parser.add_argument("--heal-after", type=int, default=0, metavar="S",
-                        help="heal every partition S seconds after the last "
-                             "injection step")
-    parser.add_argument("--width", type=int, default=72,
-                        help="timeline width in columns (default: 72)")
-    parser.add_argument("--phases", action="store_true",
-                        help="print the span-derived per-epoch recovery "
-                             "phase table (detect/relaunch/restore/replay)")
-    parser.add_argument("--trace-out", default=None, metavar="FILE",
-                        help="write a Chrome-trace/Perfetto JSON of the "
-                             "trial's spans to FILE")
-    parser.add_argument("--obs-out", default=None, metavar="FILE",
-                        help="write the trial's full result document "
-                             "(verdict + obs, the wire format) to FILE — "
-                             "feed two of these to `repro trace-diff`")
-    args = parser.parse_args(argv)
-    machines = args.procs + 4
-    for option, steps in (("--kill", args.kill),
-                          ("--partition", args.partition)):
+def run(protocol: str = "vcl", n_procs: int = 8, workload: str = "ring",
+        seed: int = 0, timeout: float = 600.0,
+        kill: Sequence[TimedKill] = (),
+        partition: Sequence[TimedPartition] = (), heal_after: int = 0,
+        width: int = 72, phases: bool = False, trace_out: Optional[str] = None,
+        obs_out: Optional[str] = None) -> RunResult:
+    """Run the trial and write its ``trace_out`` / ``obs_out`` files."""
+    machines = n_procs + 4
+    for option, steps in (("--kill", kill), ("--partition", partition)):
         for step in steps:
             for idx in getattr(step, "targets", None) or (step.target,):
                 if not 0 <= idx < machines:
-                    parser.error(f"argument {option}: machine {idx} is not "
-                                 f"in 0..{machines - 1} ({args.procs} "
-                                 f"procs run on {machines} machines)")
+                    raise ValueError(
+                        f"argument {option}: machine {idx} is not in "
+                        f"0..{machines - 1} ({n_procs} procs run on "
+                        f"{machines} machines)")
 
-    plan = build_plan(args.kill, args.partition, args.heal_after)
+    # the fault plan, in injection order
+    plan: List[Step] = sorted([*kill, *partition], key=lambda s: s.at)
+    if heal_after and partition:
+        plan.append(Heal(after=heal_after))
     setup = TrialSetup(
-        n_procs=args.procs, n_machines=machines,
-        protocol=args.protocol, workload=args.workload,
-        timeout=args.timeout, keep_trace=True,
-        scenario_source=render_plan(plan) if plan else None,
+        n_procs=n_procs, n_machines=machines,
+        protocol=protocol, workload=workload,
+        timeout=timeout, keep_trace=True,
+        scenario_source=render_plan(tuple(plan)) if plan else None,
         master_daemon=generators.MASTER,
         node_daemon=generators.NODE_DAEMON)
-    result = setup.run_one(args.seed)
-
-    print(f"== {args.protocol} / {args.workload} x{args.procs} "
-          f"(seed {args.seed}) — {result.verdict.outcome.value} ==")
-    launches = failed_launches_line(result.verdict.outcome, result.obs)
-    if launches:
-        print(launches)
-    print(render_timeline(result.trace, width=args.width))
-    if args.phases:
-        print()
-        print("== recovery phases (sim seconds, from repro.obs spans) ==")
-        print(render_phase_table(result.obs))
-        print()
-        print("== recovery critical paths (repro.analysis.critpath) ==")
-        print(render_critical_paths(result.obs))
-    if result.obs:
-        rollups = span_rollups(result.obs)
-        if rollups:
-            print()
-            kinds = ", ".join(f"{kind} x{agg['count']}"
-                              for kind, agg in sorted(rollups.items()))
-            print(f"spans: {kinds}")
-    if args.trace_out:
+    result = setup.run_one(seed)
+    if trace_out:
         write_chrome_trace(
-            args.trace_out, result.obs,
-            title=f"{args.protocol}/{args.workload} x{args.procs} "
-                  f"seed={args.seed}")
-        print(f"wrote Chrome trace to {args.trace_out} "
-              f"(open in chrome://tracing or ui.perfetto.dev)")
-    if args.obs_out:
-        with open(args.obs_out, "w", encoding="utf-8") as fh:
+            trace_out, result.obs,
+            title=f"{protocol}/{workload} x{n_procs} seed={seed}")
+    if obs_out:
+        with open(obs_out, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(run_result_to_dict(result),
                                 sort_keys=True, separators=(",", ":"))
                      + "\n")
-        print(f"wrote result document to {args.obs_out}")
+    return result
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def report(result: RunResult, kwargs: Dict[str, Any]) -> str:
+    """The swimlanes, the phase table and critical paths (``--phases``),
+    the span kinds, and the files written."""
+    lines = [f"== {kwargs['protocol']} / {kwargs['workload']} "
+             f"x{kwargs['n_procs']} (seed {kwargs['seed']}) — "
+             f"{result.verdict.outcome.value} =="]
+    launches = failed_launches_line(result.verdict.outcome, result.obs)
+    if launches:
+        lines.append(launches)
+    lines.append(render_timeline(result.trace, width=kwargs["width"]))
+    if kwargs["phases"]:
+        lines += ["", "== recovery phases (sim seconds, from repro.obs "
+                      "spans) ==",
+                  render_phase_table(result.obs), "",
+                  "== recovery critical paths (repro.analysis.critpath) ==",
+                  render_critical_paths(result.obs)]
+    rollups = span_rollups(result.obs) if result.obs else None
+    if rollups:
+        kinds = ", ".join(f"{kind} x{agg['count']}"
+                          for kind, agg in sorted(rollups.items()))
+        lines += ["", f"spans: {kinds}"]
+    if kwargs["trace_out"]:
+        lines.append(f"wrote Chrome trace to {kwargs['trace_out']} "
+                     f"(open in chrome://tracing or ui.perfetto.dev)")
+    if kwargs["obs_out"]:
+        lines.append(f"wrote result document to {kwargs['obs_out']}")
+    return "\n".join(lines)
+
+
+SPEC = ExperimentSpec(
+    name="timeline", run=run, blocks=(report,),
+    flags=(
+        flag("--protocol", choices=list(protocols.available()),
+             help="fault-tolerance protocol (default: vcl)"),
+        flag("--procs", type=_positive, dest="n_procs", metavar="N",
+             help="MPI processes (default: 8)"),
+        flag("--workload", choices=available_workloads(),
+             help="registered workload (default: ring)"),
+        flag("--seed", type=int),
+        flag("--timeout", type=float,
+             help="simulated-seconds cap (default: 600)"),
+        flag("--kill", action="append", type=_parse_kill, metavar="T[:IDX]",
+             help="kill machine IDX (default 0) at t=T; repeatable"),
+        flag("--partition", action="append", type=_parse_partition,
+             metavar="T:IDX[,IDX...]",
+             help="isolate machines at t=T; repeatable"),
+        flag("--heal-after", type=int, metavar="S",
+             help="heal every partition S seconds after the last "
+                  "injection step"),
+        flag("--width", type=int,
+             help="timeline width in columns (default: 72)"),
+        flag("--phases", action="store_true",
+             help="print the span-derived per-epoch recovery phase table "
+                  "(detect/relaunch/restore/replay)"),
+        flag("--trace-out", metavar="FILE",
+             help="write a Chrome-trace/Perfetto JSON of the trial's spans "
+                  "to FILE"),
+        flag("--obs-out", metavar="FILE",
+             help="write the trial's full result document (verdict + obs, "
+                  "the wire format) to FILE — feed two of these to "
+                  "`repro trace-diff`")))

@@ -13,37 +13,35 @@ Example::
 
 from __future__ import annotations
 
-import argparse
 import os
+from typing import Optional
 
 from repro.analysis.tracediff import load_obs_doc, trace_diff_text
+from repro.experiments.spec import ExperimentSpec, flag
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(prog="repro trace-diff",
-                                     description=__doc__.split("\n\n")[0])
-    parser.add_argument("a", help="first trial (result document JSON)")
-    parser.add_argument("b", help="second trial (result document JSON)")
-    parser.add_argument("--label-a", default=None,
-                        help="display label for the first trial "
-                             "(default: its file name)")
-    parser.add_argument("--label-b", default=None,
-                        help="display label for the second trial "
-                             "(default: its file name)")
-    args = parser.parse_args(argv)
-
+def run(a: str, b: str, label_a: Optional[str] = None,
+        label_b: Optional[str] = None) -> str:
+    """The delta table of result documents ``a`` and ``b``, under their
+    labels (default: their file names)."""
     try:
-        obs_a, desc_a = load_obs_doc(args.a)
-        obs_b, desc_b = load_obs_doc(args.b)
+        obs_a, desc_a = load_obs_doc(a)
+        obs_b, desc_b = load_obs_doc(b)
     except ValueError as err:
         raise SystemExit(f"trace-diff: {err}") from None
-    label_a = args.label_a or os.path.basename(args.a)
-    label_b = args.label_b or os.path.basename(args.b)
-    print(f"{label_a}: {desc_a}")
-    print(f"{label_b}: {desc_b}")
-    print()
-    print(trace_diff_text(obs_a, obs_b, label_a=label_a, label_b=label_b))
+    label_a = label_a or os.path.basename(a)
+    label_b = label_b or os.path.basename(b)
+    return "\n".join([
+        f"{label_a}: {desc_a}", f"{label_b}: {desc_b}", "",
+        trace_diff_text(obs_a, obs_b, label_a=label_a, label_b=label_b)])
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+SPEC = ExperimentSpec(
+    name="trace-diff", run=run,
+    flags=(flag("a", help="first trial (result document JSON)"),
+           flag("b", help="second trial (result document JSON)"),
+           flag("--label-a", help="display label for the first trial "
+                                  "(default: its file name)"),
+           flag("--label-b", help="display label for the second trial "
+                                  "(default: its file name)")),
+    blocks=(lambda text, kwargs: text,))

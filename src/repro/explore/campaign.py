@@ -28,9 +28,10 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.experiments.harness import TrialSetup
-from repro.experiments.runner import (TrialRunner, add_runner_arguments,
-                                      runner_from_args)
-from repro.experiments.spec import comma_list
+from repro.experiments.resultstore import ResultStore
+from repro.experiments.runner import TrialRunner
+from repro.experiments.spec import (MACHINES_FLAG, PROCS_FLAG,
+                                    ExperimentSpec, comma_list, flag)
 import repro.analysis.coverage as coveragelib
 import repro.explore.shrink as shrinklib
 from repro.explore import generators
@@ -278,6 +279,8 @@ class CampaignResult:
     wall_seconds: float
     #: present on guided (--guided) campaigns only
     guided: Optional[GuidedStats] = None
+    #: the ``explore`` command's exit status (``--require-clean``)
+    exit_status: int = 0
 
     @property
     def failures(self) -> List[Verdict]:
@@ -358,7 +361,8 @@ class CampaignResult:
         }
 
     def bench_json(self) -> Dict[str, object]:
-        """Benchmark document (includes wall-clock)."""
+        """Benchmark document (includes wall-clock); the command adds
+        ``wall_seconds``, ``executed`` and ``cache_hits``."""
         total = self.executed + self.cache_hits
         return {
             "campaign": {
@@ -367,11 +371,8 @@ class CampaignResult:
                 "goldens": len(self.goldens),
                 "failures": len(self.failures),
             },
-            "wall_seconds": self.wall_seconds,
             "trials_per_second": (total / self.wall_seconds
                                   if self.wall_seconds > 0 else None),
-            "executed": self.executed,
-            "cache_hits": self.cache_hits,
             "oracle_pass_rates": self.oracle_pass_rates(),
             "shrink_steps": [s.to_dict() for s in self.shrinks],
             "guided": (self.guided.to_dict(len(self.rows))
@@ -762,7 +763,7 @@ def replay_scenario(source: str, cfg: ExploreConfig, protocol: str,
 
 
 # ---------------------------------------------------------------------------
-# CLI
+# the command: ``python -m repro explore``
 # ---------------------------------------------------------------------------
 
 def _parse_override(text: str) -> Tuple[str, object]:
@@ -773,159 +774,151 @@ def _parse_override(text: str) -> Tuple[str, object]:
     if key not in {f.name for f in fields(VclConfig) if f.init}:
         raise argparse.ArgumentTypeError(
             f"override key {key!r} is not a VclConfig field")
-    value: object
-    lowered = raw.lower()
-    if lowered in ("true", "false"):
-        value = lowered == "true"
-    else:
+    if raw.lower() in ("true", "false"):
+        return key, raw.lower() == "true"
+    for convert in (int, float):
         try:
-            value = int(raw)
+            return key, convert(raw)
         except ValueError:
-            try:
-                value = float(raw)
-            except ValueError:
-                value = raw
-    return key, value
+            pass
+    return key, raw
 
 
-def main(argv=None) -> None:  # pragma: no cover - CLI
-    parser = argparse.ArgumentParser(
-        prog="repro explore",
-        description="property-based fault-space exploration")
-    parser.add_argument("--budget", type=int, default=90,
-                        help="total fault-trial budget (default: 90)")
-    parser.add_argument("--protocols", action="extend", default=[],
-                        type=comma_list(), metavar="NAME[,NAME]",
-                        help="protocols to race (default: all registered)")
-    parser.add_argument("--workloads", action="extend", default=[],
-                        type=comma_list(), metavar="NAME[,NAME]",
-                        help="workloads to stress (default: ring)")
-    parser.add_argument("--families", action="extend", default=[],
-                        type=comma_list(), metavar="NAME[,NAME]",
-                        help="generator families (default: all)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--quick", action="store_true",
-                        help="CI-sized campaign: one scenario per grid cell")
-    parser.add_argument("--procs", type=int, default=4)
-    parser.add_argument("--machines", type=int, default=7)
-    parser.add_argument("--timeout", type=float, default=300.0)
-    parser.add_argument("--bug-compat", action="store_true",
-                        help="hunt with the paper's dispatcher bug present")
-    parser.add_argument("--override", action="append", default=[],
-                        type=_parse_override, metavar="KEY=VALUE",
-                        help="extra VclConfig attribute (e.g. "
-                             "cm_replay=false plants the broken-replay bug)")
-    parser.add_argument("--max-shrinks", type=int, default=4)
-    parser.add_argument("--shrink-budget", type=int, default=48)
-    parser.add_argument("--guided", action="store_true",
-                        help="coverage-guided greybox campaign: replay the "
-                             "persisted corpus, then mutate plans that hit "
-                             "novel coverage")
-    parser.add_argument("--corpus-dir", default=None, metavar="DIR",
-                        help="corpus location for --guided (default: "
-                             "<cache-dir>/corpus)")
-    parser.add_argument("--self-check", action="store_true",
-                        help="run the campaign twice in-process and fail "
-                             "unless both outputs are byte-identical "
-                             "(the determinism contract)")
-    parser.add_argument("--out", default="explore_out", metavar="DIR",
-                        help="verdict/shrink output directory")
-    parser.add_argument("--json", default="BENCH_explore.json",
-                        metavar="PATH", help="benchmark JSON path")
-    parser.add_argument("--require-clean", action="store_true",
-                        help="exit 1 if any oracle failed")
-    parser.add_argument("--replay", default=None, metavar="FILE.fail",
-                        help="replay one scenario file instead of a campaign")
-    parser.add_argument("--trial-seed", type=int, default=0,
-                        help="trial seed for --replay")
-    add_runner_arguments(parser)
-    args = parser.parse_args(argv)
+def run(runner: Optional[TrialRunner] = None, replay: Optional[str] = None,
+        trial_seed: int = 0, guided: bool = False,
+        corpus_dir: Optional[str] = None, self_check: bool = False,
+        out: str = "explore_out", require_clean: bool = False,
+        cache_dir: Optional[str] = None, no_cache: bool = False,
+        **config) -> CampaignResult:
+    """The ``explore`` command: a campaign, its verdicts under ``out``.
 
-    common = dict(
-        protocols=tuple(args.protocols),
-        workloads=tuple(args.workloads) or ("ring",),
-        families=tuple(args.families), seed=args.seed,
-        n_procs=args.procs, n_machines=args.machines, timeout=args.timeout,
-        bug_compat=args.bug_compat, config_overrides=dict(args.override),
-        max_shrinks=args.max_shrinks, shrink_budget=args.shrink_budget)
-    if args.self_check and args.guided:
-        parser.error("--self-check needs a seeded campaign: the guided "
-                     "loop mutates corpus state between runs")
-    if args.guided and args.cache_dir is None and not args.no_cache:
+    ``config`` holds :class:`ExploreConfig` fields as the flags give
+    them, a ``budget`` of None (``--quick``) being one scenario per grid
+    cell.  The runner flags ``cache_dir`` / ``no_cache`` place a guided
+    campaign's cache and corpus.  ``replay`` instead runs one ``.fail``
+    file and ends the command: 1 if an oracle failed."""
+    if self_check and guided:
+        raise ValueError("--self-check needs a seeded campaign: the guided "
+                         "loop mutates corpus state between runs")
+    runner = runner or TrialRunner()
+    if guided and cache_dir is None and not no_cache:
         # guided exploration without a cache forfeits both cheap corpus
         # replay and the shared-baseline comparison; default one in
-        args.cache_dir = os.path.join(args.out, "cache")
-    runner = runner_from_args(args)
-
-    if args.replay is not None:
-        cfg = ExploreConfig(budget=1, **common)
+        cache_dir = os.path.join(out, "cache")
+        runner.store = ResultStore(cache_dir)
+    config.update({name: tuple(config.get(name, ()))
+                   for name in ("protocols", "workloads", "families")},
+                  config_overrides=dict(config.get("config_overrides", ())))
+    config["workloads"] = config["workloads"] or ("ring",)
+    budget = config.pop("budget", ExploreConfig.budget)
+    if replay is not None:
+        cfg = ExploreConfig(budget=1, **config)
         protocol = cfg.resolved_protocols()[0]
         workload = cfg.resolved_workloads()[0]
         try:
-            with open(args.replay, "r", encoding="utf-8") as fh:
+            with open(replay, "r", encoding="utf-8") as fh:
                 source = fh.read()
-            result, reports = replay_scenario(source, cfg, protocol, workload,
-                                              args.trial_seed, runner=runner)
+            result, reports = replay_scenario(
+                source, cfg, protocol, workload, trial_seed, runner=runner)
         except (OSError, FailError) as err:
-            raise SystemExit(f"explore: {args.replay}: {err}") from None
-        print(f"replay {args.replay}: protocol={protocol} "
-              f"workload={workload} seed={args.trial_seed}")
+            raise SystemExit(f"explore: {replay}: {err}") from None
+        print(f"replay {replay}: protocol={protocol} "
+              f"workload={workload} seed={trial_seed}")
         print(f"outcome: {result.outcome} ({result.verdict.reason})")
-        for report in reports:
-            print(f"  {report}")
+        for oracle in reports:
+            print(f"  {oracle}")
         raise SystemExit(1 if failed_names(reports) else 0)
 
-    if args.quick:
-        cfg = quick_config(**common)
+    cfg = (quick_config(**config) if budget is None
+           else ExploreConfig(budget=budget, **config))
+    if guided:
+        result = run_guided(cfg, runner=runner, out_dir=out,
+                            corpus_dir=corpus_dir or default_corpus_dir(
+                                cache_dir, out))
     else:
-        cfg = ExploreConfig(budget=args.budget, **common)
-    if args.guided:
-        corpus_dir = args.corpus_dir or default_corpus_dir(
-            args.cache_dir, args.out)
-        result = run_guided(cfg, runner=runner, out_dir=args.out,
-                            corpus_dir=corpus_dir)
-        g = result.guided
-        print(f"[guided] corpus {g.corpus_size_start} -> "
-              f"{g.corpus_size_end} entries at {g.corpus_dir}")
-    else:
-        result = run_campaign(cfg, runner=runner, out_dir=args.out)
-    if args.self_check:
-        second = run_campaign(cfg, runner=runner_from_args(args),
-                              out_dir=args.out)
-        first_doc = json.dumps(result.to_json(), sort_keys=True)
-        second_doc = json.dumps(second.to_json(), sort_keys=True)
+        result = run_campaign(cfg, runner=runner, out_dir=out)
+    if self_check:
+        second = run_campaign(cfg, out_dir=out, runner=TrialRunner(
+            runner.workers, runner.store and runner.store.root,
+            runner.trace_out, runner.obs_report))
         if (second.render_table() != result.render_table()
-                or first_doc != second_doc):
+                or json.dumps(second.to_json(), sort_keys=True)
+                != json.dumps(result.to_json(), sort_keys=True)):
             print("self-check FAILED: two runs of the same campaign "
                   "disagree — the determinism contract is broken",
                   file=sys.stderr)
             raise SystemExit(2)
-        print("self-check ok: verdict table and JSON byte-identical "
-              "across two runs")
 
-    table = result.render_table()
-    print(table, end="")
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "verdicts.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write(table)
-    with open(os.path.join(args.out, "verdicts.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(result.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if args.json:
-        bench_doc = result.bench_json()
-        bench_doc["runner_stats"] = runner.stats.to_doc()
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(bench_doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    for report in result.shrinks:
-        print(f"minimal reproducer: {report.fail_file}")
-        print(f"  {report.command}")
-    print(f"[runner] {runner.stats.describe()}")
-    if args.require_clean and result.failures:
-        raise SystemExit(1)
+    os.makedirs(out, exist_ok=True)
+    doc = json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n"
+    for name, text in (("verdicts.txt", result.render_table()),
+                       ("verdicts.json", doc)):
+        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return replace(result, exit_status=int(require_clean
+                                           and bool(result.failures)))
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def report(result: CampaignResult, kwargs: Dict[str, object]) -> str:
+    """The guided and self-check lines, verdict table, reproducers."""
+    lines = []
+    if result.guided is not None:
+        g = result.guided
+        lines.append(f"[guided] corpus {g.corpus_size_start} -> "
+                     f"{g.corpus_size_end} entries at {g.corpus_dir}")
+    if kwargs["self_check"]:
+        lines.append("self-check ok: verdict table and JSON byte-identical "
+                     "across two runs")
+    lines.append(result.render_table().removesuffix("\n"))
+    for shrink in result.shrinks:
+        lines += [f"minimal reproducer: {shrink.fail_file}",
+                  f"  {shrink.command}"]
+    return "\n".join(lines)
+
+
+SPEC = ExperimentSpec(
+    name="explore", run=run, blocks=(report,),
+    quick=dict(budget=None),
+    bench_json="BENCH_explore.json",
+    summarize=lambda result, kwargs: result.bench_json(),
+    flags=(
+        flag("--budget", type=int,
+             help="total fault-trial budget (default: 90)"),
+        flag("--protocols", action="extend", type=comma_list(),
+             metavar="NAME[,NAME]",
+             help="protocols to race (default: all registered)"),
+        flag("--workloads", action="extend", type=comma_list(),
+             metavar="NAME[,NAME]",
+             help="workloads to stress (default: ring)"),
+        flag("--families", action="extend", type=comma_list(),
+             metavar="NAME[,NAME]",
+             help="generator families (default: all)"),
+        flag("--seed", type=int),
+        flag("--quick", action="store_true",
+             help="CI-sized campaign: one scenario per grid cell"),
+        PROCS_FLAG, MACHINES_FLAG,
+        flag("--timeout", type=float),
+        flag("--bug-compat", action="store_true",
+             help="hunt with the paper's dispatcher bug present"),
+        flag("--override", action="append", type=_parse_override,
+             dest="config_overrides", metavar="KEY=VALUE",
+             help="extra VclConfig attribute (e.g. cm_replay=false plants "
+                  "the broken-replay bug)"),
+        flag("--max-shrinks", type=int),
+        flag("--shrink-budget", type=int),
+        flag("--guided", action="store_true",
+             help="coverage-guided greybox campaign: replay the persisted "
+                  "corpus, then mutate plans that hit novel coverage"),
+        flag("--corpus-dir", metavar="DIR",
+             help="corpus location for --guided (default: "
+                  "<cache-dir>/corpus)"),
+        flag("--self-check", action="store_true",
+             help="run the campaign twice in-process and fail unless both "
+                  "outputs are byte-identical (the determinism contract)"),
+        flag("--out", metavar="DIR",
+             help="verdict/shrink output directory"),
+        flag("--require-clean", action="store_true",
+             help="exit 1 if any oracle failed"),
+        flag("--replay", metavar="FILE.fail",
+             help="replay one scenario file instead of a campaign"),
+        flag("--trial-seed", type=int, help="trial seed for --replay")))

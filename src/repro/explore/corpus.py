@@ -11,8 +11,9 @@ filesystem-level no-op.
 Admit order is preserved via a ``seq`` counter inside each document;
 :meth:`Corpus.entries` yields failing entries first (a fuzzer replays
 its crashers before its merely-interesting inputs), then admit order.
-Writes are atomic (temp file + ``os.replace``), matching the result
-store's crash-resumability.
+Writes are atomic (the result store's
+:func:`~repro.experiments.resultstore.write_json`), matching its
+crash-resumability.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis.coverage import Signature
+from repro.experiments.resultstore import write_json
 from repro.explore.generators import (FaultPlan, plan_digest, plan_from_doc,
                                       plan_to_doc)
 
@@ -134,18 +135,8 @@ class Corpus:
         if entry.digest in self._digests:
             return False
         entry.seq = self.next_seq()
-        path = os.path.join(self.root, f"{entry.digest}.json")
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry.to_dict(), fh, indent=2, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_json(os.path.join(self.root, f"{entry.digest}.json"),
+                   entry.to_dict(), indent=2, sort_keys=True)
         self._entries.append(entry)
         self._digests.add(entry.digest)
         return True

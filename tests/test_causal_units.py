@@ -220,14 +220,13 @@ def test_causal_kind_rollup():
                           "dropped_edges"), 0)
 
 
-def test_old_layout_document_is_refused_by_name(tmp_path, monkeypatch,
-                                                capsys):
+def test_old_layout_document_is_refused_by_name(tmp_path, capsys):
     """trace-diff refuses what is not a result document of this format
     — a format-10 document, a bare obs document, a missing or non-JSON
     file — at the boundary, with one line naming the file and no
     traceback."""
+    from repro.__main__ import main
     from repro.analysis.tracediff import load_obs_doc
-    from repro.experiments import trace_diff_cmd
     from repro.experiments.resultstore import FORMAT_VERSION
     obs = _recovery_doc()
     old, bare = tmp_path / "result.json", tmp_path / "obs.json"
@@ -245,9 +244,8 @@ def test_old_layout_document_is_refused_by_name(tmp_path, monkeypatch,
             load_obs_doc(str(path))
         assert str(err.value) == f"{path}: {message}"
         # the CLI: one line on stderr and a non-zero exit
-        monkeypatch.setattr("sys.argv", ["trace-diff", str(path), str(path)])
         with pytest.raises(SystemExit) as exit_info:
-            trace_diff_cmd.main()
+            main(["trace-diff", str(path), str(path)])
         assert exit_info.value.code == f"trace-diff: {path}: {message}"
         assert capsys.readouterr().out == ""
 

@@ -7,8 +7,6 @@ the slow ones downscaled through their own CLI knobs where available.
 import runpy
 import sys
 
-import pytest
-
 
 def run_example(path, argv=()):
     old_argv = sys.argv
@@ -49,7 +47,6 @@ def test_frequency_sweep_parallel_workers(capsys):
     assert "time" in out
 
 
-@pytest.mark.slow
 def test_compare_protocols_example(capsys):
     run_example("examples/compare_protocols.py")
     out = capsys.readouterr().out

@@ -19,10 +19,12 @@ import pytest
 
 from repro.__main__ import COMMANDS, main, usage
 from repro.experiments.runner import add_runner_arguments
+from repro.experiments.spec import ExperimentSpec
 
+#: the specs that draw a figure: the ones with shape assertions
 SPECS = [spec for spec in (
-    getattr(importlib.import_module(module), "SPEC", None)
-    for module, _blurb in COMMANDS.values()) if spec is not None]
+    importlib.import_module(module).SPEC
+    for module, _blurb in COMMANDS.values()) if spec.expect is not None]
 
 
 @pytest.mark.slow
@@ -32,6 +34,17 @@ SPECS = [spec for spec in (
     if spec.ablation or not ablated])
 def test_figure_shape(spec, ablated, figure_shape):
     figure_shape(spec, ablated)
+
+
+def test_every_command_is_a_spec():
+    """Every command runs through the one command line: its module
+    declares a spec under the command's name and no ``main`` of its
+    own."""
+    for command, (module_name, _blurb) in COMMANDS.items():
+        module = importlib.import_module(module_name)
+        assert isinstance(module.SPEC, ExperimentSpec), command
+        assert module.SPEC.name == command
+        assert not hasattr(module, "main"), command
 
 
 RUNNER = " --workers --cache-dir --no-cache --trace-out --obs-report"

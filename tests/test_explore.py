@@ -434,15 +434,12 @@ def test_explore_command_registered():
 
 
 @pytest.mark.parametrize("text, key", [("bogus=1", "'bogus'"), ("=5", "''")])
-def test_override_of_an_unknown_key_is_a_usage_error(text, key, monkeypatch,
-                                                     capsys):
+def test_override_of_an_unknown_key_is_a_usage_error(text, key, capsys):
     """An --override key that is not a VclConfig field stops the parser
     with one line naming it, before any trial runs."""
-    from repro.explore import campaign
-    monkeypatch.setattr("sys.argv", ["explore", "--override", text,
-                                     "--workers", "2"])
+    from repro.__main__ import main
     with pytest.raises(SystemExit) as exit_info:
-        campaign.main()
+        main(["explore", "--override", text, "--workers", "2"])
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert err.splitlines()[-1].endswith(

@@ -67,7 +67,7 @@ def test_build_api_constructs_partition_and_heal():
     assert parse_fail(source) == prog
 
 
-def test_interpreter_and_codegen_agree_on_partition_actions():
+def test_interpreter_runs_partition_actions():
     """The interpreter runs PARTITION_SRC as written: node 1's timer
     (X) cuts ``G1[ran]`` and then ``svc2``; node 2's timer (5) heals."""
     prog = parse_fail(PARTITION_SRC)

@@ -13,6 +13,7 @@ The two load-bearing properties of the subsystem:
 import argparse
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -86,7 +87,6 @@ def test_single_job_batch_never_builds_a_pool(monkeypatch, tmp_path):
     other = (quick_setup(40), 3)
     TrialRunner(workers=1, cache_dir=str(tmp_path)).run_jobs([other])
     path = wide.store.path_for(trial_key(*job))
-    import os
     os.unlink(path)
     mixed = TrialRunner(workers=2, cache_dir=str(tmp_path))
     mixed.run_jobs([other, job])
@@ -210,7 +210,6 @@ def test_result_store_miss_and_corruption(tmp_path):
     assert store.get("0" * 64) is None
     # a truncated entry reads as a miss, not a crash
     path = store.path_for("ab" * 32)
-    import os
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         fh.write('{"format": 1, "verdict"')
@@ -220,6 +219,50 @@ def test_result_store_miss_and_corruption(tmp_path):
         with open(path, "w") as fh:
             fh.write(bad)
         assert store.get("ab" * 32) is None, bad
+
+
+class _NotJson:
+    """No JSON encoder takes this: a dump of it raises TypeError."""
+
+
+def _store_write(root, monkeypatch):
+    store = ResultStore(str(root))
+    return (store.path_for("ab" * 32),
+            lambda: store.put_dict("ab" * 32, {"doc": _NotJson()}))
+
+
+def _corpus_write(root, monkeypatch):
+    from repro.analysis.coverage import Signature
+    from repro.explore.corpus import Corpus, CorpusEntry
+    from repro.explore.generators import TimedKill
+    entry = CorpusEntry(seq=0, plan=(TimedKill(at=10, target=0),),
+                        signature=Signature.from_labels(["a"]),
+                        family="gtest", protocol="v1", workload="ring",
+                        trial_seed=1)
+    monkeypatch.setattr(CorpusEntry, "to_dict",
+                        lambda self: {"entry": _NotJson()})
+    # the earlier file is not an entry, so the corpus skips it and
+    # writes over it
+    return (str(root / f"{entry.digest}.json"),
+            lambda: Corpus(str(root)).admit(entry))
+
+
+@pytest.mark.parametrize("writer", [_store_write, _corpus_write],
+                         ids=["result store", "corpus"])
+def test_a_dump_that_raises_leaves_no_temp_file_and_the_earlier_file(
+        writer, tmp_path, monkeypatch):
+    """Both atomic JSON writes (``resultstore.write_json``): a dump
+    that raises unlinks its temp file and leaves the file it would have
+    replaced as it was."""
+    path, write = writer(tmp_path, monkeypatch)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write("earlier")
+    with pytest.raises(TypeError):
+        write()
+    with open(path) as fh:
+        assert fh.read() == "earlier"
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 @pytest.mark.parametrize("damage", ["truncated", "format 8", "missing key"])
@@ -306,9 +349,10 @@ def _strip_to_obs(path):
 @pytest.mark.parametrize("spoil", [_rewrite_as_format_9, _strip_to_obs],
                          ids=["format 9", "obs only"])
 def test_obs_report_skips_and_counts_a_format9_entry(spoil, tmp_path,
-                                                     monkeypatch, capsys):
+                                                     capsys):
     """obs-report reads an entry as the result store does: an entry
     the store would refuse is skipped and counted, not aggregated."""
+    from repro.__main__ import main
     from repro.experiments import obs_report_cmd
     jobs = [(quick_setup(period), 3) for period in (40, 35)]
     runner = TrialRunner(cache_dir=str(tmp_path / "store"))
@@ -316,10 +360,8 @@ def test_obs_report_skips_and_counts_a_format9_entry(spoil, tmp_path,
     spoil(runner.store.path_for(trial_key(*jobs[0])))
     docs, skipped = obs_report_cmd.collect_obs_docs(str(tmp_path / "store"))
     assert (len(docs), skipped) == (1, 1)
-    monkeypatch.setattr("sys.argv", [
-        "obs-report", "--store", str(tmp_path / "store"),
-        "--out", str(tmp_path / "report")])
-    obs_report_cmd.main()
+    main(["obs-report", "--store", str(tmp_path / "store"),
+          "--out", str(tmp_path / "report")])
     assert "aggregated 1 observed trials (1 entries skipped)" \
         in capsys.readouterr().out
     assert (tmp_path / "report" / "metrics.txt").read_text() \

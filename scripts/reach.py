@@ -17,7 +17,7 @@ a newly unreached function with no reason; the script exits 1 while
 any line lacks one.  Dunders are out of scope.  A function nothing
 needs is deleted, not listed.
 
-Run from anywhere, stdlib only (about six minutes on one core):
+Run from anywhere, stdlib only (about two minutes on one core):
 ``python scripts/reach.py``.  CI then runs
 ``git diff --exit-code reach.txt``, which fails on a stale line.
 """
@@ -61,10 +61,10 @@ def commands():
     yield ("--help",)
     yield ("table1",)
     yield ("fig5", "--reps", "1", "--procs", "4", "--machines", "6")
-    yield ("fig6", "--reps", "1")
-    yield ("fig7", "--reps", "1", "--fixed")
-    yield ("fig9", "--reps", "1")
-    yield ("fig11", "--reps", "1", "--fixed")
+    yield ("fig6", "--quick", "--reps", "1")
+    yield ("fig7", "--quick", "--reps", "1", "--fixed")
+    yield ("fig9", "--quick", "--reps", "1")
+    yield ("fig11", "--quick", "--reps", "1", "--fixed")
     yield ("compare", "--quick", "--reps", "1", "--cache-dir", "store",
            "--trace-out", "compare.trace.json", "--obs-report", "rollup")
     yield ("net-sensitivity", "--quick", "--cache-dir", "store",

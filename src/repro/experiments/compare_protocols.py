@@ -154,12 +154,7 @@ SPEC = ExperimentSpec(
     flags=(REPS_FLAG, PROCS_FLAG, MACHINES_FLAG,
            flag("--protocols", type=comma_list(), metavar="LIST",
                 help="comma-separated protocol names (default: "
-                     f"{','.join(PROTOCOLS)})"),
-           flag("--quick", action="store_true",
-                help="reduced smoke configuration (BT-4, two fault "
-                     "periods) — exercises every protocol's "
-                     "deploy/run/classify path in seconds; used by the "
-                     "CI compare-protocols job")),
+                     f"{','.join(PROTOCOLS)})")),
     blocks=(table, lambda result, kwargs: crossover_summary(
         result, kwargs["periods"], kwargs["protocols"])),
     quick_banner=("quick smoke: BT-{n_procs} on {n_machines} machines, "

@@ -162,8 +162,6 @@ SPEC = ExperimentSpec(
            flag("--oversub", type=comma_list(float), dest="oversubs",
                 metavar="N[,N]",
                 help="twotier oversubscription factors (default: 2,8)"),
-           PROCS_FLAG, MACHINES_FLAG, NO_FAULTS_FLAG,
-           flag("--quick", action="store_true",
-                help="one trial per topology x protocol (CI smoke)")),
+           PROCS_FLAG, MACHINES_FLAG, NO_FAULTS_FLAG),
     blocks=(table, lambda result, kwargs: render_hotspots(result)),
     bench_json="BENCH_net.json", summarize=bench_doc)

@@ -221,8 +221,6 @@ SPEC = ExperimentSpec(
                      f"{','.join(map(str, SHARDS))})"),
            flag("--topology", help="fabric model for every cell (uniform, "
                                    "star, twotier; see repro.netmodel)"),
-           NO_FAULTS_FLAG,
-           flag("--quick", action="store_true",
-                help="reduced CI grid: ranks 32,64 x shards 1,4, 1 rep")),
+           NO_FAULTS_FLAG),
     blocks=(table, lambda result, kwargs: render_shard_balance(result)),
     bench_json="BENCH_scale.json", summarize=bench_doc)

@@ -11,10 +11,11 @@ runs at quick scale, and at paper scale under ``REPRO_FULL=1``.
 runner, run, print, write ``--json`` and print the ``[runner]`` line.
 A flag sets the ``run`` keyword named by its ``dest``, and flags keep
 no defaults of their own: the keywords of a run are ``run``'s
-defaults, overridden by the ``--quick`` preset, overridden by the
-flags actually given.  A ``run`` with a ``runner`` parameter gets the
-runner flags and the runner they describe (and may name a runner
-flag's dest to read it); a ``ValueError`` from ``run`` is a usage
+defaults, overridden by the ``--quick`` preset (every spec with one
+has the flag), overridden by the flags actually given.  A ``run`` with
+a ``runner`` parameter gets the runner flags and the runner they
+describe (and may name a runner flag's dest to read it); a
+``ValueError`` from ``run`` is a usage
 error (exit 2); a result's ``exit_status``, if it has one, is the
 command's exit status.
 """
@@ -81,7 +82,7 @@ class ExperimentSpec:
     #: for a command that draws no figure
     expect: Optional[Callable[[Any, Keywords], None]] = None
     #: keywords of the quick scale: the tier-1 shape test, and the
-    #: ``--quick`` preset of a command that has that flag
+    #: preset of the ``--quick`` flag every spec with one has
     quick: Keywords = field(default_factory=dict)
     #: keywords of the post-paper ablation, laid over either scale and
     #: checked by the same ``expect``
@@ -115,6 +116,10 @@ def main(module, argv) -> int:
         argument_default=argparse.SUPPRESS)
     dests = [parser.add_argument(*names, **options).dest
              for names, options in spec.flags]
+    if spec.quick:
+        parser.add_argument("--quick", action="store_true", help=(
+            "run at the quick scale: " + ", ".join(
+                f"{key}={value}" for key, value in spec.quick.items())))
     if spec.bench_json:
         parser.add_argument("--json", metavar="PATH",
                             help=f"benchmark JSON output path (default: "
@@ -125,7 +130,7 @@ def main(module, argv) -> int:
 
     given = {dest: value for dest, value in vars(args).items()
              if dest in dests or dest in params}
-    quick = given.pop("quick", False)
+    quick = getattr(args, "quick", False)
     kwargs = {**(spec.quick if quick else {}), **given}
     resolved = spec.resolve(kwargs)
     if quick and spec.quick_banner:

@@ -883,7 +883,8 @@ SPEC = ExperimentSpec(
     summarize=lambda result, kwargs: result.bench_json(),
     flags=(
         flag("--budget", type=int,
-             help="total fault-trial budget (default: 90)"),
+             help="total fault-trial budget (default: 90; --quick: one "
+                  "scenario per grid cell)"),
         flag("--protocols", action="extend", type=comma_list(),
              metavar="NAME[,NAME]",
              help="protocols to race (default: all registered)"),
@@ -894,8 +895,6 @@ SPEC = ExperimentSpec(
              metavar="NAME[,NAME]",
              help="generator families (default: all)"),
         flag("--seed", type=int),
-        flag("--quick", action="store_true",
-             help="CI-sized campaign: one scenario per grid cell"),
         PROCS_FLAG, MACHINES_FLAG,
         flag("--timeout", type=float),
         flag("--bug-compat", action="store_true",

@@ -118,8 +118,7 @@ def ckpt_server_main(proc: UnixProcess, config, server_index: int):
         def on_msg(msg) -> None:
             if isinstance(msg, wire.CkptStore):
                 img = CheckpointImage(rank=msg.rank, wave=msg.wave,
-                                      state=msg.state, logs=list(msg.logs),
-                                      img_size=msg.img_size)
+                                      state=msg.state, img_size=msg.img_size)
 
                 def _stored():
                     state.store_image(img)

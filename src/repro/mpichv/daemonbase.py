@@ -225,31 +225,16 @@ class MpichDaemon:
         first = period + offset - (self.engine.now % period)
         yield self.engine.timeout(max(first, 1.0))
         while not self.terminating:
-            yield from self._take_checkpoint()
+            self.ckpt_counter += 1
+            img = CheckpointImage(
+                rank=self.rank, wave=self.ckpt_counter,
+                state=snapshot(self.app_state),
+                img_size=int(self.config.image_size), complete=True)
+            yield from self.write_image(img)
+            self.post_checkpoint(img)
+            self.engine.log(f"{self.protocol}_ckpt", rank=self.rank,
+                            wave=img.wave)
             yield self.engine.timeout(period)
-
-    def _take_checkpoint(self):
-        self.ckpt_counter += 1
-        wave = self.ckpt_counter
-        img = CheckpointImage(
-            rank=self.rank, wave=wave,
-            state=snapshot(self.app_state),
-            logs=[], img_size=int(self.config.image_size), complete=True)
-        span = self.engine.span("transfer", lane=self.proc.node.name,
-                                rank=self.rank, wave=wave,
-                                bytes=img.img_size)
-        # fork-style: local write, then stream to the server
-        yield self.engine.timeout(img.img_size / self.timing.local_disk_bw)
-        node_local_store(self.proc.node).store(img)
-        if self.ckpt_sock is not None and not self.ckpt_sock.closed:
-            store_msg = wire.CkptStore(
-                rank=self.rank, wave=wave, state=img.state, logs=[],
-                img_size=img.img_size)
-            causal.stamp(self.engine, store_msg, self.site)
-            self.ckpt_sock.send(store_msg)
-        span.close()
-        self.post_checkpoint(img)
-        self.engine.log(f"{self.protocol}_ckpt", rank=self.rank, wave=wave)
 
     def post_checkpoint(self, img: CheckpointImage) -> None:
         """Hook: garbage-collection notes after an independent snapshot."""
@@ -260,32 +245,70 @@ class MpichDaemon:
         Used by the single-rank-restart protocols (V2, V1) where only
         the failed rank reloads — survivors never roll back.
         """
-        local = node_local_store(self.proc.node)
-        waves = local.waves_for(self.rank)
-        img = local.load(self.rank, waves[-1]) if waves else None
-        if img is not None and img.complete:
-            self.engine.cover("daemon.restore.local")
-            yield self.engine.timeout(img.img_size / self.timing.local_disk_bw)
-            img = img.snapshot_of()
-        else:
-            req = wire.FetchReq(rank=self.rank, wave=None)
-            causal.stamp(self.engine, req, self.site)
-            self.ckpt_sock.send(req)
-            resp = yield self.ckpt_sock.recv()
-            assert isinstance(resp, wire.FetchResp), resp
-            if resp.wave is None:
-                self.engine.cover("daemon.restore.fresh")
-                return          # nothing stored: fresh start
-            self.engine.cover("daemon.restore.remote")
-            img = CheckpointImage(rank=self.rank, wave=resp.wave,
-                                  state=snapshot(resp.state),
-                                  logs=[], img_size=resp.img_size)
-        self.app_state = img.state
-        self.init_state_keys()
-        self.delivery.rebind(self.app_state)
+        waves = node_local_store(self.proc.node).waves_for(self.rank)
+        img = yield from self.load_image(waves[-1] if waves else None,
+                                         cover=True)
+        if img is None:
+            return              # nothing stored: fresh start
+        self.adopt_state(img.state)
         self.ckpt_counter = img.wave
         self.engine.log("restore", rank=self.rank, wave=img.wave,
                         replayed=0, protocol=self.protocol)
+
+    # ------------------------------------------------------------------
+    # checkpoint images (every protocol writes and loads them here)
+    # ------------------------------------------------------------------
+    def write_image(self, img: CheckpointImage):
+        """Generator: the fork-clone of the paper — write ``img`` to the
+        node-local disk, then pipeline it to this rank's shard."""
+        span = self.engine.span("transfer", lane=self.proc.node.name,
+                                rank=self.rank, wave=img.wave,
+                                bytes=img.img_size)
+        yield self.engine.timeout(img.img_size / self.timing.local_disk_bw)
+        node_local_store(self.proc.node).store(img)
+        self.on_image_local(img)
+        if self.ckpt_sock is not None and not self.ckpt_sock.closed:
+            store_msg = wire.CkptStore(rank=self.rank, wave=img.wave,
+                                       state=img.state, img_size=img.img_size)
+            causal.stamp(self.engine, store_msg, self.site)
+            self.ckpt_sock.send(store_msg)
+        span.close()
+
+    def on_image_local(self, img: CheckpointImage) -> None:
+        """Hook: the local checkpoint file of ``img`` exists."""
+
+    def load_image(self, wave: Optional[int], cover: bool = False):
+        """Generator: this rank's image of ``wave`` — the complete
+        node-local file if there is one, else the shard's copy (for
+        ``wave=None``, of the shard's committed wave) — or None when
+        neither holds it.  ``cover`` counts where it came from in the
+        ``daemon.restore.*`` probes."""
+        img = node_local_store(self.proc.node).load(self.rank, wave)
+        if img is not None and img.complete:
+            if cover:
+                self.engine.cover("daemon.restore.local")
+            yield self.engine.timeout(img.img_size / self.timing.local_disk_bw)
+            return img.snapshot_of()
+        req = wire.FetchReq(rank=self.rank, wave=wave)
+        causal.stamp(self.engine, req, self.site)
+        self.ckpt_sock.send(req)
+        resp = yield self.ckpt_sock.recv()
+        assert isinstance(resp, wire.FetchResp), resp
+        if cover:
+            self.engine.cover("daemon.restore.fresh" if resp.wave is None
+                              else "daemon.restore.remote")
+        if resp.wave is None:
+            return None
+        return CheckpointImage(rank=self.rank, wave=resp.wave,
+                               state=snapshot(resp.state),
+                               logs=list(resp.logs), img_size=resp.img_size)
+
+    def adopt_state(self, state: dict) -> None:
+        """Make a restored ``state`` the application's: bookkeeping keys
+        it lacks are seeded, and deliveries land in it."""
+        self.app_state = state
+        self.init_state_keys()
+        self.delivery.rebind(state)
 
     # ------------------------------------------------------------------
     # dispatcher connection (uniform across protocols)

@@ -14,7 +14,11 @@ from typing import Dict, Optional, Set
 
 from repro.cluster.unixproc import UnixProcess
 from repro.mpichv import shardmap, wire
+from repro.mpichv.daemonbase import connect_retry
 from repro.obs import causal
+
+#: the scheduler redials a service that refused it every 50 ms
+RETRY_DELAY = 0.05
 
 
 class SchedulerState:
@@ -52,23 +56,13 @@ def scheduler_main(proc: UnixProcess, config):
         for i in range(config.n_ckpt_servers):
             addr = proc.node.cluster.node(shardmap.ckpt_server_node(i)).addr(
                 shardmap.ckpt_server_port(config, i))
-            while True:
-                try:
-                    sock = yield proc.node.connect(addr, owner=proc)
-                    break
-                except Exception:
-                    yield engine.timeout(0.05)
-            server_socks.append(sock)
+            server_socks.append((yield from connect_retry(
+                proc, addr, RETRY_DELAY, RETRY_DELAY)))
         # dispatcher (for commit notes)
         addr = proc.node.cluster.node(shardmap.DISPATCHER_NODE).addr(
             config.dispatcher_port)
-        while True:
-            try:
-                sock = yield proc.node.connect(addr, owner=proc)
-                break
-            except Exception:
-                yield engine.timeout(0.05)
-        dispatcher_sock[0] = sock
+        dispatcher_sock[0] = yield from connect_retry(
+            proc, addr, RETRY_DELAY, RETRY_DELAY)
 
     proc.spawn_thread(connect_services(), name="sched.connect")
 

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.mpi.message import AppMessage
 from repro.mpichv import shardmap, wire
-from repro.mpichv.checkpoint import CheckpointImage, node_local_store, snapshot
+from repro.mpichv.checkpoint import CheckpointImage, snapshot
 from repro.mpichv.daemonbase import MpichDaemon
 from repro.obs import causal
 
@@ -126,7 +126,7 @@ class VclDaemon(MpichDaemon):
             self.pending_markers.discard(from_rank)
         if not self.config.blocking:
             # Background transfer of the image (clone + pipeline of paper).
-            self.proc.spawn_thread(self._ckpt_transfer(self.wave_img),
+            self.proc.spawn_thread(self.write_image(self.wave_img),
                                    name=f"vdaemon.{self.rank}.ckpt{wave}")
         if not self.pending_markers:
             self._finish_logging()
@@ -154,7 +154,7 @@ class VclDaemon(MpichDaemon):
             held, self.post_flush = self.post_flush, []
             for msg in held:
                 self.delivery.deliver(msg)
-            self.proc.spawn_thread(self._ckpt_transfer(img),
+            self.proc.spawn_thread(self.write_image(img),
                                    name=f"vdaemon.{self.rank}.ckpt{wave}")
             return
         img = self.wave_img
@@ -167,27 +167,12 @@ class VclDaemon(MpichDaemon):
             self.ckpt_sock.send(append)
         self.late_logs = []
 
-    def _ckpt_transfer(self, img: CheckpointImage):
-        """Clone thread: write local image, stream it to the server."""
-        span = self.engine.span("transfer", lane=self.proc.node.name,
-                                rank=self.rank, wave=img.wave,
-                                bytes=img.img_size)
-        # local disk write (the forked clone writing its file)
-        yield self.engine.timeout(img.img_size / self.timing.local_disk_bw)
-        node_local_store(self.proc.node).store(img)
+    def on_image_local(self, img: CheckpointImage) -> None:
         if self.config.blocking and self.app_proc is not None \
                 and self.app_proc.alive:
             # blocking variant: computation resumes once the local
             # checkpoint file exists
             self.app_proc.resume()
-        # pipeline to the checkpoint server over the data connection
-        if self.ckpt_sock is not None and not self.ckpt_sock.closed:
-            store_msg = wire.CkptStore(
-                rank=self.rank, wave=img.wave, state=img.state,
-                logs=list(img.logs), img_size=img.img_size)
-            causal.stamp(self.engine, store_msg, self.site)
-            self.ckpt_sock.send(store_msg)
-        span.close()
 
     def _note_store_ack(self, wave: int) -> None:
         self.store_acks[wave] = self.store_acks.get(wave, 0) + 1
@@ -220,47 +205,6 @@ class VclDaemon(MpichDaemon):
         self.delivery.deliver(msg)
 
     # ------------------------------------------------------------------
-    # restore path
-    # ------------------------------------------------------------------
-    def restore(self, restore_wave: Optional[int]):
-        """Load the committed image and replay channel state."""
-        if restore_wave is None:
-            self.app_state = {}
-            self.delivery.rebind(self.app_state)
-            return
-        local = node_local_store(self.proc.node).load(self.rank, restore_wave)
-        if local is not None and local.complete:
-            yield self.engine.timeout(local.img_size / self.timing.local_disk_bw)
-            img = local.snapshot_of()
-        else:
-            req = wire.FetchReq(rank=self.rank, wave=restore_wave)
-            causal.stamp(self.engine, req, self.site)
-            self.ckpt_sock.send(req)
-            resp = yield self.ckpt_sock.recv()
-            assert isinstance(resp, wire.FetchResp), resp
-            if resp.wave is None:
-                self.app_state = {}
-                self.delivery.rebind(self.app_state)
-                return
-            img = CheckpointImage(rank=self.rank, wave=resp.wave,
-                                  state=snapshot(resp.state),
-                                  logs=list(resp.logs), img_size=resp.img_size)
-        self.app_state = img.state
-        self.delivery.rebind(self.app_state)
-        self.current_wave = img.wave
-        for logged in img.logs:
-            self.delivery.deliver(logged)
-        self.engine.log("restore", rank=self.rank, wave=img.wave,
-                        replayed=len(img.logs),
-                        buffered=len(self.app_state.get("_mpi_unmatched", [])))
-        if img.logs:
-            # channel-state redelivery is instantaneous in Vcl (the
-            # logs rode inside the image): a zero-length replay phase
-            self.engine.span("replay", lane=self.proc.node.name,
-                             rank=self.rank, wave=img.wave,
-                             replayed=len(img.logs)).close()
-
-    # ------------------------------------------------------------------
     # reader handlers
     # ------------------------------------------------------------------
     def on_peer_msg(self, row: int, msg) -> None:
@@ -276,7 +220,7 @@ class VclDaemon(MpichDaemon):
     def on_ckpt_msg(self, msg) -> None:
         if isinstance(msg, wire.CkptStoredAck):
             self._note_store_ack(msg.wave)
-        # FetchResp is consumed inline by restore(); it only occurs
+        # FetchResp is consumed inline by load_image(); it only occurs
         # before this reader is spawned.
 
     # ------------------------------------------------------------------
@@ -295,13 +239,27 @@ class VclDaemon(MpichDaemon):
         yield from self.connect_ckpt_server()
 
     def restore_state(self, cmd):
-        if not self.config.fault_tolerant:
-            self.app_state = {}
-            self.delivery.rebind(self.app_state)
-            return
-        # --- restore state (rollback) before joining the mesh ---------
-        yield from self.restore(cmd.restore_wave)
-        self.proc.spawn_reader(self.ckpt_sock, self.on_ckpt_msg)
+        """Roll back to the committed image (none: start afresh) and
+        replay its channel state, before joining the mesh."""
+        img = None
+        if self.config.fault_tolerant and cmd.restore_wave is not None:
+            img = yield from self.load_image(cmd.restore_wave)
+        self.adopt_state({} if img is None else img.state)
+        if img is not None:
+            self.current_wave = img.wave
+            for logged in img.logs:
+                self.delivery.deliver(logged)
+            self.engine.log("restore", rank=self.rank, wave=img.wave,
+                            replayed=len(img.logs),
+                            buffered=len(self.app_state.get("_mpi_unmatched", [])))
+            if img.logs:
+                # channel-state redelivery is instantaneous in Vcl (the
+                # logs rode inside the image): a zero-length replay phase
+                self.engine.span("replay", lane=self.proc.node.name,
+                                 rank=self.rank, wave=img.wave,
+                                 replayed=len(img.logs)).close()
+        if self.config.fault_tolerant:
+            self.proc.spawn_reader(self.ckpt_sock, self.on_ckpt_msg)
 
     def on_peer_connected(self, rows: List[int]) -> None:
         for row in rows:

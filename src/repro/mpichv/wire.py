@@ -127,15 +127,14 @@ class WaveCommit:
 class CkptStore:
     """Daemon -> server: full image transfer (data connection).
 
-    ``state`` is the snapshot of the MPI process, ``logs`` the
-    channel-state messages collected per Chandy-Lamport; ``img_size``
-    drives both network and server-disk time.
+    ``state`` is the snapshot of the MPI process; ``img_size`` drives
+    both network and server-disk time.  The channel-state messages of
+    a Chandy-Lamport wave travel apart, in :class:`CkptLogAppend`.
     """
 
     rank: int
     wave: int
     state: Any
-    logs: List[AppMessage]
     img_size: int
 
     @property
@@ -146,7 +145,8 @@ class CkptStore:
 @dataclass(frozen=True)
 class CkptLogAppend:
     """Daemon -> server: late channel-state messages for a wave
-    (message connection; sent when logging finished after the image)."""
+    (message connection; sent at the end of every non-blocking wave,
+    empty when no message was in flight)."""
 
     rank: int
     wave: int

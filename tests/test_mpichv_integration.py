@@ -12,6 +12,7 @@ import pytest
 
 from repro.analysis.classify import Outcome
 from repro.explore.generators import TimedKill, render_plan
+from repro.mpichv.checkpoint import LocalCkptStore
 from repro.mpichv.config import VclConfig
 from repro.mpichv.runtime import VclRuntime
 from repro.workloads.masterworker import MasterWorkerWorkload
@@ -167,6 +168,26 @@ def test_rollback_restores_committed_wave_not_newer():
     res = rt.run()
     rec = res.trace.last("restart_wave")
     assert rec.restore == 1                    # wave 1 committed at ~30 s
+
+
+def test_a_rollback_with_no_local_image_fetches_it_from_the_shard(
+        monkeypatch):
+    """With every node-local file missing, each rank of a one-kill Vcl
+    ring fetches the committed image from its shard and the trial
+    computes what the fault-free run does."""
+    setup = dataclasses.replace(faulted_ring(8, "vcl"), keep_trace=True)
+    clean = dataclasses.replace(setup, scenario_source=None,
+                                master_daemon=None, node_daemon=None)
+    golden = clean.run_one(0).app_signature
+    monkeypatch.setattr(LocalCkptStore, "load", lambda self, rank, wave: None)
+    res = setup.run_one(0)
+    assert res.restarts == 1
+    committed = res.trace.last("restart_wave").restore
+    assert committed is not None
+    restores = [rec for rec in res.trace.records if rec.kind == "restore"]
+    assert sorted(rec.rank for rec in restores) == list(range(8))
+    assert {rec.wave for rec in restores} == {committed}
+    assert golden is not None and res.app_signature == golden
 
 
 def test_execution_time_increases_with_failure():

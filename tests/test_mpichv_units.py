@@ -204,7 +204,7 @@ def test_server_log_append_before_image_stashed():
 def test_wire_sizes():
     app = AppMessage(src=0, dst=1, tag=1, payload=None, size=5000)
     assert wire.DataMsg(app).size == 5000
-    store = wire.CkptStore(rank=0, wave=1, state={}, logs=[], img_size=123)
+    store = wire.CkptStore(rank=0, wave=1, state={}, img_size=123)
     assert store.size == 123
     append = wire.CkptLogAppend(rank=0, wave=1, logs=[app])
     assert append.size == 5000

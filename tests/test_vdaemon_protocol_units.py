@@ -11,6 +11,7 @@ from repro.cluster.network import Mesh
 from repro.mpi.endpoint import UNMATCHED_KEY
 from repro.mpi.message import AppMessage
 from repro.mpichv import wire
+from repro.mpichv.ckptserver import ckpt_server_main
 from repro.mpichv.config import VclConfig
 from repro.mpichv.vdaemon import VclDaemon
 from repro.simkernel.engine import Engine
@@ -119,6 +120,41 @@ def test_late_channel_messages_logged_and_delivered():
     appends = [m for m in core.ckpt_sock.sent
                if isinstance(m, wire.CkptLogAppend)]
     assert len(appends) == 1 and [m.tag for m in appends[0].logs] == [10]
+
+
+def test_late_logs_reach_the_shard_once():
+    """The shard's copy of a non-blocking image holds each late channel
+    message once: the image is shipped without them, and the wave's
+    ``CkptLogAppend`` carries them."""
+    engine, core = make_core()
+    # the wave of test_late_channel_messages_logged_and_delivered
+    core.handle_marker(wire.Marker(wave=1, src_rank=-1))
+    core.on_data(1, msg(1, tag=10))
+    core.handle_marker(wire.Marker(wave=1, src_rank=2))
+    core.on_data(2, msg(2, tag=11))
+    core.handle_marker(wire.Marker(wave=1, src_rank=1))
+    # past the local write: the transfer thread ships the image
+    engine.run(until=core.config.image_size / core.timing.local_disk_bw + 1)
+    sent = list(core.ckpt_sock.sent)
+    assert [type(m) for m in sent] == [wire.CkptLogAppend, wire.CkptStore]
+
+    # a real checkpoint server ingests what the daemon sent, in order
+    node = core.proc.node
+    server = node.spawn("ckptserver",
+                        lambda p: ckpt_server_main(p, core.config, 0),
+                        notify=False)
+
+    def feed(p):
+        sock = yield node.connect(
+            node.addr(core.config.ckpt_server_port_base), owner=p)
+        for m in sent:
+            sock.send(m)
+        yield engine.event()
+
+    node.spawn("feeder", feed, notify=False)
+    engine.run()
+    img = server.tags["ckpt_state"].images[1][0]
+    assert [m.tag for m in img.logs] == [10]
 
 
 def test_snapshot_contains_delivered_unconsumed_messages():

@@ -14,18 +14,18 @@ Characteristics modelled (and why):
 * **closure notification** — closing either end (explicitly or because
   the owning process was killed) closes the peer's receive stream after
   one path latency, so a blocked ``recv`` fails with
-  :class:`ConnectionClosed`.  This is exactly the failure-detection
-  channel MPICH-V's dispatcher uses ("a failure is assumed after any
-  unexpected socket closure");
+  :class:`~repro.simkernel.store.StoreClosed`.  This is exactly the
+  failure-detection channel MPICH-V's dispatcher uses ("a failure is
+  assumed after any unexpected socket closure");
 * **connection refusal** when nothing listens on the target address;
 * **partitions** — :meth:`Network.isolate` and :meth:`Network.heal`
   mutate reachability at runtime.  Packets into a cut vanish;
   established connections spanning a cut are severed after one path
-  latency (both receive streams fail with :class:`ConnectionClosed`,
-  indistinguishable from peer death — the *false suspicion*
-  adversary); a connection attempt across a cut is refused after the
-  round trip.  Healing restores reachability for
-  new connections but never resurrects severed ones — and a heal that
+  latency (a blocked ``recv`` at either end fails with
+  ``StoreClosed``, indistinguishable from peer death — the *false
+  suspicion* adversary); a connection attempt across a cut is refused
+  after the round trip.  Healing restores reachability for new
+  connections but never resurrects severed ones — and a heal that
   lands before the severance notification does (within one latency)
   leaves the connection untouched, so partitions can race the failure
   detector.
@@ -46,6 +46,7 @@ from typing import (Any, Callable, Dict, Iterable, List, NamedTuple,
 
 from repro.netmodel.fabric import build_fabric
 from repro.netmodel.spec import DEFAULT_BANDWIDTH, DEFAULT_LATENCY
+from repro.obs.causal import stamp
 from repro.simkernel.engine import Engine
 from repro.simkernel.events import PRIORITY_URGENT, Event
 from repro.simkernel.process import CallbackThread
@@ -60,10 +61,6 @@ class Address(NamedTuple):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetics
         return f"{self.host}:{self.port}"
-
-
-class ConnectionClosed(Exception):
-    """The peer endpoint closed (or its process died)."""
 
 
 class ConnectionRefused(Exception):
@@ -249,7 +246,8 @@ class Network:
         return ev
 
     # -- transmission ------------------------------------------------------------
-    def _wire(self, msg: Any, size: Optional[int]):
+    def _wire(self, msg: Any, size: Optional[int], site: Optional[str],
+              cause: Any):
         """What no connection changes about sending ``msg``: its size
         (``size``, else the message's ``size`` hint, else
         :data:`DEFAULT_MSG_SIZE`), now, the landing time on an idle
@@ -257,10 +255,12 @@ class Network:
         fabric), its causal context (None when nothing records it), and
         whether a cut is on.
 
-        Causal choke point: a send of a stamped message writes one row
-        per copy, with the arrival already computed, and closes with
-        one :meth:`~repro.obs.causal.CausalGraph.on_send` — so the
-        graph is a pure function of the simulated history (see
+        Causal choke point: a message with no context yet is minted
+        here, at the sender's ``site`` and parented on ``cause``, before
+        any endpoint is skipped; the send then writes one row per copy,
+        with the arrival already computed, and closes with one
+        :meth:`~repro.obs.causal.CausalGraph.on_send` — so the graph is
+        a pure function of the simulated history (see
         :mod:`repro.obs.causal`).
         """
         if size is None:
@@ -273,19 +273,31 @@ class Network:
         # max(pipe free, now + latency + size / bandwidth)
         earliest = now + self.latency + size / self.bandwidth \
             if self._fast_uniform else None
-        ctx = getattr(msg, "_causal_ctx", None) \
-            if engine.obs is not None else None
+        ctx = None
+        if engine.obs is not None:
+            ctx = getattr(msg, "_causal_ctx", None)
+            if ctx is None:
+                ctx = stamp(engine, msg, site, cause)
         return size, now, earliest, ctx, self._isolated
 
     def send_all(self, socks: Iterable["Socket"], msg: Any,
-                 size: Optional[int] = None) -> None:
+                 size: Optional[int] = None, cause: Any = None) -> None:
         """Queue ``msg`` on every open socket of ``socks`` (a marker
-        flood; :meth:`Socket.send` is the one-socket case).  What no
-        connection changes is worked out once (:meth:`_wire`); each
-        socket pays for its own pipe and arrival, which joins the batch
-        of its instant.  :meth:`Mesh.send_all` is the mesh's half.
+        flood; :meth:`Socket.send` is the one-socket case).  The sockets
+        are the sending process's: a message with no causal context is
+        minted at their :attr:`Socket.site` (:meth:`_wire`).  What no
+        connection changes is worked out once; each socket pays for its
+        own pipe and arrival, which joins the batch of its instant.
+        :meth:`Mesh.send_all` is the mesh's half.
         """
-        size, now, earliest, ctx, cut = self._wire(msg, size)
+        site = None
+        if self.engine.obs is not None:
+            for sock in socks:      # the first names the sender's site
+                site = sock.site
+                break
+            else:
+                return              # no socket: nothing sent or minted
+        size, now, earliest, ctx, cut = self._wire(msg, size, site, cause)
         causal = put = None
         if ctx is not None:
             causal = self.engine.obs.causal
@@ -374,7 +386,7 @@ class Socket:
     """
 
     __slots__ = ("network", "conn_id", "local_host", "remote", "owner",
-                 "_rx", "_peer", "_pipe_free", "closed")
+                 "site", "_rx", "_peer", "_pipe_free", "closed")
 
     def __init__(self, network: Network, conn_id: int, local_host: str,
                  remote: Optional[Address], owner=None):
@@ -384,18 +396,20 @@ class Socket:
         #: the dialed address at the client end, None at the server end
         self.remote = remote
         self.owner = owner
+        #: the owner's causal site, kept after a close drops the owner
+        self.site = None if owner is None else owner.site
         self._rx: Store = Store(network.engine, name=conn_id)
         self._peer: Optional["Socket"] = None
         self._pipe_free: float = 0.0  # next time the outgoing pipe is free
         self.closed = False
 
     # -- I/O ------------------------------------------------------------------
-    def send(self, msg: Any, size: Optional[int] = None) -> None:
+    def send(self, msg: Any, size: Optional[int] = None,
+             cause: Any = None) -> None:
         """Queue ``msg`` for delivery (non-blocking, buffered): the
-        one-socket case of :meth:`Network.send_all`."""
-        if self.closed:
-            raise ConnectionClosed(f"send on closed socket #{self.conn_id}")
-        self.network.send_all((self,), msg, size)
+        one-socket case of :meth:`Network.send_all`.  On a closed
+        socket the message is dropped."""
+        self.network.send_all((self,), msg, size, cause)
 
     def recv(self) -> Event:
         """Event yielding the next message.
@@ -511,8 +525,8 @@ class Mesh(CallbackThread):
     (:attr:`fd`), owing a notice to a far end still reading.
     """
 
-    __slots__ = ("network", "proc", "host", "rank", "n", "closed", "_died",
-                 "on_msg", "on_gone", "on_hello", "on_connected",
+    __slots__ = ("network", "proc", "host", "site", "rank", "n", "closed",
+                 "_died", "on_msg", "on_gone", "on_hello", "on_connected",
                  "far", "frow", "pipe", "state", "inbox", "item", "inflight",
                  "rd", "fd", "born", "pos", "peers", "attached", "_spilled",
                  "_pos", "_hops", "_backlog", "_acc", "_backoff_max",
@@ -527,6 +541,7 @@ class Mesh(CallbackThread):
         self.network = listener.network
         self.proc = proc
         self.host = proc.node.name
+        self.site = proc.site
         self.rank = rank
         self.n = n
         self.closed = False
@@ -873,22 +888,33 @@ class Mesh(CallbackThread):
             self._gone(row)
 
     # -- sending -------------------------------------------------------------------
-    def send(self, row: int, msg: Any, size: Optional[int] = None) -> None:
-        self.send_all((row,), msg, size)
+    def send(self, row: int, msg: Any, size: Optional[int] = None,
+             cause: Any = None) -> None:
+        self.send_all((row,), msg, size, cause)
 
     def send_all(self, rows: Iterable[int], msg: Any,
-                 size: Optional[int] = None) -> None:
+                 size: Optional[int] = None, cause: Any = None) -> None:
         """:meth:`Network.send_all` over ``rows``: an arrival per row
         whose far end still reads and is reachable.  ``msg`` is one
         message for every row (a flood), or a list of one per row, all
         of one kind and size (a note per peer): each of those is a send
-        of its own context, closed as its row goes out."""
+        of its own context, closed as its row goes out.  A message with
+        no context is minted at :attr:`site` (:meth:`Network._wire`); a
+        list, each of its messages in list order.  Either happens before
+        any row is skipped."""
         each = type(msg) is list
-        if self.closed or (each and not msg):
-            return
+        if each:
+            if not msg:
+                return
+            if self.engine.obs is not None:
+                for one in msg:
+                    if getattr(one, "_causal_ctx", None) is None:
+                        stamp(self.engine, one, self.site, cause)
         network = self.network
         size, now, earliest, ctx, cut = network._wire(
-            msg[0] if each else msg, size)
+            msg[0] if each else msg, size, self.site, cause)
+        if self.closed:
+            return
         causal = put = None
         if ctx is not None:
             causal = network.engine.obs.causal

@@ -83,6 +83,11 @@ class UnixProcess:
         #: opened or started
         self._tick: Callable[[], int] = itertools.count().__next__
         self.mesh = None
+        #: the causal site the messages this process sends are minted
+        #: at (``disp``, ``sched``, ``r<rank>``, ...; see
+        #: :mod:`repro.obs.causal`): its main sets it once, before it
+        #: opens a socket or builds a mesh, which keep a copy
+        self.site: Optional[str] = None
         self._exit_listeners: List[Callable[["UnixProcess", ProcState], None]] = []
         #: breakpoint interceptors: name -> callable(proc, name, resume_event)
         #: returning True if it took ownership of the pause (see trace_point)

@@ -30,7 +30,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.cluster.unixproc import UnixProcess
 from repro.mpi.message import AppMessage
 from repro.mpichv import wire
-from repro.obs import causal
 
 #: log entry: (pos, src, src_seq, message)
 LogEntry = Tuple[int, int, int, AppMessage]
@@ -79,20 +78,19 @@ class ChannelMemoryState:
 def channel_memory_main(proc: UnixProcess, config, index: int):
     """Main generator of one channel-memory service process."""
     engine = proc.engine
+    proc.site = f"cm{index}"
     state = ChannelMemoryState()
     proc.tags["cm_state"] = state
     listener = proc.node.listen(config.channel_memory_port_base + index,
                                 owner=proc)
-    site = f"cm{index}"      # causal site name
     #: receiver rank -> forwarding socket of its attached daemon
     attached: Dict[int, Any] = {}
 
     def forward(sock, dst: int, entry: LogEntry, cause) -> None:
         pos, src, seq, msg = entry
-        out = wire.CMDeliver(rank=dst, pos=pos, src=src, seq=seq, app=msg)
         # second hop: caused by the put (live) or the attach (replay)
-        causal.derive(engine, out, site, cause)
-        sock.send(out)
+        sock.send(wire.CMDeliver(rank=dst, pos=pos, src=src, seq=seq,
+                                 app=msg), cause=cause)
         state.forwarded += 1
 
     def serve_conn(sock) -> None:

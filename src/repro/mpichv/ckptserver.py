@@ -20,7 +20,6 @@ from repro.analysis.coverage import hit_bucket
 from repro.cluster.unixproc import UnixProcess
 from repro.mpichv.checkpoint import CheckpointImage
 from repro.mpichv import wire
-from repro.obs import causal
 from repro.simkernel.store import Store, StoreClosed
 
 
@@ -84,11 +83,11 @@ class CkptServerState:
 def ckpt_server_main(proc: UnixProcess, config, server_index: int):
     """Main generator of a checkpoint server process."""
     engine = proc.engine
+    proc.site = f"ckpt{server_index}"
     timing = config.timing
     state = CkptServerState()
     proc.tags["ckpt_state"] = state
     listener = proc.node.listen(config.ckpt_server_port_base + server_index, owner=proc)
-    site = f"ckpt{server_index}"     # causal site name
 
     #: FIFO disk queue: (kind, nbytes, t_enqueued, fn) — fn runs when
     #: the disk I/O ends; kind/t_enqueued feed the store spans and the
@@ -126,9 +125,8 @@ def ckpt_server_main(proc: UnixProcess, config, server_index: int):
                     engine.log("ckpt_stored", rank=img.rank, wave=img.wave,
                                server=server_index)
                     if not sock.closed and sock.peer_alive:
-                        ack = wire.CkptStoredAck(rank=img.rank, wave=img.wave)
-                        causal.derive(engine, ack, site, msg)
-                        sock.send(ack)
+                        sock.send(wire.CkptStoredAck(rank=img.rank,
+                                                     wave=img.wave), cause=msg)
 
                 disk_q.put(("image", msg.img_size, engine.now, _stored))
             elif isinstance(msg, wire.CkptLogAppend):
@@ -137,9 +135,8 @@ def ckpt_server_main(proc: UnixProcess, config, server_index: int):
                     state.append_logs(msg.rank, msg.wave, msg.logs)
                     state.bytes_ingested += msg.size
                     if not sock.closed and sock.peer_alive:
-                        ack = wire.CkptStoredAck(rank=msg.rank, wave=msg.wave)
-                        causal.derive(engine, ack, site, msg)
-                        sock.send(ack)
+                        sock.send(wire.CkptStoredAck(rank=msg.rank,
+                                                     wave=msg.wave), cause=msg)
 
                 disk_q.put(("logs", msg.size, engine.now, _logged))
             elif isinstance(msg, wire.FetchReq):
@@ -153,9 +150,7 @@ def ckpt_server_main(proc: UnixProcess, config, server_index: int):
                         resp = wire.FetchResp(rank=msg.rank, wave=snap.wave,
                                               state=snap.state, logs=snap.logs,
                                               img_size=snap.img_size)
-                    causal.derive(engine, resp, site, msg)
-                    if not sock.closed and sock.peer_alive:
-                        sock.send(resp)
+                    sock.send(resp, cause=msg)
 
                 img = state.lookup(msg.rank, msg.wave)
                 read_bytes = img.img_size if img is not None else 0

@@ -35,7 +35,6 @@ from repro.mpi.endpoint import LocalDelivery, MpiEndpoint
 from repro.mpi.message import AppMessage
 from repro.mpichv import shardmap, wire
 from repro.mpichv.checkpoint import CheckpointImage, node_local_store, snapshot
-from repro.obs import causal
 from repro.simkernel.store import StoreClosed
 
 
@@ -87,8 +86,6 @@ class MpichDaemon:
         self.config = config
         self.timing = config.timing
         self.rank = rank
-        #: this rank's causal site name (:func:`repro.obs.causal.stamp`)
-        self.site = f"r{rank}"
         self.epoch = epoch
         self.incarnation = incarnation
         self.app_factory = app_factory
@@ -169,9 +166,7 @@ class MpichDaemon:
     def app_done(self) -> None:
         self.finished = True
         if self.disp_sock is not None and not self.disp_sock.closed:
-            done = wire.Done(rank=self.rank)
-            causal.stamp(self.engine, done, self.site)
-            self.disp_sock.send(done)
+            self.disp_sock.send(wire.Done(rank=self.rank))
 
     def app_thread(self):
         ep = MpiEndpoint(self.rank, self.n, self.app_state, self, self.engine)
@@ -268,10 +263,9 @@ class MpichDaemon:
         node_local_store(self.proc.node).store(img)
         self.on_image_local(img)
         if self.ckpt_sock is not None and not self.ckpt_sock.closed:
-            store_msg = wire.CkptStore(rank=self.rank, wave=img.wave,
-                                       state=img.state, img_size=img.img_size)
-            causal.stamp(self.engine, store_msg, self.site)
-            self.ckpt_sock.send(store_msg)
+            self.ckpt_sock.send(wire.CkptStore(rank=self.rank, wave=img.wave,
+                                               state=img.state,
+                                               img_size=img.img_size))
         span.close()
 
     def on_image_local(self, img: CheckpointImage) -> None:
@@ -289,9 +283,7 @@ class MpichDaemon:
                 self.engine.cover("daemon.restore.local")
             yield self.engine.timeout(img.img_size / self.timing.local_disk_bw)
             return img.snapshot_of()
-        req = wire.FetchReq(rank=self.rank, wave=wave)
-        causal.stamp(self.engine, req, self.site)
-        self.ckpt_sock.send(req)
+        self.ckpt_sock.send(wire.FetchReq(rank=self.rank, wave=wave))
         resp = yield self.ckpt_sock.recv()
         assert isinstance(resp, wire.FetchResp), resp
         if cover:
@@ -353,6 +345,7 @@ def daemon_lifecycle(core_cls, proc: UnixProcess, config, rank: int,
     verbatim across the family.
     """
     engine = proc.engine
+    proc.site = f"r{rank}"
     timing = config.timing
     cluster = proc.node.cluster
     if incarnation > 1:
@@ -390,10 +383,8 @@ def daemon_lifecycle(core_cls, proc: UnixProcess, config, rank: int,
     disp_addr = cluster.node(shardmap.DISPATCHER_NODE).addr(config.dispatcher_port)
     core.disp_sock = yield from connect_retry(
         proc, disp_addr, timing.connect_retry_initial, timing.connect_retry_max)
-    reg = wire.Register(rank=rank, addr=listener.addr,
-                        epoch=epoch, incarnation=incarnation)
-    causal.stamp(engine, reg, core.site)
-    core.disp_sock.send(reg)
+    core.disp_sock.send(wire.Register(rank=rank, addr=listener.addr,
+                                      epoch=epoch, incarnation=incarnation))
     try:
         ack = yield core.disp_sock.recv()
     except StoreClosed:

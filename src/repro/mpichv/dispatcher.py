@@ -34,7 +34,6 @@ from typing import Any, Dict, List, Optional, Set
 from repro.analysis.coverage import hit_bucket
 from repro.cluster.unixproc import UnixProcess
 from repro.mpichv import protocols, shardmap, wire
-from repro.obs import causal
 
 LAUNCHING = "launching"
 RUNNING = "running"
@@ -64,6 +63,7 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
                     machines: List[str]):
     """Main generator of the dispatcher process."""
     engine = proc.engine
+    proc.site = "disp"
     cluster = proc.node.cluster
     n = config.n_procs
     spec = protocols.get_spec(config.protocol)
@@ -156,7 +156,6 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
     def all_registered() -> None:
         cmd = wire.CommandMap(epoch=state.epoch, addrs=dict(state.addrs),
                               restore_wave=state.restore_wave)
-        causal.stamp(engine, cmd, "disp")
         cluster.network.send_all(state.reg.values(), cmd)
         prev = state.phase
         state.phase = RUNNING
@@ -199,9 +198,7 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
                 spawn_slot(rank)            # machine already free
             else:
                 state.pending_term[rank] = state.epoch - 1
-                term = wire.Terminate()
-                causal.stamp(engine, term, "disp")
-                sock.send(term)
+                sock.send(wire.Terminate())
         # Ranks that were mid-spawn (no socket yet) get torn down and
         # relaunched for the new epoch — their machine must be freed
         # before the new daemon can bind the port.
@@ -223,10 +220,9 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
         # which halts after the current payload).
         engine.stop()
         down = wire.Shutdown()
-        causal.stamp(engine, down, "disp")
         cluster.network.send_all(state.reg.values(), down)
-        if sched_conn[0] is not None and not sched_conn[0].closed:
-            sched_conn[0].send(down)
+        if sched_conn[0] is not None:
+            sched_conn[0].send(down)    # the same message: one context
         engine.call_later(2.0, proc.exit)
 
     # ------------------------------------------------------------------
@@ -312,9 +308,7 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
             state.reg[rank] = sock
             state.addrs[rank] = msg.addr
             state.status[rank] = "registered"
-            ack = wire.RegisterAck(rank=rank)
-            causal.derive(engine, ack, "disp", msg)
-            sock.send(ack)
+            sock.send(wire.RegisterAck(rank=rank), cause=msg)
             if state.phase == RUNNING and single_rank_restart:
                 # single-rank restart: the rest of the system never
                 # stopped; hand the newcomer its command map directly.
@@ -322,8 +316,7 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
                 cmd = wire.CommandMap(epoch=state.epoch,
                                       addrs=dict(state.addrs),
                                       restore_wave=None)
-                causal.derive(engine, cmd, "disp", msg)
-                sock.send(cmd)
+                sock.send(cmd, cause=msg)
                 engine.log("recovery_complete", epoch=state.epoch, rank=rank,
                            protocol=spec.name)
                 span = relaunch_by_rank.pop(rank, None)

@@ -14,7 +14,6 @@ from typing import Dict, List, Tuple
 
 from repro.cluster.unixproc import UnixProcess
 from repro.mpichv import wire
-from repro.obs import causal
 
 
 class EventLogState:
@@ -50,6 +49,7 @@ class EventLogState:
 def eventlog_main(proc: UnixProcess, config):
     """Main generator of the event-logger service process."""
     engine = proc.engine
+    proc.site = "evlog"
     state = EventLogState()
     proc.tags["evlog_state"] = state
     listener = proc.node.listen(config.eventlog_port, owner=proc)
@@ -59,17 +59,15 @@ def eventlog_main(proc: UnixProcess, config):
             if isinstance(msg, wire.EvLog):
                 state.append(msg.rank, msg.pos, msg.src, msg.src_seq)
                 if not sock.closed and sock.peer_alive:
-                    ack = wire.EvLogAck(rank=msg.rank, pos=msg.pos)
-                    causal.derive(engine, ack, "evlog", msg)
-                    sock.send(ack)
+                    sock.send(wire.EvLogAck(rank=msg.rank, pos=msg.pos),
+                              cause=msg)
             elif isinstance(msg, wire.EvFetch):
                 events = state.fetch_after(msg.rank, msg.after)
                 if not sock.closed and sock.peer_alive:
                     resp = wire.EvFetchResp(
                         rank=msg.rank, events=events,
                         size=max(256, 32 * len(events)))
-                    causal.derive(engine, resp, "evlog", msg)
-                    sock.send(resp)
+                    sock.send(resp, cause=msg)
             elif isinstance(msg, wire.EvPrune):
                 state.prune(msg.rank, msg.upto)
             elif isinstance(msg, wire.Shutdown):

@@ -15,7 +15,6 @@ from typing import Dict, Optional, Set
 from repro.cluster.unixproc import UnixProcess
 from repro.mpichv import shardmap, wire
 from repro.mpichv.daemonbase import connect_retry
-from repro.obs import causal
 
 #: the scheduler redials a service that refused it every 50 ms
 RETRY_DELAY = 0.05
@@ -39,6 +38,7 @@ class SchedulerState:
 def scheduler_main(proc: UnixProcess, config):
     """Main generator of the checkpoint scheduler process."""
     engine = proc.engine
+    proc.site = "sched"
     state = SchedulerState()
     proc.tags["sched_state"] = state
     n = config.n_procs
@@ -92,11 +92,10 @@ def scheduler_main(proc: UnixProcess, config):
             wave_span[0] = None
         note = wire.WaveCommit(wave=state.wave_id)
         # the commit is caused by the last ack that completed the wave
-        causal.derive(engine, note, "sched", cause)
-        network.send_all(server_socks, note)
+        network.send_all(server_socks, note, cause=cause)
         disp = dispatcher_sock[0]
-        if disp is not None and not disp.closed:
-            disp.send(note)
+        if disp is not None:
+            disp.send(note, cause=cause)
 
     def serve_daemon(sock) -> None:
         rank = None
@@ -148,6 +147,5 @@ def scheduler_main(proc: UnixProcess, config):
         # marker broadcast happens at this instant: zero-length child
         engine.span("initiate", lane=shardmap.COORDINATOR_NODE,
                     wave=state.wave_id, ranks=n).close()
-        marker = wire.Marker(wave=state.wave_id, src_rank=-1)
-        causal.stamp(engine, marker, "sched")
-        network.send_all(state.conns.values(), marker)
+        network.send_all(state.conns.values(),
+                         wire.Marker(wave=state.wave_id, src_rank=-1))

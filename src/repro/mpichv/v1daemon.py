@@ -100,10 +100,8 @@ class V1Daemon(MpichDaemon):
         # the home CM may discard log entries this image covers
         sock = self.cm_socks[self.home_cm]
         if sock is not None and not sock.closed:
-            prune = wire.CMPrune(rank=self.rank,
-                                 upto=img.state[DELIVERED])
-            causal.stamp(self.engine, prune, self.site)
-            sock.send(prune)
+            sock.send(wire.CMPrune(rank=self.rank,
+                                   upto=img.state[DELIVERED]))
 
     # ------------------------------------------------------------------
     # lifecycle hooks
@@ -123,10 +121,8 @@ class V1Daemon(MpichDaemon):
         # (Re)bind the forwarding channel: the CM replays everything
         # past the restored delivery position, then streams live.
         sock = self.cm_socks[self.home_cm]
-        attach = wire.CMAttach(rank=self.rank,
-                               after=self.app_state[DELIVERED])
-        causal.stamp(self.engine, attach, self.site)
-        sock.send(attach)
+        sock.send(wire.CMAttach(rank=self.rank,
+                                after=self.app_state[DELIVERED]))
         self.proc.spawn_reader(sock, self.on_cm_msg)
         self.proc.spawn_thread(self.independent_ckpt_loop(),
                                name=f"v1.{self.rank}.ckpt")

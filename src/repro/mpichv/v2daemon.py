@@ -132,10 +132,9 @@ class V2Daemon(MpichDaemon):
         self.next_pos_to_log = pos
         self.held.append((pos, src, seq, msg))
         if self.evlog_sock is not None and not self.evlog_sock.closed:
-            ev = wire.EvLog(rank=self.rank, pos=pos, src=src, src_seq=seq)
             # the log record is caused by the message's arrival
-            causal.derive(self.engine, ev, self.site, msg)
-            self.evlog_sock.send(ev)
+            self.evlog_sock.send(wire.EvLog(rank=self.rank, pos=pos, src=src,
+                                            src_seq=seq), cause=msg)
 
     def on_evlog_ack(self, pos: int) -> None:
         # acks arrive in order (FIFO connection); deliver the head
@@ -240,16 +239,13 @@ class V2Daemon(MpichDaemon):
     def post_checkpoint(self, img: CheckpointImage) -> None:
         # sender logs + event log can be pruned up to this image
         mesh, delivered = self.mesh, img.state[DELIVERED]
-        notes = [wire.V2GcNote(rank=self.rank,
-                               upto=delivered.get(mesh.rank_of(row), 0))
-                 for row in mesh.peers]
-        for note in notes:
-            causal.stamp(self.engine, note, self.site)
-        mesh.send_all(mesh.peers, notes)
+        mesh.send_all(mesh.peers, [
+            wire.V2GcNote(rank=self.rank,
+                          upto=delivered.get(mesh.rank_of(row), 0))
+            for row in mesh.peers])
         if self.evlog_sock is not None and not self.evlog_sock.closed:
-            prune = wire.EvPrune(rank=self.rank, upto=img.state[POS])
-            causal.stamp(self.engine, prune, self.site)
-            self.evlog_sock.send(prune)
+            self.evlog_sock.send(wire.EvPrune(rank=self.rank,
+                                              upto=img.state[POS]))
 
     # ------------------------------------------------------------------
     # lifecycle hooks
@@ -280,19 +276,17 @@ class V2Daemon(MpichDaemon):
             peer_rank = self.mesh.rank_of(row)
             resend_from = (self.app_state[DELIVERED].get(peer_rank, 0) + 1
                            if self.restarted else 0)
-            hello = wire.V2Hello(rank=self.rank, incarnation=self.incarnation,
-                                 resend_from=resend_from)
-            causal.stamp(self.engine, hello, self.site)
-            self.mesh.send(row, hello)
+            self.mesh.send(row, wire.V2Hello(rank=self.rank,
+                                             incarnation=self.incarnation,
+                                             resend_from=resend_from))
             self.mesh.serve(row)
             self.attach_peer(row, 0)
 
     def after_mesh(self, cmd):
         # --- replay the delivery history of a restarted incarnation ---
         if self.restarted:
-            fetch = wire.EvFetch(rank=self.rank, after=self.app_state[POS])
-            causal.stamp(self.engine, fetch, self.site)
-            self.evlog_sock.send(fetch)
+            self.evlog_sock.send(wire.EvFetch(rank=self.rank,
+                                              after=self.app_state[POS]))
             resp = yield self.evlog_sock.recv()
             assert isinstance(resp, wire.EvFetchResp), resp
             self.begin_replay(list(resp.events))

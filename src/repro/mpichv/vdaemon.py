@@ -118,9 +118,9 @@ class VclDaemon(MpichDaemon):
                 logs=[], img_size=int(self.config.image_size))
             self.late_logs = []
         # Relay the marker on every outgoing channel: one flood.
-        out_marker = wire.Marker(wave=wave, src_rank=self.rank)
-        causal.derive(self.engine, out_marker, self.site, cause)
-        self.mesh.send_all(self.mesh.peers, out_marker)
+        self.mesh.send_all(self.mesh.peers,
+                           wire.Marker(wave=wave, src_rank=self.rank),
+                           cause=cause)
         self.pending_markers = set(r for r in range(self.n) if r != self.rank)
         if from_rank >= 0:
             self.pending_markers.discard(from_rank)
@@ -161,10 +161,8 @@ class VclDaemon(MpichDaemon):
         img.logs.extend(self.late_logs)
         img.complete = True
         if self.ckpt_sock is not None and not self.ckpt_sock.closed:
-            append = wire.CkptLogAppend(rank=self.rank, wave=wave,
-                                        logs=list(self.late_logs))
-            causal.stamp(self.engine, append, self.site)
-            self.ckpt_sock.send(append)
+            self.ckpt_sock.send(wire.CkptLogAppend(
+                rank=self.rank, wave=wave, logs=list(self.late_logs)))
         self.late_logs = []
 
     def on_image_local(self, img: CheckpointImage) -> None:
@@ -185,9 +183,7 @@ class VclDaemon(MpichDaemon):
         if (self.store_acks.get(wave, 0) >= needed
                 and wave in self.logging_done
                 and self.sched_sock is not None and not self.sched_sock.closed):
-            ack = wire.SchedAck(rank=self.rank, wave=wave)
-            causal.stamp(self.engine, ack, self.site)
-            self.sched_sock.send(ack)
+            self.sched_sock.send(wire.SchedAck(rank=self.rank, wave=wave))
 
     def on_data(self, from_rank: int, msg: AppMessage) -> None:
         if self.logging_wave is not None:
@@ -264,11 +260,9 @@ class VclDaemon(MpichDaemon):
     def on_peer_connected(self, rows: List[int]) -> None:
         for row in rows:
             self.on_mesh_hello(row, None)   # as the accept side does
-        # one Hello flood; observed, a stamped copy per row
+        # one Hello flood; observed, a context per row
         hellos = [wire.Hello(rank=self.rank, epoch=self.epoch)
                   for _ in (rows if self.engine.obs else rows[:1])]
-        for hello in hellos:
-            causal.stamp(self.engine, hello, self.site)
         self.mesh.send_all(rows, hellos if self.engine.obs else hellos[0])
 
     def after_mesh(self, cmd):
@@ -276,8 +270,7 @@ class VclDaemon(MpichDaemon):
         # marker wave can never catch this daemon with missing outgoing
         # channels (which would strand the wave).
         if self.config.fault_tolerant:
-            shello = wire.SchedHello(rank=self.rank, epoch=self.epoch)
-            causal.stamp(self.engine, shello, self.site)
-            self.sched_sock.send(shello)
+            self.sched_sock.send(wire.SchedHello(rank=self.rank,
+                                                 epoch=self.epoch))
             self.proc.spawn_reader(self.sched_sock, self.on_sched_msg)
         yield from ()

@@ -1,21 +1,29 @@
 """Causal message tracing: a bounded per-trial table of transmissions.
 
-Every wire message a protocol component *mints* carries a causal
-context — an integer, the index of its mint in the recorder, attached
-to the message object itself (:func:`stamp`, :func:`derive`;
-:func:`adopt` hands a context on to an envelope).  A mint is recorded
-once: the minting site, the instant and the context that caused it.
-The network's transmit path turns each stamped transmission into one
-*row*: :meth:`repro.cluster.network.Network._wire` reads the context
-once per send, the two ``send_all`` loops (``Network.send_all`` over
-sockets, ``Mesh.send_all`` over mesh rows) append each copy's arrival
-and hosts through :attr:`CausalGraph.put`, and one
-:meth:`CausalGraph.on_send` call per send records what its rows share
-— the context, the message kind and the send instant.  As a graph, a
-row is two nodes (send ``<tid>:s``, receive ``<tid>:r``) joined by a
-``net`` edge, and its parent link a ``causal`` edge from the parent
-row's receive to this row's send; walking those backward recovers the
-dependency chain behind any instant — what
+Every wire message carries a causal context — an integer, the index
+of its mint in the recorder, attached to the message object itself.
+The network's send paths (``Network.send_all``, ``Socket.send``,
+``Mesh.send``, ``Mesh.send_all``) are where a message gets one: a
+message that has none is minted (:func:`stamp`) as the send starts,
+before any endpoint is skipped, at the sending process's site and
+parented on the send's ``cause=`` — the inbound message it answers or
+relays.  A list send mints one context per message, in list order; a
+message sent again keeps its context.  Protocol code names only
+causes.  Two other places mint or hand on a context: the MPI endpoint
+stamps each application message as the root of its trace, and
+:func:`adopt` gives a daemon's envelope the context of the message it
+wraps.  A mint is recorded once: the minting site, the instant and the
+context that caused it.  The send path turns each transmission into
+one *row*: :meth:`repro.cluster.network.Network._wire` mints or reads
+the context once per send, the two ``send_all`` loops
+(``Network.send_all`` over sockets, ``Mesh.send_all`` over mesh rows)
+append each copy's arrival and hosts through :attr:`CausalGraph.put`,
+and one :meth:`CausalGraph.on_send` call per send records what its rows
+share — the context, the message kind and the send instant.  As a
+graph, a row is two nodes (send ``<tid>:s``, receive ``<tid>:r``)
+joined by a ``net`` edge, and its parent link a ``causal`` edge from
+the parent row's receive to this row's send; walking those backward
+recovers the dependency chain behind any instant — what
 :meth:`CausalGraph.fold_epochs` does per recovery epoch.  Recording is
 appends, in memory only: the rows die with the recorder, and the
 ``obs`` document carries their *folds* — graph totals, the per-kind
@@ -35,8 +43,8 @@ time — and a context's later copies (broadcast fan-out, log replay)
 are ``#1``, ``#2``, ...  The strings are formatted only for chain nodes
 and the column view.  No RNG, no wall clock, nothing that could differ
 between serial, pooled or cached execution of the same trial.  With no
-:class:`Obs` recorder on the engine, :func:`stamp` and :func:`derive`
-return after one attribute read and attach nothing.
+:class:`Obs` recorder on the engine, a send reads no context and
+mints none, and :func:`stamp` returns after one attribute read.
 
 Bounding mirrors ``MAX_SPANS``: the table caps at
 :data:`MAX_CAUSAL_NODES` graph nodes, i.e. half as many rows, cut from
@@ -427,7 +435,7 @@ class CausalGraph:
                 "epochs": self.fold_epochs(windows)}
 
 
-# -- stamping helpers (protocol call sites) --------------------------------
+# -- minting ----------------------------------------------------------------
 
 def ctx_of(msg: Any) -> Optional[int]:
     """The causal context riding on ``msg``, or None.  The context of
@@ -436,32 +444,26 @@ def ctx_of(msg: Any) -> Optional[int]:
     return getattr(msg, _CTX_ATTR, None)
 
 
-def stamp(engine: Any, msg: Any, site: str,
-          parent: Optional[int] = None) -> None:
-    """Mint a fresh context for ``msg`` (no-op when observation is off).
+def stamp(engine: Any, msg: Any, site: Optional[str],
+          cause: Any = None) -> Optional[int]:
+    """Mint a fresh context for ``msg`` and return it (None, attaching
+    nothing, when observation is off).
 
-    ``site`` is the minting component's stable name (``disp``,
-    ``sched``, ``r<rank>``, ``cm<i>``, ...), held by the component;
-    ``parent`` — usually :func:`ctx_of` an inbound message — links the
-    new trace to its cause.  Frozen wire dataclasses define no
-    ``__slots__``: the context goes straight into the instance dict.
+    ``site`` is the minting process's stable name (``disp``, ``sched``,
+    ``r<rank>``, ``cm<i>``, ...: :attr:`repro.cluster.unixproc
+    .UnixProcess.site`); ``cause`` — the inbound message this one
+    answers or relays, if any — links the new trace to its cause.
+    Frozen wire dataclasses define no ``__slots__``: the context goes
+    straight into the instance dict.
     """
     obs = engine.obs
     if obs is None:
-        return
+        return None
     mints = obs.causal.mints
-    msg.__dict__[_CTX_ATTR] = len(mints) // 3
-    mints.extend((site, engine.now, -1 if parent is None else parent))
-
-
-def derive(engine: Any, msg: Any, site: str, cause: Any) -> None:
-    """Stamp ``msg`` with a fresh trace parented on inbound ``cause``."""
-    obs = engine.obs
-    if obs is None:
-        return
-    mints = obs.causal.mints
-    msg.__dict__[_CTX_ATTR] = len(mints) // 3
-    mints.extend((site, engine.now, getattr(cause, _CTX_ATTR, -1)))
+    ctx = msg.__dict__[_CTX_ATTR] = len(mints) // 3
+    mints.extend((site, engine.now,
+                  -1 if cause is None else getattr(cause, _CTX_ATTR, -1)))
+    return ctx
 
 
 def adopt(msg: Any, original: Any) -> None:
@@ -470,7 +472,7 @@ def adopt(msg: Any, original: Any) -> None:
     The wrapper case: a daemon enveloping an application message
     (``DataMsg``/``V2Data``/``CMPut`` around an ``AppMessage``)
     continues the *same* trace — the envelope's journey is the
-    message's journey.
+    message's journey, and the send path mints it nothing new.
     """
     ctx = getattr(original, _CTX_ATTR, None)
     if ctx is not None:

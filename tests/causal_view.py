@@ -6,8 +6,8 @@ off the recorder, before the runtime is dropped:
 
 * :func:`run_keeping_recorder` runs one trial and hands back the result
   together with its recorder;
-* :func:`mint` and :func:`send` drive a bare recorder the way protocol
-  code and the network do: a context stamped on a message, and one
+* :func:`mint` and :func:`send` drive a bare recorder the way the
+  network's send paths do: a context minted for a message, and one
   send's rows written through ``put`` then closed with ``on_send``;
 * :func:`graph_view` expands the columns into the node/edge graph they
   encode — row ``r`` is the node pair ``2r`` (send) / ``2r + 1``
@@ -22,7 +22,7 @@ off the recorder, before the runtime is dropped:
 from types import SimpleNamespace
 
 from repro.analysis.critpath import critical_paths
-from repro.obs.causal import causal_kind_rollup, causal_totals, ctx_of, stamp
+from repro.obs.causal import causal_kind_rollup, causal_totals, stamp
 from repro.obs.phases import epoch_phase_table
 
 #: indices into a node ``[id, t, host, kind]`` and an edge
@@ -44,10 +44,12 @@ class Msg:
 def mint(graph, site, t, parent=None):
     """A fresh context on ``graph``, minted by ``site`` at ``t`` with
     cause ``parent`` (a context, or None), through :func:`stamp`."""
-    msg = Msg()
     engine = SimpleNamespace(obs=SimpleNamespace(causal=graph), now=t)
-    stamp(engine, msg, site, parent)
-    return ctx_of(msg)
+    cause = None
+    if parent is not None:
+        cause = Msg()
+        vars(cause)["_causal_ctx"] = parent
+    return stamp(engine, Msg(), site, cause)
 
 
 def send(graph, ctx, kind, src, t_send, arrivals):

@@ -73,7 +73,7 @@ def replay(stream, max_nodes):
             else:
                 old_cause, new_cause = messages[~(cause % len(messages))]
                 reference.derive(engines[0], pair[0], site, old_cause)
-                causal.derive(engines[1], pair[1], site, new_cause)
+                causal.stamp(engines[1], pair[1], site, cause=new_cause)
             messages.append(pair)
         elif messages:
             original = messages[~(step[1] % len(messages))]

@@ -1,6 +1,7 @@
 """Unit tests of causal message tracing: graph recording + caps,
-stamping helpers, the critical-path walk on synthetic documents, the
-trace-diff renderer, and the campaign rollup exposition formats."""
+stamping helpers, the mint rule of the network's send paths, the
+critical-path walk on synthetic documents, the trace-diff renderer,
+and the campaign rollup exposition formats."""
 
 import json
 
@@ -11,10 +12,13 @@ from repro.analysis.critpath import (add_phase_seconds, critical_paths,
                                      render_critical_paths)
 from repro.analysis.tracediff import trace_diff_text
 from repro.analysis.traces import Trace
+from repro.cluster.cluster import Cluster
+from repro.cluster.network import Mesh
+from repro.mpichv import wire
 from repro.obs.spans import Obs
 from repro.obs.causal import (MAX_CAUSAL_NODES, MAX_CHAIN, CausalGraph,
                               adopt, causal_kind_rollup, causal_totals,
-                              ctx_of, derive, stamp)
+                              ctx_of, stamp)
 from repro.obs.phases import epoch_phase_table, recovery_window
 from repro.obs.report import aggregate_obs, html_report, openmetrics_text
 from repro.simkernel.engine import Engine
@@ -147,20 +151,20 @@ def test_stamp_is_inert_without_a_recorder():
     eng = Engine(seed=0)
     assert eng.obs is None
     msg = Msg()
-    stamp(eng, msg, "r0")
-    derive(eng, msg, "r0", msg)
+    assert stamp(eng, msg, "r0") is None
+    assert stamp(eng, msg, "r0", cause=msg) is None
     assert ctx_of(msg) is None and not vars(msg)
 
 
-def test_stamp_derive_adopt_with_recorder():
+def test_stamp_with_a_cause_and_adopt_with_recorder():
     eng = Engine(seed=0)
     eng.obs = Obs(eng)
     graph = eng.obs.causal
     root = Msg()
-    stamp(eng, root, "r0")
+    assert stamp(eng, root, "r0") == 0
     assert ctx_of(root) == 0
     child = Msg()
-    derive(eng, child, "evlog", root)
+    assert stamp(eng, child, "evlog", cause=root) == 1
     assert ctx_of(child) == 1
     assert graph.trace_ids([0, 1]) == {0: "r0.1.0", 1: "evlog.1.0"}
     envelope = Msg()
@@ -171,6 +175,141 @@ def test_stamp_derive_adopt_with_recorder():
     send(graph, ctx_of(envelope), "DataMsg", "m1", 0.0, [("m2", 0.5)])
     send(graph, ctx_of(child), "EvLog", "m2", 0.5, [("svc1", 0.75)])
     assert graph.parent == [-1, 0] and graph.minted == 2
+
+
+# ---------------------------------------------------------------------------
+# the mint rule: a send mints its own context
+# ---------------------------------------------------------------------------
+
+def _world(observe=True):
+    """An engine (with a recorder if ``observe``) and a 4-node cluster."""
+    engine = Engine(seed=0, trace=Trace())
+    if observe:
+        engine.obs = Obs(engine)
+    return engine, Cluster(engine, 4)
+
+
+def _star(engine, cluster, clients):
+    """Process ``disp`` on node 0, and a process ``r<i>`` on each of the
+    next ``clients`` nodes connected to it: ``(server ends, client
+    ends)``, both in client order."""
+    servers, ends = [], []
+
+    def server(proc):
+        proc.site = "disp"
+        listener = proc.node.listen(5000, owner=proc)
+        while True:
+            servers.append((yield listener.accept()))
+
+    def client(proc, rank):
+        proc.site = f"r{rank}"
+        ends.append((yield proc.node.connect(cluster.node(0).addr(5000),
+                                             owner=proc)))
+        yield engine.event()
+
+    cluster.node(0).spawn("disp", server)
+    for rank in range(clients):
+        cluster.node(rank + 1).spawn(
+            f"r{rank}", lambda proc, rank=rank: client(proc, rank))
+    engine.run(until=1.0)
+    return servers, ends
+
+
+def _idle_main(proc):
+    yield proc.engine.event()
+
+
+def test_a_message_sent_twice_keeps_one_context():
+    """The dispatcher's ``Shutdown`` goes to the daemons, then to the
+    scheduler: one mint, at the sender's site, and three copies of one
+    trace."""
+    engine, cluster = _world()
+    (daemon0, daemon1, scheduler), _ends = _star(engine, cluster, 3)
+    t_us = round(engine.now * 1e6)
+    down = wire.Shutdown()
+    cluster.network.send_all((daemon0, daemon1), down)
+    scheduler.send(down)
+    engine.run(until=2.0)
+    graph = engine.obs.causal
+    assert graph.minted == 1 and ctx_of(down) == 0
+    assert graph.tid == [f"disp.1.{t_us}", f"disp.1.{t_us}#1",
+                         f"disp.1.{t_us}#2"]
+    assert graph.parent == [-1, -1, -1]
+
+
+def test_a_list_send_mints_one_context_per_message_in_order():
+    """A note per peer on a real mesh: each note is minted at the mesh's
+    site in list order, the one whose peer died too, before its row is
+    skipped."""
+    engine, cluster = _world()
+    procs = [cluster.node(rank).spawn(f"r{rank}", _idle_main)
+             for rank in range(4)]
+    for rank, proc in enumerate(procs):
+        proc.site = f"r{rank}"
+    reached = []
+    for rank, proc in enumerate(procs[:3]):
+        Mesh(proc, cluster.node(rank).listen(9, owner=proc), rank, 4,
+             None, None, lambda row, msg: None, None)
+    mesh = Mesh(procs[3], cluster.node(3).listen(9, owner=procs[3]), 3, 4,
+                None, None, None, reached.extend)
+    mesh.dial([(rank, cluster.node(rank).addr(9)) for rank in range(3)],
+              0.1, 1.0, lambda: False)
+    engine.run(until=1.0)
+    assert reached == [0, 1, 2]
+    procs[1].kill()
+    t_us = round(engine.now * 1e6)
+    notes = [wire.V2GcNote(rank=3, upto=row) for row in reached]
+    mesh.send_all(reached, notes)
+    graph = engine.obs.causal
+    assert [ctx_of(note) for note in notes] == [0, 1, 2]
+    assert graph.minted == 3
+    # the note to the dead peer has no row
+    assert graph.tid == [f"r3.1.{t_us}", f"r3.3.{t_us}"]
+
+
+def test_cause_sets_the_parent_and_an_envelope_is_not_minted_again():
+    engine, cluster = _world()
+    (server,), (client,) = _star(engine, cluster, 1)
+    request = wire.FetchReq(rank=0, wave=1)
+    client.send(request)
+    engine.run(until=2.0)
+    reply = wire.FetchResp(rank=0, wave=None, state=None)
+    server.send(reply, cause=request)
+    graph = engine.obs.causal
+    assert (ctx_of(request), ctx_of(reply)) == (0, 1)
+    assert graph.mints[2::3] == [-1, 0]
+    # the reply's row hangs off the request's receive
+    engine.run(until=3.0)
+    assert graph.parent == [-1, 0]
+    app = Msg()
+    stamp(engine, app, "r0")
+    envelope = wire.DataMsg(app)
+    adopt(envelope, app)
+    client.send(envelope, cause=reply)
+    assert ctx_of(envelope) == ctx_of(app) == 2 and graph.minted == 3
+
+
+def test_observation_off_attaches_nothing():
+    engine, cluster = _world(observe=False)
+    (server,), (client,) = _star(engine, cluster, 1)
+    request = wire.FetchReq(rank=0, wave=1)
+    client.send(request)
+    reply = wire.FetchResp(rank=0, wave=None, state=None)
+    cluster.network.send_all((server,), reply, cause=request)
+    engine.run(until=2.0)
+    assert ctx_of(request) is None and ctx_of(reply) is None
+    assert cluster.network.messages_sent == 2
+
+
+def test_a_send_on_a_closed_socket_raises_nothing_and_transmits_nothing():
+    engine, cluster = _world()
+    (server,), (client,) = _star(engine, cluster, 1)
+    client.close()
+    client.send(wire.Shutdown())
+    engine.run(until=2.0)
+    assert cluster.network.messages_sent == 0 and not len(server._rx)
+    # minted before the closed end was skipped: a context, no row
+    assert engine.obs.causal.minted == 1 and not engine.obs.causal.rows
 
 
 #: the metrics section of a synthetic recorder's document

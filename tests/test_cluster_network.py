@@ -147,14 +147,6 @@ def test_process_kill_closes_its_sockets(engine, cluster):
     assert outcome["detected_at"] == pytest.approx(1.0 + 1e-4)
 
 
-def test_send_on_closed_socket_raises(engine, cluster):
-    srv, cli = _pair(engine, cluster)
-    cli.close()
-    from repro.cluster.network import ConnectionClosed
-    with pytest.raises(ConnectionClosed):
-        cli.send("x")
-
-
 def test_listener_close_refuses_future_connects(engine, cluster):
     outcome = []
     ls = cluster.node(0).listen(5000)

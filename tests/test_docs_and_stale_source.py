@@ -164,6 +164,10 @@ STALE_PHRASES = [
     # a link-cut API beside isolate/heal, the path FAIL partitions take
     r"cut_link",
     r"_cut_pairs",
+    # protocol code minting contexts: the send paths mint, replies pass
+    # ``cause=``; a send on a closed socket drops the message
+    r"causal\.derive",
+    r"ConnectionClosed",
 ]
 
 

@@ -424,20 +424,55 @@ PINNED_METRICS = {
 }
 
 
-@pytest.mark.parametrize("family, index, bug_compat, protocol",
-                         list(PINNED_METRICS))
-def test_metrics_fold_pinned(family, index, bug_compat, protocol):
+def _generated(family, index, bug_compat, protocol):
+    """One 4-rank ring trial of a generated plan, as a campaign with
+    seed 0 runs it."""
     cfg = ExploreConfig(seed=0, bug_compat=bug_compat)
     scenario = generators.generate(family, index, cfg.seed,
                                    cfg.generator_context())
-    result = trial_setup(cfg, "ring", protocol, source=scenario.source,
-                         meta=scenario.meta()).run_one(
+    return trial_setup(cfg, "ring", protocol, source=scenario.source,
+                       meta=scenario.meta()).run_one(
         derive_seed(cfg.seed, family, index, protocol, "ring"))
+
+
+@pytest.mark.parametrize("family, index, bug_compat, protocol",
+                         list(PINNED_METRICS))
+def test_metrics_fold_pinned(family, index, bug_compat, protocol):
+    result = _generated(family, index, bug_compat, protocol)
     metrics = result.obs["metrics"]
     assert metrics == PINNED_METRICS[family, index, bug_compat, protocol]
     # key order is part of the document's bytes
     assert list(metrics["counters"]) == sorted(metrics["counters"])
     assert list(metrics["gauges"]) == sorted(metrics["gauges"])
+
+
+#: ``causal.totals`` of generated plans whose recoveries re-kill a rank,
+#: re-send logged messages (V2's sender logs, V1's channel memories)
+#: and drop sends into a cut; in the ``partition_storm`` plan a service
+#: also meets a peer that is gone, so its reply guard mints nothing —
+#: the re-sends and mint guards the pinned documents above never
+#: reach.  ``(nodes, edges, minted)``; none of these trials reaches the
+#: cap.
+PINNED_CAUSAL_TOTALS = {
+    ("rekill_race", 1, "vcl"): (782, 468, 343),
+    ("rekill_race", 1, "v2"): (1386, 1055, 671),
+    ("rekill_race", 1, "v1"): (1030, 759, 509),
+    ("fault_during_recovery", 1, "vcl"): (738, 446, 321),
+    ("fault_during_recovery", 1, "v2"): (1200, 947, 584),
+    ("fault_during_recovery", 1, "v1"): (808, 594, 398),
+    ("partition_storm", 0, "vcl"): (332, 199, 150),
+    ("partition_storm", 0, "v2"): (736, 567, 398),
+    ("partition_storm", 0, "v1"): (504, 363, 281),
+}
+
+
+@pytest.mark.parametrize("family, index, protocol", list(PINNED_CAUSAL_TOTALS))
+def test_causal_totals_pinned_on_generated_plans(family, index, protocol):
+    result = _generated(family, index, False, protocol)
+    nodes, edges, minted = PINNED_CAUSAL_TOTALS[family, index, protocol]
+    assert causal_totals(result.obs) == {
+        "nodes": nodes, "edges": edges, "minted": minted,
+        "dropped_nodes": 0, "dropped_edges": 0}
 
 
 # ---------------------------------------------------------------------------

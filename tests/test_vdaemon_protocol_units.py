@@ -24,7 +24,7 @@ class FakeSock:
         self.sent = []
         self.closed = False
 
-    def send(self, msg, size=None):
+    def send(self, msg, size=None, cause=None):
         self.sent.append(msg)
 
 
@@ -37,10 +37,10 @@ class FakeMesh:
         self.peers = list(range(1, n))
         self.attached = [-1] + list(range(1, n))
 
-    def send(self, row, msg, size=None):
+    def send(self, row, msg, size=None, cause=None):
         self.sent[row].append(msg)
 
-    def send_all(self, rows, msg, size=None):
+    def send_all(self, rows, msg, size=None, cause=None):
         for row in rows:
             self.send(row, msg, size)
 

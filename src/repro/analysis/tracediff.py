@@ -26,28 +26,27 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.critpath import PHASES, critical_paths
-from repro.experiments.resultstore import (FORMAT_VERSION,
-                                           run_result_from_dict)
+from repro.experiments.resultstore import FORMAT_VERSION, read_entry
 from repro.obs.causal import causal_kind_rollup
 from repro.obs.spans import span_rollups
 
 
 def load_obs_doc(path: str) -> Tuple[Optional[Dict[str, Any]], str]:
-    """Read the ``obs`` document of a result document file.
+    """Read the ``obs`` document of a result document file (a result
+    store entry or ``timeline --obs-out``, read by
+    :func:`~repro.experiments.resultstore.read_entry`).
 
     Returns ``(obs_doc_or_None, description)``; raises one
     ``ValueError`` naming ``path`` for a file that cannot be read, is
-    not JSON, or is not a result document of :data:`FORMAT_VERSION`.
+    not JSON, is not a result document of :data:`FORMAT_VERSION`, or
+    whose ``obs`` section is damaged.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        result = read_entry(path)
     except OSError as err:
         raise ValueError(f"{path}: {err.strerror}") from None
-    except ValueError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ValueError(f"{path}: not JSON ({err})") from None
-    try:
-        result = run_result_from_dict(doc)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
     except (KeyError, TypeError, AttributeError):

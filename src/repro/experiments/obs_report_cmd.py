@@ -13,11 +13,9 @@ Example::
 
 from __future__ import annotations
 
-import json
 import os
 
-from repro.experiments.resultstore import (UNREADABLE, entry_paths,
-                                           run_result_from_dict)
+from repro.experiments.resultstore import UNREADABLE, entry_paths, read_entry
 from repro.experiments.spec import ExperimentSpec, flag
 from repro.obs.report import write_obs_report
 
@@ -26,13 +24,12 @@ def collect_obs_docs(store_root: str):
     """The ``obs`` document of every entry of a result-store directory
     that recorded one, in sorted entry order and read as the store
     reads it, plus the count of entries skipped (unreadable, of another
-    format, incomplete or unobserved)."""
+    format, incomplete, unobserved or with a damaged ``obs`` section)."""
     docs = []
     skipped = 0
     for path in entry_paths(store_root):
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                obs = run_result_from_dict(json.load(fh)).obs
+            obs = read_entry(path).obs
         except UNREADABLE:
             obs = None
         if obs:

@@ -19,9 +19,17 @@ again.  A document that lacks a key is unusable, like one of another
 format.  A reloaded trace's ``last`` / ``last_t`` are rebuilt from the
 records it restores.
 
-:class:`ResultStore` is the cache: one JSON file per trial under a
-root directory, written atomically so an interrupted campaign never
-leaves a truncated entry behind.
+:class:`ResultStore` is the cache: one file per trial under a root
+directory, written atomically so an interrupted campaign never leaves
+a truncated entry behind.  An entry is the document as compact JSON —
+as two texts when the trial was observed: its ``obs`` document, one
+``\n``, then the rest of the document (:func:`entry_text`).  Compact
+JSON holds no raw newline, so the last one splits the two, and a
+reader (:func:`read_entry`) decodes only the rest: the ``obs`` section,
+most of an observed entry's bytes, stays text in
+:attr:`RunResult.obs` until something reads it.  It comes first so
+that a truncated entry always loses part of the rest, which then fails
+to decode: a stale miss, like any unreadable entry.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.analysis.classify import Outcome, RunVerdict
 from repro.analysis.traces import Trace
-from repro.mpichv.runtime import RunResult
+from repro.mpichv.runtime import ObsText, RunResult
 from repro.obs.spans import json_safe
 
 #: the one version of the result document: bump when its layout or
@@ -108,6 +116,35 @@ def run_result_from_dict(doc: Dict[str, Any]) -> RunResult:
 #: JSON, wrong shape, a missing key, another :data:`FORMAT_VERSION`
 UNREADABLE = (OSError, ValueError, KeyError, TypeError, AttributeError)
 
+_COMPACT = (",", ":")
+
+
+def entry_text(doc: Dict[str, Any]) -> str:
+    """A result store entry's text: ``doc`` as compact JSON, its
+    ``obs`` document, when it has one, first and on a line of its own."""
+    obs = doc.get("obs")
+    if obs is None:
+        return json.dumps(doc, separators=_COMPACT)
+    rest = {name: value for name, value in doc.items() if name != "obs"}
+    return (json.dumps(obs, separators=_COMPACT) + "\n"
+            + json.dumps(rest, separators=_COMPACT))
+
+
+def read_entry(path: str) -> RunResult:
+    """The result in the file at ``path``: an :func:`entry_text`, or
+    any one JSON result document on one line (an entry an older store
+    wrote, ``timeline --obs-out``).  Only the part after the last
+    newline is decoded now; what comes before it is the ``obs``
+    section, decoded on first read of :attr:`RunResult.obs`.  An
+    unusable file raises one of :data:`UNREADABLE`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    obs, _, rest = text.rstrip("\n").rpartition("\n")
+    doc = json.loads(rest)
+    if obs:
+        doc["obs"] = ObsText(obs, path)
+    return run_result_from_dict(doc)
+
 
 def entry_paths(root: str) -> List[str]:
     """The entry files of the result store at ``root``, in sorted order:
@@ -123,17 +160,14 @@ def entry_paths(root: str) -> List[str]:
     return paths
 
 
-def write_json(path: str, doc: Any, **options: Any) -> None:
-    """Write ``doc`` as JSON (``json.dumps`` ``options``) to ``path``
-    atomically: into a temp file beside it, then :func:`os.replace`.  A
-    dump or write that fails removes the temp file and leaves any
-    earlier ``path`` as it was."""
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` atomically: into a temp file beside
+    it, then :func:`os.replace`.  A write that fails removes the temp
+    file and leaves any earlier ``path`` as it was."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            # dumps, not dump: one pass of the C encoder and one write,
-            # where dump(fh) iterates in Python per token
-            fh.write(json.dumps(doc, **options))
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -144,7 +178,8 @@ def write_json(path: str, doc: Any, **options: Any) -> None:
 
 
 class ResultStore:
-    """Directory of per-trial JSON documents keyed by the trial hash.
+    """Directory of per-trial entries (:func:`entry_text`) keyed by the
+    trial hash.
 
     Layout: ``<root>/<key[:2]>/<key>.json`` — two-level sharding keeps
     directory listings manageable for campaigns with tens of thousands
@@ -170,15 +205,17 @@ class ResultStore:
         return os.path.exists(self.path_for(key))
 
     def get(self, key: str) -> Optional[RunResult]:
-        """The stored result, or None on a miss.
+        """The stored result (:func:`read_entry`), or None on a miss.
 
         An entry that is present but unusable — truncated, wrong shape,
-        a missing key, another :data:`FORMAT_VERSION` — also reads as a miss (the trial
-        re-executes and overwrites it) and is counted in :attr:`stale`.
+        a missing key, another :data:`FORMAT_VERSION` — also reads as a
+        miss (the trial re-executes and overwrites it) and is counted
+        in :attr:`stale`.  Only a damaged ``obs`` section behind an
+        intact rest is found later, by the first read of the result's
+        ``obs``.
         """
         try:
-            with open(self.path_for(key), "r", encoding="utf-8") as fh:
-                return run_result_from_dict(json.loads(fh.read()))
+            return read_entry(self.path_for(key))
         except FileNotFoundError:
             return None
         except UNREADABLE:
@@ -188,7 +225,7 @@ class ResultStore:
     def put_dict(self, key: str, doc: Dict[str, Any]) -> None:
         path = self.path_for(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        write_json(path, doc, separators=(",", ":"))
+        write_text(path, entry_text(doc))
 
     def __len__(self) -> int:
         return len(entry_paths(self.root))

@@ -26,12 +26,16 @@ Every result comes back through the JSON result document, whether it
 ran in-process, in a pool worker or was read from the cache: one path,
 so serial == pooled == cached holds by construction.  Each carries a
 reconstructed :class:`~repro.analysis.traces.Trace` with the trial's
-counters and the records it kept.
+counters and the records it kept.  A cache hit decodes only what a
+table reads: its ``obs`` section stays text until ``result.obs`` is
+first read, which of the runner's own work only the ``--trace-out`` /
+``--obs-report`` exports do.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import time
@@ -58,11 +62,17 @@ def trial_key(setup: "TrialSetup", seed: int) -> str:
     every one); :func:`_json_default` spells a nested dataclass out as
     ``asdict`` would, so the keys are the ones ``asdict`` gave.
     """
-    fields = {f.name: getattr(setup, f.name)
-              for f in dataclasses.fields(setup)}
+    fields = {name: getattr(setup, name)
+              for name in _field_names(type(setup))}
     canonical = json.dumps({"seed": seed, "setup": fields}, sort_keys=True,
                            separators=(",", ":"), default=_json_default)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    """A dataclass's field names, in declaration order, read once."""
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def _json_default(value: object) -> object:

@@ -12,7 +12,7 @@ Admit order is preserved via a ``seq`` counter inside each document;
 :meth:`Corpus.entries` yields failing entries first (a fuzzer replays
 its crashers before its merely-interesting inputs), then admit order.
 Writes are atomic (the result store's
-:func:`~repro.experiments.resultstore.write_json`), matching its
+:func:`~repro.experiments.resultstore.write_text`), matching its
 crash-resumability.
 """
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis.coverage import Signature
-from repro.experiments.resultstore import write_json
+from repro.experiments.resultstore import write_text
 from repro.explore.generators import (FaultPlan, plan_digest, plan_from_doc,
                                       plan_to_doc)
 
@@ -135,8 +135,8 @@ class Corpus:
         if entry.digest in self._digests:
             return False
         entry.seq = self.next_seq()
-        write_json(os.path.join(self.root, f"{entry.digest}.json"),
-                   entry.to_dict(), indent=2, sort_keys=True)
+        write_text(os.path.join(self.root, f"{entry.digest}.json"),
+                   json.dumps(entry.to_dict(), indent=2, sort_keys=True))
         self._entries.append(entry)
         self._digests.add(entry.digest)
         return True

@@ -13,8 +13,9 @@ compute machines).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.analysis.classify import Outcome, RunVerdict, classify_run
 from repro.analysis.coverage import run_signature
@@ -38,6 +39,43 @@ METRIC_COUNTERS = (
     ("disp.closure.bug_misattribution", "disp.detect.missed"),
     ("disp.closure.failure.", "disp.detect.closure"),
 )
+
+
+class ObsText(NamedTuple):
+    """An ``obs`` section still in its cache entry's text, and the
+    entry's path (:mod:`repro.experiments.resultstore` makes these)."""
+
+    text: str
+    path: str
+
+    def decode(self) -> Dict[str, Any]:
+        """The document; a damaged section is one ``ValueError`` naming
+        the entry file."""
+        try:
+            doc = json.loads(self.text)
+        except ValueError as err:
+            raise ValueError(f"{self.path}: damaged obs section "
+                             f"({err})") from None
+        if not isinstance(doc, dict):
+            raise ValueError(f"{self.path}: damaged obs section "
+                             f"(not a JSON object)")
+        return doc
+
+
+class _ObsField:
+    """:attr:`RunResult.obs`: a cache hit's section stays
+    :class:`ObsText` until the first read decodes it, once."""
+
+    def __get__(self, result: Any, owner: Any = None) -> Any:
+        if result is None:      # class access: the field's default
+            return None
+        value = result.__dict__["_obs"]
+        if type(value) is ObsText:
+            value = result.__dict__["_obs"] = value.decode()
+        return value
+
+    def __set__(self, result: Any, value: Any) -> None:
+        result.__dict__["_obs"] = value
 
 
 @dataclass
@@ -82,8 +120,9 @@ class RunResult:
     #: span rows, the metrics and the causal folds.  ``None``
     #: when the trial ran with ``observe=False``.  All of it is a pure
     #: function of the simulated history — serialized, cached, and
-    #: byte-compared across serial/pooled/cached execution.
-    obs: Optional[Dict[str, Any]] = None
+    #: byte-compared across serial/pooled/cached execution.  A cache
+    #: hit decodes it on first read (:class:`_ObsField`).
+    obs: Optional[Dict[str, Any]] = _ObsField()  # type: ignore[assignment]
 
     @property
     def ckpt_shard_imbalance(self) -> float:

@@ -14,12 +14,14 @@ import argparse
 import dataclasses
 import json
 import os
+import pickle
 
 import pytest
 
 from repro.experiments.fig5_frequency import run_experiment, setup_for_period
 from repro.experiments.harness import run_trials, trial_seed
-from repro.experiments.resultstore import (ResultStore, run_result_from_dict,
+from repro.experiments.resultstore import (ResultStore, entry_text,
+                                           run_result_from_dict,
                                            run_result_to_dict)
 from repro.experiments.runner import (TrialRunner, add_runner_arguments,
                                       runner_from_args, trial_key)
@@ -251,9 +253,9 @@ def _corpus_write(root, monkeypatch):
                          ids=["result store", "corpus"])
 def test_a_dump_that_raises_leaves_no_temp_file_and_the_earlier_file(
         writer, tmp_path, monkeypatch):
-    """Both atomic JSON writes (``resultstore.write_json``): a dump
-    that raises unlinks its temp file and leaves the file it would have
-    replaced as it was."""
+    """Both atomic JSON writes (``resultstore.write_text``): a dump
+    that raises leaves no temp file and the file it would have replaced
+    as it was."""
     path, write = writer(tmp_path, monkeypatch)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
@@ -263,6 +265,27 @@ def test_a_dump_that_raises_leaves_no_temp_file_and_the_earlier_file(
     with open(path) as fh:
         assert fh.read() == "earlier"
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def _entry_doc(text):
+    """The whole result document of an entry's text: the rest after
+    the last newline, plus the ``obs`` line before it if there is one."""
+    obs, _, rest = text.rpartition("\n")
+    doc = json.loads(rest)
+    if obs:
+        doc["obs"] = json.loads(obs)
+    return doc
+
+
+def _read_entry_doc(path):
+    with open(path) as fh:
+        return _entry_doc(fh.read())
+
+
+def _write_entry_doc(path, doc):
+    """``doc`` written in the store's entry layout."""
+    with open(path, "w") as fh:
+        fh.write(entry_text(doc))
 
 
 @pytest.mark.parametrize("damage", ["truncated", "format 8", "missing key"])
@@ -281,11 +304,11 @@ def test_stale_entry_reexecutes_is_overwritten_and_counted(tmp_path, damage):
         if damage == "truncated":
             fh.write(good[:len(good) // 2])
         elif damage == "missing key":
-            doc = json.loads(good)
+            doc = _entry_doc(good)
             del doc["net_bytes"]
-            fh.write(json.dumps(doc))
-        else:   # what the previous layout wrote under the same key
-            fh.write(json.dumps(dict(json.loads(good), format=8)))
+            fh.write(entry_text(doc))
+        else:   # what the previous format wrote under the same key
+            fh.write(entry_text(dict(_entry_doc(good), format=8)))
     runner = TrialRunner(cache_dir=str(tmp_path))
     (again,) = runner.run_jobs([job])
     assert runner.stats.snapshot() == (1, 0)
@@ -305,8 +328,7 @@ def test_stale_entry_reexecutes_is_overwritten_and_counted(tmp_path, damage):
 def _rewrite_as_format_9(path):
     """What the previous layout wrote under the same key: obs version
     3, the causal section holding the transmission columns."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_entry_doc(path)
     doc["format"] = 9
     doc["obs"]["version"] = 3
     doc["obs"]["causal"] = {
@@ -314,8 +336,7 @@ def _rewrite_as_format_9(path):
         "dst": [1], "kind": [0], "parent": [-1], "hosts": ["m1", "m2"],
         "kinds": ["DataMsg"], "dropped_nodes": 0, "dropped_edges": 0,
         "minted": 1}
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    _write_entry_doc(path, doc)
 
 
 def test_format9_cache_directory_migrates_on_first_run(tmp_path):
@@ -340,10 +361,8 @@ def test_format9_cache_directory_migrates_on_first_run(tmp_path):
 
 def _strip_to_obs(path):
     """A current-format entry holding nothing but its obs section."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    with open(path, "w") as fh:
-        json.dump({"format": doc["format"], "obs": doc["obs"]}, fh)
+    doc = _read_entry_doc(path)
+    _write_entry_doc(path, {"format": doc["format"], "obs": doc["obs"]})
 
 
 @pytest.mark.parametrize("spoil", [_rewrite_as_format_9, _strip_to_obs],
@@ -391,16 +410,152 @@ def test_format9_entry_with_extra_keys_is_a_hit(tmp_path):
     cold = TrialRunner(cache_dir=str(tmp_path))
     (reference,) = cold.run_jobs([job])
     path = cold.store.path_for(trial_key(*job))
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_entry_doc(path)
     assert "engine_workers" not in doc and "parallel" not in doc
-    with open(path, "w") as fh:
-        json.dump(dict(doc, engine_workers=1, parallel=None), fh)
+    _write_entry_doc(path, dict(doc, engine_workers=1, parallel=None))
     warm = TrialRunner(cache_dir=str(tmp_path))
     (hit,) = warm.run_jobs([job])
     assert warm.stats.snapshot() == (0, 1)
     assert warm.stats.stale_entries == 0
     assert run_result_to_dict(hit) == run_result_to_dict(reference)
+
+
+# -- entry layout -------------------------------------------------------------
+
+#: one observed trial per protocol, and one unobserved
+LAYOUT_SETUPS = {
+    **{protocol: dataclasses.replace(quick_setup(35), protocol=protocol)
+       for protocol in ("vcl", "v2", "v1")},
+    "unobserved": dataclasses.replace(quick_setup(35), observe=False),
+}
+
+COMPACT = (",", ":")
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_SETUPS))
+def test_a_hit_is_the_executed_document(name, tmp_path, monkeypatch):
+    """A hit's document is byte-identical to the executed trial's.  An
+    observed entry is its obs line, a newline and the rest (6 bytes
+    shorter than one object); an unobserved one is one object.  A hit
+    decodes its obs section when it is first read, and only then."""
+    from repro.mpichv.runtime import ObsText
+    job = (LAYOUT_SETUPS[name], 3)
+    cold = TrialRunner(cache_dir=str(tmp_path))
+    (executed,) = cold.run_jobs([job])
+    expected = run_result_to_dict(executed)
+    whole = json.dumps(expected, separators=COMPACT)
+    path = cold.store.path_for(trial_key(*job))
+    with open(path) as fh:
+        text = fh.read()
+    if name == "unobserved":
+        assert expected["obs"] is None and text == whole
+    else:
+        obs, rest = text.split("\n")
+        assert json.loads(obs) == expected["obs"]
+        assert "obs" not in json.loads(rest)
+        assert len(text) == len(whole) - 6
+    decodes = []
+    decode = ObsText.decode
+    monkeypatch.setattr(ObsText, "decode",
+                        lambda self: decodes.append(self.path) or decode(self))
+    warm = TrialRunner(cache_dir=str(tmp_path))
+    (hit,) = warm.run_jobs([job])
+    assert warm.stats.snapshot() == (0, 1) and decodes == []
+    clone = pickle.loads(pickle.dumps(hit))
+    assert hit.obs is hit.obs and hit.obs == executed.obs
+    assert decodes == ([] if name == "unobserved" else [path])
+    for result in (hit, clone):
+        assert json.dumps(run_result_to_dict(result)) == json.dumps(expected)
+
+
+@pytest.mark.parametrize("layout", ["one object", "obs-out"])
+def test_a_one_object_entry_is_a_hit(layout, tmp_path):
+    """What the store wrote before the obs line split off — the whole
+    document as one compact object — and what ``timeline --obs-out``
+    writes (sorted keys, a final newline) read as hits with the
+    executed trial's document — byte for byte where the file kept its
+    key order."""
+    job = (quick_setup(35), 3)
+    cold = TrialRunner(cache_dir=str(tmp_path))
+    (executed,) = cold.run_jobs([job])
+    expected = run_result_to_dict(executed)
+    with open(cold.store.path_for(trial_key(*job)), "w") as fh:
+        if layout == "one object":
+            fh.write(json.dumps(expected, separators=COMPACT))
+        else:
+            fh.write(json.dumps(expected, sort_keys=True, separators=COMPACT)
+                     + "\n")
+    warm = TrialRunner(cache_dir=str(tmp_path))
+    (hit,) = warm.run_jobs([job])
+    assert warm.stats.snapshot() == (0, 1) and warm.stats.stale_entries == 0
+    assert run_result_to_dict(hit) == expected
+    if layout == "one object":
+        assert json.dumps(run_result_to_dict(hit)) == json.dumps(expected)
+
+
+#: where a truncation cuts an observed entry, given its obs line and rest
+CUTS = {
+    "inside the obs line": lambda obs, rest: len(obs) // 2,
+    "before the newline": lambda obs, rest: len(obs),
+    "after the newline": lambda obs, rest: len(obs) + 1,
+    "inside the rest": lambda obs, rest: len(obs) + 1 + len(rest) // 2,
+    "before the last byte": lambda obs, rest: len(obs) + len(rest),
+}
+
+
+@pytest.mark.parametrize("cut", sorted(CUTS))
+def test_a_truncated_entry_is_a_stale_miss_wherever_it_is_cut(cut, tmp_path):
+    """The obs line comes first, so every truncation damages the rest:
+    a counted stale miss that re-executes and rewrites the entry."""
+    job = (quick_setup(35), 3)
+    cold = TrialRunner(cache_dir=str(tmp_path))
+    (reference,) = cold.run_jobs([job])
+    path = cold.store.path_for(trial_key(*job))
+    with open(path) as fh:
+        good = fh.read()
+    obs, _, rest = good.rpartition("\n")
+    with open(path, "w") as fh:
+        fh.write(good[:CUTS[cut](obs, rest)])
+    runner = TrialRunner(cache_dir=str(tmp_path))
+    (again,) = runner.run_jobs([job])
+    assert runner.stats.snapshot() == (1, 0)
+    assert runner.stats.stale_entries == 1
+    assert run_result_to_dict(again) == run_result_to_dict(reference)
+    with open(path) as fh:
+        assert fh.read() == good
+
+
+@pytest.mark.parametrize("damage", ["cut short", "not an object"])
+def test_a_damaged_obs_line_is_named_when_read(damage, tmp_path, capsys):
+    """An intact rest behind a damaged obs line is a hit; reading its
+    ``obs`` raises one ``ValueError`` naming the entry file, obs-report
+    skips and counts the entry, and trace-diff names the path."""
+    from repro.__main__ import main
+    from repro.experiments import obs_report_cmd
+    store = str(tmp_path / "store")
+    jobs = [(quick_setup(period), 3) for period in (40, 35)]
+    TrialRunner(cache_dir=store).run_jobs(jobs)
+    path = ResultStore(store).path_for(trial_key(*jobs[0]))
+    with open(path) as fh:
+        obs, _, rest = fh.read().rpartition("\n")
+    with open(path, "w") as fh:
+        fh.write((obs[:len(obs) // 2] if damage == "cut short" else "[]")
+                 + "\n" + rest)
+    warm = TrialRunner(cache_dir=store)
+    hit, other = warm.run_jobs(jobs)
+    assert warm.stats.snapshot() == (0, 2) and warm.stats.stale_entries == 0
+    assert other.obs
+    message = f"{path}: damaged obs section ("
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            hit.obs
+        assert str(err.value).startswith(message)
+    docs, skipped = obs_report_cmd.collect_obs_docs(store)
+    assert (docs, skipped) == ([other.obs], 1)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["trace-diff", path, path])
+    assert exit_info.value.code.startswith(f"trace-diff: {message}")
+    assert capsys.readouterr().out == ""
 
 
 def test_store_rejects_non_directory_root(tmp_path):

@@ -62,12 +62,16 @@ class TrialSetup:
     #: extra :class:`VclConfig` attributes (e.g. ``{"cm_replay": False}``
     #: to plant the broken-replay bug the exploration oracles hunt)
     config_overrides: Dict[str, object] = field(default_factory=dict)
-    #: record recovery-phase spans and the metrics registry (see
-    #: :mod:`repro.obs`).  Changes what the result *carries* (the
-    #: ``obs`` document), never what the simulation *does*, but it IS
-    #: part of the cache key — an observed and an unobserved result
-    #: are different wire documents and must not alias a cache slot.
-    observe: bool = True
+    #: record recovery-phase spans, the metrics and the causal record
+    #: (see :mod:`repro.obs`).  Off by default: no table reads the
+    #: ``obs`` document, so a trial is observed only when something
+    #: will — a runner with a ``trace_out`` / ``obs_report`` turns it
+    #: on for every job (:meth:`TrialRunner.run_jobs`), ``timeline``
+    #: asks for it.  Changes what the result *carries*, never what the
+    #: simulation *does*, but it IS part of the cache key — an observed
+    #: and an unobserved result are different wire documents and must
+    #: not alias a cache slot.
+    observe: bool = False
 
     def build(self, seed: int):
         """Construct (runtime, deployment) for one repetition."""

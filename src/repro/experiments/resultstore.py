@@ -130,19 +130,21 @@ def entry_text(doc: Dict[str, Any]) -> str:
             + json.dumps(rest, separators=_COMPACT))
 
 
-def read_entry(path: str) -> RunResult:
+def read_entry(path: str, decode_obs: bool = False) -> RunResult:
     """The result in the file at ``path``: an :func:`entry_text`, or
     any one JSON result document on one line (an entry an older store
     wrote, ``timeline --obs-out``).  Only the part after the last
     newline is decoded now; what comes before it is the ``obs``
-    section, decoded on first read of :attr:`RunResult.obs`.  An
-    unusable file raises one of :data:`UNREADABLE`."""
+    section, decoded on first read of :attr:`RunResult.obs` — or now,
+    with ``decode_obs``.  An unusable file raises one of
+    :data:`UNREADABLE`."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     obs, _, rest = text.rstrip("\n").rpartition("\n")
     doc = json.loads(rest)
     if obs:
-        doc["obs"] = ObsText(obs, path)
+        section = ObsText(obs, path)
+        doc["obs"] = section.decode() if decode_obs else section
     return run_result_from_dict(doc)
 
 
@@ -204,18 +206,19 @@ class ResultStore:
     def __contains__(self, key: str) -> bool:
         return os.path.exists(self.path_for(key))
 
-    def get(self, key: str) -> Optional[RunResult]:
+    def get(self, key: str, decode_obs: bool = False
+            ) -> Optional[RunResult]:
         """The stored result (:func:`read_entry`), or None on a miss.
 
         An entry that is present but unusable — truncated, wrong shape,
         a missing key, another :data:`FORMAT_VERSION` — also reads as a
         miss (the trial re-executes and overwrites it) and is counted
-        in :attr:`stale`.  Only a damaged ``obs`` section behind an
-        intact rest is found later, by the first read of the result's
-        ``obs``.
+        in :attr:`stale`.  A damaged ``obs`` section behind an intact
+        rest is one too with ``decode_obs``; without, it is found
+        later, by the first read of the result's ``obs``.
         """
         try:
-            return read_entry(self.path_for(key))
+            return read_entry(self.path_for(key), decode_obs)
         except FileNotFoundError:
             return None
         except UNREADABLE:

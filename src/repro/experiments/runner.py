@@ -28,8 +28,13 @@ so serial == pooled == cached holds by construction.  Each carries a
 reconstructed :class:`~repro.analysis.traces.Trace` with the trial's
 counters and the records it kept.  A cache hit decodes only what a
 table reads: its ``obs`` section stays text until ``result.obs`` is
-first read, which of the runner's own work only the ``--trace-out`` /
-``--obs-report`` exports do.
+first read.
+
+**Observing.**  A trial records its ``obs`` document only when
+something will read it.  No table does; the ``--trace-out`` /
+``--obs-report`` exports do, so a runner with either runs every job
+observed (:attr:`TrialRunner.reads_obs`), and any other runner only
+the jobs whose setup asks to be.
 """
 
 from __future__ import annotations
@@ -207,7 +212,7 @@ class TrialRunner:
             ResultStore(cache_dir) if cache_dir else None)
         self.stats = RunnerStats()
         #: Chrome-trace export path (``--trace-out``); the first
-        #: observed result — preferring a faulted one — is written once
+        #: result — preferring a faulted one — is written once
         self.trace_out = trace_out
         self._trace_written = False
         #: campaign observability rollup directory (``--obs-report``);
@@ -215,9 +220,24 @@ class TrialRunner:
         self.obs_report = obs_report
         self._obs_docs: List[dict] = []
 
+    @property
+    def reads_obs(self) -> bool:
+        """Whether this runner reads its results' ``obs`` documents:
+        it has a ``trace_out`` or an ``obs_report`` to write."""
+        return self.trace_out is not None or self.obs_report is not None
+
     def run_jobs(self, jobs: Sequence[Tuple["TrialSetup", int]]
                  ) -> List[RunResult]:
-        """Run (or load) every job; results align with ``jobs`` order."""
+        """Run (or load) every job; results align with ``jobs`` order.
+
+        A runner that :attr:`reads_obs` runs every job observed, and
+        decodes a hit's ``obs`` section as it reads the entry, so a
+        damaged one is a stale miss like any unreadable entry.  Else a
+        job is observed only when its setup asks to be."""
+        if self.reads_obs:
+            jobs = [(setup if setup.observe
+                     else dataclasses.replace(setup, observe=True), seed)
+                    for setup, seed in jobs]
         results: List[Optional[RunResult]] = [None] * len(jobs)
         keys: List[Optional[str]] = [None] * len(jobs)
         pending: List[int] = []
@@ -225,7 +245,7 @@ class TrialRunner:
             if self.store is not None:
                 keys[i] = trial_key(setup, seed)
                 start = time.perf_counter()
-                cached = self.store.get(keys[i])
+                cached = self.store.get(keys[i], decode_obs=self.reads_obs)
                 if cached is not None:
                     results[i] = cached
                     self.stats.note_hit(time.perf_counter() - start)
@@ -259,40 +279,37 @@ class TrialRunner:
         self._maybe_export_obs_report(results)
         return results  # type: ignore[return-value]  # every slot filled
 
-    def _maybe_export_trace(self, results: Sequence[Optional[RunResult]]
-                            ) -> None:
+    def _maybe_export_trace(self, results: Sequence[RunResult]) -> None:
         """Write the ``--trace-out`` Chrome trace (once per runner).
 
-        Picks the first observed result with a recovery (a faulted
-        trial is what the trace is *for*), falling back to the first
-        observed one — both deterministic in submission order, so the
-        exported bytes are identical no matter how the batch executed.
+        Picks the first result with a recovery (a faulted trial is
+        what the trace is *for*), falling back to the first one — both
+        deterministic in submission order, so the exported bytes are
+        identical no matter how the batch executed.  Every one was
+        observed: the runner has a reader.
         """
-        if self.trace_out is None or self._trace_written:
+        if self.trace_out is None or self._trace_written or not results:
             return
-        observed = [r for r in results if r is not None and r.obs]
-        if not observed:
-            return
-        pick = next((r for r in observed if r.restarts), observed[0])
+        pick = next((r for r in results if r.restarts), results[0])
         from repro.obs.chrometrace import write_chrome_trace
         write_chrome_trace(self.trace_out, pick.obs)
         self._trace_written = True
         print(f"wrote Chrome trace to {self.trace_out} "
               f"(open in chrome://tracing or ui.perfetto.dev)")
 
-    def _maybe_export_obs_report(self, results: Sequence[Optional[RunResult]]
+    def _maybe_export_obs_report(self, results: Sequence[RunResult]
                                  ) -> None:
         """Rewrite the ``--obs-report`` campaign rollup (every batch).
 
-        The rollup accumulates every observed result the runner has
-        produced so far, in submission order — the report after the
-        final batch covers the whole campaign, and the bytes are
-        identical no matter how the batches executed.
+        The rollup accumulates every result the runner has produced so
+        far (all observed: the runner has a reader), in submission
+        order — the report after the final batch covers the whole
+        campaign, and the bytes are identical no matter how the batches
+        executed.
         """
         if self.obs_report is None:
             return
-        self._obs_docs.extend(r.obs for r in results
-                              if r is not None and r.obs)
+        self._obs_docs.extend(r.obs for r in results)
         if not self._obs_docs:
             return
         from repro.obs.report import write_obs_report
@@ -319,16 +336,17 @@ def add_runner_arguments(parser) -> None:
         help="ignore the cache entirely (neither read nor write)")
     group.add_argument(
         "--trace-out", default=None, metavar="FILE",
-        help="export a Chrome-trace/Perfetto JSON of the first "
-             "observed (preferring faulted) trial to FILE — open in "
-             "chrome://tracing or ui.perfetto.dev (see "
+        help="observe every trial and export a Chrome-trace/Perfetto "
+             "JSON of the first (preferring a faulted one) to FILE — "
+             "open in chrome://tracing or ui.perfetto.dev (see "
              "docs/observability.md)")
     group.add_argument(
         "--obs-report", default=None, metavar="DIR",
-        help="write a campaign-level observability rollup under DIR: "
-             "an OpenMetrics text exposition (metrics.txt) and a "
-             "static HTML report (index.html) aggregated over every "
-             "observed trial (see docs/observability.md)")
+        help="observe every trial and write a campaign-level "
+             "observability rollup under DIR: an OpenMetrics text "
+             "exposition (metrics.txt) and a static HTML report "
+             "(index.html) aggregated over them (see "
+             "docs/observability.md)")
 
 
 def runner_from_args(args) -> TrialRunner:

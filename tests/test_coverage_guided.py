@@ -279,7 +279,7 @@ def test_guided_campaign_at_width_2_never_builds_a_pool(tmp_path,
             cfg, runner=TrialRunner(workers=workers), out_dir=str(out),
             corpus_dir=str(out / "corpus"))
     wide, serial = runs[2], runs[1]
-    assert trial_keys.pin() == (17, "314ad5a7b249592c")
+    assert trial_keys.pin() == (17, "0d0386b2a096b9e8")
     assert len(wide.rows) == cfg.budget and wide.executed > cfg.budget
     assert wide.failures and len(wide.shrinks) == 1
     assert [v.to_dict() for v in wide.rows] \

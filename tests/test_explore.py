@@ -260,7 +260,7 @@ def test_quick_campaign_seed7_is_deterministic_and_clean(trial_keys):
     their cache slots: the keys are pinned."""
     first = run_campaign(quick_config(seed=7))
     second = run_campaign(quick_config(seed=7))
-    assert trial_keys.pin() == (21, "869ade74b983bde2")
+    assert trial_keys.pin() == (21, "43b93959337caee0")
     assert first.render_table() == second.render_table()
     assert first.to_json() == second.to_json()
     assert {v.protocol for v in first.rows} == set(protocols.available())
@@ -281,7 +281,7 @@ def test_broken_cm_replay_is_caught_and_shrunk(tmp_path, trial_keys):
                        config_overrides={"cm_replay": False},
                        max_shrinks=1)
     result = run_campaign(cfg, out_dir=str(tmp_path))
-    assert trial_keys.pin() == (7, "df7ddce127626716")
+    assert trial_keys.pin() == (7, "c93c7ff53c96b955")
     trial_keys.clear()
     assert result.failures, "the planted bug escaped every oracle"
     assert result.shrinks, "no shrink attempted"
@@ -297,7 +297,7 @@ def test_broken_cm_replay_is_caught_and_shrunk(tmp_path, trial_keys):
     _res, reports = replay_scenario(
         source, cfg, "v1", "ring", report.verdict.trial_seed)
     assert oracles.failed_names(reports)
-    assert trial_keys.pin() == (2, "33c012137f377b25")
+    assert trial_keys.pin() == (2, "7921ecdf414bed83")
     assert "python -m repro explore --replay" in report.command
     assert "cm_replay=False" in report.command
 

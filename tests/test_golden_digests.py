@@ -145,7 +145,10 @@ def test_faulted_trial_matches_reference_digest():
 # ---------------------------------------------------------------------------
 
 def test_trial_key_is_the_recorded_hex():
-    assert trial_key(_setup("vcl", 1, "uniform"), 7) == \
+    setup = _setup("vcl", 1, "uniform")
+    assert trial_key(setup, 7) == \
+        "25d02c705059641725c30327ae1cab19b6fa6a6285dcbe78d582b639988a096b"
+    assert trial_key(dataclasses.replace(setup, observe=True), 7) == \
         "b83286e377d9de2a4dce8c38ee5b90da7d519e790210ce43a63a5fd57030147a"
 
 
@@ -188,24 +191,32 @@ KEY_SETUPS = {
                           "shape": (4, (5, 6))}),
 }
 
-#: seed 11 keys of ``KEY_SETUPS``, as ``dataclasses.asdict`` hashed them
-#: when it built the key document: reading the fields in place must
-#: not move a single cache slot
+#: seed 11 keys of ``KEY_SETUPS``, unobserved (the default) and
+#: observed.  The observed ones are the keys ``dataclasses.asdict``
+#: gave when it built the key document and the default was to observe:
+#: reading the fields in place must not move a single cache slot
 KEYS = {
-    "quick_ring":
-        "0563c2193b4475d08a4a9d21b0e3ebc083eae16c577b101b738a16247563e614",
-    "generated":
-        "e4052f1ea7d4a83e052dc10108a1f3cb82e4073af48c05dbadd5aa8de10b02e9",
-    "topology":
-        "c2e3c14a96b349582a0e5ee2f59743f99b986829b38ac3af9020a3becfaf842b",
-    "containers":
-        "c6b51710089f4b7289378fbdaf5d341c84b78125c84c3d55618a4f6b572a5edc",
+    "quick_ring": (
+        "35d918f0bf2d3a449dff971b528fcfc583d78166d2d205e1d9f53925925d39a3",
+        "0563c2193b4475d08a4a9d21b0e3ebc083eae16c577b101b738a16247563e614"),
+    "generated": (
+        "af428200dfe374f26df1d6dcc7e39cd699591c069e601fd1e8411c3c104e198c",
+        "e4052f1ea7d4a83e052dc10108a1f3cb82e4073af48c05dbadd5aa8de10b02e9"),
+    "topology": (
+        "83d1608bec1e781ea55a49aa25e3bf640f33b2a2fe073eeea953b0ef5816d888",
+        "c2e3c14a96b349582a0e5ee2f59743f99b986829b38ac3af9020a3becfaf842b"),
+    "containers": (
+        "0858173e06c8b126fe1b0bdebecc92ea7b18e5042b81c6db84a4714466b18909",
+        "c6b51710089f4b7289378fbdaf5d341c84b78125c84c3d55618a4f6b572a5edc"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(KEY_SETUPS))
 def test_trial_key_of_each_setup_shape_is_pinned(name):
-    assert trial_key(KEY_SETUPS[name], 11) == KEYS[name]
+    setup = KEY_SETUPS[name]
+    assert (trial_key(setup, 11),
+            trial_key(dataclasses.replace(setup, observe=True), 11)) \
+        == KEYS[name]
 
 
 def test_trial_key_does_not_move_with_the_result_format(monkeypatch):

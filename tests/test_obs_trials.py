@@ -3,6 +3,7 @@ heal scenario for every protocol, the phase-sum acceptance check
 against the trace, verdict identity with observation off, exporter
 byte-determinism across execution paths, and the wire round trip."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -14,11 +15,12 @@ from repro.experiments.resultstore import (run_result_from_dict,
 from repro.experiments.runner import TrialRunner
 from repro.explore import generators
 from repro.explore.campaign import (ExploreConfig, derive_seed,
-                                    trial_setup)
+                                    quick_config, run_campaign, trial_setup)
 from repro.explore.generators import (Heal, TimedKill, TimedPartition,
                                       render_plan)
 from repro.mpichv import protocols
 from repro.analysis.critpath import add_phase_seconds, critical_paths
+from repro.experiments.compare_protocols import SPEC as compare_spec
 from repro.experiments.compare_protocols import setup_for
 from repro.obs.causal import MAX_CHAIN, causal_totals
 from repro.obs.chrometrace import chrome_trace_json
@@ -357,7 +359,7 @@ def _bt16(protocol):
     """One 16-rank BT trial under the Fig. 5 scenario, as the
     ``compare-protocols`` campaign runs it."""
     return setup_for((protocol, 50), n_procs=16, n_machines=20, niters=40,
-                     total_compute=2400.0).run_one(13001)
+                     total_compute=2400.0, observe=True).run_one(13001)
 
 
 #: ``_document_digest`` per trial.  The golden trace digests pin the
@@ -430,8 +432,9 @@ def _generated(family, index, bug_compat, protocol):
     cfg = ExploreConfig(seed=0, bug_compat=bug_compat)
     scenario = generators.generate(family, index, cfg.seed,
                                    cfg.generator_context())
-    return trial_setup(cfg, "ring", protocol, source=scenario.source,
-                       meta=scenario.meta()).run_one(
+    setup = trial_setup(cfg, "ring", protocol, source=scenario.source,
+                        meta=scenario.meta())
+    return dataclasses.replace(setup, observe=True).run_one(
         derive_seed(cfg.seed, family, index, protocol, "ring"))
 
 
@@ -479,16 +482,56 @@ def test_causal_totals_pinned_on_generated_plans(family, index, protocol):
 # observation is inert: same simulation, same verdict
 # ---------------------------------------------------------------------------
 
+class _KeepingRunner(TrialRunner):
+    """A runner that keeps every job it ran with its result."""
+
+    def __init__(self):
+        super().__init__()
+        self.ran = []
+
+    def run_jobs(self, jobs):
+        results = super().run_jobs(jobs)
+        self.ran.extend(zip(jobs, results))
+        return results
+
+
+@pytest.fixture(scope="module")
+def command_trials():
+    """Every trial of ``compare-protocols --quick --reps 1`` and of
+    ``explore --quick --seed 7``, as the commands ran them (no reader,
+    so unobserved): ``((setup, seed), result)``."""
+    runner = _KeepingRunner()
+    compare_spec.run(**{**compare_spec.quick, "reps": 1}, runner=runner)
+    run_campaign(quick_config(seed=7), runner=runner)
+    return runner.ran
+
+
+def _without_obs(result):
+    doc = run_result_to_dict(result)
+    del doc["obs"]
+    return doc
+
+
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_verdict_identical_with_observation_off(observed, protocol):
-    on = observed[protocol]
-    off = _setup(protocol, observe=False).run_one(7)
-    assert off.obs is None
-    # the verdict is the trace's alone: nothing in it may move
-    assert off.verdict == on.verdict
-    assert off.app_signature == on.app_signature
-    assert off.events_processed == on.events_processed
-    assert off.sim_time == on.sim_time
+def test_verdict_identical_with_observation_off(observed, command_trials,
+                                                protocol):
+    """Observing moves nothing but ``obs``: the whole result document
+    is the same with the recorder off — for the kill / partition / heal
+    trial and for every trial of a table-building command, which is
+    what lets those commands run unobserved."""
+    pairs = [(observed[protocol],
+              _setup(protocol, observe=False, keep_trace=True).run_one(7))]
+    # 2 compare-protocols trials and 7 explore trials per protocol
+    ran = [((setup, seed), off) for (setup, seed), off in command_trials
+           if setup.protocol == protocol]
+    assert len(ran) == 9
+    for (setup, seed), off in ran:
+        assert not setup.observe
+        pairs.append(
+            (dataclasses.replace(setup, observe=True).run_one(seed), off))
+    for on, off in pairs:
+        assert on.obs and off.obs is None
+        assert _without_obs(off) == _without_obs(on)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,11 @@ def quick_setup(period):
     return setup_for_period(period, n_procs=4, n_machines=6, **QUICK)
 
 
+def observed_setup(period):
+    """``quick_setup(period)``, recording its ``obs`` document."""
+    return dataclasses.replace(quick_setup(period), observe=True)
+
+
 def row_signature(row):
     """Everything the figures read from a row, per repetition."""
     return [(r.outcome, r.exec_time, r.failures_detected, r.restarts,
@@ -342,7 +347,7 @@ def _rewrite_as_format_9(path):
 def test_format9_cache_directory_migrates_on_first_run(tmp_path):
     """A whole directory written by the previous format: no hits, every
     entry counted stale and re-executed; the run after is all hits."""
-    jobs = [(quick_setup(period), 3) for period in (None, 40, 35)]
+    jobs = [(observed_setup(period), 3) for period in (None, 40, 35)]
     cold = TrialRunner(cache_dir=str(tmp_path))
     reference = [run_result_to_dict(r) for r in cold.run_jobs(jobs)]
     for job in jobs:
@@ -370,19 +375,22 @@ def _strip_to_obs(path):
 def test_obs_report_skips_and_counts_a_format9_entry(spoil, tmp_path,
                                                      capsys):
     """obs-report reads an entry as the result store does: an entry
-    the store would refuse is skipped and counted, not aggregated."""
+    the store would refuse is skipped and counted as unreadable, one
+    written without observing as unobserved; neither is aggregated."""
     from repro.__main__ import main
     from repro.experiments import obs_report_cmd
-    jobs = [(quick_setup(period), 3) for period in (40, 35)]
+    jobs = [(observed_setup(40), 3), (observed_setup(35), 3),
+            (quick_setup(35), 3)]
     runner = TrialRunner(cache_dir=str(tmp_path / "store"))
     runner.run_jobs(jobs)
     spoil(runner.store.path_for(trial_key(*jobs[0])))
-    docs, skipped = obs_report_cmd.collect_obs_docs(str(tmp_path / "store"))
-    assert (len(docs), skipped) == (1, 1)
+    docs, unobserved, unreadable = obs_report_cmd.collect_obs_docs(
+        str(tmp_path / "store"))
+    assert (len(docs), unobserved, unreadable) == (1, 1, 1)
     main(["obs-report", "--store", str(tmp_path / "store"),
           "--out", str(tmp_path / "report")])
-    assert "aggregated 1 observed trials (1 entries skipped)" \
-        in capsys.readouterr().out
+    assert "aggregated 1 observed trials (skipped: 1 unobserved, " \
+        "1 unreadable entries)" in capsys.readouterr().out
     assert (tmp_path / "report" / "metrics.txt").read_text() \
         .endswith("# EOF\n")
 
@@ -392,13 +400,14 @@ def test_a_corpus_kept_under_the_store_is_no_entry(tmp_path):
     files are neither results nor skipped entries, to ``len()`` and to
     obs-report alike."""
     from repro.experiments import obs_report_cmd
-    jobs = [(quick_setup(period), 3) for period in (40, 35)]
+    jobs = [(observed_setup(period), 3) for period in (40, 35)]
     runner = TrialRunner(cache_dir=str(tmp_path / "store"))
     runner.run_jobs(jobs)
     (tmp_path / "store" / "corpus").mkdir()
     (tmp_path / "store" / "corpus" / "x.json").write_text("{}")
-    docs, skipped = obs_report_cmd.collect_obs_docs(str(tmp_path / "store"))
-    assert (len(docs), skipped) == (2, 0)
+    docs, unobserved, unreadable = obs_report_cmd.collect_obs_docs(
+        str(tmp_path / "store"))
+    assert (len(docs), unobserved, unreadable) == (2, 0, 0)
     assert len(runner.store) == 2
 
 
@@ -424,9 +433,9 @@ def test_format9_entry_with_extra_keys_is_a_hit(tmp_path):
 
 #: one observed trial per protocol, and one unobserved
 LAYOUT_SETUPS = {
-    **{protocol: dataclasses.replace(quick_setup(35), protocol=protocol)
+    **{protocol: dataclasses.replace(observed_setup(35), protocol=protocol)
        for protocol in ("vcl", "v2", "v1")},
-    "unobserved": dataclasses.replace(quick_setup(35), observe=False),
+    "unobserved": quick_setup(35),
 }
 
 COMPACT = (",", ":")
@@ -507,7 +516,7 @@ CUTS = {
 def test_a_truncated_entry_is_a_stale_miss_wherever_it_is_cut(cut, tmp_path):
     """The obs line comes first, so every truncation damages the rest:
     a counted stale miss that re-executes and rewrites the entry."""
-    job = (quick_setup(35), 3)
+    job = (observed_setup(35), 3)
     cold = TrialRunner(cache_dir=str(tmp_path))
     (reference,) = cold.run_jobs([job])
     path = cold.store.path_for(trial_key(*job))
@@ -527,13 +536,14 @@ def test_a_truncated_entry_is_a_stale_miss_wherever_it_is_cut(cut, tmp_path):
 
 @pytest.mark.parametrize("damage", ["cut short", "not an object"])
 def test_a_damaged_obs_line_is_named_when_read(damage, tmp_path, capsys):
-    """An intact rest behind a damaged obs line is a hit; reading its
-    ``obs`` raises one ``ValueError`` naming the entry file, obs-report
-    skips and counts the entry, and trace-diff names the path."""
+    """To a runner with no reader of ``obs``, an intact rest behind a
+    damaged obs line is a hit; reading its ``obs`` raises one
+    ``ValueError`` naming the entry file, obs-report skips and counts
+    the entry as unreadable, and trace-diff names the path."""
     from repro.__main__ import main
     from repro.experiments import obs_report_cmd
     store = str(tmp_path / "store")
-    jobs = [(quick_setup(period), 3) for period in (40, 35)]
+    jobs = [(observed_setup(period), 3) for period in (40, 35)]
     TrialRunner(cache_dir=store).run_jobs(jobs)
     path = ResultStore(store).path_for(trial_key(*jobs[0]))
     with open(path) as fh:
@@ -550,12 +560,73 @@ def test_a_damaged_obs_line_is_named_when_read(damage, tmp_path, capsys):
         with pytest.raises(ValueError) as err:
             hit.obs
         assert str(err.value).startswith(message)
-    docs, skipped = obs_report_cmd.collect_obs_docs(store)
-    assert (docs, skipped) == ([other.obs], 1)
+    assert obs_report_cmd.collect_obs_docs(store) == ([other.obs], 0, 1)
     with pytest.raises(SystemExit) as exit_info:
         main(["trace-diff", path, path])
     assert exit_info.value.code.startswith(f"trace-diff: {message}")
     assert capsys.readouterr().out == ""
+
+
+def _compare_quick(capsys, *flags):
+    """``compare-protocols --quick --reps 1 FLAGS``: its stdout."""
+    from repro.__main__ import main
+    assert main(["compare-protocols", "--quick", "--reps", "1",
+                 *map(str, flags)]) == 0
+    return capsys.readouterr().out
+
+
+def _obs_report(capsys, store, out):
+    """``obs-report --store STORE --out OUT``: its summary line."""
+    from repro.__main__ import main
+    assert main(["obs-report", "--store", str(store), "--out", str(out)]) == 0
+    return capsys.readouterr().out.splitlines()[0]
+
+
+def _table(out):
+    """A command's stdout without its runner and report lines."""
+    return [line for line in out.splitlines()
+            if not line.startswith(("[runner]", "wrote campaign obs report"))]
+
+
+def test_a_command_observes_only_when_it_has_a_reader(tmp_path, capsys):
+    """Without ``--obs-report`` / ``--trace-out`` a command observes
+    nothing: every entry is one object with ``obs`` null.  With one,
+    every trial is observed, and obs-report aggregates every entry.
+    A halved ``obs`` line read under a reader is a stale miss: the
+    trial re-executes, the table is printed and the report is the
+    same as the first run's."""
+    plain, store = tmp_path / "plain", tmp_path / "store"
+    unobserved = _compare_quick(capsys, "--cache-dir", plain)
+    texts = [path.read_text() for path in sorted(plain.glob("*/*.json"))]
+    assert len(texts) == 6
+    assert all("\n" not in text and json.loads(text)["obs"] is None
+               for text in texts)
+    assert _obs_report(capsys, plain, tmp_path / "none") == \
+        "aggregated 0 observed trials (skipped: 6 unobserved, " \
+        "0 unreadable entries)"
+
+    first = _compare_quick(capsys, "--cache-dir", store,
+                           "--obs-report", tmp_path / "first")
+    assert _table(first) == _table(unobserved)
+    paths = sorted(store.glob("*/*.json"))
+    assert len(paths) == 6 and all(_read_entry_doc(path)["obs"]
+                                   for path in paths)
+    assert _obs_report(capsys, store, tmp_path / "again") == \
+        "aggregated 6 observed trials (skipped: 0 unobserved, " \
+        "0 unreadable entries)"
+    metrics = (tmp_path / "first" / "metrics.txt").read_text()
+    assert (tmp_path / "again" / "metrics.txt").read_text() == metrics
+
+    good = paths[0].read_text()
+    obs, _, rest = good.rpartition("\n")
+    paths[0].write_text(obs[:len(obs) // 2] + "\n" + rest)
+    second = _compare_quick(capsys, "--cache-dir", store,
+                            "--obs-report", tmp_path / "second")
+    assert _table(second) == _table(unobserved)
+    assert "[runner] 1 executed, 5 cached" in second
+    assert "1 stale cache entries re-executed" in second
+    assert (tmp_path / "second" / "metrics.txt").read_text() == metrics
+    assert paths[0].read_text() == good
 
 
 def test_store_rejects_non_directory_root(tmp_path):

@@ -139,6 +139,22 @@ def test_cli_table1_runs(capsys):
     assert "FAIL-FCI" in out
 
 
+def test_timeline_observes_its_trial_and_prints_the_phase_table(capsys):
+    """``timeline`` reads the record whatever ``TrialSetup``'s default:
+    its phase table, critical paths and span kinds are printed."""
+    assert main(["timeline", "--kill", "45", "--procs", "4",
+                 "--phases"]) == 0
+    out = capsys.readouterr().out
+    table = out.split("== recovery phases (sim seconds, from repro.obs "
+                      "spans) ==\n")[1].splitlines()
+    assert table[0].split() == ["epoch", "rank", "lane", "t_fault", "detect",
+                                "relaunch", "restore", "replay", "catchup",
+                                "recovery"]
+    assert table[2].split()[:4] == ["1", "-", "svc0", "45.030"]
+    assert "epoch 1 (full restart)  fault t=45.030" in out
+    assert "\nspans: catchup x1, ckpt_wave x19" in out
+
+
 @pytest.mark.parametrize("args, named", [
     (["--kill", "45:12"], "machine 12"),      # 8 procs: machines 0..11
     (["--kill", "10:99"], "machine 99"),

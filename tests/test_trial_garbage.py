@@ -26,13 +26,15 @@ KEPT = 3
 
 
 def faulted_ring(n_procs, protocol):
+    """A faulted ring trial, observed: the recorder's graph is part of
+    what a finished trial must leave behind for the collector."""
     return TrialSetup(
         n_procs=n_procs, n_machines=n_procs + 4,
         scenario_source=render_plan((TimedKill(at=45, target=n_procs - 3),)),
         master_daemon=MASTER, node_daemon=NODE_DAEMON,
         protocol=protocol, timeout=600.0, footprint=1e9,
         workload="ring", niters=40, total_compute=440.0 * n_procs,
-        config_overrides={"n_ckpt_servers": 4})
+        config_overrides={"n_ckpt_servers": 4}, observe=True)
 
 
 def deployment_refs(monkeypatch):

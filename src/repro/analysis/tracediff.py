@@ -36,7 +36,8 @@ def load_obs_doc(path: str) -> Tuple[Optional[Dict[str, Any]], str]:
     store entry or ``timeline --obs-out``, read by
     :func:`~repro.experiments.resultstore.read_entry`).
 
-    Returns ``(obs_doc_or_None, description)``; raises one
+    Returns ``(obs_doc_or_None, description)``, the description ending
+    in ``unobserved`` when the trial recorded no ``obs``; raises one
     ``ValueError`` naming ``path`` for a file that cannot be read, is
     not JSON, is not a result document of :data:`FORMAT_VERSION`, or
     whose ``obs`` section is damaged.
@@ -51,8 +52,12 @@ def load_obs_doc(path: str) -> Tuple[Optional[Dict[str, Any]], str]:
         raise ValueError(f"{path}: {err}") from None
     except (KeyError, TypeError, AttributeError):
         raise ValueError(f"{path}: not a result document") from None
-    return result.obs, (f"result format {FORMAT_VERSION}, "
-                        f"outcome {result.outcome.value}")
+    obs = result.obs
+    description = (f"result format {FORMAT_VERSION}, "
+                   f"outcome {result.outcome.value}")
+    if obs is None:     # a trial run without a reader records nothing
+        description += ", unobserved"
+    return obs, description
 
 
 def _fmt(v: Any) -> str:

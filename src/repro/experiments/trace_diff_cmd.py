@@ -1,7 +1,9 @@
 """``python -m repro trace-diff`` — align two trials' observability.
 
 Takes two result documents (``repro timeline --obs-out``, or cache
-entries) and prints the deterministic delta table: span rollups,
+entries a run with ``--trace-out`` / ``--obs-report`` wrote; an entry
+of a plain run is named ``unobserved`` and has empty sections) and
+prints the deterministic delta table: span rollups,
 epoch-aligned recovery critical paths, and the causal wire rollup.  See :mod:`repro.analysis.tracediff`.
 
 Example::

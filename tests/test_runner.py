@@ -293,12 +293,21 @@ def _write_entry_doc(path, doc):
         fh.write(entry_text(doc))
 
 
-@pytest.mark.parametrize("damage", ["truncated", "format 8", "missing key"])
-def test_stale_entry_reexecutes_is_overwritten_and_counted(tmp_path, damage):
+#: each damage to an observed entry (obs line and rest), then to an
+#: unobserved one (one object)
+STALE_CASES = [pytest.param(damage, make, id=f"{prefix}{damage}")
+               for prefix, make in (("", observed_setup),
+                                    ("unobserved ", quick_setup))
+               for damage in ("truncated", "format 8", "missing key")]
+
+
+@pytest.mark.parametrize("damage, make", STALE_CASES)
+def test_stale_entry_reexecutes_is_overwritten_and_counted(tmp_path, damage,
+                                                           make):
     """An entry that is present but unusable is a *visible* miss: a
     current-format entry that lost a key too, never a hit with a
     default filled in."""
-    job = (quick_setup(35), 3)
+    job = (make(35), 3)
     cold = TrialRunner(cache_dir=str(tmp_path))
     (reference,) = cold.run_jobs([job])
     assert cold.stats.stale_entries == 0        # absent is not stale
@@ -414,8 +423,8 @@ def test_a_corpus_kept_under_the_store_is_no_entry(tmp_path):
 def test_format9_entry_with_extra_keys_is_a_hit(tmp_path):
     """The reader takes keys by name, so an entry carrying keys it does
     not know (format 9 once had ``engine_workers`` / ``parallel``) is
-    still a hit and re-serialises to today's document."""
-    job = (quick_setup(35), 3)
+    still a hit and re-serialises to today's document, obs included."""
+    job = (observed_setup(35), 3)
     cold = TrialRunner(cache_dir=str(tmp_path))
     (reference,) = cold.run_jobs([job])
     path = cold.store.path_for(trial_key(*job))
@@ -426,6 +435,7 @@ def test_format9_entry_with_extra_keys_is_a_hit(tmp_path):
     (hit,) = warm.run_jobs([job])
     assert warm.stats.snapshot() == (0, 1)
     assert warm.stats.stale_entries == 0
+    assert hit.obs is not None
     assert run_result_to_dict(hit) == run_result_to_dict(reference)
 
 
@@ -483,8 +493,8 @@ def test_a_one_object_entry_is_a_hit(layout, tmp_path):
     document as one compact object — and what ``timeline --obs-out``
     writes (sorted keys, a final newline) read as hits with the
     executed trial's document — byte for byte where the file kept its
-    key order."""
-    job = (quick_setup(35), 3)
+    key order.  Both carry the observed trial's obs document."""
+    job = (observed_setup(35), 3)
     cold = TrialRunner(cache_dir=str(tmp_path))
     (executed,) = cold.run_jobs([job])
     expected = run_result_to_dict(executed)
@@ -497,6 +507,7 @@ def test_a_one_object_entry_is_a_hit(layout, tmp_path):
     warm = TrialRunner(cache_dir=str(tmp_path))
     (hit,) = warm.run_jobs([job])
     assert warm.stats.snapshot() == (0, 1) and warm.stats.stale_entries == 0
+    assert expected["obs"] is not None and hit.obs == executed.obs
     assert run_result_to_dict(hit) == expected
     if layout == "one object":
         assert json.dumps(run_result_to_dict(hit)) == json.dumps(expected)
@@ -616,6 +627,12 @@ def test_a_command_observes_only_when_it_has_a_reader(tmp_path, capsys):
         "0 unreadable entries)"
     metrics = (tmp_path / "first" / "metrics.txt").read_text()
     assert (tmp_path / "again" / "metrics.txt").read_text() == metrics
+    from repro.experiments import trace_diff_cmd
+    header = trace_diff_cmd.run(str(sorted(plain.glob("*/*.json"))[0]),
+                                str(paths[0]), "plain", "observed")
+    plain_line, observed_line = header.splitlines()[:2]
+    assert plain_line.endswith(", unobserved")
+    assert "unobserved" not in observed_line
 
     good = paths[0].read_text()
     obs, _, rest = good.rpartition("\n")

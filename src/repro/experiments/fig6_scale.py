@@ -38,7 +38,6 @@ REPS = 5
 
 def run_experiment(reps: int = REPS,
                    scales: Sequence[int] = SCALES,
-                   fault_period: int = FAULT_PERIOD,
                    base_seed: int = 6000,
                    runner: Optional[TrialRunner] = None,
                    **workload_kwargs) -> ExperimentResult:
@@ -48,30 +47,30 @@ def run_experiment(reps: int = REPS,
         configs.append((scale, False))
         labels.append(f"BT {scale} no faults")
         configs.append((scale, True))
-        labels.append(f"BT {scale} 1/{fault_period}s")
+        labels.append(f"BT {scale} 1/{FAULT_PERIOD}s")
 
     def setup_for(config: Tuple[int, bool]) -> TrialSetup:
         scale, faulty = config
         return setup_for_period(
-            fault_period if faulty else None,
+            FAULT_PERIOD if faulty else None,
             n_procs=scale, n_machines=scale + 4,
             **workload_kwargs)
 
     return run_trials(
         setup_for=setup_for, configs=configs, labels=labels, reps=reps,
-        name=f"Fig. 6 — impact of scale (1 fault / {fault_period} s)",
+        name=f"Fig. 6 — impact of scale (1 fault / {FAULT_PERIOD} s)",
         base_seed=base_seed, runner=runner)
 
 
 def expect(result: ExperimentResult, kwargs) -> None:
-    scales, period = kwargs["scales"], kwargs["fault_period"]
+    scales = kwargs["scales"]
     # (1) no-fault execution time decreases with scale;
     nofault = [result.row(f"BT {s} no faults").mean_exec_time for s in scales]
     assert all(t is not None for t in nofault)
     assert all(a > b for a, b in zip(nofault, nofault[1:]))
     # (2) faults never make a scale *faster* than its no-fault time;
     for s, t in zip(scales, nofault):
-        faulty = result.row(f"BT {s} 1/{period}s").mean_exec_time
+        faulty = result.row(f"BT {s} 1/{FAULT_PERIOD}s").mean_exec_time
         if faulty is not None:
             assert faulty > t
     # (3) no buggy runs (single faults only).

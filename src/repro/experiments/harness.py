@@ -26,18 +26,19 @@ from repro.workloads import build_workload
 
 @dataclass
 class TrialSetup:
-    """Everything needed to build one trial."""
+    """Everything needed to build one trial, and nothing more.
+
+    A trial is its setup and its seed: :meth:`build` reads every field,
+    and :func:`~repro.experiments.runner.trial_key` hashes them all.  A
+    field ``build`` did not read would split one trial over several
+    cache slots, so where a scenario came from (a generator family, a
+    shrink, a ``.fail`` file) is not recorded here.
+    """
 
     n_procs: int
     n_machines: int
     scenario_source: Optional[str] = None
     scenario_params: Dict[str, int] = field(default_factory=dict)
-    #: provenance of a *generated* scenario (family, generator params,
-    #: plan digest — see :mod:`repro.explore.generators`).  Not used to
-    #: build the trial, but part of the cache key: two generated
-    #: schedules can never alias a cache slot even if a generator bug
-    #: made their rendered sources collide.
-    scenario_meta: Dict[str, object] = field(default_factory=dict)
     #: instance -> daemon name; groups bind to all compute machines
     master_daemon: str = "ADV1"
     node_daemon: str = "ADV2"

@@ -91,7 +91,6 @@ def run_experiment(reps: int = REPS,
             from dataclasses import replace
             from repro.explore import generators
             setup = replace(setup, scenario_source=scenario,
-                            scenario_meta={"net_sensitivity": "kill@45"},
                             master_daemon=generators.MASTER,
                             node_daemon=generators.NODE_DAEMON)
         return setup

@@ -58,11 +58,14 @@ def trial_key(setup: "TrialSetup", seed: int) -> str:
     """Stable cache key for one ``(setup, seed)`` trial.
 
     The key hashes the canonical JSON of every :class:`TrialSetup`
-    field plus the seed, so any change to the configuration — scale,
-    scenario source, protocol, workload calibration, ... — lands in a
-    different cache slot.  It carries no version: a layout or
-    semantics change bumps ``resultstore.FORMAT_VERSION``, and the old
-    entry under the same key reads as a stale miss and is overwritten.
+    field plus the seed: each field ``build()`` reads — scale, scenario
+    source, protocol, workload calibration, ... — plus ``keep_trace``
+    and ``observe``, which choose what the result records.  Nothing
+    else: the same trial reached by two routes (a campaign, a shrink,
+    the replay of its ``.fail`` file) lands in one cache slot.  It
+    carries no version: a layout or semantics change bumps
+    ``resultstore.FORMAT_VERSION``, and the old entry under the same key
+    reads as a stale miss and is overwritten.
     The fields are read, not copied (``dataclasses.asdict`` deep-copies
     every one); :func:`_json_default` spells a nested dataclass out as
     ``asdict`` would, so the keys are the ones ``asdict`` gave.

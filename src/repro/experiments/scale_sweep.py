@@ -96,7 +96,6 @@ def run_experiment(reps: int = REPS,
 
             from repro.explore import generators
             setup = replace(setup, scenario_source=scenario,
-                            scenario_meta={"scale_sweep": f"kill@{FAULT_AT}"},
                             master_daemon=generators.MASTER,
                             node_daemon=generators.NODE_DAEMON)
         return setup

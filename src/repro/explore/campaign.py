@@ -125,16 +125,14 @@ def quick_config(seed: int = 0, **overrides) -> ExploreConfig:
 
 def trial_setup(cfg: ExploreConfig, workload: str, protocol: str,
                 source: Optional[str] = None,
-                meta: Optional[Dict[str, object]] = None,
                 n_machines: Optional[int] = None) -> TrialSetup:
     """One explore trial: the fault-free golden run without ``source``,
-    else the FAIL scenario ``source`` (provenance ``meta``) deployed
-    through the generators' daemons, on ``n_machines`` machines when a
-    shrink drops some."""
+    else the FAIL scenario ``source`` deployed through the generators'
+    daemons, on ``n_machines`` machines when a shrink drops some."""
     calibration = CALIBRATIONS.get(workload, {})
     scenario = {} if source is None else dict(
-        scenario_source=source, scenario_meta=meta or {},
-        master_daemon=generators.MASTER, node_daemon=generators.NODE_DAEMON)
+        scenario_source=source, master_daemon=generators.MASTER,
+        node_daemon=generators.NODE_DAEMON)
     return TrialSetup(
         n_procs=cfg.n_procs,
         n_machines=cfg.n_machines if n_machines is None else n_machines,
@@ -385,17 +383,12 @@ class CampaignResult:
 # ---------------------------------------------------------------------------
 
 class Trial(NamedTuple):
-    """One fault trial: ``scenario`` on a ``(protocol, workload)`` cell.
-
-    ``meta`` is the trial's identity in the cache key; None keys it by
-    the scenario's own provenance (``GeneratedScenario.meta``).
-    """
+    """One fault trial: ``scenario`` on a ``(protocol, workload)`` cell."""
 
     scenario: GeneratedScenario
     protocol: str
     workload: str
     seed: int
-    meta: Optional[Dict[str, object]] = None
 
 
 def golden_cells(cfg: ExploreConfig) -> List[Tuple[str, str]]:
@@ -429,7 +422,6 @@ def judge(cfg: ExploreConfig, runner: TrialRunner,
             for protocol, workload in missing]
     jobs += [(trial_setup(cfg, t.workload, t.protocol,
                           source=t.scenario.source,
-                          meta=t.scenario.meta() if t.meta is None else t.meta,
                           n_machines=t.scenario.n_machines), t.seed)
              for t in trials]
     results = runner.run_jobs(jobs)
@@ -508,10 +500,9 @@ def _shrink_failures(cfg: ExploreConfig, rows: List[Verdict],
             scenario = replace(_verdict.scenario, plan=plan,
                                n_machines=n_machines,
                                source=render_plan(plan))
-            digest = generators.plan_digest(plan, n_machines)
             (candidate,) = judge(cfg, runner, goldens, [Trial(
                 scenario, _verdict.protocol, _verdict.workload,
-                _verdict.trial_seed, meta={"shrink": digest})])
+                _verdict.trial_seed)])
             return bool(candidate.failed)
 
         outcome = shrinklib.shrink(
@@ -548,7 +539,7 @@ def _guided_scenario(cfg: ExploreConfig, plan,
     """
     digest = generators.plan_digest(plan, cfg.n_machines)
     return GeneratedScenario(
-        family=f"g{digest[:10]}", index=0, seed=0, plan=plan,
+        family=f"g{digest[:10]}", index=0, plan=plan,
         n_machines=cfg.n_machines, source=render_plan(plan),
         description=description)
 
@@ -754,11 +745,10 @@ def replay_scenario(source: str, cfg: ExploreConfig, protocol: str,
     A ``.fail`` file carries no plan, so nothing excuses its
     non-termination: the progress oracle judges it strictly."""
     scenario = GeneratedScenario(
-        family="replay", index=0, seed=0, plan=None,
+        family="replay", index=0, plan=None,
         n_machines=cfg.n_machines, source=source, description="replay")
-    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()[:12]
     (verdict,) = judge(cfg, runner or TrialRunner(), {}, [Trial(
-        scenario, protocol, workload, trial_seed, meta={"replay": digest})])
+        scenario, protocol, workload, trial_seed)])
     return verdict.result, verdict.oracles
 
 

@@ -140,7 +140,7 @@ def has_unhealed_partition(plan: FaultPlan) -> bool:
 
 
 def plan_digest(plan: FaultPlan, n_machines: int) -> str:
-    """Short stable digest of a plan (cache-key provenance)."""
+    """Short stable digest of a plan (guided-scenario and corpus ids)."""
     text = f"{n_machines}|" + "|".join(map(repr, plan))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
 
@@ -459,7 +459,6 @@ class GeneratedScenario:
 
     family: str
     index: int
-    seed: int                    # generator stream seed
     plan: Optional[FaultPlan]    # None for a replayed .fail file
     n_machines: int
     source: str                  # rendered FAIL text
@@ -468,16 +467,6 @@ class GeneratedScenario:
     @property
     def scenario_id(self) -> str:
         return f"{self.family}[{self.index}]"
-
-    def meta(self) -> Dict[str, object]:
-        """Provenance for ``TrialSetup.scenario_meta`` (cache keying)."""
-        return {
-            "family": self.family,
-            "index": self.index,
-            "gen_seed": self.seed,
-            "plan": repr(self.plan),
-            "digest": plan_digest(self.plan, self.n_machines),
-        }
 
 
 def generate(family: str, index: int, seed: int,
@@ -495,7 +484,7 @@ def generate(family: str, index: int, seed: int,
     rng = random.Random(f"explore-gen:{seed}:{family}:{index}")
     plan, description = fn(rng, ctx)
     return GeneratedScenario(
-        family=family, index=index, seed=seed, plan=plan,
+        family=family, index=index, plan=plan,
         n_machines=ctx.n_machines, source=render_plan(plan),
         description=description)
 

@@ -29,8 +29,7 @@ class ScenarioDeployment:
     """Live FAIL-MPI platform attached to a runtime."""
 
     def __init__(self, runtime, compiled: CompiledScenario,
-                 bindings: Dict[str, Binding],
-                 app_prefix: str = "vdaemon"):
+                 bindings: Dict[str, Binding]):
         self.runtime = runtime
         self.engine = runtime.engine
         self.timing = runtime.config.timing
@@ -42,7 +41,6 @@ class ScenarioDeployment:
         # hash-stable across processes.)
         self.rng = random.Random(f"fail-mpi:{getattr(self.engine, 'seed', 0)}")
         self.bus = FailBus(self.engine, latency=self.timing.fail_bus_latency)
-        self.app_prefix = app_prefix
         self.daemons: Dict[str, FailDaemon] = {}
         self.groups: Dict[str, List[FailDaemon]] = {}
         for instance, binding in bindings.items():
@@ -69,7 +67,7 @@ class ScenarioDeployment:
     def is_app_process(self, proc) -> bool:
         """The registration interface: which processes joined the
         application under test (paper §4's wrapper-script scheme)."""
-        return proc.name.startswith(self.app_prefix)
+        return proc.name.startswith("vdaemon")
 
     @property
     def network(self):
@@ -106,8 +104,7 @@ class ScenarioDeployment:
 
 
 def deploy_scenario(runtime, source: str, params: Dict[str, int] = None,
-                    bindings: Dict[str, Binding] = None,
-                    app_prefix: str = "vdaemon") -> ScenarioDeployment:
+                    bindings: Dict[str, Binding] = None) -> ScenarioDeployment:
     """One-call deployment: compile ``source`` and attach to ``runtime``.
 
     Without explicit ``bindings`` the scenario must carry a ``Deploy``
@@ -119,4 +116,4 @@ def deploy_scenario(runtime, source: str, params: Dict[str, int] = None,
         if not bindings:
             raise FailSemanticError(
                 "scenario has no Deploy block and no bindings were given")
-    return ScenarioDeployment(runtime, compiled, bindings, app_prefix=app_prefix)
+    return ScenarioDeployment(runtime, compiled, bindings)

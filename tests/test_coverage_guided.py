@@ -69,8 +69,7 @@ def test_oracle_coverage_labels_expose_branches():
 def _one_setup(cfg, protocol="vcl", family="random_schedule"):
     scenario = generators.generate(family, 0, cfg.seed,
                                    cfg.generator_context())
-    return (trial_setup(cfg, "ring", protocol, source=scenario.source,
-                        meta=scenario.meta()),
+    return (trial_setup(cfg, "ring", protocol, source=scenario.source),
             derive_seed(cfg.seed, family, 0, protocol, "ring"))
 
 
@@ -279,7 +278,7 @@ def test_guided_campaign_at_width_2_never_builds_a_pool(tmp_path,
             cfg, runner=TrialRunner(workers=workers), out_dir=str(out),
             corpus_dir=str(out / "corpus"))
     wide, serial = runs[2], runs[1]
-    assert trial_keys.pin() == (17, "0d0386b2a096b9e8")
+    assert trial_keys.pin() == (17, "8cbddda2275e7fa2")
     assert len(wide.rows) == cfg.budget and wide.executed > cfg.budget
     assert wide.failures and len(wide.shrinks) == 1
     assert [v.to_dict() for v in wide.rows] \

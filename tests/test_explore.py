@@ -87,19 +87,15 @@ def test_targets_stay_on_busy_machines_mostly():
 
 
 # ---------------------------------------------------------------------------
-# cache keying (satellite: no aliasing across generated schedules)
+# cache keying
 # ---------------------------------------------------------------------------
 
-def test_trial_key_covers_scenario_meta_and_overrides():
-    base = TrialSetup(n_procs=4, n_machines=7, scenario_source="X",
-                      scenario_meta={"family": "burst", "digest": "aa"})
+def test_trial_key_covers_overrides():
+    base = TrialSetup(n_procs=4, n_machines=7, scenario_source="X")
     same = dataclasses.replace(base)
-    other_meta = dataclasses.replace(
-        base, scenario_meta={"family": "burst", "digest": "bb"})
     other_knob = dataclasses.replace(
         base, config_overrides={"cm_replay": False})
     assert trial_key(base, 1) == trial_key(same, 1)
-    assert trial_key(base, 1) != trial_key(other_meta, 1)
     assert trial_key(base, 1) != trial_key(other_knob, 1)
 
 
@@ -260,7 +256,7 @@ def test_quick_campaign_seed7_is_deterministic_and_clean(trial_keys):
     their cache slots: the keys are pinned."""
     first = run_campaign(quick_config(seed=7))
     second = run_campaign(quick_config(seed=7))
-    assert trial_keys.pin() == (21, "43b93959337caee0")
+    assert trial_keys.pin() == (21, "f445d835a3ea5256")
     assert first.render_table() == second.render_table()
     assert first.to_json() == second.to_json()
     assert {v.protocol for v in first.rows} == set(protocols.available())
@@ -281,7 +277,7 @@ def test_broken_cm_replay_is_caught_and_shrunk(tmp_path, trial_keys):
                        config_overrides={"cm_replay": False},
                        max_shrinks=1)
     result = run_campaign(cfg, out_dir=str(tmp_path))
-    assert trial_keys.pin() == (7, "c93c7ff53c96b955")
+    assert trial_keys.pin() == (7, "36e42fe3325127a4")
     trial_keys.clear()
     assert result.failures, "the planted bug escaped every oracle"
     assert result.shrinks, "no shrink attempted"
@@ -297,9 +293,36 @@ def test_broken_cm_replay_is_caught_and_shrunk(tmp_path, trial_keys):
     _res, reports = replay_scenario(
         source, cfg, "v1", "ring", report.verdict.trial_seed)
     assert oracles.failed_names(reports)
-    assert trial_keys.pin() == (2, "7921ecdf414bed83")
+    assert trial_keys.pin() == (2, "18ffc1b1bb618a9b")
     assert "python -m repro explore --replay" in report.command
     assert "cm_replay=False" in report.command
+
+
+@pytest.mark.slow
+def test_a_reproducer_replays_from_its_shrink_entry(tmp_path):
+    """A trial is its setup and its seed: the replay of a shrunk
+    ``.fail`` file, on the machines and seed its command names, is the
+    shrink's last failing trial and reads it from the campaign's store.
+    Only the replay's own golden (fewer machines than the campaign's)
+    executes."""
+    from repro.experiments.runner import TrialRunner
+
+    store = str(tmp_path / "store")
+    cfg = quick_config(seed=7, protocols=("v1",),
+                       families=("random_schedule",),
+                       config_overrides={"cm_replay": False},
+                       max_shrinks=1)
+    result = run_campaign(cfg, runner=TrialRunner(cache_dir=store),
+                          out_dir=str(tmp_path))
+    report = result.shrinks[0]
+    with open(report.fail_file, "r", encoding="utf-8") as fh:
+        source = fh.read()
+    runner = TrialRunner(cache_dir=store)
+    _res, reports = replay_scenario(
+        source, dataclasses.replace(cfg, n_machines=report.outcome.n_machines),
+        "v1", "ring", report.verdict.trial_seed, runner=runner)
+    assert "progress" in oracles.failed_names(reports)
+    assert (runner.stats.cache_hits, runner.stats.executed) == (1, 1)
 
 
 @pytest.mark.slow

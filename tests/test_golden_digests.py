@@ -30,8 +30,7 @@ import pytest
 from repro.experiments.harness import TrialSetup
 from repro.experiments.runner import trial_key
 from repro.explore.generators import (MASTER, NODE_DAEMON, Heal, TimedKill,
-                                      TimedPartition, plan_digest,
-                                      render_plan)
+                                      TimedPartition, render_plan)
 from repro.netmodel.spec import TopologySpec
 
 TOPOLOGIES = {
@@ -147,9 +146,9 @@ def test_faulted_trial_matches_reference_digest():
 def test_trial_key_is_the_recorded_hex():
     setup = _setup("vcl", 1, "uniform")
     assert trial_key(setup, 7) == \
-        "25d02c705059641725c30327ae1cab19b6fa6a6285dcbe78d582b639988a096b"
+        "6bf8697d932f30832ae4e703fa2dc86e187f0c258bc9748b6c9f3b3d1aa0218e"
     assert trial_key(dataclasses.replace(setup, observe=True), 7) == \
-        "b83286e377d9de2a4dce8c38ee5b90da7d519e790210ce43a63a5fd57030147a"
+        "bccb758755c9e231105540633ffe2a6c373ec80236ec4981e40655ef1142b64a"
 
 
 def test_trial_key_still_separates_real_configuration():
@@ -163,7 +162,7 @@ def test_trial_key_still_separates_real_configuration():
 
 
 #: one setup per shape a key must spell: plain scalars, a generated
-#: scenario's provenance dict, a nested dataclass (net-sensitivity's
+#: scenario's source, a nested dataclass (net-sensitivity's
 #: ``TopologySpec`` override), tuples and nested dicts in overrides
 KEY_PLAN = (TimedKill(at=20, target=1), TimedPartition(at=30, targets=(2, 3)),
             Heal(after=10))
@@ -174,10 +173,7 @@ KEY_SETUPS = {
         n_procs=4, n_machines=6, timeout=300.0, protocol="v2",
         workload="ring", niters=30, total_compute=480.0, footprint=1e8,
         scenario_source=render_plan(KEY_PLAN), master_daemon=MASTER,
-        node_daemon=NODE_DAEMON,
-        scenario_meta={"family": "rekill_race", "index": 3, "gen_seed": 7,
-                       "plan": repr(KEY_PLAN),
-                       "digest": plan_digest(KEY_PLAN, 6)}),
+        node_daemon=NODE_DAEMON),
     "topology": TrialSetup(
         n_procs=4, n_machines=7, workload="ring", niters=10,
         total_compute=180.0, footprint=1e8,
@@ -192,22 +188,20 @@ KEY_SETUPS = {
 }
 
 #: seed 11 keys of ``KEY_SETUPS``, unobserved (the default) and
-#: observed.  The observed ones are the keys ``dataclasses.asdict``
-#: gave when it built the key document and the default was to observe:
-#: reading the fields in place must not move a single cache slot
+#: observed: a key moves only when the fields of ``TrialSetup`` do
 KEYS = {
     "quick_ring": (
-        "35d918f0bf2d3a449dff971b528fcfc583d78166d2d205e1d9f53925925d39a3",
-        "0563c2193b4475d08a4a9d21b0e3ebc083eae16c577b101b738a16247563e614"),
+        "e8cf7f04430a81671d64ce0865980e1a1615a43d4bc9c8e26257d813cef88aec",
+        "694c3a4193a0cd15818ebbf47a54a4cbb85a8bda6bb3df593da5df6e3385b5ab"),
     "generated": (
-        "af428200dfe374f26df1d6dcc7e39cd699591c069e601fd1e8411c3c104e198c",
-        "e4052f1ea7d4a83e052dc10108a1f3cb82e4073af48c05dbadd5aa8de10b02e9"),
+        "9b5ae4b9ad832f76516126d155422fede7c92c20746d0ffd1e9cca03c855e6d0",
+        "638d9ac96a0b55b6b251d625a076bde07574a6586acf33ed25790bd24a0cf2a3"),
     "topology": (
-        "83d1608bec1e781ea55a49aa25e3bf640f33b2a2fe073eeea953b0ef5816d888",
-        "c2e3c14a96b349582a0e5ee2f59743f99b986829b38ac3af9020a3becfaf842b"),
+        "cac617e0a89626e18dd4cebc1d1d4d1494c146dffd00ffba5c1beb2a303e96b1",
+        "6dea500fd0cce890a50e3ed2e1016f120c907d20fbf7529b818901d23e7ce1df"),
     "containers": (
-        "0858173e06c8b126fe1b0bdebecc92ea7b18e5042b81c6db84a4714466b18909",
-        "c6b51710089f4b7289378fbdaf5d341c84b78125c84c3d55618a4f6b572a5edc"),
+        "18d87d2970cbfa24a0acbaa18914af4ce63423a673562485f9a81501b021b4bd",
+        "ac15596f727005a4dd7d243856fa66cc48c906756bf8e0b9b698b5012840a22e"),
 }
 
 

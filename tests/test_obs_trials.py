@@ -432,8 +432,7 @@ def _generated(family, index, bug_compat, protocol):
     cfg = ExploreConfig(seed=0, bug_compat=bug_compat)
     scenario = generators.generate(family, index, cfg.seed,
                                    cfg.generator_context())
-    setup = trial_setup(cfg, "ring", protocol, source=scenario.source,
-                        meta=scenario.meta())
+    setup = trial_setup(cfg, "ring", protocol, source=scenario.source)
     return dataclasses.replace(setup, observe=True).run_one(
         derive_seed(cfg.seed, family, index, protocol, "ring"))
 

@@ -25,7 +25,8 @@ from repro.fail.lang.semantics import check_program
 ExprLike = Union[int, str, ast.Num, ast.Var, ast.BinOp, ast.UnOp,
                  ast.RandCall, ast.ReadCall]
 
-#: singleton triggers/actions (the AST nodes are frozen dataclasses)
+#: singleton triggers/actions (no AST node is changed once built, so
+#: one instance serves every scenario)
 TIMER = ast.TimerTrigger()
 ONLOAD = ast.OnLoad()
 ONEXIT = ast.OnExit()

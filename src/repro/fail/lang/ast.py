@@ -16,30 +16,30 @@ from typing import Optional, Tuple, Union
 # expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass
 class Num:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass
 class BinOp:
     op: str            # + - * / % == <> < <= > >= && ||
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass
 class UnOp:
     op: str            # - !
     operand: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass
 class RandCall:
     """``FAIL_RANDOM(lo, hi)`` — uniform integer, bounds inclusive."""
 
@@ -47,7 +47,7 @@ class RandCall:
     hi: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass
 class ReadCall:
     """``FAIL_READ(name)`` — read a variable of the *stressed
     application* through the debugger.
@@ -69,14 +69,14 @@ Expr = Union[Num, Var, BinOp, UnOp, RandCall, ReadCall]
 # destinations (message targets)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass
 class DestName:
     """A computer instance, e.g. ``P1``."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass
 class DestIndex:
     """A group member, e.g. ``G1[ran]``."""
 
@@ -84,7 +84,7 @@ class DestIndex:
     index: Expr
 
 
-@dataclass(frozen=True)
+@dataclass
 class DestSender:
     """``FAIL_SENDER`` — reply to the sender of the handled message."""
 
@@ -96,34 +96,34 @@ Dest = Union[DestName, DestIndex, DestSender]
 # triggers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass
 class TimerTrigger:
     """``timer`` — the node's timer expired."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class MsgTrigger:
     """``?name`` — a message arrived from another FAIL daemon."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass
 class OnLoad:
     """A process joined the application under test on this machine."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class OnExit:
     """The controlled process exited normally."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class OnError:
     """The controlled process exited abnormally."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class Before:
     """``before(fn)`` — the controlled process is about to enter fn."""
 
@@ -137,7 +137,7 @@ Trigger = Union[TimerTrigger, MsgTrigger, OnLoad, OnExit, OnError, Before]
 # actions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass
 class SendAction:
     """``!name(dest)``"""
 
@@ -145,33 +145,33 @@ class SendAction:
     dest: Dest
 
 
-@dataclass(frozen=True)
+@dataclass
 class GotoAction:
     node: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class HaltAction:
     """Kill the controlled process (the injected fault)."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class StopAction:
     """Suspend the controlled process under the debugger."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class ContinueAction:
     """Resume the controlled process."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class AssignAction:
     name: str
     expr: Expr
 
 
-@dataclass(frozen=True)
+@dataclass
 class PartitionAction:
     """``partition(dest)`` — cut the machine hosting instance ``dest``
     off the rest of the network fabric.
@@ -186,7 +186,7 @@ class PartitionAction:
     dest: Dest
 
 
-@dataclass(frozen=True)
+@dataclass
 class HealAction:
     """``heal`` — restore every cut link of the fabric.
 
@@ -205,7 +205,7 @@ Action = Union[SendAction, GotoAction, HaltAction, StopAction,
 # daemon structure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass
 class VarDecl:
     """Daemon-scope variable: ``int nb_crash = X;``"""
 
@@ -213,7 +213,7 @@ class VarDecl:
     init: Expr
 
 
-@dataclass(frozen=True)
+@dataclass
 class AlwaysDecl:
     """Node-entry variable: ``always int ran = FAIL_RANDOM(0, N);``
     Re-evaluated every time the node is entered (including self-goto)."""
@@ -222,7 +222,7 @@ class AlwaysDecl:
     init: Expr
 
 
-@dataclass(frozen=True)
+@dataclass
 class TimerDecl:
     """Node timer: ``time g_timer = 50;`` armed on node entry."""
 
@@ -230,7 +230,7 @@ class TimerDecl:
     delay: Expr
 
 
-@dataclass(frozen=True)
+@dataclass
 class Transition:
     trigger: Trigger
     guard: Optional[Expr]
@@ -239,7 +239,7 @@ class Transition:
     line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass
 class NodeDef:
     node_id: int
     always: Tuple[AlwaysDecl, ...] = ()
@@ -247,7 +247,7 @@ class NodeDef:
     transitions: Tuple[Transition, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass
 class DaemonDef:
     name: str
     variables: Tuple[VarDecl, ...] = ()
@@ -264,7 +264,7 @@ class DaemonDef:
         return self.nodes[0].node_id
 
 
-@dataclass(frozen=True)
+@dataclass
 class DeployDirective:
     """``P1 = ADV1;`` or ``G1[53] = ADVnodes;``"""
 
@@ -273,7 +273,7 @@ class DeployDirective:
     group_size: Optional[int] = None   # None -> single computer
 
 
-@dataclass(frozen=True)
+@dataclass
 class Program:
     daemons: Tuple[DaemonDef, ...] = ()
     deploy: Tuple[DeployDirective, ...] = ()

@@ -31,7 +31,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
+@dataclass
 class Token:
     """One lexical token with its source position."""
 

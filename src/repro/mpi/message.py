@@ -9,7 +9,7 @@ from typing import Any
 ANY = -1
 
 
-@dataclass(frozen=True)
+@dataclass
 class AppMessage:
     """An MPI point-to-point message as seen by endpoints.
 

@@ -20,7 +20,8 @@ from typing import Any, Dict, List, Optional
 
 from repro.mpi.message import AppMessage
 
-#: shared, never copied: immutable values and the frozen message
+#: shared, never copied: immutable values and the message, which no
+#: code changes once built
 _ATOMS = frozenset((int, float, str, bool, type(None), AppMessage))
 
 
@@ -32,6 +33,9 @@ def snapshot(state: Any) -> Any:
     and lists are copied, only their containers recursed into; atoms
     (numbers, strings, None, tuples of atoms, :class:`AppMessage`) are
     shared; any other type falls back to :func:`copy.deepcopy`.
+    :class:`AppMessage` is a plain dataclass: sharing it is safe because
+    no field of a built message is ever assigned, which
+    ``tests/test_message_immutability.py`` audits on real trials.
     """
     cls = type(state)
     if cls is dict:

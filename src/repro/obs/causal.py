@@ -67,9 +67,10 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 #: hard cap on recorded causal nodes per trial (mirrors ``MAX_SPANS``)
 MAX_CAUSAL_NODES = 50000
 
-#: the attribute causal context rides on (wire dataclasses are frozen
-#: but define no ``__slots__``, so the stamp never touches a
-#: constructor — see :func:`stamp`; the network reads it by name)
+#: the attribute causal context rides on (wire dataclasses define no
+#: ``__slots__``: the stamp goes into the instance dict, is no field,
+#: and never touches a constructor — see :func:`stamp`; the network
+#: reads it by name)
 _CTX_ATTR = "_causal_ctx"
 
 
@@ -453,8 +454,9 @@ def stamp(engine: Any, msg: Any, site: Optional[str],
     ``r<rank>``, ``cm<i>``, ...: :attr:`repro.cluster.unixproc
     .UnixProcess.site`); ``cause`` — the inbound message this one
     answers or relays, if any — links the new trace to its cause.
-    Frozen wire dataclasses define no ``__slots__``: the context goes
-    straight into the instance dict.
+    Wire dataclasses define no ``__slots__``: the context goes
+    straight into the instance dict, not through ``__setattr__``, and
+    changes no field of the message.
     """
     obs = engine.obs
     if obs is None:

@@ -12,9 +12,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.causal import ATTRIBUTION, MAX_CAUSAL_NODES, MAX_CHAIN
 
-#: the attribute causal context rides on (wire dataclasses are frozen
-#: but define no ``__slots__``, so the stamp never touches a
-#: constructor — see :func:`stamp`)
+#: the attribute causal context rides on (wire dataclasses define no
+#: ``__slots__``, so the stamp never touches a constructor — see
+#: :func:`stamp`)
 _CTX_ATTR = "_causal_ctx"
 
 _EPS = 1e-9
@@ -215,7 +215,7 @@ def stamp(engine: Any, msg: Any, site: str,
     ``site`` is the minting component's stable name (``disp``,
     ``sched``, ``r<rank>``, ``cm<i>``, ...); ``parent`` — usually
     :func:`parent_of` an inbound message — links the new trace to its
-    cause.  Frozen wire dataclasses take the stamp through
+    cause.  Wire dataclasses take the stamp through
     ``object.__setattr__`` (they define no ``__slots__``).
     """
     obs = engine.obs

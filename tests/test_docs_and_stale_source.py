@@ -168,6 +168,11 @@ STALE_PHRASES = [
     # ``cause=``; a send on a closed socket drops the message
     r"causal\.derive",
     r"ConnectionClosed",
+    # per-message types paying for frozen=True: immutability is an
+    # audit (tests/test_message_immutability.py), not a constructor cost
+    r"wire dataclasses are frozen",
+    r"frozen message",
+    r"AST nodes are frozen",
 ]
 
 

@@ -119,9 +119,9 @@ def channel_memory_main(proc: UnixProcess, config, index: int):
                     # redelivery is a burst of sends at this instant —
                     # a zero-length replay phase on the CM's lane
                     # (initial attaches replay nothing and stay silent)
-                    engine.span("replay", lane=proc.node.name,
-                                rank=msg.rank, cm=index,
-                                replayed=len(entries)).close_at(engine.now)
+                    engine.end(engine.span("replay", lane=proc.node.name,
+                                           rank=msg.rank, cm=index,
+                                           replayed=len(entries)))
                 for entry in entries:
                     if sock.closed or not sock.peer_alive:
                         break

@@ -7,9 +7,12 @@ the Fig. 6 discussion (bigger per-process images at small scale).  A
 deployment runs one server per *shard* (``n_ckpt_servers``); ranks are
 assigned to servers by the deterministic shard map in
 :mod:`repro.mpichv.shardmap`, so at scale the ingest load spreads over
-k disks instead of funnelling through one.  Storage follows the
-two-file alternation policy: at most the newest two waves per rank are
-kept, and a wave becomes restorable only when the scheduler commits it.
+k disks instead of funnelling through one.  Storage is the paper's
+two-file alternation as this shard sees it: the images of the shard's
+two newest wave numbers are kept, whichever ranks they hold, and a
+wave becomes restorable only when the scheduler commits it.  Evicting
+by age can drop the committed wave (an aborted wave and a newer one
+push it out): ROADMAP item 16 is that defect.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ class CkptServerState:
             img.logs.extend(early)
             img.complete = True
         self.images.setdefault(img.wave, {})[img.rank] = img
-        # two-file alternation per rank: keep the newest two waves only
+        # keep the shard's two newest wave numbers (whole waves, not
+        # two per rank; ROADMAP item 16: this can drop the committed one)
         waves = sorted(self.images)
         for wave in waves[:-2]:
             del self.images[wave]
@@ -109,7 +113,7 @@ def ckpt_server_main(proc: UnixProcess, config, server_index: int):
             if nbytes > 0:
                 yield engine.timeout(nbytes / timing.server_disk_bw)
             fn()
-            span.close()
+            engine.end(span)
 
     proc.spawn_thread(disk_writer(), name=f"ckptsrv{server_index}.disk")
 

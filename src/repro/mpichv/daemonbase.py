@@ -266,7 +266,7 @@ class MpichDaemon:
             self.ckpt_sock.send(wire.CkptStore(rank=self.rank, wave=img.wave,
                                                state=img.state,
                                                img_size=img.img_size))
-        span.close()
+        self.engine.end(span)
 
     def on_image_local(self, img: CheckpointImage) -> None:
         """Hook: the local checkpoint file of ``img`` exists."""
@@ -428,7 +428,7 @@ def daemon_lifecycle(core_cls, proc: UnixProcess, config, rank: int,
                                    rank=rank, epoch=epoch,
                                    incarnation=incarnation)
         yield from core.restore_state(cmd)
-        restore_span.close()
+        engine.end(restore_span)
     else:
         yield from core.restore_state(cmd)
 

@@ -75,9 +75,9 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
     proc.tags["disp_state"] = state
     listener = proc.node.listen(config.dispatcher_port, owner=proc)
     sched_conn = [None]
-    # observability handles (no-ops when engine.obs is None): the
-    # full-restart relaunch span of the epoch in progress, and the
-    # per-rank relaunch spans of message-logging restarts
+    # open span rows (None when engine.obs is None): the full-restart
+    # relaunch span of the epoch in progress, and the per-rank relaunch
+    # spans of message-logging restarts
     epoch_relaunch: List[Any] = [None]
     relaunch_by_rank: Dict[int, Any] = {}
 
@@ -102,10 +102,8 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
         span = obs.end_oldest("detect", engine.now, match={"node": node},
                               rank=rank, **fields)
         if span is None and fallback:
-            obs.open("detect", node,
-                     engine.now, dict(node=node, rank=rank,
-                                      suspected=True, **fields)
-                     ).close_at(engine.now)
+            engine.end(engine.span("detect", lane=node, node=node, rank=rank,
+                                   suspected=True, **fields))
 
     if len(machines) < n:
         raise ValueError("not enough machines for the requested ranks")
@@ -162,10 +160,7 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
         if prev == RESTARTING:
             engine.cover("disp.wave.recovery_complete")
             engine.log("recovery_complete", epoch=state.epoch)
-            span = epoch_relaunch[0]
-            if span is not None:
-                span.close(ranks=n)
-                epoch_relaunch[0] = None
+            engine.end(epoch_relaunch[0], ranks=n)
             # catch-up runs from here to the first application progress
             # (closed by Obs.on_log, which Engine.log calls)
             engine.span("catchup", lane=shardmap.DISPATCHER_NODE,
@@ -183,11 +178,9 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
         state.done_ranks.clear()
         engine.log("restart_wave", epoch=state.epoch,
                    restore=state.restore_wave, failed=sorted(failed_ranks))
-        span = epoch_relaunch[0]
-        if span is not None:
-            # a failure mid-restart starts a fresh wave: the running
-            # relaunch span is superseded, not completed
-            span.close(superseded=True)
+        # a failure mid-restart starts a fresh wave: the running
+        # relaunch span is superseded, not completed
+        engine.end(epoch_relaunch[0], superseded=True)
         epoch_relaunch[0] = engine.span(
             "relaunch", lane=shardmap.DISPATCHER_NODE, epoch=state.epoch,
             mode="full", restore=state.restore_wave)
@@ -256,9 +249,7 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
                 del state.reg[rank]
                 engine.log("restart_wave", epoch=state.epoch,
                            restore=spec.name, failed=[rank])
-                prev_span = relaunch_by_rank.get(rank)
-                if prev_span is not None and not prev_span.closed:
-                    prev_span.close(superseded=True)
+                engine.end(relaunch_by_rank.get(rank), superseded=True)
                 relaunch_by_rank[rank] = engine.span(
                     "relaunch", lane=state.assignment[rank], rank=rank,
                     epoch=state.epoch, mode="single")
@@ -319,9 +310,7 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
                 sock.send(cmd, cause=msg)
                 engine.log("recovery_complete", epoch=state.epoch, rank=rank,
                            protocol=spec.name)
-                span = relaunch_by_rank.pop(rank, None)
-                if span is not None:
-                    span.close()
+                engine.end(relaunch_by_rank.pop(rank, None))
                 engine.span("catchup", lane=state.assignment[rank], rank=rank,
                             epoch=state.epoch)
             elif len(state.reg) == n and not state.pending_term:

@@ -171,9 +171,9 @@ class VclRuntime:
         self.engine = Engine(seed=seed, trace=self.trace)
         #: recovery-phase spans + the causal record (see
         #: :mod:`repro.obs`); with ``observe=False`` every instrumented
-        #: call site short-circuits to a shared null span and the result
+        #: call site's :meth:`Engine.span` returns None and the result
         #: carries ``obs=None``
-        self.obs: Optional[Obs] = Obs(self.engine) if observe else None
+        self.obs: Optional[Obs] = Obs() if observe else None
         self.engine.obs = self.obs
         self.cluster = Cluster(
             self.engine, config.n_machines,

@@ -72,10 +72,7 @@ def scheduler_main(proc: UnixProcess, config):
             state.acks.clear()
             state.waves_aborted += 1
             engine.log("ckpt_wave_abort", wave=state.wave_id, reason=reason)
-            span = wave_span[0]
-            if span is not None:
-                span.close(aborted=True, reason=reason)
-                wave_span[0] = None
+            engine.end(wave_span[0], aborted=True, reason=reason)
 
     def commit_wave(cause=None) -> None:
         state.in_progress = False
@@ -84,12 +81,9 @@ def scheduler_main(proc: UnixProcess, config):
         engine.log("ckpt_wave_complete", wave=state.wave_id)
         # the commit point is a boundary, not an interval — a
         # zero-length child closing the wave
-        engine.span("commit", lane=shardmap.COORDINATOR_NODE,
-                    wave=state.wave_id).close()
-        span = wave_span[0]
-        if span is not None:
-            span.close(acks=n)
-            wave_span[0] = None
+        engine.end(engine.span("commit", lane=shardmap.COORDINATOR_NODE,
+                               wave=state.wave_id))
+        engine.end(wave_span[0], acks=n)
         note = wire.WaveCommit(wave=state.wave_id)
         # the commit is caused by the last ack that completed the wave
         network.send_all(server_socks, note, cause=cause)
@@ -145,7 +139,7 @@ def scheduler_main(proc: UnixProcess, config):
                                    lane=shardmap.COORDINATOR_NODE,
                                    wave=state.wave_id)
         # marker broadcast happens at this instant: zero-length child
-        engine.span("initiate", lane=shardmap.COORDINATOR_NODE,
-                    wave=state.wave_id, ranks=n).close()
+        engine.end(engine.span("initiate", lane=shardmap.COORDINATOR_NODE,
+                               wave=state.wave_id, ranks=n))
         network.send_all(state.conns.values(),
                          wire.Marker(wave=state.wave_id, src_rank=-1))

@@ -89,6 +89,8 @@ class V2Daemon(MpichDaemon):
         #: fetched (begin_replay ran) — a resend arriving earlier must
         #: stay staged, not trick _drain_replay into an early exit
         self.history_fetched = not self.restarted
+        #: the open ``replay`` span row of :meth:`begin_replay`
+        self._replay_span = None
 
         self.evlog_sock = None
 
@@ -186,10 +188,7 @@ class V2Daemon(MpichDaemon):
             self.next_pos_to_log = max(self.next_pos_to_log,
                                        self.app_state[POS])
             self.engine.log("v2_replay_done", rank=self.rank)
-            span = getattr(self, "_replay_span", None)
-            if span is not None:
-                span.close()
-                self._replay_span = None
+            self.engine.end(self._replay_span)
             # post-replay traffic processes through the normal
             # pessimistic path, in (src, seq) order per source
             for (src, seq) in sorted(self.staging):

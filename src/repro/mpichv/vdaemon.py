@@ -251,9 +251,9 @@ class VclDaemon(MpichDaemon):
             if img.logs:
                 # channel-state redelivery is instantaneous in Vcl (the
                 # logs rode inside the image): a zero-length replay phase
-                self.engine.span("replay", lane=self.proc.node.name,
-                                 rank=self.rank, wave=img.wave,
-                                 replayed=len(img.logs)).close()
+                self.engine.end(self.engine.span(
+                    "replay", lane=self.proc.node.name, rank=self.rank,
+                    wave=img.wave, replayed=len(img.logs)))
         if self.config.fault_tolerant:
             self.proc.spawn_reader(self.ckpt_sock, self.on_ckpt_msg)
 

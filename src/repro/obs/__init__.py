@@ -3,8 +3,10 @@
 Two recording pieces and their exporters, all pure functions of the
 simulated history (never of the wall clock or the worker pool):
 
-* :mod:`repro.obs.spans` — nested ``[t0, t1)`` intervals opened through
-  :meth:`repro.simkernel.engine.Engine.span` at protocol call sites
+* :mod:`repro.obs.spans` — nested ``[t0, t1)`` intervals, kept as the
+  ``[t0, t1, kind, lane, fields]`` rows the document ships, opened
+  through :meth:`repro.simkernel.engine.Engine.span` and closed through
+  :meth:`~repro.simkernel.engine.Engine.end` at protocol call sites
   (dispatcher, daemon lifecycle, checkpoint servers, channel memories,
   the network fault API), so a restart epoch decomposes into
   ``detect → relaunch → restore → replay → catchup`` and a checkpoint

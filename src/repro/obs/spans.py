@@ -2,11 +2,13 @@
 
 A span is ``[t0, t1)`` on a *lane* — a host name (``m3``, ``svc0``) or
 the synthetic ``net`` lane — with a ``kind`` tag and a small field
-dict.  Call sites open spans through
-:meth:`repro.simkernel.engine.Engine.span`; with no :class:`Obs`
-recorder attached the call returns the shared :data:`NULL_SPAN` and
-costs one attribute read: the ``keep=False``-style off switch for the
-engine hot path.
+dict, recorded as the row ``[t0, t1, kind, lane, fields]`` the ``obs``
+document ships (``t1`` is None while the span is open).  Call sites
+open spans through :meth:`repro.simkernel.engine.Engine.span` and close
+them through :meth:`~repro.simkernel.engine.Engine.end`; with no
+:class:`Obs` recorder attached ``span`` returns None and costs one
+attribute read, and ``end`` of None does nothing: the off switch for
+the engine hot path.
 
 Determinism contract: recording a span never schedules engine events,
 never writes the trace, and never consumes ``engine.random`` — the
@@ -21,7 +23,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.obs.causal import CausalGraph
-from repro.simkernel.engine import _NULL_SPAN as NULL_SPAN
 
 #: indices into a span row ``[t0, t1, kind, lane, fields]``
 T0, T1, KIND, LANE, FIELDS = 0, 1, 2, 3, 4
@@ -43,54 +44,15 @@ def json_safe(value: Any) -> Any:
     return repr(value)
 
 
-class Span:
-    """One open or closed interval (mutated in place on close)."""
-
-    __slots__ = ("obs", "kind", "lane", "t0", "t1", "fields")
-
-    def __init__(self, obs: "Obs", kind: str, lane: str, t0: float,
-                 fields: Dict[str, Any]):
-        self.obs = obs
-        self.kind = kind
-        self.lane = lane
-        self.t0 = t0
-        self.t1: Optional[float] = None
-        self.fields = fields
-
-    @property
-    def closed(self) -> bool:
-        return self.t1 is not None
-
-    def close(self, **fields: Any) -> "Span":
-        """Close at the engine's current instant (idempotent)."""
-        if self.t1 is None:
-            self.obs._close(self, self.obs.engine.now, fields)
-        return self
-
-    def close_at(self, t1: float, **fields: Any) -> "Span":
-        if self.t1 is None:
-            self.obs._close(self, t1, fields)
-        return self
-
-    def to_row(self) -> List[Any]:
-        return [self.t0, self.t1, self.kind, self.lane,
-                json_safe(self.fields)]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetics
-        end = f"{self.t1:.3f}" if self.t1 is not None else "…"
-        return f"<Span {self.kind}@{self.lane} [{self.t0:.3f},{end})>"
-
-
 class Obs:
-    """Per-trial recorder: the span list and the causal graph."""
+    """Per-trial recorder: the span rows and the causal graph."""
 
-    def __init__(self, engine=None, max_spans: int = MAX_SPANS):
-        self.engine = engine
+    def __init__(self, max_spans: int = MAX_SPANS):
         self.max_spans = max_spans
-        #: every recorded span, in open (dispatch) order
-        self.spans: List[Span] = []
-        #: kind -> open spans of that kind, in open order (FIFO)
-        self._open: Dict[str, List[Span]] = {}
+        #: every recorded span row, in open (dispatch) order
+        self.spans: List[List[Any]] = []
+        #: kind -> open rows of that kind, in open order (FIFO)
+        self._open: Dict[str, List[List[Any]]] = {}
         self.dropped_spans = 0
         self.truncated_spans = 0
         #: causal message graph (see :mod:`repro.obs.causal`), fed by
@@ -100,40 +62,47 @@ class Obs:
 
     # -- span lifecycle ----------------------------------------------------
     def open(self, kind: str, lane: str, t0: float,
-             fields: Dict[str, Any]):
+             fields: Dict[str, Any]) -> Optional[List[Any]]:
+        """Record an open row; None past the cap."""
         if len(self.spans) >= self.max_spans:
             self.dropped_spans += 1
-            return NULL_SPAN
-        span = Span(self, kind, lane, t0, fields)
-        self.spans.append(span)
-        self._open.setdefault(kind, []).append(span)
-        return span
+            return None
+        row = [t0, None, kind, lane, json_safe(fields)]
+        self.spans.append(row)
+        self._open.setdefault(kind, []).append(row)
+        return row
 
-    def _close(self, span: Span, t1: float, fields: Dict[str, Any]) -> None:
-        span.t1 = t1
+    def close(self, row: List[Any], t1: float,
+              fields: Dict[str, Any]) -> None:
+        """Close the open ``row`` at ``t1``.  Rows are lists, which
+        compare by value, so the row leaves its kind's open bucket by
+        identity: an equal row opened earlier stays open."""
+        bucket = self._open[row[KIND]]
+        for i, open_row in enumerate(bucket):
+            if open_row is row:
+                del bucket[i]
+                break
+        row[T1] = t1
         if fields:
-            span.fields.update(fields)
-        bucket = self._open.get(span.kind)
-        if bucket is not None and span in bucket:
-            bucket.remove(span)
+            row[FIELDS].update(json_safe(fields))
 
     def end_oldest(self, kind: str, t1: float,
                    match: Optional[Dict[str, Any]] = None,
-                   **fields: Any) -> Optional[Span]:
+                   **fields: Any) -> Optional[List[Any]]:
         """Close the oldest open span of ``kind`` (FIFO hand-off).
 
         With ``match``, only a span whose fields agree on every given
         key qualifies — e.g. the dispatcher closing the ``detect`` span
         of the machine whose daemon's socket just dropped, not whichever
-        kill happened to land first.  Returns the closed span, or None
+        kill happened to land first.  Returns the closed row, or None
         when nothing (matching) was open.
         """
-        for span in self._open.get(kind, ()):
-            if match is not None and any(span.fields.get(k) != v
+        for row in self._open.get(kind, ()):
+            if match is not None and any(row[FIELDS].get(k) != v
                                          for k, v in match.items()):
                 continue
-            self._close(span, t1, fields)
-            return span
+            self.close(row, t1, fields)
+            return row
         return None
 
     def close_all(self, kind: str, t1: float, **fields: Any) -> int:
@@ -141,10 +110,10 @@ class Obs:
         bucket = self._open.pop(kind, None)
         if not bucket:
             return 0
-        for span in bucket:
-            span.t1 = t1
+        for row in bucket:
+            row[T1] = t1
             if fields:
-                span.fields.update(fields)
+                row[FIELDS].update(json_safe(fields))
         return len(bucket)
 
     # -- log hook ----------------------------------------------------------
@@ -181,9 +150,9 @@ class Obs:
             return
         self._finalized = True
         for bucket in self._open.values():
-            for span in bucket:
-                span.t1 = end_time
-                span.fields["_truncated"] = True
+            for row in bucket:
+                row[T1] = end_time
+                row[FIELDS]["_truncated"] = True
                 self.truncated_spans += 1
         self._open.clear()
 
@@ -195,11 +164,10 @@ class Obs:
         (:meth:`repro.mpichv.runtime.VclRuntime._finalize_obs`)."""
         # function-level: the phase table is built on this module
         from repro.obs.phases import epoch_phase_table, recovery_window
-        spans = [s.to_row() for s in self.spans]
         windows = [recovery_window(prow)
-                   for prow in epoch_phase_table({"spans": spans})]
+                   for prow in epoch_phase_table({"spans": self.spans})]
         return {
-            "spans": spans,
+            "spans": self.spans,
             "dropped_spans": self.dropped_spans,
             "truncated_spans": self.truncated_spans,
             "metrics": metrics,

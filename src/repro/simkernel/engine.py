@@ -52,26 +52,6 @@ class SimTimeoutError(Exception):
     non-finished simulation an error."""
 
 
-class _NullSpan:
-    """No-op span handle returned by :meth:`Engine.span` when no
-    observability recorder is attached, and by a recorder past its
-    span cap (:data:`repro.obs.spans.NULL_SPAN` is this one object).  It
-    lives here so the engine stays importable without the obs package
-    and the off-path cost is one attribute test."""
-
-    __slots__ = ()
-    closed = True
-
-    def close(self, **fields):
-        return self
-
-    def close_at(self, t1, **fields):
-        return self
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class Batch:
     """Payloads scheduled back to back into one slot, run as one
     (:meth:`Engine._schedule`'s tail rule builds them).
@@ -381,19 +361,26 @@ class Engine:
             self.obs.on_log(kind, self.now)
 
     def span(self, kind: str, lane: str = "sim", **fields):
-        """Open an observability span at the current instant.
-
-        With no :class:`repro.obs.spans.Obs` recorder attached this is a
-        single attribute test returning a shared no-op handle — the
-        off switch that keeps instrumented call sites free on the
-        dispatch hot path.  Opening a span never schedules events,
-        never logs to the trace, and never consumes :attr:`random`, so
-        the simulated history is identical with observation on or off.
+        """Open an observability span at the current instant: the open
+        row ``[t0, None, kind, lane, fields]`` of the
+        :class:`repro.obs.spans.Obs` recorder, or None when no recorder
+        is attached (a single attribute test — the off switch that
+        keeps instrumented call sites free on the dispatch hot path) or
+        the recorder is past its span cap.  Opening or ending a span
+        never schedules events, never logs to the trace, and never
+        consumes :attr:`random`, so the simulated history is identical
+        with observation on or off.
         """
         obs = self.obs
         if obs is None:
-            return _NULL_SPAN
+            return None
         return obs.open(kind, lane, self.now, fields)
+
+    def end(self, span, **fields) -> None:
+        """Close ``span`` (a row :meth:`span` returned) at the current
+        instant, adding ``fields``; nothing for None or a closed span."""
+        if span is not None and span[1] is None:
+            self.obs.close(span, self.now, fields)
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         pending = sum(len(s) for s in self._slots.values())

@@ -3,9 +3,11 @@
 ``figure_shape(spec, ablated=False)`` runs a spec's ``run_experiment``
 at its quick scale — at the paper's scale, over a pool of
 ``os.cpu_count()`` workers, under ``REPRO_FULL=1`` — with the spec's
-ablation laid over it if ``ablated``, and checks the result with the
-spec's ``expect``.  Each run is made once per session,
-so the tests that check one figure under different names share it.
+ablation laid over it if ``ablated``, checks the result with the
+spec's ``expect`` and returns the run's trials, ``((setup, seed),
+result)`` as a :class:`KeepingRunner` kept them.  Each run is made once
+per session, so the tests that check one figure under different names
+(and the observer-effect test) share it.
 
 ``trial_keys`` records the cache key of every job any
 :class:`TrialRunner` is given during the test.
@@ -46,6 +48,19 @@ def run_quiet(engine, until=None):
     return engine.now
 
 
+class KeepingRunner(TrialRunner):
+    """A runner that keeps every job it ran with its result."""
+
+    def __init__(self, workers: int = 1):
+        super().__init__(workers=workers)
+        self.ran = []
+
+    def run_jobs(self, jobs):
+        results = super().run_jobs(jobs)
+        self.ran.extend(zip(jobs, results))
+        return results
+
+
 @pytest.fixture(scope="session")
 def figure_shape():
     results = {}
@@ -58,10 +73,11 @@ def figure_shape():
         if key not in results:
             # the paper's scale on every core: results do not depend
             # on the worker count
-            runner = ({"runner": TrialRunner(workers=os.cpu_count())}
-                      if FULL else {})
-            results[key] = spec.run(**kwargs, **runner)
-        spec.expect(results[key], spec.resolve(kwargs))
+            runner = KeepingRunner(workers=os.cpu_count() if FULL else 1)
+            results[key] = spec.run(**kwargs, runner=runner), runner.ran
+        result, ran = results[key]
+        spec.expect(result, spec.resolve(kwargs))
+        return ran
 
     return check
 

@@ -158,7 +158,7 @@ def test_stamp_is_inert_without_a_recorder():
 
 def test_stamp_with_a_cause_and_adopt_with_recorder():
     eng = Engine(seed=0)
-    eng.obs = Obs(eng)
+    eng.obs = Obs()
     graph = eng.obs.causal
     root = Msg()
     assert stamp(eng, root, "r0") == 0
@@ -185,7 +185,7 @@ def _world(observe=True):
     """An engine (with a recorder if ``observe``) and a 4-node cluster."""
     engine = Engine(seed=0, trace=Trace())
     if observe:
-        engine.obs = Obs(engine)
+        engine.obs = Obs()
     return engine, Cluster(engine, 4)
 
 
@@ -338,7 +338,7 @@ def _recorder(spans=(), transmissions=(), max_nodes=MAX_CAUSAL_NODES):
         return ctxs[name]
 
     for t0, t1, kind, lane, fields in spans:
-        obs.open(kind, lane, t0, dict(fields)).close_at(t1)
+        obs.close(obs.open(kind, lane, t0, dict(fields)), t1, {})
     for name, parent, kind, src, dst, t_send, t_recv in transmissions:
         send(graph, ctx(name, parent), kind, src, t_send, [(dst, t_recv)])
     return obs

@@ -173,6 +173,11 @@ STALE_PHRASES = [
     r"wire dataclasses are frozen",
     r"frozen message",
     r"AST nodes are frozen",
+    # a span is its row: no span object, no null handle to close
+    r"NULL_SPAN",
+    r"_NullSpan",
+    r"close_at",
+    r"class Span\b",
 ]
 
 

@@ -5,10 +5,12 @@ byte-determinism across execution paths, and the wire round trip."""
 
 import dataclasses
 import hashlib
+import importlib
 import json
 
 import pytest
 
+from repro.__main__ import COMMANDS
 from repro.experiments.harness import TrialSetup
 from repro.experiments.resultstore import (run_result_from_dict,
                                            run_result_to_dict)
@@ -29,6 +31,7 @@ from repro.obs.spans import FIELDS, KIND, LANE, T0, T1, span_rollups
 from causal_view import (E_DST, E_SRC, E_TYPE, N_ID, N_KIND, N_T,
                          assert_folds_equal_reference, graph_view,
                          run_keeping_recorder)
+from conftest import FULL, KeepingRunner
 
 CAL = dict(workload="ring", niters=40, total_compute=1280.0, footprint=1e8)
 
@@ -39,6 +42,12 @@ PLAN = (TimedKill(at=20, target=0),
         Heal(after=10))
 
 PROTOCOLS = sorted(protocols.available())
+
+#: the figure commands whose trials ``command_trials`` (compare-protocols
+#: and explore) does not run
+FIGURE_SPECS = [importlib.import_module(COMMANDS[name][0]).SPEC
+                for name in ("fig5", "fig6", "fig7", "fig9", "fig11",
+                             "net-sensitivity", "scale-sweep")]
 
 #: bytes of the cached result of ``_ring(16, "vcl")`` / ``_ring(64,
 #: "vcl")``, seed 1
@@ -481,25 +490,12 @@ def test_causal_totals_pinned_on_generated_plans(family, index, protocol):
 # observation is inert: same simulation, same verdict
 # ---------------------------------------------------------------------------
 
-class _KeepingRunner(TrialRunner):
-    """A runner that keeps every job it ran with its result."""
-
-    def __init__(self):
-        super().__init__()
-        self.ran = []
-
-    def run_jobs(self, jobs):
-        results = super().run_jobs(jobs)
-        self.ran.extend(zip(jobs, results))
-        return results
-
-
 @pytest.fixture(scope="module")
 def command_trials():
     """Every trial of ``compare-protocols --quick --reps 1`` and of
     ``explore --quick --seed 7``, as the commands ran them (no reader,
     so unobserved): ``((setup, seed), result)``."""
-    runner = _KeepingRunner()
+    runner = KeepingRunner()
     compare_spec.run(**{**compare_spec.quick, "reps": 1}, runner=runner)
     run_campaign(quick_config(seed=7), runner=runner)
     return runner.ran
@@ -531,6 +527,28 @@ def test_verdict_identical_with_observation_off(observed, command_trials,
     for on, off in pairs:
         assert on.obs and off.obs is None
         assert _without_obs(off) == _without_obs(on)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(FULL, reason="re-runs each trial observed: quick "
+                                 "scale only")
+@pytest.mark.parametrize("spec, ablated", [
+    pytest.param(spec, ablated, id=spec.name + ("-ablation" if ablated else ""))
+    for spec in FIGURE_SPECS for ablated in (False, True)
+    if spec.ablation or not ablated])
+def test_figure_trials_identical_with_observation_off(figure_shape, spec,
+                                                      ablated):
+    """The paper's fault schedules, which drive the dispatcher's span
+    sites: every trial of a quick figure spec (and of its ablation),
+    run as the shape test ran it — unobserved — is re-run observed, and
+    the result documents agree on everything but ``obs``."""
+    ran = figure_shape(spec, ablated)
+    assert ran
+    for (setup, seed), off in ran:
+        assert not setup.observe and off.obs is None
+        on = dataclasses.replace(setup, observe=True).run_one(seed)
+        assert on.obs
+        assert _without_obs(off) == _without_obs(on), (setup, seed)
 
 
 # ---------------------------------------------------------------------------

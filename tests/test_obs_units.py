@@ -17,14 +17,8 @@ from repro.mpichv.config import VclConfig
 from repro.mpichv.runtime import VclRuntime
 from repro.obs.chrometrace import chrome_trace_doc, chrome_trace_json
 from repro.obs.phases import epoch_phase_table, render_phase_table
-from repro.obs.spans import (FIELDS, KIND, LANE, NULL_SPAN, T0, T1, Obs,
-                             span_rollups)
+from repro.obs.spans import FIELDS, KIND, LANE, T0, T1, Obs, span_rollups
 from repro.simkernel.engine import Engine
-
-
-class FakeEngine:
-    def __init__(self):
-        self.now = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -87,90 +81,122 @@ def test_metrics_histogram_buckets_are_log_spaced():
 
 
 # ---------------------------------------------------------------------------
-# span lifecycle
+# span lifecycle: a span is its row
 # ---------------------------------------------------------------------------
 
+def _observed_engine():
+    engine = Engine(seed=1, trace=Trace())
+    engine.obs = Obs()
+    return engine
+
+
 def test_span_open_close_is_idempotent():
-    eng = FakeEngine()
-    obs = Obs(eng)
-    span = obs.open("detect", "m1", 1.0, {"node": "m1"})
-    eng.now = 2.5
-    span.close(where="running")
-    span.close(where="ignored")     # second close is a no-op
-    row = span.to_row()
+    engine = _observed_engine()
+    engine.now = 1.0
+    row = engine.span("detect", lane="m1", node="m1")
+    assert row == [1.0, None, "detect", "m1", {"node": "m1"}]
+    assert engine.obs.spans == [row]        # the recorder keeps the row
+    engine.now = 2.5
+    engine.end(row, where="running")
+    engine.now = 3.0
+    engine.end(row, where="ignored")        # second end is a no-op
     assert row[T0] == 1.0 and row[T1] == 2.5
     assert row[KIND] == "detect" and row[LANE] == "m1"
     assert row[FIELDS] == {"node": "m1", "where": "running"}
+    # a zero-length span
+    engine.end(engine.span("commit", lane="svc1", wave=3))
+    assert engine.obs.spans[-1] == [3.0, 3.0, "commit", "svc1", {"wave": 3}]
+    assert engine.obs.to_doc(metrics={})["spans"] is engine.obs.spans
 
 
 def test_end_oldest_is_fifo_and_match_filters():
-    eng = FakeEngine()
-    obs = Obs(eng)
+    obs = Obs()
     a = obs.open("detect", "m1", 1.0, {"node": "m1"})
     b = obs.open("detect", "m2", 2.0, {"node": "m2"})
     # match skips the older span when its fields disagree
-    closed = obs.end_oldest("detect", 5.0, match={"node": "m2"})
-    assert closed is b and b.closed and not a.closed
+    closed = obs.end_oldest("detect", 5.0, match={"node": "m2"}, rank=2)
+    assert closed is b and b[T1] == 5.0 and a[T1] is None
+    assert b[FIELDS] == {"node": "m2", "rank": 2}
     # no match: plain FIFO
     closed = obs.end_oldest("detect", 6.0)
-    assert closed is a
+    assert closed is a and a[T1] == 6.0
     # nothing open -> None
     assert obs.end_oldest("detect", 7.0) is None
 
 
 def test_close_all_and_finalize_truncation():
-    eng = FakeEngine()
-    obs = Obs(eng)
+    obs = Obs()
     obs.open("netsplit", "net", 1.0, {})
     obs.open("netsplit", "net", 2.0, {})
-    assert obs.close_all("netsplit", 9.0) == 2
+    assert obs.close_all("netsplit", 9.0, healed=True) == 2
+    assert obs.close_all("netsplit", 10.0) == 0
     left_open = obs.open("transfer", "m1", 3.0, {})
     obs.finalize(100.0)
     obs.finalize(200.0)             # idempotent
-    assert left_open.t1 == 100.0
-    assert left_open.fields["_truncated"] is True
+    assert left_open[T1] == 100.0
+    assert left_open[FIELDS]["_truncated"] is True
     doc = obs.to_doc(metrics={})
+    assert doc["spans"] == [
+        [1.0, 9.0, "netsplit", "net", {"healed": True}],
+        [2.0, 9.0, "netsplit", "net", {"healed": True}],
+        [3.0, 100.0, "transfer", "m1", {"_truncated": True}]]
     assert doc["truncated_spans"] == 1 and doc["dropped_spans"] == 0
 
 
+def test_equal_open_rows_close_by_identity():
+    """Two open rows of equal kind, lane, ``t0`` and fields are equal
+    lists: ending the second must leave the first open, and only the
+    first is truncated at the end of the run."""
+    engine = _observed_engine()
+    engine.now = 4.0
+    first = engine.span("transfer", lane="m1", rank=0)
+    second = engine.span("transfer", lane="m1", rank=0)
+    assert first == second and first is not second
+    engine.now = 6.0
+    engine.end(second)
+    assert second[T1] == 6.0 and first[T1] is None
+    engine.obs.finalize(10.0)
+    assert first == [4.0, 10.0, "transfer", "m1",
+                     {"rank": 0, "_truncated": True}]
+    assert second == [4.0, 6.0, "transfer", "m1", {"rank": 0}]
+    assert engine.obs.truncated_spans == 1
+
+
 def test_span_cap_drops_deterministically():
-    eng = FakeEngine()
-    obs = Obs(eng, max_spans=2)
-    s1 = obs.open("a", "m1", 0.0, {})
-    s2 = obs.open("a", "m1", 1.0, {})
-    s3 = obs.open("a", "m1", 2.0, {})
-    assert s3 is NULL_SPAN and s3.closed
-    s3.close()                      # harmless no-op
+    engine = Engine(seed=1)
+    engine.obs = obs = Obs(max_spans=2)
+    s1 = engine.span("a", lane="m1")
+    s2 = engine.span("a", lane="m1")
+    assert engine.span("a", lane="m1") is None
+    engine.end(None)                # harmless no-op
     assert obs.dropped_spans == 1
-    assert [s1, s2] == obs.spans
+    assert obs.spans == [s1, s2] and s1 is obs.spans[0]
 
 
 @pytest.mark.parametrize("kind", ["progress", "verify_ok", "app_done",
                                   "failure_detected"])
 def test_engine_log_closes_catchup(kind):
-    engine = Engine(seed=1, trace=Trace())
-    engine.obs = Obs(engine)
+    engine = _observed_engine()
     engine.now = 10.0
     span = engine.span("catchup", lane="svc0", epoch=1)
     other = engine.span("relaunch", lane="svc0", epoch=1)
     engine.now = 11.0
     engine.log("recovery_complete", epoch=1)
-    assert not span.closed
+    assert span[T1] is None
     engine.now = 12.5
     engine.log(kind, rank=0)
-    assert span.closed and span.t1 == 12.5
-    assert span.fields.get("cut_short") is (
+    assert span[T1] == 12.5
+    assert span[FIELDS].get("cut_short") is (
         True if kind == "failure_detected" else None)
-    assert not other.closed
+    assert other[T1] is None
     assert engine.trace.last(kind).t == 12.5
 
 
 def test_engine_span_without_recorder_is_free():
     engine = Engine(seed=1)
     assert engine.obs is None
-    span = engine.span("detect", lane="m1", node="m1")
-    assert span is engine.span("anything")      # the one shared handle
-    assert span.close() is span
+    assert engine.span("detect", lane="m1", node="m1") is None
+    engine.end(None, where="running")       # nothing to close, no error
 
 
 def test_span_rollups():

@@ -61,9 +61,10 @@ def render_timeline(trace: Trace, width: int = 72,
                     ) -> str:
     """Render the trace as fixed-width swimlanes.
 
-    Wants a trace that kept its records (``Trace(keep=True)``): a
-    trace that counted events but kept none raises ``ValueError``
-    rather than drawing empty swimlanes.  Empty buckets show ``·`` so
+    Wants the live trace of a trial that kept its records: a trace
+    that counted events but kept none (one read back from a result
+    document, or ``Trace(keep=False)``) raises ``ValueError`` rather
+    than drawing empty swimlanes.  Empty buckets show ``·`` so
     gaps — the freeze signature — stand out.
     """
     if width < 10:
@@ -75,8 +76,8 @@ def render_timeline(trace: Trace, width: int = 72,
             lanes = (*lanes, CRASH_LANE)
     lanes = [TimelineLane(lbl, kinds, mark) for (lbl, kinds, mark) in lanes]
     if not records and trace.counts:
-        raise ValueError("the trace kept no records: run the trial with "
-                         "keep_trace=True to render its timeline")
+        raise ValueError("the trace has no records (one read back from a "
+                         "result document has none): render a live trace")
     if t0 is None:
         t0 = records[0].t if records else 0.0
     if t1 is None:

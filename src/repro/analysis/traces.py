@@ -21,8 +21,9 @@ class TraceRecord:
     fields: Dict[str, Any]
 
     def __getattr__(self, item: str) -> Any:
+        # via ``__dict__``: a copy or an unpickle asks before it is set
         try:
-            return self.fields[item]
+            return self.__dict__["fields"][item]
         except KeyError as err:
             raise AttributeError(item) from err
 
@@ -37,9 +38,10 @@ class Trace:
     Nothing listens: each fact a run acts on is handed over by the call
     site that knows it, so a trace is plain data once its run returns.
     ``counts`` is the one tally of what a run did (restarts, detected
-    failures, committed waves are counts of their kinds) and travels in
-    the result document; ``last`` holds each kind's latest ``(t,
-    fields)`` and is kept even when the records are not, so
+    failures, committed waves are counts of their kinds), all a result
+    document carries: records never leave the process that ran the
+    trial.  ``last`` holds each kind's latest ``(t, fields)``, kept even
+    when the records are not, so
     :func:`repro.analysis.classify.classify_run` and the runtime read a
     ``keep=False`` trace too.
     """

@@ -59,7 +59,6 @@ class TrialSetup:
     niters: int = 120
     total_compute: float = 8800.0
     footprint: float = 1.6e9
-    keep_trace: bool = False
     #: extra :class:`VclConfig` attributes (e.g. ``{"cm_replay": False}``
     #: to plant the broken-replay bug the exploration oracles hunt)
     config_overrides: Dict[str, object] = field(default_factory=dict)
@@ -74,8 +73,10 @@ class TrialSetup:
     #: not alias a cache slot.
     observe: bool = False
 
-    def build(self, seed: int):
-        """Construct (runtime, deployment) for one repetition."""
+    def build(self, seed: int, keep_trace: bool = True):
+        """Construct (runtime, deployment) for one repetition.  With
+        ``keep_trace=False`` the trace keeps no records: the result
+        document, and so the cache key, is the same either way."""
         config_kwargs = dict(
             n_procs=self.n_procs,
             n_machines=self.n_machines,
@@ -99,7 +100,7 @@ class TrialSetup:
             params=self.workload_params,
         )
         runtime = VclRuntime(config, workload.make_factory(), seed=seed,
-                             keep_trace=self.keep_trace,
+                             keep_trace=keep_trace,
                              observe=self.observe)
         deployment = None
         if self.scenario_source is not None:
@@ -114,7 +115,7 @@ class TrialSetup:
                                          params=params, bindings=bindings)
         return runtime, deployment
 
-    def run_one(self, seed: int) -> RunResult:
+    def run_one(self, seed: int, keep_trace: bool = True) -> RunResult:
         # Throughput path: the collector stays off from the first
         # object of the deployment to the last — with it on, a faulted
         # 512-rank trial takes ~1.35x the CPU in passes that find
@@ -123,7 +124,7 @@ class TrialSetup:
         # cycles, and the first collection after the pause frees it:
         # the result is plain data and names none of it.
         with gc_paused():
-            runtime, deployment = self.build(seed)
+            runtime, deployment = self.build(seed, keep_trace)
             try:
                 return runtime.run()
             finally:

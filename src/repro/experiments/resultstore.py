@@ -11,13 +11,13 @@ Both are the same JSON document, produced by
 :func:`run_result_to_dict` and consumed by :func:`run_result_from_dict`,
 so a pooled and a cached result come back through one reader and
 serial == pooled == cached holds by construction.  It holds the verdict,
-the trace's per-kind ``counts`` and — when the trial kept them — its
-records, then every other :class:`RunResult` field under its own name,
-in declaration order.  The run counters (restarts, failures detected,
-bug events, committed waves) are trace counts, so they are not stated
-again.  A document that lacks a key is unusable, like one of another
-format.  A reloaded trace's ``last`` / ``last_t`` are rebuilt from the
-records it restores.
+the trace's per-kind ``counts`` (never its records: they stay with the
+process that ran the trial), then every other :class:`RunResult` field
+under its own name, in declaration order.  The run counters (restarts,
+failures detected, bug events, committed waves) are trace counts, so
+they are not stated again.  A document that lacks a key is unusable,
+like one of another format.  A reloaded trace holds counts only: no
+records, and no ``last`` / ``last_t``.
 
 :class:`ResultStore` is the cache: one file per trial under a root
 directory, written atomically so an interrupted campaign never leaves
@@ -43,29 +43,21 @@ from typing import Any, Dict, List, Optional
 from repro.analysis.classify import Outcome, RunVerdict
 from repro.analysis.traces import Trace
 from repro.mpichv.runtime import ObsText, RunResult
-from repro.obs.spans import json_safe
 
 #: the one version of the result document: bump when its layout or
 #: the simulation's semantics change; readers reject other versions
 #: and the cache re-executes their entries.  No field carries wall
 #: clock, so the document is byte-identical however the trial ran.
-FORMAT_VERSION = 14   # 14: FAIL's ``/`` is exact integer division
-#                       (no float).  Earlier formats: EXPERIMENTS.md,
-#                       version history.
+FORMAT_VERSION = 15   # 15: the trace section is its counts alone.
+#                       Earlier formats: EXPERIMENTS.md, version history.
 
 
 def trace_to_dict(trace: Trace) -> Dict[str, Any]:
-    return {
-        "counts": dict(trace.counts),
-        "records": [[r.t, r.kind, json_safe(r.fields)]
-                    for r in trace.records],
-    }
+    return {"counts": dict(trace.counts)}
 
 
 def trace_from_dict(doc: Dict[str, Any]) -> Trace:
-    trace = Trace(keep=bool(doc["records"]))
-    for t, kind, fields in doc["records"]:
-        trace.record(t, kind, **fields)
+    trace = Trace(keep=False)
     trace.counts = dict(doc["counts"])
     return trace
 

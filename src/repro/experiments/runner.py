@@ -25,8 +25,8 @@ one) the runner neither reads nor writes a store.
 Every result comes back through the JSON result document, whether it
 ran in-process, in a pool worker or was read from the cache: one path,
 so serial == pooled == cached holds by construction.  Each carries a
-reconstructed :class:`~repro.analysis.traces.Trace` with the trial's
-counters and the records it kept.  A cache hit decodes only what a
+reconstructed :class:`~repro.analysis.traces.Trace` holding the
+trial's counts and no records.  A cache hit decodes only what a
 table reads: its ``obs`` section stays text until ``result.obs`` is
 first read.
 
@@ -59,11 +59,11 @@ def trial_key(setup: "TrialSetup", seed: int) -> str:
 
     The key hashes the canonical JSON of every :class:`TrialSetup`
     field plus the seed: each field ``build()`` reads — scale, scenario
-    source, protocol, workload calibration, ... — plus ``keep_trace``
-    and ``observe``, which choose what the result records.  Nothing
-    else: the same trial reached by two routes (a campaign, a shrink,
-    the replay of its ``.fail`` file) lands in one cache slot.  It
-    carries no version: a layout or semantics change bumps
+    source, protocol, workload calibration, ... — plus ``observe``,
+    which chooses what the result records.  Nothing else: the same
+    trial reached by two routes (a campaign, a shrink, the replay of
+    its ``.fail`` file) lands in one cache slot.  It carries no
+    version: a layout or semantics change bumps
     ``resultstore.FORMAT_VERSION``, and the old entry under the same key
     reads as a stale miss and is overwritten.
     The fields are read, not copied (``dataclasses.asdict`` deep-copies
@@ -184,9 +184,9 @@ class RunnerStats:
 def _execute_trial_wire(setup: "TrialSetup", seed: int) -> Tuple[dict, float]:
     """Run one trial, in-process or in a pool worker: its result
     document plus the wall seconds it took (self-profiling only — the
-    document itself never carries wall clock)."""
+    document carries no wall clock, nor trace records: none are kept)."""
     start = time.perf_counter()
-    doc = run_result_to_dict(setup.run_one(seed))
+    doc = run_result_to_dict(setup.run_one(seed, keep_trace=False))
     return doc, time.perf_counter() - start
 
 

@@ -101,7 +101,7 @@ def run(protocol: str = "vcl", n_procs: int = 8, workload: str = "ring",
     setup = TrialSetup(
         n_procs=n_procs, n_machines=machines,
         protocol=protocol, workload=workload,
-        timeout=timeout, keep_trace=True, observe=True,
+        timeout=timeout, observe=True,
         scenario_source=render_plan(tuple(plan)) if plan else None,
         master_daemon=generators.MASTER,
         node_daemon=generators.NODE_DAEMON)

@@ -1,6 +1,8 @@
 """Unit tests for traces, classification and statistics."""
 
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -47,22 +49,30 @@ def test_trace_record_attribute_error():
         _ = rec.absent
 
 
-def test_reloaded_trace_last_agrees_with_its_records():
+def test_a_kept_trace_pickles_and_copies():
+    tr = Trace()
+    tr.record(1.0, "a", x=1)
+    tr.record(2.0, "b")
+    back = pickle.loads(pickle.dumps(tr))
+    assert back.records == tr.records and back.counts == tr.counts
+    rec = copy.deepcopy(tr.records[0])
+    assert rec == tr.records[0] and rec.x == 1
+    with pytest.raises(AttributeError):
+        _ = rec.absent
+    with pytest.raises(AttributeError):
+        _ = back.records[1].x
+
+
+def test_a_reloaded_trace_is_its_counts():
     tr = Trace()
     tr.record(1.0, "a", x=1)
     tr.record(2.0, "b")
     tr.record(3.0, "a", x=2)
-    back = trace_from_dict(trace_to_dict(tr))
-    assert back.records == tr.records and back.counts == tr.counts
-    for kind in ("a", "b", "absent"):
-        assert back.last(kind) == tr.last(kind)
-        assert back.last_t(kind) == tr.last_t(kind)
-    assert back.last("a") == back.of_kind("a")[-1]
-    # a trace that kept no records reloads its counts and nothing else
-    quiet = Trace(keep=False)
-    quiet.record(1.0, "a")
-    back = trace_from_dict(trace_to_dict(quiet))
-    assert back.counts == {"a": 1} and back.last("a") is None
+    doc = trace_to_dict(tr)
+    assert doc == {"counts": {"a": 2, "b": 1}}
+    back = trace_from_dict(doc)
+    assert back.counts == tr.counts
+    assert not back.records and back.last("a") is None
 
 
 # ---------------------------------------------------------------------------

@@ -597,8 +597,7 @@ def test_crashing_handler_is_named_in_trace_verdict_and_timeline(monkeypatch):
         lambda self, value: None), raising=False)
     rt, _deployment = TrialSetup(
         n_procs=4, n_machines=7, workload="ring", niters=40,
-        total_compute=1280.0, footprint=1e8, timeout=300.0,
-        keep_trace=True).build(seed=7)
+        total_compute=1280.0, footprint=1e8, timeout=300.0).build(seed=7)
     res = rt.run()
 
     failures = rt.engine.process_failures
@@ -618,8 +617,7 @@ def test_crash_free_run_has_no_crash_lane_or_record():
     from repro.experiments.harness import TrialSetup
 
     res = TrialSetup(n_procs=4, n_machines=7, workload="ring", niters=10,
-                     total_compute=100.0, footprint=1e8,
-                     keep_trace=True).run_one(seed=1)
+                     total_compute=100.0, footprint=1e8).run_one(seed=1)
     assert res.trace.count("thread_crashed") == 0
     assert "crashed" not in res.verdict.reason
     assert "\ncrash " not in render_timeline(res.trace)

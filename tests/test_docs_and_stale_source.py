@@ -178,6 +178,13 @@ STALE_PHRASES = [
     r"_NullSpan",
     r"close_at",
     r"class Span\b",
+    # keeping trace records is the caller's argument, not a setup field
+    # hashed into the key, and the result document never ships them
+    # (``keep_trace`` itself stays: it names that argument)
+    r"self\.keep_trace",
+    r"keep_trace: bool = False",
+    r"keep_trace=True",
+    r"when the trial kept them",
 ]
 
 

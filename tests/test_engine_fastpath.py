@@ -104,7 +104,7 @@ def _trial_digest(protocol, n_ckpt_servers, faulty):
     setup = TrialSetup(
         n_procs=4, n_machines=7, protocol=protocol, timeout=300.0,
         workload="ring", niters=40, total_compute=1280.0, footprint=1e8,
-        keep_trace=True, scenario_source=scenario,
+        scenario_source=scenario,
         master_daemon=MASTER, node_daemon=NODE_DAEMON,
         config_overrides={"n_ckpt_servers": n_ckpt_servers})
     result = setup.run_one(seed=7)

@@ -256,7 +256,7 @@ def test_quick_campaign_seed7_is_deterministic_and_clean(trial_keys):
     their cache slots: the keys are pinned."""
     first = run_campaign(quick_config(seed=7))
     second = run_campaign(quick_config(seed=7))
-    assert trial_keys.pin() == (21, "f445d835a3ea5256")
+    assert trial_keys.pin() == (21, "eac3e85bac640a1e")
     assert first.render_table() == second.render_table()
     assert first.to_json() == second.to_json()
     assert {v.protocol for v in first.rows} == set(protocols.available())
@@ -277,7 +277,7 @@ def test_broken_cm_replay_is_caught_and_shrunk(tmp_path, trial_keys):
                        config_overrides={"cm_replay": False},
                        max_shrinks=1)
     result = run_campaign(cfg, out_dir=str(tmp_path))
-    assert trial_keys.pin() == (7, "36e42fe3325127a4")
+    assert trial_keys.pin() == (7, "14ba63ac7e449d00")
     trial_keys.clear()
     assert result.failures, "the planted bug escaped every oracle"
     assert result.shrinks, "no shrink attempted"
@@ -293,7 +293,7 @@ def test_broken_cm_replay_is_caught_and_shrunk(tmp_path, trial_keys):
     _res, reports = replay_scenario(
         source, cfg, "v1", "ring", report.verdict.trial_seed)
     assert oracles.failed_names(reports)
-    assert trial_keys.pin() == (2, "18ffc1b1bb618a9b")
+    assert trial_keys.pin() == (2, "b35328486f2abd20")
     assert "python -m repro explore --replay" in report.command
     assert "cm_replay=False" in report.command
 
@@ -384,8 +384,7 @@ def test_v2_replay_mode_survives_resends_racing_the_history_fetch():
 
     src = generators.render_plan((TimedKill(40, 0),))
     setup = dataclasses.replace(
-        trial_setup(cfg, "ring", "v2", source=src), timeout=600.0,
-        keep_trace=True)
+        trial_setup(cfg, "ring", "v2", source=src), timeout=600.0)
     result = setup.run_one(2024)
     assert result.outcome is Outcome.TERMINATED
     starts = [r.t for r in result.trace.records

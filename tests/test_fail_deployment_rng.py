@@ -28,7 +28,7 @@ def fig5_setup(protocol="vcl"):
         scenario_params={"X": 20},
         protocol=protocol, workload="ring",
         workload_params={"rounds": 60, "work_per_hop": 0.5},
-        bug_compat=False, timeout=70.0, keep_trace=True)
+        bug_compat=False, timeout=70.0)
 
 
 def fault_schedule(result):

@@ -107,7 +107,7 @@ def _setup(protocol, shards, topo, faulty=False):
     return TrialSetup(
         n_procs=4, n_machines=7, protocol=protocol, timeout=300.0,
         workload="ring", niters=40, total_compute=1280.0, footprint=1e8,
-        keep_trace=True, scenario_source=scenario,
+        scenario_source=scenario,
         master_daemon=MASTER if faulty else None,
         node_daemon=NODE_DAEMON if faulty else None,
         config_overrides={"n_ckpt_servers": shards,
@@ -146,9 +146,9 @@ def test_faulted_trial_matches_reference_digest():
 def test_trial_key_is_the_recorded_hex():
     setup = _setup("vcl", 1, "uniform")
     assert trial_key(setup, 7) == \
-        "6bf8697d932f30832ae4e703fa2dc86e187f0c258bc9748b6c9f3b3d1aa0218e"
+        "dcf18d6f376b891456cac34d7657fa04a2735db5963987007e7445574fc322a7"
     assert trial_key(dataclasses.replace(setup, observe=True), 7) == \
-        "bccb758755c9e231105540633ffe2a6c373ec80236ec4981e40655ef1142b64a"
+        "b903bb7b1600b57f965da46d452569384b833466e3e70db96db0d4071fcdb24f"
 
 
 def test_trial_key_still_separates_real_configuration():
@@ -191,17 +191,17 @@ KEY_SETUPS = {
 #: observed: a key moves only when the fields of ``TrialSetup`` do
 KEYS = {
     "quick_ring": (
-        "e8cf7f04430a81671d64ce0865980e1a1615a43d4bc9c8e26257d813cef88aec",
-        "694c3a4193a0cd15818ebbf47a54a4cbb85a8bda6bb3df593da5df6e3385b5ab"),
+        "455c06535433955273722f5bb78effa15f7c285f9ec6e0e0cee0672fe707eefc",
+        "9b89b614887914fef1f5948f6b2d939194461d5056f5df254ef1446eccc62478"),
     "generated": (
-        "9b5ae4b9ad832f76516126d155422fede7c92c20746d0ffd1e9cca03c855e6d0",
-        "638d9ac96a0b55b6b251d625a076bde07574a6586acf33ed25790bd24a0cf2a3"),
+        "50e6ab4e9002ffd81c5af435b4be6b6f96fc15fc760112658a0b3f71ae7ce9cf",
+        "0b95c2c32b29ae1c7ef70c65f0dec60f91a45bef166de4de78737718ca0404bb"),
     "topology": (
-        "cac617e0a89626e18dd4cebc1d1d4d1494c146dffd00ffba5c1beb2a303e96b1",
-        "6dea500fd0cce890a50e3ed2e1016f120c907d20fbf7529b818901d23e7ce1df"),
+        "82fd2726c589bf96f021d4a01a4ebf70d7bf3666b0aeef0b30fbfd545ced49db",
+        "56efe922f78a3670639315af198486d82563307a9f87f7e6619c59d799355743"),
     "containers": (
-        "18d87d2970cbfa24a0acbaa18914af4ce63423a673562485f9a81501b021b4bd",
-        "ac15596f727005a4dd7d243856fa66cc48c906756bf8e0b9b698b5012840a22e"),
+        "46af242ce45a405b3f03a10e1ca4b0750245b942e707df74b86f10c8d0e2456b",
+        "0b90f12b6b1e52bbf47ce9747686f2c0797aed0314a527c507f81146072ac311"),
 }
 
 

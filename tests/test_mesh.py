@@ -544,7 +544,7 @@ def test_a_stopped_daemon_resumes_its_mesh_in_thread_order(case):
     setup = TrialSetup(
         n_procs=4, n_machines=7, protocol=protocol, timeout=400.0,
         workload="ring", niters=40, total_compute=1280.0, footprint=1e8,
-        keep_trace=True, scenario_source=PAUSING_NODE + _pausing_master(
+        scenario_source=PAUSING_NODE + _pausing_master(
             stopped, killed, at, kill_after, resume_after))
     assert _digest(setup.run_one(seed=7)) == STOPPED_WITH_A_MESH[case]
 

@@ -135,7 +135,7 @@ def test_an_audited_message_refuses_a_second_write(audited):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_a_trial_never_changes_a_built_message(case, request):
-    setup = dataclasses.replace(CASES[case](), keep_trace=True, observe=True)
+    setup = dataclasses.replace(CASES[case](), observe=True)
     plain = setup.run_one(seed=3)
     request.getfixturevalue("audited")
     audited_result = setup.run_one(seed=3)

@@ -175,7 +175,7 @@ def test_a_rollback_with_no_local_image_fetches_it_from_the_shard(
     """With every node-local file missing, each rank of a one-kill Vcl
     ring fetches the committed image from its shard and the trial
     computes what the fault-free run does."""
-    setup = dataclasses.replace(faulted_ring(8, "vcl"), keep_trace=True)
+    setup = faulted_ring(8, "vcl")
     clean = dataclasses.replace(setup, scenario_source=None,
                                 master_daemon=None, node_daemon=None)
     golden = clean.run_one(0).app_signature
@@ -276,7 +276,7 @@ def test_images_and_restores_copy_no_state_deeply(protocol, monkeypatch):
     nothing falls back to ``copy.deepcopy``.  A kill at t=90 comes
     after the killed rank's first image, so the restart restores."""
     setup = dataclasses.replace(
-        faulted_ring(16, protocol), keep_trace=True,
+        faulted_ring(16, protocol),
         scenario_source=render_plan((TimedKill(at=90, target=13),)))
     calls = _deepcopies(monkeypatch)
     result = setup.run_one(3)

@@ -55,20 +55,20 @@ BUDGET_16_RANK_VCL = 23512
 BUDGET_64_RANK_VCL = 79882
 
 
-def _setup(protocol, observe=True, keep_trace=False):
+def _setup(protocol, observe=True):
     return TrialSetup(
         n_procs=4, n_machines=6, protocol=protocol, timeout=200.0,
         scenario_source=render_plan(PLAN),
         master_daemon=generators.MASTER,
         node_daemon=generators.NODE_DAEMON,
-        observe=observe, keep_trace=keep_trace, **CAL)
+        observe=observe, **CAL)
 
 
 @pytest.fixture(scope="module")
 def recorded():
     """One observed kill/partition/heal trial per protocol, each with
     the causal recorder it ran under: ``(result, CausalGraph)``."""
-    return {p: run_keeping_recorder(_setup(p, keep_trace=True), 7)
+    return {p: run_keeping_recorder(_setup(p), 7)
             for p in PROTOCOLS}
 
 
@@ -379,23 +379,23 @@ def _bt16(protocol):
 #: past the causal cap).
 DOCUMENT_DIGESTS = {
     ("ring4", "v1"):
-        "78a8ea88a9ec3a670d2d77f7f10c31a6dcabc5aaf5952585e65b1ad7e64c32bc",
+        "12cf266aa34f67d6211cb8bc3325608d8cd96b8476cc8f5994a84c34eee974bb",
     ("ring4", "v2"):
-        "acda4833f22c1e2f1ef9a9faa3472598424b9e204cb87358fefe0b368a861c08",
+        "591ba9f7f9062f427196f95eedaaa2f03dae50cae62a241bfc5b8801debe9bd0",
     ("ring4", "vcl"):
-        "9f601a43ee26c3e6bec1aa10650e8d6925de5fdc0ef61e4f66364aaf8c765a21",
+        "377a63e36d472ad3258a319a923a0a14f7134c3cb6ebda1d50cd77d6fef5c10f",
     ("ring64", "v1"):
-        "a2a4a467cd847469d53fd4955ae7f10ebffb35d05529f5a7aa42bb55fe03e50b",
+        "bff61d5fb8b179cf7d0f6ebb3c1f4d619ea4ddf5ab73a7013c44dc070048b790",
     ("ring64", "v2"):
-        "8d45f2fc45950b96bc5dcaa5969e1a1a17f9653a420f51f47910f358c295d90f",
+        "f42a43b7313dfaa8fe701ea2590652faa7d857cb688d60de4113f516299ceaec",
     ("ring64", "vcl"):
-        "56caaf76f6d3ebca5e7af463ac769787b00363b6eba6c1ec0661fc44e07ccddb",
+        "17962b06f78b0434c84b435328783097b2d5f2ad603900ed4f7ea60c7e8d050c",
     ("bt16", "v1"):
-        "215bb0f3c2e9d4c77304ed8e54ec85f47092de5ce8442f7e31ce2232e8f33dcb",
+        "09c868a720892ddf11292562e06f16532f022ab4a9da6b0188b15eeacabc6f54",
     ("bt16", "v2"):
-        "2288076bdd3d9a939983fcd8645162c5972c9012e1cb1c088fe9c6bdcd4a6266",
+        "eb44f87fbffd4990ed29fb1eac9591b29cbfe27ccb70a98f27402d0ff3c34500",
     ("bt16", "vcl"):
-        "c07f3949056a143a0660b453a6880446f6869dd5f6f5473646183a893b032058",
+        "9d190ec22056d4c18d45808c782697fb6e70e08d879639d95a384e5f838dcbe9",
 }
 
 
@@ -515,7 +515,7 @@ def test_verdict_identical_with_observation_off(observed, command_trials,
     trial and for every trial of a table-building command, which is
     what lets those commands run unobserved."""
     pairs = [(observed[protocol],
-              _setup(protocol, observe=False, keep_trace=True).run_one(7))]
+              _setup(protocol, observe=False).run_one(7))]
     # 2 compare-protocols trials and 7 explore trials per protocol
     ran = [((setup, seed), off) for (setup, seed), off in command_trials
            if setup.protocol == protocol]

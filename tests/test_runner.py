@@ -25,6 +25,9 @@ from repro.experiments.resultstore import (ResultStore, entry_text,
                                            run_result_to_dict)
 from repro.experiments.runner import (TrialRunner, add_runner_arguments,
                                       runner_from_args, trial_key)
+from repro.explore import generators
+from repro.explore.campaign import quick_config, trial_setup
+from test_trial_garbage import faulted_ring
 
 #: heavily reduced workload so a sweep stays in the second range
 QUICK = dict(niters=10, total_compute=180.0, footprint=1e8)
@@ -202,14 +205,36 @@ def test_run_result_roundtrip():
     json.loads(json.dumps(doc))
 
 
-def test_run_result_roundtrip_keeps_records():
-    setup = dataclasses.replace(quick_setup(None), keep_trace=True)
-    result = setup.run_one(seed=5)
-    assert len(result.trace.records) > 0
-    back = run_result_from_dict(run_result_to_dict(result))
-    assert len(back.trace.records) == len(result.trace.records)
-    rec_a, rec_b = result.trace.records[0], back.trace.records[0]
-    assert (rec_a.t, rec_a.kind) == (rec_b.t, rec_b.kind)
+def _storm_trial():
+    """An explore ``partition_storm`` trial: each failed launch logs
+    three trace records, 44,016 in all."""
+    cfg = quick_config(seed=7)
+    scenario = generators.generate("partition_storm", 1, cfg.seed,
+                                   cfg.generator_context())
+    return trial_setup(cfg, "ring", "v1", source=scenario.source)
+
+
+def test_keeping_records_never_moves_the_document(tmp_path):
+    """Trace records stay with the process that ran the trial: the
+    document is the same whether the trial kept them or not, and a
+    runner's result, serial, pooled or cached, has none."""
+    jobs = [(faulted_ring(16, "v2"), 1), (_storm_trial(), 1)]
+    docs = []
+    for setup, seed in jobs:
+        live = setup.run_one(seed)
+        assert live.trace.records
+        doc = run_result_to_dict(live)
+        assert doc == run_result_to_dict(setup.run_one(seed,
+                                                       keep_trace=False))
+        assert set(doc["trace"]) == {"counts"}
+        docs.append(doc)
+    cache = str(tmp_path)
+    for runner in (TrialRunner(cache_dir=cache), TrialRunner(workers=2),
+                   TrialRunner(cache_dir=cache)):
+        results = runner.run_jobs(jobs)
+        assert [run_result_to_dict(r) for r in results] == docs
+        assert not any(r.trace.records for r in results)
+    assert runner.stats.cache_hits == len(jobs)
 
 
 def test_result_store_miss_and_corruption(tmp_path):

@@ -39,14 +39,14 @@ def test_timeline_empty_trace():
 
 
 def test_timeline_counts_only_degrades_gracefully():
-    """A keep=False trace (the campaign default) that saw events has
-    no swimlanes to draw: it says how to get them instead."""
+    """A counts-only trace that saw events (what a result document
+    reads back as) has no swimlanes to draw: it says so instead."""
     tr = Trace(keep=False)
     tr.record(10.0, "fault_injected")
     tr.record(50.0, "fault_injected")
     tr.record(60.0, "restart_wave")
     assert not tr.records
-    with pytest.raises(ValueError, match="keep_trace=True"):
+    with pytest.raises(ValueError, match="read back from a result document"):
         render_timeline(tr, width=20)
 
 

@@ -43,8 +43,8 @@ def deployment_refs(monkeypatch):
     refs = []
     build = TrialSetup.build
 
-    def probed(self, seed):
-        runtime, deployment = build(self, seed)
+    def probed(self, seed, keep_trace=True):
+        runtime, deployment = build(self, seed, keep_trace)
         refs.append(weakref.ref(runtime.engine))
         refs.append(weakref.ref(runtime.cluster))
         return runtime, deployment

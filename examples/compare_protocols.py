@@ -5,7 +5,7 @@ identical fault scenarios.
 The paper's conclusion proposes exactly this workflow: use FAIL-MPI to
 "evaluate many different implementations at large scales and compare
 them fairly under the same failure scenarios."  The implementations
-are every protocol in the registry (:mod:`repro.mpichv.protocols`):
+are every protocol in the table (:mod:`repro.mpichv.protocols`):
 
 * **Vcl** — the paper's non-blocking coordinated Chandy-Lamport
   checkpointing: every failure rolls the whole application back;

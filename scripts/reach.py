@@ -65,8 +65,9 @@ def commands():
     yield ("fig7", "--quick", "--reps", "1", "--fixed")
     yield ("fig9", "--quick", "--reps", "1")
     yield ("fig11", "--quick", "--reps", "1", "--fixed")
-    yield ("compare", "--quick", "--reps", "1", "--cache-dir", "store",
-           "--trace-out", "compare.trace.json", "--obs-report", "rollup")
+    yield ("compare-protocols", "--quick", "--reps", "1",
+           "--cache-dir", "store", "--trace-out", "compare.trace.json",
+           "--obs-report", "rollup")
     yield ("net-sensitivity", "--quick", "--cache-dir", "store",
            "--json", "net.json")
     yield ("scale-sweep", "--quick", "--json", "scale.json")

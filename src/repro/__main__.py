@@ -38,12 +38,6 @@ COMMANDS = {
                    "campaign rollup: OpenMetrics + HTML from a result store"),
 }
 
-#: legacy spellings kept working
-ALIASES = {
-    "compare": "compare-protocols",
-}
-
-
 def usage() -> str:
     lines = ["usage: python -m repro <command> [options]", "", "commands:"]
     for name, (_module, blurb) in COMMANDS.items():
@@ -61,7 +55,6 @@ def main(argv=None) -> int:
         print(usage())
         return 0
     command = argv.pop(0)
-    command = ALIASES.get(command, command)
     entry = COMMANDS.get(command)
     if entry is None:
         print(f"unknown command {command!r}\n", file=sys.stderr)

@@ -17,13 +17,12 @@ makes stalls and freezes visually obvious.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.traces import Trace
 
-#: default swimlanes: label -> (trace kinds, mark character)
-DEFAULT_LANES: Sequence[Tuple[str, Tuple[str, ...], str]] = (
+#: the swimlanes: label -> (trace kinds, mark character)
+LANES: Sequence[Tuple[str, Tuple[str, ...], str]] = (
     ("progress", ("progress",), "█"),
     ("ckpt", ("ckpt_wave_complete", "v2_ckpt"), "C"),
     ("ckpt?", ("ckpt_wave_abort",), "a"),
@@ -35,16 +34,9 @@ DEFAULT_LANES: Sequence[Tuple[str, Tuple[str, ...], str]] = (
     ("done", ("app_done",), "D"),
 )
 
-#: joins the default lanes only when the trace has such records (a
+#: joins the lanes only when the trace has such records (a
 #: simulated thread raised), so crash-free timelines keep their shape
 CRASH_LANE: Tuple[str, Tuple[str, ...], str] = ("crash", ("thread_crashed",), "X")
-
-
-@dataclass
-class TimelineLane:
-    label: str
-    kinds: Tuple[str, ...]
-    mark: str
 
 
 def _bucket(t: float, t0: float, t1: float, width: int) -> int:
@@ -56,9 +48,7 @@ def _bucket(t: float, t0: float, t1: float, width: int) -> int:
 
 def render_timeline(trace: Trace, width: int = 72,
                     t0: Optional[float] = None,
-                    t1: Optional[float] = None,
-                    lanes: Optional[Sequence[Tuple[str, Tuple[str, ...], str]]] = None,
-                    ) -> str:
+                    t1: Optional[float] = None) -> str:
     """Render the trace as fixed-width swimlanes.
 
     Wants the live trace of a trial that kept its records: a trace
@@ -70,11 +60,9 @@ def render_timeline(trace: Trace, width: int = 72,
     if width < 10:
         raise ValueError("width must be >= 10")
     records = trace.records
-    if not lanes:
-        lanes = DEFAULT_LANES
-        if trace.count("thread_crashed"):
-            lanes = (*lanes, CRASH_LANE)
-    lanes = [TimelineLane(lbl, kinds, mark) for (lbl, kinds, mark) in lanes]
+    lanes = LANES
+    if trace.count("thread_crashed"):
+        lanes = (*lanes, CRASH_LANE)
     if not records and trace.counts:
         raise ValueError("the trace has no records (one read back from a "
                          "result document has none): render a live trace")
@@ -87,25 +75,25 @@ def render_timeline(trace: Trace, width: int = 72,
         # never a zero-width (or negative) time range
         t1 = t0 + 1.0
 
-    rows: Dict[str, List[str]] = {lane.label: ["·"] * width for lane in lanes}
-    kind_to_lane: Dict[str, TimelineLane] = {}
-    for lane in lanes:
-        for kind in lane.kinds:
-            kind_to_lane[kind] = lane
+    rows: Dict[str, List[str]] = {label: ["·"] * width
+                                  for label, _kinds, _mark in lanes}
+    kind_to_lane: Dict[str, Tuple[str, str]] = {
+        kind: (label, mark) for label, kinds, mark in lanes for kind in kinds}
     counted = 0
     for rec in records:
         lane = kind_to_lane.get(rec.kind)
         if lane is None or not (t0 <= rec.t <= t1):
             continue
-        rows[lane.label][_bucket(rec.t, t0, t1, width)] = lane.mark
+        label, mark = lane
+        rows[label][_bucket(rec.t, t0, t1, width)] = mark
         counted += 1
 
-    label_w = max(len(lane.label) for lane in lanes) if lanes else 8
+    label_w = max(len(label) for label in rows)
     header = (f"{'time':<{label_w}} {t0:.1f} " + "─" * max(1, width - 16)
               + f" {t1:.1f}")
     lines = [header]
-    for lane in lanes:
-        lines.append(f"{lane.label:<{label_w}} " + "".join(rows[lane.label]))
+    for label, row in rows.items():
+        lines.append(f"{label:<{label_w}} " + "".join(row))
     lines.append(f"({counted} events shown, {len(records)} in trace)")
     return "\n".join(lines)
 

@@ -6,7 +6,7 @@ large scales and compare them fairly under the same failure
 scenarios"* — citing the authors' own earlier comparison of message
 logging versus coordinated checkpointing [LBH+04].
 
-This experiment runs that comparison across the whole registered
+This experiment runs that comparison across the whole
 MPICH-V family — every protocol in
 :mod:`repro.mpichv.protocols` — on the same workload, under the *same*
 Fig. 5a fault-frequency scenario with the same seeds:

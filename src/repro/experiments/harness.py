@@ -1,7 +1,7 @@
 """Shared experiment machinery.
 
-One *trial* = one deployment of the MPICH-V runtime (any registered
-protocol) running a registered workload (BT by default) under a FAIL
+One *trial* = one deployment of the MPICH-V runtime (any of its
+protocols) running one of the workloads (BT by default) under a FAIL
 scenario, killed at the 1500 s timeout if still running, classified
 from its trace exactly as in the paper (§5: terminated /
 non-terminating / buggy).  One *row* = several repetitions of the same
@@ -11,7 +11,7 @@ figure plots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.classify import Outcome
@@ -44,13 +44,11 @@ class TrialSetup:
     node_daemon: str = "ADV2"
     bug_compat: bool = True
     timeout: float = 1500.0
-    ckpt_period: float = 30.0
-    fault_tolerant: bool = True
-    #: fault-tolerance protocol, resolved through the registry in
-    #: :mod:`repro.mpichv.protocols` ("vcl", "v2", "v1", ...)
+    #: fault-tolerance protocol, a key of
+    #: :data:`repro.mpichv.protocols.PROTOCOLS` ("vcl", "v2", "v1")
     protocol: str = "vcl"
-    #: workload name, resolved through the registry in
-    #: :mod:`repro.workloads` ("bt", "ring", "masterworker", ...)
+    #: workload name, a key of :data:`repro.workloads.WORKLOADS`
+    #: ("bt", "ring", "masterworker")
     workload: str = "bt"
     #: workload-specific parameter overrides (e.g. ``{"rounds": 30}``)
     workload_params: Dict[str, float] = field(default_factory=dict)
@@ -59,8 +57,10 @@ class TrialSetup:
     niters: int = 120
     total_compute: float = 8800.0
     footprint: float = 1.6e9
-    #: extra :class:`VclConfig` attributes (e.g. ``{"cm_replay": False}``
-    #: to plant the broken-replay bug the exploration oracles hunt)
+    #: the other :class:`VclConfig` attributes (e.g. ``{"cm_replay":
+    #: False}`` to plant the broken-replay bug the exploration oracles
+    #: hunt, or ``{"ckpt_period": 15.0}``); a field of the setup itself
+    #: is not one of them
     config_overrides: Dict[str, object] = field(default_factory=dict)
     #: record recovery-phase spans, the metrics and the causal record
     #: (see :mod:`repro.obs`).  Off by default: no table reads the
@@ -73,24 +73,29 @@ class TrialSetup:
     #: not alias a cache slot.
     observe: bool = False
 
+    def __post_init__(self):
+        # an override restating a field would give one trial two cache
+        # keys, and one differing from it would leave the config and
+        # the workload disagreeing
+        for name in sorted(self.config_overrides):
+            if name in _SETUP_FIELDS:
+                raise ValueError(
+                    f"config override {name!r} is a TrialSetup field, "
+                    f"not an extra VclConfig attribute")
+
     def build(self, seed: int, keep_trace: bool = True):
         """Construct (runtime, deployment) for one repetition.  With
         ``keep_trace=False`` the trace keeps no records: the result
         document, and so the cache key, is the same either way."""
-        config_kwargs = dict(
+        config = VclConfig(
             n_procs=self.n_procs,
             n_machines=self.n_machines,
-            ckpt_period=self.ckpt_period,
             bug_compat=self.bug_compat,
             timeout=self.timeout,
-            fault_tolerant=self.fault_tolerant,
             protocol=self.protocol,
             footprint=self.footprint,
+            **self.config_overrides,
         )
-        # overrides win, including over the fields mirrored above —
-        # "extra VclConfig attribute" means *any* of them
-        config_kwargs.update(self.config_overrides)
-        config = VclConfig(**config_kwargs)
         workload = build_workload(
             self.workload,
             n_procs=self.n_procs,
@@ -129,6 +134,9 @@ class TrialSetup:
                 return runtime.run()
             finally:
                 del runtime, deployment
+
+
+_SETUP_FIELDS = frozenset(f.name for f in fields(TrialSetup))
 
 
 @dataclass

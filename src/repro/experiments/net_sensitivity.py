@@ -3,7 +3,7 @@
 The paper's testbed is one real cluster whose fabric silently shapes
 every figure (checkpoint-transfer slowdowns in Fig. 6, socket-closure
 failure detection).  This experiment makes the fabric a variable: it
-races every registered protocol over the :mod:`repro.netmodel` fabric
+races every protocol over the :mod:`repro.netmodel` fabric
 family —
 
 * ``uniform`` — the historical single-pipe model (the baseline);

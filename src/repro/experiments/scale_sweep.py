@@ -3,7 +3,7 @@
 The paper's Fig. 6 stops at 64 processes — where a single checkpoint
 server saturates (every wave funnels ``footprint`` bytes through one
 60 MB/s disk).  This experiment extends the scale axis past the
-paper's range and makes the server count a variable: every registered
+paper's range and makes the server count a variable: every
 protocol runs at ranks up to 512 with the checkpoint traffic spread
 over k ∈ {1, 2, 4, 8} shards by the deterministic map in
 :mod:`repro.mpichv.shardmap`.

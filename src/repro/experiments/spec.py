@@ -55,7 +55,7 @@ FIXED_FLAG = flag("--fixed", action="store_false", dest="bug_compat",
 PROTOCOL_NAMES_FLAG = flag("--protocols", action="extend",
                            type=comma_list(), dest="protocol_names",
                            metavar="NAME[,NAME]",
-                           help="protocols to sweep (default: all registered)")
+                           help="protocols to sweep (default: all)")
 NO_FAULTS_FLAG = flag("--no-faults", action="store_false", dest="faulty",
                       help="sweep fault-free (no recovery traffic)")
 

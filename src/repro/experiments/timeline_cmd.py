@@ -1,6 +1,6 @@
 """``python -m repro timeline`` — one observed trial, rendered.
 
-Runs a single trial of any registered protocol under an inline fault
+Runs a single trial of any protocol under an inline fault
 plan (``--kill``, ``--partition``, ``--heal-after``) and renders what
 the paper's methodology reads off the execution trace: the ASCII
 swimlane timeline, optionally the per-epoch recovery *phase table*
@@ -155,7 +155,7 @@ SPEC = ExperimentSpec(
         flag("--procs", type=_positive, dest="n_procs", metavar="N",
              help="MPI processes (default: 8)"),
         flag("--workload", choices=available_workloads(),
-             help="registered workload (default: ring)"),
+             help="workload (default: ring)"),
         flag("--seed", type=int),
         flag("--timeout", type=float,
              help="simulated-seconds cap (default: 600)"),

@@ -48,7 +48,7 @@ from repro.mpichv.runtime import RunResult
 from repro.workloads import available_workloads
 
 #: per-workload calibration at the campaign's default 4-process scale:
-#: long enough that the fault window (default 10–80 s) lands mid-run,
+#: long enough that the fault window (``generators.WINDOW``) lands mid-run,
 #: short enough that a quick campaign stays CI-sized.
 CALIBRATIONS: Dict[str, Dict[str, float]] = {
     "ring": {"niters": 40, "total_compute": 1280.0},      # ≈80 s fault-free
@@ -67,7 +67,7 @@ def derive_seed(*parts: object) -> int:
 class ExploreConfig:
     """One campaign, fully determined (with a seed) by these knobs."""
 
-    protocols: Tuple[str, ...] = ()          # () -> every registered one
+    protocols: Tuple[str, ...] = ()          # () -> every protocol
     workloads: Tuple[str, ...] = ("ring",)
     families: Tuple[str, ...] = ()           # () -> every family
     #: total fault-trial budget, split evenly over the grid
@@ -79,8 +79,6 @@ class ExploreConfig:
     timeout: float = 300.0
     #: explore the fixed dispatcher by default; True hunts the paper's bug
     bug_compat: bool = False
-    window: Tuple[int, int] = (10, 80)
-    max_faults: int = 4
     #: extra VclConfig attributes (e.g. {"cm_replay": False})
     config_overrides: Dict[str, object] = field(default_factory=dict)
     #: candidate-trial budget per shrink, and how many failures to shrink
@@ -107,7 +105,6 @@ class ExploreConfig:
         servers = int(self.config_overrides.get("n_ckpt_servers", 2))
         return GeneratorContext(
             n_machines=self.n_machines, n_busy=self.n_procs,
-            window=self.window, max_faults=self.max_faults,
             cm_stride=max(1, stride), n_ckpt_servers=max(1, servers))
 
 
@@ -877,7 +874,7 @@ SPEC = ExperimentSpec(
                   "scenario per grid cell)"),
         flag("--protocols", action="extend", type=comma_list(),
              metavar="NAME[,NAME]",
-             help="protocols to race (default: all registered)"),
+             help="protocols to race (default: all)"),
         flag("--workloads", action="extend", type=comma_list(),
              metavar="NAME[,NAME]",
              help="workloads to stress (default: ring)"),

@@ -44,7 +44,7 @@ Families (``FAMILIES``)
 -----------------------
 
 ``random_schedule``
-    2–``max_faults`` kills at random times/targets — the baseline sweep.
+    2–``MAX_FAULTS`` kills at random times/targets — the baseline sweep.
 ``burst``
     One batch of back-to-back kills at a single instant (Fig. 7's
     regime, with randomized batch size, time and victims).
@@ -76,6 +76,11 @@ from repro.fail import build as fb
 #: generated daemon names (bound via TrialSetup.master_daemon / node_daemon)
 MASTER = "XADV"
 NODE_DAEMON = "XNODE"
+
+#: absolute-time window for timed kills (integer seconds)
+WINDOW = (10, 80)
+#: most kills any one scenario may plan
+MAX_FAULTS = 4
 
 
 @dataclass(frozen=True)
@@ -324,17 +329,13 @@ class GeneratorContext:
     #: biased here — a kill on an idle spare is a no-op fault.  0 means
     #: "all machines are fair game".
     n_busy: int = 0
-    #: absolute-time window for timed kills (integer seconds)
-    window: Tuple[int, int] = (10, 80)
-    #: most kills any one scenario may plan
-    max_faults: int = 4
     #: CM-neighborhood stride (``n_channel_memories`` of the v1 config)
     cm_stride: int = 2
     #: deployed checkpoint servers (svc2..): partition targets
     n_ckpt_servers: int = 2
 
     def pick_time(self, rng: random.Random) -> int:
-        return rng.randint(self.window[0], self.window[1])
+        return rng.randint(*WINDOW)
 
     def pick_target(self, rng: random.Random) -> int:
         busy = self.n_busy or self.n_machines
@@ -345,7 +346,7 @@ class GeneratorContext:
 
 
 def _gen_random_schedule(rng, ctx) -> Tuple[FaultPlan, str]:
-    k = rng.randint(2, ctx.max_faults)
+    k = rng.randint(2, MAX_FAULTS)
     times = sorted(ctx.pick_time(rng) for _ in range(k))
     plan = tuple(TimedKill(at=t, target=ctx.pick_target(rng))
                  for t in times)
@@ -353,7 +354,7 @@ def _gen_random_schedule(rng, ctx) -> Tuple[FaultPlan, str]:
 
 
 def _gen_burst(rng, ctx) -> Tuple[FaultPlan, str]:
-    k = rng.randint(2, ctx.max_faults)
+    k = rng.randint(2, MAX_FAULTS)
     at = ctx.pick_time(rng)
     pool = range(ctx.n_busy or ctx.n_machines)
     victims = rng.sample(pool, min(k, len(pool)))
@@ -362,7 +363,7 @@ def _gen_burst(rng, ctx) -> Tuple[FaultPlan, str]:
 
 
 def _gen_targeted(rng, ctx) -> Tuple[FaultPlan, str]:
-    k = rng.randint(2, ctx.max_faults)
+    k = rng.randint(2, MAX_FAULTS)
     start = ctx.pick_time(rng)
     period = rng.randint(15, 40)
     if rng.random() < 0.5:
@@ -382,7 +383,7 @@ def _gen_targeted(rng, ctx) -> Tuple[FaultPlan, str]:
 def _gen_rekill_race(rng, ctx) -> Tuple[FaultPlan, str]:
     first = ctx.pick_target(rng)
     plan: List[Step] = [TimedKill(at=ctx.pick_time(rng), target=first)]
-    for _ in range(rng.randint(1, max(1, ctx.max_faults - 1))):
+    for _ in range(rng.randint(1, MAX_FAULTS - 1)):
         plan.append(RekillRace(
             target=first if rng.random() < 0.5 else ctx.pick_target(rng)))
     return tuple(plan), f"kill then re-kill on recovery ({len(plan)} steps)"
@@ -391,7 +392,7 @@ def _gen_rekill_race(rng, ctx) -> Tuple[FaultPlan, str]:
 def _gen_fault_during_recovery(rng, ctx) -> Tuple[FaultPlan, str]:
     plan: List[Step] = [TimedKill(at=ctx.pick_time(rng),
                                   target=ctx.pick_target(rng))]
-    for _ in range(rng.randint(1, max(1, ctx.max_faults - 1))):
+    for _ in range(rng.randint(1, MAX_FAULTS - 1)):
         plan.append(KillReporter())
     return tuple(plan), f"kill the recovering machine ({len(plan)} steps)"
 

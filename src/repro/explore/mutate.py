@@ -47,12 +47,13 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.explore.generators import (FaultPlan, GeneratorContext, Heal,
-                                      KillReporter, RekillRace, Step,
-                                      TimedKill, TimedPartition, kill_steps)
+from repro.explore.generators import (MAX_FAULTS, WINDOW, FaultPlan,
+                                      GeneratorContext, Heal, KillReporter,
+                                      RekillRace, Step, TimedKill,
+                                      TimedPartition, kill_steps)
 
 #: schedule-size ceilings: mutation may grow a plan past the seeded
-#: families' ``max_faults``, but not without bound
+#: families' ``MAX_FAULTS``, but not without bound
 MAX_STEPS = 12
 EXTRA_FAULTS = 2
 
@@ -68,9 +69,9 @@ def valid_plan(plan: FaultPlan, ctx: GeneratorContext) -> bool:
     """
     if not 1 <= len(plan) <= MAX_STEPS:
         return False
-    if len(kill_steps(plan)) > ctx.max_faults + EXTRA_FAULTS:
+    if len(kill_steps(plan)) > MAX_FAULTS + EXTRA_FAULTS:
         return False
-    horizon = ctx.window[1] + 120
+    horizon = WINDOW[1] + 120
     saw_kill = saw_partition = False
     for step in plan:
         if isinstance(step, TimedKill):
@@ -121,7 +122,7 @@ def _shift_time(plan: FaultPlan, rng: random.Random,
     i = rng.choice(candidates)
     step = plan[i]
     delta = rng.choice((-20, -10, -5, -2, 2, 5, 10, 20))
-    at = min(max(0, step.at + delta), ctx.window[1] + 60)
+    at = min(max(0, step.at + delta), WINDOW[1] + 60)
     if isinstance(step, TimedKill):
         return _replace_at(plan, i, TimedKill(at=at, target=step.target))
     return _replace_at(plan, i, TimedPartition(
@@ -215,7 +216,7 @@ def _duplicate_kill(plan: FaultPlan, rng: random.Random,
         twin = TimedKill(at=step.at, target=ctx.pick_target(rng))
     else:
         twin = TimedKill(at=min(step.at + rng.randint(1, 15),
-                                ctx.window[1] + 60),
+                                WINDOW[1] + 60),
                          target=step.target)
     return plan[:i + 1] + (twin,) + plan[i + 1:]
 

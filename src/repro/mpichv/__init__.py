@@ -22,9 +22,9 @@ Components (mirroring Fig. 2 of the paper):
 * :mod:`repro.mpichv.daemonbase` — the generic daemon lifecycle every
   protocol's daemon runs (listener, dispatcher exchange, trace point,
   service dialing, mesh build, uniform termination);
-* :mod:`repro.mpichv.protocols` — the protocol registry: each family
+* :mod:`repro.mpichv.protocols` — the protocol table: each family
   member declares its daemon class, its service plan and its config
-  validation; the dispatcher/runtime/config consult the registry
+  validation; the dispatcher/runtime/config consult the table
   instead of string-matching protocol names;
 * :mod:`repro.mpichv.v2daemon` / :mod:`repro.mpichv.eventlog` — the V2
   protocol (pessimistic sender-based message logging), selectable via

@@ -92,8 +92,8 @@ class VclConfig:
     timeout: float = 1500.0
     #: enable checkpoint/rollback at all (False = Vdummy baseline)
     fault_tolerant: bool = True
-    #: fault-tolerance protocol, looked up in the registry of
-    #: :mod:`repro.mpichv.protocols`.  Built-ins: "vcl" (coordinated
+    #: fault-tolerance protocol, looked up in
+    #: :data:`repro.mpichv.protocols.PROTOCOLS`.  Built-ins: "vcl" (coordinated
     #: Chandy-Lamport, the paper's subject), "v2" (pessimistic
     #: sender-based message logging, cf. MPICH-V2 [BCH+03]), "v1"
     #: (remote pessimistic logging in Channel Memories, MPICH-V1).
@@ -135,7 +135,7 @@ class VclConfig:
             raise ValueError("ckpt_period must be positive")
         self.topology = TopologySpec.coerce(self.topology)
         _validate_fabric_model(self.topology.model)   # unknown model raises
-        # Registry-driven: unknown protocols and protocol/config
+        # Table-driven: unknown protocols and protocol/config
         # conflicts (e.g. ``blocking`` with a non-vcl protocol) raise
         # from the protocol's own validate hook.
         from repro.mpichv.protocols import validate_config

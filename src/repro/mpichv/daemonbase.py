@@ -20,8 +20,8 @@ Termination semantics are uniform across protocols: a ``Terminate``
 order is acknowledged by socket closure *after* the
 ``terminate_cleanup`` delay (the daemon tearing its state down), and a
 ``Shutdown`` exits immediately.  Protocols plug in by subclassing
-:class:`MpichDaemon` and registering a
-:class:`repro.mpichv.protocols.ProtocolSpec`.
+:class:`MpichDaemon` and adding a
+:class:`repro.mpichv.protocols.ProtocolSpec` to ``PROTOCOLS``.
 """
 
 from __future__ import annotations
@@ -62,13 +62,13 @@ class MpichDaemon:
     """State, threads and reader handlers shared by every communication
     daemon instance.
 
-    Subclasses set :attr:`protocol` (the registry name, also used for
+    Subclasses set :attr:`protocol` (the protocol's name, also used for
     thread names and the ``proc.tags`` entry) and :attr:`hello_cls`
     (the wire type their mesh handshake uses; ``None`` when the
     protocol builds no peer mesh), and implement the protocol hooks.
     """
 
-    #: registry name of the protocol this daemon implements
+    #: name of the protocol this daemon implements (a ``PROTOCOLS`` key)
     protocol: str = "?"
     #: mesh handshake message type accepted by the listener (None: no mesh)
     hello_cls: Optional[type] = None

@@ -1,11 +1,11 @@
-"""The fault-tolerance protocol registry of the MPICH-V family.
+"""The fault-tolerance protocols of the MPICH-V family.
 
 Every protocol the runtime can deploy is described by one
-:class:`ProtocolSpec` and registered here; the dispatcher, the runtime
-and the configuration validator all consult the registry instead of
-string-matching protocol names.  Adding a protocol is a one-file
-affair: subclass :class:`repro.mpichv.daemonbase.MpichDaemon`, declare
-the services its deployment needs, and call :func:`register`.
+:class:`ProtocolSpec` in the :data:`PROTOCOLS` table; the dispatcher,
+the runtime and the configuration validator all consult the table
+instead of string-matching protocol names.  Adding a protocol takes a
+daemon class (a :class:`repro.mpichv.daemonbase.MpichDaemon`) and one
+entry here declaring the services its deployment needs.
 
 A spec declares:
 
@@ -41,9 +41,9 @@ Built-in protocols:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.registry import Registry
+from repro.registry import lookup
 from repro.mpichv import shardmap
 from repro.mpichv.ckptserver import ckpt_server_main
 from repro.mpichv.channelmemory import channel_memory_main
@@ -101,27 +101,14 @@ class ProtocolSpec:
                                 incarnation, app_factory)
 
 
-_REGISTRY = Registry("protocol")
-
-
-def register(spec: ProtocolSpec, replace: bool = False) -> ProtocolSpec:
-    """Add a protocol to the registry (``replace=True`` to override)."""
-    return _REGISTRY.register(spec.name, spec, replace=replace)
-
-
-def unregister(name: str) -> None:
-    """Remove a protocol (tests registering toy protocols clean up)."""
-    _REGISTRY.unregister(name)
-
-
 def available() -> List[str]:
-    """Registered protocol names, sorted."""
-    return _REGISTRY.available()
+    """Protocol names, sorted."""
+    return sorted(PROTOCOLS)
 
 
 def get_spec(name: str) -> ProtocolSpec:
     """Look a protocol up; unknown names raise ``ValueError``."""
-    return _REGISTRY.get(name)
+    return lookup(PROTOCOLS, "protocol", name)
 
 
 def daemon_main_for(config) -> Callable:
@@ -136,7 +123,7 @@ def daemon_main_for(config) -> Callable:
 
 
 def validate_config(config) -> None:
-    """Registry-driven part of ``VclConfig.__post_init__``."""
+    """Protocol-specific part of ``VclConfig.__post_init__``."""
     spec = get_spec(config.protocol)       # raises on unknown protocol
     if spec.validate is not None:
         spec.validate(config)
@@ -294,36 +281,37 @@ def _validate_v1(config) -> None:
         raise ValueError("v1 needs at least one channel memory")
 
 
-register(ProtocolSpec(
-    name="vcl",
-    core_cls=VclDaemon,
-    service_plan=_vcl_plan,
-    single_rank_restart=False,
-    description=("coordinated non-blocking Chandy-Lamport checkpointing "
-                 "(the paper's protocol)"),
-    invariants=_vcl_invariants,
-))
-
-register(ProtocolSpec(
-    name="v2",
-    core_cls=V2Daemon,
-    service_plan=_v2_plan,
-    single_rank_restart=True,
-    description=("pessimistic sender-based message logging with "
-                 "uncoordinated checkpoints [BCH+03]"),
-    validate=_require_non_blocking,
-    invariants=_v2_invariants,
-    simultaneous_tolerance=1,
-))
-
-register(ProtocolSpec(
-    name="v1",
-    core_cls=V1Daemon,
-    service_plan=_v1_plan,
-    single_rank_restart=True,
-    description=("remote pessimistic logging in stable Channel Memories "
-                 "(MPICH-V1)"),
-    validate=_validate_v1,
-    extra_service_nodes=lambda config: config.n_channel_memories,
-    invariants=_v1_invariants,
-))
+#: every protocol the runtime can deploy, by name
+PROTOCOLS: Dict[str, ProtocolSpec] = {spec.name: spec for spec in (
+    ProtocolSpec(
+        name="vcl",
+        core_cls=VclDaemon,
+        service_plan=_vcl_plan,
+        single_rank_restart=False,
+        description=("coordinated non-blocking Chandy-Lamport "
+                     "checkpointing (the paper's protocol)"),
+        invariants=_vcl_invariants,
+    ),
+    ProtocolSpec(
+        name="v2",
+        core_cls=V2Daemon,
+        service_plan=_v2_plan,
+        single_rank_restart=True,
+        description=("pessimistic sender-based message logging with "
+                     "uncoordinated checkpoints [BCH+03]"),
+        validate=_require_non_blocking,
+        invariants=_v2_invariants,
+        simultaneous_tolerance=1,
+    ),
+    ProtocolSpec(
+        name="v1",
+        core_cls=V1Daemon,
+        service_plan=_v1_plan,
+        single_rank_restart=True,
+        description=("remote pessimistic logging in stable Channel "
+                     "Memories (MPICH-V1)"),
+        validate=_validate_v1,
+        extra_service_nodes=lambda config: config.n_channel_memories,
+        invariants=_v1_invariants,
+    ),
+)}

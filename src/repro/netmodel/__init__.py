@@ -5,9 +5,9 @@ The subsystem has two halves:
 * :mod:`repro.netmodel.spec` — :class:`TopologySpec` (per-deployment
   topology configuration; hashes into trial cache keys) and the
   network default constants every other layer imports;
-* :mod:`repro.netmodel.fabric` — the :class:`FabricModel` registry and
-  the built-in ``uniform`` / ``star`` / ``twotier`` models with
-  per-link counters.
+* :mod:`repro.netmodel.fabric` — the :data:`FABRICS` table of the
+  ``uniform`` / ``star`` / ``twotier`` fabric models (subclasses of
+  :class:`FabricModel`), with per-link counters.
 
 Runtime-mutable reachability (``isolate`` / ``heal``) lives on
 :class:`repro.cluster.network.Network`, which owns the live

@@ -3,10 +3,8 @@
 A *fabric model* turns (source host, destination host, message size)
 into a delivery time by walking per-link queues, and carries per-link
 byte counters the experiments surface as the busiest link.
-Models register by name in :data:`FABRICS` (the same
-:class:`repro.registry.Registry` the protocol and workload plugin
-systems use), selected per deployment through a
-:class:`~repro.netmodel.spec.TopologySpec`.
+The models are listed by name in the :data:`FABRICS` table, selected
+per deployment through a :class:`~repro.netmodel.spec.TopologySpec`.
 
 Built-in models:
 
@@ -39,19 +37,12 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.netmodel.spec import DEFAULT_BANDWIDTH, DEFAULT_LATENCY, TopologySpec
-from repro.registry import Registry
-
-FABRICS = Registry("fabric model")
-
-
-def register_fabric(name: str, cls, replace: bool = False):
-    """Register a :class:`FabricModel` subclass under ``name``."""
-    return FABRICS.register(name, cls, replace=replace)
+from repro.registry import lookup
 
 
 def validate_model(name: str) -> None:
     """Raise ``ValueError`` for unknown fabric model names."""
-    FABRICS.get(name)
+    lookup(FABRICS, "fabric model", name)
 
 
 def build_fabric(topology, latency: Optional[float] = None,
@@ -62,7 +53,7 @@ def build_fabric(topology, latency: Optional[float] = None,
     spec leaves its own ``None``.
     """
     spec = TopologySpec.coerce(topology)
-    cls = FABRICS.get(spec.model)
+    cls = lookup(FABRICS, "fabric model", spec.model)
     base_latency = spec.latency if spec.latency is not None else (
         latency if latency is not None else DEFAULT_LATENCY)
     base_bandwidth = spec.bandwidth if spec.bandwidth is not None else (
@@ -90,8 +81,6 @@ class Link:
 class FabricModel:
     """Base class: host registry, cached paths, store-and-forward."""
 
-    #: registry name (informational; lookup goes through FABRICS)
-    name = "?"
     #: True only for the uniform model, enabling the network fast path
     is_uniform = False
 
@@ -186,7 +175,6 @@ class UniformFabric(FabricModel):
     uniform runs never consult the fabric per message.
     """
 
-    name = "uniform"
     is_uniform = True
 
     def _build_path(self, src: str, dst: str) -> Tuple[Link, ...]:
@@ -195,8 +183,6 @@ class UniformFabric(FabricModel):
 
 class StarFabric(FabricModel):
     """Per-host access links feeding one shared switch."""
-
-    name = "star"
 
     def _host_added(self, host: str) -> None:
         spec = self.spec
@@ -222,8 +208,6 @@ class TwoTierFabric(FabricModel):
     downlink, each carrying ``bandwidth * rack_size /
     oversubscription``.
     """
-
-    name = "twotier"
 
     def _core_bandwidth(self) -> float:
         spec = self.spec
@@ -256,6 +240,9 @@ class TwoTierFabric(FabricModel):
                 self._links[f"{dst}/down"])
 
 
-register_fabric("uniform", UniformFabric)
-register_fabric("star", StarFabric)
-register_fabric("twotier", TwoTierFabric)
+#: fabric model name -> :class:`FabricModel` subclass
+FABRICS: Dict[str, type] = {
+    "uniform": UniformFabric,
+    "star": StarFabric,
+    "twotier": TwoTierFabric,
+}

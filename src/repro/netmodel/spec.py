@@ -34,7 +34,7 @@ class TopologySpec:
     """
 
     #: fabric model name, resolved in :data:`repro.netmodel.fabric.FABRICS`
-    #: ("uniform", "star", "twotier", ...)
+    #: ("uniform", "star" or "twotier")
     model: str = "uniform"
     #: base one-way host-to-host latency (None -> deployment default)
     latency: Optional[float] = None

@@ -1,39 +1,21 @@
-"""A tiny name -> value registry shared by the plugin systems.
+"""Name lookup in the closed tables of built-ins.
 
-Both the fault-tolerance protocols (:mod:`repro.mpichv.protocols`) and
-the workloads (:mod:`repro.workloads`) are registered by name and
-looked up by the experiment machinery; this class keeps their
-registration semantics and error shapes identical.
+The protocols (:data:`repro.mpichv.protocols.PROTOCOLS`), the workloads
+(:data:`repro.workloads.WORKLOADS`) and the fabric models
+(:data:`repro.netmodel.fabric.FABRICS`) are plain dicts; this keeps
+their unknown-name errors identical.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Mapping
 
 
-class Registry:
-    """Named plugin slots with guarded registration and helpful errors."""
-
-    def __init__(self, kind: str):
-        self.kind = kind
-        self._items: Dict[str, Any] = {}
-
-    def register(self, name: str, value: Any, replace: bool = False) -> Any:
-        if name in self._items and not replace:
-            raise ValueError(f"{self.kind} {name!r} already registered")
-        self._items[name] = value
-        return value
-
-    def unregister(self, name: str) -> None:
-        self._items.pop(name, None)
-
-    def available(self) -> List[str]:
-        return sorted(self._items)
-
-    def get(self, name: str) -> Any:
-        try:
-            return self._items[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown {self.kind} {name!r} (registered: "
-                f"{', '.join(self.available())})") from None
+def lookup(table: Mapping[str, Any], kind: str, name: str) -> Any:
+    """``table[name]``; an unknown name raises ``ValueError`` naming
+    the known ones."""
+    try:
+        return table[name]
+    except KeyError:
+        raise ValueError(f"unknown {kind} {name!r} (known: "
+                         f"{', '.join(sorted(table))})") from None

@@ -5,50 +5,31 @@ Every workload is written against
 contract (all progress in ``ep.state``), so it survives
 checkpoint/rollback at any instant.
 
-The module also hosts the **workload registry**: experiment campaigns
-select a workload by name (``TrialSetup(workload="ring")``) and the
-registered builder adapts the harness's shared calibration knobs
-(``niters``, ``total_compute``, ``footprint``) to the workload's own
-parameters.  Registering a new workload makes it available to every
-experiment driver at once.
+The module also hosts the **workload table** :data:`WORKLOADS`:
+experiment campaigns select a workload by name
+(``TrialSetup(workload="ring")``) and its builder adapts the harness's
+shared calibration knobs (``niters``, ``total_compute``,
+``footprint``) to the workload's own parameters.  A builder added to
+the table is available to every experiment driver at once.
 """
 
-from typing import Callable, List
+from typing import Callable, Dict, List
 
-from repro.registry import Registry
+from repro.registry import lookup
 from repro.workloads.nas_bt import BTWorkload, bt_expected_checksum
 from repro.workloads.ring import RingWorkload
 from repro.workloads.masterworker import MasterWorkerWorkload
 
-_REGISTRY = Registry("workload")
-
-
-def register_workload(name: str, builder: Callable,
-                      replace: bool = False) -> None:
-    """Register a workload builder under ``name``.
-
-    ``builder(n_procs=..., niters=..., total_compute=..., footprint=...,
-    params={...})`` must return a workload object exposing
-    ``make_factory()``.  ``params`` carries workload-specific overrides
-    (``TrialSetup.workload_params``).
-    """
-    _REGISTRY.register(name, builder, replace=replace)
-
-
-def unregister_workload(name: str) -> None:
-    _REGISTRY.unregister(name)
-
-
 def available_workloads() -> List[str]:
-    """Registered workload names, sorted."""
-    return _REGISTRY.available()
+    """Workload names, sorted."""
+    return sorted(WORKLOADS)
 
 
 def build_workload(name: str, *, n_procs: int, niters: int,
                    total_compute: float, footprint: float,
                    params: dict = None):
     """Build the named workload; unknown names raise ``ValueError``."""
-    builder = _REGISTRY.get(name)
+    builder = lookup(WORKLOADS, "workload", name)
     return builder(n_procs=n_procs, niters=niters,
                    total_compute=total_compute, footprint=footprint,
                    params=dict(params or {}))
@@ -80,6 +61,12 @@ def _build_masterworker(*, n_procs, niters, total_compute, footprint, params):
     return MasterWorkerWorkload(n_procs=n_procs, **kw)
 
 
-register_workload("bt", _build_bt)
-register_workload("ring", _build_ring)
-register_workload("masterworker", _build_masterworker)
+#: workload name -> builder.  ``builder(n_procs=..., niters=...,
+#: total_compute=..., footprint=..., params={...})`` returns a workload
+#: object exposing ``make_factory()``; ``params`` carries
+#: workload-specific overrides (``TrialSetup.workload_params``).
+WORKLOADS: Dict[str, Callable] = {
+    "bt": _build_bt,
+    "ring": _build_ring,
+    "masterworker": _build_masterworker,
+}

@@ -278,7 +278,7 @@ def test_guided_campaign_at_width_2_never_builds_a_pool(tmp_path,
             cfg, runner=TrialRunner(workers=workers), out_dir=str(out),
             corpus_dir=str(out / "corpus"))
     wide, serial = runs[2], runs[1]
-    assert trial_keys.pin() == (17, "710cb6834c1d8b3b")
+    assert trial_keys.pin() == (17, "8f7d5509e33f469e")
     assert len(wide.rows) == cfg.budget and wide.executed > cfg.budget
     assert wide.failures and len(wide.shrinks) == 1
     assert [v.to_dict() for v in wide.rows] \

@@ -165,15 +165,25 @@ def test_reactive_overlap_counts_as_concurrent_failures():
     assert "progress" in oracles.failed_names(strict)
 
 
-def test_config_overrides_may_name_mirrored_fields():
-    """--override may target any VclConfig attribute, including the
-    ones TrialSetup passes explicitly; the override wins."""
-    setup = TrialSetup(n_procs=4, n_machines=7,
-                       config_overrides={"footprint": 5e7,
-                                         "ckpt_period": 10.0})
+def test_config_overrides_reach_the_config_but_not_a_setup_field():
+    """--override may target any VclConfig attribute TrialSetup does
+    not pass itself.  One it does pass is refused: ``protocol="v2"``
+    and an override ``{"protocol": "v2"}`` ran one trial under two
+    keys, and an overridden ``footprint`` or ``n_procs`` left the
+    config and the workload disagreeing."""
+    setup = TrialSetup(n_procs=4, n_machines=7, footprint=5e7,
+                       config_overrides={"ckpt_period": 10.0,
+                                         "fault_tolerant": False})
     runtime, _dep = setup.build(1)
     assert runtime.config.footprint == 5e7
     assert runtime.config.ckpt_period == 10.0
+    assert runtime.config.fault_tolerant is False
+    for name, value in (("protocol", "v2"), ("footprint", 2e8),
+                        ("n_procs", 8), ("timeout", 300.0)):
+        with pytest.raises(ValueError,
+                           match=f"'{name}' is a TrialSetup field"):
+            TrialSetup(n_procs=4, n_machines=7,
+                       config_overrides={name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +266,7 @@ def test_quick_campaign_seed7_is_deterministic_and_clean(trial_keys):
     their cache slots: the keys are pinned."""
     first = run_campaign(quick_config(seed=7))
     second = run_campaign(quick_config(seed=7))
-    assert trial_keys.pin() == (21, "eac3e85bac640a1e")
+    assert trial_keys.pin() == (21, "414011425aa92fb7")
     assert first.render_table() == second.render_table()
     assert first.to_json() == second.to_json()
     assert {v.protocol for v in first.rows} == set(protocols.available())
@@ -277,7 +287,7 @@ def test_broken_cm_replay_is_caught_and_shrunk(tmp_path, trial_keys):
                        config_overrides={"cm_replay": False},
                        max_shrinks=1)
     result = run_campaign(cfg, out_dir=str(tmp_path))
-    assert trial_keys.pin() == (7, "14ba63ac7e449d00")
+    assert trial_keys.pin() == (7, "33584f74771e12e8")
     trial_keys.clear()
     assert result.failures, "the planted bug escaped every oracle"
     assert result.shrinks, "no shrink attempted"
@@ -293,7 +303,7 @@ def test_broken_cm_replay_is_caught_and_shrunk(tmp_path, trial_keys):
     _res, reports = replay_scenario(
         source, cfg, "v1", "ring", report.verdict.trial_seed)
     assert oracles.failed_names(reports)
-    assert trial_keys.pin() == (2, "b35328486f2abd20")
+    assert trial_keys.pin() == (2, "8eb748d668141175")
     assert "python -m repro explore --replay" in report.command
     assert "cm_replay=False" in report.command
 
@@ -466,6 +476,19 @@ def test_override_of_an_unknown_key_is_a_usage_error(text, key, capsys):
     err = capsys.readouterr().err
     assert err.splitlines()[-1].endswith(
         f"override key {key} is not a VclConfig field")
+
+
+def test_override_of_a_setup_field_is_a_usage_error(tmp_path, capsys):
+    """``--override protocol=v2`` would restate ``--protocols``: the
+    command stops with a usage error naming the field."""
+    from repro.__main__ import main
+    with pytest.raises(SystemExit) as exit_info:
+        main(["explore", "--quick", "--override", "protocol=v2",
+              "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "config override 'protocol' is a TrialSetup field, "
+        "not an extra VclConfig attribute")
 
 
 @pytest.mark.parametrize("content", [None, "garbage !!\n"],

@@ -146,9 +146,9 @@ def test_faulted_trial_matches_reference_digest():
 def test_trial_key_is_the_recorded_hex():
     setup = _setup("vcl", 1, "uniform")
     assert trial_key(setup, 7) == \
-        "dcf18d6f376b891456cac34d7657fa04a2735db5963987007e7445574fc322a7"
+        "5eaa167c655e066b27e0e0412f0a942a0678e72491ab0ddf160f61ef060b2c04"
     assert trial_key(dataclasses.replace(setup, observe=True), 7) == \
-        "b903bb7b1600b57f965da46d452569384b833466e3e70db96db0d4071fcdb24f"
+        "0440e2bcb09973ef1697edebd52323bc5ed1f1bc812673b99367f19451c0b354"
 
 
 def test_trial_key_still_separates_real_configuration():
@@ -191,17 +191,17 @@ KEY_SETUPS = {
 #: observed: a key moves only when the fields of ``TrialSetup`` do
 KEYS = {
     "quick_ring": (
-        "455c06535433955273722f5bb78effa15f7c285f9ec6e0e0cee0672fe707eefc",
-        "9b89b614887914fef1f5948f6b2d939194461d5056f5df254ef1446eccc62478"),
+        "1ecb32cb6e85b753fb62dc7a2be2ca2fb0377608960050d254fe99e0ebbe983e",
+        "050c1d5fcdcfe182abfc6cc6949d707c5c74cbf34eb39d85fc64ade63671a173"),
     "generated": (
-        "50e6ab4e9002ffd81c5af435b4be6b6f96fc15fc760112658a0b3f71ae7ce9cf",
-        "0b95c2c32b29ae1c7ef70c65f0dec60f91a45bef166de4de78737718ca0404bb"),
+        "45a7c819b8064d4dc2f61105b2a4a102b62a82c80c72e3f623eb2c595ae1f750",
+        "dd639006ddf7f37efd5060b74af9fe6e08497b2972be555c55db34aa17b4a30c"),
     "topology": (
-        "82fd2726c589bf96f021d4a01a4ebf70d7bf3666b0aeef0b30fbfd545ced49db",
-        "56efe922f78a3670639315af198486d82563307a9f87f7e6619c59d799355743"),
+        "c3844563355af1c8e4d0dbbba530c42916cc1b367719e94d18b5a45b47a96d49",
+        "14e654f55451f876e0915fd060bb9c0418fc60988ae60eed65bd029301a14f7b"),
     "containers": (
-        "46af242ce45a405b3f03a10e1ca4b0750245b942e707df74b86f10c8d0e2456b",
-        "0b90f12b6b1e52bbf47ce9747686f2c0797aed0314a527c507f81146072ac311"),
+        "48def552f3cb444abd3deff824ad64fdb34a1377e9d2ee12539e09b188dd4135",
+        "c1646220e0ed5d2afcbe354159f8ce21ef43122aa1beae8688c506d911eb83d8"),
 }
 
 

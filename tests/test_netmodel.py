@@ -1,4 +1,4 @@
-"""Unit tests for repro.netmodel: specs, fabric models, registry,
+"""Unit tests for repro.netmodel: specs, fabric models, the table,
 traffic accounting, the uniform fast path and the constants dedupe."""
 
 import pytest
@@ -6,8 +6,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import Network
 from repro.mpichv.config import TimingModel, VclConfig
-from repro.netmodel.fabric import (FABRICS, UniformFabric, build_fabric,
-                                   register_fabric)
+from repro.netmodel.fabric import FABRICS, build_fabric
 from repro.netmodel.spec import (DEFAULT_BANDWIDTH, DEFAULT_LATENCY,
                                  TopologySpec)
 from repro.simkernel.engine import Engine
@@ -67,11 +66,9 @@ def test_config_coerces_topology_and_rejects_unknown_models():
 
 
 def test_fabric_registry_guards_duplicates_and_unknowns():
-    with pytest.raises(ValueError):
-        register_fabric("uniform", UniformFabric)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown fabric model 'nosuch'"):
         build_fabric("nosuch")
-    assert {"uniform", "star", "twotier"} <= set(FABRICS.available())
+    assert set(FABRICS) == {"uniform", "star", "twotier"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Tests for the protocol plugin registry and the shared daemon base.
+"""Tests for the protocol table and the shared daemon base.
 
-Covers the registry error paths (unknown protocol, protocol/config
-conflicts), the service plans, one-file protocol extension, the
-enforced absence of protocol string branches outside the registry, and
+Covers the lookup error paths (unknown protocol, protocol/config
+conflicts), the service plans, one-entry protocol extension, the
+enforced absence of protocol string branches outside the table, and
 the unified termination semantics of the shared daemon lifecycle.
 """
 
@@ -31,7 +31,7 @@ def make_runtime(protocol, n=4, seed=0, **cfg):
 
 
 # ---------------------------------------------------------------------------
-# registry lookups and error paths
+# table lookups and error paths
 # ---------------------------------------------------------------------------
 
 def test_registry_lists_the_family():
@@ -63,12 +63,6 @@ def test_v1_needs_a_channel_memory():
         VclConfig(n_procs=4, protocol="v1", n_channel_memories=0)
     # ...but other protocols ignore the knob entirely
     VclConfig(n_procs=4, protocol="vcl", n_channel_memories=0)
-
-
-def test_double_registration_rejected():
-    spec = protocols.get_spec("vcl")
-    with pytest.raises(ValueError, match="already registered"):
-        protocols.register(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +98,10 @@ def test_v1_gets_extra_service_nodes():
 
 
 # ---------------------------------------------------------------------------
-# one-file extension: a toy protocol registers and runs
+# one-entry extension: a toy protocol in the table runs
 # ---------------------------------------------------------------------------
 
-def test_registering_a_new_protocol_is_enough_to_deploy_it():
+def test_registering_a_new_protocol_is_enough_to_deploy_it(monkeypatch):
     class ToyDaemon(V2Daemon):
         protocol = "toy"
 
@@ -119,8 +113,8 @@ def test_registering_a_new_protocol_is_enough_to_deploy_it():
         description="V2 under another name (extension smoke test)",
         validate=None,
     )
-    protocols.register(spec)
-    try:
+    with monkeypatch.context() as patch:
+        patch.setitem(protocols.PROTOCOLS, "toy", spec)
         rt = make_runtime("toy")
         res = rt.run()
         assert res.outcome.value == "terminated"
@@ -128,14 +122,12 @@ def test_registering_a_new_protocol_is_enough_to_deploy_it():
         # the toy daemon really ran: its tag is on the daemon processes
         procs = rt.cluster.all_procs("vdaemon")
         assert procs and all("toy" in p.tags for p in procs)
-    finally:
-        protocols.unregister("toy")
     with pytest.raises(ValueError):
         protocols.get_spec("toy")
 
 
 # ---------------------------------------------------------------------------
-# no protocol string branches outside the registry (acceptance criterion)
+# no protocol string branches outside the table (acceptance criterion)
 # ---------------------------------------------------------------------------
 
 def test_no_protocol_string_branches_outside_registry():

@@ -181,7 +181,7 @@ def test_trial_key_stable_and_sensitive():
     assert key == trial_key(quick_setup(35), 1)       # stable across builds
     assert key != trial_key(setup, 2)                  # seed-sensitive
     assert key != trial_key(quick_setup(40), 1)        # param-sensitive
-    bumped = dataclasses.replace(setup, ckpt_period=31.0)
+    bumped = dataclasses.replace(setup, timeout=1501.0)
     assert key != trial_key(bumped, 1)                 # every field counts
 
 

@@ -232,8 +232,8 @@ def test_scale_512_rank_delivery():
     setup = TrialSetup(
         n_procs=512, n_machines=516, protocol="vcl", timeout=600.0,
         workload="ring", niters=10, total_compute=110.0 * 512,
-        footprint=1e9, ckpt_period=15.0,
-        config_overrides={"n_ckpt_servers": 4})
+        footprint=1e9,
+        config_overrides={"ckpt_period": 15.0, "n_ckpt_servers": 4})
     result = setup.run_one(seed=2)
     assert result.outcome is Outcome.TERMINATED
     assert len(result.ckpt_shard_bytes) == 4

@@ -1,4 +1,4 @@
-"""Tests for the workload registry and its harness plumbing.
+"""Tests for the workload table and its harness plumbing.
 
 ``TrialSetup`` selects workloads by name through
 :mod:`repro.workloads`, so ring/masterworker campaigns run through the
@@ -13,8 +13,7 @@ from repro.analysis.classify import Outcome
 from repro.experiments.compare_protocols import run_experiment
 from repro.experiments.harness import TrialSetup
 from repro.experiments.runner import TrialRunner
-from repro.workloads import (available_workloads, build_workload,
-                             register_workload, unregister_workload)
+from repro.workloads import WORKLOADS, available_workloads, build_workload
 from repro.workloads.masterworker import MasterWorkerWorkload
 from repro.workloads.ring import RingWorkload
 
@@ -33,11 +32,6 @@ def test_unknown_workload_raises_at_trial_build_time():
     setup = TrialSetup(n_procs=4, n_machines=6, workload="nope")
     with pytest.raises(ValueError, match="unknown workload"):
         setup.build(seed=0)
-
-
-def test_double_registration_rejected():
-    with pytest.raises(ValueError, match="already registered"):
-        register_workload("bt", lambda **kw: None)
 
 
 def test_bt_calibration_knobs_overridable_via_params():
@@ -78,20 +72,17 @@ def test_non_bt_campaigns_run_through_the_harness(workload, protocol):
     assert res.outcome is Outcome.TERMINATED
 
 
-def test_registering_a_workload_extends_every_campaign():
+def test_registering_a_workload_extends_every_campaign(monkeypatch):
     class TinyRing(RingWorkload):
         pass
 
-    register_workload(
-        "tinyring",
+    monkeypatch.setitem(
+        WORKLOADS, "tinyring",
         lambda *, n_procs, niters, total_compute, footprint, params:
             TinyRing(n_procs=n_procs, rounds=4, **params))
-    try:
-        setup = TrialSetup(n_procs=3, n_machines=5, workload="tinyring")
-        res = setup.run_one(seed=1)
-        assert res.outcome is Outcome.TERMINATED
-    finally:
-        unregister_workload("tinyring")
+    setup = TrialSetup(n_procs=3, n_machines=5, workload="tinyring")
+    res = setup.run_one(seed=1)
+    assert res.outcome is Outcome.TERMINATED
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,9 @@ class MeshWorld:
     """``p0``'s mesh (rank 0) is dialed once by each incarnation of
     ``p1`` and ``p2`` (ranks 1 and 2), whose first word is its name;
     every end is read from its handshake on.  A refused dial is not
-    retried."""
+    retried.  Once an end's close is read its row may carry the next
+    connection with that rank, so nothing more is sent under its name:
+    a daemon leaves the row then."""
 
     def __init__(self):
         self.eng = eng = Engine(seed=0)
@@ -199,6 +201,7 @@ class MeshWorld:
         self.network = self.cluster.network
         self.log = {}
         self.ends = {}
+        self.gone = set()
         self.procs = {name: self.spawn(name, i)
                       for i, name in enumerate(PROCS)}
         eng.run(until=0.0)
@@ -237,9 +240,12 @@ class MeshWorld:
 
         mesh = Mesh(proc, listener, rank, 3,
                     lambda row, msg: self.note(names[row], msg),
-                    lambda row: self.note(names[row], CLOSED), hello,
-                    connected)
+                    lambda row: self.left(names[row]), hello, connected)
         return mesh
+
+    def left(self, name):
+        self.note(name, CLOSED)
+        self.gone.add(name)
 
     def restart(self, name, incarnation):
         self.procs[incarnation] = self.spawn(incarnation, int(name[1]))
@@ -257,8 +263,9 @@ class MeshWorld:
                                1.0, 1.0, stop)
 
     def send(self, name, msg, size):
-        mesh, row = self.ends[name]
-        mesh.send(row, msg, size=size)
+        if name not in self.gone:
+            mesh, row = self.ends[name]
+            mesh.send(row, msg, size=size)
 
 
 class MeshVersusModel(NetworkVersusModel):
@@ -314,7 +321,7 @@ class MeshVersusModel(NetworkVersusModel):
         in one call: a list of one message per row."""
         mesh = self.real.meshes["p0"]
         ends = [(name, row) for name, (m, row) in sorted(self.real.ends.items())
-                if m is mesh]
+                if m is mesh and name not in self.real.gone]
         msgs = []
         for name, _row in ends:
             self.msg += 1
@@ -365,3 +372,28 @@ def test_a_restart_while_the_last_connection_is_busy(stopped, gap):
     machine.send(2, 1999, 2)
     machine.advance(STEPS[-1])
     assert "sp1'" in machine.real.ends
+
+
+def test_a_severed_row_carries_the_next_incarnation():
+    """A severance closes ``p0``'s row for rank 2, the close is read, and
+    the next incarnation's connection takes the same row: what ``p0``
+    then sends goes to the new connection alone, and the old end's name
+    sends nothing."""
+    machine = MeshVersusModel()
+    machine.build()
+    machine.connect("p2")
+    machine.advance(STEPS[3])
+    machine.isolate("p0")
+    machine.advance(STEPS[2])
+    machine.heal()
+    machine.kill("p2")
+    machine.restart("p2")
+    machine.advance(STEPS[3])
+    machine.send_each(0)
+    machine.send(0, 0, 1)
+    machine.advance(STEPS[2])
+    machine.advance(STEPS[-1])
+    machine.send_each(137)
+    machine.advance(STEPS[-1])
+    assert machine.real.ends["sp2"] == machine.real.ends["sp2'"]
+    assert machine.real.log["cp2'"]

@@ -14,6 +14,7 @@ from repro.simkernel.engine import Engine
 from repro.cluster.network import Network
 from repro.cluster.node import Node
 from repro.cluster.unixproc import UnixProcess
+from repro.netmodel.spec import DEFAULT_BANDWIDTH, DEFAULT_LATENCY
 
 #: one-off cost of an ssh-style remote launch (connection + exec)
 SSH_LATENCY = 0.05
@@ -23,21 +24,14 @@ class Cluster:
     """A named set of :class:`Node` machines sharing one network."""
 
     def __init__(self, engine: Engine, n_nodes: int,
-                 latency: Optional[float] = None,
-                 bandwidth: Optional[float] = None,
+                 latency: float = DEFAULT_LATENCY,
+                 bandwidth: float = DEFAULT_BANDWIDTH,
                  name_prefix: str = "node",
                  topology=None):
         if n_nodes <= 0:
             raise ValueError("cluster needs at least one node")
         self.engine = engine
-        kwargs: Dict[str, Any] = {}
-        if latency is not None:
-            kwargs["latency"] = latency
-        if bandwidth is not None:
-            kwargs["bandwidth"] = bandwidth
-        if topology is not None:
-            kwargs["topology"] = topology
-        self.network = Network(engine, **kwargs)
+        self.network = Network(engine, latency, bandwidth, topology)
         self.nodes: List[Node] = [
             Node(self, f"{name_prefix}{i}", i) for i in range(n_nodes)
         ]

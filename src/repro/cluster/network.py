@@ -80,10 +80,9 @@ class Network:
         if latency < 0 or bandwidth <= 0:
             raise ValueError("latency must be >=0 and bandwidth >0")
         self.engine = engine
+        self.latency = latency
+        self.bandwidth = bandwidth
         self.fabric = build_fabric(topology, latency, bandwidth)
-        #: resolved base parameters (a TopologySpec may override the args)
-        self.latency = self.fabric.latency
-        self.bandwidth = self.fabric.bandwidth
         self._listeners: Dict[Address, "ListenSocket"] = {}
         #: monotone id source for connections (stable trace labels)
         self._next_conn_id = 1

@@ -20,6 +20,7 @@ from repro.experiments.runner import TrialRunner
 from repro.fail.scenario import Binding, deploy_scenario
 from repro.mpichv.config import VclConfig
 from repro.mpichv.runtime import RunResult, VclRuntime
+from repro.netmodel.spec import TopologySpec
 from repro.simkernel.engine import gc_paused
 from repro.workloads import build_workload
 
@@ -60,7 +61,11 @@ class TrialSetup:
     #: the other :class:`VclConfig` attributes (e.g. ``{"cm_replay":
     #: False}`` to plant the broken-replay bug the exploration oracles
     #: hunt, or ``{"ckpt_period": 15.0}``); a field of the setup itself
-    #: is not one of them
+    #: is not one of them.  A ``topology`` override is held as its
+    #: :class:`TopologySpec`, so ``"star"``, ``{"model": "star"}`` and
+    #: ``TopologySpec("star")`` are one trial under one key; leaving
+    #: ``topology`` out and overriding it with ``"uniform"`` build the
+    #: same trial under two keys
     config_overrides: Dict[str, object] = field(default_factory=dict)
     #: record recovery-phase spans, the metrics and the causal record
     #: (see :mod:`repro.obs`).  Off by default: no table reads the
@@ -82,6 +87,11 @@ class TrialSetup:
                 raise ValueError(
                     f"config override {name!r} is a TrialSetup field, "
                     f"not an extra VclConfig attribute")
+        if "topology" in self.config_overrides:
+            self.config_overrides = {
+                **self.config_overrides,
+                "topology": TopologySpec.coerce(
+                    self.config_overrides["topology"])}
 
     def build(self, seed: int, keep_trace: bool = True):
         """Construct (runtime, deployment) for one repetition.  With

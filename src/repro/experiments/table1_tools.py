@@ -77,7 +77,7 @@ SUPPORT_EVIDENCE: Dict[str, str] = {
                            "breakpoints (repro.fail.lang)",
     "High-level Language": "the FAIL DSL (repro.fail.lang.parser)",
     "Low Intrusion": "per-event handling cost only "
-                     "(TimingModel.fail_event_handling)",
+                     "(repro.fail.daemon.EVENT_HANDLING)",
     "Probabilistic Scenario": "FAIL_RANDOM (repro.fail.machine.eval_expr)",
     "No Code Modification": "registration interface / spawn listener "
                             "(repro.fail.scenario.ScenarioDeployment)",

@@ -101,8 +101,11 @@ class ExploreConfig:
         return tuple(self.workloads)
 
     def generator_context(self) -> GeneratorContext:
-        stride = int(self.config_overrides.get("n_channel_memories", 2))
-        servers = int(self.config_overrides.get("n_ckpt_servers", 2))
+        overrides = self.config_overrides
+        stride = int(overrides.get("n_channel_memories",
+                                   VclConfig.n_channel_memories))
+        servers = int(overrides.get("n_ckpt_servers",
+                                    VclConfig.n_ckpt_servers))
         return GeneratorContext(
             n_machines=self.n_machines, n_busy=self.n_procs,
             cm_stride=max(1, stride), n_ckpt_servers=max(1, servers))

@@ -1,7 +1,7 @@
 """Inter-daemon messaging for the FCI platform.
 
 FAIL daemons coordinate over the cluster network; we model their mesh
-as a bus with the network's one-way latency per message.  Delivery is
+as a bus with a fixed one-way latency per message.  Delivery is
 reliable and per-pair FIFO (TCP between daemons); the *handling* time
 at the receiver — the FCI daemon's processing plus the GDB verb cost —
 is charged by :class:`repro.fail.daemon.FailDaemon`, not here.
@@ -13,13 +13,15 @@ from typing import Dict
 
 from repro.simkernel.engine import Engine
 
+#: one-way latency of a message between two FAIL daemons, s
+BUS_LATENCY = 2e-4
+
 
 class FailBus:
     """Name-addressed message fabric between FAIL daemon instances."""
 
-    def __init__(self, engine: Engine, latency: float = 2e-4):
+    def __init__(self, engine: Engine):
         self.engine = engine
-        self.latency = latency
         self._registry: Dict[str, "object"] = {}
         self.messages_sent = 0
         self.messages_lost = 0
@@ -37,5 +39,5 @@ class FailBus:
             self.messages_lost += 1
             self.engine.log("fail_msg_lost", src=src, dst=dst, msg=msg)
             return
-        self.engine.call_later(self.latency,
+        self.engine.call_later(BUS_LATENCY,
                                lambda: target.deliver_msg(msg, src))

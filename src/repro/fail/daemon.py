@@ -27,6 +27,13 @@ from repro.fail.debugger import Debugger
 from repro.fail.lang import ast
 from repro.fail.machine import Machine, MachineContext
 
+#: handling of an injection order (an inter-daemon message), including
+#: the GDB verb's cost, uniform (lo, hi) in s
+ORDER_HANDLING: Tuple[float, float] = (0.004, 0.04)
+#: handling of a local event (onload / onexit / breakpoint), uniform
+#: (lo, hi) in s
+EVENT_HANDLING: Tuple[float, float] = (0.001, 0.01)
+
 
 class _BpController:
     """Tracks what the scenario decided about a paused breakpoint."""
@@ -111,11 +118,10 @@ class FailDaemon(MachineContext):
     # serialized handling with per-event processing delay
     # ------------------------------------------------------------------
     def _handling_delay(self, event: Tuple) -> float:
-        timing = self.platform.timing
         rng = self.engine.random      # timing noise, not scenario logic
         if event[0] == "msg":
-            return timing.uniform(rng, timing.fail_order_handling)
-        return timing.uniform(rng, timing.fail_event_handling)
+            return rng.uniform(*ORDER_HANDLING)
+        return rng.uniform(*EVENT_HANDLING)
 
     def _enqueue(self, event: Tuple) -> None:
         self._queue.append(event)

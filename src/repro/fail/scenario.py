@@ -32,7 +32,6 @@ class ScenarioDeployment:
                  bindings: Dict[str, Binding]):
         self.runtime = runtime
         self.engine = runtime.engine
-        self.timing = runtime.config.timing
         # The scenario's own random stream: every FAIL_RANDOM draw of
         # every daemon comes from here, seeded from the trial seed, so
         # one (scenario, seed) pair always replays the same fault
@@ -40,7 +39,7 @@ class ScenarioDeployment:
         # test consumes the engine's shared RNG.  (String seeding is
         # hash-stable across processes.)
         self.rng = random.Random(f"fail-mpi:{getattr(self.engine, 'seed', 0)}")
-        self.bus = FailBus(self.engine, latency=self.timing.fail_bus_latency)
+        self.bus = FailBus(self.engine)
         self.daemons: Dict[str, FailDaemon] = {}
         self.groups: Dict[str, List[FailDaemon]] = {}
         for instance, binding in bindings.items():

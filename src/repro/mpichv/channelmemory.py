@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.unixproc import UnixProcess
 from repro.mpi.message import AppMessage
-from repro.mpichv import wire
+from repro.mpichv import shardmap, wire
 
 #: log entry: (pos, src, src_seq, message)
 LogEntry = Tuple[int, int, int, AppMessage]
@@ -81,8 +81,7 @@ def channel_memory_main(proc: UnixProcess, config, index: int):
     proc.site = f"cm{index}"
     state = ChannelMemoryState()
     proc.tags["cm_state"] = state
-    listener = proc.node.listen(config.channel_memory_port_base + index,
-                                owner=proc)
+    listener = proc.node.listen(shardmap.cm_port(index), owner=proc)
     #: receiver rank -> forwarding socket of its attached daemon
     attached: Dict[int, Any] = {}
 

@@ -22,7 +22,8 @@ from typing import Dict, Optional
 from repro.analysis.coverage import hit_bucket
 from repro.cluster.unixproc import UnixProcess
 from repro.mpichv.checkpoint import CheckpointImage
-from repro.mpichv import wire
+from repro.mpichv import shardmap, wire
+from repro.mpichv.config import SERVER_DISK_BW
 from repro.simkernel.store import Store, StoreClosed
 
 
@@ -84,14 +85,14 @@ class CkptServerState:
         return self.images.get(wave, {}).get(rank)
 
 
-def ckpt_server_main(proc: UnixProcess, config, server_index: int):
+def ckpt_server_main(proc: UnixProcess, server_index: int):
     """Main generator of a checkpoint server process."""
     engine = proc.engine
     proc.site = f"ckpt{server_index}"
-    timing = config.timing
     state = CkptServerState()
     proc.tags["ckpt_state"] = state
-    listener = proc.node.listen(config.ckpt_server_port_base + server_index, owner=proc)
+    listener = proc.node.listen(shardmap.ckpt_server_port(server_index),
+                                owner=proc)
 
     #: FIFO disk queue: (kind, nbytes, t_enqueued, fn) — fn runs when
     #: the disk I/O ends; kind/t_enqueued feed the store spans and the
@@ -111,7 +112,7 @@ def ckpt_server_main(proc: UnixProcess, config, server_index: int):
                                op=kind, bytes=nbytes,
                                server=server_index)
             if nbytes > 0:
-                yield engine.timeout(nbytes / timing.server_disk_bw)
+                yield engine.timeout(nbytes / SERVER_DISK_BW)
             fn()
             engine.end(span)
 

@@ -1,9 +1,14 @@
-"""Configuration and timing model for the MPICH-V stack.
+"""Per-run configuration and the testbed calibration of the MPICH-V stack.
 
-All durations are in simulated seconds and calibrated so that absolute
-magnitudes land in the paper's ballpark (BT-49 class B ≈ 190 s without
-faults; checkpoint wave every 30 s taking a few seconds to drain to
-the checkpoint servers; recovery in the low seconds).  EXPERIMENTS.md
+:class:`VclConfig` holds what an experiment varies.  The testbed
+itself is fixed, as in the paper: its durations and rates are the
+module constants below (the FAIL daemon's in :mod:`repro.fail.daemon`
+and :mod:`repro.fail.bus`, the network's in :mod:`repro.netmodel.spec`,
+the service ports in :mod:`repro.mpichv.shardmap`).  All durations are
+in simulated seconds and calibrated so that absolute magnitudes land
+in the paper's ballpark (BT-49 class B ≈ 190 s without faults;
+checkpoint wave every 30 s taking a few seconds to drain to the
+checkpoint servers; recovery in the low seconds).  EXPERIMENTS.md
 records the calibration.
 """
 
@@ -13,52 +18,25 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.netmodel.fabric import validate_model as _validate_fabric_model
-from repro.netmodel.spec import (DEFAULT_BANDWIDTH, DEFAULT_LATENCY,
-                                 TopologySpec)
+from repro.netmodel.spec import TopologySpec
 
 MB = 1e6
 GB = 1e9
 
 
-@dataclass
-class TimingModel:
-    """Every latency/bandwidth knob of the simulated testbed.
-
-    The stochastic entries are (lo, hi) uniform ranges sampled from the
-    engine RNG, so runs remain reproducible per seed.
-    """
-
-    # network fabric (GigE-like); the defaults are the single source of
-    # truth in repro.netmodel.spec, shared with repro.cluster.network
-    net_latency: float = DEFAULT_LATENCY
-    net_bandwidth: float = DEFAULT_BANDWIDTH
-
-    # process management
-    ssh_latency: float = 0.05
-    #: daemon exec + library init before it contacts the dispatcher
-    daemon_startup: Tuple[float, float] = (0.02, 0.12)
-    #: cleanup time between receiving Terminate and exiting
-    terminate_cleanup: Tuple[float, float] = (0.3, 1.5)
-
-    # checkpointing
-    local_disk_bw: float = 40 * MB      # clone writes local image
-    server_disk_bw: float = 60 * MB     # server ingest (serialized per server)
-    ckpt_fork_pause: float = 0.02       # brief stop while fork-cloning
-
-    # failure injection (FAIL-side, see repro.fail)
-    fail_bus_latency: float = 2e-4
-    #: FCI daemon handling of an injection order (includes GDB verb cost)
-    fail_order_handling: Tuple[float, float] = (0.004, 0.04)
-    #: FCI daemon handling of a local event (onload/onexit/breakpoint)
-    fail_event_handling: Tuple[float, float] = (0.001, 0.01)
-
-    # mesh connection retry backoff (daemons waiting for peers)
-    connect_retry_initial: float = 0.05
-    connect_retry_max: float = 5.0
-
-    def uniform(self, rng, rng_range: Tuple[float, float]) -> float:
-        lo, hi = rng_range
-        return rng.uniform(lo, hi)
+#: daemon exec + library init before it contacts the dispatcher,
+#: uniform (lo, hi) in s drawn from the engine RNG
+DAEMON_STARTUP: Tuple[float, float] = (0.02, 0.12)
+#: cleanup between receiving Terminate and exiting, uniform (lo, hi) in s
+TERMINATE_CLEANUP: Tuple[float, float] = (0.3, 1.5)
+#: checkpoint clone writing its local image, bytes/s
+LOCAL_DISK_BW = 40 * MB
+#: checkpoint-server ingest (serialized per server), bytes/s
+SERVER_DISK_BW = 60 * MB
+#: connection retry backoff of daemons waiting for a peer or service:
+#: first delay and cap, s
+CONNECT_RETRY_INITIAL = 0.05
+CONNECT_RETRY_MAX = 5.0
 
 
 @dataclass
@@ -111,15 +89,6 @@ class VclConfig:
     #: "twotier") or a knob dict — coerced in ``__post_init__``.  The
     #: runtime builds the cluster's fabric from this.
     topology: object = field(default_factory=TopologySpec)
-    timing: TimingModel = field(default_factory=TimingModel)
-
-    # service ports
-    dispatcher_port: int = 7000
-    scheduler_port: int = 7001
-    ckpt_server_port_base: int = 7100
-    eventlog_port: int = 7002
-    channel_memory_port_base: int = 7200
-    daemon_port_base: int = 6000
 
     def __post_init__(self) -> None:
         if self.n_machines is None:

@@ -18,7 +18,7 @@ skeleton once:
 
 Termination semantics are uniform across protocols: a ``Terminate``
 order is acknowledged by socket closure *after* the
-``terminate_cleanup`` delay (the daemon tearing its state down), and a
+``TERMINATE_CLEANUP`` delay (the daemon tearing its state down), and a
 ``Shutdown`` exits immediately.  Protocols plug in by subclassing
 :class:`MpichDaemon` and adding a
 :class:`repro.mpichv.protocols.ProtocolSpec` to ``PROTOCOLS``.
@@ -35,6 +35,9 @@ from repro.mpi.endpoint import LocalDelivery, MpiEndpoint
 from repro.mpi.message import AppMessage
 from repro.mpichv import shardmap, wire
 from repro.mpichv.checkpoint import CheckpointImage, node_local_store, snapshot
+from repro.mpichv.config import (CONNECT_RETRY_INITIAL, CONNECT_RETRY_MAX,
+                                 DAEMON_STARTUP, LOCAL_DISK_BW,
+                                 TERMINATE_CLEANUP)
 from repro.simkernel.store import StoreClosed
 
 
@@ -84,7 +87,6 @@ class MpichDaemon:
         self.engine = proc.engine
         self.network = proc.node.cluster.network
         self.config = config
-        self.timing = config.timing
         self.rank = rank
         self.epoch = epoch
         self.incarnation = incarnation
@@ -188,13 +190,11 @@ class MpichDaemon:
     # ------------------------------------------------------------------
     # service dialing helpers
     # ------------------------------------------------------------------
-    def connect_service(self, node_name: str, port: int,
-                        stop: Callable[[], bool] = lambda: False):
+    def connect_service(self, node_name: str, port: int):
         """Generator: dial ``node_name:port`` with the standard backoff."""
         addr = self.proc.node.cluster.node(node_name).addr(port)
         sock = yield from connect_retry(
-            self.proc, addr, self.timing.connect_retry_initial,
-            self.timing.connect_retry_max, stop=stop)
+            self.proc, addr, CONNECT_RETRY_INITIAL, CONNECT_RETRY_MAX)
         return sock
 
     def connect_ckpt_server(self):
@@ -259,7 +259,7 @@ class MpichDaemon:
         span = self.engine.span("transfer", lane=self.proc.node.name,
                                 rank=self.rank, wave=img.wave,
                                 bytes=img.img_size)
-        yield self.engine.timeout(img.img_size / self.timing.local_disk_bw)
+        yield self.engine.timeout(img.img_size / LOCAL_DISK_BW)
         node_local_store(self.proc.node).store(img)
         self.on_image_local(img)
         if self.ckpt_sock is not None and not self.ckpt_sock.closed:
@@ -281,7 +281,7 @@ class MpichDaemon:
         if img is not None and img.complete:
             if cover:
                 self.engine.cover("daemon.restore.local")
-            yield self.engine.timeout(img.img_size / self.timing.local_disk_bw)
+            yield self.engine.timeout(img.img_size / LOCAL_DISK_BW)
             return img.snapshot_of()
         self.ckpt_sock.send(wire.FetchReq(rank=self.rank, wave=wave))
         resp = yield self.ckpt_sock.recv()
@@ -326,8 +326,7 @@ class MpichDaemon:
         """Cleanup then clean exit; the dispatcher reads the resulting
         socket closure as the termination acknowledgement."""
         yield self.engine.timeout(
-            self.timing.uniform(self.engine.random,
-                                self.timing.terminate_cleanup))
+            self.engine.random.uniform(*TERMINATE_CLEANUP))
         self.proc.exit()
 
     def dispose(self) -> None:
@@ -346,7 +345,6 @@ def daemon_lifecycle(core_cls, proc: UnixProcess, config, rank: int,
     """
     engine = proc.engine
     proc.site = f"r{rank}"
-    timing = config.timing
     cluster = proc.node.cluster
     if incarnation > 1:
         # a restarted rank: the recovery path itself is coverage
@@ -357,7 +355,8 @@ def daemon_lifecycle(core_cls, proc: UnixProcess, config, rank: int,
     # Bind the mesh listener before anything else so peers never race
     # us, and so a daemon that cannot bind builds nothing.
     try:
-        listener = proc.node.listen(config.daemon_port_base + rank, owner=proc)
+        listener = proc.node.listen(shardmap.DAEMON_PORT_BASE + rank,
+                                    owner=proc)
     except OSError:
         # The port is held by this rank's previous daemon: the
         # dispatcher suspected it across a partition and relaunched
@@ -377,12 +376,13 @@ def daemon_lifecycle(core_cls, proc: UnixProcess, config, rank: int,
                          core.on_peer_connected)
 
     # exec + library initialisation time
-    yield engine.timeout(timing.uniform(engine.random, timing.daemon_startup))
+    yield engine.timeout(engine.random.uniform(*DAEMON_STARTUP))
 
     # --- argument exchange with the dispatcher ----------------------------
-    disp_addr = cluster.node(shardmap.DISPATCHER_NODE).addr(config.dispatcher_port)
+    disp_addr = cluster.node(shardmap.DISPATCHER_NODE).addr(
+        shardmap.DISPATCHER_PORT)
     core.disp_sock = yield from connect_retry(
-        proc, disp_addr, timing.connect_retry_initial, timing.connect_retry_max)
+        proc, disp_addr, CONNECT_RETRY_INITIAL, CONNECT_RETRY_MAX)
     core.disp_sock.send(wire.Register(rank=rank, addr=listener.addr,
                                       epoch=epoch, incarnation=incarnation))
     try:
@@ -408,8 +408,7 @@ def daemon_lifecycle(core_cls, proc: UnixProcess, config, rank: int,
         # closure acknowledges — identical for every protocol.
         engine.cover("daemon.terminate_before_cmdmap")
         core.terminating = True
-        yield engine.timeout(
-            timing.uniform(engine.random, timing.terminate_cleanup))
+        yield engine.timeout(engine.random.uniform(*TERMINATE_CLEANUP))
         proc.exit()
         return
     if isinstance(cmd, wire.Shutdown):
@@ -436,7 +435,7 @@ def daemon_lifecycle(core_cls, proc: UnixProcess, config, rank: int,
     if core.mesh is not None:
         core.mesh.dial([(peer, cmd.addrs[peer])
                         for peer in core.mesh_dial_targets(cmd)],
-                       timing.connect_retry_initial, timing.connect_retry_max,
+                       CONNECT_RETRY_INITIAL, CONNECT_RETRY_MAX,
                        stop=lambda: core.terminating)
     if core.expected_peers:
         yield core.mesh_ready

@@ -73,7 +73,7 @@ def dispatcher_main(proc: UnixProcess, config, app_factory,
     single_rank_restart = config.fault_tolerant and spec.single_rank_restart
     state = DispatcherState()
     proc.tags["disp_state"] = state
-    listener = proc.node.listen(config.dispatcher_port, owner=proc)
+    listener = proc.node.listen(shardmap.DISPATCHER_PORT, owner=proc)
     sched_conn = [None]
     # open span rows (None when engine.obs is None): the full-restart
     # relaunch span of the epoch in progress, and the per-rank relaunch

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.cluster.unixproc import UnixProcess
-from repro.mpichv import wire
+from repro.mpichv import shardmap, wire
 
 
 class EventLogState:
@@ -46,13 +46,13 @@ class EventLogState:
             self.events[rank] = kept
 
 
-def eventlog_main(proc: UnixProcess, config):
+def eventlog_main(proc: UnixProcess):
     """Main generator of the event-logger service process."""
     engine = proc.engine
     proc.site = "evlog"
     state = EventLogState()
     proc.tags["evlog_state"] = state
-    listener = proc.node.listen(config.eventlog_port, owner=proc)
+    listener = proc.node.listen(shardmap.EVENTLOG_PORT, owner=proc)
 
     def serve_conn(sock) -> None:
         def on_msg(msg) -> None:

@@ -74,7 +74,6 @@ class ProtocolSpec:
     service_plan: Callable[[Any], List[ServiceSpec]]
     #: failure recovery restarts only the failed rank (vs. everyone)
     single_rank_restart: bool
-    description: str = ""
     #: protocol-specific config checks; raises ValueError
     validate: Optional[Callable[[Any], None]] = None
     #: service nodes beyond the baseline (dispatcher + svc1 + servers)
@@ -156,7 +155,7 @@ def _ckpt_servers(config) -> List[ServiceSpec]:
     """One checkpoint server per shard (placement: repro.mpichv.shardmap)."""
     return [
         ServiceSpec(name=f"ckptserver.{i}", node=shardmap.ckpt_server_node(i),
-                    main=(lambda p, i=i: ckpt_server_main(p, config, i)))
+                    main=(lambda p, i=i: ckpt_server_main(p, i)))
         for i in range(config.n_ckpt_servers)
     ]
 
@@ -173,7 +172,7 @@ def _v2_plan(config) -> List[ServiceSpec]:
     # hosts the stable event logger instead
     return _ckpt_servers(config) + [
         ServiceSpec(name="eventlog", node=shardmap.COORDINATOR_NODE,
-                    main=lambda p: eventlog_main(p, config)),
+                    main=eventlog_main),
     ]
 
 
@@ -288,8 +287,6 @@ PROTOCOLS: Dict[str, ProtocolSpec] = {spec.name: spec for spec in (
         core_cls=VclDaemon,
         service_plan=_vcl_plan,
         single_rank_restart=False,
-        description=("coordinated non-blocking Chandy-Lamport "
-                     "checkpointing (the paper's protocol)"),
         invariants=_vcl_invariants,
     ),
     ProtocolSpec(
@@ -297,8 +294,6 @@ PROTOCOLS: Dict[str, ProtocolSpec] = {spec.name: spec for spec in (
         core_cls=V2Daemon,
         service_plan=_v2_plan,
         single_rank_restart=True,
-        description=("pessimistic sender-based message logging with "
-                     "uncoordinated checkpoints [BCH+03]"),
         validate=_require_non_blocking,
         invariants=_v2_invariants,
         simultaneous_tolerance=1,
@@ -308,8 +303,6 @@ PROTOCOLS: Dict[str, ProtocolSpec] = {spec.name: spec for spec in (
         core_cls=V1Daemon,
         service_plan=_v1_plan,
         single_rank_restart=True,
-        description=("remote pessimistic logging in stable Channel "
-                     "Memories (MPICH-V1)"),
         validate=_validate_v1,
         extra_service_nodes=lambda config: config.n_channel_memories,
         invariants=_v1_invariants,

@@ -176,12 +176,8 @@ class VclRuntime:
         self.obs: Optional[Obs] = Obs() if observe else None
         self.engine.obs = self.obs
         self.cluster = Cluster(
-            self.engine, config.n_machines,
-            latency=config.timing.net_latency,
-            bandwidth=config.timing.net_bandwidth,
-            name_prefix="m",
-            topology=config.topology,
-        )
+            self.engine, config.n_machines, name_prefix="m",
+            topology=config.topology)
         for i in range(config.n_service_nodes):
             self.cluster.add_node(f"svc{i}")
         self.machines: List[str] = [f"m{i}" for i in range(config.n_machines)]

@@ -43,7 +43,7 @@ def scheduler_main(proc: UnixProcess, config):
     proc.tags["sched_state"] = state
     n = config.n_procs
     network = proc.node.cluster.network
-    listener = proc.node.listen(config.scheduler_port, owner=proc)
+    listener = proc.node.listen(shardmap.SCHEDULER_PORT, owner=proc)
 
     server_socks = []
     dispatcher_sock = [None]
@@ -55,12 +55,12 @@ def scheduler_main(proc: UnixProcess, config):
         # them, or a shard could serve an uncommitted image on restart
         for i in range(config.n_ckpt_servers):
             addr = proc.node.cluster.node(shardmap.ckpt_server_node(i)).addr(
-                shardmap.ckpt_server_port(config, i))
+                shardmap.ckpt_server_port(i))
             server_socks.append((yield from connect_retry(
                 proc, addr, RETRY_DELAY, RETRY_DELAY)))
         # dispatcher (for commit notes)
         addr = proc.node.cluster.node(shardmap.DISPATCHER_NODE).addr(
-            config.dispatcher_port)
+            shardmap.DISPATCHER_PORT)
         dispatcher_sock[0] = yield from connect_retry(
             proc, addr, RETRY_DELAY, RETRY_DELAY)
 

@@ -21,7 +21,9 @@ degenerates to the single-server deployment (every rank maps to shard
 servers deploy and simply stay idle.
 
 This module is the single source of truth for the layout: nothing
-outside it may spell ``svc{2+...}`` arithmetic.
+outside it may spell ``svc{2+...}`` arithmetic.  The service ports are
+part of it; they address listeners inside the simulated cluster only
+(no host socket is ever bound), so they are constants of the model.
 """
 
 from __future__ import annotations
@@ -34,6 +36,18 @@ COORDINATOR_NODE = "svc1"
 
 #: service-node index of checkpoint shard 0
 _CKPT_BASE = 2
+
+#: listen ports of the services (dispatcher on svc0, the coordinator's
+#: scheduler or event logger on svc1)
+DISPATCHER_PORT = 7000
+SCHEDULER_PORT = 7001
+EVENTLOG_PORT = 7002
+#: checkpoint shard ``i`` listens on ``CKPT_SERVER_PORT_BASE + i``,
+#: Channel Memory ``i`` on ``CHANNEL_MEMORY_PORT_BASE + i`` and rank
+#: ``r``'s daemon mesh on ``DAEMON_PORT_BASE + r``
+CKPT_SERVER_PORT_BASE = 7100
+CHANNEL_MEMORY_PORT_BASE = 7200
+DAEMON_PORT_BASE = 6000
 
 
 def ckpt_shard(rank: int, n_ckpt_servers: int) -> int:
@@ -51,15 +65,15 @@ def ckpt_server_node(shard: int) -> str:
     return f"svc{_CKPT_BASE + shard}"
 
 
-def ckpt_server_port(config, shard: int) -> int:
+def ckpt_server_port(shard: int) -> int:
     """Listen port of checkpoint shard ``shard``."""
-    return config.ckpt_server_port_base + shard
+    return CKPT_SERVER_PORT_BASE + shard
 
 
 def ckpt_server_for_rank(config, rank: int) -> Tuple[str, int]:
     """(node, port) of the checkpoint server owning ``rank``."""
     shard = ckpt_shard(rank, config.n_ckpt_servers)
-    return ckpt_server_node(shard), ckpt_server_port(config, shard)
+    return ckpt_server_node(shard), ckpt_server_port(shard)
 
 
 def extras_base(config) -> int:
@@ -72,6 +86,6 @@ def cm_node(config, cm_index: int) -> str:
     return f"svc{extras_base(config) + cm_index}"
 
 
-def cm_port(config, cm_index: int) -> int:
+def cm_port(cm_index: int) -> int:
     """Listen port of Channel Memory ``cm_index`` (v1)."""
-    return config.channel_memory_port_base + cm_index
+    return CHANNEL_MEMORY_PORT_BASE + cm_index

@@ -111,7 +111,7 @@ class V1Daemon(MpichDaemon):
         for i in range(len(self.cm_socks)):
             self.cm_socks[i] = yield from self.connect_service(
                 shardmap.cm_node(self.config, i),
-                shardmap.cm_port(self.config, i))
+                shardmap.cm_port(i))
 
     def restore_state(self, cmd):
         if self.restarted:

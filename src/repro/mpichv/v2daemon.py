@@ -256,7 +256,7 @@ class V2Daemon(MpichDaemon):
     def connect_services(self, cmd):
         yield from self.connect_ckpt_server()
         self.evlog_sock = yield from self.connect_service(
-            shardmap.COORDINATOR_NODE, self.config.eventlog_port)
+            shardmap.COORDINATOR_NODE, shardmap.EVENTLOG_PORT)
 
     def restore_state(self, cmd):
         if self.restarted:

@@ -231,7 +231,7 @@ class VclDaemon(MpichDaemon):
         if not self.config.fault_tolerant:
             return
         self.sched_sock = yield from self.connect_service(
-            shardmap.COORDINATOR_NODE, self.config.scheduler_port)
+            shardmap.COORDINATOR_NODE, shardmap.SCHEDULER_PORT)
         yield from self.connect_ckpt_server()
 
     def restore_state(self, cmd):

@@ -39,26 +39,22 @@ from typing import Dict, Optional, Tuple
 from repro.netmodel.spec import DEFAULT_BANDWIDTH, DEFAULT_LATENCY, TopologySpec
 from repro.registry import lookup
 
+#: forwarding delay added once per switch traversal (star / twotier)
+SWITCH_LATENCY = 5e-6
+
 
 def validate_model(name: str) -> None:
     """Raise ``ValueError`` for unknown fabric model names."""
     lookup(FABRICS, "fabric model", name)
 
 
-def build_fabric(topology, latency: Optional[float] = None,
-                 bandwidth: Optional[float] = None) -> "FabricModel":
-    """Instantiate the fabric a :class:`TopologySpec` describes.
-
-    ``latency``/``bandwidth`` are the deployment defaults used when the
-    spec leaves its own ``None``.
-    """
+def build_fabric(topology, latency: float = DEFAULT_LATENCY,
+                 bandwidth: float = DEFAULT_BANDWIDTH) -> "FabricModel":
+    """Instantiate the fabric a :class:`TopologySpec` describes, with
+    ``latency`` / ``bandwidth`` as its host-to-host base parameters."""
     spec = TopologySpec.coerce(topology)
     cls = lookup(FABRICS, "fabric model", spec.model)
-    base_latency = spec.latency if spec.latency is not None else (
-        latency if latency is not None else DEFAULT_LATENCY)
-    base_bandwidth = spec.bandwidth if spec.bandwidth is not None else (
-        bandwidth if bandwidth is not None else DEFAULT_BANDWIDTH)
-    return cls(spec, base_latency, base_bandwidth)
+    return cls(spec, latency, bandwidth)
 
 
 class Link:
@@ -185,11 +181,8 @@ class StarFabric(FabricModel):
     """Per-host access links feeding one shared switch."""
 
     def _host_added(self, host: str) -> None:
-        spec = self.spec
-        up_bw = (spec.uplink_bandwidth if spec.uplink_bandwidth is not None
-                 else self.bandwidth)
-        self._link(f"{host}/up", self.latency / 2 + spec.switch_latency,
-                   up_bw)
+        self._link(f"{host}/up", self.latency / 2 + SWITCH_LATENCY,
+                   self.bandwidth)
         self._link(f"{host}/down", self.latency / 2, self.bandwidth)
 
     def _build_path(self, src: str, dst: str) -> Tuple[Link, ...]:
@@ -213,17 +206,13 @@ class TwoTierFabric(FabricModel):
         spec = self.spec
         return self.bandwidth * spec.rack_size / spec.oversubscription
 
-    def _core_latency(self) -> float:
-        core = self.spec.core_latency
-        return core if core is not None else self.latency
-
     def _host_added(self, host: str) -> None:
         spec = self.spec
-        self._link(f"{host}/up", self.latency / 2 + spec.switch_latency,
+        self._link(f"{host}/up", self.latency / 2 + SWITCH_LATENCY,
                    self.bandwidth)
         self._link(f"{host}/down", self.latency / 2, self.bandwidth)
         rack = self._hosts[host] // spec.rack_size
-        half_core = self._core_latency() / 2
+        half_core = self.latency / 2
         self._link(f"rack{rack}/up", half_core, self._core_bandwidth())
         self._link(f"rack{rack}/down", half_core, self._core_bandwidth())
 

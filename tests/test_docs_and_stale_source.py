@@ -192,6 +192,17 @@ STALE_PHRASES = [
     r"protocols\.register\(",
     r"unregister",
     r"Registry\(",
+    # the testbed's calibration as settable configuration: its timings,
+    # service ports and fabric knobs are module constants
+    r"TimingModel",
+    r"config\.timing",
+    r"ssh_latency",
+    r"ckpt_fork_pause",
+    r"_port_base",
+    r"dispatcher_port",
+    r"switch_latency",
+    r"uplink_bandwidth",
+    r"core_latency",
 ]
 
 

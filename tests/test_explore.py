@@ -465,7 +465,11 @@ def test_explore_command_registered():
     assert COMMANDS["explore"][0] == "repro.explore.campaign"
 
 
-@pytest.mark.parametrize("text, key", [("bogus=1", "'bogus'"), ("=5", "''")])
+@pytest.mark.parametrize("text, key", [
+    ("bogus=1", "'bogus'"), ("=5", "''"),
+    # the testbed calibration is constants, not config fields
+    ("timing=1", "'timing'"), ("dispatcher_port=7000", "'dispatcher_port'"),
+])
 def test_override_of_an_unknown_key_is_a_usage_error(text, key, capsys):
     """An --override key that is not a VclConfig field stops the parser
     with one line naming it, before any trial runs."""

@@ -2,6 +2,7 @@
 API corners (deploy idempotence, run-after-timeout state)."""
 
 from repro.analysis.classify import Outcome
+from repro.fail.daemon import ORDER_HANDLING
 from repro.fail.scenario import Binding, deploy_scenario
 from repro.mpichv.config import VclConfig
 from repro.mpichv.runtime import VclRuntime
@@ -53,13 +54,12 @@ def test_handling_delay_spreads_processing_over_time():
     dep = deploy_scenario(rt, scenario, params={},
                           bindings={"S": Binding(daemon="Stamp", nodes=None)})
     daemon = dep.daemon("S")
-    timing = rt.config.timing
     for _ in range(5):
         daemon.deliver_msg("tick", "X")
     # all five processed no earlier than 5 * min handling delay
-    rt.engine.run(until=timing.fail_order_handling[0] * 5 - 1e-9)
+    rt.engine.run(until=ORDER_HANDLING[0] * 5 - 1e-9)
     assert daemon.machine.vars["n"] < 5
-    rt.engine.run(until=timing.fail_order_handling[1] * 5 + 0.01)
+    rt.engine.run(until=ORDER_HANDLING[1] * 5 + 0.01)
     assert daemon.machine.vars["n"] == 5
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster.unixproc import ProcState
 from repro.fail import builtin_scenarios as scenarios
-from repro.fail.bus import FailBus
+from repro.fail.bus import BUS_LATENCY, FailBus
 from repro.fail.debugger import Debugger
 from repro.fail.lang.errors import FailSemanticError
 from repro.fail.scenario import Binding, deploy_scenario
@@ -60,7 +60,7 @@ def test_debugger_breakpoint_applies_to_future_attach(engine, cluster):
 # ---------------------------------------------------------------------------
 
 def test_bus_delivery_and_loss_accounting(engine):
-    bus = FailBus(engine, latency=0.001)
+    bus = FailBus(engine)
     got = []
 
     class Sink:
@@ -71,7 +71,7 @@ def test_bus_delivery_and_loss_accounting(engine):
     bus.send("B", "A", "hello")
     bus.send("B", "missing", "lost")
     engine.run()
-    assert got == [(pytest.approx(0.001), "hello", "B")]
+    assert got == [(pytest.approx(BUS_LATENCY), "hello", "B")]
     assert bus.messages_sent == 2
     assert bus.messages_lost == 1
 

@@ -146,9 +146,9 @@ def test_faulted_trial_matches_reference_digest():
 def test_trial_key_is_the_recorded_hex():
     setup = _setup("vcl", 1, "uniform")
     assert trial_key(setup, 7) == \
-        "5eaa167c655e066b27e0e0412f0a942a0678e72491ab0ddf160f61ef060b2c04"
+        "2bb21e149ec8630fc0ce70767d3ff9a5593d0e6b807eb59473bc4e1992d3beda"
     assert trial_key(dataclasses.replace(setup, observe=True), 7) == \
-        "0440e2bcb09973ef1697edebd52323bc5ed1f1bc812673b99367f19451c0b354"
+        "1670b0fd784c4fc3570279febcbc6105b5582b220ad6fbe323fd61ee2b5bf93b"
 
 
 def test_trial_key_still_separates_real_configuration():
@@ -159,6 +159,26 @@ def test_trial_key_still_separates_real_configuration():
     assert trial_key(dataclasses.replace(setup, niters=41), 7) != key
     assert trial_key(_setup("vcl", 1, "twotier"), 7) != key
     assert trial_key(_setup("vcl", 4, "uniform"), 7) != key
+
+
+def test_one_topology_has_one_key_however_it_is_spelled():
+    """``scale-sweep --topology`` passes a model name and
+    ``net-sensitivity`` a spec: both spellings of one fabric are one
+    trial, so they must share one cache slot."""
+    def setup(topology):
+        return TrialSetup(n_procs=4, n_machines=6, workload="ring",
+                          config_overrides={"topology": topology})
+
+    spellings = ["star", {"model": "star"}, TopologySpec("star")]
+    keys = {trial_key(setup(topology), 3) for topology in spellings}
+    assert len(keys) == 1
+    given = {"topology": "star"}
+    held = TrialSetup(n_procs=4, n_machines=6, config_overrides=given)
+    assert held.config_overrides["topology"] == TopologySpec("star")
+    assert given == {"topology": "star"}      # the caller's dict is kept
+    # an explicit "uniform" is not folded into a missing override
+    plain = TrialSetup(n_procs=4, n_machines=6, workload="ring")
+    assert trial_key(plain, 3) != trial_key(setup("uniform"), 3)
 
 
 #: one setup per shape a key must spell: plain scalars, a generated
@@ -197,8 +217,8 @@ KEYS = {
         "45a7c819b8064d4dc2f61105b2a4a102b62a82c80c72e3f623eb2c595ae1f750",
         "dd639006ddf7f37efd5060b74af9fe6e08497b2972be555c55db34aa17b4a30c"),
     "topology": (
-        "c3844563355af1c8e4d0dbbba530c42916cc1b367719e94d18b5a45b47a96d49",
-        "14e654f55451f876e0915fd060bb9c0418fc60988ae60eed65bd029301a14f7b"),
+        "ee2dd21d3527c2574900f495840046d1b77f3827562f90fc4d3f0bb4aac65c1a",
+        "0f7f943eb5f59258b1bc2267e6ad890daba603fee98da8a06ae4c70bcc7a0455"),
     "containers": (
         "48def552f3cb444abd3deff824ad64fdb34a1377e9d2ee12539e09b188dd4135",
         "c1646220e0ed5d2afcbe354159f8ce21ef43122aa1beae8688c506d911eb83d8"),

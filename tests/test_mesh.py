@@ -23,7 +23,7 @@ from repro.analysis.traces import Trace
 from repro.cluster.cluster import Cluster
 from repro.cluster.network import DIALED, Mesh
 from repro.cluster.unixproc import ProcState
-from repro.mpichv.config import VclConfig
+from repro.mpichv.config import CONNECT_RETRY_INITIAL, CONNECT_RETRY_MAX
 from repro.simkernel.engine import Engine
 from repro.simkernel.store import StoreClosed
 
@@ -55,7 +55,6 @@ class _DialWorld:
         engine_cls = Engine if mesh else ReferenceEngine
         self.engine = engine_cls(seed=3, trace=Trace())
         self.cluster = Cluster(self.engine, servers + 1)
-        self.timing = VclConfig(n_procs=2, n_machines=3).timing
         self.mesh = mesh
         self.n_servers = servers
         self.log = []
@@ -83,15 +82,14 @@ class _DialWorld:
             dialer = Mesh(self.proc, self.cluster.node(me).listen(
                 9, owner=self.proc), me, me + 1, None, None, None, connected)
             dialer.dial(list(enumerate(addrs)),
-                        self.timing.connect_retry_initial,
-                        self.timing.connect_retry_max,
+                        CONNECT_RETRY_INITIAL, CONNECT_RETRY_MAX,
                         stop=lambda: self.terminating)
             return
 
         def dial_peer(rank, addr):
             sock = yield from connect_retry(
-                self.proc, addr, self.timing.connect_retry_initial,
-                self.timing.connect_retry_max, stop=lambda: self.terminating)
+                self.proc, addr, CONNECT_RETRY_INITIAL, CONNECT_RETRY_MAX,
+                stop=lambda: self.terminating)
             if sock is not None:
                 self.probe("connected", rank)
                 sock.send("hello")

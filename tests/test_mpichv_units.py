@@ -10,7 +10,7 @@ from repro.mpi.message import AppMessage
 from repro.mpichv.checkpoint import (CheckpointImage, LocalCkptStore,
                                      node_local_store, snapshot)
 from repro.mpichv.ckptserver import CkptServerState
-from repro.mpichv.config import TimingModel, VclConfig
+from repro.mpichv.config import VclConfig
 from repro.mpichv import wire
 
 
@@ -38,15 +38,6 @@ def test_image_size_scales_inversely_with_procs():
 def test_config_validation(bad):
     with pytest.raises(ValueError):
         VclConfig(**bad)
-
-
-def test_timing_uniform_uses_rng():
-    import random
-    timing = TimingModel()
-    rng = random.Random(0)
-    values = {timing.uniform(rng, (1.0, 2.0)) for _ in range(10)}
-    assert all(1.0 <= v <= 2.0 for v in values)
-    assert len(values) > 1
 
 
 def test_service_node_count():

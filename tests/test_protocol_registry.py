@@ -110,7 +110,6 @@ def test_registering_a_new_protocol_is_enough_to_deploy_it(monkeypatch):
         core_cls=ToyDaemon,
         service_plan=protocols.get_spec("v2").service_plan,
         single_rank_restart=True,
-        description="V2 under another name (extension smoke test)",
         validate=None,
     )
     with monkeypatch.context() as patch:
@@ -159,12 +158,13 @@ def test_every_daemon_shares_the_lifecycle_and_termination_path():
 @pytest.mark.parametrize("protocol", ["vcl", "v2", "v1"])
 def test_terminate_applies_cleanup_delay_for_every_protocol(protocol):
     """Regression: the V2 daemon used to exit immediately on Terminate
-    while Vcl applied the ``terminate_cleanup`` delay — a timing
+    while Vcl applied the ``TERMINATE_CLEANUP`` delay — a timing
     artifact with no paper-grounded reason.  Drive the pre-command-map
     Terminate path against a fake dispatcher and time the exit."""
     from repro.analysis.traces import Trace
     from repro.cluster.cluster import Cluster
-    from repro.mpichv import wire
+    from repro.mpichv import shardmap, wire
+    from repro.mpichv.config import TERMINATE_CLEANUP
     from repro.simkernel.engine import Engine
     from repro.simkernel.store import StoreClosed
 
@@ -176,7 +176,7 @@ def test_terminate_applies_cleanup_delay_for_every_protocol(protocol):
     observed = {}
 
     def fake_dispatcher(proc):
-        listener = proc.node.listen(config.dispatcher_port, owner=proc)
+        listener = proc.node.listen(shardmap.DISPATCHER_PORT, owner=proc)
         sock = yield listener.accept()
         reg = yield sock.recv()
         assert isinstance(reg, wire.Register)
@@ -202,7 +202,7 @@ def test_terminate_applies_cleanup_delay_for_every_protocol(protocol):
 
     assert "closed_at" in observed, "daemon never exited"
     delay = observed["closed_at"] - observed["sent_at"]
-    lo, hi = config.timing.terminate_cleanup
+    lo, hi = TERMINATE_CLEANUP
     # one network hop for the Terminate, then the cleanup delay
     assert delay >= lo, (protocol, delay)
     assert delay <= hi + 1.0, (protocol, delay)

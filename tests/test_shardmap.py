@@ -63,7 +63,7 @@ def test_node_layout_is_contiguous():
     assert shardmap.cm_node(config, 0) == "svc5"   # after the shards
     assert shardmap.cm_node(config, 1) == "svc6"
     assert shardmap.ckpt_server_for_rank(config, 5) \
-        == ("svc4", config.ckpt_server_port_base + 2)
+        == ("svc4", shardmap.CKPT_SERVER_PORT_BASE + 2)
 
 
 def test_config_rejects_zero_servers():

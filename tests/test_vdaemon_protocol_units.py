@@ -10,9 +10,9 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.network import Mesh
 from repro.mpi.endpoint import UNMATCHED_KEY
 from repro.mpi.message import AppMessage
-from repro.mpichv import wire
+from repro.mpichv import shardmap, wire
 from repro.mpichv.ckptserver import ckpt_server_main
-from repro.mpichv.config import VclConfig
+from repro.mpichv.config import LOCAL_DISK_BW, VclConfig
 from repro.mpichv.vdaemon import VclDaemon
 from repro.simkernel.engine import Engine
 
@@ -134,19 +134,19 @@ def test_late_logs_reach_the_shard_once():
     core.on_data(2, msg(2, tag=11))
     core.handle_marker(wire.Marker(wave=1, src_rank=1))
     # past the local write: the transfer thread ships the image
-    engine.run(until=core.config.image_size / core.timing.local_disk_bw + 1)
+    engine.run(until=core.config.image_size / LOCAL_DISK_BW + 1)
     sent = list(core.ckpt_sock.sent)
     assert [type(m) for m in sent] == [wire.CkptLogAppend, wire.CkptStore]
 
     # a real checkpoint server ingests what the daemon sent, in order
     node = core.proc.node
     server = node.spawn("ckptserver",
-                        lambda p: ckpt_server_main(p, core.config, 0),
+                        lambda p: ckpt_server_main(p, 0),
                         notify=False)
 
     def feed(p):
         sock = yield node.connect(
-            node.addr(core.config.ckpt_server_port_base), owner=p)
+            node.addr(shardmap.ckpt_server_port(0)), owner=p)
         for m in sent:
             sock.send(m)
         yield engine.event()
